@@ -159,13 +159,14 @@ func BenchmarkFig6SummaryOps(b *testing.B) {
 }
 
 // BenchmarkFig7Quantile reproduces Figure 7: quantile-estimation pipeline
-// time, GPU versus CPU backend, across epsilon values.
+// time, GPU versus CPU backend, across epsilon values, at the paper's 1/eps
+// window rather than the estimator's default multiple of it.
 func BenchmarkFig7Quantile(b *testing.B) {
 	for _, eps := range []float64{1e-2, 1e-3, 1e-4} {
 		for _, backend := range []Backend{BackendGPU, BackendCPU} {
 			b.Run(fmt.Sprintf("%v/eps=%g", backend, eps), func(b *testing.B) {
 				benchPipeline(b, backend, func(eng *Engine[float32], data []float32) float64 {
-					est := eng.NewQuantileEstimator(eps, int64(len(data)))
+					est := eng.NewQuantileEstimator(eps, int64(len(data)), WithSortWindow(int(1/eps)))
 					est.ProcessSlice(data)
 					_ = est.Query(0.5)
 					tm := est.Stats()

@@ -196,6 +196,9 @@ func measureCounts(eps float64, scale int, quantile, async bool) (gpustream.Stat
 	var counts gpustream.Stats
 	var hostTime time.Duration
 	if quantile {
+		// The paper's window, 1/eps, not the estimator's default multiple
+		// of it: these counts feed the 2004 cost model of Figure 7.
+		eopts = append(eopts, gpustream.WithSortWindow(int(1/eps)))
 		est := eng.NewQuantileEstimator(eps, int64(n), eopts...)
 		t0 := time.Now()
 		est.ProcessSlice(data)

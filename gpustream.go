@@ -651,9 +651,10 @@ func (e *Engine[T]) NewFrequencyEstimator(eps float64, opts ...EstimatorOption) 
 	return est
 }
 
-// NewQuantileEstimator returns an eps-approximate quantile estimator for
-// streams of up to capacity elements (capacity <= 0 picks a generous
-// default), backed by this engine's sorter.
+// NewQuantileEstimator returns an eps-approximate quantile estimator backed
+// by this engine's sorter. capacity is accepted for compatibility and
+// ignored: the summary budgets its error by the depth it observes, so the
+// bound holds at any stream length (DESIGN.md section 17).
 func (e *Engine[T]) NewQuantileEstimator(eps float64, capacity int64, opts ...EstimatorOption) *QuantileEstimator[T] {
 	cfg := parseEstimatorOptions(opts)
 	var qopts []quantile.Option

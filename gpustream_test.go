@@ -183,6 +183,7 @@ func TestEngineStatsRegistry(t *testing.T) {
 	fe.ProcessSlice(data)
 	qe.ProcessSlice(data)
 	fe.Flush()
+	qe.Flush()
 
 	all := eng.Stats()
 	if len(all) != 2 {

@@ -3,23 +3,24 @@
 // sensor-network algorithm extended to the stream model with an exponential
 // histogram of summaries. Each incoming window is sorted (the GPU-
 // accelerated step), reduced to an (eps/2)-approximate summary with exact
-// ranks, and inserted as a bucket of id 1; whenever two buckets share an id
-// they are combined by a merge and a prune whose error budget grows with the
-// bucket id, so the total error never exceeds eps.
+// ranks, and inserted as a bucket at level 0; whenever two buckets share a
+// level they are combined by a merge and, once the result outgrows its entry
+// budget, a prune that spends a fixed fraction of the error headroom the
+// bucket has left, so the total error never exceeds eps at any stream length
+// (DESIGN.md section 17).
 //
 // Windowing, buffering, lifecycle, locking, and telemetry come from the
 // shared internal/pipeline core; this package contributes the
 // sort -> summarize -> cascade-combine sink. Queries are safe under
 // concurrent ingestion, and Snapshot returns an immutable view: bucket
 // summaries are never mutated once published (MergeInto writes only the
-// cascade scratch, Prune and FromSortedWindow allocate fresh entries), so a
-// view is just a handle on the merged summary of the moment.
+// cascade scratch, Merge, Prune and FromSortedWindow allocate fresh
+// entries), so a view is just a handle on the merged summary of the moment.
 package quantile
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"gpustream/internal/pipeline"
@@ -27,25 +28,51 @@ import (
 	"gpustream/internal/summary"
 )
 
-// Estimator answers eps-approximate quantile queries over a stream whose
-// maximum length is known a priori (as the paper assumes); Capacity may be
-// generous without much cost since only its logarithm matters.
+// How eps is spent (DESIGN.md section 17). A sampled window spends eps/2 at
+// level 0; the view keeps viewShare of eps for its one final prune; the
+// cascade may bring a bucket up to the cap in between, and each prune spends
+// 1/budgetShare of whatever headroom its bucket still has below the cap.
+const (
+	// windowMultiple sizes the default sort window, in units of ceil(1/eps):
+	// FromSortedWindow then keeps every windowMultiple-th rank.
+	windowMultiple = 4
+	viewShare      = 1.0 / 8
+	budgetShare    = 8
+)
+
+// pruneBudget returns the entry budget b of a prune that spends no more
+// than 1/budgetShare of headroom: 1/(2b) <= headroom/budgetShare. Headroom
+// therefore shrinks by a constant factor per prune and never reaches zero,
+// which is what frees the cascade from an a-priori stream length. A budget
+// too large for an int saturates; no summary can outgrow that one.
+func pruneBudget(headroom float64) int {
+	b := math.Ceil(budgetShare / (2 * headroom))
+	if b >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(b)
+}
+
+// Estimator answers eps-approximate quantile queries over a stream of any
+// length.
 //
 // One writer and any number of query goroutines may use an Estimator
 // concurrently.
 type Estimator[T sorter.Value] struct {
-	eps      float64
-	window   int // construction-time window, the floor of any tuned schedule
-	levels   int
-	pruneB   int
-	core     *pipeline.Core[T]
-	buckets  map[int]*summary.Summary[T]
-	n        int64 // elements folded into buckets (excludes buffered)
-	capacity int64
+	eps   float64
+	cap   float64 // most error a bucket may have spent: eps less the view's share
+	viewB int     // entry budget of the view's final prune
+	core  *pipeline.Core[T]
 
-	// mergeTmp is the reusable scratch for the cascade's intermediate
-	// merged summaries, which never escape flushWindow: reusing it removes
-	// the dominant per-combine allocation.
+	// levels[k] is the bucket covering 2^k windows, nil while that level is
+	// empty. A bucket's Eps is the error it has spent so far: what its
+	// windows spent at level 0 (the largest of them) plus every prune on the
+	// way up.
+	levels []*summary.Summary[T]
+	n      int64 // elements folded into buckets (excludes buffered)
+
+	// mergeTmp is the reusable scratch for merged summaries that are pruned
+	// straight away, which never escape mergeWindow.
 	mergeTmp *summary.Summary[T]
 
 	// snapshot cache: queries against an unchanged stream reuse the merged
@@ -64,7 +91,7 @@ type config struct {
 	async  bool
 }
 
-// WithWindow overrides the buffered window size (default ceil(1/eps)).
+// WithWindow overrides the buffered window size (default 4*ceil(1/eps)).
 func WithWindow(w int) Option {
 	return func(e *config) {
 		if w <= 0 {
@@ -79,38 +106,25 @@ func WithWindow(w int) Option {
 // window. Answers are bit-identical to synchronous mode.
 func WithAsync() Option { return func(e *config) { e.async = true } }
 
-// NewEstimator returns an eps-approximate quantile estimator for streams of
-// up to capacity elements, sorting windows with s. capacity <= 0 selects a
-// generous default (2^40).
-func NewEstimator[T sorter.Value](eps float64, capacity int64, s sorter.Sorter[T], opts ...Option) *Estimator[T] {
+// NewEstimator returns an eps-approximate quantile estimator sorting windows
+// with s. The capacity argument is accepted for compatibility and ignored:
+// the cascade budgets by the depth it observes, so the bound holds at any
+// stream length.
+func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts ...Option) *Estimator[T] {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("quantile: eps %v out of (0, 1)", eps))
 	}
-	if capacity <= 0 {
-		capacity = 1 << 40
-	}
-	cfg := config{window: int(math.Ceil(1 / eps))}
+	cfg := config{window: windowMultiple * int(math.Ceil(1/eps))}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	e := &Estimator[T]{
 		eps:      eps,
-		window:   cfg.window,
-		buckets:  make(map[int]*summary.Summary[T]),
-		capacity: capacity,
+		cap:      eps * (1 - viewShare),
+		viewB:    int(math.Ceil(1 / (2 * viewShare * eps))),
 		mergeTmp: &summary.Summary[T]{},
 	}
-	// L bounds the bucket id: windows cascade like a binary counter, so at
-	// most log2(capacity/window)+1 combines happen along any chain.
-	maxWindows := capacity/int64(e.window) + 1
-	e.levels = 1
-	for int64(1)<<e.levels < maxWindows {
-		e.levels++
-	}
-	e.levels++ // slack for the final partial window
-	// Each combine adds 1/(2B) error; choose B so that is eps/(2L).
-	e.pruneB = int(math.Ceil(float64(e.levels) / eps))
-	e.core = pipeline.NewStagedCore(e.window, s, e.mergeWindow)
+	e.core = pipeline.NewStagedCore(cfg.window, s, e.mergeWindow)
 	if cfg.async {
 		e.core.StartAsync()
 	}
@@ -125,11 +139,10 @@ func (e *Estimator[T]) Eps() float64 { return e.eps }
 func (e *Estimator[T]) WindowSize() int { return e.core.WindowSize() }
 
 // SetTuner installs a runtime controller over the pipeline's sorter and
-// window knobs; it must be called before ingestion. Schedules must keep
-// windows >= the construction window: the level budget L was sized from
-// capacity/window, and growing windows only shortens cascade chains while
-// FromSortedWindow's eps/2 summary error is window-size independent, so
-// any such schedule stays within the eps bound.
+// window knobs; it must be called before ingestion. Any window schedule
+// stays within the eps bound: FromSortedWindow's eps/2 summary error is
+// window-size independent, and the cascade budgets each combine from the
+// error its buckets have actually spent, not from a planned depth.
 func (e *Estimator[T]) SetTuner(t pipeline.Tuner[T]) { e.core.SetTuner(t) }
 
 // Knobs reports the currently selected sorter and window size.
@@ -155,8 +168,10 @@ func (e *Estimator[T]) SummaryEntries() int {
 	defer e.core.Unlock()
 	e.core.BarrierLocked()
 	total := 0
-	for _, b := range e.buckets {
-		total += b.Size()
+	for _, b := range e.levels {
+		if b != nil {
+			total += b.Size()
+		}
 	}
 	return total
 }
@@ -166,7 +181,13 @@ func (e *Estimator[T]) Buckets() int {
 	e.core.Lock()
 	defer e.core.Unlock()
 	e.core.BarrierLocked()
-	return len(e.buckets)
+	live := 0
+	for _, b := range e.levels {
+		if b != nil {
+			live++
+		}
+	}
+	return live
 }
 
 // Process consumes one stream element. After Close it returns an error
@@ -187,52 +208,74 @@ func (e *Estimator[T]) Flush() error { return e.core.Flush() }
 // pipeline.ErrClosed. Close is idempotent.
 func (e *Estimator[T]) Close() error { return e.core.Close() }
 
+// windowSummary reduces a sorted window to its level-0 summary, with Eps
+// the error the reduction actually spent: eps/2 when ranks were sampled, and
+// nothing when every rank was kept — FromSortedWindow reports step/(2w) for
+// those too, which for a short flushed window exceeds eps although no query
+// against it can miss.
+func windowSummary[T sorter.Value](win []T, eps float64) *summary.Summary[T] {
+	s := summary.FromSortedWindow(win, eps)
+	if s.Size() == len(win) {
+		s.Eps = 0
+	}
+	return s
+}
+
 // mergeWindow is the merge-stage half of the pipeline: it receives a window
 // the core has already sorted (inline, or on the sort stage goroutine in
-// async mode), reduces it to a summary, and cascades combines. The core
-// holds the lock around the call in both modes.
+// async mode), reduces it to a summary, and cascades combines like a binary
+// counter's carries. The core holds the lock around the call in both modes.
 func (e *Estimator[T]) mergeWindow(win []T) {
 	// Reducing the sorted window to an (eps/2)-summary belongs to the sort
 	// (window preparation) stage of the paper's accounting; the values were
 	// already counted when the core timed the sort itself.
 	t0 := time.Now()
-	s := summary.FromSortedWindow(win, e.eps)
+	s := windowSummary(win, e.eps)
 	e.core.AddSort(time.Since(t0), 0)
 	e.n += int64(len(win))
 
-	id := 1
-	for {
-		old, ok := e.buckets[id]
-		if !ok {
-			e.buckets[id] = s
+	for k := range e.levels {
+		old := e.levels[k]
+		if old == nil {
+			e.levels[k] = s
 			return
 		}
-		delete(e.buckets, id)
-		t1 := time.Now()
-		m := summary.MergeInto(e.mergeTmp, old, s)
-		e.core.AddMerge(time.Since(t1), int64(m.Size()))
-		t2 := time.Now()
-		s = m.Prune(e.pruneB)
-		e.core.AddCompress(time.Since(t2), int64(m.Size()))
-		id++
-		if id > e.levels+1 {
-			// Beyond the provisioned depth the error budget no longer
-			// grows; park the summary at the top level.
-			if top, ok := e.buckets[id]; ok {
-				s = summary.MergeInto(e.mergeTmp, top, s).Prune(e.pruneB)
-			}
-			e.buckets[id] = s
-			return
-		}
+		e.levels[k] = nil
+		s = e.combine(old, s)
 	}
+	e.levels = append(e.levels, s)
+}
+
+// combine merges two buckets of one level into the bucket of the next. The
+// merge costs no error (the result has spent what the worse input had); a
+// result within the entry budget its remaining headroom affords is merged
+// straight into a slice of its own size, and a larger one is merged into
+// the scratch and pruned to the budget, spending 1/(2b) more.
+func (e *Estimator[T]) combine(a, b *summary.Summary[T]) *summary.Summary[T] {
+	budget := pruneBudget(e.cap - math.Max(a.Eps, b.Eps))
+	size := a.Size() + b.Size()
+	t0 := time.Now()
+	if size-1 <= budget { // not size <= budget+1: a saturated budget would overflow
+		m := summary.Merge(a, b)
+		e.core.AddMerge(time.Since(t0), int64(size))
+		return m
+	}
+	m := summary.MergeInto(e.mergeTmp, a, b)
+	t1 := time.Now()
+	e.core.AddMerge(t1.Sub(t0), int64(size))
+	p := m.Prune(budget)
+	e.core.AddCompress(time.Since(t1), int64(size))
+	return p
 }
 
 // snapshotLocked merges the live buckets and the buffered partial window
-// into one queryable summary without disturbing the estimator state. The
-// result is cached until more elements arrive; the caller must hold the
-// core lock. The returned summary is immutable — flushWindow only ever
-// replaces buckets with freshly allocated summaries — so it may safely
-// outlive the locked region.
+// into one queryable summary without disturbing the estimator state, and
+// prunes it once to the view's entry budget with the share of eps kept back
+// for that: what queries, the wire and cross-shard merges handle is
+// O(1/eps) entries however long the stream. The result is cached until more
+// elements arrive; the caller must hold the core lock. The returned summary
+// is immutable — mergeWindow only ever replaces buckets with freshly
+// allocated summaries — so it may safely outlive the locked region.
 func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	// Drain in-flight windows first: the buckets must cover the whole
 	// emitted prefix and the sorter must be idle before the partial-window
@@ -242,32 +285,30 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	if e.snapCache != nil && e.snapState == state {
 		return e.snapCache
 	}
-	var partial *summary.Summary[T]
+	var acc *summary.Summary[T]
+	add := func(s *summary.Summary[T]) {
+		if acc == nil {
+			acc = s
+		} else {
+			acc = summary.Merge(acc, s)
+		}
+	}
+	// Smallest first keeps the running merge short for as long as possible:
+	// the partial window, then the buckets by level.
 	if e.core.BufferedLocked() > 0 {
 		tmp := append(e.core.Scratch(e.core.BufferedLocked()), e.core.Partial()...)
 		t0 := time.Now()
 		e.core.SorterLocked().Sort(tmp)
-		partial = summary.FromSortedWindow(tmp, e.eps)
+		add(windowSummary(tmp, e.eps))
 		e.core.AddSort(time.Since(t0), 0)
 	}
-	ids := make([]int, 0, len(e.buckets))
-	for id := range e.buckets {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var acc *summary.Summary[T]
-	for _, id := range ids {
-		if acc == nil {
-			acc = e.buckets[id]
-		} else {
-			acc = summary.Merge(acc, e.buckets[id])
+	for _, b := range e.levels {
+		if b != nil {
+			add(b)
 		}
 	}
-	switch {
-	case acc == nil:
-		acc = partial
-	case partial != nil:
-		acc = summary.Merge(acc, partial)
+	if acc != nil && acc.Size()-1 > e.viewB {
+		acc = acc.Prune(e.viewB)
 	}
 	e.snapCache, e.snapState = acc, state
 	return acc

@@ -101,13 +101,14 @@ func TestEstimatorSpaceSublinear(t *testing.T) {
 	const eps = 0.01
 	e := newCPU(eps, 1_000_000)
 	e.ProcessSlice(stream.Uniform(300000, 7))
-	// Memory is O(L^2 / eps) entries, far below N.
-	if got := e.SummaryEntries(); got > 60000 {
+	// Memory is far below N: 750 windows of 102 entries each, held in 7
+	// buckets whose budgets start at 1067 entries and grow 8/7 per prune.
+	if got := e.SummaryEntries(); got > 10000 {
 		t.Fatalf("summary entries = %d, not sublinear", got)
 	}
 	// Bucket count is logarithmic in the number of windows.
-	if got := e.Buckets(); got > e.levels+2 {
-		t.Fatalf("buckets = %d > levels %d", got, e.levels)
+	if got := e.Buckets(); got > 10 {
+		t.Fatalf("buckets = %d for 750 windows", got)
 	}
 }
 
@@ -128,9 +129,10 @@ func TestEstimatorMedianAccuracy(t *testing.T) {
 
 func TestEstimatorStats(t *testing.T) {
 	e := newCPU(0.01, 10000)
-	e.ProcessSlice(stream.Uniform(1000, 8))
+	// 25 windows of 4/eps values: enough for combines that prune.
+	e.ProcessSlice(stream.Uniform(10000, 8))
 	st := e.Stats()
-	if st.Windows != 10 || st.SortedValues != 1000 {
+	if st.Windows != 25 || st.SortedValues != 10000 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.MergeOps == 0 || st.CompressOps == 0 {
@@ -142,15 +144,14 @@ func TestEstimatorStats(t *testing.T) {
 }
 
 func TestEstimatorDeepStreamBeyondLevels(t *testing.T) {
-	// Exceed the provisioned capacity so the top-level parking path runs;
-	// the answers must remain plausible even though the formal bound is
-	// for <= capacity elements.
+	// The capacity argument is ignored: a stream 50 times longer, nine
+	// levels deep, stays within the bound itself.
 	const eps = 0.1
-	e := newCPU(eps, 100, WithWindow(10)) // tiny capacity: levels ~ 5
+	e := newCPU(eps, 100, WithWindow(10))
 	data := stream.Uniform(5000, 9)
 	e.ProcessSlice(data)
-	if got := rankError(t, e, data); got > 0.25 {
-		t.Fatalf("overflowed-stream rank error %v unreasonably large", got)
+	if got := rankError(t, e, data); got > eps+1e-9 {
+		t.Fatalf("rank error %v beyond capacity", got)
 	}
 }
 
@@ -213,18 +214,4 @@ func abs32(v float32) float32 {
 		return -v
 	}
 	return v
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -50,10 +50,11 @@ type Quantile[T sorter.Value] struct {
 	queryMergeOps atomic.Int64
 }
 
-// NewQuantile returns a sharded eps-approximate quantile estimator for
-// streams of up to capacity elements. shards <= 0 selects
-// runtime.GOMAXPROCS(0). newSorter is invoked once per shard so stateful
-// backends (the GPU simulator) are never shared across goroutines.
+// NewQuantile returns a sharded eps-approximate quantile estimator.
+// capacity is accepted for compatibility and ignored, as the shard
+// estimators ignore it. shards <= 0 selects runtime.GOMAXPROCS(0).
+// newSorter is invoked once per shard so stateful backends (the GPU
+// simulator) are never shared across goroutines.
 func NewQuantile[T sorter.Value](eps float64, capacity int64, shards int, newSorter func() sorter.Sorter[T], opts ...Option) *Quantile[T] {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("shard: eps %v out of (0, 1)", eps))

@@ -29,6 +29,13 @@ type Summary[T sorter.Value] struct {
 	Entries []Entry[T]
 	N       int64
 	Eps     float64
+
+	// ranked records that RMin and RMax are both non-decreasing over
+	// Entries, which is what lets queryIndex bisect. Sorted windows have it,
+	// Merge and Prune preserve it and Decode checks for it; summaries built
+	// any other way (GK.ToSummary, whose RMax may dip, or a struct literal)
+	// leave it false and are scanned.
+	ranked bool
 }
 
 // FromSortedWindow builds an (eps/2)-approximate summary from an ascending
@@ -52,7 +59,7 @@ func FromSortedWindow[T sorter.Value](window []T, eps float64) *Summary[T] {
 	}
 	// Sized exactly for the selected ranks (1, step, 2*step, ..., w) so the
 	// per-window construction is a single allocation on the ingestion path.
-	s := &Summary[T]{N: w, Entries: make([]Entry[T], 0, w/step+2)}
+	s := &Summary[T]{N: w, Entries: make([]Entry[T], 0, w/step+2), ranked: true}
 	var prev T
 	lastRank := int64(0)
 	// Each kept element is one instance with an exact rank; duplicates of
@@ -109,52 +116,55 @@ func MergeInto[T sorter.Value](dst, a, b *Summary[T]) *Summary[T] {
 	}
 	dst.Entries = dst.Entries[:0]
 	if a.N == 0 {
-		dst.N, dst.Eps = b.N, b.Eps
+		dst.N, dst.Eps, dst.ranked = b.N, b.Eps, b.ranked
 		dst.Entries = append(dst.Entries, b.Entries...)
 		return dst
 	}
 	if b.N == 0 {
-		dst.N, dst.Eps = a.N, a.Eps
+		dst.N, dst.Eps, dst.ranked = a.N, a.Eps, a.ranked
 		dst.Entries = append(dst.Entries, a.Entries...)
 		return dst
 	}
-	out := dst
-	out.N, out.Eps = a.N+b.N, math.Max(a.Eps, b.Eps)
-	i, j := 0, 0
-	for i < len(a.Entries) || j < len(b.Entries) {
-		var e Entry[T]
-		var other *Summary[T]
-		var oi int
-		if j >= len(b.Entries) || (i < len(a.Entries) && a.Entries[i].V <= b.Entries[j].V) {
-			e, other, oi = a.Entries[i], b, j
+	dst.N, dst.Eps, dst.ranked = a.N+b.N, math.Max(a.Eps, b.Eps), a.ranked && b.ranked
+	ae, be := a.Entries, b.Entries
+	if cap(dst.Entries) < len(ae)+len(be) {
+		dst.Entries = make([]Entry[T], len(ae)+len(be))
+	}
+	out := dst.Entries[:len(ae)+len(be)]
+	// predA and predB are the RMin of the entry last taken from each side:
+	// the predecessor, in the other summary, of whatever is taken next. Its
+	// successor there is the other side's head, or nothing once that side
+	// has run out.
+	var predA, predB int64
+	i, j, k := 0, 0, 0
+	for i < len(ae) && j < len(be) {
+		if ae[i].V <= be[j].V {
+			e := ae[i]
+			out[k] = Entry[T]{V: e.V, RMin: e.RMin + predB, RMax: e.RMax + be[j].RMax - 1}
+			predA = e.RMin
 			i++
 		} else {
-			e, other, oi = b.Entries[j], a, i
+			e := be[j]
+			out[k] = Entry[T]{V: e.V, RMin: e.RMin + predA, RMax: e.RMax + ae[i].RMax - 1}
+			predB = e.RMin
 			j++
 		}
-		// other.Entries[oi-1] is the predecessor (last entry with value
-		// <= e.V already consumed or smaller), other.Entries[oi] the
-		// successor.
-		var predRMin, succRMax int64
-		if oi > 0 {
-			predRMin = other.Entries[oi-1].RMin
-		}
-		if oi < len(other.Entries) {
-			succRMax = other.Entries[oi].RMax - 1
-		} else {
-			succRMax = other.N
-		}
-		out.Entries = append(out.Entries, Entry[T]{
-			V:    e.V,
-			RMin: e.RMin + predRMin,
-			RMax: e.RMax + succRMax,
-		})
+		k++
 	}
-	return out
+	for _, e := range ae[i:] {
+		out[k] = Entry[T]{V: e.V, RMin: e.RMin + predB, RMax: e.RMax + b.N}
+		k++
+	}
+	for _, e := range be[j:] {
+		out[k] = Entry[T]{V: e.V, RMin: e.RMin + predA, RMax: e.RMax + a.N}
+		k++
+	}
+	dst.Entries = out
+	return dst
 }
 
 func clone[T sorter.Value](s *Summary[T]) *Summary[T] {
-	c := &Summary[T]{N: s.N, Eps: s.Eps}
+	c := &Summary[T]{N: s.N, Eps: s.Eps, ranked: s.ranked}
 	c.Entries = append([]Entry[T](nil), s.Entries...)
 	return c
 }
@@ -172,18 +182,11 @@ func (s *Summary[T]) Prune(b int) *Summary[T] {
 		out.Eps = s.Eps + 1/(2*float64(b))
 		return out
 	}
-	out := &Summary[T]{N: s.N, Eps: s.Eps + 1/(2*float64(b)), Entries: make([]Entry[T], 0, b+1)}
+	out := &Summary[T]{N: s.N, Eps: s.Eps + 1/(2*float64(b)), Entries: make([]Entry[T], 0, b+1), ranked: s.ranked}
 	// Grid ranks increase monotonically and entry rank bounds are
 	// non-decreasing, so the best-scoring entry index is non-decreasing
 	// too: a two-pointer sweep replaces b+1 linear scans (O(b + m) total).
-	score := func(idx int, r int64) int64 {
-		e := s.Entries[idx]
-		sc := e.RMax - r
-		if d := r - e.RMin; d > sc {
-			sc = d
-		}
-		return sc
-	}
+	es := s.Entries
 	idx, lastIdx := 0, -1
 	for i := 0; i <= b; i++ {
 		r := int64(math.Ceil(float64(i) * float64(s.N) / float64(b)))
@@ -193,29 +196,64 @@ func (s *Summary[T]) Prune(b int) *Summary[T] {
 		if r > s.N {
 			r = s.N
 		}
-		for idx+1 < len(s.Entries) && score(idx+1, r) <= score(idx, r) {
-			idx++
+		cur := es[idx].score(r)
+		for idx+1 < len(es) {
+			next := es[idx+1].score(r)
+			if next > cur {
+				break
+			}
+			idx, cur = idx+1, next
 		}
 		if idx != lastIdx {
-			out.Entries = append(out.Entries, s.Entries[idx])
+			out.Entries = append(out.Entries, es[idx])
 			lastIdx = idx
 		}
 	}
 	return out
 }
 
-// queryIndex returns the index of the entry answering rank r: the one
+// score is how far rank r can lie from the entry's true rank:
+// max(r - RMin, RMax - r).
+func (e Entry[T]) score(r int64) int64 {
+	return max(r-e.RMin, e.RMax-r)
+}
+
+// queryIndex returns the index of the entry answering rank r: the first one
 // minimizing max(r - RMin, RMax - r). Any value whose true rank lies within
 // [RMin, RMax] then differs from r by at most that score, and the GK
 // coverage invariant guarantees some entry scores <= Eps*N.
+//
+// With non-decreasing rank bounds r - RMin falls and RMax - r rises along
+// the entries, so the score is unimodal and the minimum sits at their
+// crossing: O(log n) instead of a scan per phi.
 func (s *Summary[T]) queryIndex(r int64) int {
+	if !s.ranked {
+		return s.queryIndexLinear(r)
+	}
+	es := s.Entries
+	// k is the first entry whose score is RMax - r; from there on the score
+	// only rises, so k is the first minimum of that side.
+	k := sort.Search(len(es), func(i int) bool { return es[i].RMax-r >= r-es[i].RMin })
+	if k == 0 {
+		return 0
+	}
+	// Before k the score is r - RMin and only falls, so that side's minimum
+	// is at k-1 — first reached at the earliest entry sharing its RMin.
+	// Being earlier it also wins a tie against k, as the scan would have it.
+	below := es[k-1].RMin
+	if k < len(es) && es[k].RMax-r < r-below {
+		return k
+	}
+	return sort.Search(k, func(i int) bool { return es[i].RMin >= below })
+}
+
+// queryIndexLinear is queryIndex by a scan over every entry: the reference
+// the bisection is tested against, and the path of summaries whose rank
+// bounds are not known to be ordered.
+func (s *Summary[T]) queryIndexLinear(r int64) int {
 	best, bestScore := 0, int64(math.MaxInt64)
 	for i, e := range s.Entries {
-		score := e.RMax - r
-		if d := r - e.RMin; d > score {
-			score = d
-		}
-		if score < bestScore {
+		if score := e.score(r); score < bestScore {
 			best, bestScore = i, score
 		}
 	}

@@ -78,5 +78,16 @@ func Decode[T sorter.Value](r *wire.Reader) (*Summary[T], error) {
 	if err := s.Validate(); err != nil {
 		return nil, wire.Corruptf("summary: %v", err)
 	}
+	s.ranked = ranksOrdered(s.Entries)
 	return s, nil
+}
+
+// ranksOrdered reports whether both rank bounds are non-decreasing.
+func ranksOrdered[T sorter.Value](es []Entry[T]) bool {
+	for i := 1; i < len(es); i++ {
+		if es[i].RMin < es[i-1].RMin || es[i].RMax < es[i-1].RMax {
+			return false
+		}
+	}
+	return true
 }

@@ -266,8 +266,8 @@ type Spec struct {
 	// default (or, under backend "auto", lets the controller choose).
 	// Frugal takes none.
 	Window int `json:"window,omitempty"`
-	// Capacity is the expected stream length for the quantile families'
-	// bucket sizing; zero picks a generous default.
+	// Capacity is accepted on the quantile families for compatibility and
+	// ignored: their bound holds at any stream length.
 	Capacity int64 `json:"capacity,omitempty"`
 	// Shards is the worker count for the parallel families; zero selects
 	// GOMAXPROCS, and ShardsAuto ("auto" in JSON) hands the count to the
@@ -362,7 +362,7 @@ func (s Spec) Validate() error {
 	switch s.Family {
 	case FamilyQuantile, FamilyParallelQuantile:
 		if s.Capacity < 0 {
-			return fmt.Errorf("gpustream: spec capacity %d < 0 (zero picks a default)", s.Capacity)
+			return fmt.Errorf("gpustream: spec capacity %d < 0 (it is ignored; leave it zero)", s.Capacity)
 		}
 	default:
 		if s.Capacity != 0 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gpustream/internal/sorter"
@@ -303,4 +305,53 @@ func testGoldenKeyedSnapshots[K, T Value](t *testing.T) {
 	if re := mustMarshalKeyed(t, dec); !bytes.Equal(re, want) {
 		t.Fatal("decode then re-marshal of the keyed golden is not the identity")
 	}
+}
+
+// TestDecodesCapacityCascadeQuantileSnapshot keeps one quantile golden from
+// before the cascade budgeted by observed depth: the layout did not change
+// (wire.Version stayed 1), so a blob a peer or a spill directory still holds
+// — several times the entries of today's — must unmarshal, pass validation,
+// answer within its eps, and merge with a snapshot taken today.
+func TestDecodesCapacityCascadeQuantileSnapshot(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "compat", "quantile-capacity-cascade.float32.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := UnmarshalSnapshot[float32](blob)
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if re := mustMarshal(t, old); !bytes.Equal(re, blob) {
+		t.Fatal("decode then re-marshal is not the identity")
+	}
+	data := goldenValues[float32](goldenN)
+	ref := append([]float32(nil), data...)
+	slices.Sort(ref)
+	check := func(name string, s Snapshot[float32], ref []float32) {
+		t.Helper()
+		if s.Count() != int64(len(ref)) {
+			t.Fatalf("%s: Count = %d, want %d", name, s.Count(), len(ref))
+		}
+		for i := 1; i < 100; i++ {
+			phi := float64(i) / 100
+			v, ok := s.Quantile(phi)
+			r := int(math.Ceil(phi * float64(len(ref))))
+			if d := rankError(ref, v, r); !ok || float64(d) > goldenEps*float64(len(ref)) {
+				t.Fatalf("%s: phi=%v answered %v (ok=%v), %d ranks off, eps*N = %v", name, phi, v, ok, d, goldenEps*float64(len(ref)))
+			}
+		}
+	}
+	check("decoded", old, ref)
+
+	qe := NewOf[float32](BackendCPU).NewQuantileEstimator(goldenEps, 0)
+	if err := qe.ProcessSlice(data); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := Merge(old, qe.Snapshot())
+	if err != nil {
+		t.Fatalf("merge with a current snapshot: %v", err)
+	}
+	both := append(append([]float32(nil), ref...), ref...)
+	slices.Sort(both)
+	check("merged", merged, both)
 }
