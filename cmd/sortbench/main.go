@@ -54,6 +54,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "backend\thost-ms\tmodel-ms\tmodel-compute\tmodel-transfer\tsorted\t")
 
+	var notes []string
 	for _, name := range strings.Split(*backends, ",") {
 		buf := append([]float32(nil), data...)
 		var modelTotal, modelCompute, modelTransfer time.Duration
@@ -82,6 +83,10 @@ func main() {
 			modelTotal = model.QuicksortTime(*n, perfmodel.IntelHT)
 		case *samplesort.Sorter[float32]:
 			modelTotal = model.SampleSortTime(*n)
+			st := g.LastStats()
+			notes = append(notes, fmt.Sprintf(
+				"samplesort: the host ran %d radix passes over %d keys (%d bytes scattered); model-ms prices the 2004 comparison sample sort",
+				st.Passes, st.N, st.BytesMoved))
 		}
 		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%v\t\n",
 			s.Name(),
@@ -92,4 +97,7 @@ func main() {
 			cpusort.IsSorted(buf))
 	}
 	w.Flush()
+	for _, note := range notes {
+		fmt.Println(note)
+	}
 }

@@ -85,9 +85,11 @@ const (
 	// BackendCPUParallel is a multi-threaded quicksort (the Intel
 	// hyper-threaded analog).
 	BackendCPUParallel
-	// BackendSampleSort is the deterministic CPU sample sort: splitter-based
-	// bucketing brings the comparator count to O(n log n), beating the
-	// simulated GPU's O(n log^2 n) sorting network on large windows.
+	// BackendSampleSort is the host-native backend. It keeps the name of
+	// the deterministic sample sort it was introduced as — and whose
+	// O(n log n) comparison count its modeled-2004 cost still prices — but
+	// on the host it is an LSD key-radix sort over the values' fixed-width
+	// order-preserving keys, O(n) at every window size (DESIGN.md §18).
 	BackendSampleSort
 	// BackendAuto starts every estimator pipeline on sample sort and
 	// attaches an adaptive controller that probes all five concrete

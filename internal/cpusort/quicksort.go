@@ -5,7 +5,8 @@
 // (introsort-style), and k-way merging supports the GPU sorter's CPU-side
 // combine of the four channel-sorted runs. Every routine is generic over the
 // stack's ordered value types; comparison counts and recursion structure are
-// identical across instantiations.
+// identical across instantiations. radix.go holds the one non-comparison
+// sort, the key-radix kernel that is the body of the samplesort backend.
 package cpusort
 
 import (

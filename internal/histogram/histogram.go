@@ -27,6 +27,13 @@ func FromSorted[T sorter.Value](data []T) []Bin[T] {
 // AppendSorted collapses an ascending slice into bins appended to dst,
 // which callers on the hot ingestion path reuse (dst[:0]) so steady-state
 // windows allocate nothing. Like FromSorted it panics on unsorted input.
+//
+// Bins are split by ==, so -0 and +0 share one bin, which carries whichever
+// came first in data: -0 after the key-ordered samplesort backend (see
+// sorter.Value). NaNs, which the estimators exclude, compare unequal to
+// everything including themselves: each becomes its own bin of count 1, at
+// whichever end of data the sort left it, and never trips the sortedness
+// check.
 func AppendSorted[T sorter.Value](dst []Bin[T], data []T) []Bin[T] {
 	if len(data) == 0 {
 		return dst

@@ -1,11 +1,14 @@
 package histogram
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/samplesort"
 	"gpustream/internal/sorter"
 	"gpustream/internal/stream"
 )
@@ -209,5 +212,38 @@ func TestStreamingEquiDepthPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestSignedZerosShareOneDeterministicBin pins what the key-radix window
+// sort changed for floats: a window holding ±0 and ±Inf sorts to the same
+// ==-sequence as slices.Sort, and AppendSorted still folds both zeros into
+// one bin — whose value is now always -0, the first by key order, where the
+// comparison sorts left it to the input order.
+func TestSignedZerosShareOneDeterministicBin(t *testing.T) {
+	negZero := math.Float32frombits(1 << 31)
+	inf := float32(math.Inf(1))
+	vals := []float32{0, negZero, inf, -inf, 1, -1}
+	for rot := 0; rot < len(vals); rot++ {
+		win := make([]float32, 0, 600)
+		for i := 0; i < 100; i++ {
+			for j := range vals {
+				win = append(win, vals[(j+rot+i*5)%len(vals)])
+			}
+		}
+		want := slices.Clone(win)
+		slices.Sort(want)
+		samplesort.NewSorter[float32]().Sort(win)
+		if !slices.Equal(win, want) {
+			t.Fatalf("rotation %d: ==-sequence differs from slices.Sort", rot)
+		}
+		bins := AppendSorted(nil, win)
+		if len(bins) != 5 {
+			t.Fatalf("rotation %d: %d bins, want 5 (-Inf, -1, 0, 1, +Inf): %v", rot, len(bins), bins)
+		}
+		if z := bins[2]; z.Count != 200 || math.Float32bits(z.Value) != math.Float32bits(negZero) {
+			t.Fatalf("rotation %d: zero bin = {%v (bits %#x), %d}, want {-0, 200}",
+				rot, z.Value, math.Float32bits(z.Value), z.Count)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"gpustream/internal/gpu"
 	"gpustream/internal/pipeline"
-	"gpustream/internal/samplesort"
 )
 
 // Closed-form cost formulas. They predict the same quantities the simulator
@@ -147,7 +146,34 @@ func (m Model) QuicksortTime(n int, v CPUVariant) time.Duration {
 	return secondsToDuration(cyc / m.CPU.ClockHz)
 }
 
-// SampleSortTime models the deterministic sample sort of n values on the
+// The modeled-2004 sample sort's shape. The host-native "samplesort" backend
+// is a key-radix sort now (DESIGN.md §18); these constants stay here so the
+// closed form — and EXPERIMENTS.md figure 3 — keep pricing the comparison
+// sample sort of the 2004 testbed: k·sampleSortOversample evenly spaced
+// samples, buckets of about sampleSortBucketLen values, at most
+// sampleSortMaxBuckets of them, a direct quicksort below sampleSortMinN.
+const (
+	sampleSortMinN       = 2048
+	sampleSortOversample = 8
+	sampleSortMaxBuckets = 512
+	sampleSortBucketLen  = 2048
+)
+
+// sampleSortBuckets returns the modeled bucket count for an n-element sort:
+// the largest power of two k ≤ 512 with k·2048 ≤ n, or 1 below
+// sampleSortMinN.
+func sampleSortBuckets(n int) int {
+	if n < sampleSortMinN {
+		return 1
+	}
+	k := 2
+	for k < sampleSortMaxBuckets && k*2*sampleSortBucketLen <= n {
+		k <<= 1
+	}
+	return k
+}
+
+// SampleSortTime models a deterministic sample sort of n values on the
 // Pentium IV: the splitter-sample quicksort, the fixed-depth branchless
 // classification (exactly n·log2 k comparisons), and the per-bucket
 // quicksorts under the balanced-bucket assumption (k buckets of n/k values
@@ -160,8 +186,8 @@ func (m Model) SampleSortTime(n int) time.Duration {
 		return 0
 	}
 	cmps := 1.386 * float64(n) * math.Log2(float64(n))
-	if k := samplesort.Buckets(n); k >= 2 {
-		sample := float64(k * samplesort.Oversample)
+	if k := sampleSortBuckets(n); k >= 2 {
+		sample := float64(k * sampleSortOversample)
 		cmps = 1.386*sample*math.Log2(sample) +
 			float64(n)*math.Log2(float64(k)) +
 			1.386*float64(n)*math.Log2(float64(n)/float64(k))

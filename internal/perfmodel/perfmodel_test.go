@@ -214,3 +214,22 @@ func TestProjectionZeroYearsIdentity(t *testing.T) {
 		t.Fatal("zero-year projection changed the model")
 	}
 }
+
+// TestSampleSortBuckets pins the bucket-count rule the modeled-2004 sample
+// sort closed form reads (moved here from internal/samplesort when the host
+// backend became a radix sort): EXPERIMENTS.md figure 3 depends on it.
+func TestSampleSortBuckets(t *testing.T) {
+	cases := []struct{ n, k int }{
+		{0, 1}, {sampleSortMinN - 1, 1}, {sampleSortMinN, 2}, {4 * sampleSortBucketLen, 4},
+		{1 << 20, 512}, {10 << 20, 512}, {1 << 30, 512},
+	}
+	for _, c := range cases {
+		k := sampleSortBuckets(c.n)
+		if k != c.k {
+			t.Errorf("sampleSortBuckets(%d) = %d, want %d", c.n, k, c.k)
+		}
+		if k&(k-1) != 0 {
+			t.Errorf("sampleSortBuckets(%d) = %d not a power of two", c.n, k)
+		}
+	}
+}

@@ -1,134 +1,57 @@
-// Package samplesort implements a deterministic sample sort over the
-// sorter.Value types: pick splitters from an evenly-spaced oversampled
-// sample, classify every element into one of k buckets with a fixed-depth
-// branchless binary search, scatter the buckets contiguously into scratch,
-// sort each bucket with the cache-resident quicksort, and concatenate.
+// Package samplesort is the host-native window-sort backend. The name is
+// kept from the deterministic sample sort it used to be — it is the backend
+// string in every committed spec ("backend":"samplesort"), the constructor
+// benchmark/ calls, and the label in EXPERIMENTS.md's modeled figures — but
+// the body is now the key-radix kernel of internal/cpusort: every value the
+// stack sorts is a fixed-width 32- or 64-bit key, the regime where radix
+// beats comparison sorting at every window size (DESIGN.md §18 has the
+// table and why the splitter/classify/scatter partition was removed rather
+// than kept for large windows). This package adds what a pipeline backend
+// needs around the kernel: per-sort statistics and the async surface.
 //
-// The comparison budget is O(n log n): n·log2(k) classification comparisons
-// plus ~1.386·n·log2(n/k) expected quicksort comparisons inside the
-// buckets. That undercuts PBSN's O(n log² n) comparator count, which is why
-// the adaptive controller's closed-form prior favors this backend at large
-// windows (the perfmodel crossover sits near n≈16K on the 2004 testbed
-// constants). The splitter sample is evenly spaced — no RNG — so the sort
-// is fully deterministic: the same input slice always takes the same
-// bucket boundaries and the same comparison count, which keeps the op
-// accounting reproducible across runs and element types.
+// The sort is fully deterministic: the same input always takes the same
+// passes and yields the same stats. The modeled-2004 cost of this backend
+// (perfmodel.SampleSortTime) still prices the comparison sample sort, so the
+// paper-figure reproductions do not move with the host implementation.
 //
-// Like the GPU sorters, one instance serves one pipeline: the scratch
-// buffers persist across Sort calls and SortAsync keeps the one-submission
-// in-flight contract of sorter.AsyncSorter.
+// One instance serves one pipeline: windows of at most cpusort.StackKeys
+// values sort out of the calling goroutine's stack and the instance retains
+// nothing; above that it keeps key buffers sized to the largest window seen.
 package samplesort
 
 import (
-	"math"
-
 	"gpustream/internal/cpusort"
 	"gpustream/internal/sorter"
 )
 
-const (
-	// MinN is the input length below which sample sort degenerates to a
-	// single direct quicksort: under ~2K values the scatter pass costs more
-	// than the log-factor it saves.
-	MinN = 2048
-
-	// Oversample is the number of sample elements drawn per bucket. Eight
-	// is the classic deterministic-sample-sort setting: enough to bound the
-	// largest bucket near its fair share on skewed inputs without making
-	// the sample sort itself significant.
-	Oversample = 8
-
-	// maxBuckets caps the splitter table so classification never exceeds
-	// log2(512) = 9 comparisons per element and the table stays resident
-	// in L1.
-	maxBuckets = 512
-
-	// targetBucketLen is the bucket size the bucket-count heuristic aims
-	// for: small enough that the per-bucket quicksort runs cache-resident.
-	targetBucketLen = 2048
-)
-
-// Buckets returns the deterministic bucket count used for an n-element
-// sort: the largest power of two k ≤ 512 with k·2048 ≤ n, or 1 below MinN
-// (direct quicksort). Power-of-two k keeps the classification loop a
-// fixed-depth branchless binary search.
-func Buckets(n int) int {
-	if n < MinN {
-		return 1
-	}
-	k := 2
-	for k < maxBuckets && k*2*targetBucketLen <= n {
-		k <<= 1
-	}
-	return k
-}
-
-// SortStats records the operation counts of one sort (or accumulates over
-// all sorts, for TotalStats). All counters are functions of the input
-// length and order structure only — never of the element type — matching
-// the type-invariant cost-model contract the GPU backends pin with
-// TestSortStatsTypeInvariant.
+// SortStats records what the kernel did in one sort. Passes — and with it
+// the two traffic counters — depends on the data: a digit every key shares
+// is skipped, so order-isomorphic inputs of different types need not agree.
 type SortStats struct {
 	// N is the number of values sorted.
 	N int
-	// Buckets is the bucket count chosen by Buckets(N).
-	Buckets int
-	// SampleCmps estimates the comparisons spent sorting the splitter
-	// sample (1.386·m·log2 m for the m-element sample).
-	SampleCmps int64
-	// ScatterCmps counts the classification comparisons: exactly
-	// N·log2(Buckets), data-independent by construction.
-	ScatterCmps int64
-	// BucketCmps estimates the comparisons inside the per-bucket
-	// quicksorts (Σ 1.386·b·log2 b over the realized bucket lengths b).
-	BucketCmps int64
-	// MoveOps counts element moves: one scatter into scratch plus one copy
-	// back, 2·N when bucketing ran.
+	// Passes is the number of 8-bit scatter passes executed: 0 for a window
+	// below the comparison-sort cutoff, at most the key width in bytes.
+	Passes int
+	// MoveOps counts keys scattered: N per executed pass (the encode and
+	// decode loops around the passes are not counted).
 	MoveOps int64
-	// BytesMoved models the memory traffic of MoveOps at the pipeline's
-	// 4-byte texel convention, the same unit the GPU sorters charge bus
-	// transfers in.
+	// BytesMoved is MoveOps at the key width (4 or 8 bytes).
 	BytesMoved int64
 }
 
-// add accumulates o into s.
-func (s *SortStats) add(o SortStats) {
-	s.N += o.N
-	s.Buckets += o.Buckets
-	s.SampleCmps += o.SampleCmps
-	s.ScatterCmps += o.ScatterCmps
-	s.BucketCmps += o.BucketCmps
-	s.MoveOps += o.MoveOps
-	s.BytesMoved += o.BytesMoved
-}
-
-// estCmps is the expected quicksort comparison count for n values,
-// 1.386·n·log2 n — the same closed form perfmodel charges the CPU sorts
-// with (Section 6's quicksort baseline).
-func estCmps(n int) int64 {
-	if n < 2 {
-		return 0
-	}
-	return int64(1.386 * float64(n) * math.Log2(float64(n)))
-}
-
-// Sorter is the deterministic sample-sort backend. One instance per
-// pipeline: the scratch buffers are reused across calls and are not safe
-// for concurrent Sorts.
+// Sorter is the host-native backend. One instance per pipeline: it is not
+// safe for concurrent Sorts.
 type Sorter[T sorter.Value] struct {
-	last      SortStats
-	total     SortStats
-	sorts     int64
-	sample    []T
-	splitters []T
-	scratch   []T
-	ids       []uint16
-	counts    []int
-	offs      []int
+	radix    cpusort.Radix[T]
+	keyBytes int64
+	last     SortStats
 }
 
-// NewSorter returns a sample sorter for element type T.
-func NewSorter[T sorter.Value]() *Sorter[T] { return &Sorter[T]{} }
+// NewSorter returns a sorter for element type T.
+func NewSorter[T sorter.Value]() *Sorter[T] {
+	return &Sorter[T]{keyBytes: int64(sorter.KeyBits[T]() / 8)}
+}
 
 // Name implements sorter.Sorter.
 func (s *Sorter[T]) Name() string { return "samplesort" }
@@ -136,111 +59,14 @@ func (s *Sorter[T]) Name() string { return "samplesort" }
 // LastStats returns the operation counts of the most recent Sort.
 func (s *Sorter[T]) LastStats() SortStats { return s.last }
 
-// TotalStats returns counts accumulated over every Sort since creation.
-func (s *Sorter[T]) TotalStats() SortStats { return s.total }
-
-// Sorts returns the number of completed Sort calls.
-func (s *Sorter[T]) Sorts() int64 { return s.sorts }
+// Retained reports the bytes of key buffer the sorter holds between calls.
+func (s *Sorter[T]) Retained() int { return s.radix.Retained() }
 
 // Sort orders data ascending in place.
 func (s *Sorter[T]) Sort(data []T) {
-	n := len(data)
-	k := Buckets(n)
-	st := SortStats{N: n, Buckets: k}
-	if k < 2 {
-		cpusort.Quicksort(data)
-		st.BucketCmps = estCmps(n)
-		s.finish(st)
-		return
-	}
-
-	// Splitter selection: an evenly-spaced deterministic sample of
-	// k·Oversample elements, sorted, thinned to k-1 splitters.
-	m := k * Oversample
-	if cap(s.sample) < m {
-		s.sample = make([]T, m)
-	}
-	sample := s.sample[:m]
-	stride := n / m // ≥ MinN/(2·Oversample) > 0 whenever k ≥ 2
-	for i := range sample {
-		sample[i] = data[i*stride]
-	}
-	cpusort.Quicksort(sample)
-	st.SampleCmps = estCmps(m)
-	if cap(s.splitters) < k-1 {
-		s.splitters = make([]T, k-1)
-	}
-	sp := s.splitters[:k-1]
-	for i := range sp {
-		sp[i] = sample[(i+1)*Oversample-1]
-	}
-
-	// Classification: branchless binary search over the splitter table,
-	// exactly log2(k) comparisons per element regardless of the data. The
-	// computed bucket is |{i : sp[i] ≤ v}|, so equal values always share a
-	// bucket and stability of the boundaries is deterministic.
-	logk := 0
-	for 1<<logk < k {
-		logk++
-	}
-	if cap(s.ids) < n {
-		s.ids = make([]uint16, n)
-	}
-	ids := s.ids[:n]
-	if cap(s.counts) < k {
-		s.counts = make([]int, k)
-		s.offs = make([]int, k)
-	}
-	counts := s.counts[:k]
-	for i := range counts {
-		counts[i] = 0
-	}
-	offs := s.offs[:k]
-	for i, v := range data {
-		b := 0
-		for w := k >> 1; w > 0; w >>= 1 {
-			if v >= sp[b+w-1] {
-				b += w
-			}
-		}
-		ids[i] = uint16(b)
-		counts[b]++
-	}
-	st.ScatterCmps = int64(n) * int64(logk)
-
-	// Scatter into contiguous buckets, sort each bucket in place, copy the
-	// concatenation back.
-	if cap(s.scratch) < n {
-		s.scratch = make([]T, n)
-	}
-	scratch := s.scratch[:n]
-	off := 0
-	for b, c := range counts {
-		offs[b] = off
-		off += c
-	}
-	for i, v := range data {
-		b := ids[i]
-		scratch[offs[b]] = v
-		offs[b]++
-	}
-	off = 0
-	for _, c := range counts {
-		cpusort.Quicksort(scratch[off : off+c])
-		st.BucketCmps += estCmps(c)
-		off += c
-	}
-	copy(data, scratch)
-	st.MoveOps = int64(2 * n)
-	st.BytesMoved = st.MoveOps * 4
-
-	s.finish(st)
-}
-
-func (s *Sorter[T]) finish(st SortStats) {
-	s.last = st
-	s.total.add(st)
-	s.sorts++
+	n, passes := len(data), s.radix.Sort(data)
+	moves := int64(n) * int64(passes)
+	s.last = SortStats{N: n, Passes: passes, MoveOps: moves, BytesMoved: moves * s.keyBytes}
 }
 
 // SortAsync implements sorter.AsyncSorter by offloading Sort to a

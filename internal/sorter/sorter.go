@@ -23,6 +23,13 @@ import (
 // bins and query results all carry one of these types. All six types are
 // totally ordered by < (modulo NaN for the float instantiations, which the
 // estimators exclude the same way the paper's float32 pipeline does).
+//
+// Where < leaves the order open, the backends differ. The comparison sorts
+// place -0 and +0 in input-dependent order and NaNs arbitrarily. The
+// key-radix "samplesort" backend orders by OrderedKey, which is total: -0
+// before +0, NaNs with the sign bit set before -Inf, all other NaNs after
+// +Inf — from cpusort.RadixMinN values up (twice that for 64-bit types);
+// shorter slices take the comparison path.
 type Value interface {
 	~float32 | ~float64 | ~uint32 | ~uint64 | ~int32 | ~int64
 }
