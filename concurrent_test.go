@@ -443,30 +443,3 @@ func TestEngineStatsConsistentMidIngest(t *testing.T) {
 		t.Fatalf("final stats: %+v", all)
 	}
 }
-
-// TestParseBackend covers the canonical names, the legacy cmd aliases, and
-// the error path.
-func TestParseBackend(t *testing.T) {
-	good := map[string]gpustream.Backend{
-		"gpu":          gpustream.BackendGPU,
-		"GPU":          gpustream.BackendGPU,
-		"gpu-bitonic":  gpustream.BackendGPUBitonic,
-		"bitonic":      gpustream.BackendGPUBitonic,
-		"cpu":          gpustream.BackendCPU,
-		" cpu ":        gpustream.BackendCPU,
-		"cpu-parallel": gpustream.BackendCPUParallel,
-		"cpu-ht":       gpustream.BackendCPUParallel,
-	}
-	for name, want := range good {
-		got, err := gpustream.ParseBackend(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", name, got, err, want)
-		}
-		if _, err := gpustream.ParseBackend(got.String()); err != nil {
-			t.Fatalf("round-trip of %v failed: %v", got, err)
-		}
-	}
-	if _, err := gpustream.ParseBackend("vulkan"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown backend")
-	}
-}

@@ -1,10 +1,5 @@
 package gpustream
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Estimator is the surface shared by all seven estimator families:
 // FrequencyEstimator, QuantileEstimator, SlidingFrequency, SlidingQuantile,
 // ParallelFrequencyEstimator, ParallelQuantileEstimator, and
@@ -38,7 +33,10 @@ type Estimator[T Value] interface {
 }
 
 // assertEstimators pins, at compile time, that every estimator family
-// satisfies Estimator at element type T.
+// satisfies Estimator at element type T. Most of the surface reaches the
+// families by promotion — the four serial ones embed the pipeline's ingest
+// shell, the two parallel ones the sharded core — so this is also what
+// keeps an embedding change from silently dropping a method.
 func assertEstimators[T Value]() {
 	var (
 		_ Estimator[T] = (*FrequencyEstimator[T])(nil)
@@ -61,27 +59,3 @@ var (
 	_ = assertEstimators[int32]
 	_ = assertEstimators[int64]
 )
-
-// ParseBackend resolves a backend name — as accepted by the cmd tools'
-// -backend flags — to a Backend. The canonical names are the Backend.String
-// forms ("gpu", "gpu-bitonic", "cpu", "cpu-parallel", "samplesort", "auto");
-// the legacy aliases "bitonic" (for gpu-bitonic), "cpu-ht" (the
-// hyper-threaded analog, cpu-parallel), and "sample" (samplesort) are
-// accepted too. Matching is case-insensitive.
-func ParseBackend(name string) (Backend, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "gpu":
-		return BackendGPU, nil
-	case "gpu-bitonic", "bitonic":
-		return BackendGPUBitonic, nil
-	case "cpu":
-		return BackendCPU, nil
-	case "cpu-parallel", "cpu-ht":
-		return BackendCPUParallel, nil
-	case "samplesort", "sample":
-		return BackendSampleSort, nil
-	case "auto":
-		return BackendAuto, nil
-	}
-	return 0, fmt.Errorf("gpustream: unknown backend %q (want gpu, gpu-bitonic, cpu, cpu-parallel, samplesort, or auto)", name)
-}

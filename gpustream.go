@@ -44,19 +44,15 @@
 package gpustream
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
 	"gpustream/internal/adaptive"
-	"gpustream/internal/cpusort"
 	"gpustream/internal/frequency"
 	"gpustream/internal/frugal"
 	"gpustream/internal/gpusort"
 	"gpustream/internal/perfmodel"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/quantile"
-	"gpustream/internal/samplesort"
 	"gpustream/internal/shard"
 	"gpustream/internal/sorter"
 	"gpustream/internal/summary"
@@ -69,68 +65,6 @@ type Value = sorter.Value
 
 // Sorter sorts slices of T ascending in place; all backends satisfy it.
 type Sorter[T Value] = sorter.Sorter[T]
-
-// Backend selects the sorting hardware path.
-type Backend int
-
-const (
-	// BackendGPU is the paper's contribution: the PBSN sorter on the GPU
-	// simulator (4-channel packing, blending comparators).
-	BackendGPU Backend = iota
-	// BackendGPUBitonic is the prior-work GPU baseline (fragment-program
-	// bitonic sort).
-	BackendGPUBitonic
-	// BackendCPU is a serial median-of-3 quicksort (the MSVC analog).
-	BackendCPU
-	// BackendCPUParallel is a multi-threaded quicksort (the Intel
-	// hyper-threaded analog).
-	BackendCPUParallel
-	// BackendSampleSort is the host-native backend. It keeps the name of
-	// the deterministic sample sort it was introduced as — and whose
-	// O(n log n) comparison count its modeled-2004 cost still prices — but
-	// on the host it is an LSD key-radix sort over the values' fixed-width
-	// order-preserving keys, O(n) at every window size (DESIGN.md §18).
-	BackendSampleSort
-	// BackendAuto starts every estimator pipeline on sample sort and
-	// attaches an adaptive controller that probes all five concrete
-	// backends at runtime, commits to the measured-cheapest one, and (for
-	// the whole-history families) hill-climbs the sort-window size. The
-	// controller only ever moves knobs at window boundaries, so every
-	// eps guarantee is preserved.
-	BackendAuto
-)
-
-// PipelineBackend maps the engine backend to the perfmodel's sort-costing
-// backend, for modeled-time reporting of instrumented pipelines. BackendAuto
-// maps to the sample-sort cost model, its construction-time backend.
-func (b Backend) PipelineBackend() perfmodel.Backend {
-	switch b {
-	case BackendGPU, BackendGPUBitonic:
-		return perfmodel.BackendGPU
-	case BackendSampleSort, BackendAuto:
-		return perfmodel.BackendSampleSort
-	}
-	return perfmodel.BackendCPU
-}
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case BackendGPU:
-		return "gpu"
-	case BackendGPUBitonic:
-		return "gpu-bitonic"
-	case BackendCPU:
-		return "cpu"
-	case BackendCPUParallel:
-		return "cpu-parallel"
-	case BackendSampleSort:
-		return "samplesort"
-	case BackendAuto:
-		return "auto"
-	}
-	return fmt.Sprintf("Backend(%d)", int(b))
-}
 
 // Re-exported result and instrumentation types. The generic aliases follow
 // the same shape as the engine: instantiate at float32 for the paper's
@@ -276,78 +210,54 @@ type Engine[T Value] struct {
 	model   perfmodel.Model
 
 	mu       sync.Mutex
-	trackers []tracker
+	trackers []tracker[T]
 }
 
-// tracker is one registered estimator: its kind and closures reading its
-// live telemetry. knobs/tuning are nil for sorter-less families and static
-// backends respectively; keyed is non-nil only for keyed estimators, whose
-// tier occupancy rides along with the pipeline stats.
-type tracker struct {
+// tracker is one registered estimator: its kind and the readers of its live
+// telemetry. knobs and async are nil for sorter-less families, shards for
+// serial ones, ctrl and scaler for static configurations; keyed is non-nil
+// only for keyed estimators, whose tier occupancy rides along with the
+// pipeline stats.
+type tracker[T Value] struct {
 	kind   string
 	stats  func() Stats
-	knobs  func() (string, int)
+	knobs  func() (Sorter[T], int)
 	async  func() bool
 	shards func() int
-	tuning func() *TuningDecision
+	ctrl   *adaptive.Controller[T]
+	scaler *adaptive.Scaler
 	keyed  func() KeyedTierStats
 }
 
-// track registers an estimator's stats reader, in creation order.
-func (e *Engine[T]) track(kind string, fn func() Stats) {
-	e.mu.Lock()
-	e.trackers = append(e.trackers, tracker{kind: kind, stats: fn})
-	e.mu.Unlock()
-}
-
-// trackTuned registers a sorter-backed estimator's stats, live-knob,
-// execution-mode, and (when ctrl is non-nil) tuning-decision readers.
-func (e *Engine[T]) trackTuned(kind string, stats func() Stats, knobs func() (Sorter[T], int), async func() bool, ctrl *adaptive.Controller[T]) {
-	e.trackElastic(kind, stats, knobs, async, nil, ctrl, nil)
-}
-
-// trackElastic is trackTuned plus the elastic-concurrency readers of the
-// parallel families: the live shard count and (when a Scaler drives it) the
-// scaler's decision, folded into the same TuningDecision as the
-// controller's.
-func (e *Engine[T]) trackElastic(kind string, stats func() Stats, knobs func() (Sorter[T], int), async func() bool, shards func() int, ctrl *adaptive.Controller[T], scaler *adaptive.Scaler) {
-	t := tracker{kind: kind, stats: stats, async: async, shards: shards}
-	t.knobs = func() (string, int) {
-		s, w := knobs()
-		return backendNameOf[T](s), w
-	}
-	if ctrl != nil || scaler != nil {
-		t.tuning = func() *TuningDecision {
-			d := &TuningDecision{}
-			if ctrl != nil {
-				cd := ctrl.Decision()
-				d.Backend = cd.Backend
-				d.Window = cd.Window
-				d.Phase = cd.Phase
-				d.Switches = cd.Switches
-				d.Async = cd.Async
-				d.NsPerValue = cd.NsPerValue
-			}
-			if scaler != nil {
-				sd := scaler.Decision()
-				d.Shards = sd.Shards
-				d.ShardPhase = sd.Phase
-				d.Rescales = sd.Rescales
-				d.ShardNsPerValue = sd.NsPerValue
-			}
-			return d
-		}
-	}
+// register records an estimator's telemetry readers, in creation order.
+func (e *Engine[T]) register(t tracker[T]) {
 	e.mu.Lock()
 	e.trackers = append(e.trackers, t)
 	e.mu.Unlock()
 }
 
-// trackKeyed registers a keyed estimator's stats and tier-occupancy readers.
-func (e *Engine[T]) trackKeyed(stats func() Stats, keyed func() KeyedTierStats) {
-	e.mu.Lock()
-	e.trackers = append(e.trackers, tracker{kind: "keyed", stats: stats, keyed: keyed})
-	e.mu.Unlock()
+// tuningDecision folds an adaptive controller's and a shard-count scaler's
+// decisions (either may be nil) into the one TuningDecision Engine.Stats
+// reports.
+func tuningDecision[T Value](ctrl *adaptive.Controller[T], scaler *adaptive.Scaler) *TuningDecision {
+	d := &TuningDecision{}
+	if ctrl != nil {
+		cd := ctrl.Decision()
+		d.Backend = cd.Backend
+		d.Window = cd.Window
+		d.Phase = cd.Phase
+		d.Switches = cd.Switches
+		d.Async = cd.Async
+		d.NsPerValue = cd.NsPerValue
+	}
+	if scaler != nil {
+		sd := scaler.Decision()
+		d.Shards = sd.Shards
+		d.ShardPhase = sd.Phase
+		d.Rescales = sd.Rescales
+		d.ShardNsPerValue = sd.NsPerValue
+	}
+	return d
 }
 
 // Stats snapshots the unified pipeline telemetry of every estimator this
@@ -357,13 +267,14 @@ func (e *Engine[T]) trackKeyed(stats func() Stats, keyed func() KeyedTierStats) 
 // (no torn sort/merge/compress totals).
 func (e *Engine[T]) Stats() []EstimatorStats {
 	e.mu.Lock()
-	trackers := append([]tracker(nil), e.trackers...)
+	trackers := append([]tracker[T](nil), e.trackers...)
 	e.mu.Unlock()
 	out := make([]EstimatorStats, len(trackers))
 	for i, t := range trackers {
 		out[i] = EstimatorStats{Kind: t.kind, Stats: t.stats()}
 		if t.knobs != nil {
-			out[i].Backend, out[i].Window = t.knobs()
+			out[i].Backend = e.runs()
+			_, out[i].Window = t.knobs()
 		}
 		if t.async != nil {
 			out[i].Async = t.async()
@@ -371,8 +282,13 @@ func (e *Engine[T]) Stats() []EstimatorStats {
 		if t.shards != nil {
 			out[i].Shards = t.shards()
 		}
-		if t.tuning != nil {
-			out[i].Tuning = t.tuning()
+		if t.ctrl != nil || t.scaler != nil {
+			out[i].Tuning = tuningDecision(t.ctrl, t.scaler)
+			// A tuned pipeline sorts with its controller's candidate from
+			// the first Retune on, which is also when Async is first set.
+			if out[i].Tuning.Async != "" {
+				out[i].Backend = out[i].Tuning.Backend
+			}
 		}
 		if t.keyed != nil {
 			ks := t.keyed()
@@ -396,97 +312,13 @@ func NewOf[T Value](backend Backend) *Engine[T] {
 	return e
 }
 
-// newBackendSorter constructs a fresh sorter instance for the given backend
-// at element type T. Parallel estimators call it once per shard: the GPU
-// simulator keeps per-sort state (LastStats), so sorter instances must
-// never be shared across goroutines. BackendAuto constructs its sample-sort
-// starting point — the extension surfaces (HHH, correlated sum, sensor
-// trees, the DSMS executor) have no pipeline telemetry to tune against, so
-// under auto they simply run sample sort statically.
-func newBackendSorter[T Value](backend Backend) Sorter[T] {
-	switch backend {
-	case BackendGPU:
-		return gpusort.NewSorter[T]()
-	case BackendGPUBitonic:
-		return gpusort.NewBitonicSorter[T]()
-	case BackendCPU:
-		return cpusort.QuicksortSorter[T]{}
-	case BackendCPUParallel:
-		return cpusort.ParallelSorter[T]{}
-	case BackendSampleSort, BackendAuto:
-		return samplesort.NewSorter[T]()
-	}
-	panic(fmt.Sprintf("gpustream: unknown backend %v", backend))
-}
-
-// backendNameOf maps a live sorter instance back to its canonical backend
-// name, for telemetry (EstimatorStats.Backend, streammine -stats, /statsz).
-func backendNameOf[T Value](s Sorter[T]) string {
-	switch s.(type) {
-	case *gpusort.Sorter[T]:
-		return "gpu"
-	case *gpusort.BitonicSorter[T]:
-		return "gpu-bitonic"
-	case cpusort.QuicksortSorter[T]:
-		return "cpu"
-	case cpusort.ParallelSorter[T]:
-		return "cpu-parallel"
-	case *samplesort.Sorter[T]:
-		return "samplesort"
-	case nil:
-		return ""
-	}
-	return s.Name()
-}
-
-// autoCandidates is the adaptive controller's probe set: every concrete
-// backend, ordered at runtime by the perfmodel's closed-form prior for the
-// pipeline's current window size.
-func autoCandidates[T Value](m perfmodel.Model) []adaptive.Candidate[T] {
-	return []adaptive.Candidate[T]{
-		{
-			Backend: "gpu",
-			New:     func() Sorter[T] { return gpusort.NewSorter[T]() },
-			Modeled: func(n int) time.Duration { return m.PBSNSortTime(n).Total() },
-		},
-		{
-			Backend: "gpu-bitonic",
-			New:     func() Sorter[T] { return gpusort.NewBitonicSorter[T]() },
-			Modeled: func(n int) time.Duration { return m.BitonicSortTime(n).Total() },
-		},
-		{
-			Backend: "cpu",
-			New:     func() Sorter[T] { return cpusort.QuicksortSorter[T]{} },
-			Modeled: func(n int) time.Duration { return m.QuicksortTime(n, perfmodel.MSVC) },
-		},
-		{
-			Backend: "cpu-parallel",
-			New:     func() Sorter[T] { return cpusort.ParallelSorter[T]{} },
-			Modeled: func(n int) time.Duration { return m.QuicksortTime(n, perfmodel.IntelHT) },
-		},
-		{
-			Backend: "samplesort",
-			New:     func() Sorter[T] { return samplesort.NewSorter[T]() },
-			Modeled: m.SampleSortTime,
-		},
-	}
-}
-
-// candidateFor resolves a static backend to its single adaptive candidate —
-// the probe set of an elastic-concurrency controller on a non-auto engine,
-// which tunes the execution mode but must never move the backend knob.
-func candidateFor[T Value](b Backend, m perfmodel.Model) adaptive.Candidate[T] {
-	name := b.String()
-	for _, c := range autoCandidates[T](m) {
-		if c.Backend == name {
-			return c
-		}
-	}
-	panic(fmt.Sprintf("gpustream: no adaptive candidate for backend %v", b))
-}
-
 // newBackendSorter is the engine-bound form of the package-level helper.
 func (e *Engine[T]) newBackendSorter() Sorter[T] { return newBackendSorter[T](e.backend) }
+
+// runs names the concrete backend the engine's pipelines sort with until a
+// controller moves them: the engine's own for a concrete backend, auto's
+// sample-sort starting point otherwise.
+func (e *Engine[T]) runs() string { return e.backend.row().runs.String() }
 
 // WithBatchSize overrides the parallel estimators' ingestion hand-off batch
 // size (default ~64K values).
@@ -587,7 +419,7 @@ func (e *Engine[T]) attachTuner(est tunable[T], cfg estimatorConfig, tuneWindow 
 	case cfg.pinned:
 		est.SetTuner(adaptive.Pinned[T]())
 	case e.backend == BackendAuto:
-		ctrl := adaptive.New(autoCandidates[T](e.model), adaptive.Config{TuneWindow: tuneWindow, ProbeFirst: "samplesort", TuneAsync: cfg.autoAsync})
+		ctrl := adaptive.New(autoCandidates[T](e.model), adaptive.Config{TuneWindow: tuneWindow, ProbeFirst: e.runs(), TuneAsync: cfg.autoAsync})
 		est.SetTuner(ctrl)
 		return ctrl
 	case cfg.autoAsync:
@@ -649,7 +481,7 @@ func (e *Engine[T]) NewFrequencyEstimator(eps float64, opts ...EstimatorOption) 
 	}
 	est := frequency.NewEstimator(eps, e.newBackendSorter(), fopts...)
 	ctrl := e.attachTuner(est, cfg, true)
-	e.trackTuned("frequency", est.Stats, est.Knobs, est.Async, ctrl)
+	e.register(tracker[T]{kind: "frequency", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
 	return est
 }
 
@@ -668,7 +500,7 @@ func (e *Engine[T]) NewQuantileEstimator(eps float64, capacity int64, opts ...Es
 	}
 	est := quantile.NewEstimator(eps, capacity, e.newBackendSorter(), qopts...)
 	ctrl := e.attachTuner(est, cfg, true)
-	e.trackTuned("quantile", est.Stats, est.Knobs, est.Async, ctrl)
+	e.register(tracker[T]{kind: "quantile", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
 	return est
 }
 
@@ -686,7 +518,7 @@ func (e *Engine[T]) NewParallelQuantileEstimator(eps float64, capacity int64, sh
 func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int, tn tuningSpec, opts ...ParallelOption) *ParallelQuantileEstimator[T] {
 	opts, ctrl, scaler := e.shardTuning(tn, opts)
 	est := shard.NewQuantile(eps, capacity, shards, e.newBackendSorter, opts...)
-	e.trackElastic("parallel-quantile", est.Stats, est.Knobs, est.Async, est.Shards, ctrl(), scaler)
+	e.register(tracker[T]{kind: "parallel-quantile", stats: est.Stats, knobs: est.Knobs, async: est.Async, shards: est.Shards, ctrl: ctrl(), scaler: scaler})
 	return est
 }
 
@@ -704,7 +536,7 @@ func (e *Engine[T]) NewParallelFrequencyEstimator(eps float64, shards int, opts 
 func (e *Engine[T]) newParallelFrequency(eps float64, shards int, tn tuningSpec, opts ...ParallelOption) *ParallelFrequencyEstimator[T] {
 	opts, ctrl, scaler := e.shardTuning(tn, opts)
 	est := shard.NewFrequency(eps, shards, e.newBackendSorter, opts...)
-	e.trackElastic("parallel-frequency", est.Stats, est.Knobs, est.Async, est.Shards, ctrl(), scaler)
+	e.register(tracker[T]{kind: "parallel-frequency", stats: est.Stats, knobs: est.Knobs, async: est.Async, shards: est.Shards, ctrl: ctrl(), scaler: scaler})
 	return est
 }
 
@@ -743,7 +575,7 @@ func (e *Engine[T]) shardTuning(tn tuningSpec, opts []ParallelOption) ([]Paralle
 	)
 	factory := func() pipeline.Tuner[T] {
 		cands := autoCandidates[T](e.model)
-		cfg := adaptive.Config{TuneWindow: true, ProbeFirst: "samplesort", TuneAsync: tn.autoAsync}
+		cfg := adaptive.Config{TuneWindow: true, ProbeFirst: e.runs(), TuneAsync: tn.autoAsync}
 		if e.backend != BackendAuto {
 			cand := candidateFor[T](e.backend, e.model)
 			cands = []adaptive.Candidate[T]{cand}
@@ -775,7 +607,7 @@ func (e *Engine[T]) NewSlidingFrequency(eps float64, w int, opts ...EstimatorOpt
 	}
 	est := window.NewSlidingFrequency(eps, w, e.newBackendSorter(), wopts...)
 	ctrl := e.attachTuner(est, cfg, false)
-	e.trackTuned("sliding-frequency", est.Stats, est.Knobs, est.Async, ctrl)
+	e.register(tracker[T]{kind: "sliding-frequency", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
 	return est
 }
 
@@ -789,7 +621,7 @@ func (e *Engine[T]) NewSlidingQuantile(eps float64, w int, opts ...EstimatorOpti
 	}
 	est := window.NewSlidingQuantile(eps, w, e.newBackendSorter(), wopts...)
 	ctrl := e.attachTuner(est, cfg, false)
-	e.trackTuned("sliding-quantile", est.Stats, est.Knobs, est.Async, ctrl)
+	e.register(tracker[T]{kind: "sliding-quantile", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
 	return est
 }
 
@@ -808,6 +640,6 @@ func WithFrugalSeed(seed uint64) FrugalOption { return frugal.WithSeed(seed) }
 // no sorter; it registers with the engine only for Stats reporting.
 func (e *Engine[T]) NewFrugalEstimator(opts ...FrugalOption) *FrugalEstimator[T] {
 	est := frugal.NewEstimator[T](opts...)
-	e.track("frugal", est.Stats)
+	e.register(tracker[T]{kind: "frugal", stats: est.Stats})
 	return est
 }

@@ -26,6 +26,10 @@ import (
 // Item is a reported stream element with its estimated frequency.
 type Item[T sorter.Value] = pipeline.Item[T]
 
+// shell is the ingest surface promoted into Estimator; the unexported alias
+// keeps the embedded field off the exported API.
+type shell[T sorter.Value] = pipeline.Ingest[T]
+
 // entry is one summary element: estimated frequency f and maximum
 // undercount delta (the element may have appeared up to delta times before
 // it entered the summary).
@@ -41,13 +45,21 @@ type entry[T sorter.Value] struct {
 // Estimated frequencies undercount true ones by at most eps*N and the
 // summary holds O((1/eps) log(eps*N)) entries.
 //
+// Process, ProcessSlice, Flush, Close, Count, Stats, SetTuner, Knobs, Async
+// and WindowSize are promoted from the shared ingest shell. WindowSize is
+// ceil(1/eps) by default, larger under a WithWindow override or a tuner's
+// schedule; any schedule a tuner produces with windows >= ceil(1/eps)
+// preserves the eps guarantee (see maxBucket), and the MinWindow the engine
+// configures enforces that floor.
+//
 // One writer and any number of query goroutines may use an Estimator
 // concurrently; queries flush the partial window and answer over a
 // consistent summary state.
 type Estimator[T sorter.Value] struct {
+	shell[T]
 	eps  float64
-	core *pipeline.Core[T]
-	n    int64 // elements folded into the summary (excludes buffered)
+	core *pipeline.Core[T] // the lock-side API the sink and query paths use
+	n    int64             // elements folded into the summary (excludes buffered)
 	// maxBucket is the highest completed-bucket index observed so far,
 	// max over merges of floor(n/w) at the then-current window size w.
 	// With a static window floor(n/w) is monotone in n and maxBucket is
@@ -101,36 +113,15 @@ func NewEstimator[T sorter.Value](eps float64, s sorter.Sorter[T], opts ...Optio
 	}
 	e := &Estimator[T]{eps: eps}
 	e.core = pipeline.NewStagedCore(window, s, e.mergeWindow)
+	e.shell = pipeline.IngestOf(e.core)
 	if cfg.async {
 		e.core.StartAsync()
 	}
 	return e
 }
 
-// SetTuner installs a runtime controller over the pipeline's sorter and
-// window knobs; it must be called before ingestion. Any schedule the tuner
-// produces with windows >= ceil(1/eps) preserves the eps guarantee (see
-// maxBucket); the MinWindow the engine configures enforces that floor.
-func (e *Estimator[T]) SetTuner(t pipeline.Tuner[T]) { e.core.SetTuner(t) }
-
-// Knobs reports the currently selected sorter and window size.
-func (e *Estimator[T]) Knobs() (sorter.Sorter[T], int) { return e.core.Tuning() }
-
-// Async reports the commanded execution mode: overlapped staged execution
-// when true (WithAsync at construction or a tuner's AsyncOn), inline
-// synchronous execution otherwise.
-func (e *Estimator[T]) Async() bool { return e.core.Async() }
-
 // Eps reports the configured error bound.
 func (e *Estimator[T]) Eps() float64 { return e.eps }
-
-// WindowSize reports the current sort-window length — ceil(1/eps) by
-// default, larger under a WithWindow override or a tuner's schedule.
-func (e *Estimator[T]) WindowSize() int { return e.core.WindowSize() }
-
-// Count reports the number of stream elements processed, including buffered
-// ones.
-func (e *Estimator[T]) Count() int64 { return e.core.Count() }
 
 // SummarySize reports the number of summary entries (excluding the buffer).
 func (e *Estimator[T]) SummarySize() int {
@@ -139,27 +130,6 @@ func (e *Estimator[T]) SummarySize() int {
 	e.core.BarrierLocked()
 	return len(e.entries)
 }
-
-// Stats returns the unified per-stage pipeline telemetry. Safe to call
-// mid-ingestion; counters are internally consistent.
-func (e *Estimator[T]) Stats() pipeline.Stats { return e.core.Stats() }
-
-// Process consumes one stream element. After Close it returns an error
-// wrapping pipeline.ErrClosed.
-func (e *Estimator[T]) Process(v T) error { return e.core.Process(v) }
-
-// ProcessSlice consumes a batch of stream elements. After Close it returns
-// an error wrapping pipeline.ErrClosed.
-func (e *Estimator[T]) ProcessSlice(data []T) error { return e.core.ProcessSlice(data) }
-
-// Flush forces the buffered partial window into the summary. Queries call
-// it implicitly so buffered elements are always visible.
-func (e *Estimator[T]) Flush() error { return e.core.Flush() }
-
-// Close flushes and releases the window buffer back to the shared pool.
-// The estimator remains queryable; further ingestion reports
-// pipeline.ErrClosed. Close is idempotent.
-func (e *Estimator[T]) Close() error { return e.core.Close() }
 
 // mergeWindow is the merge-stage half of the pipeline: it receives a window
 // the core has already sorted (inline, or on the sort stage goroutine in

@@ -1,0 +1,65 @@
+package pipeline
+
+import "gpustream/internal/sorter"
+
+// Ingest is the ingestion and telemetry surface every Core-backed estimator
+// exposes verbatim: the lifecycle (Process, ProcessSlice, Flush, Close), the
+// counters (Count, Stats) and the runtime knobs (SetTuner, Knobs, Async,
+// WindowSize). The serial estimator families embed it — through an
+// unexported local alias, so no exported field appears on them — and the
+// ten methods are promoted instead of being re-declared per family.
+//
+// It wraps the Core rather than the families embedding *Core itself because
+// Core's method set also holds the lock-side API (Lock, FlushLocked,
+// BarrierLocked, Partial, Add*, ...), which belongs to an estimator's sink
+// and query paths and must not leak onto the public estimator types.
+type Ingest[T sorter.Value] struct{ core *Core[T] }
+
+// IngestOf returns the pass-through surface over c.
+func IngestOf[T sorter.Value](c *Core[T]) Ingest[T] { return Ingest[T]{core: c} }
+
+// Process consumes one stream element. After Close it returns an error
+// wrapping ErrClosed.
+func (in Ingest[T]) Process(v T) error { return in.core.Process(v) }
+
+// ProcessSlice consumes a batch of stream elements; the caller may reuse
+// the slice immediately. After Close it returns an error wrapping
+// ErrClosed.
+func (in Ingest[T]) ProcessSlice(data []T) error { return in.core.ProcessSlice(data) }
+
+// Flush forces the buffered partial window through the sort and the
+// family's sink. Queries never need it — every family's query path covers
+// buffered elements — but it makes the summary state self-contained before
+// Close or a hand-off.
+func (in Ingest[T]) Flush() error { return in.core.Flush() }
+
+// Close flushes and releases the window buffer back to the shared pool.
+// The estimator remains queryable; further ingestion reports ErrClosed.
+// Close is idempotent.
+func (in Ingest[T]) Close() error { return in.core.Close() }
+
+// Count reports the number of stream elements processed, including
+// buffered ones.
+func (in Ingest[T]) Count() int64 { return in.core.Count() }
+
+// Stats returns the unified per-stage pipeline telemetry. Safe to call
+// mid-ingestion; counters are internally consistent.
+func (in Ingest[T]) Stats() Stats { return in.core.Stats() }
+
+// SetTuner installs a runtime controller over the pipeline's sorter,
+// window and execution-mode knobs; it must be called before ingestion.
+// Which schedules keep a family's eps guarantee is the family's concern and
+// is stated on its type.
+func (in Ingest[T]) SetTuner(t Tuner[T]) { in.core.SetTuner(t) }
+
+// Knobs reports the currently selected sorter and window size.
+func (in Ingest[T]) Knobs() (sorter.Sorter[T], int) { return in.core.Tuning() }
+
+// Async reports the commanded execution mode: overlapped staged execution
+// when true (requested at construction or by a tuner's AsyncOn), inline
+// synchronous execution otherwise.
+func (in Ingest[T]) Async() bool { return in.core.Async() }
+
+// WindowSize reports the current sort-window length: the construction-time
+// window unless a tuner has rescheduled it.
+func (in Ingest[T]) WindowSize() int { return in.core.WindowSize() }

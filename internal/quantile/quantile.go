@@ -53,16 +53,28 @@ func pruneBudget(headroom float64) int {
 	return int(b)
 }
 
+// shell is the ingest surface promoted into Estimator; the unexported alias
+// keeps the embedded field off the exported API.
+type shell[T sorter.Value] = pipeline.Ingest[T]
+
 // Estimator answers eps-approximate quantile queries over a stream of any
 // length.
+//
+// Process, ProcessSlice, Flush, Close, Count, Stats, SetTuner, Knobs, Async
+// and WindowSize are promoted from the shared ingest shell. Any window
+// schedule a tuner produces stays within the eps bound: FromSortedWindow's
+// eps/2 summary error is window-size independent, and the cascade budgets
+// each combine from the error its buckets have actually spent, not from a
+// planned depth.
 //
 // One writer and any number of query goroutines may use an Estimator
 // concurrently.
 type Estimator[T sorter.Value] struct {
+	shell[T]
 	eps   float64
-	cap   float64 // most error a bucket may have spent: eps less the view's share
-	viewB int     // entry budget of the view's final prune
-	core  *pipeline.Core[T]
+	cap   float64           // most error a bucket may have spent: eps less the view's share
+	viewB int               // entry budget of the view's final prune
+	core  *pipeline.Core[T] // the lock-side API the sink and query paths use
 
 	// levels[k] is the bucket covering 2^k windows, nil while that level is
 	// empty. A bucket's Eps is the error it has spent so far: what its
@@ -125,6 +137,7 @@ func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts
 		mergeTmp: &summary.Summary[T]{},
 	}
 	e.core = pipeline.NewStagedCore(cfg.window, s, e.mergeWindow)
+	e.shell = pipeline.IngestOf(e.core)
 	if cfg.async {
 		e.core.StartAsync()
 	}
@@ -133,33 +146,6 @@ func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts
 
 // Eps reports the configured error bound.
 func (e *Estimator[T]) Eps() float64 { return e.eps }
-
-// WindowSize reports the current buffered window length. It equals the
-// construction-time window unless a tuner has rescheduled it.
-func (e *Estimator[T]) WindowSize() int { return e.core.WindowSize() }
-
-// SetTuner installs a runtime controller over the pipeline's sorter and
-// window knobs; it must be called before ingestion. Any window schedule
-// stays within the eps bound: FromSortedWindow's eps/2 summary error is
-// window-size independent, and the cascade budgets each combine from the
-// error its buckets have actually spent, not from a planned depth.
-func (e *Estimator[T]) SetTuner(t pipeline.Tuner[T]) { e.core.SetTuner(t) }
-
-// Knobs reports the currently selected sorter and window size.
-func (e *Estimator[T]) Knobs() (sorter.Sorter[T], int) { return e.core.Tuning() }
-
-// Async reports the commanded execution mode: overlapped staged execution
-// when true (WithAsync at construction or a tuner's AsyncOn), inline
-// synchronous execution otherwise.
-func (e *Estimator[T]) Async() bool { return e.core.Async() }
-
-// Count reports the number of stream elements processed, including buffered
-// ones.
-func (e *Estimator[T]) Count() int64 { return e.core.Count() }
-
-// Stats returns the unified per-stage pipeline telemetry. Safe to call
-// mid-ingestion; counters are internally consistent.
-func (e *Estimator[T]) Stats() pipeline.Stats { return e.core.Stats() }
 
 // SummaryEntries reports the total entries retained across all buckets, the
 // estimator's memory footprint.
@@ -189,24 +175,6 @@ func (e *Estimator[T]) Buckets() int {
 	}
 	return live
 }
-
-// Process consumes one stream element. After Close it returns an error
-// wrapping pipeline.ErrClosed.
-func (e *Estimator[T]) Process(v T) error { return e.core.Process(v) }
-
-// ProcessSlice consumes a batch of stream elements. After Close it returns
-// an error wrapping pipeline.ErrClosed.
-func (e *Estimator[T]) ProcessSlice(data []T) error { return e.core.ProcessSlice(data) }
-
-// Flush forces the buffered partial window into the bucket cascade. Queries
-// do not need it — snapshots already include buffered elements — but it
-// makes the estimator's state self-contained before Close or hand-off.
-func (e *Estimator[T]) Flush() error { return e.core.Flush() }
-
-// Close flushes and releases the window buffer back to the shared pool.
-// The estimator remains queryable; further ingestion reports
-// pipeline.ErrClosed. Close is idempotent.
-func (e *Estimator[T]) Close() error { return e.core.Close() }
 
 // windowSummary reduces a sorted window to its level-0 summary, with Eps
 // the error the reduction actually spent: eps/2 when ranks were sampled, and

@@ -1,13 +1,9 @@
 package shard
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"gpustream/internal/frequency"
-	"gpustream/internal/perfmodel"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/sorter"
 )
@@ -17,40 +13,19 @@ import (
 // lossy-counting estimator at the full eps budget. Lossy-counting error is
 // additive across disjoint substreams — each shard undercounts by at most
 // eps*N_i, so the merged estimate undercounts by at most eps*N — which
-// preserves the no-false-negative guarantee of the serial estimator
-// (DESIGN.md section 7).
+// preserves the no-false-negative guarantee of the serial estimator at any
+// shard count and under any reshard schedule (DESIGN.md section 7).
 //
 // With a single shard, queries delegate directly to the underlying
 // estimator, so K=1 output is bit-identical to the serial
 // frequency.Estimator fed the same stream.
 //
-// Queries and snapshots are safe against concurrent ingestion: each shard
-// estimator is internally synchronized by its pipeline core.
+// Ingestion, lifecycle, elasticity and telemetry are the shared core's
+// (DESIGN.md section 19). Queries and snapshots are safe against concurrent
+// ingestion: each shard estimator is internally synchronized by its
+// pipeline core.
 type Frequency[T sorter.Value] struct {
-	pool *pool[T]
-	eps  float64
-
-	// mu guards the elastic shard set: ests/tuners mutate when a Rescaler
-	// commands a new count. Queries take the read side; rescales (rare, on
-	// the ingestion goroutine) take the write side. Lock order is always
-	// family mu -> pool mu -> estimator core locks.
-	mu       sync.RWMutex
-	ests     []*frequency.Estimator[T]
-	tuners   []pipeline.Tuner[T] // per-shard tuners, empty without WithTunerFactory
-	mkEst    func() *frequency.Estimator[T]
-	newTuner func() pipeline.Tuner[T]
-
-	// Elastic state: rescaler owns the shard count; retired accumulates the
-	// folded snapshots of drained shards (scale-down) and retiredStats their
-	// telemetry. Lossy-counting undercounts are additive across disjoint
-	// substreams, so every shard — and the retired fold — runs at the full
-	// eps at any count.
-	rescaler     Rescaler
-	sinceObs     atomic.Int64
-	retired      *frequency.Snapshot[T]
-	retiredStats pipeline.Stats
-
-	queryMergeOps atomic.Int64
+	core[T, *frequency.Estimator[T], *frequency.Snapshot[T]]
 }
 
 // NewFrequency returns a sharded eps-approximate frequency estimator.
@@ -58,10 +33,6 @@ type Frequency[T sorter.Value] struct {
 // shard so stateful backends (the GPU simulator) are never shared across
 // goroutines.
 func NewFrequency[T sorter.Value](eps float64, shards int, newSorter func() sorter.Sorter[T], opts ...Option) *Frequency[T] {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("shard: eps %v out of (0, 1)", eps))
-	}
-	k := Resolve(shards)
 	cfg := parseOptions(opts)
 	var estOpts []frequency.Option
 	if cfg.async {
@@ -70,236 +41,20 @@ func NewFrequency[T sorter.Value](eps float64, shards int, newSorter func() sort
 	if cfg.window > 0 {
 		estOpts = append(estOpts, frequency.WithWindow(cfg.window))
 	}
-	fq := &Frequency[T]{eps: eps, rescaler: cfg.rescaler}
-	fq.newTuner = shardTuner[T](cfg)
-	fq.mkEst = func() *frequency.Estimator[T] {
-		return frequency.NewEstimator(eps, newSorter(), estOpts...)
-	}
-	procs := make([]func([]T), k)
-	for i := 0; i < k; i++ {
-		procs[i] = fq.addShardLocked()
-	}
-	fq.pool = newPool(procs, cfg, func() {
-		fq.mu.RLock()
-		defer fq.mu.RUnlock()
-		for _, est := range fq.ests {
-			_ = est.Close()
-		}
+	fq := &Frequency[T]{}
+	fq.start(eps, Resolve(shards), cfg, family[T, *frequency.Estimator[T], *frequency.Snapshot[T]]{
+		newShard: func() *frequency.Estimator[T] {
+			return frequency.NewEstimator(eps, newSorter(), estOpts...)
+		},
+		merge: frequency.MergeSnapshots[T],
+		size:  (*frequency.Estimator[T]).SummarySize,
 	})
 	return fq
 }
 
-// addShardLocked builds one shard estimator (plus its tuner when a factory
-// is configured) and returns the worker processor bound to it. The caller
-// holds mu (or is the constructor). The pool never closes shard estimators
-// while workers still hand them batches, so ingestion in the processor
-// cannot fail.
-func (fq *Frequency[T]) addShardLocked() func([]T) {
-	est := fq.mkEst()
-	if fq.newTuner != nil {
-		t := fq.newTuner()
-		est.SetTuner(t)
-		fq.tuners = append(fq.tuners, t)
-	}
-	fq.ests = append(fq.ests, est)
-	return func(b []T) { _ = est.ProcessSlice(b) }
-}
-
-// maybeRescale consults the rescaler roughly once per dispatched batch and
-// applies its command. It runs on the ingestion goroutine — the pool's
-// single writer — so removeWorkers' quiesce wait terminates: no new batches
-// arrive while it blocks.
-func (fq *Frequency[T]) maybeRescale(n int64) {
-	if fq.rescaler == nil {
-		return
-	}
-	if fq.sinceObs.Add(n) < int64(fq.pool.BatchSize()) {
-		return
-	}
-	fq.sinceObs.Store(0)
-	if want := fq.rescaler.Observe(fq.pool.Count(), fq.pool.Shards()); want > 0 {
-		fq.rescale(want)
-	}
-}
-
-// rescale applies a commanded shard count. Scale-up spawns fresh shards at
-// the full eps budget (lossy-counting undercounts are additive across any
-// partition); scale-down quiesces the pool, retires the tail shards through
-// their close path, and folds their snapshots into the retained accumulator
-// with the value-aligned additive merge — so the merged estimate still
-// undercounts by at most eps*N under any schedule (DESIGN.md §16).
-func (fq *Frequency[T]) rescale(want int) {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	cur := len(fq.ests)
-	switch {
-	case want > cur:
-		procs := make([]func([]T), 0, want-cur)
-		for len(fq.ests) < want {
-			procs = append(procs, fq.addShardLocked())
-		}
-		if !fq.pool.addWorkers(procs) {
-			for _, est := range fq.ests[cur:] {
-				_ = est.Close()
-			}
-			fq.ests = fq.ests[:cur]
-			if len(fq.tuners) > cur {
-				fq.tuners = fq.tuners[:cur]
-			}
-		}
-	case want < cur && want >= 1:
-		idle, ok := fq.pool.removeWorkers(cur - want)
-		if !ok {
-			return
-		}
-		victims := fq.ests[want:]
-		fq.ests = fq.ests[:want]
-		if len(fq.tuners) > want {
-			fq.tuners = fq.tuners[:want]
-		}
-		for i, est := range victims {
-			_ = est.Flush()
-			snap := est.Snapshot().(*frequency.Snapshot[T])
-			st := est.Stats()
-			if i < len(idle) {
-				st.Idle += idle[i]
-			}
-			_ = est.Close()
-			fq.retiredStats.Add(st)
-			if snap.Count() == 0 {
-				continue
-			}
-			if fq.retired == nil {
-				fq.retired = snap
-			} else {
-				fq.retired = frequency.MergeSnapshots(fq.retired, snap)
-			}
-		}
-	}
-}
-
-// Eps reports the configured error bound.
-func (fq *Frequency[T]) Eps() float64 { return fq.eps }
-
-// Knobs reports shard 0's currently selected sorter and window size (all
-// shards run the same configuration and converge on the same telemetry;
-// shard 0 is never retired by a rescale).
-func (fq *Frequency[T]) Knobs() (sorter.Sorter[T], int) {
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	return fq.ests[0].Knobs()
-}
-
-// Async reports shard 0's commanded execution mode.
-func (fq *Frequency[T]) Async() bool {
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	return fq.ests[0].Async()
-}
-
-// Tuners exposes the tuners of the live shards attached via
-// WithTunerFactory, in shard order; empty when none were attached.
-func (fq *Frequency[T]) Tuners() []pipeline.Tuner[T] {
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	return append([]pipeline.Tuner[T](nil), fq.tuners...)
-}
-
-// Shards reports the number of shard workers.
-func (fq *Frequency[T]) Shards() int { return fq.pool.Shards() }
-
-// Count reports the number of stream elements ingested.
-func (fq *Frequency[T]) Count() int64 { return fq.pool.Count() }
-
-// Process ingests one stream element. After Close it returns an error
-// wrapping pipeline.ErrClosed.
-func (fq *Frequency[T]) Process(v T) error {
-	if err := fq.pool.Process(v); err != nil {
-		return err
-	}
-	fq.maybeRescale(1)
-	return nil
-}
-
-// ProcessSlice ingests a batch of stream elements. After Close it returns
-// an error wrapping pipeline.ErrClosed. An elastic estimator chunks the
-// slice at the dispatch batch size so the rescaler observes per-batch
-// throughput even when the caller hands the whole stream in one call.
-func (fq *Frequency[T]) ProcessSlice(data []T) error {
-	if fq.rescaler == nil {
-		return fq.pool.ProcessSlice(data)
-	}
-	step := fq.pool.BatchSize()
-	for len(data) > 0 {
-		n := min(step, len(data))
-		if err := fq.pool.ProcessSlice(data[:n]); err != nil {
-			return err
-		}
-		fq.maybeRescale(int64(n))
-		data = data[n:]
-	}
-	return nil
-}
-
-// Flush dispatches buffered values and waits until every shard has absorbed
-// its in-flight batches.
-func (fq *Frequency[T]) Flush() error { return fq.pool.Flush() }
-
-// Close drains and stops the shard workers with no deadline. The estimator
-// remains queryable; further ingestion reports pipeline.ErrClosed.
-func (fq *Frequency[T]) Close() error { return fq.pool.Close() }
-
-// CloseContext is Close with a deadline: if ctx expires while the shards
-// are still absorbing backpressure, the remaining hand-off is abandoned and
-// the context error is returned wrapped. See pool.CloseContext.
-func (fq *Frequency[T]) CloseContext(ctx context.Context) error { return fq.pool.CloseContext(ctx) }
-
-// merged flushes, snapshots every shard, and folds the per-shard summaries
-// with frequency.MergeSnapshots — the same value-aligned additive-undercount
-// rule the cross-process aggregation tree uses on marshaled snapshots.
-func (fq *Frequency[T]) merged() *frequency.Snapshot[T] {
-	fq.pool.Flush()
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	acc := fq.retired
-	var ops int64
-	for _, est := range fq.ests {
-		snap := est.Snapshot().(*frequency.Snapshot[T])
-		if acc == nil {
-			acc = snap
-			continue
-		}
-		acc = frequency.MergeSnapshots(acc, snap)
-		ops += int64(acc.Size())
-	}
-	if ops > 0 {
-		fq.queryMergeOps.Add(ops)
-	}
-	return acc
-}
-
 // Snapshot returns an immutable point-in-time view over the merged shard
 // summaries. With K=1 the view is bit-identical to the serial estimator's.
-func (fq *Frequency[T]) Snapshot() pipeline.View[T] {
-	if fq.single() {
-		fq.pool.Flush()
-		return fq.ests[0].Snapshot()
-	}
-	return fq.merged()
-}
-
-// single reports whether the one-shard fast path applies: exactly one
-// shard, fixed for the estimator's lifetime (elastic estimators always go
-// through the merge path — their shard set can change under a racing
-// query).
-func (fq *Frequency[T]) single() bool {
-	if fq.rescaler != nil {
-		return false
-	}
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	return len(fq.ests) == 1
-}
+func (fq *Frequency[T]) Snapshot() pipeline.View[T] { return fq.merged() }
 
 // Query returns every element whose merged estimated frequency is at least
 // (s - eps) * N, ordered by decreasing frequency. The result has no false
@@ -308,8 +63,11 @@ func (fq *Frequency[T]) Query(s float64) []frequency.Item[T] {
 	if s < 0 || s > 1 {
 		panic(fmt.Sprintf("shard: support %v out of [0, 1]", s))
 	}
-	if fq.single() {
-		fq.pool.Flush()
+	// One shard, fixed for the estimator's lifetime (without a rescaler the
+	// shard set never changes): delegate, sparing the estimator the
+	// copy-on-write a snapshot would cost it.
+	if fq.rescaler == nil && len(fq.ests) == 1 {
+		fq.Flush()
 		return fq.ests[0].Query(s)
 	}
 	return fq.merged().Query(s)
@@ -319,7 +77,7 @@ func (fq *Frequency[T]) Query(s float64) []frequency.Item[T] {
 // tracks it). Estimates never exceed the true count and undercount it by at
 // most eps*N.
 func (fq *Frequency[T]) Estimate(v T) int64 {
-	fq.pool.Flush()
+	fq.Flush()
 	fq.mu.RLock()
 	defer fq.mu.RUnlock()
 	var total int64
@@ -344,58 +102,4 @@ func (fq *Frequency[T]) TopK(k int) []frequency.Item[T] {
 
 // SummarySize reports the total summary entries retained across shards
 // (plus the retired accumulator of an elastic estimator).
-func (fq *Frequency[T]) SummarySize() int {
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	total := 0
-	for _, est := range fq.ests {
-		total += est.SummarySize()
-	}
-	if fq.retired != nil {
-		total += fq.retired.Size()
-	}
-	return total
-}
-
-// Stats sums the unified pipeline telemetry across shards, including each
-// worker's channel-wait time as Idle. Because shards run concurrently, the
-// stage durations reflect total work, not wall clock.
-func (fq *Frequency[T]) Stats() pipeline.Stats {
-	var agg pipeline.Stats
-	for _, st := range fq.PerShardStats() {
-		agg.Add(st)
-	}
-	fq.mu.RLock()
-	agg.Add(fq.retiredStats)
-	fq.mu.RUnlock()
-	return agg
-}
-
-// PerShardStats exposes each live shard's unified pipeline telemetry; the
-// shard worker's channel-wait time is folded in as Idle. Shards retired by
-// a scale-down are not listed — their totals live on in Stats.
-func (fq *Frequency[T]) PerShardStats() []pipeline.Stats {
-	fq.mu.RLock()
-	defer fq.mu.RUnlock()
-	idle := fq.pool.idleTimes()
-	out := make([]pipeline.Stats, len(fq.ests))
-	for i, est := range fq.ests {
-		st := est.Stats()
-		if i < len(idle) {
-			st.Idle += idle[i]
-		}
-		out[i] = st
-	}
-	return out
-}
-
-// QueryMergeOps reports the cumulative summary entries visited by
-// query-time cross-shard merges.
-func (fq *Frequency[T]) QueryMergeOps() int64 { return fq.queryMergeOps.Load() }
-
-// ModeledTime converts the per-shard counters into modeled 2004-testbed
-// time for a K-way sharded run: concurrent shard ingestion plus the serial
-// query-time merge.
-func (fq *Frequency[T]) ModeledTime(m perfmodel.Model, backend perfmodel.Backend) perfmodel.PipelineBreakdown {
-	return m.ShardedPipelineTime(fq.PerShardStats(), backend, fq.QueryMergeOps())
-}
+func (fq *Frequency[T]) SummarySize() int { return fq.retainedSize() }

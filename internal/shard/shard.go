@@ -164,8 +164,6 @@ type worker[T sorter.Value] struct {
 	idle atomic.Int64
 }
 
-func (w *worker[T]) idleTime() time.Duration { return time.Duration(w.idle.Load()) }
-
 // pool fans batches out to the shard workers. Safe for concurrent use by
 // multiple producers; Flush and queries may run concurrently with ingestion.
 type pool[T sorter.Value] struct {
@@ -192,13 +190,19 @@ func newPool[T sorter.Value](processors []func([]T), cfg config, cleanup func())
 	p := &pool[T]{batch: cfg.batch, cleanup: cleanup}
 	p.cond = sync.NewCond(&p.mu)
 	p.cur = make([]T, 0, p.batch)
+	p.spawnLocked(processors)
+	return p
+}
+
+// spawnLocked starts one worker goroutine per processor. The caller holds
+// p.mu (or is the constructor).
+func (p *pool[T]) spawnLocked(processors []func([]T)) {
 	for _, proc := range processors {
 		w := &worker[T]{ch: make(chan []T, 2), process: proc, done: make(chan struct{})}
 		p.workers = append(p.workers, w)
 		p.wg.Add(1)
 		go p.run(w)
 	}
-	return p
 }
 
 func (p *pool[T]) run(w *worker[T]) {
@@ -224,7 +228,7 @@ func (p *pool[T]) run(w *worker[T]) {
 // dispatchLocked hands the current buffer to the next worker round-robin.
 // The channel send happens with p.mu released: a full channel would
 // otherwise deadlock against workers that need p.mu to decrement inflight.
-// A nil (or Done-less) ctx blocks until the shard accepts the batch; with a
+// A Done-less ctx blocks until the shard accepts the batch; with a
 // cancellable ctx the send is abandoned on expiry — the batch's values are
 // dropped and subtracted from the ingest total — and the context error is
 // returned.
@@ -236,14 +240,10 @@ func (p *pool[T]) dispatchLocked(ctx context.Context) error {
 	p.inflight++
 	p.mu.Unlock()
 	var err error
-	if ctx == nil || ctx.Done() == nil {
-		w.ch <- b
-	} else {
-		select {
-		case w.ch <- b:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
+	select {
+	case w.ch <- b:
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
 	p.mu.Lock()
 	if err != nil {
@@ -267,7 +267,7 @@ func (p *pool[T]) Process(v T) error {
 	p.total++
 	p.cur = append(p.cur, v)
 	if len(p.cur) >= p.batch {
-		p.dispatchLocked(nil)
+		p.dispatchLocked(context.Background())
 	}
 	return nil
 }
@@ -290,7 +290,7 @@ func (p *pool[T]) ProcessSlice(data []T) error {
 		p.cur = append(p.cur, data[:room]...)
 		data = data[room:]
 		if len(p.cur) >= p.batch {
-			p.dispatchLocked(nil)
+			p.dispatchLocked(context.Background())
 		}
 	}
 	return nil
@@ -303,7 +303,7 @@ func (p *pool[T]) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.cur) > 0 && !p.closed {
-		p.dispatchLocked(nil)
+		p.dispatchLocked(context.Background())
 	}
 	for p.inflight > 0 {
 		p.cond.Wait()
@@ -329,21 +329,13 @@ func (p *pool[T]) CloseContext(ctx context.Context) error {
 		p.mu.Unlock()
 		return nil
 	}
-	// A watcher turns context expiry into a cond broadcast so the drain
-	// wait below can observe it.
-	var stop chan struct{}
-	if d := ctx.Done(); d != nil {
-		stop = make(chan struct{})
-		go func() {
-			select {
-			case <-d:
-				p.mu.Lock()
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+	// Context expiry becomes a cond broadcast so the drain wait below can
+	// observe it.
+	stop := context.AfterFunc(ctx, func() {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	})
 	var err error
 	for len(p.cur) > 0 || p.inflight > 0 {
 		if err = ctx.Err(); err != nil {
@@ -363,9 +355,7 @@ func (p *pool[T]) CloseContext(ctx context.Context) error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
+	stop()
 	for _, w := range p.workers {
 		close(w.ch)
 	}
@@ -397,12 +387,7 @@ func (p *pool[T]) addWorkers(processors []func([]T)) bool {
 	if p.closed {
 		return false
 	}
-	for _, proc := range processors {
-		w := &worker[T]{ch: make(chan []T, 2), process: proc, done: make(chan struct{})}
-		p.workers = append(p.workers, w)
-		p.wg.Add(1)
-		go p.run(w)
-	}
+	p.spawnLocked(processors)
 	return true
 }
 
@@ -437,7 +422,7 @@ func (p *pool[T]) removeWorkers(n int) ([]time.Duration, bool) {
 		// an empty channel, so close makes it exit without touching p.mu.
 		close(w.ch)
 		<-w.done
-		idle = append(idle, w.idleTime())
+		idle = append(idle, time.Duration(w.idle.Load()))
 	}
 	return idle, true
 }
@@ -449,7 +434,7 @@ func (p *pool[T]) idleTimes() []time.Duration {
 	defer p.mu.Unlock()
 	out := make([]time.Duration, len(p.workers))
 	for i, w := range p.workers {
-		out[i] = w.idleTime()
+		out[i] = time.Duration(w.idle.Load())
 	}
 	return out
 }
@@ -469,6 +454,3 @@ func (p *pool[T]) Shards() int {
 	defer p.mu.Unlock()
 	return len(p.workers)
 }
-
-// BatchSize reports the hand-off batch size.
-func (p *pool[T]) BatchSize() int { return p.batch }

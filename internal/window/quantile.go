@@ -1,7 +1,6 @@
 package window
 
 import (
-	"fmt"
 	"time"
 
 	"gpustream/internal/pipeline"
@@ -22,64 +21,15 @@ import (
 // One writer and any number of query goroutines may use the estimator
 // concurrently.
 type SlidingQuantile[T sorter.Value] struct {
-	eps   float64
-	w     int
-	core  *pipeline.Core[T]
-	panes []*summary.Summary[T] // oldest first
+	sliding[T, *summary.Summary[T]]
 }
 
 // NewSlidingQuantile returns a sliding-window quantile estimator of window
 // size w and error eps, sorting panes with s.
 func NewSlidingQuantile[T sorter.Value](eps float64, w int, s sorter.Sorter[T], opts ...Option) *SlidingQuantile[T] {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	q := &SlidingQuantile[T]{eps: eps, w: w}
-	q.core = pipeline.NewStagedCore(paneSize(eps, w), s, q.sealSorted)
-	if cfg.async {
-		q.core.StartAsync()
-	}
+	q := &SlidingQuantile[T]{}
+	q.init(eps, w, s, q.sealSorted, opts)
 	return q
-}
-
-// Eps reports the configured error bound.
-func (q *SlidingQuantile[T]) Eps() float64 { return q.eps }
-
-// WindowSize reports W.
-func (q *SlidingQuantile[T]) WindowSize() int { return q.w }
-
-// PaneSize reports the pane length.
-func (q *SlidingQuantile[T]) PaneSize() int { return q.core.WindowSize() }
-
-// SetTuner installs a runtime controller over the pipeline's sorter knob;
-// it must be called before ingestion. Sliding estimators adapt the backend
-// only: the pane size is query semantics (it fixes the eps*W error split),
-// so the engine configures window tuning off for this family.
-func (q *SlidingQuantile[T]) SetTuner(t pipeline.Tuner[T]) { q.core.SetTuner(t) }
-
-// Knobs reports the currently selected sorter and pane size.
-func (q *SlidingQuantile[T]) Knobs() (sorter.Sorter[T], int) { return q.core.Tuning() }
-
-// Async reports the commanded execution mode of the pane pipeline.
-func (q *SlidingQuantile[T]) Async() bool { return q.core.Async() }
-
-// Count reports the number of elements processed so far (whole stream).
-func (q *SlidingQuantile[T]) Count() int64 { return q.core.Count() }
-
-// Stats returns the unified per-stage pipeline telemetry. Safe to call
-// mid-ingestion; counters are internally consistent.
-func (q *SlidingQuantile[T]) Stats() pipeline.Stats { return q.core.Stats() }
-
-// SortedValues reports how many values have passed through the sorter.
-func (q *SlidingQuantile[T]) SortedValues() int64 { return q.core.Stats().SortedValues }
-
-// Panes reports the number of retained panes.
-func (q *SlidingQuantile[T]) Panes() int {
-	q.core.Lock()
-	defer q.core.Unlock()
-	q.core.BarrierLocked()
-	return len(q.panes)
 }
 
 // SummaryEntries reports the total retained summary entries, the
@@ -95,24 +45,6 @@ func (q *SlidingQuantile[T]) SummaryEntries() int {
 	return total
 }
 
-// Process consumes one stream element. After Close it returns an error
-// wrapping pipeline.ErrClosed.
-func (q *SlidingQuantile[T]) Process(v T) error { return q.core.Process(v) }
-
-// ProcessSlice consumes a batch of elements. After Close it returns an
-// error wrapping pipeline.ErrClosed.
-func (q *SlidingQuantile[T]) ProcessSlice(data []T) error { return q.core.ProcessSlice(data) }
-
-// Flush seals the buffered partial pane. Queries do not need it — the
-// partial pane is always visible — but it makes the state self-contained
-// before Close or hand-off.
-func (q *SlidingQuantile[T]) Flush() error { return q.core.Flush() }
-
-// Close flushes and releases the pane buffer back to the shared pool. The
-// estimator remains queryable; further ingestion reports
-// pipeline.ErrClosed. Close is idempotent.
-func (q *SlidingQuantile[T]) Close() error { return q.core.Close() }
-
 // sealSorted is the merge-stage half of the pane pipeline: it receives a
 // pane the core has already sorted (inline, or on the sort stage goroutine
 // in async mode), reduces it to a summary, and expires old panes. The core
@@ -124,11 +56,7 @@ func (q *SlidingQuantile[T]) sealSorted(win []T) {
 	s := summary.FromSortedWindow(win, q.eps)
 	q.core.AddSort(time.Since(t0), 0)
 	q.panes = append(q.panes, s)
-
-	maxPanes := (q.w + q.core.WindowSizeLocked() - 1) / q.core.WindowSizeLocked()
-	if len(q.panes) > maxPanes {
-		q.panes = q.panes[len(q.panes)-maxPanes:]
-	}
+	q.expireLocked()
 }
 
 // mergePaneSummaries merges the newest panes covering span elements with an
@@ -154,11 +82,10 @@ func mergePaneSummaries[T sorter.Value](panes []*summary.Summary[T], partial *su
 // partialSummaryLocked summarizes a copy of the buffered partial pane.
 // Caller must hold the core lock.
 func (q *SlidingQuantile[T]) partialSummaryLocked() *summary.Summary[T] {
-	if q.core.BufferedLocked() == 0 {
+	tmp := q.sortedPartialLocked()
+	if tmp == nil {
 		return nil
 	}
-	tmp := append(q.core.Scratch(q.core.BufferedLocked()), q.core.Partial()...)
-	q.core.SorterLocked().Sort(tmp)
 	return summary.FromSortedWindow(tmp, q.eps)
 }
 
@@ -186,9 +113,7 @@ func (q *SlidingQuantile[T]) Query(phi float64) T {
 // elements, w <= W. Rank error is bounded by eps*W (absolute). Safe under
 // concurrent ingestion.
 func (q *SlidingQuantile[T]) QueryWindow(phi float64, w int) T {
-	if w <= 0 || w > q.w {
-		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, q.w))
-	}
+	checkSpan(w, q.w)
 	q.core.Lock()
 	s := q.snapshot(w)
 	q.core.Unlock()
@@ -263,9 +188,7 @@ func (s *QuantileSnapshot[T]) Query(phi float64) T { return s.QueryWindow(phi, s
 // QueryWindow answers the variable-size query over the most recent w
 // elements as of the snapshot, w <= W.
 func (s *QuantileSnapshot[T]) QueryWindow(phi float64, w int) T {
-	if w <= 0 || w > s.w {
-		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, s.w))
-	}
+	checkSpan(w, s.w)
 	m := mergePaneSummaries(s.panes, s.partial, w)
 	if m == nil || m.N == 0 {
 		panic("window: quantile query on empty window")

@@ -1,0 +1,139 @@
+package window
+
+import (
+	"fmt"
+	"math"
+
+	"gpustream/internal/pipeline"
+	"gpustream/internal/sorter"
+)
+
+// Option configures a sliding estimator (either kind; the knobs tune the
+// execution mode, not the summaries).
+type Option func(*config)
+
+type config struct {
+	async bool
+}
+
+// WithAsync enables staged asynchronous ingestion: panes sort on a dedicated
+// stage goroutine overlapping the histogram/summary sealing of the previous
+// pane. Answers are bit-identical to synchronous mode.
+func WithAsync() Option { return func(c *config) { c.async = true } }
+
+// paneSize derives the pane length from eps and W, clamped to [1, W].
+func paneSize(eps float64, w int) int {
+	if eps <= 0 || eps >= 1 {
+		panic(fmt.Sprintf("window: eps %v out of (0, 1)", eps))
+	}
+	if w <= 0 {
+		panic("window: window size must be positive")
+	}
+	pane := int(math.Ceil(eps * float64(w) / 2))
+	if pane < 1 {
+		pane = 1
+	}
+	if pane > w {
+		pane = w
+	}
+	return pane
+}
+
+// checkSupport panics unless s is a support threshold in [0, 1].
+func checkSupport(s float64) {
+	if s < 0 || s > 1 {
+		panic(fmt.Sprintf("window: support %v out of [0, 1]", s))
+	}
+}
+
+// checkSpan panics unless span is a query window in (0, w].
+func checkSpan(span, w int) {
+	if span <= 0 || span > w {
+		panic(fmt.Sprintf("window: query window %d out of (0, %d]", span, w))
+	}
+}
+
+// shell is the ingest surface promoted into the sliding estimators; the
+// unexported alias keeps the embedded field off the exported API.
+type shell[T sorter.Value] = pipeline.Ingest[T]
+
+// sliding is what the two sliding families share: the ingest shell over
+// the pane pipeline, the query parameters eps and W, and the ring of sealed
+// panes with its expiry bound. The pane representation P, the sink that
+// seals a sorted pane into one, and everything query-side stay per family.
+//
+// Process, ProcessSlice, Flush, Close, Count, Stats, SetTuner, Knobs and
+// Async are promoted from the shell (Knobs reports the pane size as the
+// window). A tuner adapts the backend only: the pane size is query
+// semantics — it fixes the eps*W error split — so the engine configures
+// window tuning off for these families.
+type sliding[T sorter.Value, P any] struct {
+	shell[T]
+	eps   float64
+	w     int
+	core  *pipeline.Core[T] // the lock-side API the sinks and query paths use
+	panes []P               // oldest first
+}
+
+// init builds the pane pipeline: panes of paneSize(eps, w) elements sorted
+// by srt and sealed by seal.
+func (s *sliding[T, P]) init(eps float64, w int, srt sorter.Sorter[T], seal func([]T), opts []Option) {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	s.eps, s.w = eps, w
+	s.core = pipeline.NewStagedCore(paneSize(eps, w), srt, seal)
+	s.shell = pipeline.IngestOf(s.core)
+	if cfg.async {
+		s.core.StartAsync()
+	}
+}
+
+// Eps reports the configured error bound.
+func (s *sliding[T, P]) Eps() float64 { return s.eps }
+
+// WindowSize reports W.
+func (s *sliding[T, P]) WindowSize() int { return s.w }
+
+// PaneSize reports the pane length.
+func (s *sliding[T, P]) PaneSize() int { return s.shell.WindowSize() }
+
+// SortedValues reports how many values have passed through the sorter.
+func (s *sliding[T, P]) SortedValues() int64 { return s.Stats().SortedValues }
+
+// Panes reports the number of retained panes.
+func (s *sliding[T, P]) Panes() int {
+	s.core.Lock()
+	defer s.core.Unlock()
+	s.core.BarrierLocked()
+	return len(s.panes)
+}
+
+// expireLocked trims the ring to the panes needed to cover W elements
+// beyond the buffer and returns the expired ones, oldest first. Caller
+// holds the core lock (the sinks do).
+func (s *sliding[T, P]) expireLocked() []P {
+	pane := s.core.WindowSizeLocked()
+	maxPanes := (s.w + pane - 1) / pane
+	if len(s.panes) <= maxPanes {
+		return nil
+	}
+	expired := s.panes[:len(s.panes)-maxPanes]
+	s.panes = s.panes[len(s.panes)-maxPanes:]
+	return expired
+}
+
+// sortedPartialLocked returns a sorted copy of the buffered partial pane,
+// nil when the buffer is empty. The caller holds the core lock and has
+// passed BarrierLocked (the sorter must be idle); the copy lives in the
+// core's reusable scratch and must not outlive the locked region.
+func (s *sliding[T, P]) sortedPartialLocked() []T {
+	n := s.core.BufferedLocked()
+	if n == 0 {
+		return nil
+	}
+	tmp := append(s.core.Scratch(n), s.core.Partial()...)
+	s.core.SorterLocked().Sort(tmp)
+	return tmp
+}

@@ -20,8 +20,6 @@
 package window
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -32,37 +30,6 @@ import (
 
 // Item is a reported element with its estimated in-window frequency.
 type Item[T sorter.Value] = pipeline.Item[T]
-
-// Option configures a sliding estimator (either kind; the knobs tune the
-// execution mode, not the summaries).
-type Option func(*config)
-
-type config struct {
-	async bool
-}
-
-// WithAsync enables staged asynchronous ingestion: panes sort on a dedicated
-// stage goroutine overlapping the histogram/summary sealing of the previous
-// pane. Answers are bit-identical to synchronous mode.
-func WithAsync() Option { return func(c *config) { c.async = true } }
-
-// paneSize derives the pane length from eps and W, clamped to [1, W].
-func paneSize(eps float64, w int) int {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("window: eps %v out of (0, 1)", eps))
-	}
-	if w <= 0 {
-		panic("window: window size must be positive")
-	}
-	pane := int(math.Ceil(eps * float64(w) / 2))
-	if pane < 1 {
-		pane = 1
-	}
-	if pane > w {
-		pane = w
-	}
-	return pane
-}
 
 // freqPane is one completed pane: its filtered histogram and total count.
 // shared marks the bins as aliased by a FrequencySnapshot, which excludes
@@ -84,10 +51,7 @@ type freqPane[T sorter.Value] struct {
 // One writer and any number of query goroutines may use the estimator
 // concurrently.
 type SlidingFrequency[T sorter.Value] struct {
-	eps   float64
-	w     int
-	core  *pipeline.Core[T]
-	panes []freqPane[T] // oldest first
+	sliding[T, freqPane[T]]
 	// binScratch is the reusable histogram scratch; binFree recycles the
 	// bins storage of expired panes so steady-state panes allocate nothing.
 	binScratch []histogram.Bin[T]
@@ -97,74 +61,10 @@ type SlidingFrequency[T sorter.Value] struct {
 // NewSlidingFrequency returns a sliding-window frequency estimator of window
 // size w and error eps, sorting panes with s.
 func NewSlidingFrequency[T sorter.Value](eps float64, w int, s sorter.Sorter[T], opts ...Option) *SlidingFrequency[T] {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	f := &SlidingFrequency[T]{eps: eps, w: w}
-	f.core = pipeline.NewStagedCore(paneSize(eps, w), s, f.sealSorted)
-	if cfg.async {
-		f.core.StartAsync()
-	}
+	f := &SlidingFrequency[T]{}
+	f.init(eps, w, s, f.sealSorted, opts)
 	return f
 }
-
-// Eps reports the configured error bound.
-func (f *SlidingFrequency[T]) Eps() float64 { return f.eps }
-
-// WindowSize reports W.
-func (f *SlidingFrequency[T]) WindowSize() int { return f.w }
-
-// PaneSize reports the pane length.
-func (f *SlidingFrequency[T]) PaneSize() int { return f.core.WindowSize() }
-
-// SetTuner installs a runtime controller over the pipeline's sorter knob;
-// it must be called before ingestion. Sliding estimators adapt the backend
-// only: the pane size is query semantics (it fixes the eps*W error split),
-// so the engine configures window tuning off for this family.
-func (f *SlidingFrequency[T]) SetTuner(t pipeline.Tuner[T]) { f.core.SetTuner(t) }
-
-// Knobs reports the currently selected sorter and pane size.
-func (f *SlidingFrequency[T]) Knobs() (sorter.Sorter[T], int) { return f.core.Tuning() }
-
-// Async reports the commanded execution mode of the pane pipeline.
-func (f *SlidingFrequency[T]) Async() bool { return f.core.Async() }
-
-// Count reports the number of elements processed so far (whole stream).
-func (f *SlidingFrequency[T]) Count() int64 { return f.core.Count() }
-
-// Stats returns the unified per-stage pipeline telemetry. Safe to call
-// mid-ingestion; counters are internally consistent.
-func (f *SlidingFrequency[T]) Stats() pipeline.Stats { return f.core.Stats() }
-
-// SortedValues reports how many values have passed through the sorter.
-func (f *SlidingFrequency[T]) SortedValues() int64 { return f.core.Stats().SortedValues }
-
-// Panes reports the number of retained panes.
-func (f *SlidingFrequency[T]) Panes() int {
-	f.core.Lock()
-	defer f.core.Unlock()
-	f.core.BarrierLocked()
-	return len(f.panes)
-}
-
-// Process consumes one stream element. After Close it returns an error
-// wrapping pipeline.ErrClosed.
-func (f *SlidingFrequency[T]) Process(v T) error { return f.core.Process(v) }
-
-// ProcessSlice consumes a batch of elements. After Close it returns an
-// error wrapping pipeline.ErrClosed.
-func (f *SlidingFrequency[T]) ProcessSlice(data []T) error { return f.core.ProcessSlice(data) }
-
-// Flush seals the buffered partial pane. Queries do not need it — the
-// partial pane is always visible — but it makes the state self-contained
-// before Close or hand-off.
-func (f *SlidingFrequency[T]) Flush() error { return f.core.Flush() }
-
-// Close flushes and releases the pane buffer back to the shared pool. The
-// estimator remains queryable; further ingestion reports
-// pipeline.ErrClosed. Close is idempotent.
-func (f *SlidingFrequency[T]) Close() error { return f.core.Close() }
 
 // sealSorted is the merge-stage half of the pane pipeline: it receives a
 // pane the core has already sorted (inline, or on the sort stage goroutine
@@ -203,14 +103,10 @@ func (f *SlidingFrequency[T]) sealSorted(win []T) {
 
 	// Keep enough panes to cover W elements beyond the buffer. Bins aliased
 	// by a snapshot are abandoned to it rather than recycled.
-	maxPanes := (f.w + f.core.WindowSizeLocked() - 1) / f.core.WindowSizeLocked()
-	if len(f.panes) > maxPanes {
-		for _, p := range f.panes[:len(f.panes)-maxPanes] {
-			if !p.shared {
-				f.binFree = append(f.binFree, p.bins)
-			}
+	for _, p := range f.expireLocked() {
+		if !p.shared {
+			f.binFree = append(f.binFree, p.bins)
 		}
-		f.panes = f.panes[len(f.panes)-maxPanes:]
 	}
 }
 
@@ -264,11 +160,10 @@ func estimateFromBins[T sorter.Value](bins []histogram.Bin[T], v T) int64 {
 // partialBinsLocked sorts a copy of the buffered partial pane into a fresh
 // histogram. Caller must hold the core lock.
 func (f *SlidingFrequency[T]) partialBinsLocked() []histogram.Bin[T] {
-	if f.core.BufferedLocked() == 0 {
+	tmp := f.sortedPartialLocked()
+	if tmp == nil {
 		return nil
 	}
-	tmp := append(f.core.Scratch(f.core.BufferedLocked()), f.core.Partial()...)
-	f.core.SorterLocked().Sort(tmp)
 	return histogram.FromSorted(tmp)
 }
 
@@ -296,12 +191,8 @@ func (f *SlidingFrequency[T]) Query(s float64) []Item[T] {
 // elements, w <= W. Error is bounded by eps*W (absolute, in elements).
 // Safe under concurrent ingestion.
 func (f *SlidingFrequency[T]) QueryWindow(s float64, w int) []Item[T] {
-	if s < 0 || s > 1 {
-		panic(fmt.Sprintf("window: support %v out of [0, 1]", s))
-	}
-	if w <= 0 || w > f.w {
-		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, f.w))
-	}
+	checkSupport(s)
+	checkSpan(w, f.w)
 	f.core.Lock()
 	bins, covered := f.merged(w)
 	f.core.Unlock()
@@ -384,12 +275,8 @@ func (s *FrequencySnapshot[T]) Query(sp float64) []Item[T] { return s.QueryWindo
 // QueryWindow answers the variable-size query over the most recent w
 // elements as of the snapshot, w <= W.
 func (s *FrequencySnapshot[T]) QueryWindow(sp float64, w int) []Item[T] {
-	if sp < 0 || sp > 1 {
-		panic(fmt.Sprintf("window: support %v out of [0, 1]", sp))
-	}
-	if w <= 0 || w > s.w {
-		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, s.w))
-	}
+	checkSupport(sp)
+	checkSpan(w, s.w)
 	bins, covered := mergePaneBins(s.panes, s.partialBins, s.partialCount, w)
 	return heavyFromBins(bins, covered, w, s.eps, sp)
 }

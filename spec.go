@@ -220,28 +220,6 @@ func (s ShardCount) String() string {
 	return fmt.Sprintf("%d", int(s))
 }
 
-// MarshalText encodes the backend as its canonical name (the String form),
-// so Backend fields round-trip through JSON as strings — the symmetric
-// counterpart of ParseBackend. Unknown backend values fail.
-func (b Backend) MarshalText() ([]byte, error) {
-	s := b.String()
-	if strings.HasPrefix(s, "Backend(") {
-		return nil, fmt.Errorf("gpustream: cannot marshal invalid backend %s", s)
-	}
-	return []byte(s), nil
-}
-
-// UnmarshalText decodes a backend name via ParseBackend, accepting the same
-// aliases as the cmd tools' -backend flags.
-func (b *Backend) UnmarshalText(text []byte) error {
-	parsed, err := ParseBackend(string(text))
-	if err != nil {
-		return err
-	}
-	*b = parsed
-	return nil
-}
-
 // Spec is a declarative, JSON-(de)serializable description of one
 // estimator. Zero values mean "unset": fields a family does not use must be
 // left zero (Validate rejects stray settings loudly, so a misspelled
@@ -393,10 +371,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("gpustream: spec support %v out of [0, 1)", s.Support)
 		}
 	}
-	switch s.Backend {
-	case BackendGPU, BackendGPUBitonic, BackendCPU, BackendCPUParallel,
-		BackendSampleSort, BackendAuto:
-	default:
+	if s.Backend.row() == nil {
 		return fmt.Errorf("gpustream: spec has unknown backend %v", s.Backend)
 	}
 	return nil
