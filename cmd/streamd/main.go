@@ -34,6 +34,17 @@ type instance interface {
 	Streams() int
 }
 
+// Connection timeouts, so a client that stalls cannot hold a connection —
+// and the pooled body buffer a half-read POST occupies — for ever. All three
+// bound reads only: the read deadline is lifted once a request's body is in,
+// so a ?sync=1 POST waiting out backpressure or a DELETE waiting out a drain
+// is not cut short, and no WriteTimeout is set for the same reason.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute // headers + body; 32 MiB at 0.5 MiB/s
+	idleTimeout       = 2 * time.Minute
+)
+
 func build(typ string, cfg service.Config) (instance, error) {
 	switch typ {
 	case "float32":
@@ -78,7 +89,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

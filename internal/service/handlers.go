@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -9,8 +10,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gpustream"
@@ -146,62 +149,117 @@ func (s *Server[T]) handleInfo(w http.ResponseWriter, r *http.Request, tenant, s
 	writeJSON(w, http.StatusOK, s.streamStatus(e))
 }
 
+// maxPooledBytes is the largest body buffer or batch slice the pools keep
+// (and the most a Content-Length may pre-size): a rare huge batch is left to
+// the collector instead of staying pinned behind 4 KB requests.
+const maxPooledBytes = 1 << 20
+
+// bodyPool recycles POST body buffers; handleIngest holds one only from the
+// read to the end of the decode.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the request body, capped at limit through
+// http.MaxBytesReader, into a pooled buffer pre-sized from Content-Length.
+// The caller returns the buffer to bodyPool.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := min(r.ContentLength, limit, maxPooledBytes); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		putBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBytes {
+		bodyPool.Put(buf)
+	}
+}
+
 // handleIngest accepts one batch of values — a JSON array of numbers, or
 // binary little-endian rows at the element type's native width — and hands
 // it to the stream's writer through the bounded queue (blocking for
 // backpressure under the request context). With ?sync=1 the request
 // additionally waits until the batch is queryable. 202 on enqueue, 200 on
-// sync completion, 413 for oversized batches.
+// sync completion, 413 for oversized batches, 500 when a synchronous batch
+// failed in the estimator. Body and batch live in pooled buffers: the body
+// goes back once decoded, the batch when the writer has ingested it
+// (DESIGN.md section 20).
 func (s *Server[T]) handleIngest(w http.ResponseWriter, r *http.Request, tenant, stream string) {
 	e, ok := s.reg.get(tenant, stream)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no stream %s/%s", tenant, stream)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		writeErr(w, http.StatusRequestEntityTooLarge, "batch body: %v", err)
 		return
 	}
-	var values []T
+	b := s.reg.batches.get()
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
-		values, err = decodeBinary[T](body)
+		b.data, err = decodeBinary(b.data, body.Bytes())
 	} else {
-		values, err = decodeJSONValues[T](body)
+		b.data, err = decodeJSONValues(b.data, body.Bytes())
+	}
+	putBody(body)
+	rows := len(b.data)
+	reject := func(code int, format string, args ...any) {
+		s.reg.batches.put(b)
+		writeErr(w, code, format, args...)
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "batch: %v", err)
+		reject(http.StatusBadRequest, "batch: %v", err)
 		return
 	}
-	if len(values) == 0 {
-		writeErr(w, http.StatusBadRequest, "batch: no values")
+	if rows == 0 {
+		reject(http.StatusBadRequest, "batch: no values")
 		return
 	}
-	if len(values) > s.cfg.MaxBatchRows {
-		writeErr(w, http.StatusRequestEntityTooLarge, "batch of %d rows exceeds the %d-row limit", len(values), s.cfg.MaxBatchRows)
+	if rows > s.cfg.MaxBatchRows {
+		reject(http.StatusRequestEntityTooLarge, "batch of %d rows exceeds the %d-row limit", rows, s.cfg.MaxBatchRows)
 		return
 	}
 	sync := r.URL.Query().Get("sync") != ""
-	if err := e.enqueue(r.Context(), values, sync); err != nil {
+	if err := e.enqueue(r.Context(), b, sync); err != nil {
 		switch {
 		case errors.Is(err, errClosing):
 			writeErr(w, http.StatusConflict, "stream %s/%s is draining", tenant, stream)
+		case errors.Is(err, errIngest):
+			writeErr(w, http.StatusInternalServerError, "%v", err)
 		default:
 			writeErr(w, http.StatusServiceUnavailable, "enqueue: %v", err)
 		}
 		return
 	}
-	s.ctr.ingestRows.Add(int64(len(values)))
-	s.ctr.ingestBatches.Add(1)
 	code := http.StatusAccepted
 	if sync {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, struct {
-		Rows   int    `json:"rows"`
-		Queued bool   `json:"queued"`
-		Stream string `json:"stream"`
-	}{len(values), !sync, tenant + "/" + stream})
+	writeIngestReply(w, code, rows, !sync, tenant, stream)
+}
+
+// writeIngestReply writes the POST reply {"rows":N,"queued":B,"stream":"t/s"}
+// byte for byte as the JSON encoder would, without reflecting over a struct
+// per request; validName leaves nothing in the names to escape.
+func writeIngestReply(w http.ResponseWriter, code, rows int, queued bool, tenant, stream string) {
+	buf := make([]byte, 0, 192)
+	buf = append(buf, `{"rows":`...)
+	buf = strconv.AppendInt(buf, int64(rows), 10)
+	buf = append(buf, `,"queued":`...)
+	buf = strconv.AppendBool(buf, queued)
+	buf = append(buf, `,"stream":"`...)
+	buf = append(buf, tenant...)
+	buf = append(buf, '/')
+	buf = append(buf, stream...)
+	buf = append(buf, "\"}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(buf)
 }
 
 // quantileResult is one phi probe's answer.
@@ -332,24 +390,26 @@ func (s *Server[T]) handleFrequency(w http.ResponseWriter, r *http.Request, tena
 // 4- or 8-byte size.
 func valueWidth[T gpustream.Value]() int { return sorter.KeyBits[T]() / 8 }
 
-// decodeBinary decodes little-endian native-width rows: IEEE-754 bits for
-// the float types, two's-complement for the integer types.
-func decodeBinary[T gpustream.Value](body []byte) ([]T, error) {
+// decodeBinary decodes little-endian native-width rows into dst[:0]:
+// IEEE-754 bits for the float types, two's-complement for the integer
+// types.
+func decodeBinary[T gpustream.Value](dst []T, body []byte) ([]T, error) {
 	width := valueWidth[T]()
 	if len(body)%width != 0 {
-		return nil, fmt.Errorf("binary body of %d bytes is not a multiple of the %d-byte row width", len(body), width)
+		return dst[:0], fmt.Errorf("binary body of %d bytes is not a multiple of the %d-byte row width", len(body), width)
 	}
-	out := make([]T, len(body)/width)
-	for i := range out {
+	n := len(body) / width
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
 		var bits uint64
 		if width == 4 {
 			bits = uint64(binary.LittleEndian.Uint32(body[i*4:]))
 		} else {
 			bits = binary.LittleEndian.Uint64(body[i*8:])
 		}
-		out[i] = valueFromBits[T](bits)
+		dst[i] = valueFromBits[T](bits)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // appendBinary encodes values in the row format decodeBinary reads; the
@@ -406,26 +466,107 @@ func valueFromBits[T gpustream.Value](bits uint64) T {
 	panic("service: unreachable value type")
 }
 
-// decodeJSONValues decodes a bare JSON array of numbers at full precision
-// for the element type: floats parse as floats, integer types as integers
-// (so uint64 keys above 2^53 survive — clients needing exact wide integers
-// can also use the binary row format).
-func decodeJSONValues[T gpustream.Value](body []byte) ([]T, error) {
-	var raw []json.Number
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.UseNumber()
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("want a JSON array of numbers: %w", err)
+// decodeJSONValues decodes a bare JSON array of numbers into dst[:0] in one
+// pass over the body, at full precision for the element type: floats parse
+// as floats, integer types as integers (so uint64 keys above 2^53 survive —
+// clients needing exact wide integers can also use the binary row format).
+// The grammar is JSON's and nothing more: whitespace around every token,
+// elements that are number literals (no strings, nulls or nesting, and none
+// of the spellings strconv alone would take: 01, +1, .5, 1., 0x10, Inf, 1_0),
+// and nothing but whitespace after the closing bracket. A top-level null is
+// the empty batch. A literal's value is strconv's, by parseValue. Errors
+// name the byte offset.
+func decodeJSONValues[T gpustream.Value](dst []T, body []byte) ([]T, error) {
+	dst = dst[:0]
+	i := skipSpace(body, 0)
+	if bytes.HasPrefix(body[i:], []byte("null")) {
+		return dst, onlySpace(body, i+len("null"))
 	}
-	out := make([]T, len(raw))
-	for i, num := range raw {
-		v, err := parseValue[T](num.String())
-		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
+	if i == len(body) || body[i] != '[' {
+		return dst, fmt.Errorf("offset %d: want a JSON array of numbers", i)
+	}
+	i = skipSpace(body, i+1)
+	if i < len(body) && body[i] == ']' {
+		return dst, onlySpace(body, i+1)
+	}
+	for {
+		end := scanNumber(body, i)
+		if end < 0 {
+			return dst, fmt.Errorf("offset %d: element %d is not a JSON number", i, len(dst))
 		}
-		out[i] = v
+		v, err := parseValue[T](string(body[i:end]))
+		if err != nil {
+			return dst, fmt.Errorf("offset %d: element %d: %w", i, len(dst), err)
+		}
+		dst = append(dst, v)
+		i = skipSpace(body, end)
+		if i < len(body) && body[i] == ']' {
+			return dst, onlySpace(body, i+1)
+		}
+		if i == len(body) || body[i] != ',' {
+			return dst, fmt.Errorf("offset %d: want ',' or ']' after element %d", i, len(dst)-1)
+		}
+		i = skipSpace(body, i+1)
 	}
-	return out, nil
+}
+
+// onlySpace is the check after the batch's last token: nothing but JSON
+// whitespace may follow body[:i].
+func onlySpace(body []byte, i int) error {
+	if i = skipSpace(body, i); i != len(body) {
+		return fmt.Errorf("offset %d: data after the array", i)
+	}
+	return nil
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(body []byte, i int) int {
+	for i < len(body) && (body[i] == ' ' || body[i] == '\n' || body[i] == '\t' || body[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanNumber returns the index after the JSON number literal that starts
+// at body[i], -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or -1 when none
+// starts there. What may follow the literal is the caller's check.
+func scanNumber(body []byte, i int) int {
+	if i < len(body) && body[i] == '-' {
+		i++
+	}
+	start := i
+	if i < len(body) && body[i] == '0' {
+		i++
+	} else if i = skipDigits(body, i); i == start {
+		return -1
+	}
+	if i < len(body) && body[i] == '.' {
+		start = i + 1
+		if i = skipDigits(body, start); i == start {
+			return -1
+		}
+	}
+	if i < len(body) && (body[i] == 'e' || body[i] == 'E') {
+		i++
+		if i < len(body) && (body[i] == '+' || body[i] == '-') {
+			i++
+		}
+		start = i
+		if i = skipDigits(body, start); i == start {
+			return -1
+		}
+	}
+	return i
+}
+
+// skipDigits returns the index of the first byte at or after i that is not
+// a decimal digit.
+func skipDigits(body []byte, i int) int {
+	for i < len(body) && body[i] >= '0' && body[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // parseValue parses one decimal literal at the element type's precision.
@@ -434,22 +575,22 @@ func parseValue[T gpustream.Value](s string) (T, error) {
 	switch any(v).(type) {
 	case float32:
 		f, err := strconv.ParseFloat(s, 32)
-		return any(float32(f)).(T), err
+		return T(f), err
 	case float64:
 		f, err := strconv.ParseFloat(s, 64)
-		return any(f).(T), err
+		return T(f), err
 	case uint32:
 		u, err := strconv.ParseUint(s, 10, 32)
-		return any(uint32(u)).(T), err
+		return T(u), err
 	case uint64:
 		u, err := strconv.ParseUint(s, 10, 64)
-		return any(u).(T), err
+		return T(u), err
 	case int32:
 		i, err := strconv.ParseInt(s, 10, 32)
-		return any(int32(i)).(T), err
+		return T(i), err
 	case int64:
 		i, err := strconv.ParseInt(s, 10, 64)
-		return any(i).(T), err
+		return T(i), err
 	}
 	panic("service: unreachable value type")
 }

@@ -2,8 +2,10 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -196,4 +198,124 @@ func TestServiceDrainDuringLoad(t *testing.T) {
 		t.Fatalf("%d requests resolved with unexpected status/error", n)
 	}
 	t.Logf("drain race: %d accepted, %d rejected", accepted.Load(), rejected.Load())
+}
+
+// TestServicePooledBatchesSurviveConcurrency is the buffer-ownership test of
+// the POST path (DESIGN.md section 20): body buffers and batch slices are
+// recycled across requests, so a slice handed back before the writer had
+// consumed it — or a body reused under a decoder — would surface as rows of
+// one poster counted for another. Each poster sends only its own value, in
+// JSON and binary batches of varying length, synced and unsynced, to a
+// frequency stream and to a parallel-quantile stream behind short queues;
+// afterwards the frequency stream must hold every poster's exact row count
+// and the quantile stream's rank boundaries must sit where the counts put
+// them, within eps.
+func TestServicePooledBatchesSurviveConcurrency(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{QueueDepth: 2})
+	client := ts.Client()
+
+	const (
+		posters = 8
+		batches = 24
+		qeps    = 0.0002
+	)
+	freqURL, quantURL := ts.URL+"/v1/streams/pool/freq", ts.URL+"/v1/streams/pool/pq"
+	// eps*N < 1 on the frequency stream: nothing is ever compressed away,
+	// so its counts are exact.
+	fspec := gpustream.Spec{Family: gpustream.FamilyFrequency, Eps: 1e-5, Support: 0.01}
+	qspec := gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: qeps, Shards: 2}
+	for url, spec := range map[string]gpustream.Spec{freqURL: fspec, quantURL: qspec} {
+		if code, body := do(t, client, "PUT", url, "application/json", specBody(t, spec)); code != http.StatusCreated {
+			t.Fatalf("PUT %s = %d (%v)", url, code, body)
+		}
+	}
+
+	sent := make([]int64, posters+1) // sent[v]: rows of value v; v = 0 is the barrier's
+	var wg sync.WaitGroup
+	var failures atomic.Int64
+	for p := 1; p <= posters; p++ {
+		for b := 0; b < batches; b++ {
+			sent[p] += int64(64 + 16*((p+b)%5))
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				vals := make([]float32, 64+16*((p+b)%5))
+				for i := range vals {
+					vals[i] = float32(p)
+				}
+				ctype, body := "application/json", []byte(nil)
+				if (p+b)%2 == 0 {
+					body, _ = json.Marshal(vals)
+				} else {
+					ctype = "application/octet-stream"
+					for _, v := range vals {
+						body = binary.LittleEndian.AppendUint32(body, math.Float32bits(v))
+					}
+				}
+				path, want := "/values", http.StatusAccepted
+				if b%3 == 0 {
+					path, want = "/values?sync=1", http.StatusOK
+				}
+				for _, url := range []string{freqURL, quantURL} {
+					req, _ := http.NewRequest("POST", url+path, bytes.NewReader(body))
+					req.Header.Set("Content-Type", ctype)
+					resp, err := client.Do(req)
+					if err != nil {
+						failures.Add(1)
+						continue
+					}
+					resp.Body.Close()
+					if resp.StatusCode != want {
+						failures.Add(1)
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d POSTs failed", n)
+	}
+
+	// One synced row of value 0 behind everything queued: when it answers,
+	// every batch is in the estimators.
+	sent[0] = 1
+	var total int64
+	for _, n := range sent {
+		total += n
+	}
+	for _, url := range []string{freqURL, quantURL} {
+		if code, body := do(t, client, "POST", url+"/values?sync=1", "application/json", []byte(`[0]`)); code != http.StatusOK {
+			t.Fatalf("barrier POST %s = %d (%v)", url, code, body)
+		}
+		if _, body := do(t, client, "GET", url, "", nil); int64(body["count"].(float64)) != total {
+			t.Errorf("%s count = %v, want %d", url, body["count"], total)
+		}
+	}
+
+	for v, want := range sent {
+		_, body := do(t, client, "GET", fmt.Sprintf("%s/frequency?v=%d", freqURL, v), "", nil)
+		if got := int64(body["freq"].(float64)); got != want {
+			t.Errorf("value %d counted %d times, %d rows of it were sent", v, got, want)
+		}
+	}
+
+	// The rank just inside either end of value v's run must answer v; one
+	// misattributed batch (64 rows at least) moves a boundary by far more
+	// than the slack.
+	slack := int64(qeps*float64(total)) + 1
+	var below int64 = sent[0]
+	for v := 1; v <= posters; v++ {
+		for _, rank := range []int64{below + slack + 1, below + sent[v] - slack} {
+			phi := float64(rank) / float64(total)
+			_, body := do(t, client, "GET", fmt.Sprintf("%s/quantile?phi=%.9f", quantURL, phi), "", nil)
+			res := body["results"].([]any)[0].(map[string]any)
+			if got := res["value"].(float64); got != float64(v) {
+				t.Errorf("rank %d of %d answers %v, want %d (rows below: %d, rows of it: %d)", rank, total, got, v, below, sent[v])
+			}
+		}
+		below += sent[v]
+	}
 }

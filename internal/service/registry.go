@@ -25,8 +25,9 @@ type entry[T gpustream.Value] struct {
 	est            gpustream.Estimator[T]
 	created        time.Time
 	ctr            *counters
+	pool           *batchPool[T]
 
-	queue      chan batch[T]
+	queue      chan *batch[T]
 	writerDone chan struct{}
 
 	// closeMu guards closing: enqueuers hold the read side across the
@@ -42,62 +43,109 @@ type entry[T gpustream.Value] struct {
 	lastUsed   atomic.Int64 // unix nanos of the last ingest or query
 }
 
-// batch is one queued ingest unit. done is non-nil for synchronous POSTs
-// (?sync=1): the writer closes it after the batch is in the estimator.
+// batch is one queued ingest unit, recycled through a batchPool. done is
+// non-nil for synchronous POSTs (?sync=1): the writer sends the batch's
+// ProcessSlice result on it once the batch is in the estimator.
 type batch[T gpustream.Value] struct {
 	data []T
-	done chan struct{}
+	done chan error
+}
+
+// batchPool recycles batches — above all their data slices — between the
+// handlers that fill them and the writers that drain them.
+type batchPool[T gpustream.Value] struct{ p sync.Pool }
+
+func (bp *batchPool[T]) get() *batch[T] {
+	if b, ok := bp.p.Get().(*batch[T]); ok {
+		return b
+	}
+	return new(batch[T])
+}
+
+// put recycles b. The caller must be done with b.data: the next get hands
+// the same backing array to another request. A slice grown past
+// maxPooledBytes (at 8 bytes a row, the widest) is left to the collector.
+func (bp *batchPool[T]) put(b *batch[T]) {
+	if cap(b.data) > maxPooledBytes/8 {
+		return
+	}
+	b.data, b.done = b.data[:0], nil
+	bp.p.Put(b)
 }
 
 // touch refreshes the idle clock.
 func (e *entry[T]) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
 
 // writer is the stream's single ingest goroutine: it drains the bounded
-// queue into the estimator until the queue closes at drain time.
+// queue into the estimator until the queue closes at drain time. Every
+// estimator's ProcessSlice copies what it keeps (the Estimator contract:
+// "the caller may reuse the slice immediately"), so the batch goes back to
+// the pool as soon as it returns — after the sync caller, if any, has its
+// answer.
 func (e *entry[T]) writer() {
 	defer close(e.writerDone)
 	for b := range e.queue {
-		if err := e.est.ProcessSlice(b.data); err != nil {
+		err := e.est.ProcessSlice(b.data)
+		if err != nil {
 			e.ingestErrs.Add(1)
 		}
 		if b.done != nil {
-			close(b.done)
+			b.done <- err
 		}
+		e.pool.put(b)
 	}
 }
 
 // enqueue hands a batch to the writer, blocking for backpressure while the
 // queue is full. ctx (the request context) bounds the wait. With sync set
 // it additionally waits until the writer has ingested the batch, so a
-// subsequent query observes it.
-func (e *entry[T]) enqueue(ctx context.Context, data []T, sync bool) error {
+// subsequent query observes it, and reports the writer's ingest error
+// wrapped in errIngest. enqueue takes b over whatever it returns: the
+// caller must not touch it afterwards.
+func (e *entry[T]) enqueue(ctx context.Context, b *batch[T], sync bool) error {
+	rows := int64(len(b.data))
+	var done chan error
+	if sync {
+		// Buffered: the writer must not wait for a caller that gave up.
+		done = make(chan error, 1)
+		b.done = done
+	}
 	e.closeMu.RLock()
 	if e.closing {
 		e.closeMu.RUnlock()
+		e.pool.put(b)
 		return errClosing
 	}
-	b := batch[T]{data: data}
-	if sync {
-		b.done = make(chan struct{})
-	}
-	start := time.Now()
 	select {
 	case e.queue <- b:
-		e.closeMu.RUnlock()
-	case <-ctx.Done():
-		e.closeMu.RUnlock()
-		return ctx.Err()
+	default:
+		// Full queue: only this blocked send is enqueue stall.
+		start := time.Now()
+		select {
+		case e.queue <- b:
+		case <-ctx.Done():
+			e.closeMu.RUnlock()
+			e.pool.put(b)
+			return ctx.Err()
+		}
+		d := int64(time.Since(start))
+		e.stallNs.Add(d)
+		e.ctr.enqueueStall.Add(d)
 	}
-	if d := time.Since(start); d > 0 {
-		e.stallNs.Add(int64(d))
-		e.ctr.enqueueStall.Add(int64(d))
-	}
-	e.rows.Add(int64(len(data)))
+	e.closeMu.RUnlock()
+	// Rows and batches count, per stream and per server alike, what the
+	// queue took; ingest_errors counts the batches the estimator then refused.
+	e.rows.Add(rows)
 	e.batches.Add(1)
+	e.ctr.ingestRows.Add(rows)
+	e.ctr.ingestBatches.Add(1)
 	e.touch()
 	if sync {
 		select {
-		case <-b.done:
+		case err := <-done:
+			if err != nil {
+				return fmt.Errorf("%w: %v", errIngest, err)
+			}
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -134,8 +182,9 @@ func (e *entry[T]) drain(ctx context.Context) error {
 // registry is the tenant/stream table: creation, lookup, LRU and idle
 // eviction, and the drain-everything shutdown path.
 type registry[T gpustream.Value] struct {
-	cfg *Config
-	ctr *counters
+	cfg     *Config
+	ctr     *counters
+	batches batchPool[T]
 
 	mu      sync.RWMutex
 	streams map[string]*entry[T]
@@ -194,8 +243,8 @@ func (r *registry[T]) create(tenant, stream string, spec gpustream.Spec) (e *ent
 	}
 	e = &entry[T]{
 		tenant: tenant, stream: stream, spec: spec,
-		eng: eng, est: est, created: time.Now(), ctr: r.ctr,
-		queue:      make(chan batch[T], r.cfg.QueueDepth),
+		eng: eng, est: est, created: time.Now(), ctr: r.ctr, pool: &r.batches,
+		queue:      make(chan *batch[T], r.cfg.QueueDepth),
 		writerDone: make(chan struct{}),
 	}
 	e.touch()

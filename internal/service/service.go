@@ -211,3 +211,7 @@ var errConflict = fmt.Errorf("service: stream exists with a different spec")
 
 // errClosing is returned by enqueue once a stream is draining.
 var errClosing = fmt.Errorf("service: stream is draining")
+
+// errIngest wraps the estimator's error when a synchronous batch reached
+// the writer and failed there.
+var errIngest = fmt.Errorf("service: ingest failed")

@@ -200,6 +200,11 @@ func TestServiceErrors(t *testing.T) {
 		{"oversized batch", "POST", base + "/hits/values", []byte("[" + strings.Repeat("1,", 100) + "1]"), 413},
 		{"empty batch", "POST", base + "/hits/values", []byte(`[]`), 400},
 		{"non-numeric batch", "POST", base + "/hits/values", []byte(`["a"]`), 400},
+		{"null batch", "POST", base + "/hits/values", []byte(`null`), 400},
+		{"second array after the batch", "POST", base + "/hits/values", []byte(`[1,2][3]`), 400},
+		{"garbage after the batch", "POST", base + "/hits/values", []byte(`[1,2]garbage`), 400},
+		{"quoted numbers batch", "POST", base + "/hits/values", []byte(`["1","2"]`), 400},
+		{"whitespace after the batch", "POST", base + "/hits/values", []byte("[1,2] \r\n"), 202},
 		{"quantile on frequency family", "GET", base + "/hits/quantile?phi=0.5", nil, 400},
 		{"bad phi", "GET", base + "/hits/frequency?v=abc", nil, 400},
 		{"missing frequency value", "GET", base + "/hits/frequency", nil, 400},
@@ -232,6 +237,38 @@ func TestServiceErrors(t *testing.T) {
 	}
 	if code, _ := do(t, client, "GET", ts.URL+"/v1/streams/other/hits/heavyhitters?support=0.1", "", nil); code != 400 {
 		t.Errorf("heavyhitters on quantile family = %d, want 400", code)
+	}
+}
+
+// TestServiceBodyLimit pins the body cap on the pooled read path: a body past
+// MaxBodyBytes is a 413 naming the body whether or not its length was
+// declared, and the buffer it went through serves the next request intact.
+func TestServiceBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{MaxBodyBytes: 256})
+	client := ts.Client()
+	url := ts.URL + "/v1/streams/cap/s"
+	if code, _ := do(t, client, "PUT", url, "application/json", []byte(`{"family":"quantile","eps":0.01}`)); code != http.StatusCreated {
+		t.Fatalf("PUT = %d", code)
+	}
+	big := []byte("[1" + strings.Repeat(" ", 300) + "]")
+	for _, declared := range []bool{true, false} {
+		var rd io.Reader = bytes.NewReader(big)
+		if !declared {
+			rd = io.MultiReader(rd) // hides the length: chunked, ContentLength -1
+		}
+		req, _ := http.NewRequest("POST", url+"/values", rd)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "batch body") {
+			t.Errorf("oversized body (length declared: %v) = %d %s, want 413 naming the body", declared, resp.StatusCode, msg)
+		}
+	}
+	if code, body := do(t, client, "POST", url+"/values?sync=1", "application/json", []byte(`[1,2,3]`)); code != http.StatusOK || int(body["rows"].(float64)) != 3 {
+		t.Errorf("POST after the oversized ones = %d %v, want 200 with 3 rows", code, body)
 	}
 }
 
