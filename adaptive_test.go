@@ -15,7 +15,6 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/pipeline"
-	"gpustream/internal/shard"
 	"gpustream/internal/stream"
 )
 
@@ -141,10 +140,10 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 			t.Run(mode+"/"+schedName, func(t *testing.T) {
 				eng := New(BackendSampleSort)
 				var eopts []EstimatorOption
-				var popts []ParallelOption
+				pcfg := estimatorConfig{batch: 1 << 12}
 				if async {
 					eopts = append(eopts, WithAsyncIngestion())
-					popts = append(popts, WithAsyncShards())
+					pcfg.async = AsyncOn
 				}
 
 				qe := eng.NewQuantileEstimator(eps, n, eopts...)
@@ -182,18 +181,20 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 				sf.Close()
 
 				for _, k := range []int{1, 4} {
+					// The scripted tuner goes in through the typed build path:
+					// the plan the public constructor would resolve, with its
+					// per-shard tuner factory replaced.
 					sched := windowSchedules(qw0)[schedName]
-					factory := shard.WithTunerFactory(func() pipeline.Tuner[float32] {
+					scripted := eng.sharding(pcfg)
+					scripted.NewTuner = func() pipeline.Tuner[float32] {
 						return &schedTuner[float32]{sorters: sorterRing[float32](), windows: sched, asyncs: asyncFlipRing()}
-					})
-					pq := eng.NewParallelQuantileEstimator(eps, n, k,
-						append([]ParallelOption{factory, WithBatchSize(1 << 12)}, popts...)...)
+					}
+					pq := eng.newParallelQuantile(eps, n, k, scripted)
 					pq.ProcessSlice(data)
 					pq.Close()
 					checkQuantileEps(t, "parallel-quantile", pq, ref, eps)
 
-					pf := eng.NewParallelFrequencyEstimator(eps, k,
-						append([]ParallelOption{factory, WithBatchSize(1 << 12)}, popts...)...)
+					pf := eng.newParallelFrequency(eps, k, scripted)
 					pf.ProcessSlice(data)
 					pf.Close()
 					checkFrequencyEps(t, "parallel-frequency", pf, exact, n, eps)
@@ -267,17 +268,20 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 		mode := map[bool]string{false: "sync", true: "async"}[async]
 		for _, sc := range schedules {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
-				mkOpts := func(r *scriptRescaler) []ParallelOption {
-					opts := []ParallelOption{shard.WithRescaler(r), WithBatchSize(batch)}
-					if async {
-						opts = append(opts, WithAsyncShards())
-					}
-					return opts
-				}
 				eng := New(BackendSampleSort)
+				// The scripted rescaler goes in through the typed build path.
+				elastic := func(r *scriptRescaler) sharding[float32] {
+					cfg := estimatorConfig{batch: batch}
+					if async {
+						cfg.async = AsyncOn
+					}
+					s := eng.sharding(cfg)
+					s.Rescaler = r
+					return s
+				}
 
 				qr := &scriptRescaler{steps: sc.steps, every: 2 * batch, next: 2 * batch}
-				pq := eng.NewParallelQuantileEstimator(eps, n, sc.start, mkOpts(qr)...)
+				pq := eng.newParallelQuantile(eps, n, sc.start, elastic(qr))
 				pq.ProcessSlice(data)
 				pq.Close()
 				checkQuantileEps(t, "elastic-quantile", pq, ref, eps)
@@ -292,7 +296,7 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 				}
 
 				fr := &scriptRescaler{steps: sc.steps, every: 2 * batch, next: 2 * batch}
-				pf := eng.NewParallelFrequencyEstimator(eps, sc.start, mkOpts(fr)...)
+				pf := eng.newParallelFrequency(eps, sc.start, elastic(fr))
 				pf.ProcessSlice(data)
 				pf.Close()
 				checkFrequencyEps(t, "elastic-frequency", pf, exact, n, eps)
@@ -373,22 +377,24 @@ func TestPinnedTunerBitIdentical(t *testing.T) {
 	// comparison isolates the runtime machinery.
 	pin("frequency-pinned-async",
 		run(static.NewFrequencyEstimator(eps)),
-		run(auto.NewFrequencyEstimator(eps, withAutoAsync(), WithPinnedTuning())))
+		run(auto.newFrequency(eps, estimatorConfig{async: AsyncAuto, pinned: true})))
 	pin("quantile-pinned-async",
 		run(static.NewQuantileEstimator(eps, n)),
-		run(auto.NewQuantileEstimator(eps, n, withAutoAsync(), WithPinnedTuning())))
+		run(auto.newQuantile(eps, n, estimatorConfig{async: AsyncAuto, pinned: true})))
 	pin("sliding-quantile-pinned-async",
 		run(static.NewSlidingQuantile(eps, n/5)),
-		run(auto.NewSlidingQuantile(eps, n/5, withAutoAsync(), WithPinnedTuning())))
-	keep := keepRescaler{}
+		run(auto.newSlidingQuantile(eps, n/5, estimatorConfig{async: AsyncAuto, pinned: true})))
+	pinnedElastic := func() sharding[float32] {
+		s := auto.sharding(estimatorConfig{async: AsyncAuto, pinned: true, batch: 2048})
+		s.Rescaler = keepRescaler{}
+		return s
+	}
 	pin("parallel-frequency-pinned-elastic",
 		run(static.NewParallelFrequencyEstimator(eps, 4, WithBatchSize(2048))),
-		run(auto.newParallelFrequency(eps, 4, tuningSpec{autoAsync: true},
-			shard.WithRescaler(keep), WithBatchSize(2048), WithPinnedShardTuning[float32]())))
+		run(auto.newParallelFrequency(eps, 4, pinnedElastic())))
 	pin("parallel-quantile-pinned-elastic",
 		run(static.NewParallelQuantileEstimator(eps, n, 4, WithBatchSize(2048))),
-		run(auto.newParallelQuantile(eps, n, 4, tuningSpec{autoAsync: true},
-			shard.WithRescaler(keep), WithBatchSize(2048), WithPinnedShardTuning[float32]())))
+		run(auto.newParallelQuantile(eps, n, 4, pinnedElastic())))
 }
 
 // keepRescaler is the pinned concurrency axis: an elastic estimator whose

@@ -8,6 +8,7 @@ import (
 	"gpustream"
 	"gpustream/internal/frequency"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/pipeline"
 	"gpustream/internal/stream"
 )
 
@@ -72,8 +73,8 @@ func TestAsyncBitIdenticalFrequency(t *testing.T) {
 func TestAsyncBitIdenticalQuantile(t *testing.T) {
 	const n = 60_000
 	data := asyncStream(n)
-	// The sample sorter's SortAsync goes through the generic goroutine
-	// adapter rather than the GPU simulator's staged path, so both async
+	// A host-native sorter and the GPU simulator, whose per-sort state the
+	// stage goroutine must keep to one window at a time: both async
 	// executions are pinned.
 	for _, backend := range []gpustream.Backend{gpustream.BackendGPU, gpustream.BackendSampleSort} {
 		run := func(opts ...gpustream.EstimatorOption) any {
@@ -180,7 +181,7 @@ func TestAsyncBitIdenticalParallel(t *testing.T) {
 func TestAsyncSortStatsIdentical(t *testing.T) {
 	const n = 40_000
 	data := asyncStream(n)
-	run := func(opts ...frequency.Option) gpusort.SortStats {
+	run := func(opts ...pipeline.Option) gpusort.SortStats {
 		srt := gpusort.NewSorter[float32]()
 		est := frequency.NewEstimator[float32](0.002, srt, opts...)
 		est.ProcessSlice(data)
@@ -189,7 +190,7 @@ func TestAsyncSortStatsIdentical(t *testing.T) {
 		est.Close()
 		return st
 	}
-	pinIdentical(t, "sort-stats", run(), run(frequency.WithAsync()))
+	pinIdentical(t, "sort-stats", run(), run(pipeline.WithAsync()))
 }
 
 // TestAsyncOverlapReported asserts the staged executor's telemetry surfaces

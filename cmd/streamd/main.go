@@ -8,8 +8,8 @@
 //
 // On SIGTERM/SIGINT the daemon stops accepting connections, drains every
 // stream's ingest queue and estimator concurrently, and spills each final
-// snapshot to the spill directory in the versioned wire format (readable by
-// cmd/snapmerge and gpustream.UnmarshalSnapshot).
+// snapshot to the spill directory as <tenant>.<stream>.snap in the versioned
+// wire format (readable by cmd/snapmerge and gpustream.UnmarshalSnapshot).
 package main
 
 import (
@@ -68,7 +68,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		typ          = flag.String("type", "float32", "value type for all streams: float32, float64, uint32, uint64, int32, int64")
-		spill        = flag.String("spill", "", "directory for final snapshots on drain (empty: don't spill)")
+		spill        = flag.String("spill", "", "directory for final snapshots on drain, one <tenant>.<stream>.snap each (empty: don't spill)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "deadline for draining all streams at shutdown")
 		maxStreams   = flag.Int("max-streams", 4096, "stream cap; beyond it the least-recently-used stream is drained and evicted")
 		idleTTL      = flag.Duration("idle-ttl", 0, "evict streams idle longer than this (0: never)")

@@ -95,8 +95,6 @@ type (
 	// ParallelFrequencyEstimator answers eps-approximate frequency queries
 	// over a stream ingested concurrently by K shard workers.
 	ParallelFrequencyEstimator[T Value] = shard.Frequency[T]
-	// ParallelOption configures sharded ingestion (e.g. WithBatchSize).
-	ParallelOption = shard.Option
 	// PerfModel converts operation counts to modeled 2004-testbed time.
 	PerfModel = perfmodel.Model
 	// SortBreakdown decomposes one modeled GPU sort (Figure 4).
@@ -213,23 +211,31 @@ type Engine[T Value] struct {
 	trackers []tracker[T]
 }
 
-// tracker is one registered estimator: its kind and the readers of its live
-// telemetry. knobs and async are nil for sorter-less families, shards for
-// serial ones, ctrl and scaler for static configurations; keyed is non-nil
-// only for keyed estimators, whose tier occupancy rides along with the
-// pipeline stats.
+// tracker is one registered estimator: its kind, the estimator itself behind
+// the one method every family has, and the tuning state attached to it (ctrl
+// and scaler are nil for static configurations). Engine.Stats reads the rest
+// of the telemetry through the optional interfaces below.
 type tracker[T Value] struct {
 	kind   string
-	stats  func() Stats
-	knobs  func() (Sorter[T], int)
-	async  func() bool
-	shards func() int
+	est    interface{ Stats() Stats }
 	ctrl   *adaptive.Controller[T]
 	scaler *adaptive.Scaler
-	keyed  func() KeyedTierStats
 }
 
-// register records an estimator's telemetry readers, in creation order.
+// pipelined is the knob telemetry of the sorter-backed families (serial,
+// sliding and parallel alike); sharded that of the parallel ones; tiered
+// that of keyed estimators, whose tier occupancy rides along with the
+// pipeline stats.
+type (
+	pipelined[T Value] interface {
+		Knobs() (Sorter[T], int)
+		Async() bool
+	}
+	sharded interface{ Shards() int }
+	tiered  interface{ TierStats() KeyedTierStats }
+)
+
+// register records an estimator for telemetry, in creation order.
 func (e *Engine[T]) register(t tracker[T]) {
 	e.mu.Lock()
 	e.trackers = append(e.trackers, t)
@@ -271,16 +277,14 @@ func (e *Engine[T]) Stats() []EstimatorStats {
 	e.mu.Unlock()
 	out := make([]EstimatorStats, len(trackers))
 	for i, t := range trackers {
-		out[i] = EstimatorStats{Kind: t.kind, Stats: t.stats()}
-		if t.knobs != nil {
+		out[i] = EstimatorStats{Kind: t.kind, Stats: t.est.Stats()}
+		if p, ok := t.est.(pipelined[T]); ok {
 			out[i].Backend = e.runs()
-			_, out[i].Window = t.knobs()
+			_, out[i].Window = p.Knobs()
+			out[i].Async = p.Async()
 		}
-		if t.async != nil {
-			out[i].Async = t.async()
-		}
-		if t.shards != nil {
-			out[i].Shards = t.shards()
+		if s, ok := t.est.(sharded); ok {
+			out[i].Shards = s.Shards()
 		}
 		if t.ctrl != nil || t.scaler != nil {
 			out[i].Tuning = tuningDecision(t.ctrl, t.scaler)
@@ -290,8 +294,8 @@ func (e *Engine[T]) Stats() []EstimatorStats {
 				out[i].Backend = out[i].Tuning.Backend
 			}
 		}
-		if t.keyed != nil {
-			ks := t.keyed()
+		if k, ok := t.est.(tiered); ok {
+			ks := k.TierStats()
 			out[i].Keyed = &ks
 		}
 	}
@@ -320,26 +324,17 @@ func (e *Engine[T]) newBackendSorter() Sorter[T] { return newBackendSorter[T](e.
 // sample-sort starting point otherwise.
 func (e *Engine[T]) runs() string { return e.backend.row().runs.String() }
 
-// WithBatchSize overrides the parallel estimators' ingestion hand-off batch
-// size (default ~64K values).
-func WithBatchSize(n int) ParallelOption { return shard.WithBatchSize(n) }
-
-// WithAsyncShards enables staged asynchronous ingestion inside every shard of
-// a parallel estimator: each worker's windows sort on a dedicated stage
-// goroutine that overlaps the merge/compress of the previous window. Answers
-// stay bit-identical to synchronous shards.
-func WithAsyncShards() ParallelOption { return shard.WithAsync() }
-
-// WithShardSortWindow overrides the per-shard sort-window size of a parallel
-// estimator, the sharded counterpart of WithSortWindow. Values below the
-// per-shard eps floor are clamped up.
-func WithShardSortWindow(n int) ParallelOption { return shard.WithWindow(n) }
-
-// WithPinnedShardTuning installs a do-nothing tuner on every shard pipeline
-// of a parallel estimator — the sharded counterpart of WithPinnedTuning. T
-// must match the engine's element type.
-func WithPinnedShardTuning[T Value]() ParallelOption {
-	return shard.WithTunerFactory(func() pipeline.Tuner[T] { return adaptive.Pinned[T]() })
+// estimatorConfig is the one resolved construction-time configuration
+// behind every constructor: NewFromSpec fills it straight from the Spec, the
+// typed constructors fill it from their options, and both call the same
+// per-family build functions (DESIGN.md section 21). Serial families read
+// window, async and pinned; parallel families read all five.
+type estimatorConfig struct {
+	window  int       // sort-window override in elements; 0 keeps the family's default
+	async   AsyncMode // AsyncOn starts on the staged executor; AsyncAuto hands the mode to the controller
+	pinned  bool      // a do-nothing tuner on every pipeline
+	batch   int       // parallel hand-off batch size; 0 keeps the default (~64K values)
+	elastic bool      // a Scaler owns the shard count ("shards":"auto")
 }
 
 // EstimatorOption configures a serial estimator constructor
@@ -347,19 +342,62 @@ func WithPinnedShardTuning[T Value]() ParallelOption {
 // NewSlidingQuantile).
 type EstimatorOption func(*estimatorConfig)
 
-type estimatorConfig struct {
-	async     bool
-	autoAsync bool
-	window    int
-	pinned    bool
+// ParallelOption configures sharded ingestion (e.g. WithBatchSize).
+type ParallelOption func(*estimatorConfig)
+
+// resolve folds a constructor's options over the zero config.
+func resolve[O ~func(*estimatorConfig)](opts []O) estimatorConfig {
+	var cfg estimatorConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
-// withAutoAsync hands the execution mode (sync vs staged async ingestion) to
-// the adaptive controller: the concurrency phase measures both modes on the
-// live stream and commits to the faster one, re-probing on degradation. The
-// construction path of Spec{Async: AsyncAuto}; unexported because Spec is the
-// declarative surface for elastic concurrency.
-func withAutoAsync() EstimatorOption { return func(c *estimatorConfig) { c.autoAsync = true } }
+// pipeline spells the window override and the construction mode in the one
+// vocabulary every internal constructor takes.
+func (c estimatorConfig) pipeline() []pipeline.Option {
+	var opts []pipeline.Option
+	if c.window > 0 {
+		opts = append(opts, pipeline.WithWindow(c.window))
+	}
+	if c.async == AsyncOn {
+		opts = append(opts, pipeline.WithAsync())
+	}
+	return opts
+}
+
+// WithBatchSize overrides the parallel estimators' ingestion hand-off batch
+// size (default ~64K values).
+func WithBatchSize(n int) ParallelOption {
+	if n <= 0 {
+		panic("gpustream: batch size must be positive")
+	}
+	return func(c *estimatorConfig) { c.batch = n }
+}
+
+// WithAsyncShards enables staged asynchronous ingestion inside every shard of
+// a parallel estimator: each worker's windows sort on a dedicated stage
+// goroutine that overlaps the merge/compress of the previous window. Answers
+// stay bit-identical to synchronous shards.
+func WithAsyncShards() ParallelOption { return func(c *estimatorConfig) { c.async = AsyncOn } }
+
+// WithShardSortWindow overrides the per-shard sort-window size of a parallel
+// estimator, the sharded counterpart of WithSortWindow. Values below the
+// per-shard eps floor are clamped up.
+func WithShardSortWindow(n int) ParallelOption {
+	if n <= 0 {
+		panic("gpustream: sort window must be positive")
+	}
+	return func(c *estimatorConfig) { c.window = n }
+}
+
+// WithPinnedShardTuning installs a do-nothing tuner on every shard pipeline
+// of a parallel estimator — the sharded counterpart of WithPinnedTuning. The
+// type parameter is kept for source compatibility and ignored.
+func WithPinnedShardTuning[T Value]() ParallelOption {
+	return func(c *estimatorConfig) { c.pinned = true }
+}
 
 // WithAsyncIngestion enables staged asynchronous ingestion — the paper's
 // co-processing execution model: each full window is handed to a sort stage
@@ -368,7 +406,7 @@ func withAutoAsync() EstimatorOption { return func(c *estimatorConfig) { c.autoA
 // pooled window buffers double-buffering ingestion. Answers and sort
 // operation counts are bit-identical to the default synchronous mode;
 // Stats.Overlap reports the measured co-processing time.
-func WithAsyncIngestion() EstimatorOption { return func(c *estimatorConfig) { c.async = true } }
+func WithAsyncIngestion() EstimatorOption { return func(c *estimatorConfig) { c.async = AsyncOn } }
 
 // WithSortWindow overrides the whole-history families' sort-window size in
 // elements. Values below a family's eps floor are clamped up by the
@@ -392,43 +430,45 @@ func WithPinnedTuning() EstimatorOption {
 	return func(c *estimatorConfig) { c.pinned = true }
 }
 
-func parseEstimatorOptions(opts []EstimatorOption) estimatorConfig {
-	var cfg estimatorConfig
-	for _, o := range opts {
-		o(&cfg)
+// tuner returns the tuner for one pipeline built under cfg — and the
+// adaptive controller behind it when it is one, for telemetry — or nil for a
+// fully static configuration. Pinned wins: a do-nothing tuner. An auto
+// engine probes every concrete backend and, when tuneWindow is set, climbs
+// the window (off for the sliding families, whose pane size is query
+// semantics). A concrete backend with elastic concurrency gets exactly one
+// candidate, so the probe phase degenerates to a baseline measurement and
+// only the execution mode ever moves.
+func (e *Engine[T]) tuner(cfg estimatorConfig, tuneWindow bool) (pipeline.Tuner[T], *adaptive.Controller[T]) {
+	var ctrl *adaptive.Controller[T]
+	switch {
+	case cfg.pinned:
+		return adaptive.Pinned[T](), nil
+	case e.backend == BackendAuto:
+		ctrl = adaptive.New(autoCandidates[T](e.model),
+			adaptive.Config{TuneWindow: tuneWindow, ProbeFirst: e.runs(), TuneAsync: cfg.async == AsyncAuto})
+	case cfg.async == AsyncAuto:
+		cand := candidateFor[T](e.backend, e.model)
+		ctrl = adaptive.New([]adaptive.Candidate[T]{cand}, adaptive.Config{ProbeFirst: cand.Backend, TuneAsync: true})
+	default:
+		return nil, nil
 	}
-	return cfg
+	return ctrl, ctrl
 }
 
-// tunable is the SetTuner surface every sorter-backed estimator family
-// exposes.
+// tunable is what adopt needs of a serial sorter-backed estimator.
 type tunable[T Value] interface {
+	Stats() Stats
 	SetTuner(pipeline.Tuner[T])
 }
 
-// attachTuner wires the estimator's pipeline to an adaptive controller
-// (BackendAuto, or any backend with elastic concurrency), a pinned tuner
-// (WithPinnedTuning), or nothing (fully static configurations). It returns
-// the controller when one was attached, for telemetry registration.
-// tuneWindow gates the controller's window hill-climb — off for the sliding
-// families, whose pane size is query semantics. On a static backend with
-// autoAsync the controller sees exactly one candidate, so the probe phase
-// degenerates to a baseline measurement and only the execution mode moves.
-func (e *Engine[T]) attachTuner(est tunable[T], cfg estimatorConfig, tuneWindow bool) *adaptive.Controller[T] {
-	switch {
-	case cfg.pinned:
-		est.SetTuner(adaptive.Pinned[T]())
-	case e.backend == BackendAuto:
-		ctrl := adaptive.New(autoCandidates[T](e.model), adaptive.Config{TuneWindow: tuneWindow, ProbeFirst: e.runs(), TuneAsync: cfg.autoAsync})
-		est.SetTuner(ctrl)
-		return ctrl
-	case cfg.autoAsync:
-		cand := candidateFor[T](e.backend, e.model)
-		ctrl := adaptive.New([]adaptive.Candidate[T]{cand}, adaptive.Config{ProbeFirst: cand.Backend, TuneAsync: true})
-		est.SetTuner(ctrl)
-		return ctrl
+// adopt finishes a serial estimator: its pipeline gets the tuner cfg asks
+// for, and the engine tracks it for Stats.
+func (e *Engine[T]) adopt(kind string, est tunable[T], cfg estimatorConfig, tuneWindow bool) {
+	t, ctrl := e.tuner(cfg, tuneWindow)
+	if t != nil {
+		est.SetTuner(t)
 	}
-	return nil
+	e.register(tracker[T]{kind: kind, est: est, ctrl: ctrl})
 }
 
 // Backend reports the engine's configured backend.
@@ -471,17 +511,12 @@ func (e *Engine[T]) LastSortBreakdown() (SortBreakdown, bool) {
 // also keeps Engine.Sort's LastSortBreakdown isolated from estimator
 // ingestion.
 func (e *Engine[T]) NewFrequencyEstimator(eps float64, opts ...EstimatorOption) *FrequencyEstimator[T] {
-	cfg := parseEstimatorOptions(opts)
-	var fopts []frequency.Option
-	if cfg.async {
-		fopts = append(fopts, frequency.WithAsync())
-	}
-	if cfg.window > 0 {
-		fopts = append(fopts, frequency.WithWindow(cfg.window))
-	}
-	est := frequency.NewEstimator(eps, e.newBackendSorter(), fopts...)
-	ctrl := e.attachTuner(est, cfg, true)
-	e.register(tracker[T]{kind: "frequency", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
+	return e.newFrequency(eps, resolve(opts))
+}
+
+func (e *Engine[T]) newFrequency(eps float64, cfg estimatorConfig) *FrequencyEstimator[T] {
+	est := frequency.NewEstimator(eps, e.newBackendSorter(), cfg.pipeline()...)
+	e.adopt("frequency", est, cfg, true)
 	return est
 }
 
@@ -490,18 +525,55 @@ func (e *Engine[T]) NewFrequencyEstimator(eps float64, opts ...EstimatorOption) 
 // ignored: the summary budgets its error by the depth it observes, so the
 // bound holds at any stream length (DESIGN.md section 17).
 func (e *Engine[T]) NewQuantileEstimator(eps float64, capacity int64, opts ...EstimatorOption) *QuantileEstimator[T] {
-	cfg := parseEstimatorOptions(opts)
-	var qopts []quantile.Option
-	if cfg.async {
-		qopts = append(qopts, quantile.WithAsync())
-	}
-	if cfg.window > 0 {
-		qopts = append(qopts, quantile.WithWindow(cfg.window))
-	}
-	est := quantile.NewEstimator(eps, capacity, e.newBackendSorter(), qopts...)
-	ctrl := e.attachTuner(est, cfg, true)
-	e.register(tracker[T]{kind: "quantile", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
+	return e.newQuantile(eps, capacity, resolve(opts))
+}
+
+func (e *Engine[T]) newQuantile(eps float64, capacity int64, cfg estimatorConfig) *QuantileEstimator[T] {
+	est := quantile.NewEstimator(eps, capacity, e.newBackendSorter(), cfg.pipeline()...)
+	e.adopt("quantile", est, cfg, true)
 	return est
+}
+
+// sharding is a parallel family's resolved construction plan: the sharded
+// layer's typed configuration, plus the tuning state Engine.Stats reports —
+// shard 0's controller (all shards see statistically identical substreams)
+// and the shard-count scaler, either nil when that axis is static.
+type sharding[T Value] struct {
+	shard.Config[T]
+	ctrl   *adaptive.Controller[T]
+	scaler *adaptive.Scaler
+}
+
+// sharding resolves cfg for a parallel family: batch size and pipeline
+// options pass through, an elastic count installs a Scaler, and a tuned
+// configuration installs tuner as the per-shard factory. Shard 0's tuner is
+// built here and handed out by the factory's first call (the sharded
+// constructor builds shard 0 first), so its controller is in hand for
+// telemetry; shard 0 is never retired by a scale-down (the pool removes
+// workers from the tail and keeps at least one), so it stays live across any
+// rescale schedule. The factory runs under the family's shard lock — at
+// construction and again on every elastic scale-up — so its calls never
+// overlap.
+func (e *Engine[T]) sharding(cfg estimatorConfig) sharding[T] {
+	s := sharding[T]{Config: shard.Config[T]{Batch: cfg.batch, Pipeline: cfg.pipeline()}}
+	if cfg.elastic {
+		s.scaler = adaptive.NewScaler()
+		s.Rescaler = s.scaler
+	}
+	first, ctrl := e.tuner(cfg, true)
+	if first == nil {
+		return s
+	}
+	s.ctrl = ctrl
+	s.NewTuner = func() pipeline.Tuner[T] {
+		if t := first; t != nil {
+			first = nil
+			return t
+		}
+		t, _ := e.tuner(cfg, true)
+		return t
+	}
+	return s
 }
 
 // NewParallelQuantileEstimator returns an eps-approximate quantile
@@ -512,13 +584,12 @@ func (e *Engine[T]) NewQuantileEstimator(eps float64, capacity int64, opts ...Es
 // shard the output is bit-identical to NewQuantileEstimator. Call Flush to
 // make buffered values queryable and Close when ingestion ends.
 func (e *Engine[T]) NewParallelQuantileEstimator(eps float64, capacity int64, shards int, opts ...ParallelOption) *ParallelQuantileEstimator[T] {
-	return e.newParallelQuantile(eps, capacity, shards, tuningSpec{}, opts...)
+	return e.newParallelQuantile(eps, capacity, shards, e.sharding(resolve(opts)))
 }
 
-func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int, tn tuningSpec, opts ...ParallelOption) *ParallelQuantileEstimator[T] {
-	opts, ctrl, scaler := e.shardTuning(tn, opts)
-	est := shard.NewQuantile(eps, capacity, shards, e.newBackendSorter, opts...)
-	e.register(tracker[T]{kind: "parallel-quantile", stats: est.Stats, knobs: est.Knobs, async: est.Async, shards: est.Shards, ctrl: ctrl(), scaler: scaler})
+func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int, s sharding[T]) *ParallelQuantileEstimator[T] {
+	est := shard.NewQuantile(eps, capacity, shards, e.newBackendSorter, s.Config)
+	e.register(tracker[T]{kind: "parallel-quantile", est: est, ctrl: s.ctrl, scaler: s.scaler})
 	return est
 }
 
@@ -530,98 +601,36 @@ func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int,
 // no-false-negative guarantee; with one shard the output is bit-identical
 // to NewFrequencyEstimator.
 func (e *Engine[T]) NewParallelFrequencyEstimator(eps float64, shards int, opts ...ParallelOption) *ParallelFrequencyEstimator[T] {
-	return e.newParallelFrequency(eps, shards, tuningSpec{}, opts...)
+	return e.newParallelFrequency(eps, shards, e.sharding(resolve(opts)))
 }
 
-func (e *Engine[T]) newParallelFrequency(eps float64, shards int, tn tuningSpec, opts ...ParallelOption) *ParallelFrequencyEstimator[T] {
-	opts, ctrl, scaler := e.shardTuning(tn, opts)
-	est := shard.NewFrequency(eps, shards, e.newBackendSorter, opts...)
-	e.register(tracker[T]{kind: "parallel-frequency", stats: est.Stats, knobs: est.Knobs, async: est.Async, shards: est.Shards, ctrl: ctrl(), scaler: scaler})
+func (e *Engine[T]) newParallelFrequency(eps float64, shards int, s sharding[T]) *ParallelFrequencyEstimator[T] {
+	est := shard.NewFrequency(eps, shards, e.newBackendSorter, s.Config)
+	e.register(tracker[T]{kind: "parallel-frequency", est: est, ctrl: s.ctrl, scaler: s.scaler})
 	return est
-}
-
-// tuningSpec names the elastic axes a Spec asked the runtime to own:
-// autoAsync hands each shard pipeline's execution mode to its adaptive
-// controller ("async":"auto"), autoShards installs a Scaler that hill-climbs
-// the worker count ("shards":"auto").
-type tuningSpec struct {
-	autoAsync  bool
-	autoShards bool
-}
-
-// shardTuning prepends the engine's adaptive tuner factory to the parallel
-// options when the backend is auto or the spec asked for elastic concurrency
-// (prepended, so caller-supplied factories — e.g. WithPinnedShardTuning —
-// still win), installs the shard-count scaler under autoShards, and returns
-// a getter for shard 0's controller, valid once the sharded constructor has
-// run the factory. Shard 0 is never retired by a scale-down (the pool
-// removes workers from the tail and keeps at least one), so its controller
-// stays live for telemetry across any rescale schedule.
-func (e *Engine[T]) shardTuning(tn tuningSpec, opts []ParallelOption) ([]ParallelOption, func() *adaptive.Controller[T], *adaptive.Scaler) {
-	var scaler *adaptive.Scaler
-	if tn.autoShards {
-		scaler = adaptive.NewScaler(adaptive.ScalerConfig{})
-		opts = append([]ParallelOption{shard.WithRescaler(scaler)}, opts...)
-	}
-	if e.backend != BackendAuto && !tn.autoAsync {
-		return opts, func() *adaptive.Controller[T] { return nil }, scaler
-	}
-	// The factory runs under the family's shard lock — at construction and
-	// again on every elastic scale-up — so guard the shard-0 capture with
-	// its own mutex against a concurrent Stats reader.
-	var (
-		mu    sync.Mutex
-		first *adaptive.Controller[T]
-	)
-	factory := func() pipeline.Tuner[T] {
-		cands := autoCandidates[T](e.model)
-		cfg := adaptive.Config{TuneWindow: true, ProbeFirst: e.runs(), TuneAsync: tn.autoAsync}
-		if e.backend != BackendAuto {
-			cand := candidateFor[T](e.backend, e.model)
-			cands = []adaptive.Candidate[T]{cand}
-			cfg = adaptive.Config{ProbeFirst: cand.Backend, TuneAsync: true}
-		}
-		c := adaptive.New(cands, cfg)
-		mu.Lock()
-		if first == nil {
-			first = c
-		}
-		mu.Unlock()
-		return c
-	}
-	opts = append([]ParallelOption{shard.WithTunerFactory(factory)}, opts...)
-	return opts, func() *adaptive.Controller[T] {
-		mu.Lock()
-		defer mu.Unlock()
-		return first
-	}, scaler
 }
 
 // NewSlidingFrequency returns an eps-approximate frequency estimator over
 // sliding windows of w elements, backed by this engine's sorter.
 func (e *Engine[T]) NewSlidingFrequency(eps float64, w int, opts ...EstimatorOption) *SlidingFrequency[T] {
-	cfg := parseEstimatorOptions(opts)
-	var wopts []window.Option
-	if cfg.async {
-		wopts = append(wopts, window.WithAsync())
-	}
-	est := window.NewSlidingFrequency(eps, w, e.newBackendSorter(), wopts...)
-	ctrl := e.attachTuner(est, cfg, false)
-	e.register(tracker[T]{kind: "sliding-frequency", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
+	return e.newSlidingFrequency(eps, w, resolve(opts))
+}
+
+func (e *Engine[T]) newSlidingFrequency(eps float64, w int, cfg estimatorConfig) *SlidingFrequency[T] {
+	est := window.NewSlidingFrequency(eps, w, e.newBackendSorter(), cfg.pipeline()...)
+	e.adopt("sliding-frequency", est, cfg, false)
 	return est
 }
 
 // NewSlidingQuantile returns an eps-approximate quantile estimator over
 // sliding windows of w elements, backed by this engine's sorter.
 func (e *Engine[T]) NewSlidingQuantile(eps float64, w int, opts ...EstimatorOption) *SlidingQuantile[T] {
-	cfg := parseEstimatorOptions(opts)
-	var wopts []window.Option
-	if cfg.async {
-		wopts = append(wopts, window.WithAsync())
-	}
-	est := window.NewSlidingQuantile(eps, w, e.newBackendSorter(), wopts...)
-	ctrl := e.attachTuner(est, cfg, false)
-	e.register(tracker[T]{kind: "sliding-quantile", stats: est.Stats, knobs: est.Knobs, async: est.Async, ctrl: ctrl})
+	return e.newSlidingQuantile(eps, w, resolve(opts))
+}
+
+func (e *Engine[T]) newSlidingQuantile(eps float64, w int, cfg estimatorConfig) *SlidingQuantile[T] {
+	est := window.NewSlidingQuantile(eps, w, e.newBackendSorter(), cfg.pipeline()...)
+	e.adopt("sliding-quantile", est, cfg, false)
 	return est
 }
 
@@ -640,6 +649,6 @@ func WithFrugalSeed(seed uint64) FrugalOption { return frugal.WithSeed(seed) }
 // no sorter; it registers with the engine only for Stats reporting.
 func (e *Engine[T]) NewFrugalEstimator(opts ...FrugalOption) *FrugalEstimator[T] {
 	est := frugal.NewEstimator[T](opts...)
-	e.register(tracker[T]{kind: "frugal", stats: est.Stats})
+	e.register(tracker[T]{kind: "frugal", est: est})
 	return est
 }

@@ -13,19 +13,17 @@
 //
 // State machine (see DESIGN.md §15):
 //
-//	probe  — cycle through every candidate backend for ProbeWindows
+//	probe  — cycle through every candidate backend for probeWindows
 //	         windows each, measuring ns/value; Config.ProbeFirst (the
 //	         construction backend) is measured first, then the rest in
 //	         ascending order of their closed-form prior at the current
-//	         window. Each burst is reduced to its lower median — one GC
-//	         pause or stale async window cannot mis-rank close candidates
-//	         — and a candidate measuring more than abortFactor times the
-//	         round's best is cut off after a single window. Then commit
-//	         to the measured argmin.
-//	window — with the committed backend, hill-climb the window size:
-//	         double it while the measured ns/value improves by more than
-//	         the hysteresis margin, then try one halving step below the
-//	         start; bounded by [MinWindow, MaxWindow]. Skipped when
+//	         window; a candidate that cannot win is cut off after a
+//	         single window (abortFactor). Then commit to the measured
+//	         argmin of the bursts' lower medians.
+//	window — with the committed backend, run the climb machine (climb.go,
+//	         shared with the Scaler) over the window size: doubling, then
+//	         one halving step, bounded by the construction window below
+//	         and maxWindowFactor times it above. Skipped when
 //	         Config.TuneWindow is false (sliding families: the pane size
 //	         is query semantics, not an execution knob).
 //	conc   — with backend and window committed, measure one burst in the
@@ -35,15 +33,15 @@
 //	         Config.TuneAsync. The pipeline applies mode flips between
 //	         merged windows only, so any flip schedule is bit-identical
 //	         to a fixed mode.
-//	steady — hold the choice, maintaining an EWMA of ns/value. If the
-//	         EWMA degrades past ReprobeFactor times the committed
-//	         measurement, re-enter probe (the stream's distribution or
-//	         the host changed).
+//	steady — hold the choice; when the climb machine's EWMA check finds
+//	         ns/value degraded past reprobeFactor times the committed
+//	         measurement, re-enter probe (the stream or the host changed).
 //
 // Correctness is the pipeline's problem, not the controller's, by
 // construction: every schedule the controller emits keeps windows at or
-// above MinWindow — the construction-time window of the estimator, i.e.
-// the family's eps floor — and window-boundary knob changes preserve the
+// above the window observed at the first Retune — the construction-time
+// window of the estimator, i.e. the family's eps floor (or the caller's
+// larger override) — and window-boundary knob changes preserve the
 // "every value passes through exactly one sorted window" invariant the
 // families' error budgets rest on.
 package adaptive
@@ -72,15 +70,9 @@ type Candidate[T sorter.Value] struct {
 	Modeled func(n int) time.Duration
 }
 
-// Config tunes the controller.
+// Config selects what the controller tunes. Everything else about it is a
+// constant: the numbers below are the values every caller ran with.
 type Config struct {
-	// MinWindow is the smallest window the controller will ever schedule
-	// and the floor the estimator's eps guarantee requires. Zero adopts
-	// the window observed at the first Retune — the estimator's
-	// construction window — which is what the engine uses.
-	MinWindow int
-	// MaxWindow bounds window growth; zero selects 64*MinWindow.
-	MaxWindow int
 	// TuneWindow enables the window hill-climb phase. Off, the controller
 	// adapts the backend only (the sliding families).
 	TuneWindow bool
@@ -88,9 +80,6 @@ type Config struct {
 	// have settled, the controller measures the incumbent execution mode,
 	// flips sync<->async, and commits to whichever moves the stream faster.
 	TuneAsync bool
-	// ProbeWindows is how many windows each candidate is measured for in
-	// the probe phase and each hill-climb trial; default 4.
-	ProbeWindows int
 	// ProbeFirst names the backend probed before the modeled order, when it
 	// is among the candidates. The engine passes its construction backend:
 	// measuring the incumbent first gives the early-abort check a reference,
@@ -98,25 +87,33 @@ type Config struct {
 	// a full burst, and a stream too short to finish probing has already
 	// been running the backend it was built with.
 	ProbeFirst string
-	// SettleWindows is how many steady-state windows pass between
-	// regression checks; default 64.
-	SettleWindows int
-	// ReprobeFactor is the steady-state degradation that triggers a
-	// re-probe, as a multiple of the committed measurement; default 1.5.
-	ReprobeFactor float64
 }
 
-func (c *Config) defaults() {
-	if c.ProbeWindows <= 0 {
-		c.ProbeWindows = 4
-	}
-	if c.SettleWindows <= 0 {
-		c.SettleWindows = 64
-	}
-	if c.ReprobeFactor <= 1 {
-		c.ReprobeFactor = 1.5
-	}
-}
+const (
+	// probeWindows is how many windows each candidate is measured for in
+	// the probe phase, each hill-climb trial and each concurrency trial.
+	probeWindows = 4
+	// hysteresis is the relative improvement a window trial or a mode flip
+	// must show to be accepted; it keeps the controller from chasing
+	// measurement noise.
+	hysteresis = 0.02
+	// maxWindowFactor bounds window growth, as a multiple of the
+	// construction window.
+	maxWindowFactor = 64
+	// settleWindows is how many steady-state windows pass between
+	// regression checks.
+	settleWindows = 64
+	// staleWindows is how many windows are discarded after every knob
+	// switch on an async pipeline: up to two windows sorted under the
+	// previous knobs may still be in flight when a switch lands, and their
+	// sort time would be attributed to the new choice.
+	staleWindows = 2
+	// abortFactor is the measured slowdown versus the best candidate
+	// completed this round at which a probe burst stops early: a backend
+	// this far behind cannot win, so there is no point paying its full burst
+	// (the simulated GPU backends cost ~10x the host sorters per window).
+	abortFactor = 3.0
+)
 
 // Phase names, as exposed in Decision.
 const (
@@ -145,45 +142,30 @@ type Decision struct {
 // pipeline; Decision is safe to call concurrently with Retune.
 type Controller[T sorter.Value] struct {
 	mu    sync.Mutex
-	cands []Candidate[T]
+	cands []Candidate[T] // in probe order once started
 	cfg   Config
 
 	sorters  []sorter.Sorter[T] // lazily built, index-aligned with cands
 	ns       []float64          // latest measured ns/value per candidate, 0 = unmeasured
 	cur      int                // candidate currently sorting windows
-	window   int                // window currently scheduled
+	win      climb              // the window knob: scheduled value, climb and steady state
 	phase    string
-	started  bool // first Retune seen, MinWindow adopted
+	started  bool // first Retune seen, construction window adopted
 	switches int
 
 	// Retune reads cumulative Stats; deltas against the previous call give
 	// the per-window measurement.
-	lastSort     time.Duration
-	lastMerge    time.Duration
-	lastCompress time.Duration
-	lastOverlap  time.Duration
-	lastValues   int64
+	last pipeline.Stats
 
 	// Concurrency-phase state.
 	async     bool    // live execution mode, mirrored from cur each Retune
-	seen      bool    // async has been observed at least once
 	concTrial int     // 0 measuring the incumbent mode, 1 measuring the flip
 	concBase  float64 // incumbent-mode statistic
 
-	// Measurement burst for the current probe step or window trial.
-	samples    []float64 // per-window ns/value of the current burst
-	skipLeft   int       // windows to discard before sampling (async staleness)
-	skip       int       // windows discarded after every knob switch
-	roundBest  float64   // best statistic completed in the current probe round
-	probeOrder []int // candidate indexes in probe order
-	probeAt    int   // position in probeOrder being measured
-
-	// Window hill-climb state.
-	dir       int     // +1 doubling, -1 halving
-	baseNs    float64 // ns/value at the accepted window
-	prevWin   int     // window to revert to if the trial regresses
-	steadyWin int     // windows since the last steady-state check
-	steadyNs  float64 // EWMA of ns/value in steady state
+	// Measurement burst for the current probe step or trial.
+	burst     burst   // per-window ns/value of the current burst
+	skip      int     // windows discarded after every knob switch (staleWindows once async)
+	roundBest float64 // best statistic completed in the current probe round
 }
 
 // New returns a controller choosing among cands. cands must be non-empty;
@@ -192,64 +174,41 @@ func New[T sorter.Value](cands []Candidate[T], cfg Config) *Controller[T] {
 	if len(cands) == 0 {
 		panic("adaptive: no candidates")
 	}
-	cfg.defaults()
 	return &Controller[T]{
-		cands:   cands,
+		cands:   append([]Candidate[T](nil), cands...),
 		cfg:     cfg,
 		sorters: make([]sorter.Sorter[T], len(cands)),
 		ns:      make([]float64, len(cands)),
 		phase:   PhaseProbe,
+		burst:   burst{size: probeWindows},
 	}
 }
 
-// sorterFor lazily builds candidate i's sorter.
-func (c *Controller[T]) sorterFor(i int) sorter.Sorter[T] {
-	if c.sorters[i] == nil {
-		c.sorters[i] = c.cands[i].New()
-	}
-	return c.sorters[i]
-}
-
-// start adopts the pipeline's construction knobs and orders the probe by
-// the closed-form prior at the adopted window.
+// start adopts the pipeline's construction knobs — its window is the floor
+// the estimator's eps guarantee requires, so no schedule goes below it — and
+// puts the candidates (no sorter built, nothing measured yet) in probe
+// order: ProbeFirst, then the closed-form prior at the adopted window.
 func (c *Controller[T]) start(cur pipeline.Knobs[T]) {
-	if c.cfg.MinWindow <= 0 {
-		c.cfg.MinWindow = cur.Window
-	}
-	if c.cfg.MaxWindow <= 0 {
-		c.cfg.MaxWindow = 64 * c.cfg.MinWindow
-	}
-	c.window = cur.Window
-	if c.window < c.cfg.MinWindow {
-		c.window = c.cfg.MinWindow
-	}
-	c.probeOrder = make([]int, len(c.cands))
-	for i := range c.probeOrder {
-		c.probeOrder[i] = i
-	}
-	w := c.window
-	sort.SliceStable(c.probeOrder, func(a, b int) bool {
-		ca, cb := c.cands[c.probeOrder[a]], c.cands[c.probeOrder[b]]
-		if pf := c.cfg.ProbeFirst; pf != "" && ca.Backend != cb.Backend {
-			if ca.Backend == pf {
-				return true
-			}
-			if cb.Backend == pf {
-				return false
-			}
+	w := cur.Window
+	c.win = climb{min: w, max: maxWindowFactor * w, hysteresis: hysteresis, settle: settleWindows, knob: w}
+	sort.SliceStable(c.cands, func(a, b int) bool {
+		ca, cb := c.cands[a], c.cands[b]
+		if first := c.cfg.ProbeFirst; (ca.Backend == first) != (cb.Backend == first) {
+			return ca.Backend == first
 		}
-		if ca.Modeled == nil {
-			return false
-		}
-		if cb.Modeled == nil {
-			return true
+		if ca.Modeled == nil || cb.Modeled == nil {
+			return ca.Modeled != nil // unmodeled candidates probe last
 		}
 		return ca.Modeled(w) < cb.Modeled(w)
 	})
-	c.probeAt = 0
-	c.cur = c.probeOrder[0]
 	c.started = true
-	c.resetBurst()
+	c.beginProbe()
+}
+
+// beginProbe (re)starts the probe phase at the head of the probe order.
+func (c *Controller[T]) beginProbe() {
+	c.phase, c.cur, c.roundBest = PhaseProbe, 0, 0
+	c.burst.reset(c.skip)
 }
 
 // Retune implements pipeline.Tuner. It runs under the core lock.
@@ -257,23 +216,16 @@ func (c *Controller[T]) Retune(st pipeline.Stats, cur pipeline.Knobs[T]) (pipeli
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	dSort := st.Sort - c.lastSort
-	dMerge := st.Merge - c.lastMerge
-	dCompress := st.Compress - c.lastCompress
-	dOverlap := st.Overlap - c.lastOverlap
-	dVals := st.SortedValues - c.lastValues
-	c.lastSort, c.lastMerge = st.Sort, st.Merge
-	c.lastCompress, c.lastOverlap = st.Compress, st.Overlap
-	c.lastValues = st.SortedValues
+	dSort := st.Sort - c.last.Sort
+	dBusy := st.Total() - c.last.Total() // sort + merge + compress
+	dOverlap := st.Overlap - c.last.Overlap
+	dVals := st.SortedValues - c.last.SortedValues
+	c.last = st
 	c.async = cur.Async == pipeline.AsyncOn
-	c.seen = true
 
-	// On an async pipeline (MaxInFlight > 0 from the first window) up to
-	// two windows sorted under the previous knobs may still be in flight
-	// when a switch lands, so their sort time would be attributed to the
-	// new choice. Discard that many windows after every switch.
-	if st.MaxInFlight > 0 && c.skip == 0 {
-		c.skip = 2
+	// An async pipeline reports MaxInFlight > 0 from its first window on.
+	if st.MaxInFlight > 0 {
+		c.skip = staleWindows
 	}
 
 	if !c.started {
@@ -286,36 +238,47 @@ func (c *Controller[T]) Retune(st pipeline.Stats, cur pipeline.Knobs[T]) (pipeli
 		return pipeline.Knobs[T]{}, false
 	}
 	perValue := float64(dSort.Nanoseconds()) / float64(dVals)
-
 	switch c.phase {
-	case PhaseProbe:
-		return c.probeStep(perValue)
-	case PhaseWindow:
-		return c.windowStep(perValue)
+	case PhaseSteady:
+		return c.steadyStep(perValue)
 	case PhaseConc:
 		// The mode decision is about the whole pipeline's critical path,
 		// not just the sort: busy time across all three stages minus the
 		// overlap the executor hid. Sync scores sort+merge+compress; async
 		// scores the same work minus what it ran concurrently.
-		critical := dSort + dMerge + dCompress - dOverlap
-		return c.concStep(float64(critical.Nanoseconds()) / float64(dVals))
+		perValue = float64((dBusy - dOverlap).Nanoseconds()) / float64(dVals)
+	}
+
+	// The other three phases decide on full bursts; a probe burst also ends
+	// early on a candidate that cannot win (abortFactor).
+	full := c.burst.add(perValue)
+	if c.phase == PhaseProbe && len(c.burst.samples) > 0 && c.roundBest > 0 && perValue > abortFactor*c.roundBest {
+		full = true
+	}
+	if !full {
+		return pipeline.Knobs[T]{}, false
+	}
+	stat := c.burst.statistic()
+	c.burst.reset(c.skip)
+	switch c.phase {
+	case PhaseProbe:
+		return c.probeStep(stat)
+	case PhaseWindow:
+		return c.windowStep(stat)
 	default:
-		return c.steadyStep(perValue)
+		return c.concStep(stat)
 	}
 }
 
 // settle leaves the backend/window phases: into the concurrency phase when
 // enabled, else straight to steady state. The concurrency phase starts by
-// measuring the incumbent mode, so no knob change is needed on entry.
+// measuring the incumbent mode, so no knob change is needed on entry (and
+// Retune has just started a fresh burst).
 func (c *Controller[T]) settle() {
-	if c.cfg.TuneAsync {
-		c.phase = PhaseConc
-		c.concTrial = 0
-		c.concBase = 0
-		c.resetBurst()
-		return
-	}
 	c.phase = PhaseSteady
+	if c.cfg.TuneAsync {
+		c.phase, c.concTrial = PhaseConc, 0
+	}
 }
 
 // concStep runs the concurrency phase: one burst in the incumbent execution
@@ -323,91 +286,56 @@ func (c *Controller[T]) settle() {
 // order is the modeled-cost order in miniature — the incumbent was chosen by
 // everything measured so far, so it is the reference the flip must beat by
 // the hysteresis margin.
-func (c *Controller[T]) concStep(perValue float64) (pipeline.Knobs[T], bool) {
-	if !c.burst(perValue) {
-		return pipeline.Knobs[T]{}, false
-	}
-	stat := c.statistic()
-	c.resetBurst()
+func (c *Controller[T]) concStep(stat float64) (pipeline.Knobs[T], bool) {
 	if c.concTrial == 0 {
 		c.concBase = stat
 		c.concTrial = 1
-		c.switches++
-		return c.modeKnobs(!c.async), true
+		return c.flip(), true
 	}
 	c.phase = PhaseSteady
 	if stat < c.concBase*(1-hysteresis) {
 		// The flipped mode (already active) wins; hold it.
 		return pipeline.Knobs[T]{}, false
 	}
-	c.switches++
-	return c.modeKnobs(!c.async), true
+	return c.flip(), true
 }
 
-// modeKnobs materializes the current backend/window choice with an explicit
-// execution mode.
-func (c *Controller[T]) modeKnobs(async bool) pipeline.Knobs[T] {
+// flip materializes the current backend/window choice with the execution
+// mode opposite to the live one.
+func (c *Controller[T]) flip() pipeline.Knobs[T] {
+	c.switches++
 	k := c.knobs()
-	k.Async = pipeline.AsyncOff
-	if async {
-		k.Async = pipeline.AsyncOn
+	k.Async = pipeline.AsyncOn
+	if c.async {
+		k.Async = pipeline.AsyncOff
 	}
 	return k
 }
 
-// knobs materializes the controller's current choice.
+// knobs materializes the controller's current choice, building the
+// candidate's sorter on first use.
 func (c *Controller[T]) knobs() pipeline.Knobs[T] {
-	return pipeline.Knobs[T]{Sorter: c.sorterFor(c.cur), Window: c.window}
-}
-
-// burst accumulates one window's measurement, honoring the post-switch
-// skip, and reports whether the burst holds a full ProbeWindows samples.
-func (c *Controller[T]) burst(perValue float64) bool {
-	if c.skipLeft > 0 {
-		c.skipLeft--
-		return false
+	if c.sorters[c.cur] == nil {
+		c.sorters[c.cur] = c.cands[c.cur].New()
 	}
-	c.samples = append(c.samples, perValue)
-	return len(c.samples) >= c.cfg.ProbeWindows
+	return pipeline.Knobs[T]{Sorter: c.sorters[c.cur], Window: c.win.knob}
 }
 
-// statistic reduces the burst to one number: the lower median. One GC
-// pause, scheduler preemption, or (async) stale window in a burst cannot
-// move it, unlike the mean — a single inflated sample at a 50µs window
-// scale is enough to mis-rank two close candidates.
-func (c *Controller[T]) statistic() float64 {
-	s := append([]float64(nil), c.samples...)
-	sort.Float64s(s)
-	return s[(len(s)-1)/2]
-}
-
-func (c *Controller[T]) resetBurst() { c.samples, c.skipLeft = c.samples[:0], c.skip }
-
-// abortFactor is the measured slowdown versus the best candidate completed
-// this round at which a probe burst stops early: a backend this far behind
-// cannot win, so there is no point paying its full burst (the simulated
-// GPU backends cost ~10x the host sorters per window).
-const abortFactor = 3.0
-
-func (c *Controller[T]) probeStep(perValue float64) (pipeline.Knobs[T], bool) {
-	full := c.burst(perValue)
-	if !full && (len(c.samples) == 0 || c.roundBest == 0 || perValue <= abortFactor*c.roundBest) {
-		return pipeline.Knobs[T]{}, false
-	}
-	stat := c.statistic()
+// probeStep records the current candidate's burst statistic and moves to the
+// next candidate, or commits to the measured argmin after the last.
+func (c *Controller[T]) probeStep(stat float64) (pipeline.Knobs[T], bool) {
 	c.ns[c.cur] = stat
 	if c.roundBest == 0 || stat < c.roundBest {
 		c.roundBest = stat
 	}
-	c.resetBurst()
-	if c.probeAt++; c.probeAt < len(c.probeOrder) {
-		c.cur = c.probeOrder[c.probeAt]
+	if c.cur+1 < len(c.cands) {
+		c.cur++
 		c.switches++
 		return c.knobs(), true
 	}
-	// Probe complete: commit to the measured argmin.
-	best := c.probeOrder[0]
-	for _, i := range c.probeOrder {
+	// Probe complete: commit to the measured argmin, earliest probed on ties.
+	best := 0
+	for i := range c.cands {
 		if c.ns[i] > 0 && (c.ns[best] == 0 || c.ns[i] < c.ns[best]) {
 			best = i
 		}
@@ -416,78 +344,37 @@ func (c *Controller[T]) probeStep(perValue float64) (pipeline.Knobs[T], bool) {
 		c.switches++
 	}
 	c.cur = best
-	c.baseNs = c.ns[best]
-	c.steadyNs = c.baseNs
-	if c.cfg.TuneWindow && c.window*2 <= c.cfg.MaxWindow {
+	c.win.accept(c.ns[best])
+	if c.cfg.TuneWindow && c.win.begin() {
 		c.phase = PhaseWindow
-		c.dir = +1
-		c.prevWin = c.window
-		c.window *= 2
 	} else {
 		c.settle()
 	}
 	return c.knobs(), true
 }
 
-// hysteresis is the relative improvement a window trial must show to be
-// accepted; it keeps the hill-climb from chasing measurement noise.
-const hysteresis = 0.02
-
-func (c *Controller[T]) windowStep(perValue float64) (pipeline.Knobs[T], bool) {
-	if !c.burst(perValue) {
-		return pipeline.Knobs[T]{}, false
-	}
-	trialNs := c.statistic()
-	c.resetBurst()
-	if trialNs < c.baseNs*(1-hysteresis) {
-		// Accept and keep climbing in the same direction.
-		c.baseNs = trialNs
-		c.steadyNs = trialNs
-		next := c.window * 2
-		if c.dir < 0 {
-			next = c.window / 2
-		}
-		if next >= c.cfg.MinWindow && next <= c.cfg.MaxWindow {
-			c.prevWin = c.window
-			c.window = next
-			return c.knobs(), true
-		}
+// windowStep feeds one trial's burst statistic to the window climb.
+func (c *Controller[T]) windowStep(stat float64) (pipeline.Knobs[T], bool) {
+	moved, done := c.win.step(stat)
+	if done {
 		c.settle()
+	}
+	if !moved {
 		return pipeline.Knobs[T]{}, false
 	}
-	// Trial regressed: revert, and if we were growing, try one halving
-	// step below the accepted window before settling.
-	c.window = c.prevWin
-	if c.dir > 0 && c.window/2 >= c.cfg.MinWindow {
-		c.dir = -1
-		c.prevWin = c.window
-		c.window /= 2
-		return c.knobs(), true
-	}
-	c.settle()
 	return c.knobs(), true
 }
 
 func (c *Controller[T]) steadyStep(perValue float64) (pipeline.Knobs[T], bool) {
-	// EWMA with alpha 0.2: smooth enough to ride out one slow window,
-	// responsive enough to notice a regime change within tens of windows.
-	c.steadyNs = 0.8*c.steadyNs + 0.2*perValue
-	c.ns[c.cur] = c.steadyNs
-	if c.steadyWin++; c.steadyWin < c.cfg.SettleWindows {
+	degraded := c.win.observe(perValue)
+	c.ns[c.cur] = c.win.ewma
+	if !degraded {
 		return pipeline.Knobs[T]{}, false
 	}
-	c.steadyWin = 0
-	if c.baseNs > 0 && c.steadyNs > c.cfg.ReprobeFactor*c.baseNs {
-		// The committed choice degraded: measure the field again.
-		c.phase = PhaseProbe
-		c.probeAt = 0
-		c.cur = c.probeOrder[0]
-		c.switches++
-		c.roundBest = 0
-		c.resetBurst()
-		return c.knobs(), true
-	}
-	return pipeline.Knobs[T]{}, false
+	// The committed choice degraded: measure the field again.
+	c.switches++
+	c.beginProbe()
+	return c.knobs(), true
 }
 
 // Decision reports the controller's current choice. Safe for concurrent
@@ -497,14 +384,11 @@ func (c *Controller[T]) Decision() Decision {
 	defer c.mu.Unlock()
 	d := Decision{
 		Backend:  c.cands[c.cur].Backend,
-		Window:   c.window,
+		Window:   c.win.knob,
 		Phase:    c.phase,
 		Switches: c.switches,
 	}
-	if !c.started {
-		d.Phase = PhaseProbe
-	}
-	if c.seen {
+	if c.started {
 		d.Async = "sync"
 		if c.async {
 			d.Async = "async"

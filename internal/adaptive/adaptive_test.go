@@ -139,9 +139,10 @@ func TestWindowHillClimbRespectsMinWindow(t *testing.T) {
 }
 
 func TestSteadyStateReprobesOnRegression(t *testing.T) {
-	ctrl := New(simCandidates(), Config{SettleWindows: 8})
+	ctrl := New(simCandidates(), Config{})
 	// samplesort is cheapest until window 80, then becomes pathological;
-	// the controller must re-probe and land on cpu.
+	// the controller must re-probe and land on cpu. The regression check
+	// runs every 64 steady windows, so the second one (window ~140) sees it.
 	win := 0
 	cost := func(name string, w int) float64 {
 		win++
@@ -177,5 +178,219 @@ func TestTuneWindowOffKeepsWindowFixed(t *testing.T) {
 	cur, minSeen := simulate(ctrl, cost, 300, 250)
 	if cur.Window != 250 || minSeen != 250 {
 		t.Fatalf("window moved with TuneWindow off: final %d min %d", cur.Window, minSeen)
+	}
+}
+
+// modeEvent is one execution-mode command the controller issued: the window
+// whose Retune returned it and the mode it asked for.
+type modeEvent struct {
+	At    int
+	Async pipeline.AsyncKnob
+}
+
+// driveModes plays the pipeline's side of the Tuner contract for the
+// concurrency phase over scripted Stats deltas: every window costs
+// sortNs(backend) in the sort stage and restNs in merge+compress per value,
+// and while the mode is async the executor hides hiddenNs of it (Overlap)
+// and reports windows in flight. It applies every returned knob as the core
+// does, records the mode commands, and fails the test if a returned knob set
+// ever names a sorter or window outside allowed.
+func driveModes(t *testing.T, ctrl *Controller[float32], windows, window int, startAsync bool,
+	sortNs map[string]float64, restNs, hiddenNs float64, allowed map[string]bool) []modeEvent {
+	t.Helper()
+	cur := pipeline.Knobs[float32]{
+		Sorter: sorter.Func[float32]{SortFunc: func([]float32) {}, Label: "static"},
+		Window: window,
+		Async:  pipeline.AsyncOff,
+	}
+	if startAsync {
+		cur.Async = pipeline.AsyncOn
+	}
+	var (
+		st     pipeline.Stats
+		events []modeEvent
+	)
+	for i := 0; i < windows; i++ {
+		per, ok := sortNs[cur.Sorter.Name()]
+		if !ok {
+			per = 100
+		}
+		w := float64(cur.Window)
+		st.Windows++
+		st.SortedValues += int64(cur.Window)
+		st.Sort += time.Duration(per * w)
+		st.Merge += time.Duration(restNs * w)
+		if cur.Async == pipeline.AsyncOn {
+			st.Overlap += time.Duration(hiddenNs * w)
+			st.MaxInFlight = 2
+		}
+		next, ok := ctrl.Retune(st, cur)
+		if !ok {
+			continue
+		}
+		if next.Sorter != nil {
+			if !allowed[next.Sorter.Name()] {
+				t.Fatalf("window %d: controller scheduled backend %q", i, next.Sorter.Name())
+			}
+			cur.Sorter = next.Sorter
+		}
+		if next.Window > 0 {
+			if next.Window != window {
+				t.Fatalf("window %d: controller moved the window to %d with TuneWindow off", i, next.Window)
+			}
+			cur.Window = next.Window
+		}
+		if next.Async != pipeline.AsyncKeep {
+			events = append(events, modeEvent{At: i, Async: next.Async})
+			cur.Async = next.Async
+		}
+	}
+	return events
+}
+
+func TestConcurrencyPhase(t *testing.T) {
+	all := map[string]bool{"gpu": true, "cpu": true, "samplesort": true}
+	costs := map[string]float64{"gpu": 100, "cpu": 60, "samplesort": 30}
+	cpuOnly := func() []Candidate[float32] {
+		for _, c := range simCandidates() {
+			if c.Backend == "cpu" {
+				return []Candidate[float32]{c}
+			}
+		}
+		panic("no cpu candidate")
+	}
+	cases := []struct {
+		name       string
+		cands      []Candidate[float32]
+		cfg        Config
+		startAsync bool
+		hiddenNs   float64
+		allowed    map[string]bool
+		want       []modeEvent
+		backend    string
+		async      string
+		switches   int
+	}{
+		{
+			// Three probe bursts of 4 (window 0 adopts), then one burst in
+			// the incumbent sync mode and one flipped. Async hides nothing,
+			// so the flip fails the hysteresis margin and is undone.
+			name: "incumbent wins", cands: simCandidates(), cfg: Config{TuneAsync: true},
+			hiddenNs: 0, allowed: all,
+			want:    []modeEvent{{16, pipeline.AsyncOn}, {20, pipeline.AsyncOff}},
+			backend: "samplesort", async: "sync", switches: 5,
+		},
+		{
+			// Async hides 15 of the 50 ns critical path: the flipped mode is
+			// already live when it wins, so no further command follows.
+			name: "flip wins", cands: simCandidates(), cfg: Config{TuneAsync: true},
+			hiddenNs: 15, allowed: all,
+			want:    []modeEvent{{16, pipeline.AsyncOn}},
+			backend: "samplesort", async: "async", switches: 4,
+		},
+		{
+			// A concrete backend with elastic concurrency: one candidate, so
+			// the probe is a baseline burst and only the mode ever moves.
+			name: "single candidate moves only the mode", cands: cpuOnly(),
+			cfg:      Config{ProbeFirst: "cpu", TuneAsync: true},
+			hiddenNs: 15, allowed: map[string]bool{"cpu": true},
+			want:    []modeEvent{{8, pipeline.AsyncOn}},
+			backend: "cpu", async: "async", switches: 1,
+		},
+		{
+			// Built async: windows are in flight from the first Retune on,
+			// so every burst discards 2 stale windows before its 4 samples.
+			// The incumbent (async, 65 ns) beats the flip (sync, 80 ns).
+			name: "async incumbent discards stale windows", cands: cpuOnly(),
+			cfg:        Config{ProbeFirst: "cpu", TuneAsync: true},
+			startAsync: true, hiddenNs: 15, allowed: map[string]bool{"cpu": true},
+			want:    []modeEvent{{12, pipeline.AsyncOff}, {18, pipeline.AsyncOn}},
+			backend: "cpu", async: "async", switches: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl := New(tc.cands, tc.cfg)
+			got := driveModes(t, ctrl, 40, 1000, tc.startAsync, costs, 20, tc.hiddenNs, tc.allowed)
+			if len(got) != len(tc.want) {
+				t.Fatalf("mode commands %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("mode commands %v, want %v", got, tc.want)
+				}
+			}
+			d := ctrl.Decision()
+			if d.Backend != tc.backend || d.Async != tc.async || d.Phase != PhaseSteady || d.Switches != tc.switches || d.Window != 1000 {
+				t.Fatalf("Decision() = %+v, want backend %q async %q steady after %d switches at window 1000",
+					d, tc.backend, tc.async, tc.switches)
+			}
+		})
+	}
+}
+
+// TestWindowClimbSequence pins the exact window schedule of the hill-climb
+// over scripted per-window costs. They are flat across backends, so the
+// probe (three bursts of 4 windows) commits to its first candidate and every
+// later move is the climb's.
+func TestWindowClimbSequence(t *testing.T) {
+	cases := []struct {
+		name string
+		ns   map[int]float64 // sort ns/value by window size
+		want []int           // every window the controller commanded, in order
+	}{
+		{"doubles to the cap", map[int]float64{100: 64, 200: 32, 400: 16, 800: 8, 1600: 4, 3200: 2, 6400: 1},
+			[]int{200, 400, 800, 1600, 3200, 6400}},
+		{"2x helps 4x regresses, halving step regresses too", map[int]float64{100: 100, 200: 60, 400: 90},
+			[]int{200, 400, 100, 200}},
+		{"halving step wins and stops at the floor", map[int]float64{100: 100, 200: 60, 400: 90, -100: 40},
+			[]int{200, 400, 100}},
+		{"nothing helps", map[int]float64{100: 100, 200: 100},
+			[]int{200, 100}},
+		{"improvement within hysteresis", map[int]float64{100: 100, 200: 99},
+			[]int{200, 100}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl := New(simCandidates(), Config{TuneWindow: true})
+			cur := pipeline.Knobs[float32]{Sorter: sorter.Func[float32]{SortFunc: func([]float32) {}, Label: "static"}, Window: 100}
+			var (
+				st      pipeline.Stats
+				got     []int
+				climbed bool // the climb has left the construction window once
+			)
+			for i := 0; i < 120; i++ {
+				per := tc.ns[cur.Window]
+				if alt, ok := tc.ns[-cur.Window]; ok && climbed {
+					per = alt // the cost this window shows on its second visit
+				}
+				st.Windows++
+				st.SortedValues += int64(cur.Window)
+				st.Sort += time.Duration(per * float64(cur.Window))
+				next, ok := ctrl.Retune(st, cur)
+				if !ok {
+					continue
+				}
+				if next.Sorter != nil {
+					cur.Sorter = next.Sorter
+				}
+				if next.Window > 0 && next.Window != cur.Window {
+					got = append(got, next.Window)
+					cur.Window = next.Window
+					climbed = true
+				}
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("window schedule %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("window schedule %v, want %v", got, tc.want)
+				}
+			}
+			if d := ctrl.Decision(); d.Phase != PhaseSteady || d.Window != tc.want[len(tc.want)-1] {
+				t.Fatalf("Decision() = %+v, want steady at window %d", d, tc.want[len(tc.want)-1])
+			}
+		})
 	}
 }

@@ -6,62 +6,36 @@ package adaptive
 // shard.Rescaler surface (satisfied structurally — this package does not
 // import internal/shard). The family calls Observe after every dispatched
 // batch; the Scaler measures throughput as wall clock per ingested value
-// between observations and hill-climbs the shard count: double while it
-// helps, then try one halving step, then hold with an EWMA regression
-// check that re-enters the climb on degradation. Rescales only ever land
-// between batches, where the pool is quiescent, so the merge-based error
-// budgets (scale-up shards start at the merge-safe eps/2 budget,
-// scale-down folds a drained shard's snapshot) hold under any schedule.
+// between observations and runs the climb machine of climb.go over the
+// shard count: double while it helps, then one halving step, then hold with
+// an EWMA regression check that re-enters the climb on degradation.
+// Rescales only ever land between batches, where the pool is quiescent, so
+// the merge-based error budgets (scale-up shards start at the merge-safe
+// eps/2 budget, scale-down folds a drained shard's snapshot) hold under any
+// schedule.
 
 import (
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// ScalerConfig tunes a Scaler.
-type ScalerConfig struct {
-	// Min and Max bound the shard count; defaults 1 and 2*GOMAXPROCS.
-	Min, Max int
-	// ProbeBatches is the burst length of each measurement; default 6.
-	ProbeBatches int
-	// SettleBatches is how many steady-state batches pass between
-	// regression checks; default 64.
-	SettleBatches int
-	// Hysteresis is the relative improvement a trial count must show to be
-	// accepted; default 0.05 (rescaling moves summary state, so it takes a
-	// larger win than a sorter swap to justify).
-	Hysteresis float64
-	// ReprobeFactor is the steady-state degradation that re-enters the
-	// climb, as a multiple of the committed measurement; default 1.5.
-	ReprobeFactor float64
-}
-
-func (c *ScalerConfig) defaults() {
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	if c.Max <= 0 {
-		c.Max = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.Max < c.Min {
-		c.Max = c.Min
-	}
-	if c.ProbeBatches <= 0 {
-		c.ProbeBatches = 6
-	}
-	if c.SettleBatches <= 0 {
-		c.SettleBatches = 64
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.05
-	}
-	if c.ReprobeFactor <= 1 {
-		c.ReprobeFactor = 1.5
-	}
-}
+const (
+	// scalerBurst is the number of batches in each measurement burst.
+	scalerBurst = 6
+	// scalerHysteresis is the relative improvement a trial count must show
+	// to be accepted (rescaling moves summary state, so it takes a larger
+	// win than a sorter swap to justify).
+	scalerHysteresis = 0.05
+	// scalerSettle is how many steady-state bursts pass between regression
+	// checks: about 64 batches' worth.
+	scalerSettle = 64/scalerBurst + 1
+	// skipBatches is how many observations are discarded after every
+	// rescale: the batch mid-flight during the transition plus one refill
+	// of the worker channels carry the old count's timing.
+	skipBatches = 2
+)
 
 // ScalerDecision is the Scaler's externally visible state, surfaced through
 // engine stats, streammine -stats and the service's /statsz.
@@ -78,166 +52,90 @@ type ScalerDecision struct {
 // exactly one estimator; Decision is safe to call concurrently with Observe.
 type Scaler struct {
 	mu  sync.Mutex
-	cfg ScalerConfig
+	now func() time.Time // the clock Observe reads; time.Now outside tests
 
 	started  bool
-	shards   int // count currently commanded
+	count    climb // the shard-count knob: commanded value, climb and steady state
 	phase    string
 	rescales int
 	ns       map[int]float64 // latest statistic per shard count
+	burst    burst           // per-batch ns/value of the current burst
 
 	lastVals int64
 	lastAt   time.Time
-
-	samples  []float64
-	skipLeft int
-
-	dir      int     // +1 doubling, -1 halving
-	baseNs   float64 // statistic at the accepted count
-	prevN    int     // count to revert to if the trial regresses
-	steadyN  int
-	steadyNs float64
 }
 
-// NewScaler returns a shard-count controller. The first Observe adopts the
-// estimator's construction count as the climb's starting point.
-func NewScaler(cfg ScalerConfig) *Scaler {
-	cfg.defaults()
-	return &Scaler{cfg: cfg, phase: PhaseProbe, ns: make(map[int]float64)}
-}
+// NewScaler returns a shard-count controller bounded by 1 and
+// 2*GOMAXPROCS (read here, once). The first Observe adopts the estimator's
+// construction count as the climb's starting point.
+func NewScaler() *Scaler { return newScalerAt(time.Now) }
 
-// skipBatches is how many observations are discarded after every rescale:
-// the batch mid-flight during the transition plus one refill of the worker
-// channels carry the old count's timing.
-const skipBatches = 2
+// newScalerAt is NewScaler on a scripted clock, the seam the table tests
+// drive throughput curves through.
+func newScalerAt(now func() time.Time) *Scaler {
+	return &Scaler{
+		now:   now,
+		count: climb{min: 1, max: 2 * runtime.GOMAXPROCS(0), hysteresis: scalerHysteresis, settle: scalerSettle},
+		phase: PhaseProbe,
+		ns:    make(map[int]float64),
+		burst: burst{size: scalerBurst},
+	}
+}
 
 // Observe implements the shard package's Rescaler surface. totalValues is
 // the estimator's cumulative ingested count and shards its live worker
 // count; the return value is the desired count, 0 to keep it. Observe is
-// cheap (one time.Now and a few comparisons) — it runs on the ingestion
+// cheap (one clock read and a few comparisons) — it runs on the ingestion
 // path once per dispatched batch.
 func (s *Scaler) Observe(totalValues int64, shards int) int {
-	now := time.Now()
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	dVals, dWall := totalValues-s.lastVals, now.Sub(s.lastAt)
+	s.lastVals, s.lastAt = totalValues, now
 	if !s.started {
 		s.started = true
-		s.shards = shards
-		s.clamp()
-		s.lastVals, s.lastAt = totalValues, now
-		if s.shards != shards {
+		s.count.knob = min(max(shards, s.count.min), s.count.max)
+		if s.count.knob != shards {
 			s.rescales++
-			return s.shards
+			return s.count.knob
 		}
 		return 0
 	}
-	dVals := totalValues - s.lastVals
-	dWall := now.Sub(s.lastAt)
-	s.lastVals, s.lastAt = totalValues, now
 	if dVals <= 0 || dWall <= 0 {
 		return 0
 	}
-	if s.skipLeft > 0 {
-		s.skipLeft--
+	if !s.burst.add(float64(dWall.Nanoseconds()) / float64(dVals)) {
 		return 0
 	}
-	s.samples = append(s.samples, float64(dWall.Nanoseconds())/float64(dVals))
-	if len(s.samples) < s.cfg.ProbeBatches {
-		return 0
-	}
-	stat := s.statistic()
-	s.samples = s.samples[:0]
-	s.ns[s.shards] = stat
+	stat := s.burst.statistic()
+	s.burst.reset(0)
+	s.ns[s.count.knob] = stat
 
+	moved := false
 	switch s.phase {
 	case PhaseProbe:
-		// First burst at the construction count: becomes the climb base.
-		s.baseNs, s.steadyNs = stat, stat
+		// First burst at the live count: becomes the climb base.
+		s.count.accept(stat)
 		s.phase = PhaseWindow
-		s.dir = +1
-		return s.trial(s.shards * 2)
+		moved = s.count.begin()
 	case PhaseWindow:
-		if stat < s.baseNs*(1-s.cfg.Hysteresis) {
-			s.baseNs, s.steadyNs = stat, stat
-			next := s.shards * 2
-			if s.dir < 0 {
-				next = s.shards / 2
-			}
-			if r := s.trial(next); r != 0 {
-				return r
-			}
+		var done bool
+		if moved, done = s.count.step(stat); done {
 			s.phase = PhaseSteady
-			return 0
 		}
-		// Trial regressed: go back, and if we were growing, jump straight
-		// to one halving step below the accepted count before settling
-		// (one rescale instead of a revert followed by a halve).
-		accepted := s.prevN
-		if s.dir > 0 && accepted/2 >= s.cfg.Min && accepted/2 != s.shards {
-			s.dir = -1
-			s.prevN = accepted
-			s.shards = accepted / 2
-			s.rescales++
-			s.skipLeft = skipBatches
-			return s.shards
-		}
-		s.phase = PhaseSteady
-		return s.rescale(accepted)
 	default:
-		s.steadyNs = 0.8*s.steadyNs + 0.2*stat
-		s.ns[s.shards] = s.steadyNs
-		if s.steadyN++; s.steadyN < s.cfg.SettleBatches/s.cfg.ProbeBatches+1 {
-			return 0
-		}
-		s.steadyN = 0
-		if s.baseNs > 0 && s.steadyNs > s.cfg.ReprobeFactor*s.baseNs {
+		if s.count.observe(stat) {
 			s.phase = PhaseProbe
-			s.samples = s.samples[:0]
 		}
+		s.ns[s.count.knob] = s.count.ewma
+	}
+	if !moved {
 		return 0
 	}
-}
-
-// trial moves to a candidate count if it is in bounds and different,
-// recording the revert point; returns 0 (and leaves the phase to the
-// caller) when the candidate is out of bounds.
-func (s *Scaler) trial(next int) int {
-	if next < s.cfg.Min || next > s.cfg.Max || next == s.shards {
-		return 0
-	}
-	s.prevN = s.shards
-	s.shards = next
 	s.rescales++
-	s.skipLeft = skipBatches
-	return next
-}
-
-// rescale commands count directly (reverts), returning 0 if already there.
-func (s *Scaler) rescale(count int) int {
-	if count == s.shards {
-		return 0
-	}
-	s.shards = count
-	s.rescales++
-	s.skipLeft = skipBatches
-	return count
-}
-
-func (s *Scaler) clamp() {
-	if s.shards < s.cfg.Min {
-		s.shards = s.cfg.Min
-	}
-	if s.shards > s.cfg.Max {
-		s.shards = s.cfg.Max
-	}
-}
-
-// statistic is the lower median of the burst, same robustness argument as
-// the Controller's: one GC pause cannot mis-rank two close counts.
-func (s *Scaler) statistic() float64 {
-	c := append([]float64(nil), s.samples...)
-	sort.Float64s(c)
-	return c[(len(c)-1)/2]
+	s.burst.reset(skipBatches)
+	return s.count.knob
 }
 
 // Decision reports the Scaler's current choice. Safe for concurrent use
@@ -245,7 +143,7 @@ func (s *Scaler) statistic() float64 {
 func (s *Scaler) Decision() ScalerDecision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := ScalerDecision{Shards: s.shards, Phase: s.phase, Rescales: s.rescales}
+	d := ScalerDecision{Shards: s.count.knob, Phase: s.phase, Rescales: s.rescales}
 	for n, v := range s.ns {
 		if d.NsPerValue == nil {
 			d.NsPerValue = make(map[string]float64, len(s.ns))

@@ -9,11 +9,6 @@ type QuicksortSorter[T sorter.Value] struct{}
 // Sort implements sorter.Sorter.
 func (QuicksortSorter[T]) Sort(data []T) { Quicksort(data) }
 
-// SortAsync implements sorter.AsyncSorter: the quicksort runs on its own
-// goroutine (a sort offloaded to another core) and the handle resolves when
-// it completes.
-func (s QuicksortSorter[T]) SortAsync(data []T) *sorter.Handle { return sorter.Submit[T](s, data) }
-
 // Name implements sorter.Sorter.
 func (QuicksortSorter[T]) Name() string { return "cpu-quicksort" }
 
@@ -33,17 +28,12 @@ func (s ParallelSorter[T]) Sort(data []T) {
 	ParallelQuicksort(data, w)
 }
 
-// SortAsync implements sorter.AsyncSorter for the multi-threaded baseline.
-func (s ParallelSorter[T]) SortAsync(data []T) *sorter.Handle { return sorter.Submit[T](s, data) }
-
 // Name implements sorter.Sorter.
 func (s ParallelSorter[T]) Name() string { return "cpu-quicksort-ht" }
 
 var (
-	_ sorter.Sorter[float32]      = QuicksortSorter[float32]{}
-	_ sorter.Sorter[uint64]       = QuicksortSorter[uint64]{}
-	_ sorter.Sorter[float32]      = ParallelSorter[float32]{}
-	_ sorter.Sorter[float64]      = ParallelSorter[float64]{}
-	_ sorter.AsyncSorter[float32] = QuicksortSorter[float32]{}
-	_ sorter.AsyncSorter[float32] = ParallelSorter[float32]{}
+	_ sorter.Sorter[float32] = QuicksortSorter[float32]{}
+	_ sorter.Sorter[uint64]  = QuicksortSorter[uint64]{}
+	_ sorter.Sorter[float32] = ParallelSorter[float32]{}
+	_ sorter.Sorter[float64] = ParallelSorter[float64]{}
 )

@@ -47,10 +47,11 @@ type entry[T sorter.Value] struct {
 //
 // Process, ProcessSlice, Flush, Close, Count, Stats, SetTuner, Knobs, Async
 // and WindowSize are promoted from the shared ingest shell. WindowSize is
-// ceil(1/eps) by default, larger under a WithWindow override or a tuner's
-// schedule; any schedule a tuner produces with windows >= ceil(1/eps)
-// preserves the eps guarantee (see maxBucket), and the MinWindow the engine
-// configures enforces that floor.
+// ceil(1/eps) by default, larger under a pipeline.WithWindow override or a
+// tuner's schedule; any schedule a tuner produces with windows >=
+// ceil(1/eps) preserves the eps guarantee (see maxBucket), and the adaptive
+// controller never schedules below the construction window, which enforces
+// that floor.
 //
 // One writer and any number of query goroutines may use an Estimator
 // concurrently; queries flush the partial window and answer over a
@@ -79,42 +80,19 @@ type Estimator[T sorter.Value] struct {
 	bins    []histogram.Bin[T]
 }
 
-// Option configures an Estimator.
-type Option func(*config)
-
-type config struct {
-	async  bool
-	window int
-}
-
-// WithAsync enables staged asynchronous ingestion: windows sort on a
-// dedicated stage goroutine overlapping the merge/compress of the previous
-// window. Answers are bit-identical to synchronous mode.
-func WithAsync() Option { return func(c *config) { c.async = true } }
-
-// WithWindow overrides the sort-window size. Values below the lossy-
-// counting floor ceil(1/eps) are clamped up to it — a smaller window would
-// complete buckets faster than the eps*N deletion budget allows.
-func WithWindow(n int) Option { return func(c *config) { c.window = n } }
-
 // NewEstimator returns a lossy-counting estimator with error eps, sorting
-// windows with s.
-func NewEstimator[T sorter.Value](eps float64, s sorter.Sorter[T], opts ...Option) *Estimator[T] {
+// windows with s. A pipeline.WithWindow override below the lossy-counting
+// floor ceil(1/eps) is clamped up to it — a smaller window would complete
+// buckets faster than the eps*N deletion budget allows.
+func NewEstimator[T sorter.Value](eps float64, s sorter.Sorter[T], opts ...pipeline.Option) *Estimator[T] {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("frequency: eps %v out of (0, 1)", eps))
 	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	window := int(math.Ceil(1 / eps))
-	if cfg.window > window {
-		window = cfg.window
-	}
+	cfg := pipeline.Resolve(opts)
 	e := &Estimator[T]{eps: eps}
-	e.core = pipeline.NewStagedCore(window, s, e.mergeWindow)
+	e.core = pipeline.NewStagedCore(max(int(math.Ceil(1/eps)), cfg.Window), s, e.mergeWindow)
 	e.shell = pipeline.IngestOf(e.core)
-	if cfg.async {
+	if cfg.Async {
 		e.core.StartAsync()
 	}
 	return e

@@ -114,13 +114,4 @@ func (s *BitonicSorter[T]) Sort(data []T) {
 	s.total.Add(dev.Stats())
 }
 
-// SortAsync submits data for sorting and returns immediately with a
-// completion handle — the baseline's fragment passes queue on the simulated
-// device exactly like the PBSN sorter's, so the staged pipeline can overlap
-// it the same way. One submission in flight per instance.
-func (s *BitonicSorter[T]) SortAsync(data []T) *sorter.Handle { return sorter.Submit[T](s, data) }
-
-var (
-	_ sorter.Sorter[float32]      = (*BitonicSorter[float32])(nil)
-	_ sorter.AsyncSorter[float32] = (*BitonicSorter[float32])(nil)
-)
+var _ sorter.Sorter[float32] = (*BitonicSorter[float32])(nil)

@@ -118,15 +118,6 @@ func (s *Sorter[T]) Sort(data []T) {
 	s.total.Add(dev.Stats())
 }
 
-// SortAsync submits data for sorting and returns immediately with a
-// completion handle, modeling the paper's non-blocking GPU submission: the
-// render passes are queued on the (simulated) device and the CPU is free to
-// merge and compress the previous window until the framebuffer readback —
-// here, Handle.Wait — synchronizes. At most one submission may be in flight
-// per sorter instance (the simulator keeps per-sort state, as the real
-// context would).
-func (s *Sorter[T]) SortAsync(data []T) *sorter.Handle { return sorter.Submit[T](s, data) }
-
 func log2ceil(n int) int {
 	l := 0
 	for 1<<l < n {
@@ -136,7 +127,6 @@ func log2ceil(n int) int {
 }
 
 var (
-	_ sorter.Sorter[float32]      = (*Sorter[float32])(nil)
-	_ sorter.Sorter[uint64]       = (*Sorter[uint64])(nil)
-	_ sorter.AsyncSorter[float32] = (*Sorter[float32])(nil)
+	_ sorter.Sorter[float32] = (*Sorter[float32])(nil)
+	_ sorter.Sorter[uint64]  = (*Sorter[uint64])(nil)
 )

@@ -264,10 +264,6 @@ func (b OverlappedBreakdown) Total() time.Duration {
 	return t + b.Startup
 }
 
-// Hidden reports the modeled time co-processing removes from the additive
-// pipeline: Sequential() - Total().
-func (b OverlappedBreakdown) Hidden() time.Duration { return b.Sequential() - b.Total() }
-
 // Sequential is the additive makespan of the same work without overlap.
 func (b OverlappedBreakdown) Sequential() time.Duration { return b.PipelineBreakdown.Total() }
 

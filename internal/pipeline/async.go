@@ -222,20 +222,16 @@ func (c *Core[T]) BarrierLocked() {
 }
 
 // runSort is the sort stage: it sorts windows one at a time in arrival
-// order with the sorter each job was sealed under, submitting through the
-// backend's async surface when it has one (the paper's non-blocking render
-// + readback). The executor is passed explicitly: c.exec may already point
-// at a successor (or nil) by the time a stopped executor's goroutines wind
-// down.
+// order with the sorter each job was sealed under. This goroutine is the
+// paper's non-blocking render + readback: ingestion hands a window off and
+// returns, and the sort completes here (DESIGN.md §11). The executor is
+// passed explicitly: c.exec may already point at a successor (or nil) by
+// the time a stopped executor's goroutines wind down.
 func (c *Core[T]) runSort(e *executor[T]) {
 	for job := range e.sortCh {
 		e.ov.enter(stageSort)
 		t0 := time.Now()
-		if as, ok := job.srt.(sorter.AsyncSorter[T]); ok {
-			as.SortAsync(job.win).Wait()
-		} else {
-			job.srt.Sort(job.win)
-		}
+		job.srt.Sort(job.win)
 		d := time.Since(t0)
 		e.ov.exit(stageSort)
 		e.sortedCh <- sortedWindow[T]{win: job.win, dur: d}

@@ -2,6 +2,46 @@ package pipeline
 
 import "gpustream/internal/sorter"
 
+// Option sets one of the two execution parameters the paper fixes at
+// configuration time — how long the sort window is, and whether the sort
+// overlaps the merge — and is the one vocabulary for them below the root
+// package: every sorter-backed family's constructor takes ...Option, and the
+// sharded layer forwards the slice to its shard estimators untranslated.
+type Option func(*Options)
+
+// Options is what a family's constructor reads its Option list into.
+type Options struct {
+	// Window is the sort-window override in elements; zero keeps the
+	// family's default. What an override means is the family's: frequency
+	// clamps it up to its eps floor, quantile takes it as given, the sliding
+	// families ignore it (their pane size is query semantics).
+	Window int
+	// Async starts the core on the staged executor (StartAsync).
+	Async bool
+}
+
+// WithWindow overrides the sort-window size.
+func WithWindow(n int) Option {
+	if n <= 0 {
+		panic("pipeline: window must be positive")
+	}
+	return func(o *Options) { o.Window = n }
+}
+
+// WithAsync enables staged asynchronous ingestion: windows sort on a
+// dedicated stage goroutine overlapping the merge/compress of the previous
+// window. Answers are bit-identical to synchronous mode.
+func WithAsync() Option { return func(o *Options) { o.Async = true } }
+
+// Resolve folds opts over the zero Options.
+func Resolve(opts []Option) Options {
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // Ingest is the ingestion and telemetry surface every Core-backed estimator
 // exposes verbatim: the lifecycle (Process, ProcessSlice, Flush, Close), the
 // counters (Count, Stats) and the runtime knobs (SetTuner, Knobs, Async,

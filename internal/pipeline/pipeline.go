@@ -188,11 +188,11 @@ type Core[T sorter.Value] struct {
 	// mergeFn folds the sorted window into summary state; in synchronous
 	// staged mode emit runs both inline, and after StartAsync the executor
 	// runs them on the two stage goroutines.
-	srt     sorter.Sorter[T]
-	mergeFn func(win []T)
-	exec    *executor[T]
-	handoff bool // window being handed to the executor, mu released mid-emit
-	inflight int // windows between hand-off and merge completion
+	srt      sorter.Sorter[T]
+	mergeFn  func(win []T)
+	exec     *executor[T]
+	handoff  bool // window being handed to the executor, mu released mid-emit
+	inflight int  // windows between hand-off and merge completion
 
 	// asyncWant is the commanded execution mode. It may disagree with the
 	// live mode (exec != nil) for a moment: a tuner flips it on the merge

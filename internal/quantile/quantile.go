@@ -93,42 +93,18 @@ type Estimator[T sorter.Value] struct {
 	snapState [2]int64 // (n, buffered) the cache was built at
 }
 
-// Option configures an Estimator. Options are type-independent (they tune
-// window geometry, not values), so one Option works at any instantiation.
-type Option func(*config)
-
-// config collects the type-independent knobs an Option may set.
-type config struct {
-	window int
-	async  bool
-}
-
-// WithWindow overrides the buffered window size (default 4*ceil(1/eps)).
-func WithWindow(w int) Option {
-	return func(e *config) {
-		if w <= 0 {
-			panic("quantile: window must be positive")
-		}
-		e.window = w
-	}
-}
-
-// WithAsync enables staged asynchronous ingestion: windows sort on a
-// dedicated stage goroutine overlapping the cascade combines of the previous
-// window. Answers are bit-identical to synchronous mode.
-func WithAsync() Option { return func(e *config) { e.async = true } }
-
 // NewEstimator returns an eps-approximate quantile estimator sorting windows
 // with s. The capacity argument is accepted for compatibility and ignored:
 // the cascade budgets by the depth it observes, so the bound holds at any
-// stream length.
-func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts ...Option) *Estimator[T] {
+// stream length. A pipeline.WithWindow override replaces the default window
+// of 4*ceil(1/eps) as given: the eps/2 a window spends is size-independent.
+func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts ...pipeline.Option) *Estimator[T] {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("quantile: eps %v out of (0, 1)", eps))
 	}
-	cfg := config{window: windowMultiple * int(math.Ceil(1/eps))}
-	for _, o := range opts {
-		o(&cfg)
+	cfg := pipeline.Resolve(opts)
+	if cfg.Window == 0 {
+		cfg.Window = windowMultiple * int(math.Ceil(1/eps))
 	}
 	e := &Estimator[T]{
 		eps:      eps,
@@ -136,9 +112,9 @@ func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts
 		viewB:    int(math.Ceil(1 / (2 * viewShare * eps))),
 		mergeTmp: &summary.Summary[T]{},
 	}
-	e.core = pipeline.NewStagedCore(cfg.window, s, e.mergeWindow)
+	e.core = pipeline.NewStagedCore(cfg.Window, s, e.mergeWindow)
 	e.shell = pipeline.IngestOf(e.core)
-	if cfg.async {
+	if cfg.Async {
 		e.core.StartAsync()
 	}
 	return e

@@ -6,11 +6,12 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/pipeline"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
 )
 
-func newCPU(eps float64, cap int64, opts ...Option) *Estimator[float32] {
+func newCPU(eps float64, cap int64, opts ...pipeline.Option) *Estimator[float32] {
 	return NewEstimator(eps, cap, cpusort.QuicksortSorter[float32]{}, opts...)
 }
 
@@ -68,7 +69,7 @@ func TestEstimatorQuick(t *testing.T) {
 			return true
 		}
 		const eps = 0.15
-		e := newCPU(eps, int64(len(raw)), WithWindow(5))
+		e := newCPU(eps, int64(len(raw)), pipeline.WithWindow(5))
 		data := make([]float32, len(raw))
 		for i, v := range raw {
 			data[i] = float32(v)
@@ -147,7 +148,7 @@ func TestEstimatorDeepStreamBeyondLevels(t *testing.T) {
 	// The capacity argument is ignored: a stream 50 times longer, nine
 	// levels deep, stays within the bound itself.
 	const eps = 0.1
-	e := newCPU(eps, 100, WithWindow(10))
+	e := newCPU(eps, 100, pipeline.WithWindow(10))
 	data := stream.Uniform(5000, 9)
 	e.ProcessSlice(data)
 	if got := rankError(t, e, data); got > eps+1e-9 {
@@ -160,7 +161,7 @@ func TestEstimatorPanics(t *testing.T) {
 		func() { NewEstimator(0, 10, cpusort.QuicksortSorter[float32]{}) },
 		func() { NewEstimator(1.5, 10, cpusort.QuicksortSorter[float32]{}) },
 		func() { newCPU(0.1, 10).Query(0.5) }, // empty stream
-		func() { newCPU(0.1, 10, WithWindow(0)) },
+		func() { newCPU(0.1, 10, pipeline.WithWindow(0)) },
 	} {
 		func() {
 			defer func() {
@@ -174,7 +175,7 @@ func TestEstimatorPanics(t *testing.T) {
 }
 
 func TestWindowOptionHonored(t *testing.T) {
-	e := newCPU(0.01, 1000, WithWindow(250))
+	e := newCPU(0.01, 1000, pipeline.WithWindow(250))
 	if e.WindowSize() != 250 {
 		t.Fatalf("WindowSize = %d", e.WindowSize())
 	}

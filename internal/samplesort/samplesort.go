@@ -69,16 +69,7 @@ func (s *Sorter[T]) Sort(data []T) {
 	s.last = SortStats{N: n, Passes: passes, MoveOps: moves, BytesMoved: moves * s.keyBytes}
 }
 
-// SortAsync implements sorter.AsyncSorter by offloading Sort to a
-// goroutine, modeling a sort running on another core. One submission in
-// flight per instance, per the AsyncSorter contract.
-func (s *Sorter[T]) SortAsync(data []T) *sorter.Handle {
-	return sorter.Submit[T](s, data)
-}
-
 var (
-	_ sorter.Sorter[float32]      = (*Sorter[float32])(nil)
-	_ sorter.AsyncSorter[float32] = (*Sorter[float32])(nil)
-	_ sorter.Sorter[uint64]       = (*Sorter[uint64])(nil)
-	_ sorter.AsyncSorter[uint64]  = (*Sorter[uint64])(nil)
+	_ sorter.Sorter[float32] = (*Sorter[float32])(nil)
+	_ sorter.Sorter[uint64]  = (*Sorter[uint64])(nil)
 )

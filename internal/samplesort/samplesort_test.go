@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"gpustream/internal/cpusort"
-	"gpustream/internal/sorter"
 )
 
 // distributions used across the correctness matrix. Each returns n values
@@ -135,24 +134,6 @@ func TestSortDeterministic(t *testing.T) {
 	if s.LastStats() != first || !slices.Equal(a, b) {
 		t.Fatalf("same input, different result: %+v vs %+v", first, s.LastStats())
 	}
-}
-
-func TestSortAsync(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := NewSorter[float32]()
-	for _, n := range []int{cpusort.StackKeys, 20_000} { // a fresh goroutine's stack, then the retained buffers
-		data := make([]float32, n)
-		for i := range data {
-			data[i] = rng.Float32()
-		}
-		want := slices.Clone(data)
-		slices.Sort(want)
-		s.SortAsync(data).Wait()
-		if !slices.Equal(data, want) {
-			t.Fatalf("async sort of %d values differs from slices.Sort", n)
-		}
-	}
-	var _ sorter.AsyncSorter[float32] = s
 }
 
 // TestSortRetainsNothingForStackWindows is the live-heap rule: a warm sorter

@@ -333,7 +333,10 @@ func (r *registry[T]) finishContext(ctx context.Context, e *entry[T]) error {
 
 // spill writes e's final snapshot to SpillDir in the wire format. The
 // estimator stays queryable after Close, so the snapshot reflects
-// everything the writer ingested.
+// everything the writer ingested. The file is <tenant>.<stream>.snap: the
+// dot is outside validName's alphabet, so no two (tenant, stream) pairs
+// share a file (an in-alphabet separator let ("a_", "b") and ("a", "_b")
+// overwrite each other).
 func (r *registry[T]) spill(e *entry[T]) error {
 	if r.cfg.SpillDir == "" {
 		return nil
@@ -342,7 +345,7 @@ func (r *registry[T]) spill(e *entry[T]) error {
 	if err != nil {
 		return fmt.Errorf("service: spill %s/%s: %w", e.tenant, e.stream, err)
 	}
-	path := filepath.Join(r.cfg.SpillDir, e.tenant+"__"+e.stream+".snap")
+	path := filepath.Join(r.cfg.SpillDir, e.tenant+"."+e.stream+".snap")
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		return fmt.Errorf("service: spill %s/%s: %w", e.tenant, e.stream, err)
 	}

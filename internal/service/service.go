@@ -53,9 +53,11 @@ type Config struct {
 	// Default 30s.
 	DrainTimeout time.Duration
 	// SpillDir, when non-empty, receives every drained stream's final
-	// snapshot as a <tenant>__<stream>.snap file in the versioned wire
+	// snapshot as a <tenant>.<stream>.snap file in the versioned wire
 	// format (gpustream.MarshalSnapshot), so a restart or a downstream
 	// merge tree (cmd/snapmerge) can pick up where the daemon left off.
+	// Names cannot contain a dot (validName), so the file name is unique
+	// per (tenant, stream).
 	SpillDir string
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -376,7 +377,7 @@ func TestServiceDrainSpill(t *testing.T) {
 
 	// Every spilled snapshot unmarshals and covers the full ingest.
 	for name := range specs {
-		path := filepath.Join(spill, "drain__"+name+".snap")
+		path := filepath.Join(spill, "drain."+name+".snap")
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("spill file %s: %v", name, err)
@@ -431,7 +432,7 @@ func TestServiceLRUEviction(t *testing.T) {
 	if code, _ := do(t, client, "GET", ts.URL+"/v1/streams/t/a", "", nil); code != http.StatusOK {
 		t.Errorf("stream a evicted, want b")
 	}
-	if _, err := os.Stat(filepath.Join(spill, "t__b.snap")); err != nil {
+	if _, err := os.Stat(filepath.Join(spill, "t.b.snap")); err != nil {
 		t.Errorf("evicted stream b was not spilled: %v", err)
 	}
 
@@ -462,5 +463,55 @@ func TestServiceIdleEviction(t *testing.T) {
 		}
 		// Note each GET touches the stream, so back off beyond the TTL.
 		time.Sleep(120 * time.Millisecond)
+	}
+}
+
+// TestServiceSpillNamesDoNotCollide is the regression test for spill files
+// shared across tenants: with an in-alphabet separator ("__"), (tenant "a_",
+// stream "b") and (tenant "a", stream "_b") both spilled to a___b.snap and
+// the later drain overwrote the earlier tenant's history. Each pair must keep
+// its own file, holding its own row count.
+func TestServiceSpillNamesDoNotCollide(t *testing.T) {
+	spill := t.TempDir()
+	svc := service.New[float32](service.Config{SpillDir: spill})
+	ts := httptest.NewServer(svc)
+	client := ts.Client()
+	spec := specBody(t, gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01})
+
+	rows := map[[2]string]int{{"a_", "b"}: 3, {"a", "_b"}: 5}
+	for pair, n := range rows {
+		url := fmt.Sprintf("%s/v1/streams/%s/%s", ts.URL, pair[0], pair[1])
+		if code, _ := do(t, client, "PUT", url, "application/json", spec); code != http.StatusCreated {
+			t.Fatalf("PUT %v = %d", pair, code)
+		}
+		body, _ := json.Marshal(make([]float32, n))
+		if code, _ := do(t, client, "POST", url+"/values?sync=1", "application/json", body); code != http.StatusOK {
+			t.Fatalf("POST %v = %d", pair, code)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ts.Close()
+
+	files, err := filepath.Glob(filepath.Join(spill, "*.snap"))
+	if err != nil || len(files) != len(rows) {
+		t.Fatalf("spill holds %d files %v (err %v), want one per stream (%d)", len(files), files, err, len(rows))
+	}
+	var got []int
+	for _, path := range files {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := gpustream.UnmarshalSnapshot[float32](blob)
+		if err != nil {
+			t.Fatalf("unmarshal %s: %v", path, err)
+		}
+		got = append(got, int(snap.Count()))
+	}
+	sort.Ints(got)
+	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
+		t.Fatalf("spilled row counts %v, want [3 5]: one tenant's history was overwritten", got)
 	}
 }

@@ -16,7 +16,7 @@ func TestCloseContextDrains(t *testing.T) {
 	p := newPool[float32]([]func([]float32){
 		func(b []float32) { processed.Add(int64(len(b))) },
 		func(b []float32) { processed.Add(int64(len(b))) },
-	}, parseOptions([]Option{WithBatchSize(8)}), nil)
+	}, 8, nil)
 	for i := 0; i < 100; i++ {
 		if err := p.Process(float32(i)); err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestCloseContextBackpressure(t *testing.T) {
 	p := newPool[float32]([]func([]float32){func(b []float32) {
 		<-release
 		processed.Add(int64(len(b)))
-	}}, parseOptions([]Option{WithBatchSize(4)}), nil)
+	}}, 4, nil)
 
 	// 12 values = 3 batches: one held by the blocked worker, two filling
 	// the channel buffer. 3 more stay in the hand-off buffer — dispatching
@@ -88,7 +88,7 @@ func TestCloseContextBackpressure(t *testing.T) {
 func TestCloseContextWaitExpiry(t *testing.T) {
 	t.Parallel()
 	release := make(chan struct{})
-	p := newPool[float32]([]func([]float32){func(b []float32) { <-release }}, parseOptions([]Option{WithBatchSize(4)}), nil)
+	p := newPool[float32]([]func([]float32){func(b []float32) { <-release }}, 4, nil)
 	for i := 0; i < 12; i++ { // exactly 3 dispatched batches, empty buffer
 		if err := p.Process(float32(i)); err != nil {
 			t.Fatal(err)

@@ -62,13 +62,12 @@ type core[T sorter.Value, E shardEstimator[T], S shardSnapshot] struct {
 	eps float64
 	fam family[T, E, S]
 
-	// mu guards the elastic shard set: ests/tuners mutate when a Rescaler
+	// mu guards the elastic shard set: ests mutates when a Rescaler
 	// commands a new count. Queries take the read side; rescales (rare, on
 	// the ingestion goroutine) take the write side.
 	mu       sync.RWMutex
 	ests     []E
-	tuners   []pipeline.Tuner[T] // per-shard tuners, empty without WithTunerFactory
-	newTuner func() pipeline.Tuner[T]
+	newTuner func() pipeline.Tuner[T] // Config.NewTuner, nil for untuned shards
 
 	// Elastic state: rescaler owns the shard count; retired accumulates the
 	// folded snapshots of drained shards (scale-down) and retiredStats their
@@ -82,17 +81,16 @@ type core[T sorter.Value, E shardEstimator[T], S shardSnapshot] struct {
 }
 
 // start validates eps, builds the initial shard set and starts the pool.
-func (c *core[T, E, S]) start(eps float64, shards int, cfg config, fam family[T, E, S]) {
+func (c *core[T, E, S]) start(eps float64, shards int, cfg Config[T], fam family[T, E, S]) {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("shard: eps %v out of (0, 1)", eps))
 	}
-	c.eps, c.fam, c.rescaler = eps, fam, cfg.rescaler
-	c.newTuner = shardTuner[T](cfg)
+	c.eps, c.fam, c.rescaler, c.newTuner = eps, fam, cfg.Rescaler, cfg.NewTuner
 	procs := make([]func([]T), shards)
 	for i := range procs {
 		procs[i] = c.addShardLocked()
 	}
-	c.pool = newPool(procs, cfg, func() {
+	c.pool = newPool(procs, cfg.Batch, func() {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
 		for _, est := range c.ests {
@@ -109,9 +107,7 @@ func (c *core[T, E, S]) start(eps float64, shards int, cfg config, fam family[T,
 func (c *core[T, E, S]) addShardLocked() func([]T) {
 	est := c.fam.newShard()
 	if c.newTuner != nil {
-		t := c.newTuner()
-		est.SetTuner(t)
-		c.tuners = append(c.tuners, t)
+		est.SetTuner(c.newTuner())
 	}
 	c.ests = append(c.ests, est)
 	return func(b []T) { _ = est.ProcessSlice(b) }
@@ -154,7 +150,7 @@ func (c *core[T, E, S]) rescale(want int) {
 			for _, est := range c.ests[cur:] {
 				_ = est.Close()
 			}
-			c.truncateLocked(cur)
+			c.ests = c.ests[:cur]
 		}
 	case want < cur && want >= 1:
 		idle, ok := c.pool.removeWorkers(cur - want)
@@ -162,7 +158,7 @@ func (c *core[T, E, S]) rescale(want int) {
 			return
 		}
 		victims := c.ests[want:]
-		c.truncateLocked(want)
+		c.ests = c.ests[:want]
 		for i, est := range victims {
 			_ = est.Flush()
 			snap := est.Snapshot().(S)
@@ -174,14 +170,6 @@ func (c *core[T, E, S]) rescale(want int) {
 			c.retiredStats.Add(st)
 			c.retired, _ = c.fold(c.retired, snap)
 		}
-	}
-}
-
-// truncateLocked cuts the shard set (and its tuners) down to n.
-func (c *core[T, E, S]) truncateLocked(n int) {
-	c.ests = c.ests[:n]
-	if len(c.tuners) > n {
-		c.tuners = c.tuners[:n]
 	}
 }
 
@@ -253,14 +241,6 @@ func (c *core[T, E, S]) Knobs() (sorter.Sorter[T], int) { return c.shard0().Knob
 
 // Async reports shard 0's commanded execution mode.
 func (c *core[T, E, S]) Async() bool { return c.shard0().Async() }
-
-// Tuners exposes the tuners of the live shards attached via
-// WithTunerFactory, in shard order; empty when none were attached.
-func (c *core[T, E, S]) Tuners() []pipeline.Tuner[T] {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]pipeline.Tuner[T](nil), c.tuners...)
-}
 
 // Process ingests one stream element. After Close it returns an error
 // wrapping pipeline.ErrClosed.

@@ -37,7 +37,7 @@ func TestElasticQuantileRescale(t *testing.T) {
 	data := genStream(rng, n, 1)
 
 	r := &stepRescaler{after: 4_000, steps: []int{3, 4, 2, 1}}
-	q := NewQuantile(eps, int64(n), 1, cpuSorter, WithBatchSize(1024), WithRescaler(r))
+	q := NewQuantile(eps, int64(n), 1, cpuSorter, Config[float32]{Batch: 1024, Rescaler: r})
 	if got := q.ShardEps(); got != eps/2 {
 		t.Fatalf("elastic K=1 shard eps = %v, want merge-safe %v", got, eps/2)
 	}
@@ -89,7 +89,7 @@ func TestElasticFrequencyRescale(t *testing.T) {
 	data := genStream(rng, n, 0)
 
 	r := &stepRescaler{after: 4_000, steps: []int{4, 2, 3}}
-	fq := NewFrequency(eps, 2, cpuSorter, WithBatchSize(1024), WithRescaler(r))
+	fq := NewFrequency(eps, 2, cpuSorter, Config[float32]{Batch: 1024, Rescaler: r})
 	if err := fq.ProcessSlice(data); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPoolWorkerLifecycle(t *testing.T) {
 	proc := func(i int) func([]float32) {
 		return func(b []float32) { counts[i] += int64(len(b)) }
 	}
-	p := newPool([]func([]float32){proc(0), proc(1)}, config{batch: 8}, nil)
+	p := newPool([]func([]float32){proc(0), proc(1)}, 8, nil)
 
 	feed := func(k int) {
 		for i := 0; i < k; i++ {
@@ -180,7 +180,7 @@ func TestPoolWorkerLifecycle(t *testing.T) {
 func TestElasticRescaleAfterCloseRollsBack(t *testing.T) {
 	t.Parallel()
 	r := &stepRescaler{}
-	q := NewQuantile(0.02, 1_000, 2, cpuSorter, WithBatchSize(64), WithRescaler(r))
+	q := NewQuantile(0.02, 1_000, 2, cpuSorter, Config[float32]{Batch: 64, Rescaler: r})
 	data := make([]float32, 256)
 	for i := range data {
 		data[i] = float32(i)

@@ -32,19 +32,11 @@ type Frequency[T sorter.Value] struct {
 // shards <= 0 selects runtime.GOMAXPROCS(0). newSorter is invoked once per
 // shard so stateful backends (the GPU simulator) are never shared across
 // goroutines.
-func NewFrequency[T sorter.Value](eps float64, shards int, newSorter func() sorter.Sorter[T], opts ...Option) *Frequency[T] {
-	cfg := parseOptions(opts)
-	var estOpts []frequency.Option
-	if cfg.async {
-		estOpts = append(estOpts, frequency.WithAsync())
-	}
-	if cfg.window > 0 {
-		estOpts = append(estOpts, frequency.WithWindow(cfg.window))
-	}
+func NewFrequency[T sorter.Value](eps float64, shards int, newSorter func() sorter.Sorter[T], cfg Config[T]) *Frequency[T] {
 	fq := &Frequency[T]{}
 	fq.start(eps, Resolve(shards), cfg, family[T, *frequency.Estimator[T], *frequency.Snapshot[T]]{
 		newShard: func() *frequency.Estimator[T] {
-			return frequency.NewEstimator(eps, newSorter(), estOpts...)
+			return frequency.NewEstimator(eps, newSorter(), cfg.Pipeline...)
 		},
 		merge: frequency.MergeSnapshots[T],
 		size:  (*frequency.Estimator[T]).SummarySize,

@@ -30,27 +30,19 @@ type Quantile[T sorter.Value] struct {
 // estimators ignore it. shards <= 0 selects runtime.GOMAXPROCS(0).
 // newSorter is invoked once per shard so stateful backends (the GPU
 // simulator) are never shared across goroutines.
-func NewQuantile[T sorter.Value](eps float64, capacity int64, shards int, newSorter func() sorter.Sorter[T], opts ...Option) *Quantile[T] {
+func NewQuantile[T sorter.Value](eps float64, capacity int64, shards int, newSorter func() sorter.Sorter[T], cfg Config[T]) *Quantile[T] {
 	k := Resolve(shards)
-	cfg := parseOptions(opts)
 	shardEps := eps
-	if k > 1 || cfg.rescaler != nil {
+	if k > 1 || cfg.Rescaler != nil {
 		// The halved budget is what makes the merge rule eps-safe at any
 		// shard count, so an elastic estimator pays it from the start even
 		// at K=1: a later scale-up then never widens the merged error.
 		shardEps = eps / 2
 	}
-	var estOpts []quantile.Option
-	if cfg.async {
-		estOpts = append(estOpts, quantile.WithAsync())
-	}
-	if cfg.window > 0 {
-		estOpts = append(estOpts, quantile.WithWindow(cfg.window))
-	}
 	q := &Quantile[T]{}
 	q.start(eps, k, cfg, family[T, *quantile.Estimator[T], *quantile.Snapshot[T]]{
 		newShard: func() *quantile.Estimator[T] {
-			return quantile.NewEstimator(shardEps, capacity, newSorter(), estOpts...)
+			return quantile.NewEstimator(shardEps, capacity, newSorter(), cfg.Pipeline...)
 		},
 		merge: quantile.MergeSnapshots[T],
 		size:  (*quantile.Estimator[T]).SummaryEntries,

@@ -48,18 +48,33 @@ const DefaultBatchSize = 1 << 16
 // pipeline.ErrClosed so callers test with errors.Is.
 var errClosed = fmt.Errorf("shard: ingestion after Close: %w", pipeline.ErrClosed)
 
-// Option configures a sharded estimator.
-type Option func(*config)
-
-type config struct {
-	batch  int
-	async  bool
-	window int
-	// tunerFactory, when set, holds a func() pipeline.Tuner[T] invoked
-	// once per shard (Option is not generic, so the factory is carried
-	// type-erased and asserted by the typed constructors).
-	tunerFactory any
-	rescaler     Rescaler
+// Config configures a sharded estimator; the zero value is a static shard
+// set at the default batch size with untuned synchronous shard pipelines.
+type Config[T sorter.Value] struct {
+	// Batch is the hand-off batch size; zero selects DefaultBatchSize.
+	// Smaller batches spread short streams across more shards at higher
+	// synchronization cost.
+	Batch int
+	// Pipeline is handed untranslated to every shard estimator's
+	// constructor: pipeline.WithWindow overrides the per-shard sort window
+	// (clamped as the serial family clamps it), pipeline.WithAsync runs each
+	// worker's windows through its own staged executor, so a K-shard
+	// estimator runs up to 2K pipeline stages concurrently. Answers stay
+	// bit-identical to synchronous shards.
+	Pipeline []pipeline.Option
+	// NewTuner, when set, attaches a runtime tuner to every shard pipeline.
+	// It is called once per shard — at construction and again on every
+	// elastic scale-up — so each shard gets its own controller (controllers
+	// own per-pipeline sorter instances and must not be shared).
+	NewTuner func() pipeline.Tuner[T]
+	// Rescaler, when set, makes the estimator elastic: the shard count
+	// becomes a runtime knob owned by it. Every shard then runs at the
+	// merge-safe reduced error budget from construction (quantile shards at
+	// eps/2 even when the initial count is 1), so scale-up never widens the
+	// merged error, and scale-down drains the retiring shards and folds
+	// their snapshots into a retained accumulator via the MergeSnapshots
+	// rules (DESIGN.md §16).
+	Rescaler Rescaler
 }
 
 // Rescaler decides the worker count of an elastic sharded estimator. The
@@ -70,72 +85,6 @@ type config struct {
 // dependency on the controller package.
 type Rescaler interface {
 	Observe(totalValues int64, shards int) int
-}
-
-// WithRescaler makes the estimator elastic: the shard count becomes a
-// runtime knob owned by r. Every shard then runs at the merge-safe reduced
-// error budget from construction (quantile shards at eps/2 even when the
-// initial count is 1), so scale-up never widens the merged error, and
-// scale-down drains the retiring shards and folds their snapshots into a
-// retained accumulator via the MergeSnapshots rules (DESIGN.md §16).
-func WithRescaler(r Rescaler) Option { return func(c *config) { c.rescaler = r } }
-
-// WithBatchSize overrides the hand-off batch size (default
-// DefaultBatchSize). Smaller batches spread short streams across more
-// shards at higher synchronization cost.
-func WithBatchSize(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			panic("shard: batch size must be positive")
-		}
-		c.batch = n
-	}
-}
-
-// WithAsync enables staged asynchronous ingestion inside every shard
-// estimator: each worker's windows sort on a dedicated stage goroutine
-// overlapping the merge/compress of the previous window, so a K-shard
-// estimator runs up to 2K pipeline stages concurrently. Answers stay
-// bit-identical to synchronous shards.
-func WithAsync() Option { return func(c *config) { c.async = true } }
-
-// WithWindow overrides the per-shard sort-window size. Values below a
-// family's eps floor are clamped up by the per-shard estimator.
-func WithWindow(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			panic("shard: window must be positive")
-		}
-		c.window = n
-	}
-}
-
-// WithTunerFactory attaches a runtime tuner to every shard pipeline. f must
-// be a func() pipeline.Tuner[T] for the constructor's element type T; it is
-// called once per shard, so each shard gets its own controller (controllers
-// own per-pipeline sorter instances and must not be shared).
-func WithTunerFactory(f any) Option { return func(c *config) { c.tunerFactory = f } }
-
-// shardTuner resolves the type-erased tuner factory for element type T,
-// returning nil when no factory is configured.
-func shardTuner[T sorter.Value](cfg config) func() pipeline.Tuner[T] {
-	if cfg.tunerFactory == nil {
-		return nil
-	}
-	f, ok := cfg.tunerFactory.(func() pipeline.Tuner[T])
-	if !ok {
-		panic(fmt.Sprintf("shard: tuner factory is %T, want func() pipeline.Tuner[%T]", cfg.tunerFactory, *new(T)))
-	}
-	return f
-}
-
-// parseOptions folds opts over the default configuration.
-func parseOptions(opts []Option) config {
-	cfg := config{batch: DefaultBatchSize}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // Resolve normalizes a user-supplied shard count: values <= 0 select
@@ -184,10 +133,14 @@ type pool[T sorter.Value] struct {
 	closed   bool
 }
 
-// newPool starts one worker goroutine per processor. cleanup (may be nil)
-// runs once after the last worker exits.
-func newPool[T sorter.Value](processors []func([]T), cfg config, cleanup func()) *pool[T] {
-	p := &pool[T]{batch: cfg.batch, cleanup: cleanup}
+// newPool starts one worker goroutine per processor, handing off batches of
+// the given size (zero selects DefaultBatchSize). cleanup (may be nil) runs
+// once after the last worker exits.
+func newPool[T sorter.Value](processors []func([]T), batch int, cleanup func()) *pool[T] {
+	if batch <= 0 {
+		batch = DefaultBatchSize
+	}
+	p := &pool[T]{batch: batch, cleanup: cleanup}
 	p.cond = sync.NewCond(&p.mu)
 	p.cur = make([]T, 0, p.batch)
 	p.spawnLocked(processors)

@@ -67,7 +67,7 @@ func TestShardedQuantileWithinEps(t *testing.T) {
 			for shape := 0; shape < 3; shape++ {
 				n := 20_000 + rng.Intn(10_000)
 				data := genStream(rng, n, shape)
-				q := NewQuantile(eps, int64(n), k, cpuSorter, WithBatchSize(777))
+				q := NewQuantile(eps, int64(n), k, cpuSorter, Config[float32]{Batch: 777})
 				q.ProcessSlice(data)
 				q.Close()
 				if got := q.Count(); got != int64(n) {
@@ -102,7 +102,7 @@ func TestShardedFrequencyNoFalseNegatives(t *testing.T) {
 			for shape := 0; shape < 2; shape++ {
 				n := 20_000 + rng.Intn(10_000)
 				data := genStream(rng, n, shape)
-				fq := NewFrequency(eps, k, cpuSorter, WithBatchSize(777))
+				fq := NewFrequency(eps, k, cpuSorter, Config[float32]{Batch: 777})
 				fq.ProcessSlice(data)
 				fq.Close()
 				exact := frequency.NewExact[float32]()
@@ -145,7 +145,7 @@ func TestSingleShardMatchesSerial(t *testing.T) {
 
 		sq := quantile.NewEstimator(eps, int64(n), cpuSorter())
 		sq.ProcessSlice(data)
-		pq := NewQuantile(eps, int64(n), 1, cpuSorter, WithBatchSize(1024))
+		pq := NewQuantile(eps, int64(n), 1, cpuSorter, Config[float32]{Batch: 1024})
 		pq.ProcessSlice(data)
 		pq.Close()
 		if pq.ShardEps() != eps {
@@ -159,7 +159,7 @@ func TestSingleShardMatchesSerial(t *testing.T) {
 
 		sf := frequency.NewEstimator(eps, cpuSorter())
 		sf.ProcessSlice(data)
-		pf := NewFrequency(eps, 1, cpuSorter, WithBatchSize(1024))
+		pf := NewFrequency(eps, 1, cpuSorter, Config[float32]{Batch: 1024})
 		pf.ProcessSlice(data)
 		pf.Close()
 		gotItems := pf.Query(0.05)
@@ -184,7 +184,7 @@ func TestSingleShardMatchesSerial(t *testing.T) {
 // paths (empty shards, partial batches, Process one-at-a-time).
 func TestShardedLifecycle(t *testing.T) {
 	t.Parallel()
-	q := NewQuantile(0.1, 1000, 4, cpuSorter, WithBatchSize(8))
+	q := NewQuantile(0.1, 1000, 4, cpuSorter, Config[float32]{Batch: 8})
 	for i := 0; i < 100; i++ {
 		q.Process(float32(i))
 	}
@@ -221,14 +221,14 @@ func TestShardedLifecycle(t *testing.T) {
 // values than one batch) and checks queries still see them.
 func TestShardedSmallStream(t *testing.T) {
 	t.Parallel()
-	fq := NewFrequency(0.1, 4, cpuSorter)
+	fq := NewFrequency(0.1, 4, cpuSorter, Config[float32]{})
 	fq.ProcessSlice([]float32{5, 5, 5, 7})
 	if got := fq.Estimate(5); got != 3 {
 		t.Fatalf("Estimate(5)=%d want 3", got)
 	}
 	fq.Close()
 
-	q := NewQuantile(0.1, 100, 4, cpuSorter)
+	q := NewQuantile(0.1, 100, 4, cpuSorter, Config[float32]{})
 	q.Process(42)
 	if got := q.Query(0.5); got != 42 {
 		t.Fatalf("Query(0.5)=%v want 42", got)
@@ -243,7 +243,7 @@ func TestShardedStats(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(4))
 	data := genStream(rng, 60_000, 2)
-	q := NewQuantile(0.01, int64(len(data)), 4, cpuSorter, WithBatchSize(1000))
+	q := NewQuantile(0.01, int64(len(data)), 4, cpuSorter, Config[float32]{Batch: 1000})
 	q.ProcessSlice(data)
 	q.Close()
 	_ = q.Query(0.5)

@@ -47,10 +47,10 @@ func TestStatsMonotoneUnderReshard(t *testing.T) {
 		mk   func() estimator
 	}{
 		{"frequency", func() estimator {
-			return NewFrequency(0.01, 1, cpuSorter, WithBatchSize(batch), WithRescaler(flipRescaler{every: 8 * batch}))
+			return NewFrequency(0.01, 1, cpuSorter, Config[float32]{Batch: batch, Rescaler: flipRescaler{every: 8 * batch}})
 		}},
 		{"quantile", func() estimator {
-			return NewQuantile(0.01, 0, 1, cpuSorter, WithBatchSize(batch), WithRescaler(flipRescaler{every: 8 * batch}))
+			return NewQuantile(0.01, 0, 1, cpuSorter, Config[float32]{Batch: batch, Rescaler: flipRescaler{every: 8 * batch}})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,7 +26,7 @@ type SlidingQuantile[T sorter.Value] struct {
 
 // NewSlidingQuantile returns a sliding-window quantile estimator of window
 // size w and error eps, sorting panes with s.
-func NewSlidingQuantile[T sorter.Value](eps float64, w int, s sorter.Sorter[T], opts ...Option) *SlidingQuantile[T] {
+func NewSlidingQuantile[T sorter.Value](eps float64, w int, s sorter.Sorter[T], opts ...pipeline.Option) *SlidingQuantile[T] {
 	q := &SlidingQuantile[T]{}
 	q.init(eps, w, s, q.sealSorted, opts)
 	return q

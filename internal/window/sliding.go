@@ -8,19 +8,6 @@ import (
 	"gpustream/internal/sorter"
 )
 
-// Option configures a sliding estimator (either kind; the knobs tune the
-// execution mode, not the summaries).
-type Option func(*config)
-
-type config struct {
-	async bool
-}
-
-// WithAsync enables staged asynchronous ingestion: panes sort on a dedicated
-// stage goroutine overlapping the histogram/summary sealing of the previous
-// pane. Answers are bit-identical to synchronous mode.
-func WithAsync() Option { return func(c *config) { c.async = true } }
-
 // paneSize derives the pane length from eps and W, clamped to [1, W].
 func paneSize(eps float64, w int) int {
 	if eps <= 0 || eps >= 1 {
@@ -76,16 +63,13 @@ type sliding[T sorter.Value, P any] struct {
 }
 
 // init builds the pane pipeline: panes of paneSize(eps, w) elements sorted
-// by srt and sealed by seal.
-func (s *sliding[T, P]) init(eps float64, w int, srt sorter.Sorter[T], seal func([]T), opts []Option) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+// by srt and sealed by seal. Of the pipeline options only WithAsync applies;
+// a window override is ignored, the pane size being fixed by eps and W.
+func (s *sliding[T, P]) init(eps float64, w int, srt sorter.Sorter[T], seal func([]T), opts []pipeline.Option) {
 	s.eps, s.w = eps, w
 	s.core = pipeline.NewStagedCore(paneSize(eps, w), srt, seal)
 	s.shell = pipeline.IngestOf(s.core)
-	if cfg.async {
+	if pipeline.Resolve(opts).Async {
 		s.core.StartAsync()
 	}
 }

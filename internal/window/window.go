@@ -60,7 +60,7 @@ type SlidingFrequency[T sorter.Value] struct {
 
 // NewSlidingFrequency returns a sliding-window frequency estimator of window
 // size w and error eps, sorting panes with s.
-func NewSlidingFrequency[T sorter.Value](eps float64, w int, s sorter.Sorter[T], opts ...Option) *SlidingFrequency[T] {
+func NewSlidingFrequency[T sorter.Value](eps float64, w int, s sorter.Sorter[T], opts ...pipeline.Option) *SlidingFrequency[T] {
 	f := &SlidingFrequency[T]{}
 	f.init(eps, w, s, f.sealSorted, opts)
 	return f

@@ -53,7 +53,7 @@ func WithKeyedSeed(seed uint64) KeyedOption { return keyed.WithSeed(seed) }
 // pipeline telemetry plus per-tier key counts and promotion rate.
 func NewKeyedEstimator[K Value, T Value](e *Engine[T], eps, support float64, opts ...KeyedOption) *KeyedEstimator[K, T] {
 	est := keyed.NewEstimator[K, T](eps, support, newBackendSorter[K](e.backend), opts...)
-	e.register(tracker[T]{kind: "keyed", stats: est.Stats, keyed: est.TierStats})
+	e.register(tracker[T]{kind: "keyed", est: est})
 	return est
 }
 

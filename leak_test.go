@@ -12,7 +12,7 @@ import (
 
 // Goroutine hygiene: Close (and CloseContext, even when its deadline expires
 // mid-drain) must terminate every goroutine an estimator started — shard
-// workers, async sort/merge stages, and the sorter's SortAsync helpers. Each
+// workers and async sort/merge stages. Each
 // scenario snapshots runtime.NumGoroutine before building the estimator and
 // polls after Close until the count returns to the baseline.
 

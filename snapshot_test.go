@@ -158,11 +158,11 @@ func TestTreeEps(t *testing.T) {
 // reject it cleanly rather than assume every view speaks the wire format.
 type fakeView struct{}
 
-func (fakeView) Count() int64                            { return 0 }
-func (fakeView) Size() int                               { return 0 }
-func (fakeView) Quantile(float64) (float32, bool)        { return 0, false }
+func (fakeView) Count() int64                                 { return 0 }
+func (fakeView) Size() int                                    { return 0 }
+func (fakeView) Quantile(float64) (float32, bool)             { return 0, false }
 func (fakeView) HeavyHitters(float64) ([]Item[float32], bool) { return nil, false }
-func (fakeView) Frequency(float32) (int64, bool)         { return 0, false }
+func (fakeView) Frequency(float32) (int64, bool)              { return 0, false }
 
 func TestForeignSnapshot(t *testing.T) {
 	if _, err := MarshalSnapshot[float32](fakeView{}); err == nil {

@@ -394,11 +394,11 @@ func ParseSpec(data []byte) (Spec, error) {
 }
 
 // NewFromSpec validates the spec and constructs the estimator it describes
-// through the same typed constructors callers use directly, so the result
-// is bit-identical to a hand-built estimator of the same configuration. The
-// spec's backend must match the engine's: the engine is the backend
-// binding, and a spec asking for a different sorter is a configuration
-// error, not a silent override.
+// through the same per-family build functions the typed constructors call,
+// so the result is bit-identical to a hand-built estimator of the same
+// configuration. The spec's backend must match the engine's: the engine is
+// the backend binding, and a spec asking for a different sorter is a
+// configuration error, not a silent override.
 func (e *Engine[T]) NewFromSpec(spec Spec) (Estimator[T], error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -406,41 +406,32 @@ func (e *Engine[T]) NewFromSpec(spec Spec) (Estimator[T], error) {
 	if spec.Backend != e.backend {
 		return nil, fmt.Errorf("gpustream: spec backend %v does not match engine backend %v", spec.Backend, e.backend)
 	}
-	var eopts []EstimatorOption
-	var popts []ParallelOption
-	var tn tuningSpec
-	switch spec.Async {
-	case AsyncOn:
-		eopts = append(eopts, WithAsyncIngestion())
-		popts = append(popts, WithAsyncShards())
-	case AsyncAuto:
-		eopts = append(eopts, withAutoAsync())
-		tn.autoAsync = true
+	// The config is filled straight from the spec. A sliding family's Window
+	// is its query window, passed positionally; only the whole-history
+	// families read it as the sort-window override.
+	cfg := estimatorConfig{async: spec.Async, elastic: spec.Shards == ShardsAuto}
+	if !spec.Family.Sliding() {
+		cfg.window = spec.Window
 	}
 	shards := int(spec.Shards)
-	if spec.Shards == ShardsAuto {
+	if cfg.elastic {
 		// Elastic sharding starts at the GOMAXPROCS default; the scaler
 		// owns the count from the first observed batch on.
 		shards = 0
-		tn.autoShards = true
-	}
-	if spec.Window > 0 && !spec.Family.Sliding() {
-		eopts = append(eopts, WithSortWindow(spec.Window))
-		popts = append(popts, WithShardSortWindow(spec.Window))
 	}
 	switch spec.Family {
 	case FamilyFrequency:
-		return e.NewFrequencyEstimator(spec.Eps, eopts...), nil
+		return e.newFrequency(spec.Eps, cfg), nil
 	case FamilyQuantile:
-		return e.NewQuantileEstimator(spec.Eps, spec.Capacity, eopts...), nil
+		return e.newQuantile(spec.Eps, spec.Capacity, cfg), nil
 	case FamilySlidingFrequency:
-		return e.NewSlidingFrequency(spec.Eps, spec.Window, eopts...), nil
+		return e.newSlidingFrequency(spec.Eps, spec.Window, cfg), nil
 	case FamilySlidingQuantile:
-		return e.NewSlidingQuantile(spec.Eps, spec.Window, eopts...), nil
+		return e.newSlidingQuantile(spec.Eps, spec.Window, cfg), nil
 	case FamilyParallelFrequency:
-		return e.newParallelFrequency(spec.Eps, shards, tn, popts...), nil
+		return e.newParallelFrequency(spec.Eps, shards, e.sharding(cfg)), nil
 	case FamilyParallelQuantile:
-		return e.newParallelQuantile(spec.Eps, spec.Capacity, shards, tn, popts...), nil
+		return e.newParallelQuantile(spec.Eps, spec.Capacity, shards, e.sharding(cfg)), nil
 	case FamilyFrugal:
 		var fopts []FrugalOption
 		if len(spec.Phis) > 0 {

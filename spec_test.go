@@ -36,8 +36,8 @@ func TestParseFamilyRoundTrip(t *testing.T) {
 		}
 	}
 	for alias, want := range map[string]gpustream.Family{
-		"window-frequency": gpustream.FamilySlidingFrequency,
-		"window-quantile":  gpustream.FamilySlidingQuantile,
+		"window-frequency":  gpustream.FamilySlidingFrequency,
+		"window-quantile":   gpustream.FamilySlidingQuantile,
 		"sharded-frequency": gpustream.FamilyParallelFrequency,
 		"sharded-quantile":  gpustream.FamilyParallelQuantile,
 	} {
