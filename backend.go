@@ -17,9 +17,16 @@ import (
 type Backend int
 
 const (
+	// BackendSampleSort is the host-native backend, and the zero value: a
+	// Spec or flag that names no backend runs on it. It keeps the name of
+	// the deterministic sample sort it was introduced as — and whose
+	// O(n log n) comparison count its modeled-2004 cost still prices — but
+	// on the host it is an LSD key-radix sort over the values' fixed-width
+	// order-preserving keys, O(n) at every window size (DESIGN.md §18).
+	BackendSampleSort Backend = iota
 	// BackendGPU is the paper's contribution: the PBSN sorter on the GPU
 	// simulator (4-channel packing, blending comparators).
-	BackendGPU Backend = iota
+	BackendGPU
 	// BackendGPUBitonic is the prior-work GPU baseline (fragment-program
 	// bitonic sort).
 	BackendGPUBitonic
@@ -28,12 +35,6 @@ const (
 	// BackendCPUParallel is a multi-threaded quicksort (the Intel
 	// hyper-threaded analog).
 	BackendCPUParallel
-	// BackendSampleSort is the host-native backend. It keeps the name of
-	// the deterministic sample sort it was introduced as — and whose
-	// O(n log n) comparison count its modeled-2004 cost still prices — but
-	// on the host it is an LSD key-radix sort over the values' fixed-width
-	// order-preserving keys, O(n) at every window size (DESIGN.md §18).
-	BackendSampleSort
 	// BackendAuto starts every estimator pipeline on sample sort and
 	// attaches an adaptive controller that probes all five concrete
 	// backends at runtime, commits to the measured-cheapest one, and (for
@@ -65,6 +66,8 @@ type backendRow struct {
 
 // backendTable is indexed by Backend value.
 var backendTable = [...]backendRow{
+	{BackendSampleSort, "samplesort", []string{"sample"}, perfmodel.BackendSampleSort,
+		perfmodel.Model.SampleSortTime, BackendSampleSort},
 	{BackendGPU, "gpu", nil, perfmodel.BackendGPU,
 		func(m perfmodel.Model, n int) time.Duration { return m.PBSNSortTime(n).Total() }, BackendGPU},
 	{BackendGPUBitonic, "gpu-bitonic", []string{"bitonic"}, perfmodel.BackendGPU,
@@ -73,8 +76,6 @@ var backendTable = [...]backendRow{
 		func(m perfmodel.Model, n int) time.Duration { return m.QuicksortTime(n, perfmodel.MSVC) }, BackendCPU},
 	{BackendCPUParallel, "cpu-parallel", []string{"cpu-ht"}, perfmodel.BackendCPU,
 		func(m perfmodel.Model, n int) time.Duration { return m.QuicksortTime(n, perfmodel.IntelHT) }, BackendCPUParallel},
-	{BackendSampleSort, "samplesort", []string{"sample"}, perfmodel.BackendSampleSort,
-		perfmodel.Model.SampleSortTime, BackendSampleSort},
 	{BackendAuto, "auto", nil, perfmodel.BackendSampleSort, nil, BackendSampleSort},
 }
 
@@ -107,7 +108,7 @@ func (b Backend) String() string {
 
 // ParseBackend resolves a backend name — as accepted by the cmd tools'
 // -backend flags — to a Backend. The canonical names are the Backend.String
-// forms (gpu, gpu-bitonic, cpu, cpu-parallel, samplesort, auto); the legacy
+// forms (samplesort, gpu, gpu-bitonic, cpu, cpu-parallel, auto); the legacy
 // aliases bitonic (for gpu-bitonic), cpu-ht (the hyper-threaded analog,
 // cpu-parallel), and sample (samplesort) are accepted too. Matching is
 // case-insensitive.
@@ -118,12 +119,18 @@ func ParseBackend(name string) (Backend, error) {
 			return r.backend, nil
 		}
 	}
-	names := make([]string, len(backendTable))
-	for i, r := range backendTable {
-		names[i] = r.name
+	return 0, fmt.Errorf("gpustream: unknown backend %q (want %s)", name,
+		wantNames(backendTable[:], func(r backendRow) string { return r.name }))
+}
+
+// wantNames lists a table's canonical names for a Parse error: "a, b, or c".
+func wantNames[R any](rows []R, name func(R) string) string {
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = name(r)
 	}
 	last := len(names) - 1
-	return 0, fmt.Errorf("gpustream: unknown backend %q (want %s, or %s)", name, strings.Join(names[:last], ", "), names[last])
+	return strings.Join(names[:last], ", ") + ", or " + names[last]
 }
 
 // MarshalText encodes the backend as its canonical name (the String form),

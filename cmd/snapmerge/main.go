@@ -110,41 +110,51 @@ func dispatchKeyedVal[K gpustream.Value](valType string, paths []string, out, ph
 	return fmt.Errorf("unknown value type %q", valType)
 }
 
-// runKeyed loads, merges, and either re-emits or reports keyed snapshots at
-// key type K and value type T.
-func runKeyed[K, T gpustream.Value](paths []string, out, phis string, support float64, top int) error {
-	snaps := make([]*gpustream.KeyedSnapshot[K, T], 0, len(paths))
+// mergeFiles is the tool's one load → merge → emit: it unmarshals every path
+// (a decode error names its file), folds the merge, and — when out is set —
+// writes the re-marshaled root there for the next tree level. written is
+// the emitted byte count, zero when the caller is to print answers instead.
+func mergeFiles[S any](paths []string, out string,
+	unmarshal func([]byte) (S, error), mergeAll func(...S) (S, error), marshal func(S) ([]byte, error),
+) (merged S, written int, err error) {
+	snaps := make([]S, 0, len(paths))
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			return merged, 0, err
 		}
-		s, err := gpustream.UnmarshalKeyedSnapshot[K, T](data)
+		s, err := unmarshal(data)
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return merged, 0, fmt.Errorf("%s: %w", path, err)
 		}
 		snaps = append(snaps, s)
 	}
-	merged, err := gpustream.MergeAllKeyed(snaps...)
+	if merged, err = mergeAll(snaps...); err != nil || out == "" {
+		return merged, 0, err
+	}
+	blob, err := marshal(merged)
+	if err != nil {
+		return merged, 0, err
+	}
+	return merged, len(blob), os.WriteFile(out, blob, 0o644)
+}
+
+// runKeyed merges keyed snapshots at key type K and value type T and
+// reports the emitted root or the merged answers.
+func runKeyed[K, T gpustream.Value](paths []string, out, phis string, support float64, top int) error {
+	merged, written, err := mergeFiles(paths, out,
+		gpustream.UnmarshalKeyedSnapshot[K, T], gpustream.MergeAllKeyed[K, T], gpustream.MarshalKeyedSnapshot[K, T])
 	if err != nil {
 		return err
 	}
-
 	if out != "" {
-		blob, err := gpustream.MarshalKeyedSnapshot(merged)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
 		fmt.Printf("merged %d keyed snapshots covering %d observations into %s (%d bytes, %d keys: %d frugal, %d promoted)\n",
-			len(snaps), merged.Count(), out, len(blob), merged.Keys(), merged.FrugalKeys(), merged.PromotedKeys())
+			len(paths), merged.Count(), out, written, merged.Keys(), merged.FrugalKeys(), merged.PromotedKeys())
 		return nil
 	}
 
 	fmt.Printf("merged %d keyed snapshots: %d observations, %d keys (%d frugal, %d promoted, %d promotions)\n",
-		len(snaps), merged.Count(), merged.Keys(), merged.FrugalKeys(), merged.PromotedKeys(), merged.Promotions())
+		len(paths), merged.Count(), merged.Keys(), merged.FrugalKeys(), merged.PromotedKeys(), merged.Promotions())
 	heavy := merged.HeavyKeys(support)
 	probes := parsePhis(phis)
 	fmt.Printf("heavy keys (support %g):\n", support)
@@ -164,41 +174,22 @@ func runKeyed[K, T gpustream.Value](paths []string, out, phis string, support fl
 	return nil
 }
 
-// run loads, merges, and either re-emits or reports the snapshots at value
-// type T.
+// run merges the snapshots at value type T and reports the emitted root or
+// the merged answers.
 func run[T gpustream.Value](paths []string, out, phis string, support float64, top int) error {
-	snaps := make([]gpustream.Snapshot[T], 0, len(paths))
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		s, err := gpustream.UnmarshalSnapshot[T](data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		snaps = append(snaps, s)
-	}
-	merged, err := gpustream.MergeAll(snaps...)
+	merged, written, err := mergeFiles(paths, out,
+		gpustream.UnmarshalSnapshot[T], gpustream.MergeAll[T], gpustream.MarshalSnapshot[T])
 	if err != nil {
 		return err
 	}
-
 	if out != "" {
-		blob, err := gpustream.MarshalSnapshot(merged)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
 		fmt.Printf("merged %d snapshots covering %d values into %s (%d bytes, %d summary entries)\n",
-			len(snaps), merged.Count(), out, len(blob), merged.Size())
+			len(paths), merged.Count(), out, written, merged.Size())
 		return nil
 	}
 
 	fmt.Printf("merged %d snapshots: %d values, %d summary entries\n",
-		len(snaps), merged.Count(), merged.Size())
+		len(paths), merged.Count(), merged.Size())
 	answered := false
 	if _, ok := merged.Quantile(0.5); ok {
 		answered = true
@@ -228,11 +219,7 @@ func run[T gpustream.Value](paths []string, out, phis string, support float64, t
 func parsePhis(s string) []float64 {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		phi, err := strconv.ParseFloat(part, 64)
+		phi, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || phi < 0 || phi > 1 {
 			fatalf("bad quantile probe %q", part)
 		}

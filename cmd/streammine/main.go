@@ -11,7 +11,7 @@
 //	streammine -keyed -n 10000000 -keys 100000 ...    (per-key quantiles over a
 //	                                                   zipf-keyed stream: frugal
 //	                                                   tier + promoted GK tier)
-//	streammine -backend cpu ...                       (default gpu)
+//	streammine -backend cpu ...                       (default samplesort)
 //	streammine -shards 4 ...                          (parallel ingestion;
 //	                                                   -shards -1 = GOMAXPROCS)
 //	streammine -shards auto ...                       (elastic: a runtime scaler
@@ -55,7 +55,8 @@ func main() {
 	support := flag.Float64("support", 0.01, "frequency query support threshold")
 	phis := flag.String("phis", "0.01,0.25,0.5,0.75,0.99", "quantile probes")
 	dist := flag.String("dist", "zipf", "stream distribution: zipf|uniform|gauss|bursty")
-	backendName := flag.String("backend", "gpu", "sorting backend: gpu|gpu-bitonic|cpu|cpu-parallel|samplesort|auto")
+	var backend gpustream.Backend // the default is the zero value, as in a Spec that names none
+	flag.TextVar(&backend, "backend", backend, "sorting backend: samplesort|gpu|gpu-bitonic|cpu|cpu-parallel|auto")
 	windowSize := flag.Int("window", 0, "sliding window size (0 = whole stream)")
 	keyed := flag.Bool("keyed", false, "keyed estimation: per-key quantiles over a zipf-keyed stream (uint64 keys)")
 	nkeys := flag.Int("keys", 0, "keyed: key-space cardinality (0 = n/1000+10)")
@@ -73,11 +74,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	tracefile := flag.String("trace", "", "write a runtime/trace execution trace to this file")
 	flag.Parse()
-
-	backend, err := gpustream.ParseBackend(*backendName)
-	if err != nil {
-		fatalf("%v", err)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	validate [-n 200000] [-seed 1] [-backend gpu|gpu-bitonic|cpu|cpu-parallel|samplesort|auto]
+//	validate [-n 200000] [-seed 1] [-backend samplesort|gpu|gpu-bitonic|cpu|cpu-parallel|auto]
 package main
 
 import (
@@ -27,14 +27,9 @@ var failed bool
 func main() {
 	n := flag.Int("n", 200_000, "stream length per experiment")
 	seed := flag.Uint64("seed", 1, "generator seed")
-	backendName := flag.String("backend", "gpu", "sorting backend: gpu|gpu-bitonic|cpu|cpu-parallel|samplesort|auto")
+	var backend gpustream.Backend // the default is the zero value, as in a Spec that names none
+	flag.TextVar(&backend, "backend", backend, "sorting backend: samplesort|gpu|gpu-bitonic|cpu|cpu-parallel|auto")
 	flag.Parse()
-
-	backend, err := gpustream.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-		os.Exit(2)
-	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "estimator\tdistribution\teps\tmeasured-max-error\tbound\tok\t")

@@ -6,8 +6,9 @@
 // rasterization-based periodic balanced sorting network.
 //
 // The entry point is Engine, which binds a sorting backend — the GPU PBSN
-// sorter, the prior-work GPU bitonic sorter, or CPU quicksorts — to the
-// stream-mining estimators:
+// sorter, the prior-work GPU bitonic sorter, CPU quicksorts, or the
+// host-native key-radix sorter that is the zero Backend and what a Spec
+// naming no backend runs on — to the stream-mining estimators:
 //
 //	eng := gpustream.New(gpustream.BackendGPU)
 //	freq := eng.NewFrequencyEstimator(0.001)
@@ -137,9 +138,9 @@ var ErrClosed = pipeline.ErrClosed
 // EstimatorStats is one engine-created estimator's telemetry snapshot, as
 // returned by Engine.Stats.
 type EstimatorStats struct {
-	// Kind identifies the estimator family: "frequency", "quantile",
-	// "sliding-frequency", "sliding-quantile", "parallel-frequency",
-	// "parallel-quantile", "frugal", or "keyed".
+	// Kind identifies the estimator family: a Family.String form
+	// ("frequency", "quantile", "sliding-frequency", "sliding-quantile",
+	// "parallel-frequency", "parallel-quantile", "frugal"), or "keyed".
 	Kind  string
 	Stats Stats
 	// Backend is the canonical name of the sorting backend the estimator's
@@ -463,12 +464,12 @@ type tunable[T Value] interface {
 
 // adopt finishes a serial estimator: its pipeline gets the tuner cfg asks
 // for, and the engine tracks it for Stats.
-func (e *Engine[T]) adopt(kind string, est tunable[T], cfg estimatorConfig, tuneWindow bool) {
+func (e *Engine[T]) adopt(fam Family, est tunable[T], cfg estimatorConfig, tuneWindow bool) {
 	t, ctrl := e.tuner(cfg, tuneWindow)
 	if t != nil {
 		est.SetTuner(t)
 	}
-	e.register(tracker[T]{kind: kind, est: est, ctrl: ctrl})
+	e.register(tracker[T]{kind: fam.String(), est: est, ctrl: ctrl})
 }
 
 // Backend reports the engine's configured backend.
@@ -516,7 +517,7 @@ func (e *Engine[T]) NewFrequencyEstimator(eps float64, opts ...EstimatorOption) 
 
 func (e *Engine[T]) newFrequency(eps float64, cfg estimatorConfig) *FrequencyEstimator[T] {
 	est := frequency.NewEstimator(eps, e.newBackendSorter(), cfg.pipeline()...)
-	e.adopt("frequency", est, cfg, true)
+	e.adopt(FamilyFrequency, est, cfg, true)
 	return est
 }
 
@@ -530,7 +531,7 @@ func (e *Engine[T]) NewQuantileEstimator(eps float64, capacity int64, opts ...Es
 
 func (e *Engine[T]) newQuantile(eps float64, capacity int64, cfg estimatorConfig) *QuantileEstimator[T] {
 	est := quantile.NewEstimator(eps, capacity, e.newBackendSorter(), cfg.pipeline()...)
-	e.adopt("quantile", est, cfg, true)
+	e.adopt(FamilyQuantile, est, cfg, true)
 	return est
 }
 
@@ -589,7 +590,7 @@ func (e *Engine[T]) NewParallelQuantileEstimator(eps float64, capacity int64, sh
 
 func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int, s sharding[T]) *ParallelQuantileEstimator[T] {
 	est := shard.NewQuantile(eps, capacity, shards, e.newBackendSorter, s.Config)
-	e.register(tracker[T]{kind: "parallel-quantile", est: est, ctrl: s.ctrl, scaler: s.scaler})
+	e.register(tracker[T]{kind: FamilyParallelQuantile.String(), est: est, ctrl: s.ctrl, scaler: s.scaler})
 	return est
 }
 
@@ -606,7 +607,7 @@ func (e *Engine[T]) NewParallelFrequencyEstimator(eps float64, shards int, opts 
 
 func (e *Engine[T]) newParallelFrequency(eps float64, shards int, s sharding[T]) *ParallelFrequencyEstimator[T] {
 	est := shard.NewFrequency(eps, shards, e.newBackendSorter, s.Config)
-	e.register(tracker[T]{kind: "parallel-frequency", est: est, ctrl: s.ctrl, scaler: s.scaler})
+	e.register(tracker[T]{kind: FamilyParallelFrequency.String(), est: est, ctrl: s.ctrl, scaler: s.scaler})
 	return est
 }
 
@@ -618,7 +619,7 @@ func (e *Engine[T]) NewSlidingFrequency(eps float64, w int, opts ...EstimatorOpt
 
 func (e *Engine[T]) newSlidingFrequency(eps float64, w int, cfg estimatorConfig) *SlidingFrequency[T] {
 	est := window.NewSlidingFrequency(eps, w, e.newBackendSorter(), cfg.pipeline()...)
-	e.adopt("sliding-frequency", est, cfg, false)
+	e.adopt(FamilySlidingFrequency, est, cfg, false)
 	return est
 }
 
@@ -630,7 +631,7 @@ func (e *Engine[T]) NewSlidingQuantile(eps float64, w int, opts ...EstimatorOpti
 
 func (e *Engine[T]) newSlidingQuantile(eps float64, w int, cfg estimatorConfig) *SlidingQuantile[T] {
 	est := window.NewSlidingQuantile(eps, w, e.newBackendSorter(), cfg.pipeline()...)
-	e.adopt("sliding-quantile", est, cfg, false)
+	e.adopt(FamilySlidingQuantile, est, cfg, false)
 	return est
 }
 
@@ -649,6 +650,6 @@ func WithFrugalSeed(seed uint64) FrugalOption { return frugal.WithSeed(seed) }
 // no sorter; it registers with the engine only for Stats reporting.
 func (e *Engine[T]) NewFrugalEstimator(opts ...FrugalOption) *FrugalEstimator[T] {
 	est := frugal.NewEstimator[T](opts...)
-	e.register(tracker[T]{kind: "frugal", est: est})
+	e.register(tracker[T]{kind: FamilyFrugal.String(), est: est})
 	return est
 }

@@ -35,10 +35,9 @@ func TestTraceReplayPipeline(t *testing.T) {
 		freq := eng.NewFrequencyEstimator(eps)
 		quant := eng.NewQuantileEstimator(eps, n)
 
-		w := stream.NewWindower(src, 4096)
 		for {
-			win, ok := w.Next()
-			if !ok {
+			win := stream.Collect[float32](src, 4096)
+			if len(win) == 0 {
 				break
 			}
 			freq.ProcessSlice(win)
@@ -175,7 +174,7 @@ func TestAllSortersAgreeOnManyDistributions(t *testing.T) {
 		}
 		// Radix baseline agrees too.
 		got := append([]float32(nil), data...)
-		cpusort.RadixSort(got)
+		new(cpusort.Radix[float32]).Sort(got)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("radix on %s: mismatch at %d", name, i)

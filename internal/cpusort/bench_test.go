@@ -69,5 +69,7 @@ func BenchmarkQuicksort(b *testing.B) { benchSort(b, Quicksort) }
 func BenchmarkParallelQuicksort(b *testing.B) {
 	benchSort(b, func(d []float32) { ParallelQuicksort(d, 2) })
 }
-func BenchmarkHeapsort(b *testing.B)  { benchSort(b, Heapsort) }
-func BenchmarkRadixSort(b *testing.B) { benchSort(b, RadixSort) }
+func BenchmarkHeapsort(b *testing.B) { benchSort(b, Heapsort) }
+func BenchmarkRadixSort(b *testing.B) {
+	benchSort(b, func(d []float32) { new(Radix[float32]).Sort(d) })
+}

@@ -198,14 +198,16 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestRadixSortQuick(t *testing.T) { checkSortsLike(t, "RadixSort", RadixSort) }
+func TestRadixSortQuick(t *testing.T) {
+	checkSortsLike(t, "Radix.Sort", func(d []float32) { new(Radix[float32]).Sort(d) })
+}
 
 func TestRadixSortFloatEdgeCases(t *testing.T) {
 	inf := float32(math.Inf(1))
 	data := []float32{0, -0.0, 1.5, -1.5, inf, -inf, 1e-38, -1e-38, 3.4e38, -3.4e38}
 	want := append([]float32(nil), data...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	RadixSort(data)
+	new(Radix[float32]).Sort(data)
 	for i := range want {
 		// Compare bitwise classes: -0.0 == 0.0 under ==, ordering between
 		// them is unobservable, so value equality suffices.
@@ -219,7 +221,7 @@ func TestRadixSortLargeMatchesQuicksort(t *testing.T) {
 	data := stream.Gaussian(200000, 0, 1000, 31)
 	a := append([]float32(nil), data...)
 	b := append([]float32(nil), data...)
-	RadixSort(a)
+	new(Radix[float32]).Sort(a)
 	Quicksort(b)
 	for i := range a {
 		if a[i] != b[i] {
@@ -228,24 +230,12 @@ func TestRadixSortLargeMatchesQuicksort(t *testing.T) {
 	}
 }
 
-func TestRadixSorterInterface(t *testing.T) {
-	s := RadixSorter[float32]{}
-	if s.Name() != "cpu-radix" {
-		t.Fatal("name")
-	}
-	d := stream.Uniform(1000, 32)
-	s.Sort(d)
-	if !IsSorted(d) {
-		t.Fatal("RadixSorter did not sort")
-	}
-}
-
 func TestRadixSortConstantInput(t *testing.T) {
 	d := make([]float32, 1000)
 	for i := range d {
 		d[i] = 7
 	}
-	RadixSort(d)
+	new(Radix[float32]).Sort(d)
 	for _, v := range d {
 		if v != 7 {
 			t.Fatal("constant input mangled")

@@ -75,9 +75,9 @@ func kernelMatrix[T sorter.Value](t *testing.T) {
 				t.Fatalf("%T n=%d %s: second sort of the same input differs", z, n, shape)
 			}
 			oneShot := slices.Clone(data)
-			RadixSort(oneShot)
+			new(Radix[T]).Sort(oneShot)
 			if !slices.Equal(oneShot, got) {
-				t.Fatalf("%T n=%d %s: RadixSort differs from a held Radix", z, n, shape)
+				t.Fatalf("%T n=%d %s: a fresh Radix differs from a held one", z, n, shape)
 			}
 		}
 	}
@@ -145,7 +145,7 @@ func TestRadixFloatTotalOrder(t *testing.T) {
 			data = append(data, want[(j*3+i)%len(want)])
 		}
 	}
-	RadixSort(data)
+	new(Radix[float32]).Sort(data)
 	for i, v := range data {
 		if w := want[i/50]; math.Float32bits(v) != math.Float32bits(w) {
 			t.Fatalf("position %d holds %v (bits %#x), want %v (bits %#x)",
@@ -157,7 +157,7 @@ func TestRadixFloatTotalOrder(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d64 = append(d64, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1))
 	}
-	RadixSort(d64)
+	new(Radix[float64]).Sort(d64)
 	for i, v := range d64 {
 		w := []float64{math.Inf(-1), math.Copysign(0, -1), 0, math.Inf(1)}[i/100]
 		if math.Float64bits(v) != math.Float64bits(w) {

@@ -20,7 +20,9 @@ func TestContinuousQueries(t *testing.T) {
 	e.Register(QuerySpec{Kind: SlidingQuantileAt, Eps: 0.02, Param: 0.9, Window: 2000, Name: "recent-p90"})
 
 	data := stream.Zipf(20000, 1.3, 500, 1)
-	stream.EachWindow(data, 1000, func(win []float32) { e.Push(win) })
+	for ; len(data) > 0; data = data[1000:] {
+		e.Push(data[:1000])
+	}
 
 	results := e.Results()
 	if len(results) != 4 {
@@ -91,10 +93,10 @@ func TestGPUBackendMatchesCPU(t *testing.T) {
 	cpu := mk(cpusort.QuicksortSorter[float32]{})
 	gpu := mk(gpusort.NewSorter[float32]())
 	data := stream.Zipf(10000, 1.2, 200, 3)
-	stream.EachWindow(data, 2500, func(win []float32) {
-		cpu.Push(win)
-		gpu.Push(win)
-	})
+	for ; len(data) > 0; data = data[2500:] {
+		cpu.Push(data[:2500])
+		gpu.Push(data[:2500])
+	}
 	cr, gr := cpu.Results(), gpu.Results()
 	if cr[1].Quantile != gr[1].Quantile {
 		t.Fatalf("medians differ: %v vs %v", cr[1].Quantile, gr[1].Quantile)

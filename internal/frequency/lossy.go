@@ -287,18 +287,6 @@ func (e *Estimator[T]) Snapshot() pipeline.View[T] {
 	return &Snapshot[T]{entries: e.entries, n: e.n, eps: e.eps}
 }
 
-// SnapshotFromEntries builds a Snapshot from exported summary entries in
-// ascending value order covering n stream elements. Sharded ingestion uses
-// it to publish a merged per-shard view; the entries slice is owned by the
-// snapshot from here on.
-func SnapshotFromEntries[T sorter.Value](entries []SummaryEntry[T], n int64, eps float64) *Snapshot[T] {
-	conv := make([]entry[T], len(entries))
-	for i, ent := range entries {
-		conv[i] = entry[T]{value: ent.Value, freq: ent.Freq, delta: ent.Delta}
-	}
-	return &Snapshot[T]{entries: conv, n: n, eps: eps}
-}
-
 // Count reports the stream length the snapshot covers.
 func (s *Snapshot[T]) Count() int64 { return s.n }
 

@@ -41,40 +41,15 @@ func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
 // length field.
 func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r := wire.NewReader(data)
-	if err := r.Header(wire.FamilyFrequency, wire.TagOf[T]()); err != nil {
-		return nil, err
-	}
-	s := &Snapshot[T]{}
-	var err error
-	if s.eps, err = r.F64(); err != nil {
-		return nil, err
-	}
-	if s.n, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.n < 0 {
-		return nil, wire.Corruptf("frequency: negative stream length %d", s.n)
-	}
-	count, err := r.Count(wire.ValueSize[T]() + 16)
-	if err != nil {
-		return nil, err
-	}
-	if count > 0 {
+	r.Header(wire.FamilyFrequency, wire.TagOf[T]())
+	s := &Snapshot[T]{eps: r.F64(), n: r.I64()}
+	r.Check(s.n >= 0, "frequency: negative stream length %d", s.n)
+	if count := r.Count(wire.ValueSize[T]() + 16); count > 0 {
 		s.entries = make([]entry[T], count)
 	}
 	for i := range s.entries {
-		if s.entries[i].value, err = wire.ReadValue[T](r); err != nil {
-			return nil, err
-		}
-		if s.entries[i].freq, err = r.I64(); err != nil {
-			return nil, err
-		}
-		if s.entries[i].delta, err = r.I64(); err != nil {
-			return nil, err
-		}
-		if i > 0 && !(s.entries[i-1].value < s.entries[i].value) {
-			return nil, wire.Corruptf("frequency: entries not strictly value-ascending at %d", i)
-		}
+		s.entries[i] = entry[T]{value: wire.ReadValue[T](r), freq: r.I64(), delta: r.I64()}
+		r.Check(i == 0 || s.entries[i-1].value < s.entries[i].value, "frequency: entries not strictly value-ascending at %d", i)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err

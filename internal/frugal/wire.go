@@ -42,52 +42,23 @@ func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
 // field.
 func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r := wire.NewReader(data)
-	if err := r.Header(wire.FamilyFrugal, wire.TagOf[T]()); err != nil {
-		return nil, err
-	}
-	s := &Snapshot[T]{}
-	var err error
-	if s.n, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.n < 0 {
-		return nil, wire.Corruptf("frugal: negative stream length %d", s.n)
-	}
-	count, err := r.Count(8 + wire.ValueSize[T]() + 1)
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		return nil, wire.Corruptf("frugal: snapshot tracks no target quantiles")
-	}
+	r.Header(wire.FamilyFrugal, wire.TagOf[T]())
+	s := &Snapshot[T]{n: r.I64()}
+	r.Check(s.n >= 0, "frugal: negative stream length %d", s.n)
+	count := r.Count(8 + wire.ValueSize[T]() + 1)
+	r.Check(count > 0, "frugal: snapshot tracks no target quantiles")
 	s.phis = make([]float64, count)
 	s.ests = make([]T, count)
 	s.ctls = make([]uint8, count)
-	for i := 0; i < count; i++ {
-		if s.phis[i], err = r.F64(); err != nil {
-			return nil, err
-		}
-		if !(s.phis[i] >= 0 && s.phis[i] <= 1) { // also rejects NaN
-			return nil, wire.Corruptf("frugal: tracker %d target %v out of [0, 1]", i, s.phis[i])
-		}
-		if i > 0 && !(s.phis[i-1] < s.phis[i]) {
-			return nil, wire.Corruptf("frugal: trackers not strictly phi-ascending at %d", i)
-		}
-		if s.ests[i], err = wire.ReadValue[T](r); err != nil {
-			return nil, err
-		}
-		if s.ctls[i], err = r.U8(); err != nil {
-			return nil, err
-		}
-		if s.ctls[i]&expMask > maxExp {
-			return nil, wire.Corruptf("frugal: tracker %d step exponent %d > %d", i, s.ctls[i]&expMask, maxExp)
-		}
-		if s.ctls[i]&signMask == signMask {
-			return nil, wire.Corruptf("frugal: tracker %d direction bits 0x%02X invalid", i, s.ctls[i]&signMask)
-		}
-		if fresh := s.ctls[i]&signMask == signFresh; fresh != (s.n == 0) {
-			return nil, wire.Corruptf("frugal: tracker %d freshness inconsistent with stream length %d", i, s.n)
-		}
+	for i := range s.phis {
+		phi := r.F64()
+		r.Check(phi >= 0 && phi <= 1, "frugal: tracker %d target %v out of [0, 1]", i, phi) // also rejects NaN
+		r.Check(i == 0 || s.phis[i-1] < phi, "frugal: trackers not strictly phi-ascending at %d", i)
+		s.phis[i], s.ests[i], s.ctls[i] = phi, wire.ReadValue[T](r), r.U8()
+		ctl := s.ctls[i]
+		r.Check(ctl&expMask <= maxExp, "frugal: tracker %d step exponent %d > %d", i, ctl&expMask, maxExp)
+		r.Check(ctl&signMask != signMask, "frugal: tracker %d direction bits 0x%02X invalid", i, ctl&signMask)
+		r.Check((ctl&signMask == signFresh) == (s.n == 0), "frugal: tracker %d freshness inconsistent with stream length %d", i, s.n)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err

@@ -60,9 +60,6 @@ type Device[T sorter.Value] struct {
 	// are shaded by parallel workers. Exposed for tests.
 	parallelThreshold int
 
-	// texcache, when non-nil, models the texture cache (see texcache.go).
-	texcache *texCache
-
 	// halfTargets, when set, rounds every value written to the render
 	// target through IEEE half precision, modeling the paper's 16-bit
 	// offscreen buffers (Section 4.5). halfRound is the rounding function;
@@ -255,9 +252,7 @@ func (d *Device[T]) DrawQuad(v, t [4]Point) {
 		d.stats.BlendOps += area
 	}
 
-	// The texture-cache model accumulates sequentially ordered spans, so
-	// it forces serial shading; the functional result is identical.
-	if area >= int64(d.parallelThreshold) && d.texcache == nil {
+	if area >= int64(d.parallelThreshold) {
 		d.shadeRowsParallel(g)
 	} else {
 		d.shadeRows(g, g.y0, g.y1)
@@ -330,7 +325,6 @@ func (d *Device[T]) shadeRows(g quadGeom, yLo, yHi int) {
 			tx := clampInt(floorInt(u), 0, tex.W-1)
 			ty := clampInt(floorInt(vv), 0, tex.H-1)
 			si := (ty*tex.W + tx) * Channels
-			d.texcache.noteFetch(ty*tex.W + tx)
 			d.blendTexel(fb.Data[di:di+Channels], tex.Data[si:si+Channels])
 			di += Channels
 			u += g.dudx
@@ -343,12 +337,11 @@ func (d *Device[T]) shadeRows(g quadGeom, yLo, yHi int) {
 // This is the hot loop of the whole simulator: one call covers a full row of
 // a sorting-step quad.
 func (d *Device[T]) shadeSpanUnit(fb, tex *Texture[T], y, x0, x1, ty, sx, step int) {
-	n := x1 - x0
-	d.texcache.noteSpan(ty*tex.W+sx, n, step)
 	if d.halfTargets {
 		d.shadeSpanUnitHalf(fb, tex, y, x0, x1, ty, sx, step)
 		return
 	}
+	n := x1 - x0
 	// Clamp the source span into the texture, pixel by pixel only at the
 	// edges; interior runs without bounds checks on the source row.
 	di := (y*fb.W + x0) * Channels

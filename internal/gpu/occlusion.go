@@ -31,26 +31,3 @@ func (d *Device[T]) CountGreater(ref T) [Channels]int64 {
 	}
 	return counts
 }
-
-// CountGreaterEqual is the >= variant of CountGreater.
-func (d *Device[T]) CountGreaterEqual(ref T) [Channels]int64 {
-	if d.tex == nil {
-		panic("gpu: CountGreaterEqual without a bound texture")
-	}
-	tex := d.tex
-	area := int64(tex.Texels())
-	d.stats.Passes++
-	d.stats.Fragments += area
-	d.stats.TexelFetches += area
-	d.stats.ProgramInstr += area
-	var counts [Channels]int64
-	for p := 0; p < tex.Texels(); p++ {
-		base := p * Channels
-		for c := 0; c < Channels; c++ {
-			if tex.Data[base+c] >= ref {
-				counts[c]++
-			}
-		}
-	}
-	return counts
-}

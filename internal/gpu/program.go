@@ -39,7 +39,6 @@ func (d *Device[T]) RunFragmentPass(x0, y0, x1, y1, instrPerFragment int, prog F
 		fetches++
 		tx = clampInt(tx, 0, tex.W-1)
 		ty = clampInt(ty, 0, tex.H-1)
-		d.texcache.noteFetch(ty*tex.W + tx)
 		i := (ty*tex.W + tx) * Channels
 		return [4]T{tex.Data[i], tex.Data[i+1], tex.Data[i+2], tex.Data[i+3]}
 	}

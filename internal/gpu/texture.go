@@ -89,31 +89,6 @@ func (t *Texture[T]) CopyFrom(src *Texture[T]) {
 	copy(t.Data, src.Data)
 }
 
-// PackChannels distributes data across the four color channels of a W x H
-// texture: the first W*H values go to channel 0, the next W*H to channel 1,
-// and so on. This is the paper's trick of buffering four windows of data and
-// sorting them in parallel with the GPU's 4-wide vector blend units
-// (Section 4.1). Unfilled positions are set to pad, which for sorting is
-// the type's maximum so padding migrates to the end of each sorted channel.
-//
-// It panics unless 4*W*H >= len(data).
-func PackChannels[T sorter.Value](data []T, w, h int, pad T) *Texture[T] {
-	t := NewTexture[T](w, h)
-	per := w * h
-	if len(data) > Channels*per {
-		panic(fmt.Sprintf("gpu: cannot pack %d values into %dx%dx4 texture", len(data), w, h))
-	}
-	for i := range t.Data {
-		t.Data[i] = pad
-	}
-	for i, v := range data {
-		c := i / per
-		p := i % per
-		t.Data[p*Channels+c] = v
-	}
-	return t
-}
-
 // UnpackChannel extracts channel c as a contiguous slice of W*H values in
 // texel order.
 func (t *Texture[T]) UnpackChannel(c int) []T {

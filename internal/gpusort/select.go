@@ -61,11 +61,3 @@ func KthLargestWithStats[T sorter.Value](data []T, k int) (T, gpu.Stats) {
 	}
 	return sorter.FromOrderedKey[T](lo), dev.Stats()
 }
-
-// Median returns the n/2-th largest element via KthLargest.
-func Median[T sorter.Value](data []T) T {
-	if len(data) == 0 {
-		panic("gpusort: Median of empty data")
-	}
-	return KthLargest(data, (len(data)+1)/2)
-}

@@ -102,7 +102,6 @@ func TestKthLargestPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { KthLargest([]float32{1, 2}, 0) },
 		func() { KthLargest([]float32{1, 2}, 3) },
-		func() { Median[float32](nil) },
 	} {
 		func() {
 			defer func() {
@@ -115,16 +114,6 @@ func TestKthLargestPanics(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float32{5, 1, 3}); got != 3 {
-		t.Fatalf("Median = %v", got)
-	}
-	data := stream.Sorted(1001)
-	if got := Median(data); got != 500 {
-		t.Fatalf("Median of 0..1000 = %v", got)
-	}
-}
-
 func TestCountGreaterDirect(t *testing.T) {
 	tex := gpu.NewTexture[float32](2, 2)
 	tex.LoadChannel(0, []float32{1, 2, 3, 4})
@@ -134,9 +123,5 @@ func TestCountGreaterDirect(t *testing.T) {
 	c := dev.CountGreater(2.5)
 	if c[0] != 2 || c[1] != 4 {
 		t.Fatalf("CountGreater = %v", c)
-	}
-	ge := dev.CountGreaterEqual(5)
-	if ge[1] != 4 || ge[0] != 0 {
-		t.Fatalf("CountGreaterEqual = %v", ge)
 	}
 }

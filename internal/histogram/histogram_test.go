@@ -118,20 +118,6 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestEquiDepth(t *testing.T) {
-	sorted := stream.Sorted(100)
-	got := EquiDepth(sorted, 4)
-	want := []float32{24, 49, 74, 99}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("EquiDepth = %v, want %v", got, want)
-		}
-	}
-	if EquiDepth[float32](nil, 4) != nil || EquiDepth(sorted, 0) != nil {
-		t.Fatal("degenerate EquiDepth not nil")
-	}
-}
-
 func TestStreamingEquiDepthBuckets(t *testing.T) {
 	h := NewStreamingEquiDepth(10, 0.005, cpusort.QuicksortSorter[float32]{})
 	h.ProcessSlice(stream.Uniform(100000, 7))

@@ -77,94 +77,40 @@ func (s *Snapshot[K, T]) MarshalBinary() ([]byte, error) {
 // length field.
 func UnmarshalSnapshot[K sorter.Value, T sorter.Value](data []byte) (*Snapshot[K, T], error) {
 	r := wire.NewReader(data)
-	if err := r.Header(wire.FamilyKeyed, wire.TagOf[T]()); err != nil {
-		return nil, err
-	}
-	ktag, err := r.U8()
-	if err != nil {
-		return nil, err
-	}
-	if got, want := wire.Tag(ktag), wire.TagOf[K](); got != want {
-		return nil, wire.Corruptf("keyed: snapshot carries %v keys (tag byte 0x%02X), want %v", got, ktag, want)
-	}
+	r.Header(wire.FamilyKeyed, wire.TagOf[T]())
+	ktag := r.U8()
+	r.Check(wire.Tag(ktag) == wire.TagOf[K](), "keyed: snapshot carries %v keys (tag byte 0x%02X), want %v", wire.Tag(ktag), ktag, wire.TagOf[K]())
 	s := &Snapshot[K, T]{}
-	if s.phi, err = r.F64(); err != nil {
-		return nil, err
-	}
-	if !(s.phi >= 0 && s.phi <= 1) { // also rejects NaN
-		return nil, wire.Corruptf("keyed: frugal target %v out of [0, 1]", s.phi)
-	}
-	if s.support, err = r.F64(); err != nil {
-		return nil, err
-	}
-	if !(s.support > 0 && s.support < 1) {
-		return nil, wire.Corruptf("keyed: promotion support %v out of (0, 1)", s.support)
-	}
-	if s.n, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.n < 0 {
-		return nil, wire.Corruptf("keyed: negative observation count %d", s.n)
-	}
-	if s.promotions, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.promotions < 0 {
-		return nil, wire.Corruptf("keyed: negative promotion count %d", s.promotions)
-	}
+	s.phi = r.F64()
+	r.Check(s.phi >= 0 && s.phi <= 1, "keyed: frugal target %v out of [0, 1]", s.phi) // also rejects NaN
+	s.support = r.F64()
+	r.Check(s.support > 0 && s.support < 1, "keyed: promotion support %v out of (0, 1)", s.support)
+	s.n = r.I64()
+	r.Check(s.n >= 0, "keyed: negative observation count %d", s.n)
+	s.promotions = r.I64()
+	r.Check(s.promotions >= 0, "keyed: negative promotion count %d", s.promotions)
 	ksz, tsz := wire.ValueSize[K](), wire.ValueSize[T]()
-	fcount, err := r.Count(ksz + tsz + 1 + 8)
-	if err != nil {
-		return nil, err
-	}
-	if fcount > 0 {
+	if fcount := r.Count(ksz + tsz + 1 + 8); fcount > 0 {
 		s.frugal = make([]FrugalEntry[K, T], fcount)
 	}
 	for i := range s.frugal {
 		f := &s.frugal[i]
-		if f.Key, err = wire.ReadValue[K](r); err != nil {
-			return nil, err
-		}
-		if i > 0 && !(sorter.OrderedKey(s.frugal[i-1].Key) < sorter.OrderedKey(f.Key)) {
-			return nil, wire.Corruptf("keyed: frugal tier not strictly key-ascending at %d", i)
-		}
-		if f.Est, err = wire.ReadValue[T](r); err != nil {
-			return nil, err
-		}
-		if f.Ctl, err = r.U8(); err != nil {
-			return nil, err
-		}
-		if !frugal.ValidCtl(f.Ctl) || frugal.Fresh(f.Ctl) {
-			return nil, wire.Corruptf("keyed: frugal entry %d control byte 0x%02X invalid", i, f.Ctl)
-		}
-		if f.Cnt, err = r.I64(); err != nil {
-			return nil, err
-		}
-		if f.Cnt < 1 {
-			return nil, wire.Corruptf("keyed: frugal entry %d backing count %d < 1", i, f.Cnt)
-		}
+		f.Key = wire.ReadValue[K](r)
+		r.Check(i == 0 || sorter.OrderedKey(s.frugal[i-1].Key) < sorter.OrderedKey(f.Key), "keyed: frugal tier not strictly key-ascending at %d", i)
+		f.Est, f.Ctl = wire.ReadValue[T](r), r.U8()
+		r.Check(frugal.ValidCtl(f.Ctl) && !frugal.Fresh(f.Ctl), "keyed: frugal entry %d control byte 0x%02X invalid", i, f.Ctl)
+		f.Cnt = r.I64()
+		r.Check(f.Cnt >= 1, "keyed: frugal entry %d backing count %d < 1", i, f.Cnt)
 	}
-	pcount, err := r.Count(ksz + 8 + 8 + 4)
-	if err != nil {
-		return nil, err
-	}
-	if pcount > 0 {
+	if pcount := r.Count(ksz + 8 + 8 + 4); pcount > 0 {
 		s.promo = make([]PromotedEntry[K, T], pcount)
 	}
 	for i := range s.promo {
 		p := &s.promo[i]
-		if p.Key, err = wire.ReadValue[K](r); err != nil {
-			return nil, err
-		}
-		if i > 0 && !(sorter.OrderedKey(s.promo[i-1].Key) < sorter.OrderedKey(p.Key)) {
-			return nil, wire.Corruptf("keyed: promoted tier not strictly key-ascending at %d", i)
-		}
-		if p.Sum, err = summary.Decode[T](r); err != nil {
-			return nil, err
-		}
-		if p.Sum.N < 1 {
-			return nil, wire.Corruptf("keyed: promoted key %d summary covers no observations", i)
-		}
+		p.Key = wire.ReadValue[K](r)
+		r.Check(i == 0 || sorter.OrderedKey(s.promo[i-1].Key) < sorter.OrderedKey(p.Key), "keyed: promoted tier not strictly key-ascending at %d", i)
+		p.Sum = summary.Decode[T](r)
+		r.Check(p.Sum.N >= 1, "keyed: promoted key %d summary covers no observations", i)
 	}
 	// Tier disjointness: both lists are sorted, so one linear pass suffices.
 	fi := 0
@@ -172,21 +118,13 @@ func UnmarshalSnapshot[K sorter.Value, T sorter.Value](data []byte) (*Snapshot[K
 		for fi < len(s.frugal) && sorter.OrderedKey(s.frugal[fi].Key) < sorter.OrderedKey(p.Key) {
 			fi++
 		}
-		if fi < len(s.frugal) && s.frugal[fi].Key == p.Key {
-			return nil, wire.Corruptf("keyed: key in both tiers")
-		}
+		r.Check(fi == len(s.frugal) || s.frugal[fi].Key != p.Key, "keyed: key in both tiers")
 	}
-	olen, err := r.Count(1)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := r.Bytes(olen)
-	if err != nil {
-		return nil, err
-	}
-	if s.oracle, err = frequency.UnmarshalSnapshot[K](blob); err != nil {
-		return nil, err
-	}
+	// The nested oracle blob revalidates under its own family's decoder; a
+	// blob this reader already failed on is nil there and changes nothing.
+	oracle, err := frequency.UnmarshalSnapshot[K](r.Bytes(r.Count(1)))
+	r.Fail(err)
+	s.oracle = oracle
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

@@ -231,15 +231,6 @@ type PipelineBreakdown struct {
 // Total sums the components.
 func (b PipelineBreakdown) Total() time.Duration { return b.Sort + b.Merge + b.Compress }
 
-// SortShare reports the fraction of total time spent sorting.
-func (b PipelineBreakdown) SortShare() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.Sort) / float64(t)
-}
-
 // OverlappedBreakdown is the modeled cost of the staged co-processing
 // pipeline (the paper's execution model and the async executor's): the GPU
 // sorts window i while the CPU merges and compresses window i-1, so per

@@ -132,7 +132,7 @@ func TestPipelineShapeFigure6(t *testing.T) {
 	for _, backend := range []Backend{BackendCPU, BackendGPU} {
 		b := m.PipelineTime(c, backend)
 		// Section 3.2 / Figure 6: sorting takes 70-95% of the time.
-		if share := b.SortShare(); share < 0.70 || share > 0.98 {
+		if share := float64(b.Sort) / float64(b.Total()); share < 0.70 || share > 0.98 {
 			t.Fatalf("%v sort share = %.2f, want within the paper's 70-95%%", backend, share)
 		}
 	}
@@ -181,10 +181,6 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 	if m.BitonicSortTime(1).Total() != 0 {
 		t.Fatal("trivial bitonic should cost nothing")
-	}
-	var zero PipelineBreakdown
-	if zero.SortShare() != 0 {
-		t.Fatal("zero breakdown SortShare should be 0")
 	}
 }
 

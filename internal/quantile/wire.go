@@ -40,26 +40,12 @@ func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
 // length field.
 func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r := wire.NewReader(data)
-	if err := r.Header(wire.FamilyQuantile, wire.TagOf[T]()); err != nil {
-		return nil, err
-	}
-	s := &Snapshot[T]{}
-	var err error
-	if s.eps, err = r.F64(); err != nil {
-		return nil, err
-	}
-	present, err := r.U8()
-	if err != nil {
-		return nil, err
-	}
-	switch present {
-	case 0:
-	case 1:
-		if s.sum, err = summary.Decode[T](r); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, wire.Corruptf("quantile: summary-present flag %d", present)
+	r.Header(wire.FamilyQuantile, wire.TagOf[T]())
+	s := &Snapshot[T]{eps: r.F64()}
+	present := r.U8()
+	r.Check(present <= 1, "quantile: summary-present flag %d", present)
+	if present == 1 {
+		s.sum = summary.Decode[T](r)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err

@@ -109,13 +109,10 @@ func (s *Server[T]) handlePut(w http.ResponseWriter, r *http.Request, tenant, st
 
 // handleDelete drains the stream — queue flushed, estimator closed via its
 // context-aware drain under the request deadline (?timeout= overrides the
-// configured default) — spills its final snapshot, and removes it.
+// configured default) — spills its final snapshot, and removes it. The
+// request is validated before the stream is unlinked: a rejected DELETE
+// must leave it live, not orphan its writer and drop its rows unspilled.
 func (s *Server[T]) handleDelete(w http.ResponseWriter, r *http.Request, tenant, stream string) {
-	e, ok := s.reg.remove(tenant, stream)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no stream %s/%s", tenant, stream)
-		return
-	}
 	timeout := s.cfg.DrainTimeout
 	if arg := r.URL.Query().Get("timeout"); arg != "" {
 		d, err := time.ParseDuration(arg)
@@ -124,6 +121,11 @@ func (s *Server[T]) handleDelete(w http.ResponseWriter, r *http.Request, tenant,
 			return
 		}
 		timeout = d
+	}
+	e, ok := s.reg.remove(tenant, stream)
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no stream %s/%s", tenant, stream)
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

@@ -150,6 +150,10 @@ func TestServiceLifecycle(t *testing.T) {
 	if len(ests) != 1 || ests[0].(map[string]any)["Kind"] != "quantile" {
 		t.Errorf("statsz estimators = %v, want one quantile", ests)
 	}
+	// The spec named no backend: the tenant runs on the host-native sorter.
+	if got := ests[0].(map[string]any)["Backend"]; got != "samplesort" {
+		t.Errorf("statsz backend of a backend-less spec = %v, want samplesort", got)
+	}
 	if fam := streamRep["spec"].(map[string]any)["family"]; fam != "quantile" {
 		t.Errorf("statsz spec family = %v, want the string form", fam)
 	}
@@ -173,7 +177,8 @@ func TestServiceLifecycle(t *testing.T) {
 }
 
 func TestServiceErrors(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{MaxBatchRows: 100})
+	spill := t.TempDir()
+	_, ts := newTestServer(t, service.Config{MaxBatchRows: 100, SpillDir: spill})
 	client := ts.Client()
 	base := ts.URL + "/v1/streams/acme"
 
@@ -224,6 +229,25 @@ func TestServiceErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// The rejected DELETE above must have left the stream alone: still
+	// there, its rows intact, and a well-formed DELETE still drains and
+	// spills it. (?sync=1 first, so the batch the table queued has landed.)
+	if code, body := do(t, client, "POST", base+"/hits/values?sync=1", "application/json", []byte(`[7,7,7]`)); code != http.StatusOK {
+		t.Fatalf("POST after the rejected DELETE = %d (%v), want 200", code, body)
+	}
+	code, info := do(t, client, "GET", base+"/hits", "", nil)
+	if code != http.StatusOK || info["rows"] != 5.0 || info["count"] != 5.0 {
+		t.Fatalf("GET after the rejected DELETE = %d %v, want 200 with rows=count=5", code, info)
+	}
+	if code, body := do(t, client, "DELETE", base+"/hits?timeout=5s", "", nil); code != http.StatusOK || body["rows"] != 5.0 || body["count"] != 5.0 {
+		t.Errorf("DELETE ?timeout=5s = %d %v, want 200 with rows=count=5", code, body)
+	}
+	if blob, err := os.ReadFile(filepath.Join(spill, "acme.hits.snap")); err != nil {
+		t.Errorf("deleted stream was not spilled: %v", err)
+	} else if snap, err := gpustream.UnmarshalSnapshot[float32](blob); err != nil || snap.Count() != 5 {
+		t.Errorf("spilled snapshot: %v, %v; want 5 rows", snap, err)
 	}
 
 	// Quantile probes against a quantile stream created under a second

@@ -65,30 +65,6 @@ func Collect[T sorter.Value](src Source[T], max int) []T {
 	return out
 }
 
-// FuncSource adapts a generator function to a Source. The function is called
-// once per element until the configured count is exhausted.
-type FuncSource[T sorter.Value] struct {
-	n   int
-	pos int
-	fn  func(i int) T
-}
-
-// NewFuncSource returns a Source yielding fn(0), fn(1), ..., fn(n-1).
-func NewFuncSource[T sorter.Value](n int, fn func(i int) T) *FuncSource[T] {
-	return &FuncSource[T]{n: n, fn: fn}
-}
-
-// Next implements Source.
-func (s *FuncSource[T]) Next() (T, bool) {
-	if s.pos >= s.n {
-		var z T
-		return z, false
-	}
-	v := s.fn(s.pos)
-	s.pos++
-	return v, true
-}
-
 // RNG is a small, fast, deterministic xorshift64* generator. It is used
 // instead of math/rand so that streams are bit-reproducible across Go
 // versions (math/rand's algorithm is unspecified across releases).

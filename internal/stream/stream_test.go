@@ -3,7 +3,6 @@ package stream
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSliceSource(t *testing.T) {
@@ -34,17 +33,6 @@ func TestCollect(t *testing.T) {
 	rest := Collect(src, -1)
 	if len(rest) != 2 || rest[0] != 3 {
 		t.Fatalf("Collect(-1) = %v", rest)
-	}
-}
-
-func TestFuncSource(t *testing.T) {
-	src := NewFuncSource(4, func(i int) float32 { return float32(i * i) })
-	got := Collect(src, -1)
-	want := []float32{0, 1, 4, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FuncSource[float32] yielded %v, want %v", got, want)
-		}
 	}
 }
 
@@ -223,64 +211,5 @@ func TestBursty(t *testing.T) {
 	}
 	if maxRun < 50 {
 		t.Fatalf("longest run %d; expected burst-induced runs", maxRun)
-	}
-}
-
-func TestWindower(t *testing.T) {
-	src := NewSliceSource([]float32{1, 2, 3, 4, 5})
-	w := NewWindower[float32](src, 2)
-	var sizes []int
-	for {
-		win, ok := w.Next()
-		if !ok {
-			break
-		}
-		sizes = append(sizes, len(win))
-	}
-	if len(sizes) != 3 || sizes[0] != 2 || sizes[1] != 2 || sizes[2] != 1 {
-		t.Fatalf("window sizes = %v, want [2 2 1]", sizes)
-	}
-}
-
-func TestWindowerPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWindower[float32](0) did not panic")
-		}
-	}()
-	NewWindower[float32](NewSliceSource[float32](nil), 0)
-}
-
-func TestEachWindowCoversAll(t *testing.T) {
-	prop := func(raw []byte, wRaw uint8) bool {
-		data := make([]float32, len(raw))
-		for i, b := range raw {
-			data[i] = float32(b)
-		}
-		w := int(wRaw%7) + 1
-		var total int
-		EachWindow(data, w, func(win []float32) {
-			if len(win) == 0 || len(win) > w {
-				panic("bad window size")
-			}
-			total += len(win)
-		})
-		return total == len(data)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEachWindowOrder(t *testing.T) {
-	data := Sorted(10)
-	var flat []float32
-	EachWindow(data, 3, func(win []float32) {
-		flat = append(flat, win...)
-	})
-	for i := range data {
-		if flat[i] != data[i] {
-			t.Fatalf("EachWindow reordered elements: %v", flat)
-		}
 	}
 }

@@ -111,8 +111,9 @@ func TestQueryIndexScansUnorderedRanks(t *testing.T) {
 		}
 	}
 	for _, s := range []*Summary[float32]{dip, FromSortedWindow([]float32{1, 2, 3}, 0.5)} {
-		dec, err := Decode[float32](wire.NewReader(AppendBinary(nil, s)))
-		if err != nil {
+		r := wire.NewReader(AppendBinary(nil, s))
+		dec := Decode[float32](r)
+		if err := r.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		if dec.ranked != s.ranked {

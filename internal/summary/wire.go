@@ -37,49 +37,27 @@ func AppendBinary[T sorter.Value](b []byte, s *Summary[T]) []byte {
 
 // Decode reads one summary from r, validating lengths before allocating and
 // the GK structural invariants (value-ascending entries, rank bounds inside
-// [1, N]) after. Failures wrap the wire sentinels; Decode never panics.
-func Decode[T sorter.Value](r *wire.Reader) (*Summary[T], error) {
-	eps, err := r.F64()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.I64()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, wire.Corruptf("summary: negative element count %d", n)
-	}
-	count, err := r.Count(wire.ValueSize[T]() + 16)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 && count == 0 {
-		// A GK summary over a non-empty stream always retains entries (the
-		// coverage invariant needs at least the extremes); a headless body
-		// claiming otherwise would panic rank queries downstream.
-		return nil, wire.Corruptf("summary: %d elements but no entries", n)
-	}
-	s := &Summary[T]{Eps: eps, N: n}
+// [1, N]) after. Failures land in r wrapping the wire sentinels — the
+// caller's r.Finish reports them, and must be checked before the summary is
+// used; Decode never panics and never returns nil.
+func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
+	s := &Summary[T]{Eps: r.F64(), N: r.I64()}
+	r.Check(s.N >= 0, "summary: negative element count %d", s.N)
+	count := r.Count(wire.ValueSize[T]() + 16)
+	// A GK summary over a non-empty stream always retains entries (the
+	// coverage invariant needs at least the extremes); a headless body
+	// claiming otherwise would panic rank queries downstream.
+	r.Check(s.N <= 0 || count > 0, "summary: %d elements but no entries", s.N)
 	if count > 0 {
 		s.Entries = make([]Entry[T], count)
 	}
 	for i := range s.Entries {
-		if s.Entries[i].V, err = wire.ReadValue[T](r); err != nil {
-			return nil, err
-		}
-		if s.Entries[i].RMin, err = r.I64(); err != nil {
-			return nil, err
-		}
-		if s.Entries[i].RMax, err = r.I64(); err != nil {
-			return nil, err
-		}
+		s.Entries[i] = Entry[T]{V: wire.ReadValue[T](r), RMin: r.I64(), RMax: r.I64()}
 	}
-	if err := s.Validate(); err != nil {
-		return nil, wire.Corruptf("summary: %v", err)
-	}
+	err := s.Validate()
+	r.Check(err == nil, "summary: %v", err)
 	s.ranked = ranksOrdered(s.Entries)
-	return s, nil
+	return s
 }
 
 // ranksOrdered reports whether both rank bounds are non-decreasing.

@@ -26,19 +26,3 @@ func BenchmarkSlidingQuantile(b *testing.B) {
 		_ = q.Query(0.5)
 	}
 }
-
-func BenchmarkCountEH(b *testing.B) {
-	r := stream.NewRNG(2)
-	bits := make([]bool, 1<<16)
-	for i := range bits {
-		bits[i] = r.Float64() < 0.5
-	}
-	b.SetBytes(int64(len(bits)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eh := NewCountEH(1<<12, 8)
-		for _, bit := range bits {
-			eh.Process(bit)
-		}
-	}
-}

@@ -288,66 +288,6 @@ func TestSlidingQuantileEmptyPanics(t *testing.T) {
 	q.Query(0.5)
 }
 
-func TestCountEHAccuracy(t *testing.T) {
-	const W = 1000
-	const k = 10
-	eh := NewCountEH(W, k)
-	r := stream.NewRNG(9)
-	bits := make([]bool, 0, 20000)
-	for i := 0; i < 20000; i++ {
-		one := r.Float64() < 0.3
-		bits = append(bits, one)
-		eh.Process(one)
-		if i%1000 == 999 {
-			var truth int64
-			start := len(bits) - W
-			if start < 0 {
-				start = 0
-			}
-			for _, b := range bits[start:] {
-				if b {
-					truth++
-				}
-			}
-			est := eh.Estimate()
-			if truth > 0 && math.Abs(float64(est-truth)) > float64(truth)/float64(k)+1 {
-				t.Fatalf("at %d: est %d true %d beyond 1/k", i, est, truth)
-			}
-		}
-	}
-}
-
-func TestCountEHSpace(t *testing.T) {
-	eh := NewCountEH(100000, 5)
-	r := stream.NewRNG(10)
-	for i := 0; i < 200000; i++ {
-		eh.Process(r.Float64() < 0.5)
-	}
-	// O(k log W) buckets.
-	if eh.Buckets() > 6*18 {
-		t.Fatalf("buckets = %d, not logarithmic", eh.Buckets())
-	}
-}
-
-func TestCountEHAllZeros(t *testing.T) {
-	eh := NewCountEH(100, 4)
-	for i := 0; i < 500; i++ {
-		eh.Process(false)
-	}
-	if eh.Estimate() != 0 {
-		t.Fatalf("Estimate = %d on all-zero stream", eh.Estimate())
-	}
-}
-
-func TestCountEHPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewCountEH(0, 1)
-}
-
 func TestAccessorsAndStats(t *testing.T) {
 	sf := NewSlidingFrequency(0.05, 1000, cpusort.QuicksortSorter[float32]{})
 	sq := NewSlidingQuantile(0.05, 1000, cpusort.QuicksortSorter[float32]{})

@@ -44,27 +44,16 @@ func appendBins[T sorter.Value](b []byte, bins []histogram.Bin[T]) []byte {
 
 // decodeBins reads a histogram bin list, enforcing strict value order so
 // decoded panes uphold the same invariants as live ones.
-func decodeBins[T sorter.Value](r *wire.Reader) ([]histogram.Bin[T], error) {
-	count, err := r.Count(wire.ValueSize[T]() + 8)
-	if err != nil {
-		return nil, err
-	}
+func decodeBins[T sorter.Value](r *wire.Reader) []histogram.Bin[T] {
 	var bins []histogram.Bin[T]
-	if count > 0 {
+	if count := r.Count(wire.ValueSize[T]() + 8); count > 0 {
 		bins = make([]histogram.Bin[T], count)
 	}
 	for i := range bins {
-		if bins[i].Value, err = wire.ReadValue[T](r); err != nil {
-			return nil, err
-		}
-		if bins[i].Count, err = r.I64(); err != nil {
-			return nil, err
-		}
-		if i > 0 && !(bins[i-1].Value < bins[i].Value) {
-			return nil, wire.Corruptf("window: histogram bins not strictly value-ascending at %d", i)
-		}
+		bins[i] = histogram.Bin[T]{Value: wire.ReadValue[T](r), Count: r.I64()}
+		r.Check(i == 0 || bins[i-1].Value < bins[i].Value, "window: histogram bins not strictly value-ascending at %d", i)
 	}
-	return bins, nil
+	return bins
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
@@ -90,57 +79,30 @@ func (s *FrequencySnapshot[T]) MarshalBinary() ([]byte, error) {
 // never panics and never allocates from an unvalidated length field.
 func UnmarshalFrequencySnapshot[T sorter.Value](data []byte) (*FrequencySnapshot[T], error) {
 	r := wire.NewReader(data)
-	if err := r.Header(wire.FamilyWindowFrequency, wire.TagOf[T]()); err != nil {
-		return nil, err
-	}
-	s := &FrequencySnapshot[T]{}
-	var err error
-	if s.eps, err = r.F64(); err != nil {
-		return nil, err
-	}
-	w, err := r.I64()
-	if err != nil {
-		return nil, err
-	}
-	if w <= 0 || int64(int(w)) != w {
-		return nil, wire.Corruptf("window: window size %d out of range", w)
-	}
-	s.w = int(w)
-	if s.count, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.partialCount, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.count < 0 || s.partialCount < 0 {
-		return nil, wire.Corruptf("window: negative counts (%d, %d)", s.count, s.partialCount)
-	}
-	if s.partialBins, err = decodeBins[T](r); err != nil {
-		return nil, err
-	}
+	r.Header(wire.FamilyWindowFrequency, wire.TagOf[T]())
+	s := &FrequencySnapshot[T]{eps: r.F64(), w: windowSize(r), count: r.I64(), partialCount: r.I64()}
+	r.Check(s.count >= 0 && s.partialCount >= 0, "window: negative counts (%d, %d)", s.count, s.partialCount)
+	s.partialBins = decodeBins[T](r)
 	// A pane is at least its total plus an empty bin list.
-	paneCount, err := r.Count(8 + 4)
-	if err != nil {
-		return nil, err
-	}
-	if paneCount > 0 {
+	if paneCount := r.Count(8 + 4); paneCount > 0 {
 		s.panes = make([]freqPane[T], paneCount)
 	}
 	for i := range s.panes {
-		if s.panes[i].total, err = r.I64(); err != nil {
-			return nil, err
-		}
-		if s.panes[i].total < 0 {
-			return nil, wire.Corruptf("window: pane %d has negative total %d", i, s.panes[i].total)
-		}
-		if s.panes[i].bins, err = decodeBins[T](r); err != nil {
-			return nil, err
-		}
+		s.panes[i].total = r.I64()
+		r.Check(s.panes[i].total >= 0, "window: pane %d has negative total %d", i, s.panes[i].total)
+		s.panes[i].bins = decodeBins[T](r)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// windowSize reads a window size, which must be positive and fit an int.
+func windowSize(r *wire.Reader) int {
+	w := r.I64()
+	r.Check(w > 0 && int64(int(w)) == w, "window: window size %d out of range", w)
+	return int(w)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
@@ -169,53 +131,20 @@ func (s *QuantileSnapshot[T]) MarshalBinary() ([]byte, error) {
 // panics and never allocates from an unvalidated length field.
 func UnmarshalQuantileSnapshot[T sorter.Value](data []byte) (*QuantileSnapshot[T], error) {
 	r := wire.NewReader(data)
-	if err := r.Header(wire.FamilyWindowQuantile, wire.TagOf[T]()); err != nil {
-		return nil, err
-	}
-	s := &QuantileSnapshot[T]{}
-	var err error
-	if s.eps, err = r.F64(); err != nil {
-		return nil, err
-	}
-	w, err := r.I64()
-	if err != nil {
-		return nil, err
-	}
-	if w <= 0 || int64(int(w)) != w {
-		return nil, wire.Corruptf("window: window size %d out of range", w)
-	}
-	s.w = int(w)
-	if s.count, err = r.I64(); err != nil {
-		return nil, err
-	}
-	if s.count < 0 {
-		return nil, wire.Corruptf("window: negative count %d", s.count)
-	}
-	present, err := r.U8()
-	if err != nil {
-		return nil, err
-	}
-	switch present {
-	case 0:
-	case 1:
-		if s.partial, err = summary.Decode[T](r); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, wire.Corruptf("window: partial-present flag %d", present)
+	r.Header(wire.FamilyWindowQuantile, wire.TagOf[T]())
+	s := &QuantileSnapshot[T]{eps: r.F64(), w: windowSize(r), count: r.I64()}
+	r.Check(s.count >= 0, "window: negative count %d", s.count)
+	present := r.U8()
+	r.Check(present <= 1, "window: partial-present flag %d", present)
+	if present == 1 {
+		s.partial = summary.Decode[T](r)
 	}
 	// A pane summary is at least eps + n + an empty entry list.
-	paneCount, err := r.Count(8 + 8 + 4)
-	if err != nil {
-		return nil, err
-	}
-	if paneCount > 0 {
+	if paneCount := r.Count(8 + 8 + 4); paneCount > 0 {
 		s.panes = make([]*summary.Summary[T], paneCount)
 	}
 	for i := range s.panes {
-		if s.panes[i], err = summary.Decode[T](r); err != nil {
-			return nil, err
-		}
+		s.panes[i] = summary.Decode[T](r)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err

@@ -207,11 +207,17 @@ func ReadHeader(data []byte) (Family, Tag, error) {
 	return Family(data[7]), Tag(data[6]), nil
 }
 
-// Reader decodes a snapshot buffer with bounds checking on every read. It
-// never panics and never allocates based on an unvalidated length.
+// Reader decodes a snapshot buffer with bounds checking on every read. It is
+// sticky: the first failure is kept, every read after it returns zero and
+// consumes nothing, and Finish reports it — so a decoder is a straight list
+// of fields and checks with one error test at the end. Running on after a
+// failure is bounded by the input: every loop is sized by a Count, which is
+// 0 once anything failed and was otherwise validated against the bytes left.
+// A Reader never panics and never allocates based on an unvalidated length.
 type Reader struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewReader returns a Reader over data.
@@ -220,122 +226,124 @@ func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 // Remaining reports the undecoded bytes left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-// take consumes n bytes, or fails with ErrTruncated.
-func (r *Reader) take(n int) ([]byte, error) {
-	if r.Remaining() < n {
-		return nil, fmt.Errorf("wire: need %d bytes at offset %d, have %d: %w", n, r.off, r.Remaining(), ErrTruncated)
+// Fail records err as the decode's failure unless an earlier one stands; a
+// nil err is ignored. Family decoders report foreign errors (a nested
+// decoder's) through it.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// Check records a wrapped ErrCorrupt when a structural invariant (sorted
+// entries, possible ranks) does not hold — unless an earlier failure stands:
+// a field zeroed by truncation fails its invariant too, and must report the
+// truncation.
+func (r *Reader) Check(ok bool, format string, args ...any) {
+	if !ok && r.err == nil {
+		r.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
+	}
+}
+
+// take consumes n bytes; nil when this or an earlier read failed.
+func (r *Reader) take(n int) []byte {
+	if r.err == nil && r.Remaining() < n {
+		r.err = fmt.Errorf("wire: need %d bytes at offset %d, have %d: %w", n, r.off, r.Remaining(), ErrTruncated)
+	}
+	if r.err != nil {
+		return nil
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
-	return b, nil
+	return b
 }
 
 // Header consumes and validates the fixed header, requiring the given
 // family and value type.
-func (r *Reader) Header(fam Family, tag Tag) error {
+func (r *Reader) Header(fam Family, tag Tag) {
 	f, tg, err := ReadHeader(r.buf[r.off:])
-	if err != nil {
-		return err
-	}
-	r.off += HeaderSize
+	r.Fail(err)
+	r.take(HeaderSize)
 	// Both mismatch errors spell out the raw tag byte: when debugging a
 	// corrupt (or future-version) snapshot, "tag byte 0x07" distinguishes a
 	// flipped bit from a family this build simply does not know yet.
 	if tg != tag {
-		return fmt.Errorf("wire: snapshot carries %v values (tag byte 0x%02X), want %v: %w", tg, uint8(tg), tag, ErrValueType)
+		r.Fail(fmt.Errorf("wire: snapshot carries %v values (tag byte 0x%02X), want %v: %w", tg, uint8(tg), tag, ErrValueType))
 	}
 	if f != fam {
-		return fmt.Errorf("wire: snapshot family %v (tag byte 0x%02X), want %v: %w", f, uint8(f), fam, ErrFamily)
+		r.Fail(fmt.Errorf("wire: snapshot family %v (tag byte 0x%02X), want %v: %w", f, uint8(f), fam, ErrFamily))
 	}
-	return nil
 }
 
 // U8 reads one byte.
-func (r *Reader) U8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
+func (r *Reader) U8() uint8 {
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	return b[0], nil
+	return 0
 }
 
 // U32 reads a little-endian uint32.
-func (r *Reader) U32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+func (r *Reader) U32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
+}
+
+// u64 reads a little-endian uint64.
+func (r *Reader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
 // I64 reads a little-endian int64.
-func (r *Reader) I64() (int64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
-}
+func (r *Reader) I64() int64 { return int64(r.u64()) }
 
 // F64 reads a little-endian IEEE-754 float64.
-func (r *Reader) F64() (float64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-}
+func (r *Reader) F64() float64 { return math.Float64frombits(r.u64()) }
 
 // Count reads a uint32 element count and verifies that at least
 // count*elemSize bytes remain, so an overflowed or hostile length field
-// fails here — before the caller sizes any allocation by it.
-func (r *Reader) Count(elemSize int) (int, error) {
-	c, err := r.U32()
-	if err != nil {
-		return 0, err
+// fails here — and reads as 0 — before the caller sizes any allocation by it.
+func (r *Reader) Count(elemSize int) int {
+	c := r.U32()
+	if r.err == nil && int64(c)*int64(elemSize) > int64(r.Remaining()) {
+		r.err = fmt.Errorf("wire: length field %d (%d bytes each) exceeds remaining %d bytes: %w", c, elemSize, r.Remaining(), ErrTruncated)
 	}
-	if int64(c)*int64(elemSize) > int64(r.Remaining()) {
-		return 0, fmt.Errorf("wire: length field %d (%d bytes each) exceeds remaining %d bytes: %w", c, elemSize, r.Remaining(), ErrTruncated)
+	if r.err != nil {
+		return 0
 	}
-	return int(c), nil
+	return int(c)
 }
 
 // Bytes consumes n bytes and returns them, aliasing the underlying buffer —
 // the raw-slab accessor nested encodings (a family blob embedded inside
 // another family's body) decode through. The caller must have validated n
 // via Count or an explicit length check first.
-func (r *Reader) Bytes(n int) ([]byte, error) { return r.take(n) }
+func (r *Reader) Bytes(n int) []byte { return r.take(n) }
 
-// Finish verifies the buffer was consumed exactly: trailing bytes mean the
-// blob was not produced by this encoder and the parse cannot be trusted.
-// Exact consumption also keeps the format canonical — decode then re-encode
-// is the identity on bytes.
+// Finish returns the first failure, or verifies the buffer was consumed
+// exactly: trailing bytes mean the blob was not produced by this encoder and
+// the parse cannot be trusted. Exact consumption also keeps the format
+// canonical — decode then re-encode is the identity on bytes.
 func (r *Reader) Finish() error {
-	if n := r.Remaining(); n != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after snapshot body: %w", n, ErrCorrupt)
-	}
-	return nil
+	r.Check(r.Remaining() == 0, "wire: %d trailing bytes after snapshot body", r.Remaining())
+	return r.err
 }
 
 // ReadValue reads one T encoded by AppendValue.
-func ReadValue[T sorter.Value](r *Reader) (T, error) {
-	var z T
+func ReadValue[T sorter.Value](r *Reader) (v T) {
+	var k uint64
 	if sorter.KeyBits[T]() == 32 {
-		k, err := r.U32()
-		if err != nil {
-			return z, err
-		}
-		return sorter.FromOrderedKey[T](uint64(k)), nil
+		k = uint64(r.U32())
+	} else {
+		k = r.u64()
 	}
-	b, err := r.take(8)
-	if err != nil {
-		return z, err
+	if r.err != nil {
+		return v // the zero T, which key 0 does not decode to
 	}
-	return sorter.FromOrderedKey[T](binary.LittleEndian.Uint64(b)), nil
-}
-
-// Corruptf wraps ErrCorrupt with context; family decoders use it to report
-// structural-invariant violations (unsorted entries, impossible ranks).
-func Corruptf(format string, args ...any) error {
-	return fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
+	return sorter.FromOrderedKey[T](k)
 }

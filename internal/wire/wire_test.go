@@ -20,11 +20,9 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 
 	r := NewReader(b)
-	if err := r.Header(FamilyQuantile, TagUint64); err != nil {
-		t.Fatalf("Reader.Header: %v", err)
-	}
+	r.Header(FamilyQuantile, TagUint64)
 	if err := r.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
+		t.Fatalf("Reader.Header: %v", err)
 	}
 }
 
@@ -44,10 +42,14 @@ func TestHeaderErrors(t *testing.T) {
 	if _, _, err := ReadHeader(future); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: %v", err)
 	}
-	if err := NewReader(good).Header(FamilyFrequency, TagUint64); !errors.Is(err, ErrValueType) {
+	r := NewReader(good)
+	r.Header(FamilyFrequency, TagUint64)
+	if err := r.Finish(); !errors.Is(err, ErrValueType) {
 		t.Fatalf("tag mismatch: %v", err)
 	}
-	if err := NewReader(good).Header(FamilyQuantile, TagFloat32); !errors.Is(err, ErrFamily) {
+	r = NewReader(good)
+	r.Header(FamilyQuantile, TagFloat32)
+	if err := r.Finish(); !errors.Is(err, ErrFamily) {
 		t.Fatalf("family mismatch: %v", err)
 	}
 }
@@ -59,23 +61,23 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	b = AppendF64(b, -0.125)
 
 	r := NewReader(b)
-	if v, err := r.U8(); err != nil || v != 7 {
-		t.Fatalf("U8 = %d, %v", v, err)
+	if v := r.U8(); v != 7 {
+		t.Fatalf("U8 = %d", v)
 	}
-	if v, err := r.U32(); err != nil || v != 0xDEADBEEF {
-		t.Fatalf("U32 = %x, %v", v, err)
+	if v := r.U32(); v != 0xDEADBEEF {
+		t.Fatalf("U32 = %x", v)
 	}
-	if v, err := r.I64(); err != nil || v != -42 {
-		t.Fatalf("I64 = %d, %v", v, err)
+	if v := r.I64(); v != -42 {
+		t.Fatalf("I64 = %d", v)
 	}
-	if v, err := r.F64(); err != nil || v != -0.125 {
-		t.Fatalf("F64 = %v, %v", v, err)
+	if v := r.F64(); v != -0.125 {
+		t.Fatalf("F64 = %v", v)
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if _, err := r.U8(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("read past end: %v", err)
+	if v, err := r.U8(), r.Finish(); v != 0 || !errors.Is(err, ErrTruncated) {
+		t.Fatalf("read past end: %d, %v", v, err)
 	}
 }
 
@@ -89,37 +91,138 @@ func TestValueRoundTripBitExact(t *testing.T) {
 	for _, v := range []float32{0, float32(math.Copysign(0, -1)), -1.5, 3.4e38, -3.4e38, float32(math.Inf(1)), float32(math.Inf(-1))} {
 		enc := AppendValue(nil, v)
 		check(t, enc, 4)
-		got, err := ReadValue[float32](NewReader(enc))
-		if err != nil || math.Float32bits(got) != math.Float32bits(v) {
+		r := NewReader(enc)
+		got := ReadValue[float32](r)
+		if err := r.Finish(); err != nil || math.Float32bits(got) != math.Float32bits(v) {
 			t.Fatalf("float32 %v -> %v, %v", v, got, err)
 		}
 	}
 	for _, v := range []uint64{0, 1, math.MaxUint64, 1 << 63} {
 		enc := AppendValue(nil, v)
 		check(t, enc, 8)
-		got, err := ReadValue[uint64](NewReader(enc))
-		if err != nil || got != v {
+		r := NewReader(enc)
+		got := ReadValue[uint64](r)
+		if err := r.Finish(); err != nil || got != v {
 			t.Fatalf("uint64 %d -> %d, %v", v, got, err)
 		}
 	}
 	for _, v := range []int32{math.MinInt32, -1, 0, math.MaxInt32} {
 		enc := AppendValue(nil, v)
 		check(t, enc, 4)
-		got, err := ReadValue[int32](NewReader(enc))
-		if err != nil || got != v {
+		r := NewReader(enc)
+		got := ReadValue[int32](r)
+		if err := r.Finish(); err != nil || got != v {
 			t.Fatalf("int32 %d -> %d, %v", v, got, err)
 		}
 	}
 }
 
 func TestCountRejectsOverflowedLength(t *testing.T) {
-	b := AppendU32(nil, math.MaxUint32)
-	if _, err := NewReader(b).Count(24); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("overflowed count: %v", err)
+	for name, tc := range map[string]struct {
+		data     []byte
+		elemSize int
+	}{
+		"count·elemSize past the buffer": {append(AppendU32(nil, 3), make([]byte, 2*24)...), 24},
+		"count·elemSize past 2^32":       {append(AppendU32(nil, math.MaxUint32), make([]byte, 64)...), 24},
+		"count of single bytes":          {append(AppendU32(nil, 9), make([]byte, 8)...), 1},
+	} {
+		r := NewReader(tc.data)
+		if c, err := r.Count(tc.elemSize), r.Finish(); c != 0 || !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: Count = %d, %v; want 0 and ErrTruncated", name, c, err)
+		}
 	}
-	// A zero count is fine with no remaining bytes.
-	if c, err := NewReader(AppendU32(nil, 0)).Count(24); err != nil || c != 0 {
+	// A count that fits is returned, and a zero count needs no bytes at all.
+	r := NewReader(append(AppendU32(nil, 2), make([]byte, 2*24)...))
+	if c := r.Count(24); c != 2 || r.Remaining() != 2*24 {
+		t.Fatalf("fitting count: %d with %d bytes left", c, r.Remaining())
+	}
+	r = NewReader(AppendU32(nil, 0))
+	if c, err := r.Count(24), r.Finish(); err != nil || c != 0 {
 		t.Fatalf("zero count: %d, %v", c, err)
+	}
+}
+
+// TestReaderFirstFailureWins pins the sticky contract: the first failure is
+// the one Finish reports, whatever fails after it.
+func TestReaderFirstFailureWins(t *testing.T) {
+	// A truncated field reads as zero, so the invariant over it fails too;
+	// the decode must still report the truncation.
+	r := NewReader([]byte{1, 2})
+	n := r.U32()
+	r.Check(n > 0, "test: count %d not positive", n)
+	r.Fail(errors.New("foreign"))
+	if err := r.Finish(); n != 0 || !errors.Is(err, ErrTruncated) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncation then Check(false): %d, %v", n, err)
+	}
+
+	r = NewReader(AppendU32(nil, 7))
+	r.Check(r.U32() == 8, "test: want 8")
+	r.U8() // past the end, but after the corruption
+	if err := r.Finish(); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || err.Error() != "test: want 8: "+ErrCorrupt.Error() {
+		t.Fatalf("Check(false) then truncation: %v", err)
+	}
+
+	foreign := errors.New("foreign")
+	r = NewReader(nil)
+	r.Fail(nil) // no failure: ignored
+	r.Check(true, "test: holds")
+	r.Fail(foreign)
+	r.Check(false, "test: after Fail")
+	if err := r.Finish(); err != foreign {
+		t.Fatalf("Fail then Check(false): %v", err)
+	}
+}
+
+// TestReaderReadsZeroAfterFailure: once anything has failed, every read
+// returns zero and consumes nothing — Count included, so no loop or
+// allocation is sized from a field read after the failure.
+func TestReaderReadsZeroAfterFailure(t *testing.T) {
+	body := AppendU32(nil, 1) // a valid one-element count, were it ever read
+	for i := 0; i < 40; i++ {
+		body = append(body, 0xFF)
+	}
+	fail := map[string]func(r *Reader){
+		"truncation": func(r *Reader) { r.Bytes(len(body) + 1) },
+		"corruption": func(r *Reader) { r.Check(false, "test: corrupt") },
+		"bad header": func(r *Reader) { r.Header(FamilyFrequency, TagFloat32) },
+	}
+	for name, failNow := range fail {
+		r := NewReader(body)
+		failNow(r)
+		first, left := r.Finish(), r.Remaining()
+		if first == nil || left != len(body) {
+			t.Fatalf("%s: failure %v consumed %d bytes", name, first, len(body)-left)
+		}
+		if c := r.Count(1); c != 0 {
+			t.Fatalf("%s: Count = %d after the failure", name, c)
+		}
+		r.Header(FamilyQuantile, TagUint64)
+		if r.U8() != 0 || r.U32() != 0 || r.I64() != 0 || r.F64() != 0 || r.Bytes(4) != nil ||
+			ReadValue[float32](r) != 0 || ReadValue[uint64](r) != 0 || ReadValue[int64](r) != 0 {
+			t.Fatalf("%s: a read after the failure returned non-zero", name)
+		}
+		if r.Remaining() != left {
+			t.Fatalf("%s: reads after the failure consumed %d bytes", name, left-r.Remaining())
+		}
+		if err := r.Finish(); err != first {
+			t.Fatalf("%s: Finish = %v, first failure was %v", name, err, first)
+		}
+	}
+}
+
+// TestFinishTrailingBytes: trailing bytes are a corruption of an otherwise
+// clean decode only — they never replace an earlier failure.
+func TestFinishTrailingBytes(t *testing.T) {
+	data := append(AppendU32(nil, 5), 0, 0, 0)
+	r := NewReader(data)
+	r.U32()
+	if err := r.Finish(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("3 trailing bytes: %v", err)
+	}
+	r = NewReader(data)
+	r.I64() // 7 bytes: truncated, and all 7 are still unread
+	if err := r.Finish(); !errors.Is(err, ErrTruncated) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated read with bytes left: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package gpustream
 // combination a tool accepts is expressible as a stored document.
 //
 //	spec := gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 1e-3}
+//	eng := gpustream.New(spec.Backend) // none named: the host-native sorter
 //	est, err := eng.NewFromSpec(spec)
 //
 // Estimators built from a Spec are bit-identical to the same family built
@@ -19,6 +20,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -52,24 +54,50 @@ const (
 	FamilyFrugal
 )
 
-// String returns the canonical family name, matching the Kind strings
-// Engine.Stats reports.
+// familyRow is everything the package knows about one family. String,
+// ParseFamily and its error text, MarshalText, Spec.Validate's membership
+// test, the trait methods and the Kind strings Engine.Stats reports are all
+// derived from familyTable; the one thing a table cannot hold is a generic
+// constructor, so NewFromSpec keeps the only switch over families.
+type familyRow struct {
+	family  Family
+	name    string   // canonical name: String, MarshalText, EstimatorStats.Kind
+	aliases []string // other spellings ParseFamily accepts
+	// The traits behind needsEps, AnswersQuantiles, AnswersFrequencies,
+	// Sliding and Parallel.
+	needsEps, quantiles, frequencies, sliding, parallel bool
+}
+
+// familyTable is indexed by Family value minus one (the zero Family is
+// invalid and has no row).
+var familyTable = [...]familyRow{
+	{family: FamilyFrequency, name: "frequency", needsEps: true, frequencies: true},
+	{family: FamilyQuantile, name: "quantile", needsEps: true, quantiles: true},
+	{family: FamilySlidingFrequency, name: "sliding-frequency", aliases: []string{"window-frequency"},
+		needsEps: true, frequencies: true, sliding: true},
+	{family: FamilySlidingQuantile, name: "sliding-quantile", aliases: []string{"window-quantile"},
+		needsEps: true, quantiles: true, sliding: true},
+	{family: FamilyParallelFrequency, name: "parallel-frequency", aliases: []string{"sharded-frequency"},
+		needsEps: true, frequencies: true, parallel: true},
+	{family: FamilyParallelQuantile, name: "parallel-quantile", aliases: []string{"sharded-quantile"},
+		needsEps: true, quantiles: true, parallel: true},
+	{family: FamilyFrugal, name: "frugal", quantiles: true},
+}
+
+// row returns f's table row; a zero row (empty name, no traits) for a value
+// that names no family.
+func (f Family) row() *familyRow {
+	if f < 1 || int(f) > len(familyTable) {
+		return new(familyRow)
+	}
+	return &familyTable[f-1]
+}
+
+// String returns the canonical family name, the Kind string Engine.Stats
+// reports.
 func (f Family) String() string {
-	switch f {
-	case FamilyFrequency:
-		return "frequency"
-	case FamilyQuantile:
-		return "quantile"
-	case FamilySlidingFrequency:
-		return "sliding-frequency"
-	case FamilySlidingQuantile:
-		return "sliding-quantile"
-	case FamilyParallelFrequency:
-		return "parallel-frequency"
-	case FamilyParallelQuantile:
-		return "parallel-quantile"
-	case FamilyFrugal:
-		return "frugal"
+	if r := f.row(); r.name != "" {
+		return r.name
 	}
 	return fmt.Sprintf("Family(%d)", int(f))
 }
@@ -80,33 +108,24 @@ func (f Family) String() string {
 // "sharded-frequency"/"sharded-quantile" for the parallel ones. Matching is
 // case-insensitive.
 func ParseFamily(name string) (Family, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "frequency":
-		return FamilyFrequency, nil
-	case "quantile":
-		return FamilyQuantile, nil
-	case "sliding-frequency", "window-frequency":
-		return FamilySlidingFrequency, nil
-	case "sliding-quantile", "window-quantile":
-		return FamilySlidingQuantile, nil
-	case "parallel-frequency", "sharded-frequency":
-		return FamilyParallelFrequency, nil
-	case "parallel-quantile", "sharded-quantile":
-		return FamilyParallelQuantile, nil
-	case "frugal":
-		return FamilyFrugal, nil
+	key := strings.ToLower(strings.TrimSpace(name))
+	for _, r := range familyTable {
+		if key == r.name || slices.Contains(r.aliases, key) {
+			return r.family, nil
+		}
 	}
-	return 0, fmt.Errorf("gpustream: unknown family %q (want frequency, quantile, sliding-frequency, sliding-quantile, parallel-frequency, parallel-quantile, or frugal)", name)
+	return 0, fmt.Errorf("gpustream: unknown family %q (want %s)", name,
+		wantNames(familyTable[:], func(r familyRow) string { return r.name }))
 }
 
 // MarshalText encodes the family as its canonical name, so Family fields
 // round-trip through JSON as strings. Invalid families fail.
 func (f Family) MarshalText() ([]byte, error) {
-	s := f.String()
-	if strings.HasPrefix(s, "Family(") {
-		return nil, fmt.Errorf("gpustream: cannot marshal invalid family %s", s)
+	r := f.row()
+	if r.name == "" {
+		return nil, fmt.Errorf("gpustream: cannot marshal invalid family %s", f)
 	}
-	return []byte(s), nil
+	return []byte(r.name), nil
 }
 
 // UnmarshalText decodes a family name via ParseFamily.
@@ -257,8 +276,9 @@ type Spec struct {
 	// at runtime. Not applicable to frugal, which never sorts.
 	Async AsyncMode `json:"async,omitempty"`
 	// Backend is the sorting backend the estimator's pipeline runs on.
-	// The zero value is BackendGPU, so an omitted JSON field selects the
-	// paper's GPU sorter.
+	// The zero value is BackendSampleSort, so an omitted JSON field selects
+	// the host-native sorter (and omitempty drops it on the way out); the
+	// paper's GPU sorter is the named choice "gpu".
 	Backend Backend `json:"backend,omitempty"`
 	// Support is the default heavy-hitter support threshold in (0, 1) for
 	// frequency-answering families — a query-time default (used by
@@ -266,49 +286,30 @@ type Spec struct {
 	Support float64 `json:"support,omitempty"`
 }
 
-// epsFamilies need an eps budget; frugal is the one family that does not.
-func (f Family) needsEps() bool { return f != FamilyFrugal }
+// needsEps reports whether the family carries an eps budget; frugal is the
+// one family that does not.
+func (f Family) needsEps() bool { return f.row().needsEps }
 
 // AnswersQuantiles reports whether the family answers quantile queries
 // (Snapshot().Quantile returns ok on a non-empty stream).
-func (f Family) AnswersQuantiles() bool {
-	switch f {
-	case FamilyQuantile, FamilySlidingQuantile, FamilyParallelQuantile, FamilyFrugal:
-		return true
-	}
-	return false
-}
+func (f Family) AnswersQuantiles() bool { return f.row().quantiles }
 
 // AnswersFrequencies reports whether the family answers heavy-hitter and
 // point-frequency queries.
-func (f Family) AnswersFrequencies() bool {
-	switch f {
-	case FamilyFrequency, FamilySlidingFrequency, FamilyParallelFrequency:
-		return true
-	}
-	return false
-}
+func (f Family) AnswersFrequencies() bool { return f.row().frequencies }
 
 // Sliding reports whether the family is windowed.
-func (f Family) Sliding() bool {
-	return f == FamilySlidingFrequency || f == FamilySlidingQuantile
-}
+func (f Family) Sliding() bool { return f.row().sliding }
 
 // Parallel reports whether the family shards ingestion.
-func (f Family) Parallel() bool {
-	return f == FamilyParallelFrequency || f == FamilyParallelQuantile
-}
+func (f Family) Parallel() bool { return f.row().parallel }
 
 // Validate checks the spec for internal consistency: a nil error means
 // NewFromSpec will construct it without panicking. Unknown families, eps
 // outside (0, 1), and any field set for a family that does not use it are
 // all rejected with a descriptive error.
 func (s Spec) Validate() error {
-	switch s.Family {
-	case FamilyFrequency, FamilyQuantile, FamilySlidingFrequency,
-		FamilySlidingQuantile, FamilyParallelFrequency,
-		FamilyParallelQuantile, FamilyFrugal:
-	default:
+	if s.Family.row().name == "" {
 		return fmt.Errorf("gpustream: spec has no valid family (got %v)", s.Family)
 	}
 	if s.Family.needsEps() {
@@ -337,15 +338,12 @@ func (s Spec) Validate() error {
 	} else if s.Shards != 0 {
 		return fmt.Errorf("gpustream: family %v does not shard (got shards %v)", s.Family, s.Shards)
 	}
-	switch s.Family {
-	case FamilyQuantile, FamilyParallelQuantile:
+	if s.Family == FamilyQuantile || s.Family == FamilyParallelQuantile {
 		if s.Capacity < 0 {
 			return fmt.Errorf("gpustream: spec capacity %d < 0 (it is ignored; leave it zero)", s.Capacity)
 		}
-	default:
-		if s.Capacity != 0 {
-			return fmt.Errorf("gpustream: family %v takes no capacity (got %d)", s.Family, s.Capacity)
-		}
+	} else if s.Capacity != 0 {
+		return fmt.Errorf("gpustream: family %v takes no capacity (got %d)", s.Family, s.Capacity)
 	}
 	switch s.Async {
 	case AsyncOff, AsyncOn, AsyncAuto:

@@ -55,8 +55,8 @@ func TestParseFamilyRoundTrip(t *testing.T) {
 
 func TestBackendTextRoundTrip(t *testing.T) {
 	for _, b := range []gpustream.Backend{
-		gpustream.BackendGPU, gpustream.BackendGPUBitonic,
-		gpustream.BackendCPU, gpustream.BackendCPUParallel,
+		gpustream.BackendSampleSort, gpustream.BackendGPU, gpustream.BackendGPUBitonic,
+		gpustream.BackendCPU, gpustream.BackendCPUParallel, gpustream.BackendAuto,
 	} {
 		text, err := b.MarshalText()
 		if err != nil {
@@ -237,6 +237,39 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecDefaultBackend pins what a spec that names no backend means: the
+// host-native sorter — the zero Backend, which omitempty drops again — while
+// "gpu" stays a named choice that constructs the simulator and survives a
+// JSON round trip.
+func TestSpecDefaultBackend(t *testing.T) {
+	if got := new(gpustream.Spec).Backend; got != gpustream.BackendSampleSort {
+		t.Fatalf("zero Backend is %v, want samplesort", got)
+	}
+	spec, err := gpustream.ParseSpec([]byte(`{"family":"quantile","eps":0.01}`))
+	if err != nil || spec.Backend != gpustream.BackendSampleSort {
+		t.Fatalf("backend-less spec parsed to backend %v, %v", spec.Backend, err)
+	}
+	if blob, _ := json.Marshal(spec); bytes.Contains(blob, []byte("backend")) {
+		t.Errorf("marshaled backend-less spec %s names a backend", blob)
+	}
+	eng := gpustream.New(spec.Backend)
+	if _, err := eng.NewFromSpec(spec); err != nil || eng.Sorter().Name() != "samplesort" {
+		t.Errorf("backend-less spec: sorter %q, %v", eng.Sorter().Name(), err)
+	}
+
+	spec, err = gpustream.ParseSpec([]byte(`{"family":"quantile","eps":0.01,"backend":"gpu"}`))
+	if err != nil || spec.Backend != gpustream.BackendGPU {
+		t.Fatalf(`"backend":"gpu" parsed to %v, %v`, spec.Backend, err)
+	}
+	if blob, _ := json.Marshal(spec); !bytes.Contains(blob, []byte(`"backend":"gpu"`)) {
+		t.Errorf("marshaled gpu spec %s dropped the backend", blob)
+	}
+	eng = gpustream.New(spec.Backend)
+	if _, err := eng.NewFromSpec(spec); err != nil || !strings.HasPrefix(eng.Sorter().Name(), "gpu") {
+		t.Errorf("gpu spec: sorter %q, %v", eng.Sorter().Name(), err)
+	}
+}
+
 func specEqual(a, b gpustream.Spec) bool {
 	if len(a.Phis) != len(b.Phis) {
 		return false
@@ -324,6 +357,7 @@ func TestNewFromSpecMatchesTypedConstructors(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			engSpec := gpustream.New(gpustream.BackendGPU)
+			tc.spec.Backend = gpustream.BackendGPU
 			fromSpec, err := engSpec.NewFromSpec(tc.spec)
 			if err != nil {
 				t.Fatalf("NewFromSpec: %v", err)

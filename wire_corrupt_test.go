@@ -27,30 +27,45 @@ func isWireError(err error) bool {
 	return false
 }
 
-// TestUnmarshalTruncatedInput feeds every proper prefix shape of every
-// family's blob to the decoder: all must fail with a wrapped sentinel
-// (truncation, or corruption when the cut lands on a structural field),
-// and none may panic.
+// TestUnmarshalTruncatedInput cuts every golden blob — both value types of
+// every family, the keyed pair included — at every offset: each proper
+// prefix must fail with a wrapped sentinel (truncation, or corruption when
+// the cut lands on a structural field) and no snapshot, and none may panic.
 func TestUnmarshalTruncatedInput(t *testing.T) {
-	for name, snap := range goldenSnapshots[float32](t) {
+	t.Run("float32", testTruncatedInput[float32])
+	t.Run("uint64", testTruncatedInput[uint64])
+	t.Run("keyed-uint64-float32", testTruncatedKeyedInput[uint64, float32])
+	t.Run("keyed-uint32-uint64", testTruncatedKeyedInput[uint32, uint64])
+}
+
+func testTruncatedInput[T Value](t *testing.T) {
+	for name, snap := range goldenSnapshots[T](t) {
 		blob := mustMarshal(t, snap)
-		for i := 0; i < len(blob); i++ {
-			// Dense coverage through the header and first fields, then
-			// strided through the bulk, always including the last byte cut.
-			if i > 96 && i%31 != 0 && i != len(blob)-1 {
-				continue
-			}
-			s, err := UnmarshalSnapshot[float32](blob[:i])
-			if err == nil {
-				t.Fatalf("%s: prefix %d of %d bytes decoded successfully", name, i, len(blob))
-			}
-			if s != nil {
-				t.Fatalf("%s: prefix %d returned a snapshot alongside the error", name, i)
-			}
-			if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrCorrupt) {
-				t.Fatalf("%s: prefix %d: error %v wraps neither ErrTruncated nor ErrCorrupt", name, i, err)
-			}
+		for i := range blob {
+			s, err := UnmarshalSnapshot[T](blob[:i])
+			checkTruncated(t, name, i, len(blob), s == nil, err)
 		}
+	}
+}
+
+func testTruncatedKeyedInput[K, T Value](t *testing.T) {
+	blob := mustMarshalKeyed(t, goldenKeyedSnapshot[K, T](t))
+	for i := range blob {
+		s, err := UnmarshalKeyedSnapshot[K, T](blob[:i])
+		checkTruncated(t, "keyed", i, len(blob), s == nil, err)
+	}
+}
+
+func checkTruncated(t *testing.T, name string, cut, size int, gotNil bool, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s: prefix %d of %d bytes decoded successfully", name, cut, size)
+	}
+	if !gotNil {
+		t.Fatalf("%s: prefix %d returned a snapshot alongside the error", name, cut)
+	}
+	if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("%s: prefix %d: error %v wraps neither ErrTruncated nor ErrCorrupt", name, cut, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gpustream/internal/frequency"
 	"gpustream/internal/wire"
 )
 
@@ -39,14 +38,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 
 	// Boundary values of the uint64 key space.
-	boundary := frequency.SnapshotFromEntries([]frequency.SummaryEntry[uint64]{
-		{Value: 0, Freq: 3, Delta: 1},
-		{Value: 1 << 63, Freq: 2, Delta: 0},
-		{Value: math.MaxUint64, Freq: 5, Delta: 2},
-	}, 10, 0.1)
-	blob, err := boundary.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
+	blob := wire.AppendHeader(nil, wire.FamilyFrequency, wire.TagUint64)
+	blob = wire.AppendU32(wire.AppendI64(wire.AppendF64(blob, 0.1), 10), 3) // eps, n, count
+	for _, e := range []struct {
+		value       uint64
+		freq, delta int64
+	}{{0, 3, 1}, {1 << 63, 2, 0}, {math.MaxUint64, 5, 2}} {
+		blob = wire.AppendI64(wire.AppendI64(wire.AppendValue(blob, e.value), e.freq), e.delta)
 	}
 	f.Add(blob)
 
