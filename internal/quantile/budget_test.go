@@ -53,10 +53,10 @@ func TestCombineFortyLevels(t *testing.T) {
 	e := newCPU(eps, 0)
 	win := stream.Uniform(e.WindowSize(), 12)
 	slices.Sort(win)
-	s := windowSummary(win, eps)
+	s := windowSummary(nil, win, eps)
 	for k := 1; k <= 42; k++ {
 		budget := pruneBudget(e.cap - s.Eps)
-		s = e.combine(s, s)
+		s = e.combine(k-1, s, s)
 		if !(s.Eps < e.cap) || s.Size() > budget+1 {
 			t.Fatalf("level %d: spent %v (cap %v), %d entries (budget %d)", k, s.Eps, e.cap, s.Size(), budget)
 		}

@@ -11,11 +11,13 @@
 //
 // Windowing, buffering, lifecycle, locking, and telemetry come from the
 // shared internal/pipeline core; this package contributes the
-// sort -> summarize -> cascade-combine sink. Queries are safe under
-// concurrent ingestion, and Snapshot returns an immutable view: bucket
-// summaries are never mutated once published (MergeInto writes only the
-// cascade scratch, Merge, Prune and FromSortedWindow allocate fresh
-// entries), so a view is just a handle on the merged summary of the moment.
+// sort -> summarize -> cascade-combine sink. A combine that prunes is one
+// fused merge-and-prune pass (summary.MergePruneInto), and the storage of
+// consumed never-pruned buckets is recycled into the next bucket built at
+// their level (DESIGN.md section 23). Queries are safe under concurrent
+// ingestion, and Snapshot returns an immutable view: a view is always
+// merged, pruned or copied into storage of its own, never a bucket, so
+// recycling cannot reach it.
 package quantile
 
 import (
@@ -83,9 +85,11 @@ type Estimator[T sorter.Value] struct {
 	levels []*summary.Summary[T]
 	n      int64 // elements folded into buckets (excludes buffered)
 
-	// mergeTmp is the reusable scratch for merged summaries that are pruned
-	// straight away, which never escape mergeWindow.
-	mergeTmp *summary.Summary[T]
+	// spare[k], when not nil, is a consumed level-k bucket that was never
+	// pruned, kept for its entry storage: the next bucket built at level k
+	// is written into it (DESIGN.md section 23). Views never alias a
+	// bucket, so nothing else can still hold it.
+	spare []*summary.Summary[T]
 
 	// snapshot cache: queries against an unchanged stream reuse the merged
 	// summary instead of re-merging every bucket.
@@ -107,10 +111,9 @@ func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts
 		cfg.Window = windowMultiple * int(math.Ceil(1/eps))
 	}
 	e := &Estimator[T]{
-		eps:      eps,
-		cap:      eps * (1 - viewShare),
-		viewB:    int(math.Ceil(1 / (2 * viewShare * eps))),
-		mergeTmp: &summary.Summary[T]{},
+		eps:   eps,
+		cap:   eps * (1 - viewShare),
+		viewB: int(math.Ceil(1 / (2 * viewShare * eps))),
 	}
 	e.core = pipeline.NewStagedCore(cfg.Window, s, e.mergeWindow)
 	e.shell = pipeline.IngestOf(e.core)
@@ -152,13 +155,13 @@ func (e *Estimator[T]) Buckets() int {
 	return live
 }
 
-// windowSummary reduces a sorted window to its level-0 summary, with Eps
-// the error the reduction actually spent: eps/2 when ranks were sampled, and
-// nothing when every rank was kept — FromSortedWindow reports step/(2w) for
-// those too, which for a short flushed window exceeds eps although no query
-// against it can miss.
-func windowSummary[T sorter.Value](win []T, eps float64) *summary.Summary[T] {
-	s := summary.FromSortedWindow(win, eps)
+// windowSummary reduces a sorted window to its level-0 summary, built in
+// dst's storage (nil allocates), with Eps the error the reduction actually
+// spent: eps/2 when ranks were sampled, and nothing when every rank was
+// kept — FromSortedWindow reports step/(2w) for those too, which for a short
+// flushed window exceeds eps although no query against it can miss.
+func windowSummary[T sorter.Value](dst *summary.Summary[T], win []T, eps float64) *summary.Summary[T] {
+	s := summary.FromSortedWindowInto(dst, win, eps)
 	if s.Size() == len(win) {
 		s.Eps = 0
 	}
@@ -174,7 +177,7 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 	// (window preparation) stage of the paper's accounting; the values were
 	// already counted when the core timed the sort itself.
 	t0 := time.Now()
-	s := windowSummary(win, e.eps)
+	s := windowSummary(e.takeSpare(0), win, e.eps)
 	e.core.AddSort(time.Since(t0), 0)
 	e.n += int64(len(win))
 
@@ -185,31 +188,66 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 			return
 		}
 		e.levels[k] = nil
-		s = e.combine(old, s)
+		s = e.combine(k, old, s)
 	}
 	e.levels = append(e.levels, s)
 }
 
-// combine merges two buckets of one level into the bucket of the next. The
+// combine merges two buckets of level k into the bucket of level k+1. The
 // merge costs no error (the result has spent what the worse input had); a
 // result within the entry budget its remaining headroom affords is merged
-// straight into a slice of its own size, and a larger one is merged into
-// the scratch and pruned to the budget, spending 1/(2b) more.
-func (e *Estimator[T]) combine(a, b *summary.Summary[T]) *summary.Summary[T] {
+// whole, into level k+1's spare storage if there is one, and a larger one
+// is merged and pruned to the budget in one fused pass into fresh storage,
+// spending 1/(2b) more. The inputs are consumed: their storage may go to
+// level k's spare.
+func (e *Estimator[T]) combine(k int, a, b *summary.Summary[T]) *summary.Summary[T] {
 	budget := pruneBudget(e.cap - math.Max(a.Eps, b.Eps))
 	size := a.Size() + b.Size()
 	t0 := time.Now()
+	var m *summary.Summary[T]
 	if size-1 <= budget { // not size <= budget+1: a saturated budget would overflow
-		m := summary.Merge(a, b)
+		m = summary.MergeInto(e.takeSpare(k+1), a, b)
 		e.core.AddMerge(time.Since(t0), int64(size))
-		return m
+	} else {
+		// One pass did both; its time is the compress stage's, and both
+		// stages still count the entries they visit.
+		m = summary.MergePruneInto(nil, a, b, budget)
+		e.core.AddMerge(0, int64(size))
+		e.core.AddCompress(time.Since(t0), int64(size))
 	}
-	m := summary.MergeInto(e.mergeTmp, a, b)
-	t1 := time.Now()
-	e.core.AddMerge(t1.Sub(t0), int64(size))
-	p := m.Prune(budget)
-	e.core.AddCompress(time.Since(t1), int64(size))
-	return p
+	e.recycle(k, a)
+	e.recycle(k, b)
+	return m
+}
+
+// takeSpare hands out level k's spare storage, or nil.
+func (e *Estimator[T]) takeSpare(k int) *summary.Summary[T] {
+	if k >= len(e.spare) {
+		return nil
+	}
+	s := e.spare[k]
+	e.spare[k] = nil
+	return s
+}
+
+// recycle keeps a consumed level-k bucket as level k's spare if the slot is
+// empty and the bucket was never pruned, which its spent error tells: a
+// window spends at most eps/2, a merge keeps the larger input's and every
+// prune adds to it. Pruned buckets are left to the collector: the level
+// that would reuse one is filled by a prune, which writes fresh storage,
+// so a spare there would only add to the heap. (A bucket pruned from
+// windows that kept every rank can pass the test; keeping it is as safe as
+// keeping any consumed bucket, and still one slot.)
+func (e *Estimator[T]) recycle(k int, s *summary.Summary[T]) {
+	if s.Eps > e.eps/2 {
+		return
+	}
+	for len(e.spare) <= k {
+		e.spare = append(e.spare, nil)
+	}
+	if e.spare[k] == nil {
+		e.spare[k] = s
+	}
 }
 
 // snapshotLocked merges the live buckets and the buffered partial window
@@ -218,41 +256,56 @@ func (e *Estimator[T]) combine(a, b *summary.Summary[T]) *summary.Summary[T] {
 // for that: what queries, the wire and cross-shard merges handle is
 // O(1/eps) entries however long the stream. The result is cached until more
 // elements arrive; the caller must hold the core lock. The returned summary
-// is immutable — mergeWindow only ever replaces buckets with freshly
-// allocated summaries — so it may safely outlive the locked region.
+// never shares storage with a bucket — bucket storage is recycled — so it
+// is immutable and may safely outlive the locked region.
 func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	// Drain in-flight windows first: the buckets must cover the whole
 	// emitted prefix and the sorter must be idle before the partial-window
 	// sort below may reuse it.
 	e.core.BarrierLocked()
-	state := [2]int64{e.n, int64(e.core.BufferedLocked())}
+	buffered := e.core.BufferedLocked()
+	state := [2]int64{e.n, int64(buffered)}
 	if e.snapCache != nil && e.snapState == state {
 		return e.snapCache
 	}
-	var acc *summary.Summary[T]
-	add := func(s *summary.Summary[T]) {
-		if acc == nil {
-			acc = s
-		} else {
-			acc = summary.Merge(acc, s)
-		}
-	}
 	// Smallest first keeps the running merge short for as long as possible:
 	// the partial window, then the buckets by level.
-	if e.core.BufferedLocked() > 0 {
-		tmp := append(e.core.Scratch(e.core.BufferedLocked()), e.core.Partial()...)
+	var parts []*summary.Summary[T]
+	if buffered > 0 {
+		tmp := append(e.core.Scratch(buffered), e.core.Partial()...)
 		t0 := time.Now()
 		e.core.SorterLocked().Sort(tmp)
-		add(windowSummary(tmp, e.eps))
+		parts = append(parts, windowSummary(nil, tmp, e.eps))
 		e.core.AddSort(time.Since(t0), 0)
 	}
 	for _, b := range e.levels {
 		if b != nil {
-			add(b)
+			parts = append(parts, b)
 		}
 	}
-	if acc != nil && acc.Size()-1 > e.viewB {
-		acc = acc.Prune(e.viewB)
+	var acc *summary.Summary[T]
+	switch len(parts) {
+	case 0:
+	case 1:
+		acc = parts[0]
+		if acc.Size()-1 > e.viewB {
+			acc = acc.Prune(e.viewB)
+		} else if buffered == 0 {
+			acc = acc.Clone() // a bucket: its storage will be recycled
+		}
+	default:
+		// Chain-merge all but the last part, then merge the last one and
+		// prune to the view's budget in one fused pass.
+		acc = parts[0]
+		last := parts[len(parts)-1]
+		for _, p := range parts[1 : len(parts)-1] {
+			acc = summary.Merge(acc, p)
+		}
+		if acc.Size()+last.Size()-1 > e.viewB {
+			acc = summary.MergePruneInto(nil, acc, last, e.viewB)
+		} else {
+			acc = summary.Merge(acc, last)
+		}
 	}
 	e.snapCache, e.snapState = acc, state
 	return acc

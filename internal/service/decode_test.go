@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -199,6 +200,40 @@ func TestDecodeIntoPooledSliceAllocatesNothing(t *testing.T) {
 		t.Errorf("binary decode of %d rows: %v allocs, want 0", benchRows, a)
 	}
 }
+
+// TestDecodeBinaryRejectsNonFinite: a NaN or infinite float row fails the
+// batch at its byte offset; the largest finite and the subnormal floats
+// pass, and so does every integer row — the same bit patterns are values
+// there.
+func TestDecodeBinaryRejectsNonFinite(t *testing.T) {
+	f32 := func(vs ...float32) []byte { return appendBinary(nil, vs) }
+	f64 := func(vs ...float64) []byte { return appendBinary(nil, vs) }
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"float32 +Inf second", second(decodeBinary[float32](nil, f32(1, float32(inf)))), "offset 4: non-finite value"},
+		{"float32 NaN first", second(decodeBinary[float32](nil, f32(float32(nan), 1))), "offset 0: non-finite value"},
+		{"float64 -Inf third", second(decodeBinary[float64](nil, f64(0, 1, -inf))), "offset 16: non-finite value"},
+		{"float64 NaN", second(decodeBinary[float64](nil, f64(nan))), "offset 0: non-finite value"},
+		{"float32 extremes", second(decodeBinary[float32](nil, f32(math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32))), ""},
+		{"float64 extremes", second(decodeBinary[float64](nil, f64(math.MaxFloat64, math.SmallestNonzeroFloat64))), ""},
+		{"uint32 exponent bits", second(decodeBinary[uint32](nil, f32(float32(inf), float32(nan)))), ""},
+		{"int64 exponent bits", second(decodeBinary[int64](nil, f64(-inf, nan))), ""},
+	} {
+		if got := fmt.Sprint(tc.err); (tc.want == "" && tc.err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, tc.err, tc.want)
+		}
+	}
+	if _, err := parseValue[float64]("Infinity"); err == nil {
+		t.Error(`parseValue("Infinity") accepted`)
+	}
+}
+
+// second drops a decode's values.
+func second[T any](_ T, err error) error { return err }
 
 func BenchmarkDecodeJSON(b *testing.B) {
 	body, _ := benchBodies(b)

@@ -64,12 +64,18 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeJSON answers code with v encoded as one line of JSON. The body is
+// encoded before the status goes out, so a value that cannot be encoded
+// answers 500 with the reason instead of the intended status with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(apiError{Error: fmt.Sprintf("encode reply: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // handlePut creates (or idempotently re-asserts) a stream from the JSON
@@ -289,7 +295,7 @@ func (s *Server[T]) handleQuantile(w http.ResponseWriter, r *http.Request, tenan
 		phis = nil
 		for _, part := range strings.Split(arg, ",") {
 			phi, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || phi < 0 || phi > 1 {
+			if err != nil || !(phi >= 0 && phi <= 1) { // NaN fails both
 				writeErr(w, http.StatusBadRequest, "bad phi %q (want a number in [0, 1])", part)
 				return
 			}
@@ -333,7 +339,7 @@ func (s *Server[T]) handleHeavyHitters(w http.ResponseWriter, r *http.Request, t
 	support := e.spec.Support
 	if arg := r.URL.Query().Get("support"); arg != "" {
 		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil || v < 0 || v >= 1 {
+		if err != nil || !(v >= 0 && v < 1) { // NaN fails both
 			writeErr(w, http.StatusBadRequest, "bad support %q (want a number in [0, 1))", arg)
 			return
 		}
@@ -394,12 +400,15 @@ func valueWidth[T gpustream.Value]() int { return sorter.KeyBits[T]() / 8 }
 
 // decodeBinary decodes little-endian native-width rows into dst[:0]:
 // IEEE-754 bits for the float types, two's-complement for the integer
-// types.
+// types. A NaN or infinite float row is rejected, naming its byte offset:
+// the service stores and answers finite values only, as a JSON body can
+// carry nothing else.
 func decodeBinary[T gpustream.Value](dst []T, body []byte) ([]T, error) {
 	width := valueWidth[T]()
 	if len(body)%width != 0 {
 		return dst[:0], fmt.Errorf("binary body of %d bytes is not a multiple of the %d-byte row width", len(body), width)
 	}
+	exp := expMask[T]()
 	n := len(body) / width
 	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
@@ -409,9 +418,26 @@ func decodeBinary[T gpustream.Value](dst []T, body []byte) ([]T, error) {
 		} else {
 			bits = binary.LittleEndian.Uint64(body[i*8:])
 		}
+		if exp != 0 && bits&exp == exp {
+			return dst[:0], fmt.Errorf("offset %d: non-finite value", i*width)
+		}
 		dst[i] = valueFromBits[T](bits)
 	}
 	return dst, nil
+}
+
+// expMask is the exponent field of T's IEEE-754 encoding, all ones exactly
+// on NaN and ±Inf; 0 for the integer types, whose every bit pattern is a
+// value.
+func expMask[T gpustream.Value]() uint64 {
+	var v T
+	switch any(v).(type) {
+	case float32:
+		return 0x7f800000
+	case float64:
+		return 0x7ff0000000000000
+	}
+	return 0
 }
 
 // appendBinary encodes values in the row format decodeBinary reads; the
@@ -572,15 +598,17 @@ func skipDigits(body []byte, i int) int {
 }
 
 // parseValue parses one decimal literal at the element type's precision.
+// strconv's "NaN", "Inf" and "Infinity" spellings are rejected: only finite
+// values are stored or asked about.
 func parseValue[T gpustream.Value](s string) (T, error) {
 	var v T
 	switch any(v).(type) {
 	case float32:
 		f, err := strconv.ParseFloat(s, 32)
-		return T(f), err
+		return T(f), finite(f, err)
 	case float64:
 		f, err := strconv.ParseFloat(s, 64)
-		return T(f), err
+		return T(f), finite(f, err)
 	case uint32:
 		u, err := strconv.ParseUint(s, 10, 32)
 		return T(u), err
@@ -595,4 +623,13 @@ func parseValue[T gpustream.Value](s string) (T, error) {
 		return T(i), err
 	}
 	panic("service: unreachable value type")
+}
+
+// finite passes a parse error through, and fails a parse that yielded NaN
+// or an infinity.
+func finite(f float64, err error) error {
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		return errors.New("non-finite value")
+	}
+	return err
 }

@@ -217,18 +217,49 @@ func TestServiceErrors(t *testing.T) {
 		{"bad support", "GET", base + "/hits/heavyhitters?support=2", nil, 400},
 		{"bad delete timeout", "DELETE", base + "/hits?timeout=banana", nil, 400},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, body := do(t, client, tc.method, tc.url, "application/json", tc.body)
-			if code != tc.wantStatus {
-				t.Errorf("%s %s = %d (%v), want %d", tc.method, tc.url, code, body, tc.wantStatus)
+	check := func(name, method, url, contentType string, reqBody []byte, want int) {
+		t.Run(name, func(t *testing.T) {
+			code, body := do(t, client, method, url, contentType, reqBody)
+			if code != want {
+				t.Errorf("%s %s = %d (%v), want %d", method, url, code, body, want)
 			}
 			if code >= 400 {
 				if _, ok := body["error"]; !ok {
-					t.Errorf("%s %s: error body %v has no error field", tc.method, tc.url, body)
+					t.Errorf("%s %s: error body %v has no error field", method, url, body)
 				}
+			} else if body == nil {
+				t.Errorf("%s %s = %d with an empty body", method, url, code)
 			}
 		})
+	}
+	for _, tc := range cases {
+		check(tc.name, tc.method, tc.url, "application/json", tc.body, tc.wantStatus)
+	}
+
+	// Non-finite numbers. NaN fails every range comparison, strconv parses
+	// "NaN" and "Inf", and binary rows can hold either; each of these used
+	// to answer 200 with an empty body, the encoder having refused the NaN
+	// or ±Inf in the reply. The quantile stream is probed afterwards: the
+	// rejected rows must not have reached it.
+	qlat := gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01}
+	if code, _ := do(t, client, "PUT", base+"/lat", "application/json", specBody(t, qlat)); code != http.StatusCreated {
+		t.Fatalf("PUT quantile stream = %d", code)
+	}
+	inf := math.Float32bits(float32(math.Inf(1)))
+	infRows := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, inf), inf)
+	for _, tc := range []struct {
+		name, method, url, contentType string
+		body                           []byte
+		wantStatus                     int
+	}{
+		{"NaN phi", "GET", base + "/lat/quantile?phi=NaN", "", nil, 400},
+		{"NaN support", "GET", base + "/hits/heavyhitters?support=NaN", "", nil, 400},
+		{"infinite binary rows", "POST", base + "/lat/values?sync=1", "application/octet-stream", infRows, 400},
+		{"NaN frequency value", "GET", base + "/hits/frequency?v=NaN", "", nil, 400},
+		{"infinite frequency value", "GET", base + "/hits/frequency?v=-Inf", "", nil, 400},
+		{"maximum after the rejected rows", "GET", base + "/lat/quantile?phi=1", "", nil, 200},
+	} {
+		check(tc.name, tc.method, tc.url, tc.contentType, tc.body, tc.wantStatus)
 	}
 
 	// The rejected DELETE above must have left the stream alone: still

@@ -23,6 +23,69 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
+// cascadeInputs returns pairs of the buckets the quantile cascade combines
+// at eps 1e-3 over a zipf stream, with the budget their combine prunes to
+// (the cascade's rule for what the inputs have spent): two never-pruned
+// 8-window buckets (the first prune, budget 10,667), or two buckets pruned
+// once each (budget 12,191). Eight pairs rotate so that a combine does not
+// find its inputs in the cache the previous one warmed.
+func cascadeInputs(pruned bool) (pairs [][2]*Summary[float32], budget int) {
+	const eps, w, n = 0.001, 4000, 1 << 22
+	data := stream.Zipf(n, 1.1, n/100+10, 1)
+	off := 0
+	bucket := func(windows int) *Summary[float32] {
+		var acc *Summary[float32]
+		for range windows {
+			s := FromSortedWindow(sortedCopy(data[off:off+w]), eps)
+			off += w
+			if acc == nil {
+				acc = s
+			} else {
+				acc = Merge(acc, s)
+			}
+		}
+		return acc
+	}
+	for range 8 {
+		a, b := bucket(8), bucket(8)
+		if pruned {
+			a = Merge(a, bucket(8)).Prune(10667)
+			b = Merge(b, bucket(8)).Prune(10667)
+		}
+		pairs = append(pairs, [2]*Summary[float32]{a, b})
+	}
+	if pruned {
+		return pairs, 12191
+	}
+	return pairs, 10667
+}
+
+// BenchmarkMergePrune compares the fused kernel with MergeInto into a warm
+// scratch followed by Prune, each writing fresh output as the cascade does;
+// ns/entry is per merged input entry.
+func BenchmarkMergePrune(b *testing.B) {
+	for _, pruned := range []bool{false, true} {
+		pairs, budget := cascadeInputs(pruned)
+		entries := float64(pairs[0][0].Size() + pairs[0][1].Size())
+		name := map[bool]string{false: "first", true: "deep"}[pruned]
+		b.Run(name+"/fused", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				MergePruneInto(nil, p[0], p[1], budget)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+		})
+		b.Run(name+"/two-pass", func(b *testing.B) {
+			tmp := &Summary[float32]{}
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				MergeInto(tmp, p[0], p[1]).Prune(budget)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+		})
+	}
+}
+
 func BenchmarkPrune(b *testing.B) {
 	s := FromSortedWindow(sortedCopy(stream.Uniform(1<<18, 4)), 0.0001)
 	b.ResetTimer()

@@ -39,16 +39,28 @@ type Summary[T sorter.Value] struct {
 }
 
 // FromSortedWindow builds an (eps/2)-approximate summary from an ascending
-// window, the per-node construction of the paper's Section 5.2: select the
-// elements at ranks 1, ceil(eps*W), 2*ceil(eps*W), ..., W, recording each
-// element's exact rank. Consecutive selected ranks are at most eps*W apart,
-// so any rank query lands within eps*W/2 of a kept element.
+// window, the per-node construction of the paper's Section 5.2: with
+// step = floor(eps*W), at least 1, select the elements at ranks 1, step,
+// 2*step, ..., W, recording each element's exact rank. Consecutive selected
+// ranks are at most step <= eps*W apart, so any rank query lands within
+// step/2 of a kept element; Eps reports step/(2W), or eps/2 if that is more.
 //
 // It panics if window is not sorted.
 func FromSortedWindow[T sorter.Value](window []T, eps float64) *Summary[T] {
+	return FromSortedWindowInto(nil, window, eps)
+}
+
+// FromSortedWindowInto is FromSortedWindow building the summary in dst,
+// whose entry storage is reused when it is large enough; any prior contents
+// are discarded. A nil dst allocates a fresh summary. Returns dst.
+func FromSortedWindowInto[T sorter.Value](dst *Summary[T], window []T, eps float64) *Summary[T] {
+	if dst == nil {
+		dst = &Summary[T]{}
+	}
 	w := int64(len(window))
 	if w == 0 {
-		return &Summary[T]{Eps: eps / 2}
+		*dst = Summary[T]{Entries: dst.Entries[:0], Eps: eps / 2}
+		return dst
 	}
 	if eps <= 0 || eps > 1 {
 		panic(fmt.Sprintf("summary: eps %v out of (0, 1]", eps))
@@ -57,9 +69,13 @@ func FromSortedWindow[T sorter.Value](window []T, eps float64) *Summary[T] {
 	if step < 1 {
 		step = 1
 	}
-	// Sized exactly for the selected ranks (1, step, 2*step, ..., w) so the
-	// per-window construction is a single allocation on the ingestion path.
-	s := &Summary[T]{N: w, Entries: make([]Entry[T], 0, w/step+2), ranked: true}
+	// Sized for the selected ranks (1, step, 2*step, ..., w) so the
+	// per-window construction is at most one allocation.
+	s := dst
+	s.N, s.ranked, s.Entries = w, true, s.Entries[:0]
+	if int64(cap(s.Entries)) < w/step+2 {
+		s.Entries = make([]Entry[T], 0, w/step+2)
+	}
 	var prev T
 	lastRank := int64(0)
 	// Each kept element is one instance with an exact rank; duplicates of
@@ -106,10 +122,9 @@ func Merge[T sorter.Value](a, b *Summary[T]) *Summary[T] {
 }
 
 // MergeInto is Merge writing its result into dst, whose entry storage is
-// reused across calls — the ingestion hot path holds one scratch summary
-// per estimator so cascading bucket combines allocate nothing at steady
-// state. dst must not alias a or b; any prior contents are discarded. A nil
-// dst allocates a fresh summary. Returns dst.
+// reused when it is large enough — the quantile cascade hands it the storage
+// of a bucket it consumed earlier. dst must not alias a or b; any prior
+// contents are discarded. A nil dst allocates a fresh summary. Returns dst.
 func MergeInto[T sorter.Value](dst, a, b *Summary[T]) *Summary[T] {
 	if dst == nil {
 		dst = &Summary[T]{}
@@ -163,7 +178,131 @@ func MergeInto[T sorter.Value](dst, a, b *Summary[T]) *Summary[T] {
 	return dst
 }
 
-func clone[T sorter.Value](s *Summary[T]) *Summary[T] {
+// MergePruneInto is MergeInto followed by Prune(budget), fused: MergeInto's
+// walk hands each merged entry straight to Prune's grid sweep, so only the
+// at most budget+1 survivors are ever written, into dst. The result is
+// bit-identical to MergeInto(tmp, a, b).Prune(budget) — entries, N, Eps and
+// rank order — but no merged intermediate is built, and the walk stops at
+// the last grid rank. dst must not alias a or b; any prior contents are
+// discarded. A nil dst allocates. Returns dst.
+func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[T] {
+	if budget <= 0 {
+		panic("summary: Prune with non-positive budget")
+	}
+	ae, be := a.Entries, b.Entries
+	if a.N == 0 {
+		ae = nil
+	}
+	if b.N == 0 {
+		be = nil
+	}
+	if len(ae)+len(be)-1 <= budget { // Prune would keep every entry
+		dst = MergeInto(dst, a, b)
+		dst.Eps += 1 / (2 * float64(budget))
+		return dst
+	}
+	if dst == nil {
+		dst = &Summary[T]{}
+	}
+	// The merged header, by MergeInto's rules (an empty side passes the
+	// other through).
+	n, eps, ranked := a.N+b.N, math.Max(a.Eps, b.Eps), a.ranked && b.ranked
+	switch {
+	case a.N == 0:
+		eps, ranked = b.Eps, b.ranked
+	case b.N == 0:
+		eps, ranked = a.Eps, a.ranked
+	}
+	out := dst.Entries[:0]
+	if cap(out) < budget+1 {
+		out = make([]Entry[T], 0, budget+1)
+	}
+	sw := pruneSweep[T]{out: out, n: n, budget: budget, r: pruneRank(0, n, budget), curScore: math.MaxInt64, kept: true}
+
+	// MergeInto's loop while both sides have entries...
+	var predA, predB int64
+	i, j := 0, 0
+	for i < len(ae) && j < len(be) {
+		var e Entry[T]
+		if ae[i].V <= be[j].V {
+			e = Entry[T]{V: ae[i].V, RMin: ae[i].RMin + predB, RMax: ae[i].RMax + be[j].RMax - 1}
+			predA = ae[i].RMin
+			i++
+		} else {
+			e = Entry[T]{V: be[j].V, RMin: be[j].RMin + predA, RMax: be[j].RMax + ae[i].RMax - 1}
+			predB = be[j].RMin
+			j++
+		}
+		// e is Prune's next entry: it replaces cur if it scores no worse
+		// at r; otherwise settle moves the grid on. Written out here and
+		// below rather than called, so the loop stays one tight block.
+		if s := e.score(sw.r); s <= sw.curScore {
+			sw.cur, sw.curScore, sw.kept = e, s, false
+		} else if sw.settle(e) {
+			break
+		}
+	}
+	// ...then the side that is left, with no successor on the other.
+	rest, pred, succ := ae[i:], predB, b.N
+	if j < len(be) {
+		rest, pred, succ = be[j:], predA, a.N
+	}
+	for k := 0; k < len(rest) && sw.g <= budget; k++ {
+		e := Entry[T]{V: rest[k].V, RMin: rest[k].RMin + pred, RMax: rest[k].RMax + succ}
+		if s := e.score(sw.r); s <= sw.curScore {
+			sw.cur, sw.curScore, sw.kept = e, s, false
+		} else if sw.settle(e) {
+			break
+		}
+	}
+	// Out of entries: every grid point left settles on the last one.
+	if !sw.kept {
+		sw.out = append(sw.out, sw.cur)
+	}
+	dst.Entries, dst.N, dst.Eps, dst.ranked = sw.out, n, eps+1/(2*float64(budget)), ranked
+	return dst
+}
+
+// pruneSweep is Prune's grid sweep fed one entry at a time: grid point g at
+// rank r, the entry cur it currently selects with cur's score there, and
+// whether cur has been kept. It starts with a placeholder that any entry
+// beats, so the first entry becomes cur as Prune's idx = 0 does.
+type pruneSweep[T sorter.Value] struct {
+	out      []Entry[T]
+	cur      Entry[T]
+	curScore int64
+	r, n     int64
+	g        int
+	budget   int
+	kept     bool
+}
+
+// settle is called with the entry e after cur when e scores worse than cur
+// at r: grid point g ends on cur, which is kept once, and the grid moves on
+// until a grid point at which e scores no worse than cur; e then becomes
+// cur. It reports whether every grid point has settled. It runs once per
+// grid point, not per entry, and stays out of line so the merge loop that
+// calls it stays small.
+func (sw *pruneSweep[T]) settle(e Entry[T]) bool {
+	for {
+		if !sw.kept {
+			sw.out = append(sw.out, sw.cur)
+			sw.kept = true
+		}
+		if sw.g++; sw.g > sw.budget {
+			return true
+		}
+		sw.r = pruneRank(sw.g, sw.n, sw.budget)
+		sw.curScore = sw.cur.score(sw.r)
+		if s := e.score(sw.r); s <= sw.curScore {
+			sw.cur, sw.curScore, sw.kept = e, s, false
+			return false
+		}
+	}
+}
+
+// Clone returns a copy of the summary with entry storage of its own.
+func (s *Summary[T]) Clone() *Summary[T] {
 	c := &Summary[T]{N: s.N, Eps: s.Eps, ranked: s.ranked}
 	c.Entries = append([]Entry[T](nil), s.Entries...)
 	return c
@@ -178,7 +317,7 @@ func (s *Summary[T]) Prune(b int) *Summary[T] {
 		panic("summary: Prune with non-positive budget")
 	}
 	if len(s.Entries) <= b+1 {
-		out := clone(s)
+		out := s.Clone()
 		out.Eps = s.Eps + 1/(2*float64(b))
 		return out
 	}
@@ -189,13 +328,7 @@ func (s *Summary[T]) Prune(b int) *Summary[T] {
 	es := s.Entries
 	idx, lastIdx := 0, -1
 	for i := 0; i <= b; i++ {
-		r := int64(math.Ceil(float64(i) * float64(s.N) / float64(b)))
-		if r < 1 {
-			r = 1
-		}
-		if r > s.N {
-			r = s.N
-		}
+		r := pruneRank(i, s.N, b)
 		cur := es[idx].score(r)
 		for idx+1 < len(es) {
 			next := es[idx+1].score(r)
@@ -210,6 +343,13 @@ func (s *Summary[T]) Prune(b int) *Summary[T] {
 		}
 	}
 	return out
+}
+
+// pruneRank is grid point i of a prune of n elements to budget b:
+// ceil(i*n/b), clamped to [1, n].
+func pruneRank(i int, n int64, b int) int64 {
+	r := int64(math.Ceil(float64(i) * float64(n) / float64(b)))
+	return min(max(r, 1), n)
 }
 
 // score is how far rank r can lie from the entry's true rank:
