@@ -217,23 +217,38 @@ func (r *registry[T]) get(tenant, stream string) (*entry[T], bool) {
 // not. At capacity, the least-recently-used stream is evicted first —
 // drained with the configured DrainTimeout and spilled like any other
 // drain.
-func (r *registry[T]) create(tenant, stream string, spec gpustream.Spec) (e *entry[T], created bool, err error) {
-	key := streamKey(tenant, stream)
-	var victim *entry[T]
+func (r *registry[T]) create(tenant, stream string, spec gpustream.Spec) (*entry[T], bool, error) {
+	e, victim, created, err := r.insert(tenant, stream, spec)
+	if !created {
+		return e, false, err
+	}
+	go e.writer()
 
+	if victim != nil {
+		r.ctr.evictions.Add(1)
+		r.finish(victim)
+	}
+	return e, true, nil
+}
+
+// insert is create's work under r.mu: the existing entry, or a new one
+// linked in with the LRU victim it displaced unlinked. r.mu is released on
+// every path, a panicking constructor's included, so one bad request cannot
+// wedge every later one.
+func (r *registry[T]) insert(tenant, stream string, spec gpustream.Spec) (e, victim *entry[T], created bool, err error) {
+	key := streamKey(tenant, stream)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if old, ok := r.streams[key]; ok {
-		r.mu.Unlock()
 		if reflect.DeepEqual(old.spec, spec) {
-			return old, false, nil
+			return old, nil, false, nil
 		}
-		return nil, false, fmt.Errorf("%w: %s", errConflict, key)
+		return nil, nil, false, fmt.Errorf("%w: %s", errConflict, key)
 	}
 	eng := gpustream.NewOf[T](spec.Backend)
 	est, err := eng.NewFromSpec(spec)
 	if err != nil {
-		r.mu.Unlock()
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	if len(r.streams) >= r.cfg.MaxStreams {
 		victim = r.lruLocked()
@@ -249,15 +264,7 @@ func (r *registry[T]) create(tenant, stream string, spec gpustream.Spec) (e *ent
 	}
 	e.touch()
 	r.streams[key] = e
-	r.mu.Unlock()
-
-	go e.writer()
-
-	if victim != nil {
-		r.ctr.evictions.Add(1)
-		r.finish(victim)
-	}
-	return e, true, nil
+	return e, victim, true, nil
 }
 
 // lruLocked picks the least-recently-used entry. Caller holds r.mu.

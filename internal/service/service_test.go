@@ -262,6 +262,20 @@ func TestServiceErrors(t *testing.T) {
 		check(tc.name, tc.method, tc.url, tc.contentType, tc.body, tc.wantStatus)
 	}
 
+	// Specs whose window buffer is past the bound. Each used to reach the
+	// constructor: out of memory, which killed the daemon, or a makeslice
+	// panic under the registry lock, which wedged every later request. A
+	// well-formed PUT after them must still create.
+	for _, tc := range []struct{ name, spec string }{
+		{"sort window past the buffer bound", `{"family":"frequency","eps":0.001,"window":1099511627776}`},
+		{"frequency eps past the buffer bound", `{"family":"frequency","eps":1e-12}`},
+		{"quantile eps past the buffer bound", `{"family":"quantile","eps":1e-13}`},
+		{"sliding pane past the buffer bound", `{"family":"sliding-quantile","eps":0.5,"window":4611686018427387904}`},
+	} {
+		check(tc.name, "PUT", base+"/huge", "application/json", []byte(tc.spec), 400)
+	}
+	check("well-formed PUT after the rejected specs", "PUT", base+"/huge", "application/json", specBody(t, qlat), 201)
+
 	// The rejected DELETE above must have left the stream alone: still
 	// there, its rows intact, and a well-formed DELETE still drains and
 	// spills it. (?sync=1 first, so the batch the table queued has landed.)

@@ -28,8 +28,8 @@ import (
 // disjoint stream partitions into one whole-window view over their union.
 // The inputs are not mutated and may be used afterwards.
 func MergeFrequencySnapshots[T sorter.Value](a, b *FrequencySnapshot[T]) *FrequencySnapshot[T] {
-	binsA, coveredA := mergePaneBins(a.panes, a.partialBins, a.partialCount, a.w)
-	binsB, coveredB := mergePaneBins(b.panes, b.partialBins, b.partialCount, b.w)
+	binsA, coveredA := a.cover(a.w)
+	binsB, coveredB := b.cover(b.w)
 	return &FrequencySnapshot[T]{
 		eps:          math.Max(a.eps, b.eps),
 		w:            a.w + b.w,
@@ -43,8 +43,7 @@ func MergeFrequencySnapshots[T sorter.Value](a, b *FrequencySnapshot[T]) *Freque
 // disjoint stream partitions into one whole-window view over their union.
 // The inputs are not mutated and may be used afterwards.
 func MergeQuantileSnapshots[T sorter.Value](a, b *QuantileSnapshot[T]) *QuantileSnapshot[T] {
-	ma := mergePaneSummaries(a.panes, a.partial, a.w)
-	mb := mergePaneSummaries(b.panes, b.partial, b.w)
+	ma, mb := a.cover(a.w), b.cover(b.w)
 	merged := &QuantileSnapshot[T]{
 		eps:   math.Max(a.eps, b.eps),
 		w:     a.w + b.w,

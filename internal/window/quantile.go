@@ -59,47 +59,19 @@ func (q *SlidingQuantile[T]) sealSorted(win []T) {
 	q.expireLocked()
 }
 
-// mergePaneSummaries merges the newest panes covering span elements with an
-// already-summarized partial pane into one queryable summary. All inputs
-// are immutable; summary.Merge allocates fresh output.
-func mergePaneSummaries[T sorter.Value](panes []*summary.Summary[T], partial *summary.Summary[T], span int) *summary.Summary[T] {
-	acc := partial
-	covered := int64(0)
-	if acc != nil {
-		covered = acc.N
-	}
-	for i := len(panes) - 1; i >= 0 && covered < int64(span); i-- {
-		if acc == nil {
-			acc = panes[i]
-		} else {
-			acc = summary.Merge(acc, panes[i])
-		}
-		covered += panes[i].N
-	}
-	return acc
-}
-
-// partialSummaryLocked summarizes a copy of the buffered partial pane.
-// Caller must hold the core lock.
-func (q *SlidingQuantile[T]) partialSummaryLocked() *summary.Summary[T] {
-	tmp := q.sortedPartialLocked()
-	if tmp == nil {
-		return nil
-	}
-	return summary.FromSortedWindow(tmp, q.eps)
-}
-
-// snapshot merges the newest panes covering span elements with the partial
-// pane buffer into one queryable summary. Caller must hold the core lock;
-// the result is immutable and may outlive the locked region.
-func (q *SlidingQuantile[T]) snapshot(span int) *summary.Summary[T] {
+// viewLocked builds the estimator's view: the live ring itself, not a copy,
+// and the partial pane sorted and reduced to a summary of its own. Caller
+// holds the core lock, and a view over the live ring answers only while it
+// does; Snapshot makes the view outlive it.
+func (q *SlidingQuantile[T]) viewLocked() *QuantileSnapshot[T] {
 	// Drain in-flight panes so the ring covers the whole emitted prefix and
 	// the sorter is idle for the partial-pane sort.
 	q.core.BarrierLocked()
-	t1 := time.Now()
-	acc := mergePaneSummaries(q.panes, q.partialSummaryLocked(), span)
-	q.core.AddMerge(time.Since(t1), 0)
-	return acc
+	v := &QuantileSnapshot[T]{eps: q.eps, w: q.w, count: q.core.CountLocked(), panes: q.panes}
+	if tmp := q.sortedPartialLocked(); tmp != nil {
+		v.partial = summary.FromSortedWindow(tmp, q.eps)
+	}
+	return v
 }
 
 // Query returns an eps-approximate phi-quantile of the most recent W
@@ -113,22 +85,15 @@ func (q *SlidingQuantile[T]) Query(phi float64) T {
 // elements, w <= W. Rank error is bounded by eps*W (absolute). Safe under
 // concurrent ingestion.
 func (q *SlidingQuantile[T]) QueryWindow(phi float64, w int) T {
-	checkSpan(w, q.w)
-	q.core.Lock()
-	s := q.snapshot(w)
-	q.core.Unlock()
-	if s == nil || s.N == 0 {
-		panic("window: quantile query on empty window")
-	}
-	return s.Query(phi)
+	defer q.lockQuery()()
+	return q.viewLocked().QueryWindow(phi, w)
 }
 
-// WindowSummary exposes the merged snapshot over the most recent w
-// elements, for validation harnesses.
+// WindowSummary exposes the merged summary over the most recent w
+// elements, for validation harnesses; nil before anything is ingested.
 func (q *SlidingQuantile[T]) WindowSummary(w int) *summary.Summary[T] {
-	q.core.Lock()
-	defer q.core.Unlock()
-	return q.snapshot(w)
+	defer q.lockQuery()()
+	return q.viewLocked().cover(w)
 }
 
 // QuantileSnapshot is an immutable point-in-time view of a sliding-window
@@ -149,14 +114,27 @@ type QuantileSnapshot[T sorter.Value] struct {
 func (q *SlidingQuantile[T]) Snapshot() pipeline.View[T] {
 	q.core.Lock()
 	defer q.core.Unlock()
-	q.core.BarrierLocked()
-	return &QuantileSnapshot[T]{
-		eps:     q.eps,
-		w:       q.w,
-		count:   q.core.CountLocked(),
-		panes:   append([]*summary.Summary[T](nil), q.panes...),
-		partial: q.partialSummaryLocked(),
+	v := q.viewLocked()
+	v.panes = append([]*summary.Summary[T](nil), v.panes...)
+	return v
+}
+
+// cover folds the parts covering the newest span elements — the partial
+// pane if there is one, then the newest panes back to the first that brings
+// the count to span, in that order — into one summary; nil when there is no
+// part. A lone part is returned as it is; summary.Merge writes fresh
+// output, so no part is mutated.
+func (s *QuantileSnapshot[T]) cover(span int) *summary.Summary[T] {
+	var parts []*summary.Summary[T]
+	var covered int64
+	if s.partial != nil {
+		parts, covered = append(parts, s.partial), s.partial.N
 	}
+	for i := len(s.panes) - 1; i >= 0 && covered < int64(span); i-- {
+		parts = append(parts, s.panes[i])
+		covered += s.panes[i].N
+	}
+	return fold(parts, summary.Merge[T])
 }
 
 // Count reports the whole-stream length the snapshot was taken at.
@@ -189,7 +167,7 @@ func (s *QuantileSnapshot[T]) Query(phi float64) T { return s.QueryWindow(phi, s
 // elements as of the snapshot, w <= W.
 func (s *QuantileSnapshot[T]) QueryWindow(phi float64, w int) T {
 	checkSpan(w, s.w)
-	m := mergePaneSummaries(s.panes, s.partial, w)
+	m := s.cover(w)
 	if m == nil || m.N == 0 {
 		panic("window: quantile query on empty window")
 	}
@@ -198,7 +176,7 @@ func (s *QuantileSnapshot[T]) QueryWindow(phi float64, w int) T {
 
 // Quantile implements pipeline.View; ok is false on an empty window.
 func (s *QuantileSnapshot[T]) Quantile(phi float64) (T, bool) {
-	m := mergePaneSummaries(s.panes, s.partial, s.w)
+	m := s.cover(s.w)
 	if m == nil || m.N == 0 {
 		var z T
 		return z, false

@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"gpustream/internal/pipeline"
 	"gpustream/internal/sorter"
@@ -120,4 +121,42 @@ func (s *sliding[T, P]) sortedPartialLocked() []T {
 	tmp := append(s.core.Scratch(n), s.core.Partial()...)
 	s.core.SorterLocked().Sort(tmp)
 	return tmp
+}
+
+// lockQuery takes the core lock for a live query, which answers from the
+// family's view while it holds it. The returned func charges the time since
+// to Merge and releases the lock; deferring it keeps a panicking query (an
+// empty quantile window, a bad span) from leaving the lock held.
+func (s *sliding[T, P]) lockQuery() (unlock func()) {
+	s.core.Lock()
+	t0 := time.Now()
+	return func() {
+		s.core.AddMerge(time.Since(t0), 0)
+		s.core.Unlock()
+	}
+}
+
+// fold merges parts into one while keeping their order: adjacent pairs per
+// round, so ⌈log₂ len(parts)⌉ rounds that each copy every entry once. merge
+// must depend on the order of its parts but not on their bracketing, as
+// histogram.Merge and summary.Merge do (DESIGN.md §23, §24); the result is
+// then the left-to-right chain's bit for bit. parts is overwritten; no
+// parts fold to the zero P.
+func fold[P any](parts []P, merge func(a, b P) P) P {
+	for len(parts) > 1 {
+		next := parts[:0]
+		for i := 0; i < len(parts); i += 2 {
+			if i+1 == len(parts) {
+				next = append(next, parts[i])
+			} else {
+				next = append(next, merge(parts[i], parts[i+1]))
+			}
+		}
+		parts = next
+	}
+	if len(parts) == 0 {
+		var zero P
+		return zero
+	}
+	return parts[0]
 }

@@ -14,9 +14,13 @@
 // Pane buffering, lifecycle, locking, and telemetry come from the shared
 // internal/pipeline core (a pane is just a window by another name); this
 // file contributes the sort -> histogram -> compress pane sink and the
-// pane ring. Queries are safe under concurrent ingestion; Snapshot returns
-// an immutable view whose pane histograms are protected from the expiry
-// freelist by a copy-on-write mark.
+// pane ring. Each family reads its ring one way: its snapshot type, built
+// over the live ring by viewLocked, folds the covering panes pairwise in
+// O(W log P) (fold, DESIGN.md §24), and live queries, Snapshot and the
+// cross-process merges all answer through it. Queries are safe under
+// concurrent ingestion; Snapshot returns an immutable view whose pane
+// histograms are protected from the expiry freelist by a copy-on-write
+// mark.
 package window
 
 import (
@@ -110,74 +114,22 @@ func (f *SlidingFrequency[T]) sealSorted(win []T) {
 	}
 }
 
-// mergePaneBins combines the newest panes covering at least span elements
-// with an already-binned partial pane, returning the merged histogram and
-// the element count it represents. histogram.Merge always writes a fresh
-// output slice, so the inputs are never mutated.
-func mergePaneBins[T sorter.Value](panes []freqPane[T], partialBins []histogram.Bin[T], partialCount int64, span int) ([]histogram.Bin[T], int64) {
-	bins := partialBins
-	covered := partialCount
-	for i := len(panes) - 1; i >= 0 && covered < int64(span); i-- {
-		bins = histogram.Merge(bins, panes[i].bins)
-		covered += panes[i].total
-	}
-	return bins, covered
-}
-
-// heavyFromBins answers the support-s frequency query over a merged
-// histogram covering `covered` of the requested w elements.
-func heavyFromBins[T sorter.Value](bins []histogram.Bin[T], covered int64, w int, eps, s float64) []Item[T] {
-	span := int64(w)
-	if covered < span {
-		span = covered
-	}
-	thresh := (s - eps) * float64(span)
-	var out []Item[T]
-	for _, b := range bins {
-		if float64(b.Count) >= thresh {
-			out = append(out, Item[T]{Value: b.Value, Freq: b.Count})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
-}
-
-// estimateFromBins scans a merged histogram for v.
-func estimateFromBins[T sorter.Value](bins []histogram.Bin[T], v T) int64 {
-	for _, b := range bins {
-		if b.Value == v {
-			return b.Count
-		}
-	}
-	return 0
-}
-
-// partialBinsLocked sorts a copy of the buffered partial pane into a fresh
-// histogram. Caller must hold the core lock.
-func (f *SlidingFrequency[T]) partialBinsLocked() []histogram.Bin[T] {
-	tmp := f.sortedPartialLocked()
-	if tmp == nil {
-		return nil
-	}
-	return histogram.FromSorted(tmp)
-}
-
-// merged returns the combined histogram over the newest panes covering at
-// least span elements, plus the current partial pane, along with the element
-// count it represents. Caller must hold the core lock.
-func (f *SlidingFrequency[T]) merged(span int) ([]histogram.Bin[T], int64) {
+// viewLocked builds the estimator's view: the live ring itself, not a copy,
+// and the partial pane sorted and collapsed into a histogram of its own.
+// Caller holds the core lock, and a view over the live ring answers only
+// while it does; Snapshot makes the view outlive it.
+func (f *SlidingFrequency[T]) viewLocked() *FrequencySnapshot[T] {
 	// Drain in-flight panes so the ring covers the whole emitted prefix and
 	// the sorter is idle for the partial-pane sort.
 	f.core.BarrierLocked()
-	t1 := time.Now()
-	bins, covered := mergePaneBins(f.panes, f.partialBinsLocked(), int64(f.core.BufferedLocked()), span)
-	f.core.AddMerge(time.Since(t1), 0)
-	return bins, covered
+	return &FrequencySnapshot[T]{
+		eps:          f.eps,
+		w:            f.w,
+		count:        f.core.CountLocked(),
+		panes:        f.panes,
+		partialBins:  histogram.FromSorted(f.sortedPartialLocked()),
+		partialCount: int64(f.core.BufferedLocked()),
+	}
 }
 
 // Query returns the elements whose estimated frequency over the most recent
@@ -191,21 +143,15 @@ func (f *SlidingFrequency[T]) Query(s float64) []Item[T] {
 // elements, w <= W. Error is bounded by eps*W (absolute, in elements).
 // Safe under concurrent ingestion.
 func (f *SlidingFrequency[T]) QueryWindow(s float64, w int) []Item[T] {
-	checkSupport(s)
-	checkSpan(w, f.w)
-	f.core.Lock()
-	bins, covered := f.merged(w)
-	f.core.Unlock()
-	return heavyFromBins(bins, covered, w, f.eps, s)
+	defer f.lockQuery()()
+	return f.viewLocked().QueryWindow(s, w)
 }
 
 // Estimate returns the estimated frequency of v over the most recent W
 // elements. Safe under concurrent ingestion.
 func (f *SlidingFrequency[T]) Estimate(v T) int64 {
-	f.core.Lock()
-	bins, _ := f.merged(f.w)
-	f.core.Unlock()
-	return estimateFromBins(bins, v)
+	defer f.lockQuery()()
+	return f.viewLocked().Estimate(v)
 }
 
 // FrequencySnapshot is an immutable point-in-time view of a sliding-window
@@ -229,24 +175,27 @@ type FrequencySnapshot[T sorter.Value] struct {
 func (f *SlidingFrequency[T]) Snapshot() pipeline.View[T] {
 	f.core.Lock()
 	defer f.core.Unlock()
-	f.core.BarrierLocked()
-	pbins := f.partialBinsLocked()
-	if pbins != nil {
-		// The scratch-backed histogram copy is reused by later queries;
-		// give the snapshot its own storage.
-		pbins = append([]histogram.Bin[T](nil), pbins...)
-	}
+	v := f.viewLocked()
 	for i := range f.panes {
 		f.panes[i].shared = true
 	}
-	return &FrequencySnapshot[T]{
-		eps:          f.eps,
-		w:            f.w,
-		count:        f.core.CountLocked(),
-		panes:        append([]freqPane[T](nil), f.panes...),
-		partialBins:  pbins,
-		partialCount: int64(f.core.BufferedLocked()),
+	v.panes = append([]freqPane[T](nil), f.panes...)
+	return v
+}
+
+// cover folds the parts covering the newest span elements — the partial
+// pane, then the newest panes back to the first that brings the count to
+// span, in that order — into one histogram, returned with the element
+// count it represents. histogram.Merge writes fresh output, so no part is
+// mutated.
+func (s *FrequencySnapshot[T]) cover(span int) ([]histogram.Bin[T], int64) {
+	parts := [][]histogram.Bin[T]{s.partialBins}
+	covered := s.partialCount
+	for i := len(s.panes) - 1; i >= 0 && covered < int64(span); i-- {
+		parts = append(parts, s.panes[i].bins)
+		covered += s.panes[i].total
 	}
+	return fold(parts, histogram.Merge[T]), covered
 }
 
 // Count reports the whole-stream length the snapshot was taken at.
@@ -273,19 +222,38 @@ func (s *FrequencySnapshot[T]) WindowSize() int { return s.w }
 func (s *FrequencySnapshot[T]) Query(sp float64) []Item[T] { return s.QueryWindow(sp, s.w) }
 
 // QueryWindow answers the variable-size query over the most recent w
-// elements as of the snapshot, w <= W.
+// elements as of the snapshot, w <= W: the items whose merged count is at
+// least (sp - eps) times the elements covered, at most w.
 func (s *FrequencySnapshot[T]) QueryWindow(sp float64, w int) []Item[T] {
 	checkSupport(sp)
 	checkSpan(w, s.w)
-	bins, covered := mergePaneBins(s.panes, s.partialBins, s.partialCount, w)
-	return heavyFromBins(bins, covered, w, s.eps, sp)
+	bins, covered := s.cover(w)
+	thresh := (sp - s.eps) * float64(min(covered, int64(w)))
+	var out []Item[T]
+	for _, b := range bins {
+		if float64(b.Count) >= thresh {
+			out = append(out, Item[T]{Value: b.Value, Freq: b.Count})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Freq != out[j].Freq {
+			return out[i].Freq > out[j].Freq
+		}
+		return out[i].Value < out[j].Value
+	})
+	return out
 }
 
 // Estimate returns the estimated frequency of v over the most recent W
 // elements as of the snapshot.
 func (s *FrequencySnapshot[T]) Estimate(v T) int64 {
-	bins, _ := mergePaneBins(s.panes, s.partialBins, s.partialCount, s.w)
-	return estimateFromBins(bins, v)
+	bins, _ := s.cover(s.w)
+	for _, b := range bins {
+		if b.Value == v {
+			return b.Count
+		}
+	}
+	return 0
 }
 
 // Quantile implements pipeline.View; frequency sketches do not answer

@@ -82,7 +82,6 @@ func TestAcceptanceMatrix(t *testing.T) {
 }
 
 func TestAcceptanceMatrixSliding(t *testing.T) {
-	skipUnderRace(t)
 	const n, w = 20000, 4000
 	const eps = 0.01
 	for name, data := range matrixDistributions(n) {
@@ -229,23 +228,11 @@ func typedMatrixCase[T Value](t *testing.T, data []T, backend Backend, eps float
 	}
 }
 
-// skipUnderRace skips the three matrix tests that loop
-// SlidingFrequency.Estimate over every distinct value (245 of the package's
-// test-seconds without the detector, ROADMAP direction 1): under -race they
-// do not finish inside any sane timeout, and the race step runs the rest of
-// the package whole.
-func skipUnderRace(t *testing.T) {
-	if raceEnabled {
-		t.Skip("does not finish under the race detector; runs in the plain test step")
-	}
-}
-
 // TestAcceptanceMatrixTypedUint64 and TestAcceptanceMatrixTypedFloat64 are
 // the full family matrix at the integer and wide-float instantiations: the
 // same guarantees the float32 matrix pins, checked on values no float32
 // stack could represent.
 func TestAcceptanceMatrixTypedUint64(t *testing.T) {
-	skipUnderRace(t)
 	const n = 20000
 	for name, data := range typedDistributionsU64(n) {
 		for _, backend := range []Backend{BackendGPU, BackendCPU, BackendSampleSort} {
@@ -257,7 +244,6 @@ func TestAcceptanceMatrixTypedUint64(t *testing.T) {
 }
 
 func TestAcceptanceMatrixTypedFloat64(t *testing.T) {
-	skipUnderRace(t)
 	const n = 20000
 	for name, data := range typedDistributionsF64(n) {
 		for _, backend := range []Backend{BackendGPU, BackendCPU, BackendSampleSort} {

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -304,10 +305,46 @@ func (f Family) Sliding() bool { return f.row().sliding }
 // Parallel reports whether the family shards ingestion.
 func (f Family) Parallel() bool { return f.row().parallel }
 
+// Bounds on what one spec may make a process allocate. An estimator
+// allocates its whole window buffer at construction and a parallel family
+// builds one estimator and one goroutine per shard, so past these a spec is
+// an out-of-memory crash, not a large stream. No spec the tools and tests
+// write comes near either.
+const (
+	maxSpecBuffer = 1 << 24 // values, across all of a spec's shards
+	maxSpecShards = 1 << 10
+)
+
+// buffer reports how many values one of the spec's estimators buffers per
+// window (for a parallel family, one shard's): a sliding family's pane,
+// ceil(eps*W/2) clamped to [1, W]; a quantile family's explicit sort window,
+// else 4*ceil(1/eps) at the eps its shards run at; a frequency family's
+// ceil(1/eps), or its explicit window when larger. Frugal buffers nothing.
+// It is computed in floats, so no spec overflows into a small buffer.
+func (s Spec) buffer() float64 {
+	switch {
+	case s.Family == FamilyFrugal:
+		return 0
+	case s.Family.Sliding():
+		return min(max(math.Ceil(s.Eps*float64(s.Window)/2), 1), float64(s.Window))
+	case s.Family.AnswersQuantiles():
+		if s.Window > 0 {
+			return float64(s.Window)
+		}
+		eps := s.Eps
+		if s.Family.Parallel() {
+			eps /= 2 // the merge-safe shard budget
+		}
+		return 4 * math.Ceil(1/eps)
+	}
+	return max(math.Ceil(1/s.Eps), float64(s.Window))
+}
+
 // Validate checks the spec for internal consistency: a nil error means
 // NewFromSpec will construct it without panicking. Unknown families, eps
-// outside (0, 1), and any field set for a family that does not use it are
-// all rejected with a descriptive error.
+// outside (0, 1), any field set for a family that does not use it, and a
+// window buffer or shard count past the package bounds are all rejected
+// with a descriptive error.
 func (s Spec) Validate() error {
 	if s.Family.row().name == "" {
 		return fmt.Errorf("gpustream: spec has no valid family (got %v)", s.Family)
@@ -337,6 +374,12 @@ func (s Spec) Validate() error {
 		}
 	} else if s.Shards != 0 {
 		return fmt.Errorf("gpustream: family %v does not shard (got shards %v)", s.Family, s.Shards)
+	}
+	if s.Shards > maxSpecShards {
+		return fmt.Errorf("gpustream: spec shards %d over the limit of %d", int(s.Shards), maxSpecShards)
+	}
+	if buf := s.buffer() * float64(max(s.Shards, 1)); buf > maxSpecBuffer {
+		return fmt.Errorf("gpustream: spec buffers %.4g values per window, over the limit of %d (raise eps, or lower the window or shards)", buf, maxSpecBuffer)
 	}
 	if s.Family == FamilyQuantile || s.Family == FamilyParallelQuantile {
 		if s.Capacity < 0 {

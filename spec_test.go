@@ -104,6 +104,10 @@ func TestSpecValidate(t *testing.T) {
 		{Family: gpustream.FamilyParallelQuantile, Eps: 0.001, Shards: gpustream.ShardsAuto, Async: gpustream.AsyncAuto},
 		{Family: gpustream.FamilyQuantile, Eps: 0.001, Async: gpustream.AsyncAuto},
 		{Family: gpustream.FamilySlidingFrequency, Eps: 0.01, Window: 1000, Async: gpustream.AsyncAuto},
+		// At the window-buffer bound: 2^24 values, and a pane of 2^22.
+		{Family: gpustream.FamilyFrequency, Eps: 1.0 / (1 << 24)},
+		{Family: gpustream.FamilySlidingQuantile, Eps: 0.5, Window: 1 << 24},
+		{Family: gpustream.FamilyParallelFrequency, Eps: 0.01, Shards: 1 << 10},
 	}
 	for _, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -138,6 +142,15 @@ func TestSpecValidate(t *testing.T) {
 		{"support on quantile", gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01, Support: 0.1}, "support does not apply"},
 		{"support out of range", gpustream.Spec{Family: gpustream.FamilyFrequency, Eps: 0.01, Support: 1.5}, "out of [0, 1)"},
 		{"unknown backend", gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01, Backend: gpustream.Backend(9)}, "unknown backend"},
+		// Each of these used to reach the constructor, which allocates the
+		// whole window buffer up front: out of memory, or a makeslice panic.
+		{"sort window past the buffer bound", gpustream.Spec{Family: gpustream.FamilyFrequency, Eps: 0.001, Window: 1 << 40}, "over the limit"},
+		{"frequency eps past the buffer bound", gpustream.Spec{Family: gpustream.FamilyFrequency, Eps: 1e-12}, "over the limit"},
+		{"quantile eps past the buffer bound", gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 1e-13}, "over the limit"},
+		{"parallel quantile eps past the buffer bound", gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: 1e-7}, "over the limit"},
+		{"sliding pane past the buffer bound", gpustream.Spec{Family: gpustream.FamilySlidingQuantile, Eps: 0.5, Window: 1 << 62}, "over the limit"},
+		{"shards past the bound", gpustream.Spec{Family: gpustream.FamilyParallelFrequency, Eps: 0.01, Shards: 1 << 20}, "shards 1048576 over the limit"},
+		{"shards times window past the buffer bound", gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: 1e-4, Shards: 512}, "over the limit"},
 	}
 	for _, tc := range invalid {
 		t.Run(tc.name, func(t *testing.T) {
