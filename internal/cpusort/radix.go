@@ -2,7 +2,6 @@ package cpusort
 
 import (
 	"math"
-	"reflect"
 
 	"gpustream/internal/sorter"
 )
@@ -12,10 +11,9 @@ import (
 // O(n) work where quicksort does O(n log n) unpredictable branches. One Sort
 // is: encode the window to order-preserving unsigned keys (bit flips for
 // floats, a sign-bit flip for signed integers, identity for unsigned — the
-// transform of sorter.OrderedKey, resolved once per call instead of once per
-// element), histogram every digit in one read pass, scatter eight bits at a
-// time between two key buffers skipping any digit all keys share, and decode
-// back into the caller's slice.
+// transform of sorter.OrderedKey), histogram every digit in one read pass,
+// scatter eight bits at a time between two key buffers skipping any digit
+// all keys share, and decode back into the caller's slice.
 //
 // The key order is total where < is not: -0 sorts before +0, NaNs with the
 // sign bit set before -Inf and the rest after +Inf. It holds from the
@@ -42,9 +40,8 @@ const (
 // for windows above StackKeys, sized to the largest window seen. The zero
 // value is ready to use; an instance is not safe for concurrent Sorts.
 type Radix[T sorter.Value] struct {
-	kind reflect.Kind
-	k32  []uint32
-	k64  []uint64
+	k32 []uint32
+	k64 []uint64
 }
 
 // Sort orders data ascending in place and reports how many scatter passes
@@ -52,10 +49,6 @@ type Radix[T sorter.Value] struct {
 // most the key width in bytes. The count depends on the data — a digit all
 // keys share is skipped.
 func (r *Radix[T]) Sort(data []T) (passes int) {
-	if r.kind == reflect.Invalid {
-		var z T
-		r.kind = reflect.TypeOf(z).Kind()
-	}
 	if n := len(data); n < r.minN() || uint64(n) > math.MaxUint32 { // counters are uint32
 		Quicksort(data)
 		return 0
@@ -63,45 +56,36 @@ func (r *Radix[T]) Sort(data []T) (passes int) {
 	return r.radix(data)
 }
 
-func (r *Radix[T]) wide() bool {
-	return r.kind == reflect.Float64 || r.kind == reflect.Uint64 || r.kind == reflect.Int64
-}
-
 // minN is the comparison-sort cutoff for r's key width.
-func (r *Radix[T]) minN() int {
-	if r.wide() {
-		return 2 * RadixMinN
-	}
-	return RadixMinN
-}
+func (r *Radix[T]) minN() int { return sorter.Width[T]() / 4 * RadixMinN }
 
 // Retained reports the bytes of key buffer the instance holds: 0 until a
 // window above StackKeys arrives.
 func (r *Radix[T]) Retained() int { return 4*cap(r.k32) + 8*cap(r.k64) }
 
 // radix is Sort above the cutoff (BenchmarkWindowSort calls it below the
-// cutoff too, which is how the cutoff was set). It needs r.kind resolved.
+// cutoff too, which is how the cutoff was set).
 func (r *Radix[T]) radix(data []T) int {
-	if r.wide() {
-		return tiered(r.kind, data, &r.k64)
+	if sorter.Width[T]() == 8 {
+		return tiered(data, &r.k64)
 	}
-	return tiered(r.kind, data, &r.k32)
+	return tiered(data, &r.k32)
 }
 
 // tiered picks where the two key buffers live: one of two stack frames, or
 // *held grown to the largest window seen.
-func tiered[T sorter.Value, K uint32 | uint64](kind reflect.Kind, data []T, held *[]K) int {
+func tiered[T sorter.Value, K uint32 | uint64](data []T, held *[]K) int {
 	n := len(data)
 	switch {
 	case n <= stackKeysSmall:
-		return onSmallStack[T, K](kind, data)
+		return onSmallStack[T, K](data)
 	case n <= StackKeys:
-		return onStack[T, K](kind, data)
+		return onStack[T, K](data)
 	}
 	if cap(*held) < 2*n {
 		*held = make([]K, 2*n)
 	}
-	return sortKeys(kind, data, (*held)[:n], (*held)[n:2*n])
+	return sortKeys(data, (*held)[:n], (*held)[n:2*n])
 }
 
 // Each stack tier is its own frame (hence noinline), so that a 1000-value
@@ -109,64 +93,28 @@ func tiered[T sorter.Value, K uint32 | uint64](kind reflect.Kind, data []T, held
 // needs.
 
 //go:noinline
-func onSmallStack[T sorter.Value, K uint32 | uint64](kind reflect.Kind, data []T) int {
+func onSmallStack[T sorter.Value, K uint32 | uint64](data []T) int {
 	var a, b [stackKeysSmall]K
-	return sortKeys(kind, data, a[:len(data)], b[:len(data)])
+	return sortKeys(data, a[:len(data)], b[:len(data)])
 }
 
 //go:noinline
-func onStack[T sorter.Value, K uint32 | uint64](kind reflect.Kind, data []T) int {
+func onStack[T sorter.Value, K uint32 | uint64](data []T) int {
 	var a, b [StackKeys]K
-	return sortKeys(kind, data, a[:len(data)], b[:len(data)])
+	return sortKeys(data, a[:len(data)], b[:len(data)])
 }
 
-// sortKeys is the kernel: encode, lsd, decode. K is the key width of kind.
-// The conversions are legal for every pairing of T and K and the identity
-// for the one that reaches them; they are plain loops, not methods on T,
-// because Go calls those through the generic dictionary and does not inline
-// them.
-func sortKeys[T sorter.Value, K uint32 | uint64](kind reflect.Kind, data []T, keys, tmp []K) int {
-	top := ^(^K(0) >> 1) // the sign bit
-	switch kind {
-	case reflect.Float32:
-		for i, v := range data {
-			b := math.Float32bits(float32(v))
-			keys[i] = K(b ^ (uint32(int32(b)>>31) | 1<<31))
-		}
-	case reflect.Float64:
-		for i, v := range data {
-			b := math.Float64bits(float64(v))
-			keys[i] = K(b ^ (uint64(int64(b)>>63) | 1<<63))
-		}
-	case reflect.Int32, reflect.Int64:
-		for i, v := range data {
-			keys[i] = K(v) ^ top
-		}
-	default:
-		for i, v := range data {
-			keys[i] = K(v)
-		}
+// sortKeys is the kernel: encode, lsd, decode. K is T's key width. The codec
+// calls inline and fold to T's one transform (DESIGN.md §25), so each loop
+// body is a load, a shift, a mask, an xor and a store, whichever package
+// instantiates it.
+func sortKeys[T sorter.Value, K uint32 | uint64](data []T, keys, tmp []K) int {
+	for i, v := range data {
+		keys[i] = K(sorter.OrderedKey(v))
 	}
 	out, passes := lsd(keys, tmp)
-	switch kind {
-	case reflect.Float32:
-		for i, k := range out {
-			b := uint32(k)
-			data[i] = T(math.Float32frombits(b ^ (uint32(int32(^b)>>31) | 1<<31)))
-		}
-	case reflect.Float64:
-		for i, k := range out {
-			b := uint64(k)
-			data[i] = T(math.Float64frombits(b ^ (uint64(int64(^b)>>63) | 1<<63)))
-		}
-	case reflect.Int32, reflect.Int64:
-		for i, k := range out {
-			data[i] = T(k ^ top)
-		}
-	default:
-		for i, k := range out {
-			data[i] = T(k)
-		}
+	for i, k := range out {
+		data[i] = sorter.FromOrderedKey[T](uint64(k))
 	}
 	return passes
 }
@@ -214,11 +162,3 @@ func lsd[K uint32 | uint64](keys, tmp []K) ([]K, int) {
 	}
 	return keys, passes
 }
-
-// The float32 kernel is instantiated here, inside the package (as the
-// one-shot RadixSorter[float32] assertion this replaces used to do by
-// accident): an importing package then compiles its copy with
-// math.Float32bits inlined into sortKeys' codec loops, and without this it
-// compiles them as calls (go1.24) — one per value each way, 10% of
-// lib-freq-uniform's ingest.
-var _ = (*Radix[float32]).Sort

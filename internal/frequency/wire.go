@@ -21,7 +21,7 @@ import (
 // endian-stable wire encoding of the snapshot. The encoding is canonical —
 // unmarshal then marshal reproduces the bytes exactly.
 func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, wire.HeaderSize+8+8+4+len(s.entries)*(wire.ValueSize[T]()+16))
+	b := make([]byte, 0, wire.HeaderSize+8+8+4+len(s.entries)*(sorter.Width[T]()+16))
 	b = wire.AppendHeader(b, wire.FamilyFrequency, wire.TagOf[T]())
 	b = wire.AppendF64(b, s.eps)
 	b = wire.AppendI64(b, s.n)
@@ -44,7 +44,7 @@ func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r.Header(wire.FamilyFrequency, wire.TagOf[T]())
 	s := &Snapshot[T]{eps: r.F64(), n: r.I64()}
 	r.Check(s.n >= 0, "frequency: negative stream length %d", s.n)
-	if count := r.Count(wire.ValueSize[T]() + 16); count > 0 {
+	if count := r.Count(sorter.Width[T]() + 16); count > 0 {
 		s.entries = make([]entry[T], count)
 	}
 	for i := range s.entries {

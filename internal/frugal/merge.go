@@ -34,16 +34,17 @@ func MergeSnapshots[T sorter.Value](a, b *Snapshot[T]) (*Snapshot[T], error) {
 		n:    a.n + b.n,
 	}
 	for i := range a.phis {
-		out.ests[i], out.ctls[i] = pickTracker(a.ests[i], a.ctls[i], a.n, b.ests[i], b.ctls[i], b.n)
+		out.ests[i], out.ctls[i] = PickTracker(a.ests[i], a.ctls[i], a.n, b.ests[i], b.ctls[i], b.n)
 	}
 	return out, nil
 }
 
-// pickTracker resolves two frugal trackers of the same target: the one backed
+// PickTracker resolves two frugal trackers of the same target: the one backed
 // by more observations wins; equal backing breaks toward the smaller estimate
 // in ordered-key space (then the smaller packed control byte), so the rule is
-// symmetric in its arguments.
-func pickTracker[T sorter.Value](estA T, ctlA uint8, nA int64, estB T, ctlB uint8, nB int64) (T, uint8) {
+// symmetric in its arguments. The keyed tier merges its per-key trackers by
+// it too.
+func PickTracker[T sorter.Value](estA T, ctlA uint8, nA int64, estB T, ctlB uint8, nB int64) (T, uint8) {
 	switch {
 	case nA > nB:
 		return estA, ctlA

@@ -23,7 +23,7 @@ import (
 // endian-stable wire encoding of the snapshot. The encoding is canonical —
 // unmarshal then marshal reproduces the bytes exactly.
 func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, wire.HeaderSize+8+4+len(s.phis)*(8+wire.ValueSize[T]()+1))
+	b := make([]byte, 0, wire.HeaderSize+8+4+len(s.phis)*(8+sorter.Width[T]()+1))
 	b = wire.AppendHeader(b, wire.FamilyFrugal, wire.TagOf[T]())
 	b = wire.AppendI64(b, s.n)
 	b = wire.AppendU32(b, uint32(len(s.phis)))
@@ -45,7 +45,7 @@ func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r.Header(wire.FamilyFrugal, wire.TagOf[T]())
 	s := &Snapshot[T]{n: r.I64()}
 	r.Check(s.n >= 0, "frugal: negative stream length %d", s.n)
-	count := r.Count(8 + wire.ValueSize[T]() + 1)
+	count := r.Count(8 + sorter.Width[T]() + 1)
 	r.Check(count > 0, "frugal: snapshot tracks no target quantiles")
 	s.phis = make([]float64, count)
 	s.ests = make([]T, count)

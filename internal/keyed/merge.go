@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gpustream/internal/frequency"
+	"gpustream/internal/frugal"
 	"gpustream/internal/sorter"
 	"gpustream/internal/summary"
 )
@@ -130,9 +131,8 @@ func nextKey[K sorter.Value, T sorter.Value](a, b *Snapshot[K, T], fa, pa, fb, p
 }
 
 // mergeFrugal resolves two frugal-tier entries of the same key (either may
-// be nil): the tracker backed by more observations wins, ties breaking
-// toward the smaller estimate in ordered-key space then the smaller control
-// byte, and the backing counts add.
+// be nil) by frugal.PickTracker, with the observation counts as backing; the
+// counts add.
 func mergeFrugal[K sorter.Value, T sorter.Value](k K, a, b *FrugalEntry[K, T]) FrugalEntry[K, T] {
 	if a == nil {
 		return *b
@@ -140,17 +140,8 @@ func mergeFrugal[K sorter.Value, T sorter.Value](k K, a, b *FrugalEntry[K, T]) F
 	if b == nil {
 		return *a
 	}
-	win := a
-	switch {
-	case b.Cnt > a.Cnt:
-		win = b
-	case b.Cnt == a.Cnt:
-		ka, kb := sorter.OrderedKey(a.Est), sorter.OrderedKey(b.Est)
-		if kb < ka || (kb == ka && b.Ctl < a.Ctl) {
-			win = b
-		}
-	}
-	return FrugalEntry[K, T]{Key: k, Est: win.Est, Ctl: win.Ctl, Cnt: a.Cnt + b.Cnt}
+	est, ctl := frugal.PickTracker(a.Est, a.Ctl, a.Cnt, b.Est, b.Ctl, b.Cnt)
+	return FrugalEntry[K, T]{Key: k, Est: est, Ctl: ctl, Cnt: a.Cnt + b.Cnt}
 }
 
 // pointMass is the summary standing in for a frugal tracker when its key is

@@ -39,7 +39,7 @@ func (s *Snapshot[K, T]) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ksz, tsz := wire.ValueSize[K](), wire.ValueSize[T]()
+	ksz, tsz := sorter.Width[K](), sorter.Width[T]()
 	size := wire.HeaderSize + 1 + 8 + 8 + 8 + 8 +
 		4 + len(s.frugal)*(ksz+tsz+1+8) +
 		4 + 4 + len(oracle)
@@ -89,7 +89,7 @@ func UnmarshalSnapshot[K sorter.Value, T sorter.Value](data []byte) (*Snapshot[K
 	r.Check(s.n >= 0, "keyed: negative observation count %d", s.n)
 	s.promotions = r.I64()
 	r.Check(s.promotions >= 0, "keyed: negative promotion count %d", s.promotions)
-	ksz, tsz := wire.ValueSize[K](), wire.ValueSize[T]()
+	ksz, tsz := sorter.Width[K](), sorter.Width[T]()
 	if fcount := r.Count(ksz + tsz + 1 + 8); fcount > 0 {
 		s.frugal = make([]FrugalEntry[K, T], fcount)
 	}

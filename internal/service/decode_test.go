@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"gpustream"
+	"gpustream/internal/sorter"
 	"gpustream/internal/stream"
 )
 
@@ -81,8 +83,8 @@ func checkAgainstReference[T gpustream.Value](t *testing.T, body []byte) {
 		return
 	}
 	for i := range got {
-		if valueBits(got[i]) != valueBits(want[i]) {
-			t.Errorf("%T: %q: element %d = %v (%#x), reference %v (%#x)", zero, body, i, got[i], valueBits(got[i]), want[i], valueBits(want[i]))
+		if sorter.Bits(got[i]) != sorter.Bits(want[i]) {
+			t.Errorf("%T: %q: element %d = %v (%#x), reference %v (%#x)", zero, body, i, got[i], sorter.Bits(got[i]), want[i], sorter.Bits(want[i]))
 		}
 	}
 }
@@ -169,6 +171,18 @@ func TestDecodeJSONValues(t *testing.T) {
 	if err != nil || len(got) != 2 || &got[0] != &dst[0] || got[0] != 1 || got[1] != 2 {
 		t.Errorf("decode into a used slice = %v, %v; want [1 2] in place", got, err)
 	}
+}
+
+// appendBinary encodes values in the row format decodeBinary reads.
+func appendBinary[T gpustream.Value](dst []byte, values []T) []byte {
+	for _, v := range values {
+		if sorter.Width[T]() == 4 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(sorter.Bits(v)))
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, sorter.Bits(v))
+		}
+	}
+	return dst
 }
 
 // benchBodies is one POST body of the shape benchmark/'s svc-* workloads

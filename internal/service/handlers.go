@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -273,8 +272,21 @@ func writeIngestReply(w http.ResponseWriter, code, rows int, queued bool, tenant
 // quantileResult is one phi probe's answer.
 type quantileResult struct {
 	Phi   float64 `json:"phi"`
-	Value float64 `json:"value"`
+	Value any     `json:"value"`
 	OK    bool    `json:"ok"`
+}
+
+// answer is v as a reply writes it: a float type as the float64 it widens
+// to, so a float reply is byte for byte what it always was, and an integer
+// type exactly — a 64-bit value above 2^53 has no float64.
+func answer[T gpustream.Value](v T) any {
+	switch sorter.KindOf[T]() {
+	case sorter.Float:
+		return float64(v)
+	case sorter.Signed:
+		return int64(v)
+	}
+	return uint64(v)
 }
 
 // handleQuantile answers phi-quantile probes from a copy-on-write snapshot:
@@ -309,7 +321,7 @@ func (s *Server[T]) handleQuantile(w http.ResponseWriter, r *http.Request, tenan
 	results := make([]quantileResult, len(phis))
 	for i, phi := range phis {
 		v, ok := snap.Quantile(phi)
-		results[i] = quantileResult{Phi: phi, Value: float64(v), OK: ok}
+		results[i] = quantileResult{Phi: phi, Value: answer(v), OK: ok}
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Count   int64            `json:"count"`
@@ -319,8 +331,8 @@ func (s *Server[T]) handleQuantile(w http.ResponseWriter, r *http.Request, tenan
 
 // heavyHitterItem is one reported heavy hitter.
 type heavyHitterItem struct {
-	Value float64 `json:"value"`
-	Freq  int64   `json:"freq"`
+	Value any   `json:"value"`
+	Freq  int64 `json:"freq"`
 }
 
 // handleHeavyHitters reports every value above ?support= (default: the
@@ -353,7 +365,7 @@ func (s *Server[T]) handleHeavyHitters(w http.ResponseWriter, r *http.Request, t
 	items, ok := snap.HeavyHitters(support)
 	out := make([]heavyHitterItem, len(items))
 	for i, it := range items {
-		out[i] = heavyHitterItem{Value: float64(it.Value), Freq: it.Freq}
+		out[i] = heavyHitterItem{Value: answer(it.Value), Freq: it.Freq}
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Count   int64             `json:"count"`
@@ -387,16 +399,12 @@ func (s *Server[T]) handleFrequency(w http.ResponseWriter, r *http.Request, tena
 	snap := e.est.Snapshot()
 	freq, ok := snap.Frequency(v)
 	writeJSON(w, http.StatusOK, struct {
-		Count int64   `json:"count"`
-		Value float64 `json:"value"`
-		Freq  int64   `json:"freq"`
-		OK    bool    `json:"ok"`
-	}{snap.Count(), float64(v), freq, ok})
+		Count int64 `json:"count"`
+		Value any   `json:"value"`
+		Freq  int64 `json:"freq"`
+		OK    bool  `json:"ok"`
+	}{snap.Count(), answer(v), freq, ok})
 }
-
-// valueWidth is the wire width of one binary row: the element's native
-// 4- or 8-byte size.
-func valueWidth[T gpustream.Value]() int { return sorter.KeyBits[T]() / 8 }
 
 // decodeBinary decodes little-endian native-width rows into dst[:0]:
 // IEEE-754 bits for the float types, two's-complement for the integer
@@ -404,11 +412,10 @@ func valueWidth[T gpustream.Value]() int { return sorter.KeyBits[T]() / 8 }
 // the service stores and answers finite values only, as a JSON body can
 // carry nothing else.
 func decodeBinary[T gpustream.Value](dst []T, body []byte) ([]T, error) {
-	width := valueWidth[T]()
+	width := sorter.Width[T]()
 	if len(body)%width != 0 {
 		return dst[:0], fmt.Errorf("binary body of %d bytes is not a multiple of the %d-byte row width", len(body), width)
 	}
-	exp := expMask[T]()
 	n := len(body) / width
 	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
@@ -418,80 +425,19 @@ func decodeBinary[T gpustream.Value](dst []T, body []byte) ([]T, error) {
 		} else {
 			bits = binary.LittleEndian.Uint64(body[i*8:])
 		}
-		if exp != 0 && bits&exp == exp {
+		if !finite[T](bits) {
 			return dst[:0], fmt.Errorf("offset %d: non-finite value", i*width)
 		}
-		dst[i] = valueFromBits[T](bits)
+		dst[i] = sorter.FromBits[T](bits)
 	}
 	return dst, nil
 }
 
-// expMask is the exponent field of T's IEEE-754 encoding, all ones exactly
-// on NaN and ±Inf; 0 for the integer types, whose every bit pattern is a
-// value.
-func expMask[T gpustream.Value]() uint64 {
-	var v T
-	switch any(v).(type) {
-	case float32:
-		return 0x7f800000
-	case float64:
-		return 0x7ff0000000000000
-	}
-	return 0
-}
-
-// appendBinary encodes values in the row format decodeBinary reads; the
-// load driver shares it through this package.
-func appendBinary[T gpustream.Value](dst []byte, values []T) []byte {
-	width := valueWidth[T]()
-	for _, v := range values {
-		bits := valueBits(v)
-		if width == 4 {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(bits))
-		} else {
-			dst = binary.LittleEndian.AppendUint64(dst, bits)
-		}
-	}
-	return dst
-}
-
-// valueBits returns v's native bit pattern, zero-extended to 64 bits.
-func valueBits[T gpustream.Value](v T) uint64 {
-	switch x := any(v).(type) {
-	case float32:
-		return uint64(math.Float32bits(x))
-	case float64:
-		return math.Float64bits(x)
-	case uint32:
-		return uint64(x)
-	case uint64:
-		return x
-	case int32:
-		return uint64(uint32(x))
-	case int64:
-		return uint64(x)
-	}
-	panic("service: unreachable value type")
-}
-
-// valueFromBits inverts valueBits.
-func valueFromBits[T gpustream.Value](bits uint64) T {
-	var v T
-	switch any(v).(type) {
-	case float32:
-		return any(math.Float32frombits(uint32(bits))).(T)
-	case float64:
-		return any(math.Float64frombits(bits)).(T)
-	case uint32:
-		return any(uint32(bits)).(T)
-	case uint64:
-		return any(bits).(T)
-	case int32:
-		return any(int32(uint32(bits))).(T)
-	case int64:
-		return any(int64(bits)).(T)
-	}
-	panic("service: unreachable value type")
+// finite reports whether bits, a T's bit pattern, is a value the service
+// stores: any integer, or a float whose exponent is not all ones (NaN, ±Inf).
+func finite[T gpustream.Value](bits uint64) bool {
+	exp := sorter.ExpMask[T]()
+	return exp == 0 || bits&exp != exp
 }
 
 // decodeJSONValues decodes a bare JSON array of numbers into dst[:0] in one
@@ -597,39 +543,13 @@ func skipDigits(body []byte, i int) int {
 	return i
 }
 
-// parseValue parses one decimal literal at the element type's precision.
-// strconv's "NaN", "Inf" and "Infinity" spellings are rejected: only finite
-// values are stored or asked about.
+// parseValue parses one decimal literal at the element type's precision
+// (sorter.Parse). strconv's "NaN", "Inf" and "Infinity" spellings are
+// rejected: only finite values are stored or asked about.
 func parseValue[T gpustream.Value](s string) (T, error) {
-	var v T
-	switch any(v).(type) {
-	case float32:
-		f, err := strconv.ParseFloat(s, 32)
-		return T(f), finite(f, err)
-	case float64:
-		f, err := strconv.ParseFloat(s, 64)
-		return T(f), finite(f, err)
-	case uint32:
-		u, err := strconv.ParseUint(s, 10, 32)
-		return T(u), err
-	case uint64:
-		u, err := strconv.ParseUint(s, 10, 64)
-		return T(u), err
-	case int32:
-		i, err := strconv.ParseInt(s, 10, 32)
-		return T(i), err
-	case int64:
-		i, err := strconv.ParseInt(s, 10, 64)
-		return T(i), err
+	v, err := sorter.Parse[T](s)
+	if err == nil && !finite[T](sorter.Bits(v)) {
+		err = errors.New("non-finite value")
 	}
-	panic("service: unreachable value type")
-}
-
-// finite passes a parse error through, and fails a parse that yielded NaN
-// or an infinity.
-func finite(f float64, err error) error {
-	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
-		return errors.New("non-finite value")
-	}
-	return err
+	return v, err
 }

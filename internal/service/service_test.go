@@ -584,3 +584,62 @@ func TestServiceSpillNamesDoNotCollide(t *testing.T) {
 		t.Fatalf("spilled row counts %v, want [3 5]: one tenant's history was overwritten", got)
 	}
 }
+
+// TestServiceWideIntegerAnswers: a 64-bit integer daemon writes answer
+// values exactly. 2^53+1 has no float64, so a reply that went through one
+// would say 2^53 — a value the stream never saw.
+func TestServiceWideIntegerAnswers(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) { checkWideAnswers[uint64](t, 1<<53+1) })
+	t.Run("int64", func(t *testing.T) { checkWideAnswers[int64](t, -(1<<53 + 1)) })
+}
+
+func checkWideAnswers[T uint64 | int64](t *testing.T, v T) {
+	svc := service.New[T](service.Config{})
+	ts := httptest.NewServer(svc)
+	t.Cleanup(func() {
+		ts.Close()
+		if err := svc.Close(); err != nil {
+			t.Errorf("service close: %v", err)
+		}
+	})
+	client := ts.Client()
+	lit := fmt.Sprint(v)
+	var rows []byte
+	for i := 0; i < 1000; i++ {
+		rows = binary.LittleEndian.AppendUint64(rows, uint64(v))
+	}
+	get := func(url string) string {
+		t.Helper()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d %s, %v", url, resp.StatusCode, body, err)
+		}
+		return string(body)
+	}
+	for _, c := range []struct {
+		family  gpustream.Family
+		queries []string
+	}{
+		{gpustream.FamilyQuantile, []string{"/quantile?phi=0.5"}},
+		{gpustream.FamilyFrequency, []string{"/heavyhitters?support=0.5", "/frequency?v=" + lit}},
+	} {
+		base := ts.URL + "/v1/streams/wide/" + c.family.String()
+		spec := gpustream.Spec{Family: c.family, Eps: 0.01}
+		if code, body := do(t, client, "PUT", base, "application/json", specBody(t, spec)); code != http.StatusCreated {
+			t.Fatalf("PUT %v = %d %v", c.family, code, body)
+		}
+		if code, body := do(t, client, "POST", base+"/values?sync=1", "application/octet-stream", rows); code != http.StatusOK {
+			t.Fatalf("POST %v = %d %v", c.family, code, body)
+		}
+		for _, q := range c.queries {
+			if body := get(base + q); !strings.Contains(body, `"value":`+lit+`,`) {
+				t.Errorf("%s answered %s; want the value written as %s", q, strings.TrimSpace(body), lit)
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@ import (
 // EncodedSize reports the exact encoded byte length of s, so callers can
 // pre-size their buffers.
 func EncodedSize[T sorter.Value](s *Summary[T]) int {
-	return 8 + 8 + 4 + len(s.Entries)*(wire.ValueSize[T]()+16)
+	return 8 + 8 + 4 + len(s.Entries)*(sorter.Width[T]()+16)
 }
 
 // AppendBinary appends the wire encoding of s to b. The encoding is
@@ -43,7 +43,7 @@ func AppendBinary[T sorter.Value](b []byte, s *Summary[T]) []byte {
 func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
 	s := &Summary[T]{Eps: r.F64(), N: r.I64()}
 	r.Check(s.N >= 0, "summary: negative element count %d", s.N)
-	count := r.Count(wire.ValueSize[T]() + 16)
+	count := r.Count(sorter.Width[T]() + 16)
 	// A GK summary over a non-empty stream always retains entries (the
 	// coverage invariant needs at least the extremes); a headless body
 	// claiming otherwise would panic rank queries downstream.

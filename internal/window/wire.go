@@ -46,7 +46,7 @@ func appendBins[T sorter.Value](b []byte, bins []histogram.Bin[T]) []byte {
 // decoded panes uphold the same invariants as live ones.
 func decodeBins[T sorter.Value](r *wire.Reader) []histogram.Bin[T] {
 	var bins []histogram.Bin[T]
-	if count := r.Count(wire.ValueSize[T]() + 8); count > 0 {
+	if count := r.Count(sorter.Width[T]() + 8); count > 0 {
 		bins = make([]histogram.Bin[T], count)
 	}
 	for i := range bins {

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 
 	"gpustream/internal/sorter"
 )
@@ -133,29 +132,8 @@ var (
 	ErrCorrupt = errors.New("wire: corrupt input")
 )
 
-// TagOf reports the value-type tag of the instantiation T.
-func TagOf[T sorter.Value]() Tag {
-	var z T
-	switch reflect.ValueOf(&z).Elem().Kind() {
-	case reflect.Float32:
-		return TagFloat32
-	case reflect.Float64:
-		return TagFloat64
-	case reflect.Uint32:
-		return TagUint32
-	case reflect.Uint64:
-		return TagUint64
-	case reflect.Int32:
-		return TagInt32
-	default: // Int64
-		return TagInt64
-	}
-}
-
-// ValueSize reports the encoded width of one T value in bytes: values are
-// stored as their order-preserving integer key (sorter.OrderedKey) at T's
-// native key width, so 32-bit types cost 4 bytes and 64-bit types 8.
-func ValueSize[T sorter.Value]() int { return sorter.KeyBits[T]() / 8 }
+// TagOf reports the value-type tag of the instantiation T (sorter.WireTag).
+func TagOf[T sorter.Value]() Tag { return Tag(sorter.WireTag[T]()) }
 
 // AppendHeader appends the fixed snapshot header for the given family and
 // value type.
@@ -182,10 +160,11 @@ func AppendF64(b []byte, v float64) []byte {
 }
 
 // AppendValue appends v as its order-preserving integer key at T's native
-// width. The key mapping is a bijection, so decoding recovers v bit-exactly.
+// width (sorter.Width bytes). The key mapping is a bijection, so decoding
+// recovers v bit-exactly.
 func AppendValue[T sorter.Value](b []byte, v T) []byte {
 	k := sorter.OrderedKey(v)
-	if sorter.KeyBits[T]() == 32 {
+	if sorter.Width[T]() == 4 {
 		return binary.LittleEndian.AppendUint32(b, uint32(k))
 	}
 	return binary.LittleEndian.AppendUint64(b, k)
@@ -337,7 +316,7 @@ func (r *Reader) Finish() error {
 // ReadValue reads one T encoded by AppendValue.
 func ReadValue[T sorter.Value](r *Reader) (v T) {
 	var k uint64
-	if sorter.KeyBits[T]() == 32 {
+	if sorter.Width[T]() == 4 {
 		k = uint64(r.U32())
 	} else {
 		k = r.u64()

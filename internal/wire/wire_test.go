@@ -236,7 +236,4 @@ func TestTagOf(t *testing.T) {
 	if got := TagOf[int64](); got != TagInt64 {
 		t.Fatalf("int64 tag %v", got)
 	}
-	if ValueSize[float64]() != 8 || ValueSize[uint32]() != 4 {
-		t.Fatal("value sizes")
-	}
 }
