@@ -13,6 +13,7 @@ package gpustream
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
@@ -515,6 +516,86 @@ func BenchmarkPipelineSyncVsAsync(b *testing.B) {
 				}
 				b.ReportMetric(float64(st.Overlap.Microseconds())/1000, "overlap-ms")
 				b.ReportMetric(float64(st.Stall.Microseconds())/1000, "stall-ms")
+			})
+		}
+	}
+}
+
+// BenchmarkAsyncSmallCalls measures the async executors under small calls,
+// where windows seal only every few calls, so the merge of the last sorted
+// window falls between them. Each op makes a chunk of values (the caller's
+// own work, outside the core lock) and ingests it with one ProcessSlice. The
+// "mixed" schedule also asks one query every 16th op; "slow-caller" spends
+// about 100 ns making each value, as a decoding service writer would.
+// write-ns is the mean ProcessSlice, query-ns the mean query.
+func BenchmarkAsyncSmallCalls(b *testing.B) {
+	const chunk, queryEvery = 1000, 16
+	eng := New(BackendCPU)
+	arms := []struct {
+		name  string
+		build func() (ingest func([]float32) error, query func(), close func() error)
+	}{
+		{"frequency", func() (func([]float32) error, func(), func() error) {
+			est := eng.NewFrequencyEstimator(1e-4, WithAsyncIngestion())
+			return est.ProcessSlice, func() { _ = est.Estimate(7) }, est.Close
+		}},
+		{"quantile", func() (func([]float32) error, func(), func() error) {
+			est := eng.NewQuantileEstimator(1e-3, 1<<20, WithAsyncIngestion())
+			return est.ProcessSlice, func() { _ = est.Query(0.5) }, est.Close
+		}},
+		{"parallel-frequency", func() (func([]float32) error, func(), func() error) {
+			est := eng.NewParallelFrequencyEstimator(1e-4, 2, WithAsyncShards(), WithBatchSize(chunk))
+			return est.ProcessSlice, func() { _ = est.Estimate(7) }, est.Close
+		}},
+		{"parallel-quantile", func() (func([]float32) error, func(), func() error) {
+			est := eng.NewParallelQuantileEstimator(1e-3, 1<<20, 2, WithAsyncShards(), WithBatchSize(chunk))
+			return est.ProcessSlice, func() { _ = est.Query(0.5) }, est.Close
+		}},
+	}
+	schedules := []struct {
+		name   string
+		rounds int // xorshift rounds per value made
+		mixed  bool
+	}{
+		{"write", 1, false},
+		{"mixed", 1, true},
+		{"slow-caller", 64, false},
+	}
+	for _, arm := range arms {
+		for _, sched := range schedules {
+			b.Run(arm.name+"/"+sched.name, func(b *testing.B) {
+				ingest, query, done := arm.build()
+				defer done()
+				buf := make([]float32, chunk)
+				x := uint64(11)
+				var write, read time.Duration
+				queries := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := range buf {
+						for range sched.rounds {
+							x ^= x << 13
+							x ^= x >> 7
+							x ^= x << 17
+						}
+						buf[j] = float32(x & (1<<20 - 1))
+					}
+					t0 := time.Now()
+					if err := ingest(buf); err != nil {
+						b.Fatal(err)
+					}
+					t1 := time.Now()
+					write += t1.Sub(t0)
+					if sched.mixed && i%queryEvery == queryEvery-1 {
+						query()
+						read += time.Since(t1)
+						queries++
+					}
+				}
+				b.ReportMetric(float64(write.Nanoseconds())/float64(b.N), "write-ns")
+				if queries > 0 {
+					b.ReportMetric(float64(read.Nanoseconds())/float64(queries), "query-ns")
+				}
 			})
 		}
 	}

@@ -33,24 +33,37 @@ func hammerN() int {
 	return 1_000_000
 }
 
-// families enumerates the six estimator families over a CPU-backed engine.
+// families enumerates the six estimator families over a CPU-backed engine,
+// each twice: synchronous under its own name, and on the staged executor
+// (WithAsyncIngestion, WithAsyncShards) under name+"-async", where the
+// readers' barriers merge the window the writer left pending.
 func families(eng *gpustream.Engine[float32], capacity int64) map[string]func() gpustream.Estimator[float32] {
-	return map[string]func() gpustream.Estimator[float32]{
-		"frequency": func() gpustream.Estimator[float32] { return eng.NewFrequencyEstimator(hammerEps) },
-		"quantile":  func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, capacity) },
-		"sliding-frequency": func() gpustream.Estimator[float32] {
-			return eng.NewSlidingFrequency(hammerEps, hammerWindow)
-		},
-		"sliding-quantile": func() gpustream.Estimator[float32] {
-			return eng.NewSlidingQuantile(hammerEps, hammerWindow)
-		},
-		"parallel-frequency": func() gpustream.Estimator[float32] {
-			return eng.NewParallelFrequencyEstimator(hammerEps, 2, gpustream.WithBatchSize(1<<14))
-		},
-		"parallel-quantile": func() gpustream.Estimator[float32] {
-			return eng.NewParallelQuantileEstimator(hammerEps, capacity, 2, gpustream.WithBatchSize(1<<14))
-		},
+	m := map[string]func() gpustream.Estimator[float32]{}
+	for _, async := range []bool{false, true} {
+		var eo []gpustream.EstimatorOption
+		var po []gpustream.ParallelOption
+		suffix := ""
+		if async {
+			eo = []gpustream.EstimatorOption{gpustream.WithAsyncIngestion()}
+			po = []gpustream.ParallelOption{gpustream.WithAsyncShards()}
+			suffix = "-async"
+		}
+		m["frequency"+suffix] = func() gpustream.Estimator[float32] { return eng.NewFrequencyEstimator(hammerEps, eo...) }
+		m["quantile"+suffix] = func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, capacity, eo...) }
+		m["sliding-frequency"+suffix] = func() gpustream.Estimator[float32] {
+			return eng.NewSlidingFrequency(hammerEps, hammerWindow, eo...)
+		}
+		m["sliding-quantile"+suffix] = func() gpustream.Estimator[float32] {
+			return eng.NewSlidingQuantile(hammerEps, hammerWindow, eo...)
+		}
+		m["parallel-frequency"+suffix] = func() gpustream.Estimator[float32] {
+			return eng.NewParallelFrequencyEstimator(hammerEps, 2, append([]gpustream.ParallelOption{gpustream.WithBatchSize(1 << 14)}, po...)...)
+		}
+		m["parallel-quantile"+suffix] = func() gpustream.Estimator[float32] {
+			return eng.NewParallelQuantileEstimator(hammerEps, capacity, 2, append([]gpustream.ParallelOption{gpustream.WithBatchSize(1 << 14)}, po...)...)
+		}
 	}
+	return m
 }
 
 // liveQuery exercises the family-specific live query surface, which must be
@@ -84,10 +97,11 @@ func liveQuery(est gpustream.Estimator[float32], probe float32) {
 	}
 }
 
-// TestConcurrentQueryDuringIngest runs, for every family, four reader
-// goroutines issuing live queries, stats reads, and snapshots while one
-// writer ingests the full stream. Run under -race this is the tentpole's
-// publication-protocol check.
+// TestConcurrentQueryDuringIngest runs, for every family in both execution
+// modes, four reader goroutines issuing live queries, stats reads, and
+// snapshots while one writer ingests the full stream. Run under -race this
+// is the publication-protocol check, and in async mode it races readers
+// that merge pending windows against the writer that seals them.
 func TestConcurrentQueryDuringIngest(t *testing.T) {
 	n := hammerN()
 	data := stream.Zipf(n, 1.2, 5000, 42)

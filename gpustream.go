@@ -379,8 +379,9 @@ func WithBatchSize(n int) ParallelOption {
 
 // WithAsyncShards enables staged asynchronous ingestion inside every shard of
 // a parallel estimator: each worker's windows sort on a dedicated stage
-// goroutine that overlaps the merge/compress of the previous window. Answers
-// stay bit-identical to synchronous shards.
+// goroutine while the worker itself merges/compresses the previous window,
+// one extra goroutine per shard. Answers stay bit-identical to synchronous
+// shards.
 func WithAsyncShards() ParallelOption { return func(c *estimatorConfig) { c.async = AsyncOn } }
 
 // WithShardSortWindow overrides the per-shard sort-window size of a parallel
@@ -403,8 +404,8 @@ func WithPinnedShardTuning[T Value]() ParallelOption {
 // WithAsyncIngestion enables staged asynchronous ingestion — the paper's
 // co-processing execution model: each full window is handed to a sort stage
 // goroutine (the simulated GPU's non-blocking render + readback) while the
-// merge/compress of the previous window proceeds concurrently, with two
-// pooled window buffers double-buffering ingestion. Answers and sort
+// ingesting caller (the paper's CPU) merges/compresses the previous window,
+// with two pooled window buffers double-buffering ingestion. Answers and sort
 // operation counts are bit-identical to the default synchronous mode;
 // Stats.Overlap reports the measured co-processing time.
 func WithAsyncIngestion() EstimatorOption { return func(c *estimatorConfig) { c.async = AsyncOn } }
@@ -558,7 +559,7 @@ type sharding[T Value] struct {
 func (e *Engine[T]) sharding(cfg estimatorConfig) sharding[T] {
 	s := sharding[T]{Config: shard.Config[T]{Batch: cfg.batch, Pipeline: cfg.pipeline()}}
 	if cfg.elastic {
-		s.scaler = adaptive.NewScaler()
+		s.scaler = adaptive.NewScaler(shard.ElasticCap())
 		s.Rescaler = s.scaler
 	}
 	first, ctrl := e.tuner(cfg, true)

@@ -104,9 +104,11 @@ const (
 	// regression checks.
 	settleWindows = 64
 	// staleWindows is how many windows are discarded after every knob
-	// switch on an async pipeline: up to two windows sorted under the
-	// previous knobs may still be in flight when a switch lands, and their
-	// sort time would be attributed to the new choice.
+	// switch on an async pipeline: a switch lands after the merge of window
+	// i-1, when window i is already sealed under the previous knobs, and its
+	// sort time would be attributed to the new choice. That is at most one
+	// window; the second is margin, kept because the constant fixes the
+	// controller's knob sequences.
 	staleWindows = 2
 	// abortFactor is the measured slowdown versus the best candidate
 	// completed this round at which a probe burst stops early: a backend

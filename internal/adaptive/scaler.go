@@ -15,7 +15,6 @@ package adaptive
 // schedule.
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -65,17 +64,18 @@ type Scaler struct {
 	lastAt   time.Time
 }
 
-// NewScaler returns a shard-count controller bounded by 1 and
-// 2*GOMAXPROCS (read here, once). The first Observe adopts the estimator's
-// construction count as the climb's starting point.
-func NewScaler() *Scaler { return newScalerAt(time.Now) }
+// NewScaler returns a shard-count controller bounded by 1 and maxShards
+// (shard.ElasticCap, which Spec.Validate's memory bound counts too). The
+// first Observe adopts the estimator's construction count as the climb's
+// starting point.
+func NewScaler(maxShards int) *Scaler { return newScalerAt(time.Now, maxShards) }
 
 // newScalerAt is NewScaler on a scripted clock, the seam the table tests
 // drive throughput curves through.
-func newScalerAt(now func() time.Time) *Scaler {
+func newScalerAt(now func() time.Time, maxShards int) *Scaler {
 	return &Scaler{
 		now:   now,
-		count: climb{min: 1, max: 2 * runtime.GOMAXPROCS(0), hysteresis: scalerHysteresis, settle: scalerSettle},
+		count: climb{min: 1, max: maxShards, hysteresis: scalerHysteresis, settle: scalerSettle},
 		phase: PhaseProbe,
 		ns:    make(map[int]float64),
 		burst: burst{size: scalerBurst},

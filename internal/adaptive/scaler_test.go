@@ -2,7 +2,6 @@ package adaptive
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -39,9 +38,7 @@ func driveScaler(s *Scaler, clock *time.Time, start, observations int, curve fun
 }
 
 func TestScalerClimb(t *testing.T) {
-	// The cap is 2*GOMAXPROCS, read when the Scaler is built; pin it at 8.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
+	// Every case runs with a cap of 8 shards.
 	byCount := func(ns map[int]float64) func(int, int) float64 {
 		return func(_, shards int) float64 { return ns[shards] }
 	}
@@ -122,7 +119,7 @@ func TestScalerClimb(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := time.Unix(0, 0)
-			s := newScalerAt(func() time.Time { return clock })
+			s := newScalerAt(func() time.Time { return clock }, 8)
 			got := driveScaler(s, &clock, tc.start, tc.observations, tc.curve)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("commands %v, want %v", got, tc.want)
@@ -145,9 +142,8 @@ func TestScalerClimb(t *testing.T) {
 // it cannot hide is the burst starting two observations early, which would
 // move every later command two observations forward.
 func TestScalerDiscardsPostRescaleObservations(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	clock := time.Unix(0, 0)
-	s := newScalerAt(func() time.Time { return clock })
+	s := newScalerAt(func() time.Time { return clock }, 8)
 	lastRescale, shardsSeen := 0, 1
 	curve := func(obs, shards int) float64 {
 		if shards != shardsSeen {
@@ -172,9 +168,8 @@ func TestScalerDiscardsPostRescaleObservations(t *testing.T) {
 // TestScalerClampsConstructionCount: a construction count above the cap is
 // commanded down on the adopting observation itself.
 func TestScalerClampsConstructionCount(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	clock := time.Unix(0, 0)
-	s := newScalerAt(func() time.Time { return clock })
+	s := newScalerAt(func() time.Time { return clock }, 4)
 	if got := s.Observe(0, 16); got != 4 {
 		t.Fatalf("first Observe at 16 shards commanded %d, want the cap 4", got)
 	}

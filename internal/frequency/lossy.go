@@ -90,12 +90,18 @@ func NewEstimator[T sorter.Value](eps float64, s sorter.Sorter[T], opts ...pipel
 	}
 	cfg := pipeline.Resolve(opts)
 	e := &Estimator[T]{eps: eps}
-	e.core = pipeline.NewStagedCore(max(int(math.Ceil(1/eps)), cfg.Window), s, e.mergeWindow)
+	e.core = pipeline.NewStagedCore(Window(eps, cfg.Window), s, e.mergeWindow)
 	e.shell = pipeline.IngestOf(e.core)
 	if cfg.Async {
 		e.core.StartAsync()
 	}
 	return e
+}
+
+// Window is the sort window an Estimator at eps runs: the lossy-counting
+// floor ceil(1/eps), or a larger override.
+func Window(eps float64, override int) int {
+	return max(pipeline.WindowLen(math.Ceil(1/eps)), override)
 }
 
 // Eps reports the configured error bound.

@@ -3,114 +3,62 @@ package pipeline
 // Staged asynchronous execution: the paper's co-processing model (Sections
 // 3-4) runs the GPU sort of window i concurrently with the CPU merge and
 // compress of window i-1, hiding summary maintenance behind sorting. The
-// executor here is that model on goroutines: a sort stage that owns the
-// sorter, a merge stage that owns the summary state (it runs mergeFn under
-// the core lock), and two pooled window buffers so ingestion fills buffer B
-// while buffer A is in flight.
+// executor here is that model with one goroutine: a sort stage that owns
+// the sorter, fed by the caller that seals windows. That caller is the
+// paper's CPU — at the boundary of window i it hands i to the sort stage,
+// takes back sorted window i-1, merges it under the core lock it already
+// holds, and refills from i-1's buffer.
 //
-//	ingestion ── sortCh(1) ──> sort stage ── sortedCh(1) ──> merge stage
-//	    ^                                                        │
-//	    └────────────────────── freeCh(2) <──────────────────────┘
+//	emit(i) ── sortCh(1) ──> sort stage ── sortedCh(1) ──> emit(i+1) merges i
 //
 // Bit-identity with synchronous mode holds because nothing about the work is
 // reordered: windows enter sortCh in ingestion order, the single sort-stage
-// goroutine sorts them one at a time with the same sorter instance, and the
-// single merge-stage goroutine merges them in arrival order. Only the
-// interleaving with ingestion changes, and queries re-serialize through
-// BarrierLocked before reading summary state.
+// goroutine sorts them one at a time with the sorter each was sealed with,
+// and every merge runs under the lock in that same order. Only the
+// interleaving of sort and merge changes.
 //
-// Query barrier: BarrierLocked waits (on the core's cond, lock held) until
-// no window is mid-hand-off and inflight == 0. inflight is incremented under
-// the lock when a window is handed off and decremented by the merge stage
-// under the lock after mergeFn returns, so inflight == 0 observed under the
-// lock means both stage goroutines are idle and every emitted window has
-// been merged — at that point the summary equals the serial-prefix state and
-// the sorter is quiescent (safe for query-time partial sorts).
+// Query barrier: at most one window is ever pending (at the sort stage and
+// not yet merged). BarrierLocked merges it, so on return the summary equals
+// the serial-prefix state and the sort stage is idle (safe for query-time
+// partial sorts).
 
 import (
-	"sync"
 	"time"
 
 	"gpustream/internal/sorter"
 )
 
-// sortJob carries a sealed window to the sort stage together with the
-// sorter it was sealed under. The sorter rides with the job rather than
-// being read from the core so a tuner may swap backends at a window
-// boundary without racing the sort stage: a window already handed off
-// keeps the sorter that was active when it was sealed.
-type sortJob[T sorter.Value] struct {
-	win []T
-	srt sorter.Sorter[T]
+// job is a window on its way through the sort stage: sealed with the
+// sorter it keeps (so a tuner may swap backends at a window boundary
+// without racing the stage), and back sorted with the stage's start and
+// end, as offsets from the executor's epoch.
+type job[T sorter.Value] struct {
+	win        []T
+	srt        sorter.Sorter[T]
+	start, end time.Duration
 }
 
-// sortedWindow carries a sorted window from the sort stage to the merge
-// stage along with the sort's measured wall clock, which the merge stage
-// folds into Stats under the lock (the sort stage itself never takes it).
-type sortedWindow[T sorter.Value] struct {
-	win []T
-	dur time.Duration
-}
-
-// executor owns the two stage goroutines and the channels between them.
+// executor owns the sort-stage goroutine, the channels to and from it, and
+// the one pending window. The sort stage never takes the core lock; its
+// telemetry rides back in each job and lands under the lock.
 type executor[T sorter.Value] struct {
-	sortCh   chan sortJob[T]      // ingestion -> sort stage, cap 1
-	sortedCh chan sortedWindow[T] // sort stage -> merge stage, cap 1
-	freeCh   chan []T             // merge stage -> ingestion buffer recycling
-	done     chan struct{}        // closed when the merge stage exits
-	ov       overlapTracker
-}
-
-const (
-	stageSort  = 0
-	stageMerge = 1
-)
-
-// overlapTracker measures the wall clock during which both stages were busy
-// simultaneously — the executor's analog of the paper's hidden CPU time. It
-// has its own mutex because the sort stage never takes the core lock.
-type overlapTracker struct {
-	mu        sync.Mutex
-	busy      [2]bool
-	bothSince time.Time
-	acc       time.Duration
-}
-
-func (o *overlapTracker) enter(stage int) {
-	o.mu.Lock()
-	o.busy[stage] = true
-	if o.busy[0] && o.busy[1] {
-		o.bothSince = time.Now()
-	}
-	o.mu.Unlock()
-}
-
-func (o *overlapTracker) exit(stage int) {
-	o.mu.Lock()
-	if o.busy[0] && o.busy[1] {
-		o.acc += time.Since(o.bothSince)
-	}
-	o.busy[stage] = false
-	o.mu.Unlock()
-}
-
-func (o *overlapTracker) total() time.Duration {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	t := o.acc
-	if o.busy[0] && o.busy[1] {
-		t += time.Since(o.bothSince)
-	}
-	return t
+	sortCh   chan job[T] // caller -> sort stage, cap 1
+	sortedCh chan job[T] // sort stage -> caller, cap 1; closed on exit
+	pending  bool        // a window is at the sort stage, not yet merged
+	epoch    time.Time
+	// The caller's last merge, as offsets from epoch. It ran while the
+	// pending window sorted, so their intersection is the Overlap that
+	// window adds when it comes back.
+	mergeStart, mergeEnd time.Duration
 }
 
 // StartAsync switches a staged core from inline to overlapped execution:
-// subsequent full windows are handed to the sort stage goroutine and their
-// merge/compress runs on the merge stage goroutine while ingestion refills.
+// subsequent full windows are handed to the sort stage goroutine, and each
+// is merged by the caller that seals the next one (or by the next barrier).
 // It must be called on a staged core (NewStagedCore), at most once, and
 // before any value is ingested — it picks the initial mode; a Tuner owns
 // the mode at runtime through the Knobs.Async knob. Close drains and
-// terminates both stage goroutines.
+// terminates the sort stage.
 func (c *Core[T]) StartAsync() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,134 +75,106 @@ func (c *Core[T]) StartAsync() {
 	c.startExecutorLocked()
 }
 
-// startExecutorLocked spins up the two stage goroutines. The caller must
-// hold the lock with no window mid-hand-off; starting between windows is
+// startExecutorLocked spins up the sort stage. Starting between windows is
 // always safe because the executor begins empty — the very next sealed
 // window is simply handed off instead of sorted inline.
 func (c *Core[T]) startExecutorLocked() {
 	e := &executor[T]{
-		sortCh:   make(chan sortJob[T], 1),
-		sortedCh: make(chan sortedWindow[T], 1),
-		freeCh:   make(chan []T, 2),
-		done:     make(chan struct{}),
+		sortCh:   make(chan job[T], 1),
+		sortedCh: make(chan job[T], 1),
+		epoch:    time.Now(),
 	}
-	// The second window buffer: ingestion swaps its full buffer for this one
-	// at the first hand-off and the two then alternate through freeCh.
-	e.freeCh <- getBuf[T](c.window)
 	c.exec = e
-	go c.runSort(e)
-	go c.runMerge(e)
+	go runSort(e)
 }
 
-// stopExecutorLocked quiesces and joins the stage goroutines, folding the
-// executor's overlap total into the base stats so nothing is lost across the
-// transition. The caller must hold the lock. Waiting for done while holding
-// the lock is safe: after BarrierLocked both stages are idle and blocked on
-// their channels, and the shutdown cascade (close sortCh -> sort stage
-// closes sortedCh -> merge stage closes done) takes no core lock because
-// neither range loop has an item left to process.
+// stopExecutorLocked joins the idle sort stage. The caller must hold the
+// lock with no window pending: Close reaches it after FlushLocked, and
+// applyAsyncLocked merges the pending window first.
 func (c *Core[T]) stopExecutorLocked() {
-	c.BarrierLocked()
-	exec := c.exec
+	e := c.exec
 	c.exec = nil
-	c.stats.Overlap += exec.ov.total()
-	close(exec.sortCh)
-	<-exec.done
-	for {
-		select {
-		case b := <-exec.freeCh:
-			putBuf(b)
-		default:
-			return
-		}
-	}
+	close(e.sortCh)
+	<-e.sortedCh // closed once the sort stage has exited
 }
 
-// emitAsync hands the full window to the executor and swaps in a recycled
-// buffer. It runs with the lock held and releases it across the hand-off
-// (the merge stage needs the lock to make progress, and holding it while
-// blocked on a channel would deadlock exactly like a shard dispatch would);
-// the handoff flag plus waitHandoff keep other writers and flushes out of
-// the half-swapped state in the meantime.
+// emitAsync hands the full window to the sort stage, then merges the
+// previous window — sorted meanwhile — and refills from its buffer. Sort(i)
+// thus overlaps merge(i-1), and filling i+1 waits for merge(i-1), exactly
+// the paper's two-stage schedule. The lock stays held throughout: the sort
+// stage never takes it.
 func (c *Core[T]) emitAsync() {
-	win := c.buf
-	c.buf = nil
-	c.handoff = true
-	c.inflight++
-	if int64(c.inflight) > c.stats.MaxInFlight {
-		c.stats.MaxInFlight = int64(c.inflight)
+	e := c.exec
+	inFlight := int64(1)
+	if e.pending {
+		inFlight = 2
 	}
-	exec := c.exec
-	srt := c.srt
-	c.mu.Unlock()
+	c.stats.MaxInFlight = max(c.stats.MaxInFlight, inFlight)
 	t0 := time.Now()
-	exec.sortCh <- sortJob[T]{win: win, srt: srt}
-	fresh := <-exec.freeCh
-	d := time.Since(t0)
-	c.mu.Lock()
-	c.stats.Stall += d
-	c.buf = fresh[:0]
-	c.handoff = false
-	c.cond.Broadcast()
-}
-
-// waitHandoff blocks (lock held) until no window is mid-hand-off, so callers
-// never observe the nil buffer of a half-completed swap.
-func (c *Core[T]) waitHandoff() {
-	for c.handoff {
-		c.cond.Wait()
-	}
-}
-
-// BarrierLocked drains the executor: it blocks (lock held) until every
-// emitted window has been sorted and merged. On return the summary state is
-// identical to what synchronous execution of the same prefix would have
-// produced and the sorter is idle, so query paths may walk summary state and
-// reuse the sorter for partial-window sorts. On a synchronous core it is a
-// no-op. The caller must hold the lock.
-func (c *Core[T]) BarrierLocked() {
-	if c.exec == nil {
+	e.sortCh <- job[T]{win: c.buf, srt: c.srt}
+	if !e.pending {
+		c.stats.Stall += time.Since(t0)
+		e.pending = true
+		c.buf = getBuf[T](c.window)
 		return
 	}
-	for c.handoff || c.inflight > 0 {
-		c.cond.Wait()
+	j := <-e.sortedCh
+	c.stats.Stall += time.Since(t0)
+	c.mergeSortedLocked(j)
+	c.buf = j.win[:0]
+}
+
+// mergePendingLocked merges the pending window, if any, and returns its
+// buffer to the pool.
+func (c *Core[T]) mergePendingLocked() {
+	if e := c.exec; e != nil && e.pending {
+		e.pending = false
+		j := <-e.sortedCh
+		c.mergeSortedLocked(j)
+		putBuf(j.win)
 	}
+}
+
+// mergeSortedLocked lands a window the sort stage sorted — its sort time,
+// and its overlap with the merge that ran beside it — then merges it and
+// retunes.
+func (c *Core[T]) mergeSortedLocked(j job[T]) {
+	e := c.exec
+	c.AddSort(j.end-j.start, int64(len(j.win)))
+	if d := min(e.mergeEnd, j.end) - max(e.mergeStart, j.start); d > 0 {
+		c.stats.Overlap += d
+	}
+	e.mergeStart = time.Since(e.epoch)
+	c.mergeFn(j.win)
+	e.mergeEnd = time.Since(e.epoch)
+	c.retune()
+}
+
+// BarrierLocked drains the executor: it merges the pending window, if any.
+// On return the summary state is identical to what synchronous execution of
+// the same prefix would have produced and the sorter is idle, so query paths
+// may walk summary state and reuse the sorter for partial-window sorts. A
+// mode flip commanded by that merge's retune takes effect before it
+// returns. On a synchronous core it is a no-op. The caller must hold the
+// lock.
+func (c *Core[T]) BarrierLocked() {
+	if c.exec == nil || !c.exec.pending {
+		return
+	}
+	c.mergePendingLocked()
+	c.applyAsyncLocked()
 }
 
 // runSort is the sort stage: it sorts windows one at a time in arrival
 // order with the sorter each job was sealed under. This goroutine is the
-// paper's non-blocking render + readback: ingestion hands a window off and
-// returns, and the sort completes here (DESIGN.md §11). The executor is
-// passed explicitly: c.exec may already point at a successor (or nil) by
-// the time a stopped executor's goroutines wind down.
-func (c *Core[T]) runSort(e *executor[T]) {
-	for job := range e.sortCh {
-		e.ov.enter(stageSort)
-		t0 := time.Now()
-		job.srt.Sort(job.win)
-		d := time.Since(t0)
-		e.ov.exit(stageSort)
-		e.sortedCh <- sortedWindow[T]{win: job.win, dur: d}
+// paper's non-blocking render + readback: the caller hands a window off
+// and goes on, and the sort completes here (DESIGN.md §11).
+func runSort[T sorter.Value](e *executor[T]) {
+	for j := range e.sortCh {
+		j.start = time.Since(e.epoch)
+		j.srt.Sort(j.win)
+		j.end = time.Since(e.epoch)
+		e.sortedCh <- j
 	}
 	close(e.sortedCh)
-}
-
-// runMerge is the merge/compress stage: it folds sorted windows into the
-// summary state under the core lock (the same contract a synchronous sink
-// has), lands the sort stage's telemetry, and recycles the buffer.
-func (c *Core[T]) runMerge(e *executor[T]) {
-	for sw := range e.sortedCh {
-		e.ov.enter(stageMerge)
-		c.mu.Lock()
-		c.stats.Sort += sw.dur
-		c.stats.SortedValues += int64(len(sw.win))
-		c.mergeFn(sw.win)
-		c.inflight--
-		c.retune()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		e.ov.exit(stageMerge)
-		e.freeCh <- sw.win[:0]
-	}
-	close(e.done)
 }

@@ -144,7 +144,7 @@ func TestAsyncReportsStallAndInFlight(t *testing.T) {
 }
 
 // slowSorter sleeps before sorting so ingestion outruns the sort stage and
-// must stall on the free-buffer channel.
+// must stall waiting on it.
 type slowSorter struct{ d time.Duration }
 
 func (s slowSorter) Sort(data []float32) {
@@ -237,12 +237,11 @@ func TestAsyncFlipMidStreamBitIdentical(t *testing.T) {
 			} else {
 				c.ProcessSlice(data[off:end])
 			}
-			// Reconcile exactly as the next ingestion entry would — barrier
-			// so every in-flight retune has landed, then apply the
-			// commanded mode — and record the live executor state.
+			// The commanded mode is live when the ingestion call returns.
 			c.mu.Lock()
-			c.BarrierLocked()
-			c.applyAsyncLocked()
+			if (c.exec != nil) != c.asyncWant {
+				t.Fatalf("commanded async=%v but executor live=%v after an ingestion call", c.asyncWant, c.exec != nil)
+			}
 			modes[c.exec != nil] = true
 			c.mu.Unlock()
 		}
@@ -293,5 +292,93 @@ func TestStartAsyncMisuse(t *testing.T) {
 		c, _ := stagedCollect(4, false)
 		c.Process(1)
 		c.StartAsync()
+	})
+}
+
+// ringTuner commands the execution mode from a fixed ring, one entry per
+// retune: 0 keeps, 1 flips on, 2 flips off.
+type ringTuner struct {
+	ring []byte
+	i    int
+}
+
+func (r *ringTuner) Retune(Stats, Knobs[float32]) (Knobs[float32], bool) {
+	k := AsyncKnob(r.ring[r.i%len(r.ring)] % 3)
+	r.i++
+	return Knobs[float32]{Async: k}, true
+}
+
+// FuzzExecutorSchedule is the executor's differential: for any window size,
+// chunk plan (slices or single values), sync/async flip ring and schedule
+// of barriers and Flushes between calls, the merge stage must see the same
+// sorted windows in the same order as a synchronous core fed the same
+// calls, and whenever an ingestion call returns the executor must be
+// running exactly when the tuner last commanded async — so the schedule
+// really starts and stops it.
+func FuzzExecutorSchedule(f *testing.F) {
+	f.Add(uint8(7), []byte{0x10, 0x01, 0x22, 0x00}, []byte{1, 2, 0, 1, 2}, []byte("the quick brown fox jumps over the lazy dog, twice over"))
+	f.Add(uint8(0x83), []byte{0x00, 0x02, 0xff}, []byte{2, 1}, make([]byte, 300))
+	f.Add(uint8(1), []byte{0x05}, []byte{}, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, window uint8, plan, ring, data []byte) {
+		w := int(window&63) + 1
+		startAsync := window&128 != 0
+		if len(plan) == 0 {
+			plan = []byte{0}
+		}
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		vals := make([]float32, len(data))
+		for i, b := range data {
+			vals[i] = float32(int8(b))
+		}
+		// Each plan byte (cycled) is one call: the high six bits are the
+		// chunk length (0 = one Process), the low two what follows the
+		// call: 1 Flush, 2 a barrier under the lock, otherwise nothing.
+		drive := func(c *Core[float32], check func()) {
+			for off, p := 0, 0; off < len(vals); p++ {
+				step := plan[p%len(plan)]
+				if n := int(step >> 2); n == 0 {
+					c.Process(vals[off])
+					off++
+				} else {
+					end := min(off+n, len(vals))
+					c.ProcessSlice(vals[off:end])
+					off = end
+				}
+				switch step & 3 {
+				case 1:
+					c.Flush()
+				case 2:
+					c.Lock()
+					c.BarrierLocked()
+					c.Unlock()
+				}
+				check()
+			}
+			c.Close()
+		}
+
+		ref, want := stagedCollect(w, false)
+		drive(ref, func() {})
+
+		c, got := stagedCollect(w, startAsync)
+		if len(ring) > 0 {
+			c.SetTuner(&ringTuner{ring: ring})
+		}
+		drive(c, func() {
+			c.Lock()
+			defer c.Unlock()
+			if (c.exec != nil) != c.asyncWant {
+				t.Fatalf("commanded async=%v but executor live=%v after a call", c.asyncWant, c.exec != nil)
+			}
+		})
+		if !reflect.DeepEqual(*want, *got) {
+			t.Fatalf("window=%d async=%v ring=%v: merge stage saw %d windows, sync core %d, or a different order",
+				w, startAsync, ring, len(*got), len(*want))
+		}
+		if c.exec != nil {
+			t.Fatal("executor still running after Close")
+		}
 	})
 }

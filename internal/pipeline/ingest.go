@@ -1,6 +1,10 @@
 package pipeline
 
-import "gpustream/internal/sorter"
+import (
+	"math"
+
+	"gpustream/internal/sorter"
+)
 
 // Option sets one of the two execution parameters the paper fixes at
 // configuration time — how long the sort window is, and whether the sort
@@ -32,6 +36,16 @@ func WithWindow(n int) Option {
 // dedicated stage goroutine overlapping the merge/compress of the previous
 // window. Answers are bit-identical to synchronous mode.
 func WithAsync() Option { return func(o *Options) { o.Async = true } }
+
+// WindowLen converts a window length a family's rule computed in floats to
+// an int, saturating at math.MaxInt: a tiny eps yields a huge window, never
+// one wrapped small.
+func WindowLen(x float64) int {
+	if x >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(x)
+}
 
 // Resolve folds opts over the zero Options.
 func Resolve(opts []Option) Options {

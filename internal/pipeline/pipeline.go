@@ -12,7 +12,7 @@
 // the idle time of parallel shard workers. Estimator sinks record into the
 // Core's Stats via AddSort/AddMerge/AddCompress; Core itself counts windows.
 //
-// Lifecycle contract (tested in core_test.go):
+// Lifecycle contract (tested in pipeline_test.go and async_test.go):
 //
 //   - Flush seals the buffered partial window through the sink; on an empty
 //     buffer it is a no-op, so double Flush is safe and idempotent.
@@ -65,9 +65,10 @@ type Stats struct {
 	// Staged-executor telemetry, zero in synchronous mode. Overlap is the
 	// wall clock during which the sort stage and the merge/compress stage
 	// were busy simultaneously — the co-processing the paper's Section 3
-	// claims; Stall is ingestion time blocked handing a full window to the
-	// executor (no free buffer or sort stage behind); MaxInFlight is the
-	// peak number of windows between hand-off and merge completion.
+	// claims; Stall is the time a sealing caller waited on the sort stage
+	// (to take the window, then to hand back the previous one sorted);
+	// MaxInFlight is the peak number of windows between hand-off and merge
+	// completion, 2 once the pipeline is full.
 	Overlap     time.Duration
 	Stall       time.Duration
 	MaxInFlight int64
@@ -103,7 +104,7 @@ type AsyncKnob int8
 
 const (
 	AsyncKeep AsyncKnob = iota // keep the current execution mode
-	AsyncOn                    // staged overlapped execution (two stage goroutines)
+	AsyncOn                    // staged overlapped execution (a sort-stage goroutine)
 	AsyncOff                   // inline synchronous execution
 )
 
@@ -121,8 +122,9 @@ type Knobs[T sorter.Value] struct {
 // after that window's merge completed. It receives the core's telemetry
 // snapshot and the currently active knobs and returns the knobs to use for
 // subsequent windows (ok false keeps everything unchanged). Retune runs
-// with the core lock held — on the merge-stage goroutine in async mode —
-// so implementations must be fast and must not call back into the core.
+// with the core lock held, on whichever goroutine ran the merge (an
+// ingesting caller, or a query draining the async pipeline), so
+// implementations must be fast and must not call back into the core.
 //
 // Knob changes take effect at window boundaries only: the window currently
 // buffering and any window already in flight keep the sorter they were
@@ -175,7 +177,6 @@ func putBuf[T sorter.Value](b []T) {
 // per-worker estimators instead).
 type Core[T sorter.Value] struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // signals hand-off and in-flight transitions
 	window  int
 	sink    func(win []T)
 	buf     []T
@@ -186,19 +187,15 @@ type Core[T sorter.Value] struct {
 
 	// Staged-mode state (NewStagedCore). srt sorts each sealed window and
 	// mergeFn folds the sorted window into summary state; in synchronous
-	// staged mode emit runs both inline, and after StartAsync the executor
-	// runs them on the two stage goroutines.
-	srt      sorter.Sorter[T]
-	mergeFn  func(win []T)
-	exec     *executor[T]
-	handoff  bool // window being handed to the executor, mu released mid-emit
-	inflight int  // windows between hand-off and merge completion
+	// staged mode emit runs both inline, and after StartAsync the sort runs
+	// on the executor's sort stage while the caller merges.
+	srt     sorter.Sorter[T]
+	mergeFn func(win []T)
+	exec    *executor[T]
 
-	// asyncWant is the commanded execution mode. It may disagree with the
-	// live mode (exec != nil) for a moment: a tuner flips it on the merge
-	// goroutine, where the executor cannot be stopped (stopping joins that
-	// very goroutine), and the next ingestion call applies it at a window
-	// boundary via applyAsyncLocked.
+	// asyncWant is the commanded execution mode. A tuner flips it inside a
+	// merge's retune; the emit or barrier that ran that merge then applies
+	// it (applyAsyncLocked) before returning.
 	asyncWant bool
 
 	// tuner, when set, is consulted after every merged window and may swap
@@ -212,9 +209,7 @@ func NewCore[T sorter.Value](window int, sink func(win []T)) *Core[T] {
 	if window <= 0 {
 		panic("pipeline: window must be positive")
 	}
-	c := &Core[T]{window: window, sink: sink, buf: getBuf[T](window)}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &Core[T]{window: window, sink: sink, buf: getBuf[T](window)}
 }
 
 // NewStagedCore returns a core whose sink is split into the paper's two
@@ -223,8 +218,8 @@ func NewCore[T sorter.Value](window int, sink func(win []T)) *Core[T] {
 // times the sort stage itself (AddSort with the window length); mergeFn
 // records its own merge/compress telemetry via the Add* recorders. By
 // default both stages still run inline under the lock, bit-identical to a
-// NewCore sink that sorts then merges; StartAsync moves them onto
-// overlapping stage goroutines.
+// NewCore sink that sorts then merges; StartAsync moves the sort onto a
+// stage goroutine that overlaps the caller's merge of the previous window.
 func NewStagedCore[T sorter.Value](window int, srt sorter.Sorter[T], mergeFn func(win []T)) *Core[T] {
 	if srt == nil || mergeFn == nil {
 		panic("pipeline: staged core requires a sorter and a merge stage")
@@ -291,9 +286,8 @@ func (c *Core[T]) SetTuner(t Tuner[T]) {
 // sealed window: the synchronous path reads c.srt at the next emit and the
 // async path snapshots the sorter into each hand-off, so a window already
 // in flight keeps the sorter it was sealed with. An Async flip only records
-// the commanded mode here; applyAsyncLocked performs the actual executor
-// transition on an ingestion goroutine, never on the merge stage (which
-// could not join itself).
+// the commanded mode here; the emit or barrier that ran this merge applies
+// it through applyAsyncLocked once the merge is done.
 func (c *Core[T]) retune() {
 	if c.tuner == nil {
 		return
@@ -321,19 +315,20 @@ func (c *Core[T]) retune() {
 }
 
 // applyAsyncLocked reconciles the live execution mode with the commanded
-// one. It runs on ingestion goroutines only (Process/ProcessSlice entry and
-// the synchronous emit path), with the lock held and no window mid-hand-off,
-// so transitions always happen between merged windows: stopping quiesces the
-// stages through BarrierLocked first, starting just spins the goroutines up.
-// Either way every value still passes through exactly one sorted window, so
-// a schedule of mode flips is bit-identical to any fixed mode.
+// one at the end of every emit and barrier, with the lock held, so
+// transitions always happen between windows: stopping merges the pending
+// window first, and its retune may command async again, which then keeps
+// the executor; starting just spins the sort stage up. Either way every
+// value still passes through exactly one sorted window, so a schedule of
+// mode flips is bit-identical to any fixed mode.
 func (c *Core[T]) applyAsyncLocked() {
-	if c.closed || c.srt == nil || c.asyncWant == (c.exec != nil) {
-		return
+	if !c.asyncWant && c.exec != nil {
+		c.mergePendingLocked()
 	}
-	if c.asyncWant {
+	switch {
+	case c.asyncWant && c.exec == nil:
 		c.startExecutorLocked()
-	} else {
+	case !c.asyncWant && c.exec != nil:
 		c.stopExecutorLocked()
 	}
 }
@@ -387,11 +382,9 @@ func (c *Core[T]) Closed() bool {
 func (c *Core[T]) Process(v T) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.waitHandoff()
 	if c.closed {
 		return ErrClosed
 	}
-	c.applyAsyncLocked()
 	c.count++
 	c.buf = append(c.buf, v)
 	if len(c.buf) >= c.window {
@@ -407,11 +400,9 @@ func (c *Core[T]) Process(v T) error {
 func (c *Core[T]) ProcessSlice(data []T) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.waitHandoff()
 	if c.closed {
 		return ErrClosed
 	}
-	c.applyAsyncLocked()
 	c.count += int64(len(data))
 	for len(data) > 0 {
 		room := c.window - len(c.buf)
@@ -450,22 +441,20 @@ func (c *Core[T]) Flush() error {
 // state reflects the whole ingested prefix exactly as it would after a
 // synchronous flush.
 func (c *Core[T]) FlushLocked() {
-	c.waitHandoff()
 	if len(c.buf) > 0 {
 		c.emit()
 	}
 	c.BarrierLocked()
 }
 
-// Close flushes, drains and terminates the stage goroutines if async mode
-// is on, returns the window and scratch buffers to the shared pool, and
-// marks the core closed. Further Process/ProcessSlice calls return an error
+// Close flushes, drains and terminates the sort stage if async mode is on,
+// returns the window and scratch buffers to the shared pool, and marks the
+// core closed. Further Process/ProcessSlice calls return an error
 // wrapping ErrClosed; Flush and the accessors remain safe. Close is
 // idempotent and always returns nil.
 func (c *Core[T]) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.waitHandoff()
 	if c.closed {
 		return nil
 	}
@@ -486,13 +475,13 @@ func (c *Core[T]) Close() error {
 // emit seals the buffered window through the pipeline and resets the
 // buffer. The lock is already held on every path that reaches here. With a
 // plain sink the sink runs inline; a staged core sorts then merges — inline
-// in synchronous mode, on the stage goroutines after StartAsync.
+// in synchronous mode, overlapped with the sort stage after StartAsync —
+// and then applies any mode flip that merge's retune commanded.
 func (c *Core[T]) emit() {
 	c.stats.Windows++
 	switch {
 	case c.exec != nil:
 		c.emitAsync()
-		return
 	case c.srt != nil:
 		t0 := time.Now()
 		c.srt.Sort(c.buf)
@@ -500,13 +489,12 @@ func (c *Core[T]) emit() {
 		c.mergeFn(c.buf)
 		c.buf = c.buf[:0]
 		c.retune()
-		// The sync path runs on an ingestion goroutine, so a sync->async
-		// decision can take effect immediately (mid-ProcessSlice even).
-		c.applyAsyncLocked()
 	default:
 		c.sink(c.buf)
 		c.buf = c.buf[:0]
+		return
 	}
+	c.applyAsyncLocked()
 }
 
 // AddSort records d spent in the sort stage over values sorted elements.
@@ -542,21 +530,13 @@ func (c *Core[T]) Stats() Stats {
 	return c.StatsLocked()
 }
 
-// StatsLocked is Stats for callers already holding the lock. Overlap
-// accumulated by executors already stopped lives in c.stats; the live
-// executor's running total is added on top, so mode flips never lose
-// overlap already earned.
-func (c *Core[T]) StatsLocked() Stats {
-	s := c.stats
-	if c.exec != nil {
-		s.Overlap += c.exec.ov.total()
-	}
-	return s
-}
+// StatsLocked is Stats for callers already holding the lock.
+func (c *Core[T]) StatsLocked() Stats { return c.stats }
 
-// Async reports the commanded execution mode: true when the staged executor
-// is running (or a tuner has committed to starting it at the next ingestion
-// call), false for inline synchronous execution.
+// Async reports the commanded execution mode: true for the staged executor,
+// false for inline synchronous execution. Every emit and barrier applies
+// the mode its retune commanded before returning, so while the core is
+// open the commanded mode is the live one.
 func (c *Core[T]) Async() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -107,20 +107,26 @@ func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts
 		panic(fmt.Sprintf("quantile: eps %v out of (0, 1)", eps))
 	}
 	cfg := pipeline.Resolve(opts)
-	if cfg.Window == 0 {
-		cfg.Window = windowMultiple * int(math.Ceil(1/eps))
-	}
 	e := &Estimator[T]{
 		eps:   eps,
 		cap:   eps * (1 - viewShare),
 		viewB: int(math.Ceil(1 / (2 * viewShare * eps))),
 	}
-	e.core = pipeline.NewStagedCore(cfg.Window, s, e.mergeWindow)
+	e.core = pipeline.NewStagedCore(Window(eps, cfg.Window), s, e.mergeWindow)
 	e.shell = pipeline.IngestOf(e.core)
 	if cfg.Async {
 		e.core.StartAsync()
 	}
 	return e
+}
+
+// Window is the sort window an Estimator at eps runs: a positive override
+// as given, otherwise windowMultiple*ceil(1/eps).
+func Window(eps float64, override int) int {
+	if override > 0 {
+		return override
+	}
+	return pipeline.WindowLen(windowMultiple * math.Ceil(1/eps))
 }
 
 // Eps reports the configured error bound.

@@ -32,13 +32,7 @@ type Quantile[T sorter.Value] struct {
 // simulator) are never shared across goroutines.
 func NewQuantile[T sorter.Value](eps float64, capacity int64, shards int, newSorter func() sorter.Sorter[T], cfg Config[T]) *Quantile[T] {
 	k := Resolve(shards)
-	shardEps := eps
-	if k > 1 || cfg.Rescaler != nil {
-		// The halved budget is what makes the merge rule eps-safe at any
-		// shard count, so an elastic estimator pays it from the start even
-		// at K=1: a later scale-up then never widens the merged error.
-		shardEps = eps / 2
-	}
+	shardEps := QuantileEps(eps, k, cfg.Rescaler != nil)
 	q := &Quantile[T]{}
 	q.start(eps, k, cfg, family[T, *quantile.Estimator[T], *quantile.Snapshot[T]]{
 		newShard: func() *quantile.Estimator[T] {
@@ -48,6 +42,18 @@ func NewQuantile[T sorter.Value](eps float64, capacity int64, shards int, newSor
 		size:  (*quantile.Estimator[T]).SummaryEntries,
 	})
 	return q
+}
+
+// QuantileEps is the budget each of k quantile shards runs at: eps/2 when
+// summaries will be merged, the full eps for one static shard. The halved
+// budget is what makes the merge rule eps-safe at any shard count, so an
+// elastic estimator pays it from the start even at K=1: a later scale-up
+// then never widens the merged error.
+func QuantileEps(eps float64, k int, elastic bool) float64 {
+	if k > 1 || elastic {
+		return eps / 2
+	}
+	return eps
 }
 
 // ShardEps reports the per-shard error budget (eps/2 for K > 1 and for any

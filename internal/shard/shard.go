@@ -58,9 +58,10 @@ type Config[T sorter.Value] struct {
 	// Pipeline is handed untranslated to every shard estimator's
 	// constructor: pipeline.WithWindow overrides the per-shard sort window
 	// (clamped as the serial family clamps it), pipeline.WithAsync runs each
-	// worker's windows through its own staged executor, so a K-shard
-	// estimator runs up to 2K pipeline stages concurrently. Answers stay
-	// bit-identical to synchronous shards.
+	// worker's windows through its own staged executor: the worker merges
+	// while its sort stage sorts, so a K-shard estimator runs 2K goroutines
+	// (K workers, K sort stages). Answers stay bit-identical to synchronous
+	// shards.
 	Pipeline []pipeline.Option
 	// NewTuner, when set, attaches a runtime tuner to every shard pipeline.
 	// It is called once per shard — at construction and again on every
@@ -94,6 +95,19 @@ func Resolve(shards int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return shards
+}
+
+// ElasticCap is the most shards an elastic estimator may run: the cap its
+// Rescaler is built with (adaptive.NewScaler), 2*GOMAXPROCS.
+func ElasticCap() int { return 2 * runtime.GOMAXPROCS(0) }
+
+// Reach is the most shards an estimator built with this count runs at once:
+// the resolved count, or ElasticCap for an elastic estimator.
+func Reach(shards int, elastic bool) int {
+	if elastic {
+		return ElasticCap()
+	}
+	return Resolve(shards)
 }
 
 // worker is one shard: a channel feeding a goroutine that owns a per-shard

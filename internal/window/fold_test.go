@@ -168,7 +168,7 @@ func TestPaneFoldMatchesChain(t *testing.T) {
 	for _, alphabet := range []int{1, 2, 3, 7, 50} {
 		for _, eps := range []float64{0.05, 0.2, 0.5} {
 			for _, w := range []int{1, 7, 64, 200} {
-				pane := paneSize(eps, w)
+				pane := PaneSize(eps, w)
 				for _, n := range []int{0, 1, w / 2, pane, 3 * pane, w + pane/2, 3*w + 1} {
 					name := fmt.Sprintf("alphabet=%d/eps=%v/w=%d/n=%d", alphabet, eps, w, n)
 					checkFold(t, name, eps, w, tieStream(rng, n, alphabet))

@@ -9,8 +9,9 @@ import (
 	"gpustream/internal/sorter"
 )
 
-// paneSize derives the pane length from eps and W, clamped to [1, W].
-func paneSize(eps float64, w int) int {
+// PaneSize derives the pane length from eps and W, ceil(eps*W/2) clamped to
+// [1, W]: the window every sliding estimator sorts.
+func PaneSize(eps float64, w int) int {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("window: eps %v out of (0, 1)", eps))
 	}
@@ -63,12 +64,12 @@ type sliding[T sorter.Value, P any] struct {
 	panes []P               // oldest first
 }
 
-// init builds the pane pipeline: panes of paneSize(eps, w) elements sorted
+// init builds the pane pipeline: panes of PaneSize(eps, w) elements sorted
 // by srt and sealed by seal. Of the pipeline options only WithAsync applies;
 // a window override is ignored, the pane size being fixed by eps and W.
 func (s *sliding[T, P]) init(eps float64, w int, srt sorter.Sorter[T], seal func([]T), opts []pipeline.Option) {
 	s.eps, s.w = eps, w
-	s.core = pipeline.NewStagedCore(paneSize(eps, w), srt, seal)
+	s.core = pipeline.NewStagedCore(PaneSize(eps, w), srt, seal)
 	s.shell = pipeline.IngestOf(s.core)
 	if pipeline.Resolve(opts).Async {
 		s.core.StartAsync()

@@ -3,6 +3,7 @@ package gpustream_test
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 // Goroutine hygiene: Close (and CloseContext, even when its deadline expires
 // mid-drain) must terminate every goroutine an estimator started — shard
-// workers and async sort/merge stages. Each
+// workers and async sort stages. Each
 // scenario snapshots runtime.NumGoroutine before building the estimator and
 // polls after Close until the count returns to the baseline.
 
@@ -129,6 +130,71 @@ func TestCloseTerminatesGoroutines(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			_ = est.CloseContext(ctx) // error (context canceled) is the point
+		})
+	}
+}
+
+// moduleGoroutines counts the live goroutines this module's code started
+// (the "created by gpustream/..." line of each stack), so the count is exact
+// whatever the runtime and the test harness run beside them.
+func moduleGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "\ncreated by gpustream/")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestAsyncGoroutineCount pins what the staged executor costs: an async
+// serial estimator runs one goroutine, its sort stage (the caller merges),
+// and a K-shard WithAsyncShards estimator 2K — K workers and K sort stages —
+// while ingesting, queried, and after Close none.
+func TestAsyncGoroutineCount(t *testing.T) {
+	const k = 3
+	eng := gpustream.New(gpustream.BackendCPU)
+	data := stream.Zipf(12_000, 1.2, 500, 7)
+	async := gpustream.WithAsyncIngestion()
+	shards := []gpustream.ParallelOption{gpustream.WithAsyncShards(), gpustream.WithBatchSize(512)}
+	for _, tc := range []struct {
+		name string
+		want int
+		mk   func() gpustream.Estimator[float32]
+	}{
+		{"frequency", 1, func() gpustream.Estimator[float32] { return eng.NewFrequencyEstimator(0.005, async) }},
+		{"quantile", 1, func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(0.01, 0, async) }},
+		{"sliding-frequency", 1, func() gpustream.Estimator[float32] { return eng.NewSlidingFrequency(0.01, 2_000, async) }},
+		{"sliding-quantile", 1, func() gpustream.Estimator[float32] { return eng.NewSlidingQuantile(0.01, 2_000, async) }},
+		{"parallel-frequency", 2 * k, func() gpustream.Estimator[float32] {
+			return eng.NewParallelFrequencyEstimator(0.005, k, shards...)
+		}},
+		{"parallel-quantile", 2 * k, func() gpustream.Estimator[float32] {
+			return eng.NewParallelQuantileEstimator(0.01, 0, k, shards...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := moduleGoroutines()
+			est := tc.mk()
+			check := func(when string) {
+				t.Helper()
+				if got := moduleGoroutines() - base; got != tc.want {
+					t.Fatalf("%s: estimator runs %d goroutines, want %d", when, got, tc.want)
+				}
+			}
+			check("constructed")
+			est.ProcessSlice(data)
+			est.Snapshot()
+			check("ingested and queried")
+			est.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for moduleGoroutines() != base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := moduleGoroutines() - base; got != 0 {
+				t.Fatalf("after Close: %d goroutines left", got)
+			}
 		})
 	}
 }

@@ -20,9 +20,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
+
+	"gpustream/internal/frequency"
+	"gpustream/internal/quantile"
+	"gpustream/internal/shard"
+	"gpustream/internal/window"
 )
 
 // Family identifies an estimator family — one of the seven concrete
@@ -316,28 +320,33 @@ const (
 )
 
 // buffer reports how many values one of the spec's estimators buffers per
-// window (for a parallel family, one shard's): a sliding family's pane,
-// ceil(eps*W/2) clamped to [1, W]; a quantile family's explicit sort window,
-// else 4*ceil(1/eps) at the eps its shards run at; a frequency family's
-// ceil(1/eps), or its explicit window when larger. Frugal buffers nothing.
-// It is computed in floats, so no spec overflows into a small buffer.
+// window (for a parallel family, one shard's), by the rules its constructor
+// calls: the sliding pane, or the sort window at the eps its shards run at.
+// Frugal buffers nothing.
 func (s Spec) buffer() float64 {
 	switch {
 	case s.Family == FamilyFrugal:
 		return 0
 	case s.Family.Sliding():
-		return min(max(math.Ceil(s.Eps*float64(s.Window)/2), 1), float64(s.Window))
+		return float64(window.PaneSize(s.Eps, s.Window))
 	case s.Family.AnswersQuantiles():
-		if s.Window > 0 {
-			return float64(s.Window)
-		}
 		eps := s.Eps
 		if s.Family.Parallel() {
-			eps /= 2 // the merge-safe shard budget
+			eps = shard.QuantileEps(eps, s.shardReach(), s.Shards == ShardsAuto)
 		}
-		return 4 * math.Ceil(1/eps)
+		return float64(quantile.Window(eps, s.Window))
 	}
-	return max(math.Ceil(1/s.Eps), float64(s.Window))
+	return float64(frequency.Window(s.Eps, s.Window))
+}
+
+// shardReach is how many of those buffers the spec's estimator can hold at
+// once: the shard count it builds (GOMAXPROCS for zero) or, elastic, the
+// count its scaler can climb to.
+func (s Spec) shardReach() int {
+	if !s.Family.Parallel() {
+		return 1
+	}
+	return shard.Reach(int(s.Shards), s.Shards == ShardsAuto)
 }
 
 // Validate checks the spec for internal consistency: a nil error means
@@ -378,7 +387,7 @@ func (s Spec) Validate() error {
 	if s.Shards > maxSpecShards {
 		return fmt.Errorf("gpustream: spec shards %d over the limit of %d", int(s.Shards), maxSpecShards)
 	}
-	if buf := s.buffer() * float64(max(s.Shards, 1)); buf > maxSpecBuffer {
+	if buf := s.buffer() * float64(s.shardReach()); buf > maxSpecBuffer {
 		return fmt.Errorf("gpustream: spec buffers %.4g values per window, over the limit of %d (raise eps, or lower the window or shards)", buf, maxSpecBuffer)
 	}
 	if s.Family == FamilyQuantile || s.Family == FamilyParallelQuantile {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,6 +91,9 @@ func TestBackendTextRoundTrip(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
+	// "shards":0 builds GOMAXPROCS shards and "auto" can climb to twice
+	// that; pin it so the buffer-bound rows mean the same on every host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	valid := []gpustream.Spec{
 		{Family: gpustream.FamilyFrequency, Eps: 0.001, Support: 0.01},
 		{Family: gpustream.FamilyQuantile, Eps: 0.001, Capacity: 1 << 20, Phis: []float64{0.5, 0.99}},
@@ -151,6 +155,11 @@ func TestSpecValidate(t *testing.T) {
 		{"sliding pane past the buffer bound", gpustream.Spec{Family: gpustream.FamilySlidingQuantile, Eps: 0.5, Window: 1 << 62}, "over the limit"},
 		{"shards past the bound", gpustream.Spec{Family: gpustream.FamilyParallelFrequency, Eps: 0.01, Shards: 1 << 20}, "shards 1048576 over the limit"},
 		{"shards times window past the buffer bound", gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: 1e-4, Shards: 512}, "over the limit"},
+		// 1e7 values per shard fit the bound once, not the four times that
+		// "shards":0 builds; 3.3e6 fit it four times, not the eight times
+		// "auto" can climb to.
+		{"GOMAXPROCS shards past the buffer bound", gpustream.Spec{Family: gpustream.FamilyParallelFrequency, Eps: 1e-7}, "over the limit"},
+		{"elastic shards past the buffer bound", gpustream.Spec{Family: gpustream.FamilyParallelFrequency, Eps: 3e-7, Shards: gpustream.ShardsAuto}, "over the limit"},
 	}
 	for _, tc := range invalid {
 		t.Run(tc.name, func(t *testing.T) {
