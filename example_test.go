@@ -39,7 +39,7 @@ func ExampleEngine_NewQuantileEstimator() {
 		est.Process(float32(i))
 	}
 	fmt.Println(est.Query(0.5))
-	// Output: 500
+	// Output: 496
 }
 
 // ExampleKthLargest selects without sorting, via GPU counting passes.

@@ -53,7 +53,7 @@ func TestCombineFortyLevels(t *testing.T) {
 	e := newCPU(eps, 0)
 	win := stream.Uniform(e.WindowSize(), 12)
 	slices.Sort(win)
-	s := windowSummary(nil, win, eps)
+	s := windowSummary(nil, win, nil, eps)
 	for k := 1; k <= 42; k++ {
 		budget := pruneBudget(e.cap - s.Eps)
 		s = e.combine(k-1, s, s)

@@ -2,8 +2,10 @@
 // estimation over data streams (Section 5.2): Greenwald-Khanna's
 // sensor-network algorithm extended to the stream model with an exponential
 // histogram of summaries. Each incoming window is sorted (the GPU-
-// accelerated step), reduced to an (eps/2)-approximate summary with exact
-// ranks, and inserted as a bucket at level 0; whenever two buckets share a
+// accelerated step) and held until the next one is sorted too; the pair is
+// then reduced to one (eps/2)-approximate summary with exact ranks, read
+// from both runs by bisection without merging them, and inserted as a
+// bucket at level 0 (DESIGN.md section 27); whenever two buckets share a
 // level they are combined by a merge and, once the result outgrows its entry
 // budget, a prune that spends a fixed fraction of the error headroom the
 // bucket has left, so the total error never exceeds eps at any stream length
@@ -30,13 +32,15 @@ import (
 	"gpustream/internal/summary"
 )
 
-// How eps is spent (DESIGN.md section 17). A sampled window spends eps/2 at
-// level 0; the view keeps viewShare of eps for its one final prune; the
-// cascade may bring a bucket up to the cap in between, and each prune spends
-// 1/budgetShare of whatever headroom its bucket still has below the cap.
+// How eps is spent (DESIGN.md section 17). A sampled pair of windows spends
+// eps/2 at level 0; the view keeps viewShare of eps for its one final
+// prune; the cascade may bring a bucket up to the cap in between, and each
+// prune spends 1/budgetShare of whatever headroom its bucket still has
+// below the cap.
 const (
-	// windowMultiple sizes the default sort window, in units of ceil(1/eps):
-	// FromSortedWindow then keeps every windowMultiple-th rank.
+	// windowMultiple sizes the default sort window, in units of ceil(1/eps).
+	// Level 0 spans two sort windows, so it keeps every
+	// (2*windowMultiple)-th rank of the pair.
 	windowMultiple = 4
 	viewShare      = 1.0 / 8
 	budgetShare    = 8
@@ -78,12 +82,17 @@ type Estimator[T sorter.Value] struct {
 	viewB int               // entry budget of the view's final prune
 	core  *pipeline.Core[T] // the lock-side API the sink and query paths use
 
-	// levels[k] is the bucket covering 2^k windows, nil while that level is
-	// empty. A bucket's Eps is the error it has spent so far: what its
-	// windows spent at level 0 (the largest of them) plus every prune on the
-	// way up.
+	// levels[k] is the bucket covering 2^k pairs of windows, nil while that
+	// level is empty. A bucket's Eps is the error it has spent so far: what
+	// its pairs spent at level 0 (the largest of them) plus every prune on
+	// the way up.
 	levels []*summary.Summary[T]
-	n      int64 // elements folded into buckets (excludes buffered)
+	n      int64 // elements folded into buckets or held (excludes buffered)
+
+	// held is the first sorted window of a pair, kept until the second one
+	// arrives and the two become one level-0 bucket; empty between pairs.
+	// It is a copy: the core refills the window it was sorted in.
+	held []T
 
 	// spare[k], when not nil, is a consumed level-k bucket that was never
 	// pruned, kept for its entry storage: the next bucket built at level k
@@ -100,8 +109,9 @@ type Estimator[T sorter.Value] struct {
 // NewEstimator returns an eps-approximate quantile estimator sorting windows
 // with s. The capacity argument is accepted for compatibility and ignored:
 // the cascade budgets by the depth it observes, so the bound holds at any
-// stream length. A pipeline.WithWindow override replaces the default window
-// of 4*ceil(1/eps) as given: the eps/2 a window spends is size-independent.
+// stream length. A pipeline.WithWindow override replaces the default sort
+// window of 4*ceil(1/eps) as given, and level 0 then spans two windows of
+// that size: the eps/2 a level-0 summary spends is size-independent.
 func NewEstimator[T sorter.Value](eps float64, _ int64, s sorter.Sorter[T], opts ...pipeline.Option) *Estimator[T] {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("quantile: eps %v out of (0, 1)", eps))
@@ -132,13 +142,13 @@ func Window(eps float64, override int) int {
 // Eps reports the configured error bound.
 func (e *Estimator[T]) Eps() float64 { return e.eps }
 
-// SummaryEntries reports the total entries retained across all buckets, the
-// estimator's memory footprint.
+// SummaryEntries reports the total entries retained across all buckets plus
+// the values of a held sorted window, the estimator's memory footprint.
 func (e *Estimator[T]) SummaryEntries() int {
 	e.core.Lock()
 	defer e.core.Unlock()
 	e.core.BarrierLocked()
-	total := 0
+	total := len(e.held)
 	for _, b := range e.levels {
 		if b != nil {
 			total += b.Size()
@@ -161,14 +171,15 @@ func (e *Estimator[T]) Buckets() int {
 	return live
 }
 
-// windowSummary reduces a sorted window to its level-0 summary, built in
-// dst's storage (nil allocates), with Eps the error the reduction actually
-// spent: eps/2 when ranks were sampled, and nothing when every rank was
-// kept — FromSortedWindow reports step/(2w) for those too, which for a short
+// windowSummary reduces two sorted windows (either may be empty) to the
+// level-0 summary of their sorted concatenation, built in dst's storage (nil
+// allocates), with Eps the error the reduction actually spent: eps/2 when
+// ranks were sampled, and nothing when every rank was kept —
+// FromSortedWindow reports step/(2w) for those too, which for a short
 // flushed window exceeds eps although no query against it can miss.
-func windowSummary[T sorter.Value](dst *summary.Summary[T], win []T, eps float64) *summary.Summary[T] {
-	s := summary.FromSortedWindowInto(dst, win, eps)
-	if s.Size() == len(win) {
+func windowSummary[T sorter.Value](dst *summary.Summary[T], a, b []T, eps float64) *summary.Summary[T] {
+	s := summary.FromSortedPairInto(dst, a, b, eps)
+	if s.Size() == len(a)+len(b) {
 		s.Eps = 0
 	}
 	return s
@@ -176,16 +187,23 @@ func windowSummary[T sorter.Value](dst *summary.Summary[T], win []T, eps float64
 
 // mergeWindow is the merge-stage half of the pipeline: it receives a window
 // the core has already sorted (inline, or on the sort stage goroutine in
-// async mode), reduces it to a summary, and cascades combines like a binary
-// counter's carries. The core holds the lock around the call in both modes.
+// async mode). The first window of a pair is held; the second is reduced
+// with it to one summary, and combines cascade like a binary counter's
+// carries. The core holds the lock around the call in both modes.
 func (e *Estimator[T]) mergeWindow(win []T) {
-	// Reducing the sorted window to an (eps/2)-summary belongs to the sort
-	// (window preparation) stage of the paper's accounting; the values were
-	// already counted when the core timed the sort itself.
+	// Holding and reducing sorted windows belong to the sort (window
+	// preparation) stage of the paper's accounting; the values were already
+	// counted when the core timed the sort itself.
 	t0 := time.Now()
-	s := windowSummary(e.takeSpare(0), win, e.eps)
-	e.core.AddSort(time.Since(t0), 0)
 	e.n += int64(len(win))
+	if len(e.held) == 0 {
+		e.held = append(e.held, win...)
+		e.core.AddSort(time.Since(t0), 0)
+		return
+	}
+	s := windowSummary(e.takeSpare(0), e.held, win, e.eps)
+	e.held = e.held[:0]
+	e.core.AddSort(time.Since(t0), 0)
 
 	for k := range e.levels {
 		old := e.levels[k]
@@ -237,8 +255,8 @@ func (e *Estimator[T]) takeSpare(k int) *summary.Summary[T] {
 }
 
 // recycle keeps a consumed level-k bucket as level k's spare if the slot is
-// empty and the bucket was never pruned, which its spent error tells: a
-// window spends at most eps/2, a merge keeps the larger input's and every
+// empty and the bucket was never pruned, which its spent error tells:
+// level 0 spends at most eps/2, a merge keeps the larger input's and every
 // prune adds to it. Pruned buckets are left to the collector: the level
 // that would reuse one is filled by a prune, which writes fresh storage,
 // so a spare there would only add to the heap. (A bucket pruned from
@@ -256,11 +274,11 @@ func (e *Estimator[T]) recycle(k int, s *summary.Summary[T]) {
 	}
 }
 
-// snapshotLocked merges the live buckets and the buffered partial window
-// into one queryable summary without disturbing the estimator state, and
-// prunes it once to the view's entry budget with the share of eps kept back
-// for that: what queries, the wire and cross-shard merges handle is
-// O(1/eps) entries however long the stream. The result is cached until more
+// snapshotLocked merges the live buckets, the held window and the buffered
+// partial window into one queryable summary without disturbing the
+// estimator state, and prunes it once to the view's entry budget with the
+// share of eps kept back for that: what queries, the wire and cross-shard
+// merges handle is O(1/eps) entries however long the stream. The result is cached until more
 // elements arrive; the caller must hold the core lock. The returned summary
 // never shares storage with a bucket — bucket storage is recycled — so it
 // is immutable and may safely outlive the locked region.
@@ -275,13 +293,18 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 		return e.snapCache
 	}
 	// Smallest first keeps the running merge short for as long as possible:
-	// the partial window, then the buckets by level.
+	// the held window with the sorted partial one, read as the level 0 a
+	// Flush would build without consuming either, then the buckets by level.
 	var parts []*summary.Summary[T]
-	if buffered > 0 {
-		tmp := append(e.core.Scratch(buffered), e.core.Partial()...)
+	unsealed := len(e.held) > 0 || buffered > 0
+	if unsealed {
+		var partial []T
 		t0 := time.Now()
-		e.core.SorterLocked().Sort(tmp)
-		parts = append(parts, windowSummary(nil, tmp, e.eps))
+		if buffered > 0 {
+			partial = append(e.core.Scratch(buffered), e.core.Partial()...)
+			e.core.SorterLocked().Sort(partial)
+		}
+		parts = append(parts, windowSummary(nil, e.held, partial, e.eps))
 		e.core.AddSort(time.Since(t0), 0)
 	}
 	for _, b := range e.levels {
@@ -296,7 +319,7 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 		acc = parts[0]
 		if acc.Size()-1 > e.viewB {
 			acc = acc.Prune(e.viewB)
-		} else if buffered == 0 {
+		} else if !unsealed {
 			acc = acc.Clone() // a bucket: its storage will be recycled
 		}
 	default:

@@ -102,8 +102,9 @@ func TestEstimatorSpaceSublinear(t *testing.T) {
 	const eps = 0.01
 	e := newCPU(eps, 1_000_000)
 	e.ProcessSlice(stream.Uniform(300000, 7))
-	// Memory is far below N: 750 windows of 102 entries each, held in 7
-	// buckets whose budgets start at 1067 entries and grow 8/7 per prune.
+	// Memory is far below N: 750 windows, paired into 375 level-0 summaries
+	// of 101 entries each, held in 7 buckets whose budgets start at 1067
+	// entries and grow 8/7 per prune.
 	if got := e.SummaryEntries(); got > 10000 {
 		t.Fatalf("summary entries = %d, not sublinear", got)
 	}
@@ -130,10 +131,11 @@ func TestEstimatorMedianAccuracy(t *testing.T) {
 
 func TestEstimatorStats(t *testing.T) {
 	e := newCPU(0.01, 10000)
-	// 25 windows of 4/eps values: enough for combines that prune.
-	e.ProcessSlice(stream.Uniform(10000, 8))
+	// 50 windows of 4/eps values, 25 level-0 buckets of 101 entries each:
+	// the first prune is the combine of two level-3 buckets, 32 windows in.
+	e.ProcessSlice(stream.Uniform(20000, 8))
 	st := e.Stats()
-	if st.Windows != 25 || st.SortedValues != 10000 {
+	if st.Windows != 50 || st.SortedValues != 20000 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.MergeOps == 0 || st.CompressOps == 0 {

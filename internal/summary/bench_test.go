@@ -14,6 +14,26 @@ func BenchmarkFromSortedWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkFromSortedPair builds a quantile estimator's default level 0 at
+// eps 1e-3, every eighth rank of 8000 zipf values: from two sorted runs of
+// 4000 by bisection, and from their sorted concatenation.
+func BenchmarkFromSortedPair(b *testing.B) {
+	x := sortedCopy(stream.Zipf(4000, 1.1, 5000, 1))
+	y := sortedCopy(stream.Zipf(4000, 1.1, 5000, 2))
+	both := sortedCopy(append(append([]float32(nil), x...), y...))
+	dst := &Summary[float32]{}
+	b.Run("pair", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			FromSortedPairInto(dst, x, y, 0.001)
+		}
+	})
+	b.Run("concatenation", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			FromSortedWindowInto(dst, both, 0.001)
+		}
+	})
+}
+
 func BenchmarkMerge(b *testing.B) {
 	s1 := FromSortedWindow(sortedCopy(stream.Uniform(1<<16, 2)), 0.001)
 	s2 := FromSortedWindow(sortedCopy(stream.Uniform(1<<16, 3)), 0.001)

@@ -54,13 +54,80 @@ func FromSortedWindow[T sorter.Value](window []T, eps float64) *Summary[T] {
 // whose entry storage is reused when it is large enough; any prior contents
 // are discarded. A nil dst allocates a fresh summary. Returns dst.
 func FromSortedWindowInto[T sorter.Value](dst *Summary[T], window []T, eps float64) *Summary[T] {
+	s, step := sampled(dst, int64(len(window)), eps)
+	// Each kept element is one instance with an exact rank; duplicates of
+	// the same value stay separate entries, preserving GK tuple semantics
+	// (an entry's [RMin, RMax] is rank uncertainty, never multiplicity).
+	// rank walks 1, step, 2*step, ..., w, each once: next is the next
+	// multiple of step above 1.
+	var prev T
+	for rank, next := int64(1), max(step, 2); rank <= s.N; rank, next = min(next, s.N), next+step {
+		v := window[rank-1]
+		if rank > 1 && v < prev {
+			panic("summary: window not sorted")
+		}
+		prev = v
+		s.Entries = append(s.Entries, Entry[T]{V: v, RMin: rank, RMax: rank})
+		if rank == s.N {
+			break
+		}
+	}
+	return s
+}
+
+// FromSortedPairInto is FromSortedWindowInto over the ascending
+// concatenation of two ascending runs, bit for bit, without forming it.
+// The element at each kept rank r is found by bisecting how many of the
+// pair's first r come from a. That count never falls as r grows and rises
+// by at most the step between two kept ranks, so each bisection spans at
+// most step+1 candidates. Runs and bisection are ordered by
+// sorter.OrderedKey, the key-radix sort's order, which is total where < is
+// not: -0 before +0, NaNs at the ends. Equal keys are equal bits, so where
+// the runs tie, the run an element is taken from does not show.
+func FromSortedPairInto[T sorter.Value](dst *Summary[T], a, b []T, eps float64) *Summary[T] {
+	s, step := sampled(dst, int64(len(a)+len(b)), eps)
+	fromA, prev := 0, 0 // of the pair's first prev elements, fromA are a's
+	for rank, next := int64(1), max(step, 2); rank <= s.N; rank, next = min(next, s.N), next+step {
+		// The fewest n of the first r taken from a such that b's part is
+		// no larger than a's next element, among lo..hi; hi always
+		// qualifies.
+		r := int(rank)
+		lo, hi := max(fromA, r-len(b)), min(fromA+r-prev, len(a))
+		for lo < hi {
+			if n := int(uint(lo+hi) >> 1); sorter.OrderedKey(b[r-n-1]) <= sorter.OrderedKey(a[n]) {
+				hi = n
+			} else {
+				lo = n + 1
+			}
+		}
+		fromA, prev = lo, r
+		var v T
+		if j := r - lo; lo == 0 || j > 0 && sorter.OrderedKey(a[lo-1]) < sorter.OrderedKey(b[j-1]) {
+			v = b[j-1]
+		} else {
+			v = a[lo-1]
+		}
+		s.Entries = append(s.Entries, Entry[T]{V: v, RMin: rank, RMax: rank})
+		if rank == s.N {
+			break
+		}
+	}
+	return s
+}
+
+// sampled readies dst (nil allocates) for the summary of a w-element
+// window sampled at eps and returns it with the step between kept ranks:
+// with step = floor(eps*w), at least 1, the kept ranks are 1, step,
+// 2*step, ..., w, and the entry storage is sized for them so construction
+// is at most one allocation. N, Eps and the rank order are set, and the
+// entries are empty.
+func sampled[T sorter.Value](dst *Summary[T], w int64, eps float64) (*Summary[T], int64) {
 	if dst == nil {
 		dst = &Summary[T]{}
 	}
-	w := int64(len(window))
 	if w == 0 {
 		*dst = Summary[T]{Entries: dst.Entries[:0], Eps: eps / 2}
-		return dst
+		return dst, 1
 	}
 	if eps <= 0 || eps > 1 {
 		panic(fmt.Sprintf("summary: eps %v out of (0, 1]", eps))
@@ -69,40 +136,16 @@ func FromSortedWindowInto[T sorter.Value](dst *Summary[T], window []T, eps float
 	if step < 1 {
 		step = 1
 	}
-	// Sized for the selected ranks (1, step, 2*step, ..., w) so the
-	// per-window construction is at most one allocation.
 	s := dst
 	s.N, s.ranked, s.Entries = w, true, s.Entries[:0]
 	if int64(cap(s.Entries)) < w/step+2 {
 		s.Entries = make([]Entry[T], 0, w/step+2)
 	}
-	var prev T
-	lastRank := int64(0)
-	// Each kept element is one instance with an exact rank; duplicates of
-	// the same value stay separate entries, preserving GK tuple semantics
-	// (an entry's [RMin, RMax] is rank uncertainty, never multiplicity).
-	add := func(rank int64) {
-		if rank == lastRank {
-			return
-		}
-		v := window[rank-1]
-		if lastRank != 0 && v < prev {
-			panic("summary: window not sorted")
-		}
-		lastRank = rank
-		prev = v
-		s.Entries = append(s.Entries, Entry[T]{V: v, RMin: rank, RMax: rank})
-	}
-	add(1)
-	for r := step; r <= w; r += step {
-		add(r)
-	}
-	add(w)
 	s.Eps = float64(step) / (2 * float64(w))
 	if half := eps / 2; s.Eps < half {
 		s.Eps = half
 	}
-	return s
+	return s, step
 }
 
 // Size reports the number of entries.

@@ -319,10 +319,11 @@ const (
 	maxSpecShards = 1 << 10
 )
 
-// buffer reports how many values one of the spec's estimators buffers per
-// window (for a parallel family, one shard's), by the rules its constructor
-// calls: the sliding pane, or the sort window at the eps its shards run at.
-// Frugal buffers nothing.
+// buffer reports how many values one of the spec's estimators buffers (for
+// a parallel family, one shard's), by the rules its constructor calls: the
+// sliding pane, or the sort window at the eps its shards run at — twice
+// over for a quantile estimator, which holds one sorted window until the
+// next makes level 0 with it. Frugal buffers nothing.
 func (s Spec) buffer() float64 {
 	switch {
 	case s.Family == FamilyFrugal:
@@ -334,7 +335,7 @@ func (s Spec) buffer() float64 {
 		if s.Family.Parallel() {
 			eps = shard.QuantileEps(eps, s.shardReach(), s.Shards == ShardsAuto)
 		}
-		return float64(quantile.Window(eps, s.Window))
+		return 2 * float64(quantile.Window(eps, s.Window))
 	}
 	return float64(frequency.Window(s.Eps, s.Window))
 }

@@ -10,8 +10,10 @@ import (
 // TestSpecBufferMatchesBuiltWindow pins Validate's buffer bound to what
 // construction allocates: for every family and shard count, the per-shard
 // buffer a spec is counted at is the sort window (or pane) the built
-// estimator actually runs. GOMAXPROCS is pinned so "shards":0 and "auto"
-// build a known count.
+// estimator actually runs, and for the quantile families as much again for
+// the sorted window a quantile estimator holds; a serial one is fed one
+// window to show that held window is retained. GOMAXPROCS is pinned so
+// "shards":0 and "auto" build a known count.
 func TestSpecBufferMatchesBuiltWindow(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	families := []Family{
@@ -42,9 +44,21 @@ func TestSpecBufferMatchesBuiltWindow(t *testing.T) {
 				}); ok {
 					_, built = k.Knobs()
 				}
-				if got := spec.buffer(); got != float64(built) {
-					t.Errorf("%v shards=%v window=%d: Validate counts %g values per shard, the estimator buffers %d",
-						f, shards, window, got, built)
+				held := 0
+				if f == FamilyQuantile || f == FamilyParallelQuantile {
+					held = built
+				}
+				if got := spec.buffer(); got != float64(built+held) {
+					t.Errorf("%v shards=%v window=%d: Validate counts %g values per shard, the estimator buffers %d and holds %d",
+						f, shards, window, got, built, held)
+				}
+				if f == FamilyQuantile {
+					if err := est.ProcessSlice(make([]float32, built)); err != nil {
+						t.Fatal(err)
+					}
+					if got := est.(*QuantileEstimator[float32]).SummaryEntries(); got != held {
+						t.Errorf("window=%d: %d values retained after one window, want the %d held", window, got, held)
+					}
 				}
 				est.Close()
 				checked++

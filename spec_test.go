@@ -112,6 +112,9 @@ func TestSpecValidate(t *testing.T) {
 		{Family: gpustream.FamilyFrequency, Eps: 1.0 / (1 << 24)},
 		{Family: gpustream.FamilySlidingQuantile, Eps: 0.5, Window: 1 << 24},
 		{Family: gpustream.FamilyParallelFrequency, Eps: 0.01, Shards: 1 << 10},
+		// A quantile estimator holds a sorted window beside the one it
+		// fills: two sort windows of 2^23.
+		{Family: gpustream.FamilyQuantile, Eps: 0.01, Window: 1 << 23},
 	}
 	for _, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -155,6 +158,8 @@ func TestSpecValidate(t *testing.T) {
 		{"sliding pane past the buffer bound", gpustream.Spec{Family: gpustream.FamilySlidingQuantile, Eps: 0.5, Window: 1 << 62}, "over the limit"},
 		{"shards past the bound", gpustream.Spec{Family: gpustream.FamilyParallelFrequency, Eps: 0.01, Shards: 1 << 20}, "shards 1048576 over the limit"},
 		{"shards times window past the buffer bound", gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: 1e-4, Shards: 512}, "over the limit"},
+		// One sort window fits the bound, the held one beside it does not.
+		{"held quantile window past the buffer bound", gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01, Window: 1<<23 + 1}, "over the limit"},
 		// 1e7 values per shard fit the bound once, not the four times that
 		// "shards":0 builds; 3.3e6 fit it four times, not the eight times
 		// "auto" can climb to.

@@ -313,21 +313,42 @@ func testGoldenKeyedSnapshots[K, T Value](t *testing.T) {
 // — several times the entries of today's — must unmarshal, pass validation,
 // answer within its eps, and merge with a snapshot taken today.
 func TestDecodesCapacityCascadeQuantileSnapshot(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "compat", "quantile-capacity-cascade.float32.snap"))
+	checkOlderQuantileSnapshot[float32](t, "quantile-capacity-cascade.float32.snap")
+}
+
+// TestDecodesOneWindowLevel0QuantileSnapshots does the same for the
+// quantile goldens from before level 0 spanned two sort windows, when it
+// sampled each window alone; the layout did not change then either.
+func TestDecodesOneWindowLevel0QuantileSnapshots(t *testing.T) {
+	t.Run("float32", func(t *testing.T) {
+		checkOlderQuantileSnapshot[float32](t, "quantile-one-window-level0.float32.snap")
+	})
+	t.Run("uint64", func(t *testing.T) {
+		checkOlderQuantileSnapshot[uint64](t, "quantile-one-window-level0.uint64.snap")
+	})
+}
+
+// checkOlderQuantileSnapshot decodes a quantile golden of the golden stream
+// kept under testdata/compat, re-marshals it to the same bytes, and checks
+// its answers, alone and merged with a snapshot taken today, against the
+// exact ranks.
+func checkOlderQuantileSnapshot[T Value](t *testing.T, file string) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "compat", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := UnmarshalSnapshot[float32](blob)
+	old, err := UnmarshalSnapshot[T](blob)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	if re := mustMarshal(t, old); !bytes.Equal(re, blob) {
 		t.Fatal("decode then re-marshal is not the identity")
 	}
-	data := goldenValues[float32](goldenN)
-	ref := append([]float32(nil), data...)
+	data := goldenValues[T](goldenN)
+	ref := append([]T(nil), data...)
 	slices.Sort(ref)
-	check := func(name string, s Snapshot[float32], ref []float32) {
+	check := func(name string, s Snapshot[T], ref []T) {
 		t.Helper()
 		if s.Count() != int64(len(ref)) {
 			t.Fatalf("%s: Count = %d, want %d", name, s.Count(), len(ref))
@@ -343,7 +364,7 @@ func TestDecodesCapacityCascadeQuantileSnapshot(t *testing.T) {
 	}
 	check("decoded", old, ref)
 
-	qe := NewOf[float32](BackendCPU).NewQuantileEstimator(goldenEps, 0)
+	qe := NewOf[T](BackendCPU).NewQuantileEstimator(goldenEps, 0)
 	if err := qe.ProcessSlice(data); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +372,7 @@ func TestDecodesCapacityCascadeQuantileSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge with a current snapshot: %v", err)
 	}
-	both := append(append([]float32(nil), ref...), ref...)
+	both := append(append([]T(nil), ref...), ref...)
 	slices.Sort(both)
 	check("merged", merged, both)
 }
