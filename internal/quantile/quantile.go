@@ -19,7 +19,9 @@
 // their level (DESIGN.md section 23). Queries are safe under concurrent
 // ingestion, and Snapshot returns an immutable view: a view is always
 // merged, pruned or copied into storage of its own, never a bucket, so
-// recycling cannot reach it.
+// recycling cannot reach it. The view is pruned once, to the budget the
+// error its parts have proved (summary.Certificate) leaves below 7eps/8,
+// and claims its own certificate as Eps (DESIGN.md section 28).
 package quantile
 
 import (
@@ -32,11 +34,12 @@ import (
 	"gpustream/internal/summary"
 )
 
-// How eps is spent (DESIGN.md section 17). A sampled pair of windows spends
-// eps/2 at level 0; the view keeps viewShare of eps for its one final
-// prune; the cascade may bring a bucket up to the cap in between, and each
-// prune spends 1/budgetShare of whatever headroom its bucket still has
-// below the cap.
+// How eps is spent (DESIGN.md sections 17 and 28). A sampled pair of
+// windows spends eps/2 at level 0; the cascade may bring a bucket up to the
+// cap, eps less viewShare, and each prune spends 1/budgetShare of whatever
+// headroom its bucket still has below the cap. The view's one final prune
+// spends what its parts' certificates leave below the cap, and at least the
+// viewShare of eps the a-priori account keeps back for it.
 const (
 	// windowMultiple sizes the default sort window, in units of ceil(1/eps).
 	// Level 0 spans two sort windows, so it keeps every
@@ -46,11 +49,13 @@ const (
 	budgetShare    = 8
 )
 
-// pruneBudget returns the entry budget b of a prune that spends no more
-// than 1/budgetShare of headroom: 1/(2b) <= headroom/budgetShare. Headroom
-// therefore shrinks by a constant factor per prune and never reaches zero,
-// which is what frees the cascade from an a-priori stream length. A budget
-// too large for an int saturates; no summary can outgrow that one.
+// pruneBudget returns the entry budget b of a prune whose grid spends no
+// more than 1/budgetShare of headroom: 1/(2b) <= headroom/budgetShare. Its
+// rounding adds 1/(2N) < 1/(2b), since a pruned bucket holds more than b
+// values, so a prune spends under twice that share. Headroom therefore
+// shrinks by a constant factor per prune and never reaches zero, which is
+// what frees the cascade from an a-priori stream length. A budget too large
+// for an int saturates; no summary can outgrow that one.
 func pruneBudget(headroom float64) int {
 	b := math.Ceil(budgetShare / (2 * headroom))
 	if b >= math.MaxInt {
@@ -79,7 +84,7 @@ type Estimator[T sorter.Value] struct {
 	shell[T]
 	eps   float64
 	cap   float64           // most error a bucket may have spent: eps less the view's share
-	viewB int               // entry budget of the view's final prune
+	viewB int               // entry budget of the view's final prune when its parts leave under eps/8
 	core  *pipeline.Core[T] // the lock-side API the sink and query paths use
 
 	// levels[k] is the bucket covering 2^k pairs of windows, nil while that
@@ -93,6 +98,13 @@ type Estimator[T sorter.Value] struct {
 	// arrives and the two become one level-0 bucket; empty between pairs.
 	// It is a copy: the core refills the window it was sorted in.
 	held []T
+
+	// certs[k], when not negative, is levels[k].Certificate(), kept from
+	// one snapshot to the next until mergeWindow replaces the bucket. It
+	// lives here under the core lock, not in the Summary: views are shared
+	// immutably across goroutines, so a field written lazily there would
+	// race. It holds numbers, not buckets, so it pins no consumed storage.
+	certs []float64
 
 	// spare[k], when not nil, is a consumed level-k bucket that was never
 	// pruned, kept for its entry storage: the next bucket built at level k
@@ -209,6 +221,9 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 		old := e.levels[k]
 		if old == nil {
 			e.levels[k] = s
+			if k < len(e.certs) {
+				e.certs[k] = -1
+			}
 			return
 		}
 		e.levels[k] = nil
@@ -222,8 +237,8 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 // result within the entry budget its remaining headroom affords is merged
 // whole, into level k+1's spare storage if there is one, and a larger one
 // is merged and pruned to the budget in one fused pass into fresh storage,
-// spending 1/(2b) more. The inputs are consumed: their storage may go to
-// level k's spare.
+// spending 1/(2b) and the grid's rounding more. The inputs are consumed:
+// their storage may go to level k's spare.
 func (e *Estimator[T]) combine(k int, a, b *summary.Summary[T]) *summary.Summary[T] {
 	budget := pruneBudget(e.cap - math.Max(a.Eps, b.Eps))
 	size := a.Size() + b.Size()
@@ -242,6 +257,34 @@ func (e *Estimator[T]) combine(k int, a, b *summary.Summary[T]) *summary.Summary
 	e.recycle(k, a)
 	e.recycle(k, b)
 	return m
+}
+
+// certificate returns level k's live bucket's Certificate, memoised in
+// certs until mergeWindow replaces the bucket. The caller holds the core
+// lock.
+func (e *Estimator[T]) certificate(k int) float64 {
+	for len(e.certs) <= k {
+		e.certs = append(e.certs, -1)
+	}
+	if e.certs[k] < 0 {
+		e.certs[k] = e.levels[k].Certificate()
+	}
+	return e.certs[k]
+}
+
+// viewBudget is the entry budget of the view's one prune of an n-element
+// merge whose parts certify at most c, which by GK's merge lemma the merge
+// does too. The prune may spend the headroom h = 7eps/8 - c less its grid
+// rounding 1/(2n), so b = ceil(1/(2h)) and the view proves at most 7eps/8:
+// a valid cascade bucket still, with eps/8 to spare. With less headroom
+// than eps/8 it is viewB, the budget of the share the cascade's a-priori
+// account keeps back for the view.
+func (e *Estimator[T]) viewBudget(c float64, n int64) int {
+	h := e.cap - c - 1/(2*float64(n))
+	if h < viewShare*e.eps {
+		return e.viewB
+	}
+	return int(math.Ceil(1 / (2 * h)))
 }
 
 // takeSpare hands out level k's spare storage, or nil.
@@ -276,12 +319,14 @@ func (e *Estimator[T]) recycle(k int, s *summary.Summary[T]) {
 
 // snapshotLocked merges the live buckets, the held window and the buffered
 // partial window into one queryable summary without disturbing the
-// estimator state, and prunes it once to the view's entry budget with the
-// share of eps kept back for that: what queries, the wire and cross-shard
-// merges handle is O(1/eps) entries however long the stream. The result is cached until more
-// elements arrive; the caller must hold the core lock. The returned summary
-// never shares storage with a bucket — bucket storage is recycled — so it
-// is immutable and may safely outlive the locked region.
+// estimator state, and prunes it once to the budget the parts' certified
+// error leaves it (viewBudget): what queries, the wire and cross-shard
+// merges handle is O(1/eps) entries however long the stream, and fewer the
+// less error the buckets have proved. The view's Eps is its own
+// Certificate. The result is cached until more elements arrive; the caller
+// must hold the core lock. The returned summary never shares storage with a
+// bucket — bucket storage is recycled — so it is immutable and may safely
+// outlive the locked region.
 func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	// Drain in-flight windows first: the buckets must cover the whole
 	// emitted prefix and the sorter must be idle before the partial-window
@@ -296,6 +341,7 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	// the held window with the sorted partial one, read as the level 0 a
 	// Flush would build without consuming either, then the buckets by level.
 	var parts []*summary.Summary[T]
+	c := 0.0 // the largest certificate among the parts
 	unsealed := len(e.held) > 0 || buffered > 0
 	if unsealed {
 		var partial []T
@@ -304,21 +350,23 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 			partial = append(e.core.Scratch(buffered), e.core.Partial()...)
 			e.core.SorterLocked().Sort(partial)
 		}
-		parts = append(parts, windowSummary(nil, e.held, partial, e.eps))
+		p := windowSummary(nil, e.held, partial, e.eps)
+		parts, c = append(parts, p), p.Certificate()
 		e.core.AddSort(time.Since(t0), 0)
 	}
-	for _, b := range e.levels {
+	for k, b := range e.levels {
 		if b != nil {
-			parts = append(parts, b)
+			parts, c = append(parts, b), max(c, e.certificate(k))
 		}
 	}
+	budget := e.viewBudget(c, e.n+int64(buffered))
 	var acc *summary.Summary[T]
 	switch len(parts) {
 	case 0:
 	case 1:
 		acc = parts[0]
-		if acc.Size()-1 > e.viewB {
-			acc = acc.Prune(e.viewB)
+		if acc.Size()-1 > budget {
+			acc = acc.Prune(budget)
 		} else if !unsealed {
 			acc = acc.Clone() // a bucket: its storage will be recycled
 		}
@@ -330,11 +378,14 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 		for _, p := range parts[1 : len(parts)-1] {
 			acc = summary.Merge(acc, p)
 		}
-		if acc.Size()+last.Size()-1 > e.viewB {
-			acc = summary.MergePruneInto(nil, acc, last, e.viewB)
+		if acc.Size()+last.Size()-1 > budget {
+			acc = summary.MergePruneInto(nil, acc, last, budget)
 		} else {
 			acc = summary.Merge(acc, last)
 		}
+	}
+	if acc != nil {
+		acc.Eps = acc.Certificate()
 	}
 	e.snapCache, e.snapState = acc, state
 	return acc

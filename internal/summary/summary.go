@@ -241,7 +241,7 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 	}
 	if len(ae)+len(be)-1 <= budget { // Prune would keep every entry
 		dst = MergeInto(dst, a, b)
-		dst.Eps += 1 / (2 * float64(budget))
+		dst.Eps += pruneEps(dst.N, budget)
 		return dst
 	}
 	if dst == nil {
@@ -302,7 +302,7 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 	if !sw.kept {
 		sw.out = append(sw.out, sw.cur)
 	}
-	dst.Entries, dst.N, dst.Eps, dst.ranked = sw.out, n, eps+1/(2*float64(budget)), ranked
+	dst.Entries, dst.N, dst.Eps, dst.ranked = sw.out, n, eps+pruneEps(n, budget), ranked
 	return dst
 }
 
@@ -352,19 +352,20 @@ func (s *Summary[T]) Clone() *Summary[T] {
 }
 
 // Prune shrinks the summary to at most b+1 entries by querying the ranks
-// 1, N/b, 2N/b, ..., N and keeping the selected entries with their original
-// rank bounds. The pruned summary is (eps + 1/(2b))-approximate — the
-// compress operation of the paper's Section 5.2.
+// 1, N/b, 2N/b, ..., N, rounded up, and keeping the selected entries with
+// their original rank bounds. The pruned summary is
+// (eps + 1/(2b) + 1/(2N))-approximate — the compress operation of the
+// paper's Section 5.2, with the rounding of its grid (pruneEps).
 func (s *Summary[T]) Prune(b int) *Summary[T] {
 	if b <= 0 {
 		panic("summary: Prune with non-positive budget")
 	}
 	if len(s.Entries) <= b+1 {
 		out := s.Clone()
-		out.Eps = s.Eps + 1/(2*float64(b))
+		out.Eps = s.Eps + pruneEps(s.N, b)
 		return out
 	}
-	out := &Summary[T]{N: s.N, Eps: s.Eps + 1/(2*float64(b)), Entries: make([]Entry[T], 0, b+1), ranked: s.ranked}
+	out := &Summary[T]{N: s.N, Eps: s.Eps + pruneEps(s.N, b), Entries: make([]Entry[T], 0, b+1), ranked: s.ranked}
 	// Grid ranks increase monotonically and entry rank bounds are
 	// non-decreasing, so the best-scoring entry index is non-decreasing
 	// too: a two-pointer sweep replaces b+1 linear scans (O(b + m) total).
@@ -386,6 +387,46 @@ func (s *Summary[T]) Prune(b int) *Summary[T] {
 		}
 	}
 	return out
+}
+
+// pruneEps is the error a prune of an n-element summary to budget b may add.
+// Consecutive grid ranks ceil(i*n/b) lie at most ceil(n/b) apart, and a rank
+// between two of them lands within half that of one, so a query errs by up
+// to n/(2b) + 1/2 ranks more than before: 1/(2b) + 1/(2n). Nine exact
+// entries pruned to 6 keep ranks 1,2,3,5,6,8,9, and rank 4 errs by one,
+// 1/9 > 1/12.
+func pruneEps(n int64, b int) float64 {
+	e := 1 / (2 * float64(b))
+	if n > 0 {
+		e += 1 / (2 * float64(n))
+	}
+	return e
+}
+
+// Certificate is the error the summary proves of itself, whatever its Eps
+// says: E/N, where E, in ranks, is the largest of
+//
+//	floor((RMax[i+1] - RMin[i]) / 2),  RMax[0] - 1,  N - RMin[last]
+//
+// and every rank r in 1..N is answered within E (GK's coverage argument,
+// DESIGN.md section 28). Take the first entry whose RMax exceeds r + E: it
+// is not the first, as RMax[0] <= 1 + E, and the entry before it has
+// RMax <= r + E and, the bounds being integers, RMin >= RMax[next] - 2E - 1
+// >= r - E, so its score, and the query's, is at most E; with no such
+// entry, the last one's RMin >= N - E does the same. The argument does not
+// need ordered rank bounds, so it holds for unranked summaries too. A
+// merge certifies no worse than its worse input, and a prune adds at most
+// pruneEps. O(entries); an empty summary certifies 0.
+func (s *Summary[T]) Certificate() float64 {
+	es := s.Entries
+	if s.N == 0 || len(es) == 0 {
+		return 0
+	}
+	worst := max(es[0].RMax-1, s.N-es[len(es)-1].RMin)
+	for i := 1; i < len(es); i++ {
+		worst = max(worst, (es[i].RMax-es[i-1].RMin)/2)
+	}
+	return float64(worst) / float64(s.N)
 }
 
 // pruneRank is grid point i of a prune of n elements to budget b:

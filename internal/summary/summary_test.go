@@ -2,6 +2,8 @@ package summary
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -146,12 +148,40 @@ func TestPruneBoundsSizeAndError(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	wantEps := s.Eps + 1/(2*float64(b))
+	wantEps := s.Eps + (1/(2*float64(b)) + 1/(2*float64(s.N))) // the grid's spacing and its rounding
 	if math.Abs(p.Eps-wantEps) > 1e-12 {
 		t.Fatalf("pruned eps = %v, want %v", p.Eps, wantEps)
 	}
 	if got := p.TrueRankError(win); got > p.Eps+1e-9 {
 		t.Fatalf("pruned rank error %v > eps %v", got, p.Eps)
+	}
+}
+
+// TestPruneRoundingTerm pins the grid rounding a prune's Eps accounts:
+// nine exact entries pruned to six keep the ranks ceil(9i/6) = 1, 2, 3, 5,
+// 6, 8, 9, and rank 4, between 3 and 5, is answered one rank off — 1/9 of
+// N, more than the 1/12 that 1/(2b) alone allows.
+func TestPruneRoundingTerm(t *testing.T) {
+	s := &Summary[float32]{N: 9, ranked: true}
+	for r := int64(1); r <= 9; r++ {
+		s.Entries = append(s.Entries, Entry[float32]{V: float32(r), RMin: r, RMax: r})
+	}
+	p := s.Prune(6)
+	var kept []int64
+	for _, e := range p.Entries {
+		kept = append(kept, e.RMin)
+	}
+	if !slices.Equal(kept, []int64{1, 2, 3, 5, 6, 8, 9}) {
+		t.Fatalf("kept ranks %v", kept)
+	}
+	if got := p.QueryRank(4); got != 3 && got != 5 {
+		t.Fatalf("rank 4 answered %v", got)
+	}
+	if want := 1.0 / 9; p.Certificate() != want || !(p.Eps >= want) || p.Eps != 1.0/12+1.0/18 {
+		t.Fatalf("pruned summary certifies %v and claims %v; rank 4 errs by %v", p.Certificate(), p.Eps, want)
+	}
+	if m := MergePruneInto(nil, s, &Summary[float32]{}, 6); !reflect.DeepEqual(m, p) {
+		t.Fatalf("fused prune %+v, two-pass %+v", m, p)
 	}
 }
 

@@ -140,8 +140,9 @@ func cloneWeighted(w *Weighted) *Weighted {
 	return c
 }
 
-// Prune shrinks the summary to at most b+1 entries, adding 1/(2b) to Eps,
-// exactly as Summary.Prune does for ranks.
+// Prune shrinks the summary to at most b+1 entries, adding 1/(2b) to Eps
+// as Summary.Prune does for ranks; its grid of weights is not rounded, so
+// there is no 1/(2N) term.
 func (w *Weighted) Prune(b int) *Weighted {
 	if b <= 0 {
 		panic("summary: Prune with non-positive budget")

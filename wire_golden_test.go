@@ -328,6 +328,19 @@ func TestDecodesOneWindowLevel0QuantileSnapshots(t *testing.T) {
 	})
 }
 
+// TestDecodesAPrioriViewQuantileSnapshots does the same for the quantile
+// goldens from before the view was pruned to the budget its buckets'
+// certified error leaves (DESIGN.md section 28): 4,001 entries budgeted
+// from the a-priori account, with that account as their Eps.
+func TestDecodesAPrioriViewQuantileSnapshots(t *testing.T) {
+	t.Run("float32", func(t *testing.T) {
+		checkOlderQuantileSnapshot[float32](t, "quantile-apriori-view.float32.snap")
+	})
+	t.Run("uint64", func(t *testing.T) {
+		checkOlderQuantileSnapshot[uint64](t, "quantile-apriori-view.uint64.snap")
+	})
+}
+
 // checkOlderQuantileSnapshot decodes a quantile golden of the golden stream
 // kept under testdata/compat, re-marshals it to the same bytes, and checks
 // its answers, alone and merged with a snapshot taken today, against the
