@@ -15,7 +15,6 @@ package frequency
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"gpustream/internal/histogram"
@@ -206,12 +205,7 @@ func queryEntries[T sorter.Value](entries []entry[T], n int64, eps, s float64) [
 			out = append(out, Item[T]{Value: ent.value, Freq: ent.freq})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Value < out[j].Value
-	})
+	pipeline.SortItems(out)
 	return out
 }
 
@@ -255,13 +249,7 @@ func (e *Estimator[T]) Estimate(v T) int64 {
 
 // TopK returns the k elements with the highest estimated frequencies (fewer
 // if the summary tracks fewer), ordered by decreasing frequency.
-func (e *Estimator[T]) TopK(k int) []Item[T] {
-	items := e.Query(0)
-	if len(items) > k {
-		items = items[:k]
-	}
-	return items
-}
+func (e *Estimator[T]) TopK(k int) []Item[T] { return pipeline.TopK(e.Query, k) }
 
 // SummaryEntry is an exported view of one lossy-counting summary entry: an
 // estimated frequency Freq that undercounts the true one by at most Delta.
@@ -309,13 +297,7 @@ func (s *Snapshot[T]) Query(sp float64) []Item[T] { return queryEntries(s.entrie
 func (s *Snapshot[T]) Estimate(v T) int64 { return estimateEntries(s.entries, v) }
 
 // TopK returns the k highest-frequency entries.
-func (s *Snapshot[T]) TopK(k int) []Item[T] {
-	items := s.Query(0)
-	if len(items) > k {
-		items = items[:k]
-	}
-	return items
-}
+func (s *Snapshot[T]) TopK(k int) []Item[T] { return pipeline.TopK(s.Query, k) }
 
 // Entries exports a copy of the summary in ascending value order. Sharded
 // ingestion merges per-shard entries by summing Freq and Delta for equal

@@ -49,12 +49,7 @@ type promoted[T sorter.Value] struct {
 // rank uncertainty is the whole prefix — exactly the honesty the no-replay
 // design owes — and it shrinks relative to the stream as the suffix grows.
 func (p *promoted[T]) effective(eps float64) *summary.Summary[T] {
-	prefix := &summary.Summary[T]{
-		Entries: []summary.Entry[T]{{V: p.seed, RMin: 1, RMax: p.prefixN}},
-		N:       p.prefixN,
-		Eps:     eps,
-	}
-	return summary.Merge(p.gk.ToSummary(), prefix)
+	return summary.Merge(p.gk.ToSummary(), pointMass(p.seed, p.prefixN, eps))
 }
 
 // TierStats reports the keyed estimator's tier occupancy, as surfaced

@@ -52,19 +52,15 @@ type executor[T sorter.Value] struct {
 	mergeStart, mergeEnd time.Duration
 }
 
-// StartAsync switches a staged core from inline to overlapped execution:
+// StartAsync switches the core from inline to overlapped execution:
 // subsequent full windows are handed to the sort stage goroutine, and each
 // is merged by the caller that seals the next one (or by the next barrier).
-// It must be called on a staged core (NewStagedCore), at most once, and
-// before any value is ingested — it picks the initial mode; a Tuner owns
-// the mode at runtime through the Knobs.Async knob. Close drains and
-// terminates the sort stage.
+// It must be called at most once, and before any value is ingested — it
+// picks the initial mode; a Tuner owns the mode at runtime through the
+// Knobs.Async knob. Close drains and terminates the sort stage.
 func (c *Core[T]) StartAsync() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.srt == nil {
-		panic("pipeline: StartAsync requires a staged core")
-	}
 	if c.exec != nil {
 		panic("pipeline: StartAsync called twice")
 	}

@@ -280,9 +280,6 @@ func TestStartAsyncMisuse(t *testing.T) {
 	expectPanic("nil merge", func() {
 		NewStagedCore[float32](4, sliceSorter{}, nil)
 	})
-	expectPanic("plain core", func() {
-		NewCore[float32](4, func([]float32) {}).StartAsync()
-	})
 	expectPanic("double start", func() {
 		c, _ := stagedCollect(4, true)
 		defer c.Close()

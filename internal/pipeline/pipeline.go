@@ -165,11 +165,12 @@ func putBuf[T sorter.Value](b []T) {
 // Core is the windowed-ingestion engine shared by the estimator families:
 // it owns the window buffer, the ingestion loop, the lifecycle, the Stats,
 // and the mutex that makes live queries safe against concurrent ingestion.
-// Each full window (and each Flush-forced partial window) is handed to the
-// sink, which performs the estimator-specific sort/merge/compress work; the
-// slice passed to the sink is only valid for the duration of the call and
-// is reused for the next window. The sink is always invoked with the core's
-// lock held, so it may touch estimator state and the Add* recorders freely.
+// Each full window (and each Flush-forced partial window) is sorted by the
+// core's sorter and handed to the merge stage, the estimator's sink, which
+// performs the estimator-specific merge/compress work; the slice passed to
+// the sink is only valid for the duration of the call and is reused for the
+// next window. The sink is always invoked with the core's lock held, so it
+// may touch estimator state and the Add* recorders freely.
 //
 // One writer and any number of query goroutines may use a Core-backed
 // estimator concurrently; multiple concurrent writers are also safe but
@@ -178,17 +179,16 @@ func putBuf[T sorter.Value](b []T) {
 type Core[T sorter.Value] struct {
 	mu      sync.Mutex
 	window  int
-	sink    func(win []T)
 	buf     []T
 	count   int64
 	closed  bool
 	stats   Stats
 	scratch []T
 
-	// Staged-mode state (NewStagedCore). srt sorts each sealed window and
-	// mergeFn folds the sorted window into summary state; in synchronous
-	// staged mode emit runs both inline, and after StartAsync the sort runs
-	// on the executor's sort stage while the caller merges.
+	// srt sorts each sealed window and mergeFn folds the sorted window
+	// into summary state; in synchronous mode emit runs both inline, and
+	// after StartAsync the sort runs on the executor's sort stage while the
+	// caller merges.
 	srt     sorter.Sorter[T]
 	mergeFn func(win []T)
 	exec    *executor[T]
@@ -203,13 +203,11 @@ type Core[T sorter.Value] struct {
 	tuner Tuner[T]
 }
 
-// NewCore returns a core buffering windows of the given size. The window
-// buffer comes from a shared pool and returns to it on Close.
+// NewCore returns a core buffering windows of the given size that hands
+// each window to sink unsorted: a staged core whose sort stage does
+// nothing.
 func NewCore[T sorter.Value](window int, sink func(win []T)) *Core[T] {
-	if window <= 0 {
-		panic("pipeline: window must be positive")
-	}
-	return &Core[T]{window: window, sink: sink, buf: getBuf[T](window)}
+	return NewStagedCore(window, sorter.Func[T]{SortFunc: func([]T) {}, Label: "none"}, sink)
 }
 
 // NewStagedCore returns a core whose sink is split into the paper's two
@@ -217,17 +215,18 @@ func NewCore[T sorter.Value](window int, sink func(win []T)) *Core[T] {
 // mergeFn merges/compresses the sorted window into summary state. The core
 // times the sort stage itself (AddSort with the window length); mergeFn
 // records its own merge/compress telemetry via the Add* recorders. By
-// default both stages still run inline under the lock, bit-identical to a
-// NewCore sink that sorts then merges; StartAsync moves the sort onto a
-// stage goroutine that overlaps the caller's merge of the previous window.
+// default both stages run inline under the lock; StartAsync moves the sort
+// onto a stage goroutine that overlaps the caller's merge of the previous
+// window. The window buffer comes from a shared pool and returns to it on
+// Close.
 func NewStagedCore[T sorter.Value](window int, srt sorter.Sorter[T], mergeFn func(win []T)) *Core[T] {
+	if window <= 0 {
+		panic("pipeline: window must be positive")
+	}
 	if srt == nil || mergeFn == nil {
 		panic("pipeline: staged core requires a sorter and a merge stage")
 	}
-	c := NewCore[T](window, nil)
-	c.srt = srt
-	c.mergeFn = mergeFn
-	return c
+	return &Core[T]{window: window, buf: getBuf[T](window), srt: srt, mergeFn: mergeFn}
 }
 
 // Lock acquires the core's ingestion/query mutex. Estimator query paths
@@ -257,7 +256,7 @@ func (c *Core[T]) WindowSizeLocked() int { return c.window }
 func (c *Core[T]) SorterLocked() sorter.Sorter[T] { return c.srt }
 
 // Tuning reports the currently active knobs: the selected sorter and the
-// window size. On a plain-sink core the sorter is nil.
+// window size.
 func (c *Core[T]) Tuning() (sorter.Sorter[T], int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,16 +264,13 @@ func (c *Core[T]) Tuning() (sorter.Sorter[T], int) {
 }
 
 // SetTuner installs the runtime controller consulted after every merged
-// window. It must be called on a staged core before any value is ingested
-// (the same construction-time window StartAsync has); the tuner then owns
-// the sorter and window knobs for the core's lifetime. Retune runs with
-// the core lock held, so the tuner must not call back into the core.
+// window. It must be called before any value is ingested (the same
+// construction-time window StartAsync has); the tuner then owns the sorter
+// and window knobs for the core's lifetime. Retune runs with the core lock
+// held, so the tuner must not call back into the core.
 func (c *Core[T]) SetTuner(t Tuner[T]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.srt == nil {
-		panic("pipeline: SetTuner requires a staged core")
-	}
 	if c.closed || c.count != 0 {
 		panic("pipeline: SetTuner must precede ingestion")
 	}
@@ -473,26 +469,21 @@ func (c *Core[T]) Close() error {
 }
 
 // emit seals the buffered window through the pipeline and resets the
-// buffer. The lock is already held on every path that reaches here. With a
-// plain sink the sink runs inline; a staged core sorts then merges — inline
-// in synchronous mode, overlapped with the sort stage after StartAsync —
-// and then applies any mode flip that merge's retune commanded.
+// buffer. The lock is already held on every path that reaches here. It
+// sorts then merges — inline in synchronous mode, overlapped with the sort
+// stage after StartAsync — and then applies any mode flip that merge's
+// retune commanded.
 func (c *Core[T]) emit() {
 	c.stats.Windows++
-	switch {
-	case c.exec != nil:
+	if c.exec != nil {
 		c.emitAsync()
-	case c.srt != nil:
+	} else {
 		t0 := time.Now()
 		c.srt.Sort(c.buf)
 		c.AddSort(time.Since(t0), int64(len(c.buf)))
 		c.mergeFn(c.buf)
 		c.buf = c.buf[:0]
 		c.retune()
-	default:
-		c.sink(c.buf)
-		c.buf = c.buf[:0]
-		return
 	}
 	c.applyAsyncLocked()
 }

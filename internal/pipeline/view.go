@@ -1,6 +1,10 @@
 package pipeline
 
-import "gpustream/internal/sorter"
+import (
+	"sort"
+
+	"gpustream/internal/sorter"
+)
 
 // Item is one reported heavy hitter: a stream value and its estimated
 // frequency. It is the common currency of every frequency-flavoured result
@@ -8,6 +12,24 @@ import "gpustream/internal/sorter"
 type Item[T sorter.Value] struct {
 	Value T
 	Freq  int64
+}
+
+// SortItems puts a frequency answer in the order every one is reported in:
+// decreasing frequency, then increasing value.
+func SortItems[T sorter.Value](items []Item[T]) {
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].Freq != items[j].Freq {
+			return items[i].Freq > items[j].Freq
+		}
+		return items[i].Value < items[j].Value
+	})
+}
+
+// TopK is the first k items of query's answer at support 0: the k highest
+// estimated frequencies (fewer if fewer are tracked), in SortItems order.
+func TopK[T sorter.Value](query func(support float64) []Item[T], k int) []Item[T] {
+	items := query(0)
+	return items[:min(k, len(items))]
 }
 
 // View is an immutable, point-in-time queryable snapshot of an estimator.

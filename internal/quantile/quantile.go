@@ -342,8 +342,7 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	// Flush would build without consuming either, then the buckets by level.
 	var parts []*summary.Summary[T]
 	c := 0.0 // the largest certificate among the parts
-	unsealed := len(e.held) > 0 || buffered > 0
-	if unsealed {
+	if len(e.held) > 0 || buffered > 0 {
 		var partial []T
 		t0 := time.Now()
 		if buffered > 0 {
@@ -359,32 +358,20 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 			parts, c = append(parts, b), max(c, e.certificate(k))
 		}
 	}
-	budget := e.viewBudget(c, e.n+int64(buffered))
 	var acc *summary.Summary[T]
-	switch len(parts) {
-	case 0:
-	case 1:
-		acc = parts[0]
-		if acc.Size()-1 > budget {
-			acc = acc.Prune(budget)
-		} else if !unsealed {
-			acc = acc.Clone() // a bucket: its storage will be recycled
+	if last := len(parts) - 1; last >= 0 {
+		// Chain-merge all but the last part (a lone part folds into an
+		// empty summary), then merge the last one and prune to the view's
+		// budget in one fused pass into fresh storage: the view never
+		// shares a bucket's, which is recycled.
+		acc = &summary.Summary[T]{}
+		if last > 0 {
+			acc = parts[0]
+			for _, p := range parts[1:last] {
+				acc = summary.Merge(acc, p)
+			}
 		}
-	default:
-		// Chain-merge all but the last part, then merge the last one and
-		// prune to the view's budget in one fused pass.
-		acc = parts[0]
-		last := parts[len(parts)-1]
-		for _, p := range parts[1 : len(parts)-1] {
-			acc = summary.Merge(acc, p)
-		}
-		if acc.Size()+last.Size()-1 > budget {
-			acc = summary.MergePruneInto(nil, acc, last, budget)
-		} else {
-			acc = summary.Merge(acc, last)
-		}
-	}
-	if acc != nil {
+		acc = summary.MergePruneInto(nil, acc, parts[last], e.viewBudget(c, e.n+int64(buffered)))
 		acc.Eps = acc.Certificate()
 	}
 	e.snapCache, e.snapState = acc, state

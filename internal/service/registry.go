@@ -343,21 +343,46 @@ func (r *registry[T]) finishContext(ctx context.Context, e *entry[T]) error {
 // everything the writer ingested. The file is <tenant>.<stream>.snap: the
 // dot is outside validName's alphabet, so no two (tenant, stream) pairs
 // share a file (an in-alphabet separator let ("a_", "b") and ("a", "_b")
-// overwrite each other).
+// overwrite each other). It is replaced atomically (writeAtomic), so a
+// spill that fails leaves the previous one whole.
 func (r *registry[T]) spill(e *entry[T]) error {
 	if r.cfg.SpillDir == "" {
 		return nil
 	}
 	blob, err := gpustream.MarshalSnapshot[T](e.est.Snapshot())
-	if err != nil {
-		return fmt.Errorf("service: spill %s/%s: %w", e.tenant, e.stream, err)
+	if err == nil {
+		err = writeAtomic(r.cfg.SpillDir, e.tenant+"."+e.stream+".snap", blob)
 	}
-	path := filepath.Join(r.cfg.SpillDir, e.tenant+"."+e.stream+".snap")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err != nil {
 		return fmt.Errorf("service: spill %s/%s: %w", e.tenant, e.stream, err)
 	}
 	r.ctr.spills.Add(1)
 	return nil
+}
+
+// writeAtomic replaces dir/name with blob so that a reader, or a restart
+// after a crash, finds either the old file or the new one, never a torn
+// mix: it writes dir/name.tmp, syncs it, renames it over dir/name and syncs
+// dir so the rename is durable. On a failure after the temp file was
+// created it removes the temp file; dir/name is untouched until the rename.
+func writeAtomic(dir, name string, blob []byte) error {
+	path := filepath.Join(dir, name)
+	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(blob)
+	if err = errors.Join(err, f.Sync(), f.Close()); err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		return errors.Join(err, os.Remove(path+".tmp"))
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // drainAll unlinks every stream and drains them concurrently under one

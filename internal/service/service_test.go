@@ -585,6 +585,83 @@ func TestServiceSpillNamesDoNotCollide(t *testing.T) {
 	}
 }
 
+// spillStream runs a daemon spilling to dir, sends the stream acme/hits
+// rows values and drains it, returning the drain's error: one spill of
+// acme.hits.snap over rows values.
+func spillStream(t *testing.T, dir string, rows int) error {
+	t.Helper()
+	svc := service.New[float32](service.Config{SpillDir: dir})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	url := ts.URL + "/v1/streams/acme/hits"
+	spec := specBody(t, gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01})
+	if code, _ := do(t, ts.Client(), "PUT", url, "application/json", spec); code != http.StatusCreated {
+		t.Fatalf("PUT = %d", code)
+	}
+	body, _ := json.Marshal(make([]float32, rows))
+	if code, _ := do(t, ts.Client(), "POST", url+"/values?sync=1", "application/json", body); code != http.StatusOK {
+		t.Fatalf("POST = %d", code)
+	}
+	return svc.Close()
+}
+
+// spilledRows decodes a spill file and reports the rows it covers.
+func spilledRows(t *testing.T, path string) int64 {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := gpustream.UnmarshalSnapshot[float32](blob)
+	if err != nil {
+		t.Fatalf("unmarshal %s: %v", path, err)
+	}
+	return snap.Count()
+}
+
+// TestServiceRespillReplaces: a second spill of the same stream replaces
+// the first through a temp file it renames away, so the directory holds
+// only the latest snapshot.
+func TestServiceRespillReplaces(t *testing.T) {
+	dir := t.TempDir()
+	for _, rows := range []int{3, 5} {
+		if err := spillStream(t, dir, rows); err != nil {
+			t.Fatalf("spill of %d rows: %v", rows, err)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("spill left temp files %v", tmps)
+	}
+	if got := spilledRows(t, filepath.Join(dir, "acme.hits.snap")); got != 5 {
+		t.Fatalf("spill covers %d rows, want the latest snapshot's 5", got)
+	}
+}
+
+// TestServiceFailedSpillKeepsPrevious: a spill that fails before its
+// rename leaves the previous spill byte for byte. The failure is a
+// directory where the temp file would go. (os.WriteFile truncated the
+// previous spill before writing, so a failed write lost it.)
+func TestServiceFailedSpillKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "acme.hits.snap")
+	if err := spillStream(t, dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := spillStream(t, dir, 5); err == nil {
+		t.Fatal("spill over a blocked temp path reported no error")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("previous spill changed (%d bytes -> %d, error %v)", len(before), len(after), err)
+	}
+}
+
 // TestServiceWideIntegerAnswers: a 64-bit integer daemon writes answer
 // values exactly. 2^53+1 has no float64, so a reply that went through one
 // would say 2^53 — a value the stream never saw.

@@ -84,13 +84,7 @@ func (fq *Frequency[T]) Estimate(v T) int64 {
 
 // TopK returns the k elements with the highest merged estimated
 // frequencies, ordered by decreasing frequency.
-func (fq *Frequency[T]) TopK(k int) []frequency.Item[T] {
-	items := fq.Query(0)
-	if len(items) > k {
-		items = items[:k]
-	}
-	return items
-}
+func (fq *Frequency[T]) TopK(k int) []frequency.Item[T] { return pipeline.TopK(fq.Query, k) }
 
 // SummarySize reports the total summary entries retained across shards
 // (plus the retired accumulator of an elastic estimator).

@@ -29,7 +29,7 @@ func BenchmarkFromSortedPair(b *testing.B) {
 	})
 	b.Run("concatenation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			FromSortedWindowInto(dst, both, 0.001)
+			FromSortedPairInto(dst, both, nil, 0.001)
 		}
 	})
 }

@@ -108,34 +108,13 @@ func (g *GK[T]) Compress() {
 	g.tuples = out
 }
 
-// Query returns an eps-approximate phi-quantile of the inserted elements.
-// It panics if nothing has been inserted.
+// Query returns an eps-approximate phi-quantile of the inserted elements,
+// read from ToSummary. It panics if nothing has been inserted.
 func (g *GK[T]) Query(phi float64) T {
 	if g.n == 0 {
 		panic("summary: GK query on empty summary")
 	}
-	r := int64(math.Ceil(phi * float64(g.n)))
-	if r < 1 {
-		r = 1
-	}
-	if r > g.n {
-		r = g.n
-	}
-	var rmin int64
-	best := g.tuples[0].v
-	bestScore := int64(math.MaxInt64)
-	for _, t := range g.tuples {
-		rmin += t.g
-		rmax := rmin + t.delta
-		score := rmax - r
-		if d := r - rmin; d > score {
-			score = d
-		}
-		if score < bestScore {
-			best, bestScore = t.v, score
-		}
-	}
-	return best
+	return g.ToSummary().Query(phi)
 }
 
 // ToSummary converts the GK structure to the windowed Summary representation

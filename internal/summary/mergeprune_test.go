@@ -9,9 +9,10 @@ import (
 	"gpustream/internal/sorter"
 )
 
-// mergePruneRef is the two-pass reference MergePruneInto must reproduce.
+// mergePruneRef is the two-pass reference MergePruneInto must reproduce:
+// MergeInto, then the two-pointer prune sweep.
 func mergePruneRef[T sorter.Value](a, b *Summary[T], budget int) *Summary[T] {
-	return MergeInto(nil, a, b).Prune(budget)
+	return pruneRef(MergeInto(nil, a, b), budget)
 }
 
 // tieWindow returns a sorted window of n values drawn from alphabet
@@ -69,7 +70,7 @@ func budgetsFor(rng *rand.Rand, size int) []int {
 	return slices.DeleteFunc(bs, func(b int) bool { return b < 1 })
 }
 
-// TestMergePruneMatchesTwoPass: MergePruneInto equals MergeInto + Prune —
+// TestMergePruneMatchesTwoPass: MergePruneInto equals MergeInto + pruneRef —
 // entries, N, Eps and the ranked flag (reflect.DeepEqual sees it) — on
 // tie-heavy inputs from 1- to 50-symbol alphabets, on inputs whose ranges
 // do not overlap (one side runs out first) or barely overlap, on merged and
@@ -169,7 +170,7 @@ func TestViewChainFusedLastStep(t *testing.T) {
 		viewB := 1 + rng.Intn(chain.Size()+1)
 		want := chain
 		if chain.Size()-1 > viewB {
-			want = chain.Prune(viewB)
+			want = pruneRef(chain, viewB)
 		}
 		acc := parts[0]
 		for _, p := range parts[1 : len(parts)-1] {

@@ -44,49 +44,32 @@ type Summary[T sorter.Value] struct {
 // 2*step, ..., W, recording each element's exact rank. Consecutive selected
 // ranks are at most step <= eps*W apart, so any rank query lands within
 // step/2 of a kept element; Eps reports step/(2W), or eps/2 if that is more.
+// It is FromSortedPairInto with an empty second run.
 //
 // It panics if window is not sorted.
 func FromSortedWindow[T sorter.Value](window []T, eps float64) *Summary[T] {
-	return FromSortedWindowInto(nil, window, eps)
+	return FromSortedPairInto(nil, window, nil, eps)
 }
 
-// FromSortedWindowInto is FromSortedWindow building the summary in dst,
-// whose entry storage is reused when it is large enough; any prior contents
-// are discarded. A nil dst allocates a fresh summary. Returns dst.
-func FromSortedWindowInto[T sorter.Value](dst *Summary[T], window []T, eps float64) *Summary[T] {
-	s, step := sampled(dst, int64(len(window)), eps)
-	// Each kept element is one instance with an exact rank; duplicates of
-	// the same value stay separate entries, preserving GK tuple semantics
-	// (an entry's [RMin, RMax] is rank uncertainty, never multiplicity).
-	// rank walks 1, step, 2*step, ..., w, each once: next is the next
-	// multiple of step above 1.
-	var prev T
-	for rank, next := int64(1), max(step, 2); rank <= s.N; rank, next = min(next, s.N), next+step {
-		v := window[rank-1]
-		if rank > 1 && v < prev {
-			panic("summary: window not sorted")
-		}
-		prev = v
-		s.Entries = append(s.Entries, Entry[T]{V: v, RMin: rank, RMax: rank})
-		if rank == s.N {
-			break
-		}
-	}
-	return s
-}
-
-// FromSortedPairInto is FromSortedWindowInto over the ascending
-// concatenation of two ascending runs, bit for bit, without forming it.
-// The element at each kept rank r is found by bisecting how many of the
-// pair's first r come from a. That count never falls as r grows and rises
-// by at most the step between two kept ranks, so each bisection spans at
-// most step+1 candidates. Runs and bisection are ordered by
-// sorter.OrderedKey, the key-radix sort's order, which is total where < is
-// not: -0 before +0, NaNs at the ends. Equal keys are equal bits, so where
-// the runs tie, the run an element is taken from does not show.
+// FromSortedPairInto is FromSortedWindow over the ascending concatenation
+// of two ascending runs, bit for bit, without forming it, built in dst:
+// its entry storage is reused when large enough, and a nil dst allocates.
+// Duplicates stay separate entries ([RMin, RMax] is rank uncertainty,
+// never multiplicity). The element at each kept rank r is found by
+// bisecting how many of the pair's first r come from a. That count never
+// falls as r grows and rises by at most the step between two kept ranks,
+// so each bisection spans at most step+1 candidates, and one, a[r-1], when
+// b is empty. Runs and bisection are ordered by sorter.OrderedKey, the
+// key-radix sort's order, which is total where < is not: -0 before +0,
+// NaNs at the ends. Equal keys are equal bits, so where the runs tie, the
+// run an element is taken from does not show. It panics if a kept element
+// is < the one kept before it.
 func FromSortedPairInto[T sorter.Value](dst *Summary[T], a, b []T, eps float64) *Summary[T] {
 	s, step := sampled(dst, int64(len(a)+len(b)), eps)
 	fromA, prev := 0, 0 // of the pair's first prev elements, fromA are a's
+	var last T          // the element kept before
+	// rank walks 1, step, 2*step, ..., N, each once: next is the next
+	// multiple of step above 1.
 	for rank, next := int64(1), max(step, 2); rank <= s.N; rank, next = min(next, s.N), next+step {
 		// The fewest n of the first r taken from a such that b's part is
 		// no larger than a's next element, among lo..hi; hi always
@@ -107,6 +90,10 @@ func FromSortedPairInto[T sorter.Value](dst *Summary[T], a, b []T, eps float64) 
 		} else {
 			v = a[lo-1]
 		}
+		if rank > 1 && v < last {
+			panic("summary: window not sorted")
+		}
+		last = v
 		s.Entries = append(s.Entries, Entry[T]{V: v, RMin: rank, RMax: rank})
 		if rank == s.N {
 			break
@@ -221,12 +208,11 @@ func MergeInto[T sorter.Value](dst, a, b *Summary[T]) *Summary[T] {
 	return dst
 }
 
-// MergePruneInto is MergeInto followed by Prune(budget), fused: MergeInto's
-// walk hands each merged entry straight to Prune's grid sweep, so only the
-// at most budget+1 survivors are ever written, into dst. The result is
-// bit-identical to MergeInto(tmp, a, b).Prune(budget) — entries, N, Eps and
-// rank order — but no merged intermediate is built, and the walk stops at
-// the last grid rank. dst must not alias a or b; any prior contents are
+// MergePruneInto is MergeInto followed by a prune to budget, fused:
+// MergeInto's walk hands each merged entry straight to the prune's grid
+// sweep (Prune), so only the at most budget+1 survivors are ever written,
+// into dst. No merged intermediate is built, and the walk stops at the
+// last grid rank. dst must not alias a or b; any prior contents are
 // discarded. A nil dst allocates. Returns dst.
 func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[T] {
 	if budget <= 0 {
@@ -239,7 +225,7 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 	if b.N == 0 {
 		be = nil
 	}
-	if len(ae)+len(be)-1 <= budget { // Prune would keep every entry
+	if len(ae)+len(be)-1 <= budget { // the grid would keep every entry
 		dst = MergeInto(dst, a, b)
 		dst.Eps += pruneEps(dst.N, budget)
 		return dst
@@ -276,7 +262,7 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 			predB = be[j].RMin
 			j++
 		}
-		// e is Prune's next entry: it replaces cur if it scores no worse
+		// e is the sweep's next entry: it replaces cur if it scores no worse
 		// at r; otherwise settle moves the grid on. Written out here and
 		// below rather than called, so the loop stays one tight block.
 		if s := e.score(sw.r); s <= sw.curScore {
@@ -306,10 +292,12 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 	return dst
 }
 
-// pruneSweep is Prune's grid sweep fed one entry at a time: grid point g at
-// rank r, the entry cur it currently selects with cur's score there, and
-// whether cur has been kept. It starts with a placeholder that any entry
-// beats, so the first entry becomes cur as Prune's idx = 0 does.
+// pruneSweep is the prune's grid sweep fed one entry at a time: grid point
+// g at rank r, the entry cur it currently selects with cur's score there,
+// and whether cur has been kept. A point moves cur on to each next entry
+// that scores no worse at r; grid ranks rise and rank bounds do not fall,
+// so one pass serves every point. It starts with a placeholder that any
+// entry beats, so the first entry becomes cur.
 type pruneSweep[T sorter.Value] struct {
 	out      []Entry[T]
 	cur      Entry[T]
@@ -355,38 +343,12 @@ func (s *Summary[T]) Clone() *Summary[T] {
 // 1, N/b, 2N/b, ..., N, rounded up, and keeping the selected entries with
 // their original rank bounds. The pruned summary is
 // (eps + 1/(2b) + 1/(2N))-approximate — the compress operation of the
-// paper's Section 5.2, with the rounding of its grid (pruneEps).
+// paper's Section 5.2, with the rounding of its grid (pruneEps). It is
+// MergePruneInto with an empty summary, which passes s's header through;
+// the empty side goes first, as MergeInto of two empty summaries keeps the
+// second one's Eps.
 func (s *Summary[T]) Prune(b int) *Summary[T] {
-	if b <= 0 {
-		panic("summary: Prune with non-positive budget")
-	}
-	if len(s.Entries) <= b+1 {
-		out := s.Clone()
-		out.Eps = s.Eps + pruneEps(s.N, b)
-		return out
-	}
-	out := &Summary[T]{N: s.N, Eps: s.Eps + pruneEps(s.N, b), Entries: make([]Entry[T], 0, b+1), ranked: s.ranked}
-	// Grid ranks increase monotonically and entry rank bounds are
-	// non-decreasing, so the best-scoring entry index is non-decreasing
-	// too: a two-pointer sweep replaces b+1 linear scans (O(b + m) total).
-	es := s.Entries
-	idx, lastIdx := 0, -1
-	for i := 0; i <= b; i++ {
-		r := pruneRank(i, s.N, b)
-		cur := es[idx].score(r)
-		for idx+1 < len(es) {
-			next := es[idx+1].score(r)
-			if next > cur {
-				break
-			}
-			idx, cur = idx+1, next
-		}
-		if idx != lastIdx {
-			out.Entries = append(out.Entries, es[idx])
-			lastIdx = idx
-		}
-	}
-	return out
+	return MergePruneInto(nil, &Summary[T]{}, s, b)
 }
 
 // pruneEps is the error a prune of an n-element summary to budget b may add.

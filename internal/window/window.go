@@ -24,7 +24,6 @@
 package window
 
 import (
-	"sort"
 	"time"
 
 	"gpustream/internal/histogram"
@@ -235,12 +234,7 @@ func (s *FrequencySnapshot[T]) QueryWindow(sp float64, w int) []Item[T] {
 			out = append(out, Item[T]{Value: b.Value, Freq: b.Count})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Value < out[j].Value
-	})
+	pipeline.SortItems(out)
 	return out
 }
 
