@@ -6,10 +6,14 @@
 //
 //	streamd -addr :8080 -type float32 -spill /var/lib/streamd
 //
-// On SIGTERM/SIGINT the daemon stops accepting connections, drains every
-// stream's ingest queue and estimator concurrently, and spills each final
-// snapshot to the spill directory as <tenant>.<stream>.snap in the versioned
-// wire format (readable by cmd/snapmerge and gpustream.UnmarshalSnapshot).
+// A POST is ingested before it is answered, under its stream's turn (one
+// batch in an estimator at a time), so every 202 or 200 reply means the
+// batch is queryable and will be in the stream's final snapshot (unless a
+// sharded stream's drain runs out of time, which the drain reports). On
+// SIGTERM/SIGINT the daemon stops accepting connections, drains every
+// stream's estimator concurrently, and spills each final snapshot to the
+// spill directory as <tenant>.<stream>.snap in the versioned wire format
+// (readable by cmd/snapmerge and gpustream.UnmarshalSnapshot).
 package main
 
 import (
@@ -37,7 +41,7 @@ type instance interface {
 // Connection timeouts, so a client that stalls cannot hold a connection —
 // and the pooled body buffer a half-read POST occupies — for ever. All three
 // bound reads only: the read deadline is lifted once a request's body is in,
-// so a ?sync=1 POST waiting out backpressure or a DELETE waiting out a drain
+// so a POST waiting for its stream's turn or a DELETE waiting out a drain
 // is not cut short, and no WriteTimeout is set for the same reason.
 const (
 	readHeaderTimeout = 10 * time.Second
@@ -72,7 +76,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "deadline for draining all streams at shutdown")
 		maxStreams   = flag.Int("max-streams", 4096, "stream cap; beyond it the least-recently-used stream is drained and evicted")
 		idleTTL      = flag.Duration("idle-ttl", 0, "evict streams idle longer than this (0: never)")
-		queueDepth   = flag.Int("queue-depth", 64, "per-stream ingest queue depth, in batches")
 		maxBatch     = flag.Int("max-batch-rows", 1<<20, "largest accepted batch, in rows")
 	)
 	flag.Parse()
@@ -80,7 +83,6 @@ func main() {
 	svc, err := build(*typ, service.Config{
 		MaxStreams:   *maxStreams,
 		IdleTTL:      *idleTTL,
-		QueueDepth:   *queueDepth,
 		MaxBatchRows: *maxBatch,
 		DrainTimeout: *drainTimeout,
 		SpillDir:     *spill,
@@ -101,7 +103,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("streamd: serving %s values on %s (max-streams=%d queue-depth=%d)", *typ, *addr, *maxStreams, *queueDepth)
+	log.Printf("streamd: serving %s values on %s (max-streams=%d)", *typ, *addr, *maxStreams)
 
 	select {
 	case err := <-errc:

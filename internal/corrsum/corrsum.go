@@ -92,11 +92,15 @@ func (e *Estimator) SummaryEntries() int {
 	return total
 }
 
-// Process consumes one pair. It panics on negative values, which would
-// break the summary's monotone cumulative weights.
+// Process consumes one pair. It panics on a negative value, which would
+// break the summary's monotone cumulative weights, and on a NaN or +Inf
+// one, which would make the total and every later sum NaN or +Inf for good.
 func (e *Estimator) Process(p Pair) {
 	if p.Y < 0 {
 		panic("corrsum: negative value")
+	}
+	if math.IsNaN(p.Y) || math.IsInf(p.Y, 1) {
+		panic("corrsum: non-finite value")
 	}
 	e.buf = append(e.buf, p)
 	if len(e.buf) == e.window {

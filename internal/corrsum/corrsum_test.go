@@ -192,6 +192,27 @@ func TestPanics(t *testing.T) {
 	}
 }
 
+// TestProcessRejectsNonFiniteValues: one NaN value would make Total and
+// every Sum NaN for good, and one +Inf value would hang the first Sum and
+// every later window flush in the summary's checkpoint loop.
+func TestProcessRejectsNonFiniteValues(t *testing.T) {
+	for name, y := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1)} {
+		t.Run(name, func(t *testing.T) {
+			e := newCPU(0.1, 10)
+			e.Process(Pair{X: 1, Y: 1})
+			defer func() {
+				if r := recover(); r != "corrsum: non-finite value" {
+					t.Errorf("panic = %v, want the non-finite value panic", r)
+				}
+				if e.Count() != 1 || e.Total() != 1 {
+					t.Errorf("after the rejected pair: count %d, total %v; want 1 and 1", e.Count(), e.Total())
+				}
+			}()
+			e.Process(Pair{X: 2, Y: y})
+		})
+	}
+}
+
 func TestEmptyEstimator(t *testing.T) {
 	e := newCPU(0.1, 10)
 	if e.Sum(5) != 0 || e.Total() != 0 || e.SumAtQuantile(0.5) != 0 {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"gpustream/internal/frequency"
+	"gpustream/internal/pipeline"
 	"gpustream/internal/quantile"
 	"gpustream/internal/sorter"
 	"gpustream/internal/window"
@@ -58,18 +59,20 @@ type Stats struct {
 	Ticks    int64 // Push calls
 }
 
+// estimator is what the executor needs of a registered query's estimator:
+// ingestion, and a view every answer is read from.
+type estimator interface {
+	ProcessSlice([]float32) error
+	Snapshot() pipeline.View[float32]
+}
+
 // Executor runs registered continuous queries over an arriving stream.
 type Executor struct {
-	srt     sorter.Sorter[float32]
-	budget  int // max elements processed per Push; 0 = unlimited
-	specs   []QuerySpec
-	freqs   []*frequency.Estimator[float32]
-	quants  []*quantile.Estimator[float32]
-	sfreqs  []*window.SlidingFrequency[float32]
-	squants []*window.SlidingQuantile[float32]
-	// parallel index: for spec i, impl[i] locates its estimator.
-	impl  []int
-	stats Stats
+	srt    sorter.Sorter[float32]
+	budget int // max elements processed per Push; 0 = unlimited
+	specs  []QuerySpec
+	ests   []estimator // ests[i] answers specs[i]
+	stats  Stats
 }
 
 // NewExecutor returns an executor sorting with s. budget caps the elements
@@ -91,23 +94,21 @@ func (e *Executor) Register(spec QuerySpec) {
 	if spec.Eps <= 0 || spec.Eps >= 1 {
 		panic(fmt.Sprintf("dsms: query %q eps %v out of (0, 1)", spec.Name, spec.Eps))
 	}
+	var est estimator
 	switch spec.Kind {
 	case FrequencyAbove:
-		e.impl = append(e.impl, len(e.freqs))
-		e.freqs = append(e.freqs, frequency.NewEstimator(spec.Eps, e.srt))
+		est = frequency.NewEstimator(spec.Eps, e.srt)
 	case QuantileAt:
-		e.impl = append(e.impl, len(e.quants))
-		e.quants = append(e.quants, quantile.NewEstimator(spec.Eps, 0, e.srt))
+		est = quantile.NewEstimator(spec.Eps, 0, e.srt)
 	case SlidingFrequencyAbove:
-		e.impl = append(e.impl, len(e.sfreqs))
-		e.sfreqs = append(e.sfreqs, window.NewSlidingFrequency(spec.Eps, spec.Window, e.srt))
+		est = window.NewSlidingFrequency(spec.Eps, spec.Window, e.srt)
 	case SlidingQuantileAt:
-		e.impl = append(e.impl, len(e.squants))
-		e.squants = append(e.squants, window.NewSlidingQuantile(spec.Eps, spec.Window, e.srt))
+		est = window.NewSlidingQuantile(spec.Eps, spec.Window, e.srt)
 	default:
 		panic(fmt.Sprintf("dsms: unknown query kind %d", spec.Kind))
 	}
 	e.specs = append(e.specs, spec)
+	e.ests = append(e.ests, est)
 }
 
 // Push delivers one arriving batch. If the batch exceeds the per-tick
@@ -126,57 +127,33 @@ func (e *Executor) Push(batch []float32) {
 		accepted = kept
 	}
 	e.stats.Ingested += int64(len(accepted))
-	for _, f := range e.freqs {
-		f.ProcessSlice(accepted)
-	}
-	for _, q := range e.quants {
-		q.ProcessSlice(accepted)
-	}
-	for _, f := range e.sfreqs {
-		f.ProcessSlice(accepted)
-	}
-	for _, q := range e.squants {
-		q.ProcessSlice(accepted)
+	for _, est := range e.ests {
+		// ProcessSlice fails only after Close, and the executor closes none.
+		_ = est.ProcessSlice(accepted)
 	}
 }
 
 // Stats reports executor accounting.
 func (e *Executor) Stats() Stats { return e.stats }
 
-// Results evaluates every registered query against the current state.
+// Results evaluates every registered query against the current state,
+// each from a snapshot of its estimator. A sliding query's N is the window
+// it covers, at most W.
 func (e *Executor) Results() []Result {
 	out := make([]Result, 0, len(e.specs))
 	for i, spec := range e.specs {
-		r := Result{Name: spec.Name, Kind: spec.Kind}
+		view := e.ests[i].Snapshot()
+		r := Result{Name: spec.Name, Kind: spec.Kind, N: view.Count()}
 		switch spec.Kind {
 		case FrequencyAbove:
-			f := e.freqs[e.impl[i]]
-			r.Items = f.Query(spec.Param)
-			r.N = f.Count()
-		case QuantileAt:
-			q := e.quants[e.impl[i]]
-			if q.Count() > 0 {
-				r.Quantile = q.Query(spec.Param)
-			}
-			r.N = q.Count()
+			r.Items, _ = view.HeavyHitters(spec.Param)
 		case SlidingFrequencyAbove:
-			f := e.sfreqs[e.impl[i]]
-			r.WItems = f.Query(spec.Param)
-			n := f.Count()
-			if w := int64(spec.Window); n > w {
-				n = w
-			}
-			r.N = n
-		case SlidingQuantileAt:
-			q := e.squants[e.impl[i]]
-			if q.Count() > 0 {
-				r.Quantile = q.Query(spec.Param)
-			}
-			n := q.Count()
-			if w := int64(spec.Window); n > w {
-				n = w
-			}
-			r.N = n
+			r.WItems, _ = view.HeavyHitters(spec.Param)
+		case QuantileAt, SlidingQuantileAt:
+			r.Quantile, _ = view.Quantile(spec.Param)
+		}
+		if spec.Kind == SlidingFrequencyAbove || spec.Kind == SlidingQuantileAt {
+			r.N = min(r.N, int64(spec.Window))
 		}
 		out = append(out, r)
 	}

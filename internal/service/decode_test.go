@@ -295,11 +295,11 @@ func TestIngestReplyMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestSyncIngestErrorReachesCaller closes a stream's estimator under a
-// queued ?sync=1 batch: the writer's ProcessSlice error must come back as a
-// 500 naming it, not as 200, and ingest_errors must count it.
+// TestSyncIngestErrorReachesCaller closes a stream's estimator under its
+// POSTs: the estimator's ProcessSlice error must come back as a 500 naming
+// it, with ?sync=1 or without, and ingest_errors must count it.
 func TestSyncIngestErrorReachesCaller(t *testing.T) {
-	svc := New[float32](Config{QueueDepth: 1})
+	svc := New[float32](Config{})
 	defer svc.Close()
 	e, _, err := svc.reg.create("t", "s", gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01})
 	if err != nil {
@@ -314,20 +314,21 @@ func TestSyncIngestErrorReachesCaller(t *testing.T) {
 		svc.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
 		return rec
 	}
-	rec := post("/v1/streams/t/s/values?sync=1", `[1,2,3]`)
-	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "closed") {
-		t.Errorf("sync POST into a closed estimator = %d %s, want 500 naming the closed estimator", rec.Code, rec.Body)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/streams/t/s/values?sync=1", `[1,2,3]`},
+		// Unsynced, the batch is ingested before the reply all the same, so
+		// its error reaches its caller too.
+		{"/v1/streams/t/s/values", `[4]`},
+		{"/v1/streams/t/s/values?sync=1", `[5]`},
+	} {
+		if rec := post(tc.path, tc.body); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "closed") {
+			t.Errorf("POST %s into a closed estimator = %d %s, want 500 naming the closed estimator", tc.path, rec.Code, rec.Body)
+		}
 	}
-	// An unsynced batch fails the same way in the writer; only the counter
-	// can say so. The sync POST behind it is the barrier that orders the read.
-	if rec := post("/v1/streams/t/s/values", `[4]`); rec.Code != http.StatusAccepted {
-		t.Errorf("unsynced POST = %d, want 202", rec.Code)
-	}
-	post("/v1/streams/t/s/values?sync=1", `[5]`)
 	if got := e.ingestErrs.Load(); got != 3 {
 		t.Errorf("ingest_errors = %d, want 3", got)
 	}
-	// Both row totals count what the queue took, refused by the estimator or not.
+	// Both row totals count what the turn took, refused by the estimator or not.
 	if stream, server := e.rows.Load(), svc.ctr.ingestRows.Load(); stream != 5 || server != 5 {
 		t.Errorf("rows: stream %d, server %d; want 5 and 5", stream, server)
 	}

@@ -112,11 +112,11 @@ func (s *Server[T]) handlePut(w http.ResponseWriter, r *http.Request, tenant, st
 	}{tenant, stream, created, e.spec})
 }
 
-// handleDelete drains the stream — queue flushed, estimator closed via its
-// context-aware drain under the request deadline (?timeout= overrides the
-// configured default) — spills its final snapshot, and removes it. The
-// request is validated before the stream is unlinked: a rejected DELETE
-// must leave it live, not orphan its writer and drop its rows unspilled.
+// handleDelete drains the stream — the batch in flight finished, the
+// estimator closed via its context-aware drain under the request deadline
+// (?timeout= overrides the configured default) — spills its final snapshot,
+// and removes it. The request is validated before the stream is unlinked:
+// a rejected DELETE must leave it live, not drop its rows unspilled.
 func (s *Server[T]) handleDelete(w http.ResponseWriter, r *http.Request, tenant, stream string) {
 	timeout := s.cfg.DrainTimeout
 	if arg := r.URL.Query().Get("timeout"); arg != "" {
@@ -188,14 +188,14 @@ func putBody(buf *bytes.Buffer) {
 }
 
 // handleIngest accepts one batch of values — a JSON array of numbers, or
-// binary little-endian rows at the element type's native width — and hands
-// it to the stream's writer through the bounded queue (blocking for
-// backpressure under the request context). With ?sync=1 the request
-// additionally waits until the batch is queryable. 202 on enqueue, 200 on
-// sync completion, 413 for oversized batches, 500 when a synchronous batch
-// failed in the estimator. Body and batch live in pooled buffers: the body
-// goes back once decoded, the batch when the writer has ingested it
-// (DESIGN.md section 20).
+// binary little-endian rows at the element type's native width — and
+// ingests it under the stream's turn, waiting for the turn under the
+// request context. The batch is queryable when the reply goes out: 202, or
+// 200 with ?sync=1 (the two differ in status and the reply's "queued"
+// field only), 413 for oversized batches, 500 when the batch failed in the
+// estimator, 503 when the request ended while it waited. Body and batch
+// live in pooled buffers: the body goes back once decoded, the batch once
+// ingested (DESIGN.md sections 20 and 30).
 func (s *Server[T]) handleIngest(w http.ResponseWriter, r *http.Request, tenant, stream string) {
 	e, ok := s.reg.get(tenant, stream)
 	if !ok {
@@ -231,18 +231,18 @@ func (s *Server[T]) handleIngest(w http.ResponseWriter, r *http.Request, tenant,
 		reject(http.StatusRequestEntityTooLarge, "batch of %d rows exceeds the %d-row limit", rows, s.cfg.MaxBatchRows)
 		return
 	}
-	sync := r.URL.Query().Get("sync") != ""
-	if err := e.enqueue(r.Context(), b, sync); err != nil {
+	if err := e.ingest(r.Context(), b); err != nil {
 		switch {
 		case errors.Is(err, errClosing):
 			writeErr(w, http.StatusConflict, "stream %s/%s is draining", tenant, stream)
 		case errors.Is(err, errIngest):
 			writeErr(w, http.StatusInternalServerError, "%v", err)
 		default:
-			writeErr(w, http.StatusServiceUnavailable, "enqueue: %v", err)
+			writeErr(w, http.StatusServiceUnavailable, "ingest: %v", err)
 		}
 		return
 	}
+	sync := r.URL.Query().Get("sync") != ""
 	code := http.StatusAccepted
 	if sync {
 		code = http.StatusOK

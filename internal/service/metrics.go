@@ -18,13 +18,12 @@ type StreamStatus struct {
 	Stream string         `json:"stream"`
 	Spec   gpustream.Spec `json:"spec"`
 
-	Rows         int64 `json:"rows"`          // rows accepted into the queue
-	Count        int64 `json:"count"`         // rows the estimator has ingested
-	Batches      int64 `json:"batches"`       // batches accepted
-	IngestErrors int64 `json:"ingest_errors"` // writer-side ingest failures
-	QueueDepth   int   `json:"queue_depth"`   // batches waiting right now
-	QueueCap     int   `json:"queue_cap"`
-	StallNs      int64 `json:"enqueue_stall_ns"` // ns POSTs blocked on a full queue
+	Rows         int64 `json:"rows"`             // rows taken under the turn
+	Count        int64 `json:"count"`            // rows the estimator has ingested
+	Batches      int64 `json:"batches"`          // batches taken under the turn
+	IngestErrors int64 `json:"ingest_errors"`    // batches the estimator refused
+	QueueDepth   int   `json:"queue_depth"`      // POSTs waiting for the turn right now
+	StallNs      int64 `json:"enqueue_stall_ns"` // ns POSTs spent waiting for the turn
 	IdleNs       int64 `json:"idle_ns"`          // ns since the last ingest or query
 
 	Estimators []gpustream.EstimatorStats `json:"estimators"`
@@ -67,8 +66,7 @@ func (s *Server[T]) streamStatus(e *entry[T]) StreamStatus {
 		Count:        e.est.Count(),
 		Batches:      e.batches.Load(),
 		IngestErrors: e.ingestErrs.Load(),
-		QueueDepth:   len(e.queue),
-		QueueCap:     cap(e.queue),
+		QueueDepth:   int(e.waiting.Load()),
 		StallNs:      e.stallNs.Load(),
 		IdleNs:       idle,
 		Estimators:   e.eng.Stats(),

@@ -17,11 +17,11 @@ import (
 )
 
 // TestServiceConcurrentIngestAndQuery drives N tenant writers against M
-// readers under the race detector: every ingest goes through the bounded
-// queue while readers hit /quantile and /statsz against live
-// copy-on-write snapshots. Nothing may fail and no access may race.
+// readers under the race detector: every ingest runs under its stream's
+// turn while readers hit /quantile and /statsz against live copy-on-write
+// snapshots. Nothing may fail and no access may race.
 func TestServiceConcurrentIngestAndQuery(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{QueueDepth: 4})
+	_, ts := newTestServer(t, service.Config{})
 	client := ts.Client()
 
 	const (
@@ -109,7 +109,7 @@ func TestServiceConcurrentIngestAndQuery(t *testing.T) {
 		t.Fatalf("%d requests failed under concurrency", n)
 	}
 
-	// Every queued batch must land: sync-flush each tenant then check counts.
+	// Every acknowledged batch must have landed: one more row each, then the counts.
 	for i, url := range urls {
 		if code, _ := do(t, client, "POST", url+"/values?sync=1", "application/json", []byte(`[0]`)); code != http.StatusOK {
 			t.Fatalf("flush tenant%d = %d", i, code)
@@ -150,7 +150,7 @@ func waitWriters(urls []string, client *http.Client, want int) <-chan struct{} {
 // request must resolve as accepted (202/200) or cleanly rejected
 // (409 closing / 503 draining) — never a panic, hang, or torn write.
 func TestServiceDrainDuringLoad(t *testing.T) {
-	svc := service.New[float32](service.Config{QueueDepth: 2})
+	svc := service.New[float32](service.Config{})
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	client := ts.Client()
@@ -202,16 +202,16 @@ func TestServiceDrainDuringLoad(t *testing.T) {
 
 // TestServicePooledBatchesSurviveConcurrency is the buffer-ownership test of
 // the POST path (DESIGN.md section 20): body buffers and batch slices are
-// recycled across requests, so a slice handed back before the writer had
+// recycled across requests, so a slice handed back before the estimator had
 // consumed it — or a body reused under a decoder — would surface as rows of
 // one poster counted for another. Each poster sends only its own value, in
 // JSON and binary batches of varying length, synced and unsynced, to a
-// frequency stream and to a parallel-quantile stream behind short queues;
-// afterwards the frequency stream must hold every poster's exact row count
-// and the quantile stream's rank boundaries must sit where the counts put
-// them, within eps.
+// frequency stream and to a parallel-quantile stream, all eight contending
+// for each stream's turn; afterwards the frequency stream must hold every
+// poster's exact row count and the quantile stream's rank boundaries must
+// sit where the counts put them, within eps.
 func TestServicePooledBatchesSurviveConcurrency(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{QueueDepth: 2})
+	_, ts := newTestServer(t, service.Config{})
 	client := ts.Client()
 
 	const (
@@ -279,8 +279,8 @@ func TestServicePooledBatchesSurviveConcurrency(t *testing.T) {
 		t.Fatalf("%d POSTs failed", n)
 	}
 
-	// One synced row of value 0 behind everything queued: when it answers,
-	// every batch is in the estimators.
+	// One synced row of value 0 after every poster's last reply: every
+	// batch is in the estimators already, and the row closes the tally.
 	sent[0] = 1
 	var total int64
 	for _, n := range sent {

@@ -15,9 +15,9 @@ import (
 )
 
 // entry is one live stream: its spec, a dedicated engine + estimator, and
-// the bounded-queue ingestion path — a single writer goroutine draining
-// batches into the estimator, so the estimator always sees the intended
-// one-writer/N-reader pattern however many HTTP requests land concurrently.
+// its turn. Every estimator family is built for one writer and any number
+// of readers, so a POST ingests its own batch while it holds the turn and
+// queries read copy-on-write snapshots beside it.
 type entry[T gpustream.Value] struct {
 	tenant, stream string
 	spec           gpustream.Spec
@@ -27,32 +27,25 @@ type entry[T gpustream.Value] struct {
 	ctr            *counters
 	pool           *batchPool[T]
 
-	queue      chan *batch[T]
-	writerDone chan struct{}
-
-	// closeMu guards closing: enqueuers hold the read side across the
-	// queue send, drain takes the write side to flip closing, so once
-	// drain holds the lock no new batch can race the queue close.
-	closeMu sync.RWMutex
+	// turn is the stream's ingest lock, a one-slot channel so that a POST
+	// can wait for it under its request context: a send takes the turn, a
+	// receive gives it back. closing is read and written only by its holder.
+	turn    chan struct{}
 	closing bool
 
-	rows       atomic.Int64 // rows accepted into the queue
-	batches    atomic.Int64 // batches accepted
-	ingestErrs atomic.Int64 // writer-side ProcessSlice failures
-	stallNs    atomic.Int64 // ns enqueues spent blocked on a full queue
+	rows       atomic.Int64 // rows taken under the turn
+	batches    atomic.Int64 // batches taken under the turn
+	ingestErrs atomic.Int64 // ProcessSlice failures
+	waiting    atomic.Int64 // POSTs waiting for the turn right now
+	stallNs    atomic.Int64 // ns POSTs spent waiting for the turn
 	lastUsed   atomic.Int64 // unix nanos of the last ingest or query
 }
 
-// batch is one queued ingest unit, recycled through a batchPool. done is
-// non-nil for synchronous POSTs (?sync=1): the writer sends the batch's
-// ProcessSlice result on it once the batch is in the estimator.
-type batch[T gpustream.Value] struct {
-	data []T
-	done chan error
-}
+// batch is one decoded POST body, recycled through a batchPool.
+type batch[T gpustream.Value] struct{ data []T }
 
 // batchPool recycles batches — above all their data slices — between the
-// handlers that fill them and the writers that drain them.
+// handlers that fill them.
 type batchPool[T gpustream.Value] struct{ p sync.Pool }
 
 func (bp *batchPool[T]) get() *batch[T] {
@@ -69,110 +62,76 @@ func (bp *batchPool[T]) put(b *batch[T]) {
 	if cap(b.data) > maxPooledBytes/8 {
 		return
 	}
-	b.data, b.done = b.data[:0], nil
+	b.data = b.data[:0]
 	bp.p.Put(b)
 }
 
 // touch refreshes the idle clock.
 func (e *entry[T]) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
 
-// writer is the stream's single ingest goroutine: it drains the bounded
-// queue into the estimator until the queue closes at drain time. Every
-// estimator's ProcessSlice copies what it keeps (the Estimator contract:
-// "the caller may reuse the slice immediately"), so the batch goes back to
-// the pool as soon as it returns — after the sync caller, if any, has its
-// answer.
-func (e *entry[T]) writer() {
-	defer close(e.writerDone)
-	for b := range e.queue {
-		err := e.est.ProcessSlice(b.data)
-		if err != nil {
-			e.ingestErrs.Add(1)
-		}
-		if b.done != nil {
-			b.done <- err
-		}
-		e.pool.put(b)
+// takeTurn waits for the stream's turn under ctx. Only a wait that had to
+// block counts as stall.
+func (e *entry[T]) takeTurn(ctx context.Context) error {
+	select {
+	case e.turn <- struct{}{}:
+		return nil
+	default:
 	}
+	start := time.Now()
+	e.waiting.Add(1)
+	defer e.waiting.Add(-1)
+	select {
+	case e.turn <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	d := int64(time.Since(start))
+	e.stallNs.Add(d)
+	e.ctr.enqueueStall.Add(d)
+	return nil
 }
 
-// enqueue hands a batch to the writer, blocking for backpressure while the
-// queue is full. ctx (the request context) bounds the wait. With sync set
-// it additionally waits until the writer has ingested the batch, so a
-// subsequent query observes it, and reports the writer's ingest error
-// wrapped in errIngest. enqueue takes b over whatever it returns: the
-// caller must not touch it afterwards.
-func (e *entry[T]) enqueue(ctx context.Context, b *batch[T], sync bool) error {
-	rows := int64(len(b.data))
-	var done chan error
-	if sync {
-		// Buffered: the writer must not wait for a caller that gave up.
-		done = make(chan error, 1)
-		b.done = done
+// ingest runs b through the estimator under the stream's turn, waiting for
+// the turn under ctx, and returns b to the pool: every estimator's
+// ProcessSlice copies what it keeps (the Estimator contract: "the caller
+// may reuse the slice immediately"). It returns errClosing once the stream
+// drains, ctx's error if the wait ends first, and the estimator's error
+// wrapped in errIngest. On a nil return the batch is queryable.
+func (e *entry[T]) ingest(ctx context.Context, b *batch[T]) error {
+	defer e.pool.put(b)
+	if err := e.takeTurn(ctx); err != nil {
+		return err
 	}
-	e.closeMu.RLock()
+	defer func() { <-e.turn }()
 	if e.closing {
-		e.closeMu.RUnlock()
-		e.pool.put(b)
 		return errClosing
 	}
-	select {
-	case e.queue <- b:
-	default:
-		// Full queue: only this blocked send is enqueue stall.
-		start := time.Now()
-		select {
-		case e.queue <- b:
-		case <-ctx.Done():
-			e.closeMu.RUnlock()
-			e.pool.put(b)
-			return ctx.Err()
-		}
-		d := int64(time.Since(start))
-		e.stallNs.Add(d)
-		e.ctr.enqueueStall.Add(d)
-	}
-	e.closeMu.RUnlock()
 	// Rows and batches count, per stream and per server alike, what the
-	// queue took; ingest_errors counts the batches the estimator then refused.
+	// turn took; ingest_errors counts the batches the estimator refused.
+	rows := int64(len(b.data))
 	e.rows.Add(rows)
 	e.batches.Add(1)
 	e.ctr.ingestRows.Add(rows)
 	e.ctr.ingestBatches.Add(1)
 	e.touch()
-	if sync {
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("%w: %v", errIngest, err)
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if err := e.est.ProcessSlice(b.data); err != nil {
+		e.ingestErrs.Add(1)
+		return fmt.Errorf("%w: %v", errIngest, err)
 	}
 	return nil
 }
 
-// drain closes the ingestion path and the estimator: no new batches, the
-// queue flushed through the writer, then CloseContext (where the family
-// has one — the sharded estimators' context-aware drain) or Close. It is
-// idempotent and safe to call concurrently (DELETE racing shutdown).
+// drain closes the ingestion path and the estimator. It takes the turn
+// without a deadline — the batch in flight is at most MaxBatchRows rows —
+// and sets closing, so every batch a POST was told about is in the
+// estimator and no ProcessSlice runs from here on. Then CloseContext (where
+// the family has one — the sharded estimators' context-aware drain) or
+// Close. It is idempotent and safe to call concurrently (DELETE racing
+// shutdown).
 func (e *entry[T]) drain(ctx context.Context) error {
-	e.closeMu.Lock()
-	first := !e.closing
+	e.turn <- struct{}{}
 	e.closing = true
-	e.closeMu.Unlock()
-	if first {
-		close(e.queue)
-	}
-	select {
-	case <-e.writerDone:
-	case <-ctx.Done():
-		// Deadline expired with batches still queued: fall through so the
-		// estimator's own context-aware close can cut the loss; the writer
-		// goroutine exits once the remaining batches error out with
-		// ErrClosed.
-	}
+	<-e.turn
 	if cc, ok := e.est.(interface{ CloseContext(context.Context) error }); ok {
 		return cc.CloseContext(ctx)
 	}
@@ -212,7 +171,7 @@ func (r *registry[T]) get(tenant, stream string) (*entry[T], bool) {
 }
 
 // create builds the stream described by spec under its own engine (bound to
-// spec.Backend) and starts its writer goroutine. Re-creating an existing
+// spec.Backend). Re-creating an existing
 // stream is idempotent when the spec matches and errConflict when it does
 // not. At capacity, the least-recently-used stream is evicted first —
 // drained with the configured DrainTimeout and spilled like any other
@@ -222,8 +181,6 @@ func (r *registry[T]) create(tenant, stream string, spec gpustream.Spec) (*entry
 	if !created {
 		return e, false, err
 	}
-	go e.writer()
-
 	if victim != nil {
 		r.ctr.evictions.Add(1)
 		r.finish(victim)
@@ -259,8 +216,7 @@ func (r *registry[T]) insert(tenant, stream string, spec gpustream.Spec) (e, vic
 	e = &entry[T]{
 		tenant: tenant, stream: stream, spec: spec,
 		eng: eng, est: est, created: time.Now(), ctr: r.ctr, pool: &r.batches,
-		queue:      make(chan *batch[T], r.cfg.QueueDepth),
-		writerDone: make(chan struct{}),
+		turn: make(chan struct{}, 1),
 	}
 	e.touch()
 	r.streams[key] = e
@@ -340,7 +296,7 @@ func (r *registry[T]) finishContext(ctx context.Context, e *entry[T]) error {
 
 // spill writes e's final snapshot to SpillDir in the wire format. The
 // estimator stays queryable after Close, so the snapshot reflects
-// everything the writer ingested. The file is <tenant>.<stream>.snap: the
+// every batch a POST was told about. The file is <tenant>.<stream>.snap: the
 // dot is outside validName's alphabet, so no two (tenant, stream) pairs
 // share a file (an in-alphabet separator let ("a_", "b") and ("a", "_b")
 // overwrite each other). It is replaced atomically (writeAtomic), so a

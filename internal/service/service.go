@@ -1,18 +1,18 @@
 // Package service is the multi-tenant streaming estimation service behind
 // cmd/streamd: a long-running stdlib-HTTP daemon where tenants create named
-// streams from declarative gpustream.Spec documents, POST batches of values
-// into a bounded-queue ingestion path, and GET eps-approximate answers
-// served from copy-on-write Snapshot() views so queries never block
-// ingestion.
+// streams from declarative gpustream.Spec documents, POST batches of values,
+// and GET eps-approximate answers served from copy-on-write Snapshot() views
+// so queries never block ingestion.
 //
-// The architecture follows the processor shape of nuclio-style event
-// engines: an event source (the HTTP handlers), a per-stream worker (one
-// ingest goroutine draining a bounded batch queue into the estimator —
-// which may itself fan out across K shard workers or staged async
-// executors), and metric sinks (/statsz exports every estimator's
-// pipeline.Stats plus service counters; /healthz reports liveness and
-// drain state). DESIGN.md section 14 documents the registry lifecycle and
-// drain semantics.
+// A POST ingests its own batch: the handler decodes it, takes the stream's
+// turn (a one-slot lock it waits for under the request context), runs the
+// batch through the estimator — which may itself fan out across K shard
+// workers or a staged async executor — gives the turn back and replies, so
+// every reply carries the estimator's verdict and the service starts no
+// goroutine per stream. /statsz exports every estimator's pipeline.Stats
+// plus service counters; /healthz reports liveness and drain state.
+// DESIGN.md sections 14 and 30 document the registry lifecycle and drain
+// semantics.
 package service
 
 import (
@@ -39,12 +39,9 @@ type Config struct {
 	// SweepInterval is the idle-eviction janitor cadence. Defaults to
 	// IdleTTL/4 (clamped to [1s, 1m]) when IdleTTL is set.
 	SweepInterval time.Duration
-	// QueueDepth bounds each stream's ingest queue, in batches. A POST
-	// against a full queue blocks — backpressure — until the writer
-	// catches up or the request context expires. Default 64.
-	QueueDepth int
 	// MaxBatchRows rejects POST batches larger than this many rows with
-	// 413. Default 1 << 20.
+	// 413. It also bounds how long a drain waits for the batch in flight.
+	// Default 1 << 20.
 	MaxBatchRows int
 	// MaxBodyBytes caps request bodies. Default 32 MiB.
 	MaxBodyBytes int64
@@ -65,9 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 4096
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	if c.MaxBatchRows <= 0 {
 		c.MaxBatchRows = 1 << 20
@@ -93,9 +87,9 @@ func (c Config) withDefaults() Config {
 // counters are the service-level metric sink exported by /statsz.
 type counters struct {
 	requests      atomic.Int64 // HTTP requests served
-	ingestRows    atomic.Int64 // rows accepted into ingest queues
-	ingestBatches atomic.Int64 // batches accepted
-	enqueueStall  atomic.Int64 // ns POSTs spent blocked on full queues
+	ingestRows    atomic.Int64 // rows taken under a stream's turn
+	ingestBatches atomic.Int64 // batches taken under a stream's turn
+	enqueueStall  atomic.Int64 // ns POSTs spent waiting for a stream's turn
 	evictions     atomic.Int64 // LRU (capacity) evictions
 	idleEvictions atomic.Int64 // idle-TTL evictions
 	drained       atomic.Int64 // streams drained (DELETE, eviction, shutdown)
@@ -162,11 +156,12 @@ func (s *Server[T]) janitor() {
 
 // Drain gracefully stops the service: new stream operations are rejected,
 // the idle janitor stops, and every live stream is drained concurrently —
-// ingest queue closed and flushed through the writer, the estimator closed
-// via CloseContext (honoring ctx) where available, and the final snapshot
-// spilled to SpillDir. Drain is idempotent; concurrent and subsequent calls
-// return the first run's error. The ctx deadline bounds the whole drain;
-// cmd/streamd calls this on SIGTERM.
+// the batch in flight finished under the stream's turn, the estimator
+// closed via CloseContext (honoring ctx) where available, and the final
+// snapshot spilled to SpillDir. Drain is idempotent; concurrent and
+// subsequent calls return the first run's error. The ctx deadline bounds
+// the whole drain but for the batches in flight; cmd/streamd calls this on
+// SIGTERM.
 func (s *Server[T]) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -211,9 +206,8 @@ func streamKey(tenant, stream string) string { return tenant + "/" + stream }
 // errConflict distinguishes a PUT with a different spec from other errors.
 var errConflict = fmt.Errorf("service: stream exists with a different spec")
 
-// errClosing is returned by enqueue once a stream is draining.
+// errClosing is returned by ingest once a stream is draining.
 var errClosing = fmt.Errorf("service: stream is draining")
 
-// errIngest wraps the estimator's error when a synchronous batch reached
-// the writer and failed there.
+// errIngest wraps the estimator's error when a batch failed in it.
 var errIngest = fmt.Errorf("service: ingest failed")

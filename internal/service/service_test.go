@@ -278,7 +278,7 @@ func TestServiceErrors(t *testing.T) {
 
 	// The rejected DELETE above must have left the stream alone: still
 	// there, its rows intact, and a well-formed DELETE still drains and
-	// spills it. (?sync=1 first, so the batch the table queued has landed.)
+	// spills it.
 	if code, body := do(t, client, "POST", base+"/hits/values?sync=1", "application/json", []byte(`[7,7,7]`)); code != http.StatusOK {
 		t.Fatalf("POST after the rejected DELETE = %d (%v), want 200", code, body)
 	}
@@ -390,10 +390,10 @@ func TestServiceBinaryIngest(t *testing.T) {
 	}
 }
 
-// TestServiceDrainSpill pins the shutdown contract: Drain flushes every
-// queue, closes every estimator (all CloseContext paths return), spills
-// final snapshots that unmarshal to the ingested answers, and the goroutine
-// count returns to baseline.
+// TestServiceDrainSpill pins the shutdown contract: Drain closes every
+// estimator (all CloseContext paths return), spills final snapshots that
+// unmarshal to the ingested answers, and the goroutine count returns to
+// baseline.
 func TestServiceDrainSpill(t *testing.T) {
 	spill := t.TempDir()
 	baseline := runtime.NumGoroutine()
@@ -420,7 +420,7 @@ func TestServiceDrainSpill(t *testing.T) {
 		if code, _ := do(t, client, "PUT", url, "application/json", specBody(t, spec)); code != http.StatusCreated {
 			t.Fatalf("PUT %s = %d", name, code)
 		}
-		// Async (not sync) post: drain itself must flush the queue.
+		// Unsynced post: the 202 alone must put the batch in the spill.
 		if code, _ := do(t, client, "POST", url+"/values", "application/json", blob); code != http.StatusAccepted {
 			t.Fatalf("POST %s = %d", name, code)
 		}
@@ -460,7 +460,7 @@ func TestServiceDrainSpill(t *testing.T) {
 		}
 	}
 
-	// All writer/shard/stage goroutines are gone.
+	// All shard/stage goroutines are gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {

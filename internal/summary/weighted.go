@@ -34,7 +34,8 @@ type Weighted struct {
 // answered within eps/2*W + MaxWt.
 //
 // It panics if the inputs differ in length, xs is unsorted, or any weight
-// is negative.
+// is negative or non-finite: a +Inf weight makes the checkpoint step +Inf,
+// and a NaN one every bound.
 func WeightedFromSortedPairs(xs []float32, ys []float64, eps float64) *Weighted {
 	if len(xs) != len(ys) {
 		panic("summary: weighted inputs differ in length")
@@ -46,6 +47,9 @@ func WeightedFromSortedPairs(xs []float32, ys []float64, eps float64) *Weighted 
 	for i, y := range ys {
 		if y < 0 {
 			panic("summary: negative weight")
+		}
+		if math.IsNaN(y) || math.IsInf(y, 1) {
+			panic("summary: non-finite weight")
 		}
 		if i > 0 && xs[i] < xs[i-1] {
 			panic("summary: weighted keys not sorted")

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,22 @@ func TestWeightedEmptyAndPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestWeightedRejectsNonFiniteWeights: a NaN weight would make every bound
+// NaN, and a +Inf one the checkpoint step +Inf, on which the checkpoint
+// loop never ends. Both must panic like a negative weight.
+func TestWeightedRejectsNonFiniteWeights(t *testing.T) {
+	for name, y := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1)} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != "summary: non-finite weight" {
+					t.Errorf("panic = %v, want the non-finite weight panic", r)
+				}
+			}()
+			WeightedFromSortedPairs([]float32{1, 2, 3}, []float64{1, y, 1}, 0.1)
+		})
 	}
 }
 
