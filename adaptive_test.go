@@ -9,11 +9,10 @@ package gpustream
 
 import (
 	"bytes"
-	"math"
 	"sync"
 	"testing"
 
-	"gpustream/internal/cpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/stream"
 )
@@ -77,34 +76,17 @@ func windowSchedules(w0 int) map[string][]int {
 	}
 }
 
-// checkQuantileEps asserts every decile answer is within eps*N ranks.
-func checkQuantileEps(t *testing.T, name string, q interface{ Query(float64) float32 }, ref []float32, eps float64) {
+// checkEps holds a view to its family's eps guarantee through the oracle:
+// its quantiles at the deciles, or every frequency estimate it lists.
+func checkEps(t *testing.T, name string, view Snapshot[float32], truth *oracle.Truth[float32], eps float64) {
 	t.Helper()
-	n := len(ref)
-	for p := 0; p <= 10; p++ {
-		phi := float64(p) / 10
-		r := int(math.Ceil(phi * float64(n)))
-		if r < 1 {
-			r = 1
-		}
-		if d := rankError(ref, q.Query(phi), r); float64(d) > eps*float64(n)+1 {
-			t.Fatalf("%s: phi=%v rank error %d > eps*N=%v", name, phi, d, eps*float64(n))
-		}
+	_, err := oracle.Quantiles(truth, view, oracle.Phis(10), eps)
+	if _, ok := view.Quantile(0); !ok {
+		_, sliding := view.(*SlidingFrequencySnapshot[float32])
+		_, err = oracle.Frequencies(truth, view, eps, sliding)
 	}
-}
-
-// checkFrequencyEps asserts estimates never overcount and undercount by at
-// most eps*N.
-func checkFrequencyEps(t *testing.T, name string, est interface{ Estimate(float32) int64 }, exact map[float32]int64, n int, eps float64) {
-	t.Helper()
-	for v, truth := range exact {
-		got := est.Estimate(v)
-		if got > truth {
-			t.Fatalf("%s: Estimate(%v) = %d overcounts true %d", name, v, got, truth)
-		}
-		if float64(truth-got) > eps*float64(n)+1e-9 {
-			t.Fatalf("%s: Estimate(%v) = %d undercounts true %d beyond eps*N", name, v, got, truth)
-		}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -120,19 +102,9 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 	const n = 40_000
 	const eps = 0.01
 	data := stream.Zipf(n, 1.2, n/100+5, 99)
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
+	truth := oracle.New(data)
 	const w = n / 5 // sliding-window span
-	winExact := map[float32]int64{}
-	for _, v := range data[n-w:] {
-		winExact[v]++
-	}
-	winRef := append([]float32(nil), data[n-w:]...)
-	cpusort.Quicksort(winRef)
+	window := oracle.Suffix(data, w)
 
 	for _, async := range []bool{false, true} {
 		mode := map[bool]string{false: "sync", true: "async"}[async]
@@ -151,33 +123,27 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 				qe.SetTuner(&schedTuner[float32]{sorters: sorterRing[float32](), windows: windowSchedules(qw0)[schedName], asyncs: asyncFlipRing()})
 				qe.ProcessSlice(data)
 				qe.Close()
-				checkQuantileEps(t, "quantile", qe, ref, eps)
+				checkEps(t, "quantile", qe.Snapshot(), truth, eps)
 
 				fe := eng.NewFrequencyEstimator(eps, eopts...)
 				_, fw0 := fe.Knobs()
 				fe.SetTuner(&schedTuner[float32]{sorters: sorterRing[float32](), windows: windowSchedules(fw0)[schedName], asyncs: asyncFlipRing()})
 				fe.ProcessSlice(data)
 				fe.Close()
-				checkFrequencyEps(t, "frequency", fe, exact, n, eps)
+				checkEps(t, "frequency", fe.Snapshot(), truth, eps)
 
 				// Sliding families: backend cycling only — the pane size is
 				// the query's semantics, not a knob.
 				sq := eng.NewSlidingQuantile(eps, w, eopts...)
 				sq.SetTuner(&schedTuner[float32]{sorters: sorterRing[float32](), asyncs: asyncFlipRing()})
 				sq.ProcessSlice(data)
-				if d := rankError(winRef, sq.Query(0.5), w/2); float64(d) > eps*float64(w)+1 {
-					t.Fatalf("sliding median rank error %d", d)
-				}
+				checkEps(t, "sliding-quantile", sq.Snapshot(), window, eps)
 				sq.Close()
 
 				sf := eng.NewSlidingFrequency(eps, w, eopts...)
 				sf.SetTuner(&schedTuner[float32]{sorters: sorterRing[float32](), asyncs: asyncFlipRing()})
 				sf.ProcessSlice(data)
-				for v, truth := range winExact {
-					if got := sf.Estimate(v); math.Abs(float64(got-truth)) > eps*float64(w)+1e-9 {
-						t.Fatalf("sliding frequency(%v) = %d, true %d", v, got, truth)
-					}
-				}
+				checkEps(t, "sliding-frequency", sf.Snapshot(), window, eps)
 				sf.Close()
 
 				for _, k := range []int{1, 4} {
@@ -192,12 +158,12 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 					pq := eng.newParallelQuantile(eps, n, k, scripted)
 					pq.ProcessSlice(data)
 					pq.Close()
-					checkQuantileEps(t, "parallel-quantile", pq, ref, eps)
+					checkEps(t, "parallel-quantile", pq.Snapshot(), truth, eps)
 
 					pf := eng.newParallelFrequency(eps, k, scripted)
 					pf.ProcessSlice(data)
 					pf.Close()
-					checkFrequencyEps(t, "parallel-frequency", pf, exact, n, eps)
+					checkEps(t, "parallel-frequency", pf.Snapshot(), truth, eps)
 				}
 			})
 		}
@@ -246,12 +212,7 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 	const n = 40_000
 	const eps = 0.01
 	data := stream.Zipf(n, 1.2, n/100+5, 31)
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
+	truth := oracle.New(data)
 
 	schedules := []struct {
 		name  string
@@ -284,7 +245,7 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 				pq := eng.newParallelQuantile(eps, n, sc.start, elastic(qr))
 				pq.ProcessSlice(data)
 				pq.Close()
-				checkQuantileEps(t, "elastic-quantile", pq, ref, eps)
+				checkEps(t, "elastic-quantile", pq.Snapshot(), truth, eps)
 				if got := qr.executed(); got != len(sc.steps) {
 					t.Fatalf("quantile: %d of %d reshard commands executed", got, len(sc.steps))
 				}
@@ -299,7 +260,7 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 				pf := eng.newParallelFrequency(eps, sc.start, elastic(fr))
 				pf.ProcessSlice(data)
 				pf.Close()
-				checkFrequencyEps(t, "elastic-frequency", pf, exact, n, eps)
+				checkEps(t, "elastic-frequency", pf.Snapshot(), truth, eps)
 				if got := fr.executed(); got != len(sc.steps) {
 					t.Fatalf("frequency: %d of %d reshard commands executed", got, len(sc.steps))
 				}
@@ -498,15 +459,5 @@ func TestAdaptiveControllerRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	qe.Close()
-	checkQuantileEpsSorted(t, qe, data)
-}
-
-// checkQuantileEpsSorted checks the median after the race workload.
-func checkQuantileEpsSorted(t *testing.T, qe *QuantileEstimator[float32], data []float32) {
-	t.Helper()
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
-	if d := rankError(ref, qe.Query(0.5), len(ref)/2); float64(d) > 0.01*float64(len(ref))+1 {
-		t.Fatalf("post-race median rank error %d", d)
-	}
+	checkEps(t, "post-race quantile", qe.Snapshot(), oracle.New(data), 0.01)
 }

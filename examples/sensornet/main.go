@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"gpustream"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -59,5 +60,5 @@ func main() {
 		fmt.Printf("%.2f    %16.2f   %6.2f\n", phi, est, truth)
 	}
 	fmt.Printf("worst normalized rank error vs ground truth: %.5f (eps %.3f)\n",
-		s.TrueRankError(exact), eps)
+		oracle.New(raw).GridError(s.QueryRank), eps)
 }

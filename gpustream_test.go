@@ -1,11 +1,10 @@
 package gpustream
 
 import (
-	"math"
 	"sort"
 	"testing"
 
-	"gpustream/internal/cpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -88,23 +87,12 @@ func TestLastSortBreakdown(t *testing.T) {
 func TestEndToEndFrequency(t *testing.T) {
 	const eps, support = 0.005, 0.03
 	data := stream.Zipf(50000, 1.3, 2000, 5)
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
+	truth := oracle.New(data)
 	for _, b := range []Backend{BackendGPU, BackendCPU} {
-		eng := New(b)
-		est := eng.NewFrequencyEstimator(eps)
+		est := New(b).NewFrequencyEstimator(eps)
 		est.ProcessSlice(data)
-		items := est.Query(support)
-		reported := map[float32]bool{}
-		for _, it := range items {
-			reported[it.Value] = true
-		}
-		for v, c := range exact {
-			if float64(c) >= support*float64(len(data)) && !reported[v] {
-				t.Fatalf("%v: false negative on %v (count %d)", b, v, c)
-			}
+		if err := oracle.Support(truth, est.Query(support), support); err != nil {
+			t.Fatalf("%v: %v", b, err)
 		}
 	}
 }
@@ -112,27 +100,12 @@ func TestEndToEndFrequency(t *testing.T) {
 func TestEndToEndQuantile(t *testing.T) {
 	const eps = 0.01
 	data := stream.Gaussian(40000, 50, 10, 6)
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
+	truth := oracle.New(data)
 	for _, b := range []Backend{BackendGPU, BackendCPU} {
-		eng := New(b)
-		est := eng.NewQuantileEstimator(eps, int64(len(data)))
+		est := New(b).NewQuantileEstimator(eps, int64(len(data)))
 		est.ProcessSlice(data)
-		for _, phi := range []float64{0.1, 0.5, 0.9} {
-			got := est.Query(phi)
-			r := int(math.Ceil(phi * float64(len(ref))))
-			lo := sort.Search(len(ref), func(i int) bool { return ref[i] >= got }) + 1
-			hi := sort.Search(len(ref), func(i int) bool { return ref[i] > got })
-			var d int
-			switch {
-			case r < lo:
-				d = lo - r
-			case r > hi:
-				d = r - hi
-			}
-			if float64(d) > eps*float64(len(ref))+1 {
-				t.Fatalf("%v phi=%v: rank error %d", b, phi, d)
-			}
+		if _, err := oracle.Quantiles(truth, est.Snapshot(), []float64{0.1, 0.5, 0.9}, eps); err != nil {
+			t.Fatalf("%v: %v", b, err)
 		}
 	}
 }
@@ -141,37 +114,18 @@ func TestEndToEndSlidingWindows(t *testing.T) {
 	const eps = 0.02
 	const W = 5000
 	data := stream.Zipf(20000, 1.2, 300, 7)
+	window := oracle.Suffix(data, W)
 	eng := New(BackendGPU)
 	sf := eng.NewSlidingFrequency(eps, W)
 	sq := eng.NewSlidingQuantile(eps, W)
 	sf.ProcessSlice(data)
 	sq.ProcessSlice(data)
 
-	exact := map[float32]int64{}
-	for _, v := range data[len(data)-W:] {
-		exact[v]++
+	if _, err := oracle.Frequencies(window, sf.Snapshot(), eps, true); err != nil {
+		t.Fatalf("sliding frequency: %v", err)
 	}
-	for v, c := range exact {
-		est := sf.Estimate(v)
-		if math.Abs(float64(est-c)) > eps*float64(W)+1e-9 {
-			t.Fatalf("sliding frequency error on %v: est %d true %d", v, est, c)
-		}
-	}
-	med := sq.Query(0.5)
-	win := append([]float32(nil), data[len(data)-W:]...)
-	cpusort.Quicksort(win)
-	r := W / 2
-	lo := sort.Search(len(win), func(i int) bool { return win[i] >= med }) + 1
-	hi := sort.Search(len(win), func(i int) bool { return win[i] > med })
-	var d int
-	switch {
-	case r < lo:
-		d = lo - r
-	case r > hi:
-		d = r - hi
-	}
-	if float64(d) > eps*float64(W)+1 {
-		t.Fatalf("sliding median rank error %d", d)
+	if _, err := oracle.Quantiles(window, sq.Snapshot(), []float64{0.5}, eps); err != nil {
+		t.Fatalf("sliding median: %v", err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gpustream/internal/cpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -21,6 +22,7 @@ func TestTraceReplayPipeline(t *testing.T) {
 	const n = 50000
 	const eps = 0.005
 	original := stream.Zipf(n, 1.2, 2000, 101)
+	truth := oracle.New(original)
 	var buf bytes.Buffer
 	if err := stream.WriteTrace(&buf, original); err != nil {
 		t.Fatal(err)
@@ -47,36 +49,13 @@ func TestTraceReplayPipeline(t *testing.T) {
 			t.Fatal(src.Err())
 		}
 
-		// Frequency vs exact.
-		exact := map[float32]int64{}
-		for _, v := range original {
-			exact[v]++
+		// Frequency and quantiles vs exact.
+		_, err = oracle.Frequencies(truth, freq.Snapshot(), eps, false)
+		if err == nil {
+			_, err = oracle.Quantiles(truth, quant.Snapshot(), []float64{0.1, 0.5, 0.9}, eps)
 		}
-		for v, c := range exact {
-			est := freq.Estimate(v)
-			if est > c || float64(c-est) > eps*float64(n)+1e-9 {
-				t.Fatalf("%v: freq of %v = %d, true %d", backend, v, est, c)
-			}
-		}
-
-		// Quantiles vs exact ranks.
-		ref := append([]float32(nil), original...)
-		cpusort.Quicksort(ref)
-		for _, phi := range []float64{0.1, 0.5, 0.9} {
-			got := quant.Query(phi)
-			r := int(math.Ceil(phi * float64(n)))
-			lo := sort.Search(len(ref), func(i int) bool { return ref[i] >= got }) + 1
-			hi := sort.Search(len(ref), func(i int) bool { return ref[i] > got })
-			var d int
-			switch {
-			case r < lo:
-				d = lo - r
-			case r > hi:
-				d = r - hi
-			}
-			if float64(d) > eps*float64(n)+1 {
-				t.Fatalf("%v: phi=%v rank error %d", backend, phi, d)
-			}
+		if err != nil {
+			t.Fatalf("%v: %v", backend, err)
 		}
 	}
 }
@@ -116,11 +95,10 @@ func TestSlidingMatchesWholeHistoryWhenWindowCoversStream(t *testing.T) {
 	whole.ProcessSlice(data)
 	sliding.ProcessSlice(data)
 
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
-	for v, c := range exact {
+	truth := oracle.New(data)
+	for i := range truth.Distinct() {
+		v := truth.Value(i)
+		c := truth.Count(v)
 		if c < int64(3*eps*n) {
 			continue // below both structures' noise floors
 		}
@@ -137,12 +115,10 @@ func TestSlidingMatchesWholeHistoryWhenWindowCoversStream(t *testing.T) {
 	sq := eng.NewSlidingQuantile(eps, 2*n)
 	wq.ProcessSlice(data)
 	sq.ProcessSlice(data)
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
 	for _, phi := range []float64{0.25, 0.5, 0.75} {
 		a, b := wq.Query(phi), sq.Query(phi)
-		ia := sort.Search(len(ref), func(i int) bool { return ref[i] >= a })
-		ib := sort.Search(len(ref), func(i int) bool { return ref[i] >= b })
+		ia, _ := truth.Ranks(a)
+		ib, _ := truth.Ranks(b)
 		if math.Abs(float64(ia-ib)) > 4*eps*float64(2*n)+2 {
 			t.Fatalf("phi=%v: whole %v (rank %d) vs sliding %v (rank %d)", phi, a, ia, b, ib)
 		}

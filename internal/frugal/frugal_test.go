@@ -8,28 +8,10 @@ import (
 	"sort"
 	"testing"
 
+	"gpustream/internal/oracle"
 	"gpustream/internal/pipeline"
-	"gpustream/internal/sorter"
 	"gpustream/internal/wire"
 )
-
-// rankError reports the normalized rank distance between the estimate for
-// phi and the true phi-quantile of data: 0 when the estimate lands inside
-// the rank interval occupied by values equal to it at the target rank, else
-// the interval distance divided by the stream length.
-func rankError[T sorter.Value](est T, phi float64, sorted []T) float64 {
-	n := len(sorted)
-	lo := sort.Search(n, func(i int) bool { return !(sorted[i] < est) })
-	hi := sort.Search(n, func(i int) bool { return sorted[i] > est })
-	target := phi * float64(n)
-	switch {
-	case target < float64(lo):
-		return (float64(lo) - target) / float64(n)
-	case target > float64(hi):
-		return (target - float64(hi)) / float64(n)
-	}
-	return 0
-}
 
 // convergenceCase is one stream shape the property test feeds a tracker
 // bank.
@@ -112,14 +94,14 @@ func TestConvergence(t *testing.T) {
 			if err := e.ProcessSlice(data); err != nil {
 				t.Fatal(err)
 			}
-			sorted := append([]float64(nil), data...)
-			sort.Float64s(sorted)
+			truth := oracle.New(data)
 			for _, phi := range phis {
 				est, target, ok := e.Estimate(phi)
 				if !ok || target != phi {
 					t.Fatalf("Estimate(%v) = (_, %v, %v), want tracked target", phi, target, ok)
 				}
-				if got := rankError(est, phi, sorted); got > tc.tol {
+				got := float64(truth.Distance(est, oracle.Target(phi, n))) / n
+				if got > tc.tol {
 					t.Errorf("phi=%v: estimate %v has rank error %.4f > %.4f", phi, est, got, tc.tol)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"gpustream/internal/oracle"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
@@ -155,9 +156,7 @@ func checkBudget(t testing.TB, input, epsIdx int, seed uint64) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ref := slices.Clone(data)
-	slices.Sort(ref)
-	if got := s.TrueRankError(ref); got > eps {
+	if got := oracle.New(data).GridError(s.QueryRank); got > eps {
 		t.Fatalf("rank error %v over 101 probed ranks, eps %v", got, eps)
 	}
 }
@@ -208,7 +207,7 @@ func TestFlushOffWindowBoundary(t *testing.T) {
 			if s := e.Summary(); !(s.Eps <= eps) {
 				t.Fatalf("eps=%v, Flush of %d: snapshot claims eps %v", eps, buffered, s.Eps)
 			}
-			if got := rankError(t, e, data); got > eps {
+			if got := summaryError(t, e, data); got > eps {
 				t.Fatalf("eps=%v, Flush of %d: rank error %v", eps, buffered, got)
 			}
 		}

@@ -4,43 +4,13 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
+	"gpustream/internal/oracle"
 	"gpustream/internal/sorter"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
 )
-
-// rankKey orders values as the sorter does, by sorter.OrderedKey, except
-// that -0 and +0 are one value: the order in which Merge's <= sees them.
-func rankKey[T sorter.Value](v T) uint64 {
-	var zero T
-	if v == zero {
-		v = zero
-	}
-	return sorter.OrderedKey(v)
-}
-
-// exactError is the worst error of s's answers, in ranks, over every rank
-// 1..N of data, the stream s summarises: for each r, the distance from r to
-// the ranks the answered value holds in data sorted by rankKey. Unlike
-// TrueRankError it probes every rank, not 101.
-func exactError[T sorter.Value](s *summary.Summary[T], data []T) int64 {
-	keys := make([]uint64, len(data))
-	for i, v := range data {
-		keys[i] = rankKey(v)
-	}
-	slices.Sort(keys)
-	var worst int64
-	for r := int64(1); r <= s.N; r++ {
-		k := rankKey(s.QueryRank(r))
-		lo := int64(sort.Search(len(keys), func(i int) bool { return keys[i] >= k })) + 1
-		hi := int64(sort.Search(len(keys), func(i int) bool { return keys[i] > k }))
-		worst = max(worst, lo-r, r-hi)
-	}
-	return worst
-}
 
 // checkCertificate requires s's Certificate to bound its exact error over
 // every rank and to be no more than its a-priori Eps.
@@ -56,7 +26,7 @@ func checkCertificate[T sorter.Value](t *testing.T, name string, s *summary.Summ
 		}
 		return
 	}
-	if worst := exactError(s, data); float64(worst)/float64(s.N) > c {
+	if worst := oracle.New(data).WorstRank(s.QueryRank, oracle.Every(s.N)); float64(worst)/float64(s.N) > c {
 		t.Fatalf("%s: %d entries over %d values certify %v, but rank error reaches %d (%v)",
 			name, s.Size(), s.N, c, worst, float64(worst)/float64(s.N))
 	}

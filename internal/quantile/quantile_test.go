@@ -6,6 +6,7 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
@@ -15,17 +16,15 @@ func newCPU(eps float64, cap int64, opts ...pipeline.Option) *Estimator[float32]
 	return NewEstimator(eps, cap, cpusort.QuicksortSorter[float32]{}, opts...)
 }
 
-// rankError returns the normalized error of the estimator against the full
-// data, probing a grid of quantiles.
-func rankError(t *testing.T, e *Estimator[float32], data []float32) float64 {
+// summaryError is the oracle's GridError of the estimator's summary, which
+// must cover all of data.
+func summaryError(t *testing.T, e *Estimator[float32], data []float32) float64 {
 	t.Helper()
 	s := e.Summary()
 	if s.N != int64(len(data)) {
 		t.Fatalf("snapshot N = %d, want %d", s.N, len(data))
 	}
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
-	return s.TrueRankError(ref)
+	return oracle.New(data).GridError(s.QueryRank)
 }
 
 func TestEstimatorErrorBound(t *testing.T) {
@@ -39,7 +38,7 @@ func TestEstimatorErrorBound(t *testing.T) {
 		} {
 			e := newCPU(eps, 30000)
 			e.ProcessSlice(data)
-			if got := rankError(t, e, data); got > eps+1e-9 {
+			if got := summaryError(t, e, data); got > eps+1e-9 {
 				t.Fatalf("%s eps=%v: rank error %v", name, eps, got)
 			}
 		}
@@ -51,14 +50,14 @@ func TestEstimatorPartialWindow(t *testing.T) {
 	data := stream.Uniform(1234, 4) // not a multiple of the window
 	e := newCPU(eps, 10000)
 	e.ProcessSlice(data)
-	if got := rankError(t, e, data); got > eps+1e-9 {
+	if got := summaryError(t, e, data); got > eps+1e-9 {
 		t.Fatalf("partial-window rank error %v", got)
 	}
 	// Querying must not disturb state: process more, query again.
 	more := stream.Uniform(777, 5)
 	e.ProcessSlice(more)
 	all := append(append([]float32(nil), data...), more...)
-	if got := rankError(t, e, all); got > eps+1e-9 {
+	if got := summaryError(t, e, all); got > eps+1e-9 {
 		t.Fatalf("post-query rank error %v", got)
 	}
 }
@@ -75,9 +74,7 @@ func TestEstimatorQuick(t *testing.T) {
 			data[i] = float32(v)
 			e.Process(float32(v))
 		}
-		ref := append([]float32(nil), data...)
-		cpusort.Quicksort(ref)
-		return e.Summary().TrueRankError(ref) <= eps+1e-9
+		return oracle.New(data).GridError(e.Summary().QueryRank) <= eps+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -153,7 +150,7 @@ func TestEstimatorDeepStreamBeyondLevels(t *testing.T) {
 	e := newCPU(eps, 100, pipeline.WithWindow(10))
 	data := stream.Uniform(5000, 9)
 	e.ProcessSlice(data)
-	if got := rankError(t, e, data); got > eps+1e-9 {
+	if got := summaryError(t, e, data); got > eps+1e-9 {
 		t.Fatalf("rank error %v beyond capacity", got)
 	}
 }

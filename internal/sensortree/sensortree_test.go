@@ -5,6 +5,7 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -35,9 +36,7 @@ func TestAggregateErrorBound(t *testing.T) {
 		if s.N != int64(len(all)) {
 			t.Fatalf("root N = %d, want %d", s.N, len(all))
 		}
-		ref := append([]float32(nil), all...)
-		cpusort.Quicksort(ref)
-		if got := s.TrueRankError(ref); got > eps+1e-9 {
+		if got := oracle.New(all).GridError(s.QueryRank); got > eps+1e-9 {
 			t.Fatalf("eps=%v: root rank error %v", eps, got)
 		}
 		if st.Nodes != 1+3+9+27 {

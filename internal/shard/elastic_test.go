@@ -1,10 +1,10 @@
 package shard
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
+
+	"gpustream/internal/oracle"
 )
 
 // stepRescaler commands a fixed shard-count sequence, one command per
@@ -56,14 +56,9 @@ func TestElasticQuantileRescale(t *testing.T) {
 	if got := q.Count(); got != int64(n) {
 		t.Fatalf("Count = %d, want %d", got, n)
 	}
-	sorted := append([]float32(nil), data...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	truth := oracle.New(data)
 	for _, phi := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		rk := int64(math.Ceil(phi * float64(n)))
-		if rk < 1 {
-			rk = 1
-		}
-		if d := rankDist(sorted, q.Query(phi), rk); float64(d) > eps*float64(n)+1e-9 {
+		if d := truth.Distance(q.Query(phi), oracle.Target(phi, int64(n))); float64(d) > eps*float64(n)+1e-9 {
 			t.Errorf("phi=%g: rank error %d > eps*N=%g", phi, d, eps*float64(n))
 		}
 	}
@@ -102,18 +97,8 @@ func TestElasticFrequencyRescale(t *testing.T) {
 	if got := fq.Shards(); got != 3 {
 		t.Fatalf("final shards = %d, want 3", got)
 	}
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
-	for v, truth := range exact {
-		got := fq.Estimate(v)
-		if got > truth {
-			t.Fatalf("Estimate(%v) = %d overcounts true %d", v, got, truth)
-		}
-		if float64(truth-got) > eps*float64(n)+1e-9 {
-			t.Fatalf("Estimate(%v) = %d undercounts true %d beyond eps*N", v, got, truth)
-		}
+	if _, err := oracle.Frequencies(oracle.New(data), fq.Snapshot(), eps, false); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,26 +2,13 @@ package shard
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"gpustream/internal/cpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/samplesort"
 	"gpustream/internal/sorter"
 )
-
-// rankDistOf is rankDist at any element type.
-func rankDistOf[T sorter.Value](sortedRef []T, v T, r int64) int64 {
-	lo := int64(sort.Search(len(sortedRef), func(i int) bool { return sortedRef[i] >= v })) + 1
-	hi := int64(sort.Search(len(sortedRef), func(i int) bool { return sortedRef[i] > v }))
-	switch {
-	case r < lo:
-		return lo - r
-	case r > hi:
-		return r - hi
-	}
-	return 0
-}
 
 // checkShardedQuantile runs one sharded ingest at element type T with the
 // given per-shard sorter factory and checks the merged rank guarantee
@@ -41,15 +28,9 @@ func checkShardedQuantile[T sorter.Value](t *testing.T, vals []T, k, batch int, 
 	} else if err := s.Validate(); err != nil {
 		t.Fatalf("merged summary invalid: %v", err)
 	}
-	sorted := append([]T(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	truth := oracle.New(vals)
 	for _, phi := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		r := int64(math.Ceil(phi * float64(n)))
-		if r < 1 {
-			r = 1
-		}
-		v := q.Query(phi)
-		if d := rankDistOf(sorted, v, r); float64(d) > eps*float64(n)+1e-9 {
+		if d := truth.Distance(q.Query(phi), oracle.Target(phi, int64(n))); float64(d) > eps*float64(n)+1e-9 {
 			t.Fatalf("k=%d batch=%d phi=%g: rank error %d > eps*N=%g",
 				k, batch, phi, d, eps*float64(n))
 		}

@@ -2,9 +2,10 @@ package shard
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
+
+	"gpustream/internal/oracle"
 )
 
 // TestConcurrentIngestAndQuery stress-tests the pool[float32] under -race: several
@@ -90,15 +91,10 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		flat = append(flat, c...)
 	}
 	allMu.Unlock()
-	sorted := append([]float32(nil), flat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	truth := oracle.New(flat)
 	for _, phi := range []float64{0.25, 0.5, 0.75} {
-		r := int64(phi * float64(len(sorted)))
-		if r < 1 {
-			r = 1
-		}
-		v := q.Query(phi)
-		if d := rankDist(sorted, v, r); float64(d) > eps*float64(len(sorted))+1e-9 {
+		r := max(int64(phi*float64(truth.N())), 1)
+		if d := truth.Distance(q.Query(phi), r); float64(d) > eps*float64(truth.N())+1e-9 {
 			t.Errorf("phi=%g: rank error %d > eps*N after concurrent ingest", phi, d)
 		}
 	}

@@ -2,33 +2,18 @@ package shard
 
 import (
 	"errors"
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/frequency"
+	"gpustream/internal/oracle"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/quantile"
 	"gpustream/internal/sorter"
 )
 
 func cpuSorter() sorter.Sorter[float32] { return cpusort.QuicksortSorter[float32]{} }
-
-// rankDist measures how far v's true rank range in sortedRef is from the
-// target rank r (0 when r falls inside the range).
-func rankDist(sortedRef []float32, v float32, r int64) int64 {
-	lo := int64(sort.Search(len(sortedRef), func(i int) bool { return sortedRef[i] >= v })) + 1
-	hi := int64(sort.Search(len(sortedRef), func(i int) bool { return sortedRef[i] > v }))
-	switch {
-	case r < lo:
-		return lo - r
-	case r > hi:
-		return r - hi
-	}
-	return 0
-}
 
 // genStream produces a deterministic pseudo-random stream with repeated
 // values (so frequency queries have heavy hitters) drawn from one of a few
@@ -73,15 +58,9 @@ func TestShardedQuantileWithinEps(t *testing.T) {
 				if got := q.Count(); got != int64(n) {
 					t.Fatalf("k=%d: Count=%d want %d", k, got, n)
 				}
-				sorted := append([]float32(nil), data...)
-				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+				truth := oracle.New(data)
 				for _, phi := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {
-					r := int64(math.Ceil(phi * float64(n)))
-					if r < 1 {
-						r = 1
-					}
-					v := q.Query(phi)
-					if d := rankDist(sorted, v, r); float64(d) > eps*float64(n)+1e-9 {
+					if d := truth.Distance(q.Query(phi), oracle.Target(phi, int64(n))); float64(d) > eps*float64(n)+1e-9 {
 						t.Errorf("k=%d eps=%g shape=%d phi=%g: rank error %d > eps*N=%g",
 							k, eps, shape, phi, d, eps*float64(n))
 					}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"gpustream/internal/oracle"
 )
 
 // buildParts assigns each stream element to one of k parts at random and
@@ -82,7 +84,7 @@ func TestMergePartitionOrderMetamorphic(t *testing.T) {
 		sort.Slice(sortedAll, func(i, j int) bool { return sortedAll[i] < sortedAll[j] })
 
 		oneShot := FromSortedWindow(sortedAll, eps)
-		if got := oneShot.TrueRankError(sortedAll); got > oneShot.Eps+1e-9 {
+		if got := oracle.New(sortedAll).GridError(oneShot.QueryRank); got > oneShot.Eps+1e-9 {
 			t.Fatalf("trial %d: one-shot construction violates its own bound: %g > %g",
 				trial, got, oneShot.Eps)
 		}
@@ -108,7 +110,7 @@ func TestMergePartitionOrderMetamorphic(t *testing.T) {
 			// built with the same construction as one-shot, so the bound it
 			// must meet is its own advertised Eps — identical in kind to the
 			// one-shot bound, regardless of partition or merge order.
-			if got := merged.TrueRankError(sortedAll); got > merged.Eps+1e-9 {
+			if got := oracle.New(sortedAll).GridError(merged.QueryRank); got > merged.Eps+1e-9 {
 				t.Errorf("trial %d round %d (k=%d, order %v): rank error %g > bound %g",
 					trial, round, len(parts), order, got, merged.Eps)
 			}

@@ -479,33 +479,3 @@ func (s *Summary[T]) Validate() error {
 	}
 	return nil
 }
-
-// TrueRankError computes, for validation in tests and experiments, the
-// worst-case normalized rank error of the summary against the full sorted
-// reference data: max over probe ranks r of dist(r, true rank range of
-// QueryRank(r)) / N.
-func (s *Summary[T]) TrueRankError(sortedRef []T) float64 {
-	n := int64(len(sortedRef))
-	if n == 0 || len(s.Entries) == 0 {
-		return 0
-	}
-	worst := 0.0
-	probes := int64(100)
-	for p := int64(0); p <= probes; p++ {
-		r := 1 + p*(n-1)/probes
-		v := s.QueryRank(r)
-		lo := int64(sort.Search(len(sortedRef), func(i int) bool { return sortedRef[i] >= v })) + 1
-		hi := int64(sort.Search(len(sortedRef), func(i int) bool { return sortedRef[i] > v }))
-		var d int64
-		switch {
-		case r < lo:
-			d = lo - r
-		case r > hi:
-			d = r - hi
-		}
-		if e := float64(d) / float64(n); e > worst {
-			worst = e
-		}
-	}
-	return worst
-}

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"gpustream/internal/cpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -40,7 +41,7 @@ func TestFromSortedWindowErrorBound(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("eps=%v n=%d: %v", eps, n, err)
 			}
-			if got := s.TrueRankError(win); got > eps/2+1e-9 {
+			if got := oracle.New(win).GridError(s.QueryRank); got > eps/2+1e-9 {
 				t.Fatalf("eps=%v n=%d: rank error %v > eps/2", eps, n, got)
 			}
 			// Space: about 1/eps + 2 entries.
@@ -89,8 +90,7 @@ func TestMergePreservesError(t *testing.T) {
 	if m.N != 5000 {
 		t.Fatalf("merged N = %d", m.N)
 	}
-	ref := sortedCopy(append(append([]float32(nil), a...), b...))
-	if got := m.TrueRankError(ref); got > m.Eps+1e-9 {
+	if got := oracle.New(append(append([]float32(nil), a...), b...)).GridError(m.QueryRank); got > m.Eps+1e-9 {
 		t.Fatalf("merged rank error %v > eps %v", got, m.Eps)
 	}
 }
@@ -115,8 +115,7 @@ func TestMergeQuick(t *testing.T) {
 		if m.Validate() != nil {
 			return false
 		}
-		ref := sortedCopy(append(append([]float32(nil), a...), b...))
-		return m.TrueRankError(ref) <= m.Eps+1e-9
+		return oracle.New(append(append([]float32(nil), a...), b...)).GridError(m.QueryRank) <= m.Eps+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -152,7 +151,7 @@ func TestPruneBoundsSizeAndError(t *testing.T) {
 	if math.Abs(p.Eps-wantEps) > 1e-12 {
 		t.Fatalf("pruned eps = %v, want %v", p.Eps, wantEps)
 	}
-	if got := p.TrueRankError(win); got > p.Eps+1e-9 {
+	if got := oracle.New(win).GridError(p.QueryRank); got > p.Eps+1e-9 {
 		t.Fatalf("pruned rank error %v > eps %v", got, p.Eps)
 	}
 }
@@ -241,8 +240,7 @@ func TestGKErrorBound(t *testing.T) {
 				g.Insert(v)
 			}
 			s := g.ToSummary()
-			ref := sortedCopy(gen)
-			if got := s.TrueRankError(ref); got > eps+1e-9 {
+			if got := oracle.New(gen).GridError(s.QueryRank); got > eps+1e-9 {
 				t.Fatalf("eps=%v: GK[float32] rank error %v", eps, got)
 			}
 		}
@@ -304,7 +302,7 @@ func TestGKQuick(t *testing.T) {
 			g.Insert(float32(v))
 		}
 		s := g.ToSummary()
-		return s.TrueRankError(sortedCopy(data)) <= eps+1e-9
+		return oracle.New(data).GridError(s.QueryRank) <= eps+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -350,8 +348,7 @@ func TestRepeatedMergeChainErrorStaysBounded(t *testing.T) {
 	if root.N != 8000 {
 		t.Fatalf("root N = %d", root.N)
 	}
-	ref := sortedCopy(all)
-	if got := root.TrueRankError(ref); got > root.Eps+1e-9 {
+	if got := oracle.New(all).GridError(root.QueryRank); got > root.Eps+1e-9 {
 		t.Fatalf("tree-merged error %v > %v", got, root.Eps)
 	}
 	_ = sort.Float64s
@@ -368,9 +365,9 @@ func TestGKCompressEvery(t *testing.T) {
 	if lazy.Size() <= eager.Size() {
 		t.Fatalf("lazy compression should retain more tuples: lazy=%d eager=%d", lazy.Size(), eager.Size())
 	}
-	ref := sortedCopy(data)
+	truth := oracle.New(data)
 	for _, g := range []*GK[float32]{lazy, eager} {
-		if got := g.ToSummary().TrueRankError(ref); got > 0.01+1e-9 {
+		if got := truth.GridError(g.ToSummary().QueryRank); got > 0.01+1e-9 {
 			t.Fatalf("rank error %v", got)
 		}
 	}

@@ -7,20 +7,9 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
-
-func exactWindowCounts(data []float32, w int) map[float32]int64 {
-	start := len(data) - w
-	if start < 0 {
-		start = 0
-	}
-	out := map[float32]int64{}
-	for _, v := range data[start:] {
-		out[v]++
-	}
-	return out
-}
 
 func TestSlidingFrequencyErrorBound(t *testing.T) {
 	const eps = 0.02
@@ -28,14 +17,8 @@ func TestSlidingFrequencyErrorBound(t *testing.T) {
 	data := stream.Zipf(30000, 1.2, 300, 1)
 	f := NewSlidingFrequency(eps, W, cpusort.QuicksortSorter[float32]{})
 	f.ProcessSlice(data)
-	truth := exactWindowCounts(data, W)
-	for v := 0; v < 300; v++ {
-		val := float32(v)
-		est := f.Estimate(val)
-		diff := math.Abs(float64(est - truth[val]))
-		if diff > eps*float64(W)+1e-9 {
-			t.Fatalf("value %d: est %d true %d diff %v > epsW", v, est, truth[val], diff)
-		}
+	if _, err := oracle.Frequencies(oracle.Suffix(data, W), f.Snapshot(), eps, true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -45,15 +28,8 @@ func TestSlidingFrequencyNoFalseNegatives(t *testing.T) {
 	data := stream.Zipf(20000, 1.4, 500, 2)
 	f := NewSlidingFrequency(eps, W, cpusort.QuicksortSorter[float32]{})
 	f.ProcessSlice(data)
-	truth := exactWindowCounts(data, W)
-	reported := map[float32]bool{}
-	for _, it := range f.Query(s) {
-		reported[it.Value] = true
-	}
-	for v, c := range truth {
-		if float64(c) >= s*float64(W) && !reported[v] {
-			t.Fatalf("false negative: %v with true window count %d", v, c)
-		}
+	if err := oracle.Support(oracle.Suffix(data, W), f.Query(s), s); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -77,12 +53,12 @@ func TestSlidingFrequencyVariableWindow(t *testing.T) {
 	f := NewSlidingFrequency(eps, W, cpusort.QuicksortSorter[float32]{})
 	f.ProcessSlice(data)
 	for _, w := range []int{1000, 2500, 8000} {
-		truth := exactWindowCounts(data, w)
+		truth := oracle.Suffix(data, w)
 		for _, it := range f.QueryWindow(0.05, w) {
 			// Reported items must have a plausible true count: within
 			// eps*W absolute of the estimate.
-			if math.Abs(float64(it.Freq-truth[it.Value])) > eps*float64(W)+1e-9 {
-				t.Fatalf("w=%d value %v: est %d true %d", w, it.Value, it.Freq, truth[it.Value])
+			if c := truth.Count(it.Value); math.Abs(float64(it.Freq-c)) > eps*float64(W)+1e-9 {
+				t.Fatalf("w=%d value %v: est %d true %d", w, it.Value, it.Freq, c)
 			}
 		}
 	}
@@ -142,71 +118,15 @@ func TestSlidingFrequencyPanics(t *testing.T) {
 	}
 }
 
-func trueWindowQuantile(data []float32, w int, phi float64) (float32, float32, float64) {
-	start := len(data) - w
-	if start < 0 {
-		start = 0
-	}
-	win := append([]float32(nil), data[start:]...)
-	cpusort.Quicksort(win)
-	r := int(math.Ceil(phi * float64(len(win))))
-	if r < 1 {
-		r = 1
-	}
-	return win[r-1], 0, float64(len(win))
-}
-
-func windowRankOf(data []float32, w int, v float32) (lo, hi int) {
-	start := len(data) - w
-	if start < 0 {
-		start = 0
-	}
-	win := append([]float32(nil), data[start:]...)
-	cpusort.Quicksort(win)
-	lo = len(win) + 1
-	hi = 0
-	for i, x := range win {
-		if x == v {
-			if i+1 < lo {
-				lo = i + 1
-			}
-			hi = i + 1
-		}
-	}
-	if hi == 0 { // value absent: rank position where it would insert
-		for i, x := range win {
-			if x > v {
-				lo, hi = i, i
-				return
-			}
-		}
-		lo, hi = len(win), len(win)
-	}
-	return
-}
-
 func TestSlidingQuantileErrorBound(t *testing.T) {
 	const eps = 0.02
 	const W = 5000
 	data := stream.Uniform(30000, 6)
 	q := NewSlidingQuantile(eps, W, cpusort.QuicksortSorter[float32]{})
 	q.ProcessSlice(data)
-	for _, phi := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
-		got := q.Query(phi)
-		r := int(math.Ceil(phi * float64(W)))
-		lo, hi := windowRankOf(data, W, got)
-		var d int
-		switch {
-		case r < lo:
-			d = lo - r
-		case r > hi:
-			d = r - hi
-		}
-		if float64(d) > eps*float64(W)+1 {
-			t.Fatalf("phi=%v: rank error %d > epsW", phi, d)
-		}
+	if _, err := oracle.Quantiles(oracle.Suffix(data, W), q.Snapshot(), []float64{0.05, 0.25, 0.5, 0.75, 0.95}, eps); err != nil {
+		t.Fatal(err)
 	}
-	_, _, _ = trueWindowQuantile(data, W, 0.5)
 }
 
 func TestSlidingQuantileQuick(t *testing.T) {
@@ -222,20 +142,8 @@ func TestSlidingQuantileQuick(t *testing.T) {
 			data[i] = float32(v)
 			q.Process(float32(v))
 		}
-		got := q.Query(0.5)
-		span := W
-		if len(data) < span {
-			span = len(data)
-		}
-		r := (span + 1) / 2
-		lo, hi := windowRankOf(data, W, got)
-		var d int
-		switch {
-		case r < lo:
-			d = lo - r
-		case r > hi:
-			d = r - hi
-		}
+		truth := oracle.Suffix(data, W)
+		d := truth.Distance(q.Query(0.5), (truth.N()+1)/2)
 		return float64(d) <= eps*float64(W)+1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
@@ -250,16 +158,7 @@ func TestSlidingQuantileVariableWindow(t *testing.T) {
 	q := NewSlidingQuantile(eps, W, cpusort.QuicksortSorter[float32]{})
 	q.ProcessSlice(data)
 	for _, w := range []int{2000, 4000, 8000} {
-		med := q.QueryWindow(0.5, w)
-		r := (w + 1) / 2
-		lo, hi := windowRankOf(data, w, med)
-		var d int
-		switch {
-		case r < lo:
-			d = lo - r
-		case r > hi:
-			d = r - hi
-		}
+		d := oracle.Suffix(data, w).Distance(q.QueryWindow(0.5, w), int64(w+1)/2)
 		// Guarantee is absolute eps*W even for smaller w.
 		if float64(d) > eps*float64(W)+1 {
 			t.Fatalf("w=%d: rank error %d", w, d)

@@ -1,9 +1,11 @@
 package gpustream
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -44,26 +46,16 @@ func TestParallelQuantileAPI(t *testing.T) {
 func TestParallelFrequencyAPI(t *testing.T) {
 	t.Parallel()
 	data := stream.Zipf(40_000, 1.2, 500, 42)
-	exact := make(map[float32]int64)
-	for _, v := range data {
-		exact[v]++
-	}
+	truth := oracle.New(data)
 	const eps, support = 0.005, 0.02
 	eng := New(BackendCPU)
 	est := eng.NewParallelFrequencyEstimator(eps, 4, WithBatchSize(2048))
 	est.ProcessSlice(data)
 	est.Close()
-	reported := make(map[float32]bool)
-	for _, it := range est.Query(support) {
-		reported[it.Value] = true
+	if err := oracle.Support(truth, est.Query(support), support); err != nil {
+		t.Error(err)
 	}
-	n := float64(len(data))
-	for v, f := range exact {
-		if float64(f) >= support*n && !reported[v] {
-			t.Errorf("false negative for %v (freq %d)", v, f)
-		}
-	}
-	if top := est.TopK(5); len(top) == 0 || exact[top[0].Value] < exact[top[len(top)-1].Value] {
+	if top := est.TopK(5); len(top) == 0 || truth.Count(top[0].Value) < truth.Count(top[len(top)-1].Value) {
 		t.Errorf("TopK not ordered by frequency: %v", top)
 	}
 }
@@ -101,4 +93,72 @@ func TestParallelSingleShardMatchesSerialAPI(t *testing.T) {
 			t.Errorf("item %d: sharded %v != serial %v", i, got[i], want[i])
 		}
 	}
+}
+
+// k1BitIdenticalCase pins the acceptance criterion that a K=1 sharded
+// estimator is bit-identical to its serial sibling at type T on the given
+// backend: same quantile answers at every probe, same frequency estimates
+// and heavy-hitter lists.
+func k1BitIdenticalCase[T Value](t *testing.T, backend Backend, data []T) {
+	n := int64(len(data))
+	const eps = 0.005
+	eng := NewOf[T](backend)
+
+	sq := eng.NewQuantileEstimator(eps, n)
+	sq.ProcessSlice(data)
+	pq := eng.NewParallelQuantileEstimator(eps, n, 1, WithBatchSize(1024))
+	pq.ProcessSlice(data)
+	pq.Close()
+	for p := 0; p <= 20; p++ {
+		phi := float64(p) / 20
+		if s, par := sq.Query(phi), pq.Query(phi); s != par {
+			t.Fatalf("phi=%v: serial %v != K=1 sharded %v", phi, s, par)
+		}
+	}
+
+	sf := eng.NewFrequencyEstimator(eps)
+	sf.ProcessSlice(data)
+	pf := eng.NewParallelFrequencyEstimator(eps, 1, WithBatchSize(1024))
+	pf.ProcessSlice(data)
+	pf.Close()
+	if s, par := sf.Query(4*eps), pf.Query(4*eps); !reflect.DeepEqual(s, par) {
+		t.Fatalf("heavy hitters diverge:\n  serial:  %v\n  sharded: %v", s, par)
+	}
+	for _, v := range data[:200] {
+		if s, par := sf.Estimate(v), pf.Estimate(v); s != par {
+			t.Fatalf("Estimate(%v): serial %d != K=1 sharded %d", v, s, par)
+		}
+	}
+}
+
+func TestShardK1BitIdenticalAcrossTypes(t *testing.T) {
+	const n = 30000
+	t.Run("float32", func(t *testing.T) {
+		k1BitIdenticalCase(t, BackendCPU, stream.Zipf(n, 1.2, 300, 31))
+	})
+	t.Run("float32-samplesort", func(t *testing.T) {
+		k1BitIdenticalCase(t, BackendSampleSort, stream.Zipf(n, 1.2, 300, 31))
+	})
+	t.Run("float64", func(t *testing.T) {
+		k1BitIdenticalCase(t, BackendCPU, stream.ZipfOf[float64](n, 1.2, 300, 32))
+	})
+	t.Run("uint32", func(t *testing.T) {
+		k1BitIdenticalCase(t, BackendCPU, stream.ZipfOf[uint32](n, 1.2, 300, 33))
+	})
+	t.Run("uint64", func(t *testing.T) {
+		data := stream.ZipfOf[uint64](n, 1.2, 300, 34)
+		for i, v := range data {
+			data[i] = v << 40 // exercise the high bits
+		}
+		k1BitIdenticalCase(t, BackendSampleSort, data)
+	})
+	t.Run("int64", func(t *testing.T) {
+		data := stream.ZipfOf[int64](n, 1.2, 300, 35)
+		for i, v := range data {
+			if i%2 == 1 {
+				data[i] = -v // signed streams cross zero
+			}
+		}
+		k1BitIdenticalCase(t, BackendCPU, data)
+	})
 }

@@ -190,7 +190,18 @@ func TestSnapmergeFanIn(t *testing.T) {
 		}
 		blobs = append(blobs, mustMarshal(t, est.Snapshot()))
 	}
-	root := mergeBlobs[float32](t, blobs)
+	snaps := make([]Snapshot[float32], len(blobs))
+	for i, b := range blobs {
+		s, err := UnmarshalSnapshot[float32](b)
+		if err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		snaps[i] = s
+	}
+	root, err := MergeAll(snaps...)
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
 	if root.Count() != 4000 {
 		t.Fatalf("root Count = %d, want 4000", root.Count())
 	}

@@ -1,84 +1,61 @@
-package gpustream
+package gpustream_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
-	"gpustream/internal/cpusort"
+	"gpustream"
+	"gpustream/internal/acceptance"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
-// lcg is a tiny deterministic generator for partitioning and shuffling —
-// explicit so the property tests replay identically everywhere.
-type lcg struct{ x uint64 }
-
-func (l *lcg) next() uint64 {
-	l.x = l.x*6364136223846793005 + 1442695040888963407
-	return l.x >> 33
-}
-
-// partitionStream deals every element of data into one of p parts, chosen
-// pseudo-randomly per element: the partitioning a load balancer would give P
-// ingest processes.
-func partitionStream[T Value](data []T, p int, seed uint64) [][]T {
-	parts := make([][]T, p)
-	rng := lcg{x: seed*0x9E3779B97F4A7C15 + 1}
-	for _, v := range data {
-		i := int(rng.next() % uint64(p))
-		parts[i] = append(parts[i], v)
-	}
-	return parts
-}
-
-func shuffleBlobs(blobs [][]byte, rng *lcg) {
-	for i := len(blobs) - 1; i > 0; i-- {
-		j := int(rng.next() % uint64(i+1))
-		blobs[i], blobs[j] = blobs[j], blobs[i]
-	}
-}
-
-// mergeBlobs unmarshals a set of snapshot blobs and folds them into one
-// snapshot — one aggregation node's work.
-func mergeBlobs[T Value](t *testing.T, blobs [][]byte) Snapshot[T] {
+// treeRoot runs one worker per part at eps, built by newEst on the CPU
+// backend, marshals each worker's view and merges the blobs up a tree of
+// height h — what distinct processes exchanging snapshot files do.
+func treeRoot(t *testing.T, parts [][]float32, h int, seed uint64, newEst func(*gpustream.Engine[float32], []float32) gpustream.Estimator[float32]) gpustream.Snapshot[float32] {
 	t.Helper()
-	snaps := make([]Snapshot[T], len(blobs))
-	for i, b := range blobs {
-		s, err := UnmarshalSnapshot[T](b)
+	blobs := make([][]byte, 0, len(parts))
+	for _, part := range parts {
+		est := newEst(gpustream.New(gpustream.BackendCPU), part)
+		if err := est.ProcessSlice(part); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		blob, err := gpustream.MarshalSnapshot(est.Snapshot())
 		if err != nil {
-			t.Fatalf("unmarshal: %v", err)
+			t.Fatalf("marshal: %v", err)
 		}
-		snaps[i] = s
+		blobs = append(blobs, blob)
 	}
-	merged, err := MergeAll(snaps...)
+	root, err := acceptance.TreeMerge[float32](blobs, h, seed)
 	if err != nil {
-		t.Fatalf("merge: %v", err)
+		t.Fatalf("tree merge: %v", err)
 	}
-	return merged
+	return root
 }
 
-// treeMerge reassembles the root snapshot from marshaled leaf blobs through
-// an aggregation tree of height h, re-marshaling at every intermediate level
-// — exactly what distinct processes exchanging snapshot files do. Merge
-// orders are shuffled by seed: the merge rules are order-independent in
-// their guarantees, so any order must land within the same budget
-// (metamorphic over partitioning).
-func treeMerge[T Value](t *testing.T, blobs [][]byte, h int, seed uint64) Snapshot[T] {
+// checkRoot holds a merged root to the end-to-end eps bound over truth:
+// its quantiles, or every frequency estimate and the heavy hitters at
+// support.
+func checkRoot(t *testing.T, root gpustream.Snapshot[float32], truth *oracle.Truth[float32], eps, support float64) {
 	t.Helper()
-	rng := lcg{x: seed ^ 0xD1B54A32D192ED03}
-	level := append([][]byte(nil), blobs...)
-	for lvl := h; lvl > 2 && len(level) > 1; lvl-- {
-		shuffleBlobs(level, &rng)
-		const fan = 4
-		var next [][]byte
-		for i := 0; i < len(level); i += fan {
-			end := min(i+fan, len(level))
-			next = append(next, mustMarshal(t, mergeBlobs[T](t, level[i:end])))
-		}
-		level = next
+	if root.Count() != truth.N() {
+		t.Fatalf("merged Count = %d, want %d", root.Count(), truth.N())
 	}
-	shuffleBlobs(level, &rng)
-	return mergeBlobs[T](t, level)
+	if _, ok := root.Quantile(0.5); ok {
+		if _, err := oracle.Quantiles(truth, root, []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}, eps); err != nil {
+			t.Error(err)
+		}
+		return
+	}
+	_, err := oracle.Frequencies(truth, root, eps, false)
+	if err == nil {
+		hh, _ := root.HeavyHitters(support)
+		err = oracle.Support(truth, hh, support)
+	}
+	if err != nil {
+		t.Error(err)
+	}
 }
 
 // TestTreeMergeEquivalence is the cross-process aggregation property: P
@@ -92,103 +69,22 @@ func TestTreeMergeEquivalence(t *testing.T) {
 		eps = 0.05
 	)
 	data := stream.ZipfOf[float32](n, 1.2, 400, 11)
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
+	truth := oracle.New(data)
 
 	for _, h := range []int{2, 3} {
+		epsW := gpustream.TreeEps(eps, h)
 		for _, p := range []int{4, 16} {
 			for seed := uint64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("h=%d/P=%d/seed=%d", h, p, seed), func(t *testing.T) {
-					parts := partitionStream(data, p, seed)
-					checkQuantileTree(t, ref, parts, eps, h, seed)
-					checkFrequencyTree(t, exact, int64(n), parts, eps, h, seed)
+					parts := acceptance.Partition(data, p, seed)
+					checkRoot(t, treeRoot(t, parts, h, seed, func(e *gpustream.Engine[float32], part []float32) gpustream.Estimator[float32] {
+						return e.NewQuantileEstimator(epsW, int64(len(part))+1)
+					}), truth, eps, 0)
+					checkRoot(t, treeRoot(t, parts, h, seed, func(e *gpustream.Engine[float32], _ []float32) gpustream.Estimator[float32] {
+						return e.NewFrequencyEstimator(epsW)
+					}), truth, eps, 0.02)
 				})
 			}
-		}
-	}
-}
-
-func checkQuantileTree(t *testing.T, ref []float32, parts [][]float32, eps float64, h int, seed uint64) {
-	t.Helper()
-	epsW := TreeEps(eps, h)
-	blobs := make([][]byte, 0, len(parts))
-	for _, part := range parts {
-		eng := New(BackendCPU)
-		est := eng.NewQuantileEstimator(epsW, int64(len(part))+1)
-		if err := est.ProcessSlice(part); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-		blobs = append(blobs, mustMarshal(t, est.Snapshot()))
-	}
-	root := treeMerge[float32](t, blobs, h, seed)
-
-	n := int64(len(ref))
-	if root.Count() != n {
-		t.Fatalf("merged Count = %d, want %d", root.Count(), n)
-	}
-	slack := int64(math.Ceil(eps*float64(n))) + 1
-	for _, phi := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		v, ok := root.Quantile(phi)
-		if !ok {
-			t.Fatalf("Quantile(%g) unanswered", phi)
-		}
-		r := int(math.Ceil(phi * float64(n)))
-		if r < 1 {
-			r = 1
-		}
-		if re := int64(rankError(ref, v, r)); re > slack {
-			t.Errorf("phi=%.2f: tree answer %v has rank error %d > eps*n = %d", phi, v, re, slack)
-		}
-	}
-}
-
-func checkFrequencyTree(t *testing.T, exact map[float32]int64, n int64, parts [][]float32, eps float64, h int, seed uint64) {
-	t.Helper()
-	epsW := TreeEps(eps, h)
-	blobs := make([][]byte, 0, len(parts))
-	for _, part := range parts {
-		eng := New(BackendCPU)
-		est := eng.NewFrequencyEstimator(epsW)
-		if err := est.ProcessSlice(part); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-		blobs = append(blobs, mustMarshal(t, est.Snapshot()))
-	}
-	root := treeMerge[float32](t, blobs, h, seed)
-
-	if root.Count() != n {
-		t.Fatalf("merged Count = %d, want %d", root.Count(), n)
-	}
-	slack := int64(math.Ceil(eps * float64(n)))
-	for v, want := range exact {
-		got, ok := root.Frequency(v)
-		if !ok {
-			t.Fatalf("Frequency(%v) unanswered", v)
-		}
-		if got > want {
-			t.Errorf("value %v: merged estimate %d overcounts true %d", v, got, want)
-		}
-		if want-got > slack {
-			t.Errorf("value %v: merged estimate %d undercounts true %d by more than eps*n = %d", v, got, want, slack)
-		}
-	}
-	// No false negatives: every value at or above support must be reported.
-	const support = 0.02
-	items, ok := root.HeavyHitters(support)
-	if !ok {
-		t.Fatal("HeavyHitters unanswered")
-	}
-	reported := map[float32]bool{}
-	for _, it := range items {
-		reported[it.Value] = true
-	}
-	for v, c := range exact {
-		if float64(c) >= support*float64(n) && !reported[v] {
-			t.Errorf("value %v (true count %d) above support %g but missing from merged heavy hitters", v, c, support)
 		}
 	}
 }
@@ -203,62 +99,15 @@ func TestTreeMergeSlidingWindows(t *testing.T) {
 		p   = 4
 		eps = 0.05
 	)
-	epsW := TreeEps(eps, 2)
+	epsW := gpustream.TreeEps(eps, 2)
 	data := stream.ZipfOf[float32](n, 1.2, 300, 23)
-	ref := append([]float32(nil), data...)
-	cpusort.Quicksort(ref)
-	exact := map[float32]int64{}
-	for _, v := range data {
-		exact[v]++
-	}
-	parts := partitionStream(data, p, 5)
+	truth := oracle.New(data)
+	parts := acceptance.Partition(data, p, 5)
 
-	var freqBlobs, quantBlobs [][]byte
-	for _, part := range parts {
-		eng := New(BackendCPU)
-		sf := eng.NewSlidingFrequency(epsW, len(part))
-		sq := eng.NewSlidingQuantile(epsW, len(part))
-		if err := sf.ProcessSlice(part); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-		if err := sq.ProcessSlice(part); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-		freqBlobs = append(freqBlobs, mustMarshal(t, sf.Snapshot()))
-		quantBlobs = append(quantBlobs, mustMarshal(t, sq.Snapshot()))
-	}
-
-	slack := int64(math.Ceil(eps * float64(n)))
-
-	froot := mergeBlobs[float32](t, freqBlobs)
-	if froot.Count() != n {
-		t.Fatalf("merged sliding-frequency Count = %d, want %d", froot.Count(), n)
-	}
-	for v, want := range exact {
-		got, ok := froot.Frequency(v)
-		if !ok {
-			t.Fatalf("Frequency(%v) unanswered", v)
-		}
-		if got > want || want-got > slack {
-			t.Errorf("value %v: merged window estimate %d vs true %d (slack %d)", v, got, want, slack)
-		}
-	}
-
-	qroot := mergeBlobs[float32](t, quantBlobs)
-	if qroot.Count() != n {
-		t.Fatalf("merged sliding-quantile Count = %d, want %d", qroot.Count(), n)
-	}
-	for _, phi := range []float64{0.1, 0.5, 0.9} {
-		v, ok := qroot.Quantile(phi)
-		if !ok {
-			t.Fatalf("Quantile(%g) unanswered", phi)
-		}
-		r := int(math.Ceil(phi * float64(n)))
-		if r < 1 {
-			r = 1
-		}
-		if re := int64(rankError(ref, v, r)); re > slack+1 {
-			t.Errorf("phi=%.2f: merged window answer %v has rank error %d > %d", phi, v, re, slack+1)
-		}
-	}
+	checkRoot(t, treeRoot(t, parts, 2, 0, func(e *gpustream.Engine[float32], part []float32) gpustream.Estimator[float32] {
+		return e.NewSlidingFrequency(epsW, len(part))
+	}), truth, eps, 0.02)
+	checkRoot(t, treeRoot(t, parts, 2, 0, func(e *gpustream.Engine[float32], part []float32) gpustream.Estimator[float32] {
+		return e.NewSlidingQuantile(epsW, len(part))
+	}), truth, eps, 0)
 }

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
+	"gpustream/internal/oracle"
 	"gpustream/internal/sorter"
 )
 
@@ -359,23 +358,17 @@ func checkOlderQuantileSnapshot[T Value](t *testing.T, file string) {
 		t.Fatal("decode then re-marshal is not the identity")
 	}
 	data := goldenValues[T](goldenN)
-	ref := append([]T(nil), data...)
-	slices.Sort(ref)
-	check := func(name string, s Snapshot[T], ref []T) {
+	phis := oracle.Phis(100)[1:100]
+	check := func(name string, s Snapshot[T], truth *oracle.Truth[T]) {
 		t.Helper()
-		if s.Count() != int64(len(ref)) {
-			t.Fatalf("%s: Count = %d, want %d", name, s.Count(), len(ref))
+		if s.Count() != truth.N() {
+			t.Fatalf("%s: Count = %d, want %d", name, s.Count(), truth.N())
 		}
-		for i := 1; i < 100; i++ {
-			phi := float64(i) / 100
-			v, ok := s.Quantile(phi)
-			r := int(math.Ceil(phi * float64(len(ref))))
-			if d := rankError(ref, v, r); !ok || float64(d) > goldenEps*float64(len(ref)) {
-				t.Fatalf("%s: phi=%v answered %v (ok=%v), %d ranks off, eps*N = %v", name, phi, v, ok, d, goldenEps*float64(len(ref)))
-			}
+		if d, err := oracle.QuantileError(truth, s, phis); err != nil || float64(d) > goldenEps*float64(truth.N()) {
+			t.Fatalf("%s: %d ranks off (%v), eps*N = %v", name, d, err, goldenEps*float64(truth.N()))
 		}
 	}
-	check("decoded", old, ref)
+	check("decoded", old, oracle.New(data))
 
 	qe := NewOf[T](BackendCPU).NewQuantileEstimator(goldenEps, 0)
 	if err := qe.ProcessSlice(data); err != nil {
@@ -385,7 +378,5 @@ func checkOlderQuantileSnapshot[T Value](t *testing.T, file string) {
 	if err != nil {
 		t.Fatalf("merge with a current snapshot: %v", err)
 	}
-	both := append(append([]T(nil), ref...), ref...)
-	slices.Sort(both)
-	check("merged", merged, both)
+	check("merged", merged, oracle.New(append(append([]T(nil), data...), data...)))
 }
