@@ -21,7 +21,11 @@
 // merged, pruned or copied into storage of its own, never a bucket, so
 // recycling cannot reach it. The view is pruned once, to the budget the
 // error its parts have proved (summary.Certificate) leaves below 7eps/8,
-// and claims its own certificate as Eps (DESIGN.md section 28).
+// and claims its own certificate as Eps (DESIGN.md section 28). It is
+// built by one streamed merge chain over its parts, fused with that prune
+// (summary.MergePruneAll), which reads the parts in place and writes only
+// the view's entries and a few small blocks: no intermediate merge is
+// materialized (DESIGN.md section 32).
 package quantile
 
 import (
@@ -337,11 +341,26 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	if e.snapCache != nil && e.snapState == state {
 		return e.snapCache
 	}
-	// Smallest first keeps the running merge short for as long as possible:
-	// the held window with the sorted partial one, read as the level 0 a
-	// Flush would build without consuming either, then the buckets by level.
-	var parts []*summary.Summary[T]
-	c := 0.0 // the largest certificate among the parts
+	var acc *summary.Summary[T]
+	if parts, c := e.viewPartsLocked(buffered); len(parts) > 0 {
+		// One streamed merge chain over every part, pruned to the view's
+		// budget as it goes, into fresh storage: the view never shares a
+		// bucket's, which is recycled.
+		acc = summary.MergePruneAll(nil, parts, e.viewBudget(c, e.n+int64(buffered)))
+		acc.Eps = acc.Certificate()
+	}
+	e.snapCache, e.snapState = acc, state
+	return acc
+}
+
+// viewPartsLocked lists the parts a view is merged from, with the largest
+// certificate among them: the held window with the sorted partial one of
+// buffered values, read as the level 0 a Flush would build without
+// consuming either, then the buckets by level. Smallest first: every entry
+// passes through each merge of the chain from its part's on, so the chain
+// does least work with the large parts last. The caller holds the core
+// lock, past the barrier.
+func (e *Estimator[T]) viewPartsLocked(buffered int) (parts []*summary.Summary[T], c float64) {
 	if len(e.held) > 0 || buffered > 0 {
 		var partial []T
 		t0 := time.Now()
@@ -358,24 +377,7 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 			parts, c = append(parts, b), max(c, e.certificate(k))
 		}
 	}
-	var acc *summary.Summary[T]
-	if last := len(parts) - 1; last >= 0 {
-		// Chain-merge all but the last part (a lone part folds into an
-		// empty summary), then merge the last one and prune to the view's
-		// budget in one fused pass into fresh storage: the view never
-		// shares a bucket's, which is recycled.
-		acc = &summary.Summary[T]{}
-		if last > 0 {
-			acc = parts[0]
-			for _, p := range parts[1:last] {
-				acc = summary.Merge(acc, p)
-			}
-		}
-		acc = summary.MergePruneInto(nil, acc, parts[last], e.viewBudget(c, e.n+int64(buffered)))
-		acc.Eps = acc.Certificate()
-	}
-	e.snapCache, e.snapState = acc, state
-	return acc
+	return parts, c
 }
 
 // merged returns the current merged summary under the lock.

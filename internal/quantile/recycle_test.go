@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"gpustream/internal/pipeline"
 	"gpustream/internal/stream"
+	"gpustream/internal/summary"
 )
 
 // TestViewsSurviveRecycling: a view never shares storage with a bucket, so
@@ -148,5 +150,47 @@ func TestIngestAllocationCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data)); got > allocCeiling {
 		t.Fatalf("ingest allocated %.2f B/value, ceiling %.2f", got, allocCeiling)
+	}
+}
+
+// viewOverheadCeiling is what an uncached Snapshot at eps 1e-3 may
+// allocate besides its view's entries, however many entries its parts
+// hold: the held and partial windows' level-0 part (at most 1,002
+// entries, 24 KiB), the merge chain's blocks (6 KiB per part past the
+// second) and stages, and a few small headers. The chain of merges the
+// streamed one replaced materialized every stage: over 2 MB at six parts.
+const viewOverheadCeiling = 64 << 10
+
+// TestSnapshotAllocatesTheView takes uncached snapshots after every eighth
+// of a 2^21-value zipf stream, flushed as the benchmark's queries are, and
+// holds what each allocates beyond its view's entry storage to
+// viewOverheadCeiling while the parts grow from two to six.
+func TestSnapshotAllocatesTheView(t *testing.T) {
+	const n = 1 << 21
+	data := stream.Zipf(n, 1.1, n/100+10, 1)
+	e := newCPU(0.001, 0)
+	entrySize := uint64(unsafe.Sizeof(summary.Entry[float32]{}))
+	for q := range 8 {
+		if err := e.ProcessSlice(data[q*n/8 : (q+1)*n/8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		parts, entries := viewParts(e)
+		const reads = 4
+		var view *summary.Summary[float32]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reads {
+			e.snapCache = nil
+			view = e.Snapshot().(*Snapshot[float32]).Summary()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / reads
+		if over := per - uint64(cap(view.Entries))*entrySize; over > viewOverheadCeiling {
+			t.Fatalf("after %d/8: a snapshot of %d parts holding %d entries allocates %d B, %d B past its %d-entry view; ceiling %d",
+				q+1, parts, entries, per, over, cap(view.Entries), viewOverheadCeiling)
+		}
 	}
 }

@@ -318,21 +318,25 @@ func (r *registry[T]) spill(e *entry[T]) error {
 
 // writeAtomic replaces dir/name with blob so that a reader, or a restart
 // after a crash, finds either the old file or the new one, never a torn
-// mix: it writes dir/name.tmp, syncs it, renames it over dir/name and syncs
-// dir so the rename is durable. On a failure after the temp file was
-// created it removes the temp file; dir/name is untouched until the rename.
+// mix: it writes a temp file of its own in dir, syncs it, renames it over
+// dir/name and syncs dir so the rename is durable. Each call's temp file
+// is unique (os.CreateTemp), so two spills of one name at once — a
+// re-created stream deleted while its predecessor drains — cannot rename
+// or truncate each other's; the last rename wins, whole. On a failure after
+// the temp file was created it removes the temp file; dir/name is
+// untouched until the rename.
 func writeAtomic(dir, name string, blob []byte) error {
-	path := filepath.Join(dir, name)
-	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := createTemp(dir, name+".*.tmp")
 	if err != nil {
 		return err
 	}
+	tmp := f.Name()
 	_, err = f.Write(blob)
-	if err = errors.Join(err, f.Sync(), f.Close()); err == nil {
-		err = os.Rename(path+".tmp", path)
+	if err = errors.Join(err, f.Chmod(0o644), f.Sync(), f.Close()); err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
 	}
 	if err != nil {
-		return errors.Join(err, os.Remove(path+".tmp"))
+		return errors.Join(err, os.Remove(tmp))
 	}
 	d, err := os.Open(dir)
 	if err != nil {
@@ -340,6 +344,10 @@ func writeAtomic(dir, name string, blob []byte) error {
 	}
 	return errors.Join(d.Sync(), d.Close())
 }
+
+// createTemp is os.CreateTemp, a variable so that a test can make a spill
+// fail after its temp file exists.
+var createTemp = os.CreateTemp
 
 // drainAll unlinks every stream and drains them concurrently under one
 // shared deadline, joining errors. Thousands of tenants drain in parallel;

@@ -638,9 +638,9 @@ func TestServiceRespillReplaces(t *testing.T) {
 }
 
 // TestServiceFailedSpillKeepsPrevious: a spill that fails before its
-// rename leaves the previous spill byte for byte. The failure is a
-// directory where the temp file would go. (os.WriteFile truncated the
-// previous spill before writing, so a failed write lost it.)
+// rename leaves the previous spill byte for byte, and no temp file. The
+// failure is a write to a temp file opened read-only. (os.WriteFile
+// truncated the previous spill before writing, so a failed write lost it.)
 func TestServiceFailedSpillKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "acme.hits.snap")
@@ -651,14 +651,24 @@ func TestServiceFailedSpillKeepsPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
-		t.Fatal(err)
-	}
+	defer service.SetCreateTemp(func(dir, pattern string) (*os.File, error) {
+		f, err := os.CreateTemp(dir, pattern)
+		if err != nil {
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
+		}
+		return os.Open(f.Name())
+	})()
 	if err := spillStream(t, dir, 5); err == nil {
-		t.Fatal("spill over a blocked temp path reported no error")
+		t.Fatal("spill through a read-only temp file reported no error")
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("previous spill changed (%d bytes -> %d, error %v)", len(before), len(after), err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed spill left temp files %v", tmps)
 	}
 }
 

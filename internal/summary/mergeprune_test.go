@@ -10,9 +10,9 @@ import (
 )
 
 // mergePruneRef is the two-pass reference MergePruneInto must reproduce:
-// MergeInto, then the two-pointer prune sweep.
+// the two-sided merge, then the two-pointer prune sweep.
 func mergePruneRef[T sorter.Value](a, b *Summary[T], budget int) *Summary[T] {
-	return pruneRef(MergeInto(nil, a, b), budget)
+	return chainRef([]*Summary[T]{a, b}, budget)
 }
 
 // tieWindow returns a sorted window of n values drawn from alphabet
@@ -70,7 +70,7 @@ func budgetsFor(rng *rand.Rand, size int) []int {
 	return slices.DeleteFunc(bs, func(b int) bool { return b < 1 })
 }
 
-// TestMergePruneMatchesTwoPass: MergePruneInto equals MergeInto + pruneRef —
+// TestMergePruneMatchesTwoPass: MergePruneInto equals mergeRef + pruneRef —
 // entries, N, Eps and the ranked flag (reflect.DeepEqual sees it) — on
 // tie-heavy inputs from 1- to 50-symbol alphabets, on inputs whose ranges
 // do not overlap (one side runs out first) or barely overlap, on merged and
@@ -147,11 +147,12 @@ func bracket(rng *rand.Rand, parts []*Summary[float32]) *Summary[float32] {
 }
 
 // TestViewChainFusedLastStep is the quantile view's shape: a chain of up to
-// seven parts merged smallest first, its last merge fused with the view
-// prune, against the whole chain merged and then pruned. It also checks the
-// argument DESIGN.md section 23 gives for why that holds whatever the
-// bracketing: a chain of merges depends only on the order of its parts, so
-// every bracketing of the same sequence is the same summary.
+// seven parts, merged smallest first and pruned to the view's budget by
+// MergePruneAll, against the chain merged whole by the reference merge and
+// then pruned. It also checks the argument DESIGN.md section 23 gives for
+// why streaming the chain cannot change it: a chain of merges depends only
+// on the order of its parts, so every bracketing of the same sequence is
+// the same summary.
 func TestViewChainFusedLastStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := range 3000 {
@@ -162,29 +163,15 @@ func TestViewChainFusedLastStep(t *testing.T) {
 		}
 		chain := parts[0]
 		for _, p := range parts[1:] {
-			chain = Merge(chain, p)
+			chain = mergeRef(chain, p)
 		}
 		if got := bracket(rng, parts); !reflect.DeepEqual(got, chain) {
 			t.Fatalf("trial %d: a bracketing of %d parts differs from the chain", trial, len(parts))
 		}
 		viewB := 1 + rng.Intn(chain.Size()+1)
-		want := chain
-		if chain.Size()-1 > viewB {
-			want = pruneRef(chain, viewB)
-		}
-		acc := parts[0]
-		for _, p := range parts[1 : len(parts)-1] {
-			acc = Merge(acc, p)
-		}
-		last := parts[len(parts)-1]
-		var got *Summary[float32]
-		if acc.Size()+last.Size()-1 > viewB {
-			got = MergePruneInto(nil, acc, last, viewB)
-		} else {
-			got = Merge(acc, last)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: %d parts, view budget %d: fused last step differs from chain + Prune", trial, len(parts), viewB)
+		want := pruneRef(chain, viewB)
+		if got := MergePruneAll(nil, parts, viewB); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %d parts, view budget %d: streamed chain differs from chain + Prune", trial, len(parts), viewB)
 		}
 	}
 }
@@ -202,5 +189,78 @@ func FuzzMergePrune(f *testing.F) {
 		b := randomSummary(rng, 1+int(alphaB%50), int(shift%60), d)
 		size := a.Size() + b.Size()
 		checkMergePrune(t, "fuzz", a, b, 1+int(budget)%(size+2))
+	})
+}
+
+// chainPart is a part of a merge chain of the shape the fuzzer picks:
+// empty; N = 0 over stale entries, which the chain must not read; exactly
+// blockLen-1, blockLen or blockLen+1 entries, so that a stage's block
+// fills exactly, or one short or one over; or a sampled summary, merged or
+// pruned at random. Values come from a duplicate-heavy alphabet around
+// zero, with each zero signed at random: -0 and +0 tie under the merge's
+// <=, so only the chain's tie order decides which of them comes first.
+func chainPart(rng *rand.Rand, shape uint8, alphabet int) *Summary[float32] {
+	window := func(n int) []float32 {
+		w := tieWindow(rng, n, alphabet, -alphabet/2)
+		for i := range w {
+			if w[i] == 0 && rng.Intn(2) == 0 {
+				w[i] = -w[i]
+			}
+		}
+		return w
+	}
+	switch shape % 6 {
+	case 0:
+		return &Summary[float32]{Eps: 0.25}
+	case 1:
+		return &Summary[float32]{Entries: FromSortedWindow(window(1+rng.Intn(50)), 0.1).Entries, Eps: 0.1}
+	case 2, 3, 4: // eps this small keeps every rank
+		return FromSortedWindow(window(blockLen+int(shape%6)-3), 1e-6)
+	}
+	s := FromSortedWindow(window(1+rng.Intn(2000)), []float64{0.001, 0.01, 0.05}[rng.Intn(3)])
+	switch rng.Intn(3) {
+	case 1:
+		s = Merge(s, FromSortedWindow(window(1+rng.Intn(2000)), 0.01))
+	case 2:
+		s = s.Prune(1 + rng.Intn(s.Size()+1))
+	}
+	return s
+}
+
+// FuzzMergePruneAll holds the streamed chain to the chain it replaced,
+// chainRef, bit for bit — entry values by their bits, N, Eps, the
+// rank-order flag and a nil entry list — over 1 to 8 parts of the shapes
+// chainPart makes, into a nil dst and into a reused one holding stale
+// entries. Byte i of shapes picks part i's shape.
+func FuzzMergePruneAll(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint64(5), uint8(1), uint16(1))
+	f.Add(uint64(2), uint8(1), uint64(0x0505), uint8(3), uint16(100))
+	f.Add(uint64(3), uint8(2), uint64(0x050505), uint8(7), uint16(900))
+	f.Add(uint64(4), uint8(3), uint64(0x04030201), uint8(2), uint16(300))
+	f.Add(uint64(5), uint8(4), uint64(0x0502050305), uint8(50), uint16(65535))
+	f.Add(uint64(6), uint8(5), uint64(0x050005010500), uint8(1), uint16(2))
+	f.Add(uint64(7), uint8(6), uint64(0x05050505050505), uint8(5), uint16(1500))
+	f.Add(uint64(8), uint8(7), uint64(0x0505050403020505), uint8(9), uint16(700))
+	f.Add(uint64(9), uint8(7), uint64(0x0100010001000100), uint8(4), uint16(3))
+	f.Fuzz(func(t *testing.T, seed uint64, k uint8, shapes uint64, alphabet uint8, budget uint16) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		parts := make([]*Summary[float32], 1+k%8)
+		size := 0
+		for i := range parts {
+			parts[i] = chainPart(rng, uint8(shapes>>(8*i)), 1+int(alphabet%50))
+			size += parts[i].Size()
+		}
+		b := 1 + int(budget)%(size+2)
+		want := chainRef(parts, b)
+		if got := MergePruneAll(nil, parts, b); !sameBits(got, want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d parts, budget %d: streamed\n%+v\nwant\n%+v", len(parts), b, got, want)
+		}
+		stale := &Summary[float32]{Entries: make([]Entry[float32], size+3), N: 99, Eps: 9}
+		for i := range stale.Entries {
+			stale.Entries[i] = Entry[float32]{V: -1, RMin: 7, RMax: 7}
+		}
+		if got := MergePruneAll(stale, parts, b); got != stale || !sameBits(got, want) {
+			t.Fatalf("%d parts, budget %d: streamed into a reused dst\n%+v\nwant\n%+v", len(parts), b, got, want)
+		}
 	})
 }

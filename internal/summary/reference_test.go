@@ -11,10 +11,12 @@ import (
 	"gpustream/internal/stream"
 )
 
-// The references below are the single-window sampler and the prune sweep
-// as they were written before FromSortedWindow became the pair sampler
-// with an empty second run and Prune became MergePruneInto with an empty
-// side. They share no loop with the kernels they check.
+// The references below are the single-window sampler, the prune sweep,
+// the two-sided merge and the view's chain of merges as they were written
+// before FromSortedWindow became the pair sampler with an empty second
+// run, Prune became MergePruneInto with an empty side, and MergeInto and
+// MergePruneInto became the two-part cases of the streamed merge chain.
+// They share no loop with the kernels they check.
 
 // fromSortedWindowRef samples an ascending window at ranks 1, step,
 // 2*step, ..., w, step = floor(eps*w) and at least 1, each with its exact
@@ -73,6 +75,81 @@ func pruneRef[T sorter.Value](s *Summary[T], b int) *Summary[T] {
 		}
 	}
 	return out
+}
+
+// mergeRef is MergeInto into a nil dst by one two-sided loop over a and b
+// into fresh storage; a side with N = 0 passes the other through whole.
+func mergeRef[T sorter.Value](a, b *Summary[T]) *Summary[T] {
+	dst := &Summary[T]{}
+	if a.N == 0 {
+		dst.N, dst.Eps, dst.ranked = b.N, b.Eps, b.ranked
+		dst.Entries = append(dst.Entries, b.Entries...)
+		return dst
+	}
+	if b.N == 0 {
+		dst.N, dst.Eps, dst.ranked = a.N, a.Eps, a.ranked
+		dst.Entries = append(dst.Entries, a.Entries...)
+		return dst
+	}
+	dst.N, dst.Eps, dst.ranked = a.N+b.N, math.Max(a.Eps, b.Eps), a.ranked && b.ranked
+	ae, be := a.Entries, b.Entries
+	if len(ae)+len(be) > 0 {
+		dst.Entries = make([]Entry[T], len(ae)+len(be))
+	}
+	out := dst.Entries
+	var predA, predB int64
+	i, j, k := 0, 0, 0
+	for i < len(ae) && j < len(be) {
+		if ae[i].V <= be[j].V {
+			e := ae[i]
+			out[k] = Entry[T]{V: e.V, RMin: e.RMin + predB, RMax: e.RMax + be[j].RMax - 1}
+			predA = e.RMin
+			i++
+		} else {
+			e := be[j]
+			out[k] = Entry[T]{V: e.V, RMin: e.RMin + predA, RMax: e.RMax + ae[i].RMax - 1}
+			predB = e.RMin
+			j++
+		}
+		k++
+	}
+	for _, e := range ae[i:] {
+		out[k] = Entry[T]{V: e.V, RMin: e.RMin + predB, RMax: e.RMax + b.N}
+		k++
+	}
+	for _, e := range be[j:] {
+		out[k] = Entry[T]{V: e.V, RMin: e.RMin + predA, RMax: e.RMax + a.N}
+		k++
+	}
+	return dst
+}
+
+// chainRef is the quantile view's fold before MergePruneAll streamed it:
+// every part but the last merged in order into a materialized summary (a
+// lone part folds into an empty one), then the last part merged in and the
+// result pruned to budget — or, when the merge reads at most budget+1
+// entries, only charged the prune, as MergePruneInto did. Two parts are
+// MergePruneInto.
+func chainRef[T sorter.Value](parts []*Summary[T], budget int) *Summary[T] {
+	acc, last := &Summary[T]{}, parts[len(parts)-1]
+	if len(parts) > 1 {
+		acc = parts[0]
+		for _, p := range parts[1 : len(parts)-1] {
+			acc = mergeRef(acc, p)
+		}
+	}
+	read := func(s *Summary[T]) int { // the entries a merge reads of s
+		if s.N == 0 {
+			return 0
+		}
+		return len(s.Entries)
+	}
+	m := mergeRef(acc, last)
+	if read(acc)+read(last)-1 <= budget {
+		m.Eps += pruneEps(m.N, budget)
+		return m
+	}
+	return pruneRef(m, budget)
 }
 
 // sameBits is reflect.DeepEqual over the whole summary — N, Eps and the

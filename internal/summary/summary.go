@@ -155,141 +155,258 @@ func Merge[T sorter.Value](a, b *Summary[T]) *Summary[T] {
 // reused when it is large enough — the quantile cascade hands it the storage
 // of a bucket it consumed earlier. dst must not alias a or b; any prior
 // contents are discarded. A nil dst allocates a fresh summary. Returns dst.
+// It is the two-part merge chain with no prune.
 func MergeInto[T sorter.Value](dst, a, b *Summary[T]) *Summary[T] {
-	if dst == nil {
-		dst = &Summary[T]{}
-	}
-	dst.Entries = dst.Entries[:0]
-	if a.N == 0 {
-		dst.N, dst.Eps, dst.ranked = b.N, b.Eps, b.ranked
-		dst.Entries = append(dst.Entries, b.Entries...)
-		return dst
-	}
-	if b.N == 0 {
-		dst.N, dst.Eps, dst.ranked = a.N, a.Eps, a.ranked
-		dst.Entries = append(dst.Entries, a.Entries...)
-		return dst
-	}
-	dst.N, dst.Eps, dst.ranked = a.N+b.N, math.Max(a.Eps, b.Eps), a.ranked && b.ranked
-	ae, be := a.Entries, b.Entries
-	if cap(dst.Entries) < len(ae)+len(be) {
-		dst.Entries = make([]Entry[T], len(ae)+len(be))
-	}
-	out := dst.Entries[:len(ae)+len(be)]
-	// predA and predB are the RMin of the entry last taken from each side:
-	// the predecessor, in the other summary, of whatever is taken next. Its
-	// successor there is the other side's head, or nothing once that side
-	// has run out.
-	var predA, predB int64
-	i, j, k := 0, 0, 0
-	for i < len(ae) && j < len(be) {
-		if ae[i].V <= be[j].V {
-			e := ae[i]
-			out[k] = Entry[T]{V: e.V, RMin: e.RMin + predB, RMax: e.RMax + be[j].RMax - 1}
-			predA = e.RMin
-			i++
-		} else {
-			e := be[j]
-			out[k] = Entry[T]{V: e.V, RMin: e.RMin + predA, RMax: e.RMax + ae[i].RMax - 1}
-			predB = e.RMin
-			j++
-		}
-		k++
-	}
-	for _, e := range ae[i:] {
-		out[k] = Entry[T]{V: e.V, RMin: e.RMin + predB, RMax: e.RMax + b.N}
-		k++
-	}
-	for _, e := range be[j:] {
-		out[k] = Entry[T]{V: e.V, RMin: e.RMin + predA, RMax: e.RMax + a.N}
-		k++
-	}
-	dst.Entries = out
-	return dst
+	parts := [2]*Summary[T]{a, b}
+	return mergeChain(dst, parts[:], 0)
 }
 
-// MergePruneInto is MergeInto followed by a prune to budget, fused:
-// MergeInto's walk hands each merged entry straight to the prune's grid
-// sweep (Prune), so only the at most budget+1 survivors are ever written,
-// into dst. No merged intermediate is built, and the walk stops at the
-// last grid rank. dst must not alias a or b; any prior contents are
-// discarded. A nil dst allocates. Returns dst.
+// MergePruneInto is MergeInto followed by a prune to budget, fused: it is
+// MergePruneAll over the two parts a and b.
 func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[T] {
+	parts := [2]*Summary[T]{a, b}
+	return MergePruneAll(dst, parts[:], budget)
+}
+
+// MergePruneAll is the chain of merges parts[0]·parts[1]·…·parts[k-1],
+// each stage MergeInto of the one before with the next part, followed by a
+// prune to budget (Prune), streamed: no stage's result is materialized.
+// The first stage reads its two parts in place and every later stage one
+// part in place; each stage but the last writes blockLen entries at a time
+// into a block of its own that the next stage reads, and the last stage
+// hands each merged entry straight to the prune's grid sweep, so only the
+// at most budget+1 survivors are ever written, into dst, and the walk stops
+// at the last grid rank. A chain whose merge would keep every entry anyway
+// (at most budget+1 of them) is merged whole into dst and charged the
+// prune's error, as Prune's copy path does. The result is bit for bit the
+// chain's (DESIGN.md section 32). dst must not alias a part; any prior
+// contents are discarded. A nil dst allocates. Returns dst.
+func MergePruneAll[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int) *Summary[T] {
 	if budget <= 0 {
 		panic("summary: Prune with non-positive budget")
 	}
-	ae, be := a.Entries, b.Entries
-	if a.N == 0 {
-		ae = nil
-	}
-	if b.N == 0 {
-		be = nil
-	}
-	if len(ae)+len(be)-1 <= budget { // the grid would keep every entry
-		dst = MergeInto(dst, a, b)
-		dst.Eps += pruneEps(dst.N, budget)
-		return dst
-	}
+	return mergeChain(dst, parts, budget)
+}
+
+// blockLen is the number of entries an inner stage of a merge chain writes
+// before the stage after it reads them: small enough that every block of a
+// view's chain stays in L1, large enough that a block's refill is rare
+// (DESIGN.md section 32).
+const blockLen = 256
+
+// mergeChain runs the merge chain over parts into dst, pruned to budget
+// when budget is positive. A part with N = 0 drops out of the chain, as
+// MergeInto passes the other side through whole, header and entries; when
+// every part has N = 0 the last one passes through.
+func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int) *Summary[T] {
 	if dst == nil {
 		dst = &Summary[T]{}
 	}
-	// The merged header, by MergeInto's rules (an empty side passes the
-	// other through).
-	n, eps, ranked := a.N+b.N, math.Max(a.Eps, b.Eps), a.ranked && b.ranked
-	switch {
-	case a.N == 0:
-		eps, ranked = b.Eps, b.ranked
-	case b.N == 0:
-		eps, ranked = a.Eps, a.ranked
+	// The chain's header and its live parts: N adds, Eps takes the max and
+	// the rank-order flag the conjunction, in chain order.
+	var (
+		n           int64
+		eps         float64
+		ranked      bool
+		live, total int
+	)
+	for _, p := range parts {
+		if p.N == 0 {
+			continue
+		}
+		if live == 0 {
+			eps, ranked = p.Eps, p.ranked
+		} else {
+			eps, ranked = math.Max(eps, p.Eps), ranked && p.ranked
+		}
+		n += p.N
+		live++
+		total += len(p.Entries)
+	}
+
+	// The stages: fin merges the rest of the chain with the last live part;
+	// with k live parts, k-2 inner stages before it each merge the stage
+	// before (or, first, the first live part) with the next live part. A
+	// lone live part is fin's a, with nothing to merge it with.
+	var fin mergeStage[T]
+	var inner []mergeStage[T]
+	var blocks []Entry[T]
+	if live > 2 {
+		inner = make([]mergeStage[T], live-2)
+		blocks = make([]Entry[T], (live-2)*blockLen)
+	}
+	var nA int64 // N of the chain so far
+	s := 0       // live parts seen
+	for _, p := range parts {
+		if p.N == 0 {
+			continue
+		}
+		switch s++; {
+		case s == 1:
+			fin.a = p.Entries
+		case s < live:
+			st := &inner[s-2]
+			*st = mergeStage[T]{up: fin.up, a: fin.a, b: p.Entries, nA: nA, nB: p.N, block: blocks[(s-2)*blockLen : (s-1)*blockLen]}
+			fin.up, fin.a = st, nil
+		default:
+			fin.b, fin.nA, fin.nB = p.Entries, nA, p.N
+		}
+		nA += p.N
+	}
+	if live == 0 && len(parts) > 0 {
+		last := parts[len(parts)-1]
+		fin.a, eps, ranked = last.Entries, last.Eps, last.ranked
+		total = len(last.Entries)
+	}
+
+	if budget == 0 || live == 0 || total-1 <= budget { // not total <= budget+1: a saturated budget would overflow
+		if cap(dst.Entries) < total {
+			dst.Entries = make([]Entry[T], total)
+		}
+		fin.block = dst.Entries[:total]
+		dst.Entries, dst.N, dst.Eps, dst.ranked = fin.next(), n, eps, ranked
+		if budget > 0 {
+			dst.Eps += pruneEps(n, budget)
+		}
+		return dst
 	}
 	out := dst.Entries[:0]
 	if cap(out) < budget+1 {
 		out = make([]Entry[T], 0, budget+1)
 	}
 	sw := pruneSweep[T]{out: out, n: n, budget: budget, r: pruneRank(0, n, budget), curScore: math.MaxInt64, kept: true}
-
-	// MergeInto's loop while both sides have entries...
-	var predA, predB int64
-	i, j := 0, 0
-	for i < len(ae) && j < len(be) {
-		var e Entry[T]
-		if ae[i].V <= be[j].V {
-			e = Entry[T]{V: ae[i].V, RMin: ae[i].RMin + predB, RMax: ae[i].RMax + be[j].RMax - 1}
-			predA = ae[i].RMin
-			i++
-		} else {
-			e = Entry[T]{V: be[j].V, RMin: be[j].RMin + predA, RMax: be[j].RMax + ae[i].RMax - 1}
-			predB = be[j].RMin
-			j++
-		}
-		// e is the sweep's next entry: it replaces cur if it scores no worse
-		// at r; otherwise settle moves the grid on. Written out here and
-		// below rather than called, so the loop stays one tight block.
-		if s := e.score(sw.r); s <= sw.curScore {
-			sw.cur, sw.curScore, sw.kept = e, s, false
-		} else if sw.settle(e) {
-			break
-		}
-	}
-	// ...then the side that is left, with no successor on the other.
-	rest, pred, succ := ae[i:], predB, b.N
-	if j < len(be) {
-		rest, pred, succ = be[j:], predA, a.N
-	}
-	for k := 0; k < len(rest) && sw.g <= budget; k++ {
-		e := Entry[T]{V: rest[k].V, RMin: rest[k].RMin + pred, RMax: rest[k].RMax + succ}
-		if s := e.score(sw.r); s <= sw.curScore {
-			sw.cur, sw.curScore, sw.kept = e, s, false
-		} else if sw.settle(e) {
-			break
-		}
-	}
+	fin.sweep(&sw)
 	// Out of entries: every grid point left settles on the last one.
 	if !sw.kept {
 		sw.out = append(sw.out, sw.cur)
 	}
 	dst.Entries, dst.N, dst.Eps, dst.ranked = sw.out, n, eps+pruneEps(n, budget), ranked
 	return dst
+}
+
+// mergeStage is one 2-way merge of a chain: the chain so far, side a, with
+// the next part, side b. Side a is read from the block the stage up writes,
+// or in place when up is nil; side b is always read in place.
+type mergeStage[T sorter.Value] struct {
+	up   *mergeStage[T] // a's producer; nil once a holds all that is left of it
+	a, b []Entry[T]     // each side's unread entries
+	// predA and predB are the RMin of the entry last taken from each side:
+	// the predecessor, in the other side, of whatever is taken next. Its
+	// successor there is the other side's head, or nothing once that side
+	// has run out, and then its N is added instead.
+	predA, predB int64
+	nA, nB       int64
+	block        []Entry[T] // where next writes
+}
+
+// fill refills a from up once a is used up; a stays empty only once up
+// has nothing left, and up is then dropped.
+func (st *mergeStage[T]) fill() {
+	if len(st.a) == 0 && st.up != nil {
+		if st.a = st.up.next(); len(st.a) == 0 {
+			st.up = nil
+		}
+	}
+}
+
+// next fills the stage's block with its next merged entries and returns
+// them: fewer than the block holds only once both sides have run out.
+// These are MergeInto's rules, with a's entry first on equal values.
+func (st *mergeStage[T]) next() []Entry[T] {
+	out := st.block
+	k := 0
+	for k < len(out) {
+		st.fill()
+		a, b := st.a, st.b
+		if len(a) > 0 && len(b) > 0 {
+			predA, predB := st.predA, st.predB
+			i, j := 0, 0
+			for i < len(a) && j < len(b) && k < len(out) {
+				if a[i].V <= b[j].V {
+					out[k] = Entry[T]{V: a[i].V, RMin: a[i].RMin + predB, RMax: a[i].RMax + b[j].RMax - 1}
+					predA = a[i].RMin
+					i++
+				} else {
+					out[k] = Entry[T]{V: b[j].V, RMin: b[j].RMin + predA, RMax: b[j].RMax + a[i].RMax - 1}
+					predB = b[j].RMin
+					j++
+				}
+				k++
+			}
+			st.a, st.b, st.predA, st.predB = a[i:], b[j:], predA, predB
+			continue
+		}
+		rest, pred, succ := st.rest()
+		if len(*rest) == 0 {
+			break
+		}
+		n := min(len(*rest), len(out)-k)
+		for x, e := range (*rest)[:n] {
+			out[k+x] = Entry[T]{V: e.V, RMin: e.RMin + pred, RMax: e.RMax + succ}
+		}
+		*rest, k = (*rest)[n:], k+n
+	}
+	return out[:k]
+}
+
+// rest is called once a side has run out: it returns the other side, the
+// predecessor rank its entries take from the side that ran out, and that
+// side's N, which stands in for a successor there.
+func (st *mergeStage[T]) rest() (rest *[]Entry[T], pred, succ int64) {
+	if len(st.a) > 0 {
+		return &st.a, st.predB, st.nB
+	}
+	return &st.b, st.predA, st.nA
+}
+
+// sweep is next with the prune's grid sweep in place of the block: each
+// merged entry goes straight to sw, until the entries run out or every
+// grid point has settled.
+func (st *mergeStage[T]) sweep(sw *pruneSweep[T]) {
+	for {
+		st.fill()
+		a, b := st.a, st.b
+		if len(a) > 0 && len(b) > 0 {
+			predA, predB := st.predA, st.predB
+			i, j := 0, 0
+			for i < len(a) && j < len(b) {
+				var e Entry[T]
+				if a[i].V <= b[j].V {
+					e = Entry[T]{V: a[i].V, RMin: a[i].RMin + predB, RMax: a[i].RMax + b[j].RMax - 1}
+					predA = a[i].RMin
+					i++
+				} else {
+					e = Entry[T]{V: b[j].V, RMin: b[j].RMin + predA, RMax: b[j].RMax + a[i].RMax - 1}
+					predB = b[j].RMin
+					j++
+				}
+				// e is the sweep's next entry: it replaces cur if it scores
+				// no worse at r; otherwise settle moves the grid on. Written
+				// out here and below rather than called, so each loop stays
+				// one tight block.
+				if s := e.score(sw.r); s <= sw.curScore {
+					sw.cur, sw.curScore, sw.kept = e, s, false
+				} else if sw.settle(e) {
+					return
+				}
+			}
+			st.a, st.b, st.predA, st.predB = a[i:], b[j:], predA, predB
+			continue
+		}
+		rest, pred, succ := st.rest()
+		if len(*rest) == 0 {
+			return
+		}
+		for _, e := range *rest {
+			e = Entry[T]{V: e.V, RMin: e.RMin + pred, RMax: e.RMax + succ}
+			if s := e.score(sw.r); s <= sw.curScore {
+				sw.cur, sw.curScore, sw.kept = e, s, false
+			} else if sw.settle(e) {
+				return
+			}
+		}
+		*rest = nil
+	}
 }
 
 // pruneSweep is the prune's grid sweep fed one entry at a time: grid point
