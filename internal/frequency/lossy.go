@@ -70,13 +70,15 @@ type Estimator[T sorter.Value] struct {
 	// at most eps*n buckets ever complete).
 	maxBucket int64
 	// entries and scratch swap roles every window so the merge pass writes
-	// into recycled storage; bins is the reusable histogram scratch. shared
-	// marks entries as aliased by a Snapshot: the next swap then abandons
-	// the array to the snapshot instead of recycling it (copy-on-write).
+	// into recycled storage. shared marks entries as aliased by a Snapshot:
+	// the next swap then abandons the array to the snapshot instead of
+	// recycling it (copy-on-write). Both stay the estimator's own: a
+	// Snapshot may hold entries, and scratch is the array entries swaps
+	// with. A window's histogram bins, which nothing keeps past the window,
+	// are borrowed from the process-wide spare store (DESIGN.md section 33).
 	entries []entry[T]
 	scratch []entry[T]
 	shared  bool
-	bins    []histogram.Bin[T]
 }
 
 // NewEstimator returns a lossy-counting estimator with error eps, sorting
@@ -124,8 +126,12 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 	// its time lands in Stats.Sort; the values were already counted when the
 	// core timed the sort itself.
 	t0 := time.Now()
-	e.bins = histogram.AppendSorted(e.bins[:0], win)
-	bins := e.bins
+	bins := pipeline.TakeSpare[histogram.Bin[T]](len(win))
+	if cap(bins) < len(win) {
+		bins = make([]histogram.Bin[T], 0, len(win))
+	}
+	bins = histogram.AppendSorted(bins, win)
+	defer pipeline.PutSpare(bins)
 	e.core.AddSort(time.Since(t0), 0)
 
 	// New entries may have been deleted any time up to the last completed

@@ -29,7 +29,7 @@
 // and the sink always runs with the lock already held. Public entry points
 // (Process, ProcessSlice, Flush, Close, Stats, Count, Buffered, Closed)
 // lock internally; the *Locked variants and the query-time accessors
-// (Partial, Scratch, Add*) require the caller to hold the lock.
+// (Partial, SortedPartialLocked, Add*) require the caller to hold the lock.
 package pipeline
 
 import (
@@ -177,13 +177,12 @@ func putBuf[T sorter.Value](b []T) {
 // serialize on the lock (internal/shard partitions the stream across
 // per-worker estimators instead).
 type Core[T sorter.Value] struct {
-	mu      sync.Mutex
-	window  int
-	buf     []T
-	count   int64
-	closed  bool
-	stats   Stats
-	scratch []T
+	mu     sync.Mutex
+	window int
+	buf    []T
+	count  int64
+	closed bool
+	stats  Stats
 
 	// srt sorts each sealed window and mergeFn folds the sorted window
 	// into summary state; in synchronous mode emit runs both inline, and
@@ -248,12 +247,6 @@ func (c *Core[T]) WindowSize() int {
 // WindowSizeLocked is WindowSize for callers already holding the lock
 // (estimator sinks and query paths).
 func (c *Core[T]) WindowSizeLocked() int { return c.window }
-
-// SorterLocked returns the currently selected sorter. The caller must hold
-// the lock; in async mode it must additionally have passed BarrierLocked,
-// so the sort stage is quiescent and the instance is safe to reuse for
-// query-time partial-window sorts.
-func (c *Core[T]) SorterLocked() sorter.Sorter[T] { return c.srt }
 
 // Tuning reports the currently active knobs: the selected sorter and the
 // window size.
@@ -349,21 +342,28 @@ func (c *Core[T]) Buffered() int {
 // BufferedLocked is Buffered for callers already holding the lock.
 func (c *Core[T]) BufferedLocked() int { return len(c.buf) }
 
-// Partial exposes the current partial window for query-time snapshots. The
-// caller must hold the lock; the returned slice aliases the live buffer, so
-// callers copy before the lock is released (Scratch provides a reusable
-// destination).
+// Partial exposes the current partial window. The caller must hold the
+// lock; the returned slice aliases the live buffer, so callers copy before
+// the lock is released.
 func (c *Core[T]) Partial() []T { return c.buf }
 
-// Scratch returns a reusable zero-length scratch slice with capacity at
-// least n, for query-time copies of the partial window. The caller must
-// hold the lock; the same backing array is handed out on every call, so the
-// copy must not outlive the locked region.
-func (c *Core[T]) Scratch(n int) []T {
-	if cap(c.scratch) < n {
-		c.scratch = make([]T, 0, n)
+// SortedPartialLocked calls use with a sorted copy of the current partial
+// window, nil when nothing is buffered, for query-time snapshots. The copy
+// lives in a buffer borrowed from the window-buffer pool for the call and
+// returned to it after, so use must not keep it. The caller must hold the
+// lock and, in async mode, have passed BarrierLocked: the copy is sorted
+// with the current sorter, which must be idle.
+func (c *Core[T]) SortedPartialLocked(use func(sorted []T)) {
+	if len(c.buf) == 0 {
+		use(nil)
+		return
 	}
-	return c.scratch[:0]
+	// Window-sized, like the buffers the pool holds, so the next read or
+	// a new core can take it back whatever it then needs.
+	tmp := append(getBuf[T](max(c.window, len(c.buf))), c.buf...)
+	c.srt.Sort(tmp)
+	use(tmp)
+	putBuf(tmp)
 }
 
 // Closed reports whether Close has been called.
@@ -444,7 +444,7 @@ func (c *Core[T]) FlushLocked() {
 }
 
 // Close flushes, drains and terminates the sort stage if async mode is on,
-// returns the window and scratch buffers to the shared pool, and marks the
+// returns the window buffer to the shared pool, and marks the
 // core closed. Further Process/ProcessSlice calls return an error
 // wrapping ErrClosed; Flush and the accessors remain safe. Close is
 // idempotent and always returns nil.
@@ -461,10 +461,6 @@ func (c *Core[T]) Close() error {
 	c.closed = true
 	putBuf(c.buf)
 	c.buf = nil
-	if c.scratch != nil {
-		putBuf(c.scratch)
-		c.scratch = nil
-	}
 	return nil
 }
 

@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
+
+	"gpustream/internal/sorter"
 )
 
 // collect returns a core of the given window plus the record of every
@@ -137,16 +140,27 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 }
 
+// TestScratchReuse: a read's sorted copy of the partial window is scratch
+// borrowed from the window-buffer pool for the call, not kept by the core,
+// and sorting it leaves the live buffer as it was.
 func TestScratchReuse(t *testing.T) {
-	c, _ := collect(4)
-	s1 := c.Scratch(8)
-	if len(s1) != 0 || cap(s1) < 8 {
-		t.Fatalf("Scratch: len=%d cap=%d", len(s1), cap(s1))
-	}
-	s1 = append(s1, 1, 2, 3)
-	s2 := c.Scratch(4)
-	if cap(s2) != cap(s1) {
-		t.Fatal("Scratch did not reuse its backing array")
+	c := NewStagedCore(8, sorter.Func[float32]{SortFunc: slices.Sort[[]float32], Label: "slices"}, func([]float32) {})
+	c.SortedPartialLocked(func(sorted []float32) {
+		if sorted != nil {
+			t.Fatalf("empty partial window read as %v", sorted)
+		}
+	})
+	c.ProcessSlice([]float32{3, 1, 2})
+	for range 2 {
+		c.SortedPartialLocked(func(sorted []float32) {
+			if !slices.Equal(sorted, []float32{1, 2, 3}) {
+				t.Fatalf("sorted partial window %v", sorted)
+			}
+			sorted[0] = 9 // scratch: the live buffer must not see this
+		})
+		if got := c.Partial(); !slices.Equal(got, []float32{3, 1, 2}) {
+			t.Fatalf("live partial window %v after a read", got)
+		}
 	}
 }
 

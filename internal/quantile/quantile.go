@@ -15,11 +15,12 @@
 // shared internal/pipeline core; this package contributes the
 // sort -> summarize -> cascade-combine sink. A combine that prunes is one
 // fused merge-and-prune pass (summary.MergePruneInto), and the storage of
-// consumed never-pruned buckets is recycled into the next bucket built at
-// their level (DESIGN.md section 23). Queries are safe under concurrent
-// ingestion, and Snapshot returns an immutable view: a view is always
-// merged, pruned or copied into storage of its own, never a bucket, so
-// recycling cannot reach it. The view is pruned once, to the budget the
+// consumed never-pruned buckets is recycled, through the process-wide
+// spare store every estimator shares (pipeline.TakeSpare), into the next
+// bucket built to their size (DESIGN.md sections 23 and 33). Queries are
+// safe under concurrent ingestion, and Snapshot returns an immutable view:
+// a view is always merged, pruned or copied into storage of its own, never
+// a bucket, so recycling cannot reach it. The view is pruned once, to the budget the
 // error its parts have proved (summary.Certificate) leaves below 7eps/8,
 // and claims its own certificate as Eps (DESIGN.md section 28). It is
 // built by one streamed merge chain over its parts, fused with that prune
@@ -109,12 +110,6 @@ type Estimator[T sorter.Value] struct {
 	// immutably across goroutines, so a field written lazily there would
 	// race. It holds numbers, not buckets, so it pins no consumed storage.
 	certs []float64
-
-	// spare[k], when not nil, is a consumed level-k bucket that was never
-	// pruned, kept for its entry storage: the next bucket built at level k
-	// is written into it (DESIGN.md section 23). Views never alias a
-	// bucket, so nothing else can still hold it.
-	spare []*summary.Summary[T]
 
 	// snapshot cache: queries against an unchanged stream reuse the merged
 	// summary instead of re-merging every bucket.
@@ -217,7 +212,7 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 		e.core.AddSort(time.Since(t0), 0)
 		return
 	}
-	s := windowSummary(e.takeSpare(0), e.held, win, e.eps)
+	s := windowSummary(takeSpare[T](summary.SampledLen(int64(len(e.held)+len(win)), e.eps)), e.held, win, e.eps)
 	e.held = e.held[:0]
 	e.core.AddSort(time.Since(t0), 0)
 
@@ -239,17 +234,17 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 // combine merges two buckets of level k into the bucket of level k+1. The
 // merge costs no error (the result has spent what the worse input had); a
 // result within the entry budget its remaining headroom affords is merged
-// whole, into level k+1's spare storage if there is one, and a larger one
-// is merged and pruned to the budget in one fused pass into fresh storage,
-// spending 1/(2b) and the grid's rounding more. The inputs are consumed:
-// their storage may go to level k's spare.
+// whole, into spare storage of its size if the store has some, and a
+// larger one is merged and pruned to the budget in one fused pass into
+// fresh storage, spending 1/(2b) and the grid's rounding more. The inputs
+// are consumed: their storage may go to the spare store.
 func (e *Estimator[T]) combine(k int, a, b *summary.Summary[T]) *summary.Summary[T] {
 	budget := pruneBudget(e.cap - math.Max(a.Eps, b.Eps))
 	size := a.Size() + b.Size()
 	t0 := time.Now()
 	var m *summary.Summary[T]
 	if size-1 <= budget { // not size <= budget+1: a saturated budget would overflow
-		m = summary.MergeInto(e.takeSpare(k+1), a, b)
+		m = summary.MergeInto(takeSpare[T](size), a, b)
 		e.core.AddMerge(time.Since(t0), int64(size))
 	} else {
 		// One pass did both; its time is the compress stage's, and both
@@ -258,8 +253,13 @@ func (e *Estimator[T]) combine(k int, a, b *summary.Summary[T]) *summary.Summary
 		e.core.AddMerge(0, int64(size))
 		e.core.AddCompress(time.Since(t0), int64(size))
 	}
-	e.recycle(k, a)
-	e.recycle(k, b)
+	e.recycle(a)
+	if b != a {
+		// One bucket merged with itself (TestCombineFortyLevels) is
+		// recycled once: put twice, another estimator could take it
+		// between the two puts and a third after the second.
+		e.recycle(b)
+	}
 	return m
 }
 
@@ -291,33 +291,25 @@ func (e *Estimator[T]) viewBudget(c float64, n int64) int {
 	return int(math.Ceil(1 / (2 * h)))
 }
 
-// takeSpare hands out level k's spare storage, or nil.
-func (e *Estimator[T]) takeSpare(k int) *summary.Summary[T] {
-	if k >= len(e.spare) {
-		return nil
+// takeSpare hands out spare storage for a bucket of n entries, or nil.
+func takeSpare[T sorter.Value](n int) *summary.Summary[T] {
+	if b := pipeline.TakeSpare[summary.Entry[T]](n); b != nil {
+		return &summary.Summary[T]{Entries: b}
 	}
-	s := e.spare[k]
-	e.spare[k] = nil
-	return s
+	return nil
 }
 
-// recycle keeps a consumed level-k bucket as level k's spare if the slot is
-// empty and the bucket was never pruned, which its spent error tells:
-// level 0 spends at most eps/2, a merge keeps the larger input's and every
-// prune adds to it. Pruned buckets are left to the collector: the level
-// that would reuse one is filled by a prune, which writes fresh storage,
-// so a spare there would only add to the heap. (A bucket pruned from
-// windows that kept every rank can pass the test; keeping it is as safe as
-// keeping any consumed bucket, and still one slot.)
-func (e *Estimator[T]) recycle(k int, s *summary.Summary[T]) {
-	if s.Eps > e.eps/2 {
-		return
-	}
-	for len(e.spare) <= k {
-		e.spare = append(e.spare, nil)
-	}
-	if e.spare[k] == nil {
-		e.spare[k] = s
+// recycle gives a consumed bucket's storage to the spare store if the
+// bucket was never pruned, which its spent error tells: level 0 spends at
+// most eps/2, a merge keeps the larger input's and every prune adds to it.
+// Pruned buckets are left to the collector: a bucket that size is built by
+// a prune, which writes fresh storage, so a spare that size would only add
+// to the heap. (A bucket pruned from windows that kept every rank can pass
+// the test; keeping it is as safe as keeping any consumed bucket, and
+// still one slot.)
+func (e *Estimator[T]) recycle(s *summary.Summary[T]) {
+	if s.Eps <= e.eps/2 {
+		pipeline.PutSpare(s.Entries)
 	}
 }
 
@@ -362,13 +354,9 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 // lock, past the barrier.
 func (e *Estimator[T]) viewPartsLocked(buffered int) (parts []*summary.Summary[T], c float64) {
 	if len(e.held) > 0 || buffered > 0 {
-		var partial []T
 		t0 := time.Now()
-		if buffered > 0 {
-			partial = append(e.core.Scratch(buffered), e.core.Partial()...)
-			e.core.SorterLocked().Sort(partial)
-		}
-		p := windowSummary(nil, e.held, partial, e.eps)
+		var p *summary.Summary[T]
+		e.core.SortedPartialLocked(func(partial []T) { p = windowSummary(nil, e.held, partial, e.eps) })
 		parts, c = append(parts, p), p.Certificate()
 		e.core.AddSort(time.Since(t0), 0)
 	}

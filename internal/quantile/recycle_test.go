@@ -2,7 +2,11 @@ package quantile
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -69,57 +73,133 @@ func TestViewsSurviveRecycling(t *testing.T) {
 	}
 }
 
-// spareProbe checks the spare storage after every window (Retune runs under
-// the core lock right after a window was merged): the spares hold no more
-// entries than the never-pruned levels' own buckets, so recycling never
-// keeps a buffer the size of a pruned bucket or of a merged intermediate.
+// drainSpares empties every capacity class of the spare store's float32
+// bucket storage and returns what the stores of all types then retain, so
+// a test can count what its own estimators recycle.
+func drainSpares() int64 {
+	for c := range bits.UintSize {
+		pipeline.TakeSpare[summary.Entry[float32]](1 << c >> 1)
+	}
+	return pipeline.SpareBytes()
+}
+
+// spareProbe checks the process-wide spare store after every window of
+// every estimator sharing it (Retune runs under the core lock right after
+// a window was merged): the store holds no more than one never-pruned
+// bucket's storage per capacity class, however many estimators recycle
+// into it, so it never keeps a buffer the size of a pruned bucket or of a
+// merged intermediate, nor one set of spares per estimator.
 type spareProbe struct {
 	t       *testing.T
-	e       *Estimator[float32]
-	largest []int // per level, the most entry storage a never-pruned bucket there has had
+	ests    []*Estimator[float32]
+	base    int64       // what the stores held before the estimators ran
+	largest map[int]int // per class, the most entry storage a never-pruned bucket has had
 	windows int
 }
 
-func (p *spareProbe) Retune(pipeline.Stats, pipeline.Knobs[float32]) (pipeline.Knobs[float32], bool) {
+// spareTuner is the Retune hook of estimator i.
+type spareTuner struct {
+	p *spareProbe
+	i int
+}
+
+func (st spareTuner) Retune(pipeline.Stats, pipeline.Knobs[float32]) (pipeline.Knobs[float32], bool) {
+	p, e := st.p, st.p.ests[st.i]
 	p.windows++
-	for k, b := range p.e.levels {
-		for len(p.largest) <= k {
-			p.largest = append(p.largest, 0)
-		}
-		if b != nil && b.Eps <= p.e.eps/2 {
-			p.largest[k] = max(p.largest[k], cap(b.Entries))
+	for _, b := range e.levels {
+		if b != nil && b.Eps <= e.eps/2 {
+			c := bits.Len(uint(cap(b.Entries)))
+			p.largest[c] = max(p.largest[c], cap(b.Entries))
 		}
 	}
-	held, bound := 0, 0
-	for k, s := range p.e.spare {
-		if s == nil {
-			continue
-		}
-		if k >= len(p.largest) || p.largest[k] == 0 {
-			p.t.Fatalf("window %d: a spare at level %d, where no never-pruned bucket has been", p.windows, k)
-		}
-		held += cap(s.Entries)
-	}
+	var bound int
 	for _, n := range p.largest {
 		bound += n
 	}
-	if held > bound {
-		p.t.Fatalf("window %d: spares hold %d entries, the never-pruned levels %d", p.windows, held, bound)
+	entry := int64(unsafe.Sizeof(summary.Entry[float32]{}))
+	if held := pipeline.SpareBytes() - p.base; held > int64(bound)*entry {
+		p.t.Fatalf("window %d: spares hold %d B, one never-pruned bucket per class %d B", p.windows, held, int64(bound)*entry)
 	}
 	return pipeline.Knobs[float32]{}, false
 }
 
+// TestSpareStorageBounded ingests two estimators at each of eps 1e-2 and
+// 1e-3, a window of each in turn, and holds the shared store to one
+// never-pruned bucket per class after every window.
 func TestSpareStorageBounded(t *testing.T) {
-	for _, eps := range []float64{0.01, 0.001} {
+	p := &spareProbe{t: t, base: drainSpares(), largest: map[int]int{}}
+	var data [][]float32
+	for i, eps := range []float64{0.01, 0.01, 0.001, 0.001} {
 		e := newCPU(eps, 0)
-		probe := &spareProbe{t: t, e: e}
-		e.SetTuner(probe)
-		if err := e.ProcessSlice(stream.Zipf(300*e.WindowSize(), 1.1, 5000, 5)); err != nil {
-			t.Fatal(err)
+		p.ests = append(p.ests, e)
+		e.SetTuner(spareTuner{p, i})
+		data = append(data, stream.Zipf(300*e.WindowSize(), 1.1, 5000, uint64(5+i)))
+	}
+	for w := range 300 {
+		for i, e := range p.ests {
+			win := e.WindowSize()
+			if err := e.ProcessSlice(data[i][w*win : (w+1)*win]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if st := e.Stats(); st.CompressOps == 0 || len(e.spare) == 0 {
-			t.Fatalf("eps=%v: %d spares after %d windows, %d entries pruned: nothing was recycled or nothing pruned", eps, len(e.spare), probe.windows, st.CompressOps)
+	}
+	for _, e := range p.ests {
+		if st := e.Stats(); st.CompressOps == 0 {
+			t.Fatalf("eps=%v: nothing pruned in %d windows", e.eps, st.Windows)
 		}
+	}
+	if pipeline.SpareBytes() == p.base {
+		t.Fatalf("nothing was recycled in %d windows", p.windows)
+	}
+}
+
+// TestCombineRecyclesItselfOnce: a bucket combined with itself, as
+// TestCombineFortyLevels carries one, gives its storage to the shared
+// store once. Put twice, another estimator could take it between the two
+// puts and a third after the second, and both would write into it. Each
+// goroutine here takes storage from the store right after such a combine,
+// fills it with its own mark and checks the mark survives while the others
+// do the same.
+func TestCombineRecyclesItselfOnce(t *testing.T) {
+	const workers, rounds = 4, 2000
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := newCPU(0.01, 0)
+			win := stream.Uniform(2*e.WindowSize(), uint64(40+g))
+			slices.Sort(win)
+			mark := float32(g + 1)
+			for range rounds {
+				s := windowSummary(takeSpare[float32](summary.SampledLen(int64(len(win)), e.eps)), win, nil, e.eps)
+				m := e.combine(0, s, s)
+				mine := pipeline.TakeSpare[summary.Entry[float32]](cap(s.Entries))
+				mine = mine[:cap(mine)]
+				for i := range mine {
+					mine[i].V = mark
+				}
+				runtime.Gosched()
+				for _, en := range mine {
+					if en.V != mark {
+						errs <- fmt.Errorf("worker %d: storage it took holds another's mark %v", g, en.V)
+						return
+					}
+				}
+				if err := m.Validate(); err != nil {
+					errs <- fmt.Errorf("worker %d: combined bucket: %v", g, err)
+					return
+				}
+				pipeline.PutSpare(mine)
+				e.recycle(m)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

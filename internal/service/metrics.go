@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gpustream"
+	"gpustream/internal/pipeline"
 )
 
 // StreamStatus is one stream's /statsz (and stream-info GET) report: the
@@ -47,6 +48,12 @@ type ServiceStatus struct {
 	IdleEvictions int64 `json:"idle_evictions"`
 	Drained       int64 `json:"drained"`
 	Spills        int64 `json:"spills"`
+
+	// SpareBytes is the recycled estimator storage the process keeps for
+	// the next bucket or histogram any stream builds, moved out of the
+	// streams themselves: at most one buffer per capacity class per
+	// element type, of any size (pipeline.SpareBytes, DESIGN.md §33).
+	SpareBytes int64 `json:"spare_bytes"`
 
 	Streams []StreamStatus `json:"streams"`
 }
@@ -99,6 +106,7 @@ func (s *Server[T]) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		IdleEvictions: s.ctr.idleEvictions.Load(),
 		Drained:       s.ctr.drained.Load(),
 		Spills:        s.ctr.spills.Load(),
+		SpareBytes:    pipeline.SpareBytes(),
 		Streams:       streams,
 	})
 }

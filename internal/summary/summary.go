@@ -119,14 +119,11 @@ func sampled[T sorter.Value](dst *Summary[T], w int64, eps float64) (*Summary[T]
 	if eps <= 0 || eps > 1 {
 		panic(fmt.Sprintf("summary: eps %v out of (0, 1]", eps))
 	}
-	step := int64(eps * float64(w))
-	if step < 1 {
-		step = 1
-	}
+	step := sampleStep(w, eps)
 	s := dst
 	s.N, s.ranked, s.Entries = w, true, s.Entries[:0]
-	if int64(cap(s.Entries)) < w/step+2 {
-		s.Entries = make([]Entry[T], 0, w/step+2)
+	if n := SampledLen(w, eps); cap(s.Entries) < n {
+		s.Entries = make([]Entry[T], 0, n)
 	}
 	s.Eps = float64(step) / (2 * float64(w))
 	if half := eps / 2; s.Eps < half {
@@ -134,6 +131,14 @@ func sampled[T sorter.Value](dst *Summary[T], w int64, eps float64) (*Summary[T]
 	}
 	return s, step
 }
+
+// SampledLen is the entry storage FromSortedPairInto sizes for a pair of w
+// elements sampled at eps, so a caller can hand it storage that fits.
+func SampledLen(w int64, eps float64) int { return int(w/sampleStep(w, eps) + 2) }
+
+// sampleStep is the step between a w-element window's kept ranks at eps:
+// floor(eps*w), at least 1.
+func sampleStep(w int64, eps float64) int64 { return max(int64(eps*float64(w)), 1) }
 
 // Size reports the number of entries.
 func (s *Summary[T]) Size() int { return len(s.Entries) }

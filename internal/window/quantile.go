@@ -68,9 +68,11 @@ func (q *SlidingQuantile[T]) viewLocked() *QuantileSnapshot[T] {
 	// the sorter is idle for the partial-pane sort.
 	q.core.BarrierLocked()
 	v := &QuantileSnapshot[T]{eps: q.eps, w: q.w, count: q.core.CountLocked(), panes: q.panes}
-	if tmp := q.sortedPartialLocked(); tmp != nil {
-		v.partial = summary.FromSortedWindow(tmp, q.eps)
-	}
+	q.core.SortedPartialLocked(func(sorted []T) {
+		if sorted != nil {
+			v.partial = summary.FromSortedWindow(sorted, q.eps)
+		}
+	})
 	return v
 }
 

@@ -110,20 +110,6 @@ func (s *sliding[T, P]) expireLocked() []P {
 	return expired
 }
 
-// sortedPartialLocked returns a sorted copy of the buffered partial pane,
-// nil when the buffer is empty. The caller holds the core lock and has
-// passed BarrierLocked (the sorter must be idle); the copy lives in the
-// core's reusable scratch and must not outlive the locked region.
-func (s *sliding[T, P]) sortedPartialLocked() []T {
-	n := s.core.BufferedLocked()
-	if n == 0 {
-		return nil
-	}
-	tmp := append(s.core.Scratch(n), s.core.Partial()...)
-	s.core.SorterLocked().Sort(tmp)
-	return tmp
-}
-
 // lockQuery takes the core lock for a live query, which answers from the
 // family's view while it holds it. The returned func charges the time since
 // to Merge and releases the lock; deferring it keeps a panicking query (an

@@ -121,14 +121,15 @@ func (f *SlidingFrequency[T]) viewLocked() *FrequencySnapshot[T] {
 	// Drain in-flight panes so the ring covers the whole emitted prefix and
 	// the sorter is idle for the partial-pane sort.
 	f.core.BarrierLocked()
-	return &FrequencySnapshot[T]{
+	v := &FrequencySnapshot[T]{
 		eps:          f.eps,
 		w:            f.w,
 		count:        f.core.CountLocked(),
 		panes:        f.panes,
-		partialBins:  histogram.FromSorted(f.sortedPartialLocked()),
 		partialCount: int64(f.core.BufferedLocked()),
 	}
+	f.core.SortedPartialLocked(func(sorted []T) { v.partialBins = histogram.FromSorted(sorted) })
+	return v
 }
 
 // Query returns the elements whose estimated frequency over the most recent
