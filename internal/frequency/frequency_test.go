@@ -402,3 +402,17 @@ func TestTopK(t *testing.T) {
 		t.Fatal("TopK larger than summary")
 	}
 }
+
+// TestMergeAfterSnapshotAllocatesOnce pins the copy-on-write hand-off: once a
+// Snapshot holds the summary, the next window's merge allocates its output
+// once, sized for every entry and bin, not by doubling appends. Snapshot's
+// own view is the other allocation.
+func TestMergeAfterSnapshotAllocatesOnce(t *testing.T) {
+	e := newCPU(0.001) // window 1000
+	e.ProcessSlice(stream.Zipf(50000, 1.1, 1<<14, 7))
+	win := stream.Zipf(1000, 1.1, 1<<14, 8)
+	e.ProcessSlice(win)
+	if a := testing.AllocsPerRun(20, func() { e.Snapshot(); e.ProcessSlice(win) }); a != 2 {
+		t.Errorf("Snapshot + one merged window over %d entries: %v allocs, want 2", e.SummarySize(), a)
+	}
+}

@@ -149,9 +149,14 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 
 	// Merge: both the summary and the histogram are value-ascending, so a
 	// single linear pass inserts or updates every bin. The pass writes into
-	// the recycled scratch array, which then swaps with entries.
+	// the recycled scratch array, which then swaps with entries. When there
+	// is none (a Snapshot took the last array) or it is too small, the output
+	// is allocated once at its largest size, not grown by appends.
 	t1 := time.Now()
 	merged := e.scratch[:0]
+	if n := len(e.entries) + len(bins); cap(merged) < n {
+		merged = make([]entry[T], 0, n)
+	}
 	i, j := 0, 0
 	for i < len(e.entries) && j < len(bins) {
 		switch {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -173,6 +174,179 @@ func TestDecodeJSONValues(t *testing.T) {
 	}
 }
 
+// checkNumber decodes the batch [lit] as T and holds it to parseValue on the
+// literal alone: the same bits, or the same error at the element's offset.
+// It is the check that sorter.FromDecimal's shortcut changes nothing.
+func checkNumber[T gpustream.Value](t *testing.T, lit string) {
+	t.Helper()
+	got, err := decodeJSONValues[T](nil, []byte("["+lit+"]"))
+	want, wantErr := parseValue[T](lit)
+	if wantErr != nil {
+		if msg := fmt.Sprintf("offset 1: element 0: %v", wantErr); err == nil || err.Error() != msg {
+			t.Errorf("%T %s: decoded %v, %v; want error %q", want, lit, got, err, msg)
+		}
+		return
+	}
+	if err != nil || len(got) != 1 || sorter.Bits(got[0]) != sorter.Bits(want) {
+		t.Errorf("%T %s: decoded %v, %v; parseValue %v (%#x)", want, lit, got, err, want, sorter.Bits(want))
+	}
+}
+
+func checkNumberAllTypes(t *testing.T, lit string) {
+	t.Helper()
+	checkNumber[float32](t, lit)
+	checkNumber[float64](t, lit)
+	checkNumber[uint32](t, lit)
+	checkNumber[uint64](t, lit)
+	checkNumber[int32](t, lit)
+	checkNumber[int64](t, lit)
+}
+
+// jsonNumber builds a JSON number literal from separate fields, so that a
+// fuzzer changing one of them walks the exact path's bounds: the sign; the
+// integer digits, leading zeros dropped ("0" when none are left); the
+// fraction's leading zeros and its other digits (no fraction when both are
+// empty); and the exponent, none when expForm%7 is 0, else its letter's
+// case and sign. Digit strings may hold any bytes: b stands for the digit
+// (b-'0') mod 10, so a digit stands for itself.
+func jsonNumber(neg bool, intDigits string, fracZeros uint8, fracDigits string, expForm uint8, exp uint32) string {
+	digits := func(s string) string {
+		b := []byte(s)
+		for i := range b {
+			b[i] = '0' + (b[i]-'0')%10
+		}
+		return string(b)
+	}
+	var sb strings.Builder
+	if neg {
+		sb.WriteByte('-')
+	}
+	if in := strings.TrimLeft(digits(intDigits), "0"); in != "" {
+		sb.WriteString(in)
+	} else {
+		sb.WriteByte('0')
+	}
+	if frac := strings.Repeat("0", int(fracZeros)) + digits(fracDigits); frac != "" {
+		sb.WriteString("." + frac)
+	}
+	if f := expForm % 7; f != 0 {
+		sb.WriteString([]string{"e", "E"}[f%2] + []string{"", "+", "-"}[(f-1)/2%3] + strconv.FormatUint(uint64(exp), 10))
+	}
+	return sb.String()
+}
+
+// numberFields is jsonNumber's inverse on the literals it builds, to write
+// FuzzJSONNumber's seeds as literals.
+func numberFields(lit string) (neg bool, intDigits string, fracZeros uint8, fracDigits string, expForm uint8, exp uint32) {
+	lit, neg = strings.CutPrefix(lit, "-")
+	if k := strings.IndexAny(lit, "eE"); k >= 0 {
+		form := map[string]uint8{"e": 2, "E": 1, "e+": 4, "E+": 3, "e-": 6, "E-": 5}
+		x := strings.TrimLeft(lit[k+1:], "+-")
+		expForm = form[lit[k:len(lit)-len(x)]]
+		e, _ := strconv.ParseUint(x, 10, 32)
+		lit, exp = lit[:k], uint32(e)
+	}
+	intDigits, frac, _ := strings.Cut(lit, ".")
+	fracDigits = strings.TrimLeft(frac, "0")
+	return neg, intDigits, uint8(len(frac) - len(fracDigits)), fracDigits, expForm, exp
+}
+
+// numberSeeds sit on the bounds of sorter.FromDecimal's cases: float32's
+// 2^24 and 10^±10, float64's 2^53 and 10^±22, the 19 significant digits a
+// Decimal holds, and the integer types' ranges.
+var numberSeeds = []string{
+	"16777216", "16777217", "-16777217", "1.6777216e7", "16777217e1", "9007199254740992", "9007199254740993",
+	"1e10", "1e11", "1e-10", "1e-11", "3e10", "3e11", "3E-10", "3e-11", "1e22", "1e23", "1e-22", "1e-23", "3e22", "3e-23",
+	"1234567890123456789", "12345678901234567890", "9999999999999999999", "1.234567890123456789", "1.2345678901234567890",
+	"9223372036854775806", "9223372036854775807", "9223372036854775808", "-9223372036854775807",
+	"-9223372036854775808", "-9223372036854775809",
+	"18446744073709551614", "18446744073709551615", "18446744073709551616",
+	"2147483647", "2147483648", "-2147483648", "-2147483649", "4294967295", "4294967296",
+	"0", "-0", "-0.0", "0e999", "-0e+999", "1e-46", "0.0000000000001", "1.0000000000000000000", "1.5", "1e0", "12.5E-1",
+}
+
+func FuzzJSONNumber(f *testing.F) {
+	for _, lit := range numberSeeds {
+		if got := jsonNumber(numberFields(lit)); got != lit {
+			f.Fatalf("seed %s builds %s", lit, got)
+		}
+		neg, in, zeros, frac, form, exp := numberFields(lit)
+		f.Add(neg, in, zeros, frac, form, exp)
+	}
+	f.Fuzz(func(t *testing.T, neg bool, intDigits string, fracZeros uint8, fracDigits string, expForm uint8, exp uint32) {
+		checkNumberAllTypes(t, jsonNumber(neg, intDigits, fracZeros, fracDigits, expForm, exp))
+	})
+}
+
+// TestJSONNumberExactness holds decodeJSONValues to parseValue, bit for bit
+// and for all six types, where sorter.FromDecimal's bounds are tight: every
+// integer near 2^24 and 2^53, k·10^e in both spellings for k on the bounds
+// and e in -25..25, and seeded random literals of at most 9 significant
+// digits, the most a float32's shortest form needs.
+func TestJSONNumberExactness(t *testing.T) {
+	for _, lit := range numberSeeds {
+		checkNumberAllTypes(t, lit)
+	}
+	for _, c := range []struct{ base, reach uint64 }{{1 << 24, 4096}, {1 << 53, 1024}} {
+		for v := c.base - c.reach; v <= c.base+c.reach; v++ {
+			lit := strconv.FormatUint(v, 10)
+			checkNumberAllTypes(t, lit)
+			checkNumberAllTypes(t, "-"+lit)
+		}
+	}
+
+	ks := []uint64{1, 2, 3, 5, 7, 9, 17, 123, 4095, 65535, 999999, 8388607, 8388609, 16777215, 16777216, 16777217,
+		33554431, 123456789, 2147483647, 2147483648, 4294967295, 4294967296,
+		9007199254740991, 9007199254740992, 9007199254740993, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+	for _, k := range ks {
+		for e := -25; e <= 25; e++ {
+			for _, lit := range []string{fmt.Sprintf("%de%d", k, e), positional(k, e)} {
+				checkNumberAllTypes(t, lit)
+				checkNumberAllTypes(t, "-"+lit)
+			}
+		}
+	}
+
+	r := stream.NewRNG(40)
+	for range 100_000 {
+		checkNumberAllTypes(t, randomLiteral(r))
+	}
+}
+
+// positional spells k·10^e without an exponent: k and e zeros, or k's digits
+// with a point placed e from the right (after "0." and zeros if need be).
+func positional(k uint64, e int) string {
+	s := strconv.FormatUint(k, 10)
+	if e >= 0 {
+		return s + strings.Repeat("0", e)
+	}
+	if p := len(s) + e; p > 0 {
+		return s[:p] + "." + s[p:]
+	}
+	return "0." + strings.Repeat("0", -e-len(s)) + s
+}
+
+// randomLiteral draws a JSON number of 1-9 significant digits: a random
+// sign, a point anywhere in or ahead of the digits (or none), and an
+// exponent in -30..30 in any spelling (or none).
+func randomLiteral(r *stream.RNG) string {
+	k := uint64(1 + r.Intn(9))
+	for range r.Intn(9) {
+		k = k*10 + uint64(r.Intn(10))
+	}
+	lit := positional(k, r.Intn(12)-11)
+	if r.Intn(4) == 0 {
+		lit = strconv.FormatUint(k, 10)
+	}
+	if r.Intn(2) == 0 {
+		lit += []string{"e", "E", "e+", "E+", "e-", "E-"}[r.Intn(6)] + strconv.Itoa(r.Intn(31))
+	}
+	if r.Intn(2) == 0 {
+		lit = "-" + lit
+	}
+	return lit
+}
+
 // appendBinary encodes values in the row format decodeBinary reads.
 func appendBinary[T gpustream.Value](dst []byte, values []T) []byte {
 	for _, v := range values {
@@ -249,15 +423,52 @@ func TestDecodeBinaryRejectsNonFinite(t *testing.T) {
 // second drops a decode's values.
 func second[T any](_ T, err error) error { return err }
 
+// BenchmarkDecodeJSON decodes three POST bodies of benchRows rows: the zipf
+// integers the svc-* workloads send, and full-precision float32 and float64
+// uniforms (json.Marshal's shortest forms, up to 9 and 17 significant
+// digits), whose literals often need strconv. exact/row is the share of a
+// body's literals sorter.FromDecimal finishes without it.
 func BenchmarkDecodeJSON(b *testing.B) {
-	body, _ := benchBodies(b)
-	var dst []float32
+	zipf, _ := benchBodies(b)
+	b.Run("zipf", func(b *testing.B) { benchDecodeJSON[float32](b, zipf) })
+	b.Run("f32", func(b *testing.B) { benchDecodeJSON[float32](b, marshal(b, stream.UniformOf[float32](benchRows, 1))) })
+	b.Run("f64", func(b *testing.B) { benchDecodeJSON[float64](b, marshal(b, stream.UniformOf[float64](benchRows, 1))) })
+}
+
+func benchDecodeJSON[T gpustream.Value](b *testing.B, body []byte) {
+	var dst []T
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for b.Loop() {
 		dst, _ = decodeJSONValues(dst, body)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+	b.ReportMetric(exactShare[T](b, body), "exact/row")
+}
+
+func marshal[T gpustream.Value](tb testing.TB, vals []T) []byte {
+	body, err := json.Marshal(vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// exactShare walks a JSON array of numbers as decodeJSONValues does and
+// reports the share of its literals sorter.FromDecimal takes as T.
+func exactShare[T gpustream.Value](tb testing.TB, body []byte) float64 {
+	exact, n := 0, 0
+	for i := 1; i < len(body) && body[i-1] != ']'; i++ {
+		end, d := scanNumber(body, i)
+		if end < 0 {
+			tb.Fatalf("offset %d: not a number", i)
+		}
+		if _, ok := sorter.FromDecimal[T](d); ok {
+			exact++
+		}
+		n, i = n+1, end
+	}
+	return float64(exact) / float64(n)
 }
 
 func BenchmarkDecodeBinary(b *testing.B) {

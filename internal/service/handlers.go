@@ -448,8 +448,10 @@ func finite[T gpustream.Value](bits uint64) bool {
 // elements that are number literals (no strings, nulls or nesting, and none
 // of the spellings strconv alone would take: 01, +1, .5, 1., 0x10, Inf, 1_0),
 // and nothing but whitespace after the closing bracket. A top-level null is
-// the empty batch. A literal's value is strconv's, by parseValue. Errors
-// name the byte offset.
+// the empty batch. A literal's value is strconv's: sorter.FromDecimal
+// finishes it from the digits the scan read where that is provably the same
+// value, and parseValue parses the literal otherwise, so values and errors do
+// not depend on which path a literal took. Errors name the byte offset.
 func decodeJSONValues[T gpustream.Value](dst []T, body []byte) ([]T, error) {
 	dst = dst[:0]
 	i := skipSpace(body, 0)
@@ -464,13 +466,16 @@ func decodeJSONValues[T gpustream.Value](dst []T, body []byte) ([]T, error) {
 		return dst, onlySpace(body, i+1)
 	}
 	for {
-		end := scanNumber(body, i)
+		end, d := scanNumber(body, i)
 		if end < 0 {
 			return dst, fmt.Errorf("offset %d: element %d is not a JSON number", i, len(dst))
 		}
-		v, err := parseValue[T](string(body[i:end]))
-		if err != nil {
-			return dst, fmt.Errorf("offset %d: element %d: %w", i, len(dst), err)
+		v, ok := sorter.FromDecimal[T](d)
+		if !ok {
+			var err error
+			if v, err = parseValue[T](string(body[i:end])); err != nil {
+				return dst, fmt.Errorf("offset %d: element %d: %w", i, len(dst), err)
+			}
 		}
 		dst = append(dst, v)
 		i = skipSpace(body, end)
@@ -502,45 +507,78 @@ func skipSpace(body []byte, i int) int {
 	return i
 }
 
-// scanNumber returns the index after the JSON number literal that starts
-// at body[i], -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or -1 when none
-// starts there. What may follow the literal is the caller's check.
-func scanNumber(body []byte, i int) int {
-	if i < len(body) && body[i] == '-' {
+// scanNumber reads the JSON number literal that starts at body[i],
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns the index
+// after it, or -1 when none starts there. In the same pass it reads the
+// literal's value as a sorter.Decimal, for sorter.FromDecimal to finish
+// where that is exact. What may follow the literal is the caller's check.
+func scanNumber(body []byte, i int) (int, sorter.Decimal) {
+	neg := i < len(body) && body[i] == '-'
+	if neg {
 		i++
 	}
-	start := i
+	var m uint64
+	nd := 0 // digits read into m: past sorter.MaxDecimalDigits, m has wrapped
 	if i < len(body) && body[i] == '0' {
-		i++
-	} else if i = skipDigits(body, i); i == start {
-		return -1
-	}
-	if i < len(body) && body[i] == '.' {
-		start = i + 1
-		if i = skipDigits(body, start); i == start {
-			return -1
+		i++ // a lone leading 0 adds no digit to m
+	} else {
+		start := i
+		if i, m = readDigits(body, i, 0); i == start {
+			return -1, sorter.Decimal{}
 		}
+		nd = i - start
 	}
+	exp, shape := 0, sorter.IntLiteral
+	if i < len(body) && body[i] == '.' {
+		start := i + 1
+		if i, m = readDigits(body, start, m); i == start {
+			return -1, sorter.Decimal{}
+		}
+		nd += i - start
+		exp, shape = start-i, sorter.RealLiteral
+	}
+	x := 0 // the explicit exponent's magnitude, saturating at maxExp
 	if i < len(body) && (body[i] == 'e' || body[i] == 'E') {
 		i++
-		if i < len(body) && (body[i] == '+' || body[i] == '-') {
+		eneg := i < len(body) && body[i] == '-'
+		if eneg || i < len(body) && body[i] == '+' {
 			i++
 		}
-		start = i
-		if i = skipDigits(body, start); i == start {
-			return -1
+		start := i
+		for ; i < len(body) && body[i] >= '0' && body[i] <= '9'; i++ {
+			x = min(x*10+int(body[i]-'0'), maxExp)
 		}
+		if i == start {
+			return -1, sorter.Decimal{}
+		}
+		if eneg {
+			exp -= x
+		} else {
+			exp += x
+		}
+		shape = sorter.RealLiteral
 	}
-	return i
+	if nd > sorter.MaxDecimalDigits || x == maxExp {
+		shape = sorter.LongLiteral
+	}
+	return i, sorter.Decimal{Mant: m, Exp: exp, Neg: neg, Shape: shape}
 }
 
-// skipDigits returns the index of the first byte at or after i that is not
-// a decimal digit.
-func skipDigits(body []byte, i int) int {
-	for i < len(body) && body[i] >= '0' && body[i] <= '9' {
-		i++
+// maxExp is where scanNumber stops accumulating an explicit exponent; a
+// literal whose exponent reaches it is a sorter.LongLiteral, for strconv.
+const maxExp = 1 << 20
+
+// readDigits appends the decimal digits at body[i:] to m and returns the
+// index of the first non-digit. m wraps past 19 digits; the caller counts.
+func readDigits(body []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(body); i++ {
+		c := body[i] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
 	}
-	return i
+	return i, m
 }
 
 // parseValue parses one decimal literal at the element type's precision

@@ -156,3 +156,100 @@ func Parse[T Value](s string) (T, error) {
 	u, err := strconv.ParseUint(s, 10, KeyBits[T]())
 	return T(u), err
 }
+
+// Decimal is a decimal literal's value as ±Mant·10^Exp, read digit by digit
+// by a scan that has already checked the literal's grammar (the daemon's
+// JSON batch scanner). FromDecimal finishes it as a T where that is exact.
+// It has four fields so that it is passed in registers: the compiler keeps a
+// struct of more in memory, and the copy at every call then stalls.
+type Decimal struct {
+	Mant  uint64 // the literal's digits read as one integer, the point dropped
+	Exp   int    // the power of ten Mant is scaled by
+	Neg   bool   // a minus sign: -0 is Neg with Mant 0
+	Shape Shape
+}
+
+// Shape is how a decimal literal is spelled, as far as FromDecimal cares.
+type Shape uint8
+
+const (
+	IntLiteral  Shape = iota // digits only: no point, no exponent
+	RealLiteral              // with a point or an exponent: only a float takes it
+	LongLiteral              // Mant or Exp does not hold it: more than MaxDecimalDigits digits, or an exponent too large
+)
+
+// MaxDecimalDigits is how many digits Decimal.Mant holds: every 19-digit
+// number is below 2^64.
+const MaxDecimalDigits = 19
+
+// Powers of ten that float32 and float64 hold exactly: 10^k = 2^k·5^k, and
+// 5^10 < 2^24, 5^22 < 2^53. Each table's length bounds the exponents
+// FromDecimal takes for its type.
+var (
+	pow10f32 = [...]float32{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+	pow10f64 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+)
+
+// FromDecimal returns the T that Parse returns for d's literal, when it can
+// say so without strconv, and false otherwise (the caller then calls Parse
+// on the literal). Those are the cases where the answer takes no rounding
+// or one exact IEEE operation, which rounds once, correctly (Clinger's fast
+// path):
+//   - an integer kind: d spelled as an integer and within T's range, with
+//     no minus sign for an unsigned T (strconv rejects it, even on -0);
+//   - float32: Mant ≤ 2^24 and |Exp| ≤ 10, so Mant and 10^|Exp| are both
+//     exact float32s, and Mant·10^Exp is their product or quotient;
+//   - float64: Mant ≤ 2^53 and |Exp| ≤ 22, likewise.
+func FromDecimal[T Value](d Decimal) (T, bool) {
+	if d.Shape == LongLiteral {
+		return 0, false
+	}
+	switch KindOf[T]() {
+	case Float:
+		if Width[T]() == 4 {
+			f, ok := exactFloat(d, 1<<24, pow10f32[:])
+			return T(f), ok
+		}
+		f, ok := exactFloat(d, 1<<53, pow10f64[:])
+		return T(f), ok
+	case Signed:
+		// T's maximum, or one more for a negative literal: |MinValue|.
+		lim := ^uint64(0) >> (65 - KeyBits[T]())
+		if d.Neg {
+			lim++
+		}
+		if d.Shape != IntLiteral || d.Mant > lim {
+			return 0, false
+		}
+		v := T(d.Mant) // wraps at |MinValue|, which the negation maps to itself
+		if d.Neg {
+			v = -v
+		}
+		return v, true
+	}
+	if d.Shape != IntLiteral || d.Neg || d.Mant > ^uint64(0)>>(64-KeyBits[T]()) {
+		return 0, false
+	}
+	return T(d.Mant), true
+}
+
+// exactFloat is FromDecimal for a float type F whose significand holds every
+// integer up to maxMant and whose exact powers of ten are pow10: Mant and
+// 10^|Exp| are then both exact in F, so the one multiply or divide rounds
+// once, to the correctly rounded value.
+func exactFloat[F float32 | float64](d Decimal, maxMant uint64, pow10 []F) (F, bool) {
+	if d.Mant > maxMant || d.Exp <= -len(pow10) || d.Exp >= len(pow10) {
+		return 0, false
+	}
+	f := F(d.Mant)
+	if d.Exp < 0 {
+		f /= pow10[-d.Exp]
+	} else {
+		f *= pow10[d.Exp]
+	}
+	if d.Neg {
+		f = -f
+	}
+	return f, true
+}
