@@ -39,15 +39,7 @@ func (s *Snapshot[K, T]) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ksz, tsz := sorter.Width[K](), sorter.Width[T]()
-	size := wire.HeaderSize + 1 + 8 + 8 + 8 + 8 +
-		4 + len(s.frugal)*(ksz+tsz+1+8) +
-		4 + 4 + len(oracle)
-	for _, p := range s.promo {
-		size += ksz + summary.EncodedSize(p.Sum)
-	}
-	b := make([]byte, 0, size)
-	b = wire.AppendHeader(b, wire.FamilyKeyed, wire.TagOf[T]())
+	b := wire.AppendHeader(nil, wire.FamilyKeyed, wire.TagOf[T]())
 	b = wire.AppendU8(b, uint8(wire.TagOf[K]()))
 	b = wire.AppendF64(b, s.phi)
 	b = wire.AppendF64(b, s.support)
@@ -93,24 +85,41 @@ func UnmarshalSnapshot[K sorter.Value, T sorter.Value](data []byte) (*Snapshot[K
 	if fcount := r.Count(ksz + tsz + 1 + 8); fcount > 0 {
 		s.frugal = make([]FrugalEntry[K, T], fcount)
 	}
+	// Entry checks test first and format only on failure (wire.Reader.Check).
 	for i := range s.frugal {
+		if r.Failed() {
+			break
+		}
 		f := &s.frugal[i]
 		f.Key = wire.ReadValue[K](r)
-		r.Check(i == 0 || sorter.OrderedKey(s.frugal[i-1].Key) < sorter.OrderedKey(f.Key), "keyed: frugal tier not strictly key-ascending at %d", i)
+		if i > 0 && sorter.OrderedKey(s.frugal[i-1].Key) >= sorter.OrderedKey(f.Key) {
+			r.Check(false, "keyed: frugal tier not strictly key-ascending at %d", i)
+		}
 		f.Est, f.Ctl = wire.ReadValue[T](r), r.U8()
-		r.Check(frugal.ValidCtl(f.Ctl) && !frugal.Fresh(f.Ctl), "keyed: frugal entry %d control byte 0x%02X invalid", i, f.Ctl)
+		if !frugal.ValidCtl(f.Ctl) || frugal.Fresh(f.Ctl) {
+			r.Check(false, "keyed: frugal entry %d control byte 0x%02X invalid", i, f.Ctl)
+		}
 		f.Cnt = r.I64()
-		r.Check(f.Cnt >= 1, "keyed: frugal entry %d backing count %d < 1", i, f.Cnt)
+		if f.Cnt < 1 {
+			r.Check(false, "keyed: frugal entry %d backing count %d < 1", i, f.Cnt)
+		}
 	}
 	if pcount := r.Count(ksz + 8 + 8 + 4); pcount > 0 {
 		s.promo = make([]PromotedEntry[K, T], pcount)
 	}
 	for i := range s.promo {
+		if r.Failed() {
+			break
+		}
 		p := &s.promo[i]
 		p.Key = wire.ReadValue[K](r)
-		r.Check(i == 0 || sorter.OrderedKey(s.promo[i-1].Key) < sorter.OrderedKey(p.Key), "keyed: promoted tier not strictly key-ascending at %d", i)
+		if i > 0 && sorter.OrderedKey(s.promo[i-1].Key) >= sorter.OrderedKey(p.Key) {
+			r.Check(false, "keyed: promoted tier not strictly key-ascending at %d", i)
+		}
 		p.Sum = summary.Decode[T](r)
-		r.Check(p.Sum.N >= 1, "keyed: promoted key %d summary covers no observations", i)
+		if p.Sum.N < 1 {
+			r.Check(false, "keyed: promoted key %d summary covers no observations", i)
+		}
 	}
 	// Tier disjointness: both lists are sorted, so one linear pass suffices.
 	fi := 0
@@ -122,7 +131,13 @@ func UnmarshalSnapshot[K sorter.Value, T sorter.Value](data []byte) (*Snapshot[K
 	}
 	// The nested oracle blob revalidates under its own family's decoder; a
 	// blob this reader already failed on is nil there and changes nothing.
-	oracle, err := frequency.UnmarshalSnapshot[K](r.Bytes(r.Count(1)))
+	// It must carry the outer blob's version: a marshal writes both at the
+	// current one, so a mixed pair would not re-marshal to itself.
+	nested := r.Bytes(r.Count(1))
+	if h, err := wire.ReadHeader(nested); err == nil && h.Version != r.Version() {
+		r.Check(false, "keyed: oracle blob at format version %d inside a version %d blob", h.Version, r.Version())
+	}
+	oracle, err := frequency.UnmarshalSnapshot[K](nested)
 	r.Fail(err)
 	s.oracle = oracle
 	if err := r.Finish(); err != nil {

@@ -2,6 +2,7 @@ package keyed
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -201,11 +202,31 @@ func TestWireCorrupt(t *testing.T) {
 		})
 	}
 
+	// An oracle with no entries has the same body at every format version,
+	// so only its header says which one it is. The outer blob is at the
+	// current version; a version-1 oracle inside it is a mixed pair no
+	// marshal writes, and would not re-marshal to itself.
+	emptyOracle := valid()
+	emptyOracle.oracle = frequency.NewEstimator(0.1, cpusort.QuicksortSorter[uint64]{}).Snapshot().(*frequency.Snapshot[uint64])
+	mixed, err := emptyOracle.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSnapshot[uint64, float64](mixed); err != nil {
+		t.Fatalf("snapshot with an empty oracle does not decode: %v", err)
+	}
+	oracleBlob, err := emptyOracle.oracle.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(mixed[len(mixed)-len(oracleBlob)+4:], 1)
+
 	raw := []struct {
 		name string
 		data []byte
 		want error
 	}{
+		{"oracle at another format version", mixed, wire.ErrCorrupt},
 		{"empty", nil, wire.ErrTruncated},
 		{"header only", base[:wire.HeaderSize], wire.ErrTruncated},
 		{"truncated tail", base[:len(base)-3], wire.ErrTruncated},

@@ -19,12 +19,7 @@ import (
 // endian-stable wire encoding of the snapshot. The encoding is canonical —
 // unmarshal then marshal reproduces the bytes exactly.
 func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
-	size := wire.HeaderSize + 8 + 1
-	if s.sum != nil {
-		size += summary.EncodedSize(s.sum)
-	}
-	b := make([]byte, 0, size)
-	b = wire.AppendHeader(b, wire.FamilyQuantile, wire.TagOf[T]())
+	b := wire.AppendHeader(nil, wire.FamilyQuantile, wire.TagOf[T]())
 	b = wire.AppendF64(b, s.eps)
 	if s.sum == nil {
 		return wire.AppendU8(b, 0), nil

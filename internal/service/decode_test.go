@@ -544,3 +544,54 @@ func TestSyncIngestErrorReachesCaller(t *testing.T) {
 		t.Errorf("rows: stream %d, server %d; want 5 and 5", stream, server)
 	}
 }
+
+// TestHealthzNamesDegradedStreams: a stream whose estimator refused a batch
+// turns /healthz's status to "degraded" and is named in its sorted
+// unhealthy list, while the code stays 200; draining still answers 503.
+func TestHealthzNamesDegradedStreams(t *testing.T) {
+	svc := New[float32](Config{})
+	defer svc.Close()
+	health := func() (int, map[string]any) {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("healthz body %q: %v", rec.Body, err)
+		}
+		return rec.Code, body
+	}
+	spec := gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.01}
+	var broken []*entry[float32]
+	for _, name := range [][2]string{{"zeta", "b"}, {"alpha", "ok"}, {"alpha", "z"}} {
+		e, _, err := svc.reg.create(name[0], name[1], spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name[1] != "ok" {
+			broken = append(broken, e)
+		}
+	}
+	if code, body := health(); code != http.StatusOK || body["status"] != "ok" || body["unhealthy"] != nil || body["streams"] != 3.0 {
+		t.Fatalf("healthz before any refused batch = %d %v", code, body)
+	}
+
+	for _, e := range broken {
+		if err := e.est.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/streams/"+e.tenant+"/"+e.stream+"/values", strings.NewReader(`[1]`)))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("POST into a closed estimator = %d", rec.Code)
+		}
+	}
+	code, body := health()
+	if code != http.StatusOK || body["status"] != "degraded" || fmt.Sprint(body["unhealthy"]) != "[alpha/z zeta/b]" {
+		t.Fatalf("healthz after refused batches = %d %v, want 200 degraded naming alpha/z and zeta/b", code, body)
+	}
+
+	svc.draining.Store(true)
+	if code, body := health(); code != http.StatusServiceUnavailable || body["status"] != "draining" {
+		t.Fatalf("healthz while draining = %d %v", code, body)
+	}
+}

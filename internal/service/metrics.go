@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 	"runtime"
+	"slices"
 	"time"
 
 	"gpustream"
@@ -111,16 +112,31 @@ func (s *Server[T]) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleHealthz is the liveness probe: 200 "ok" while serving, 503
-// "draining" once shutdown starts (so load balancers stop routing here
-// while in-flight streams flush).
+// handleHealthz is the liveness probe: 200 while serving, 503 "draining"
+// once shutdown starts (so load balancers stop routing here while in-flight
+// streams flush). A stream whose estimator has refused a batch makes the
+// status "degraded" and is named in unhealthy as tenant/stream, sorted; the
+// code stays 200, since every other stream still serves and probes that
+// read only the code must not fail the whole daemon over one stream.
 func (s *Server[T]) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	entries := s.reg.list()
+	var unhealthy []string
+	for _, e := range entries {
+		if e.ingestErrs.Load() > 0 {
+			unhealthy = append(unhealthy, e.tenant+"/"+e.stream)
+		}
+	}
+	slices.Sort(unhealthy)
 	status, code := "ok", http.StatusOK
-	if s.draining.Load() {
+	switch {
+	case s.draining.Load():
 		status, code = "draining", http.StatusServiceUnavailable
+	case len(unhealthy) > 0:
+		status = "degraded"
 	}
 	writeJSON(w, code, struct {
-		Status  string `json:"status"`
-		Streams int    `json:"streams"`
-	}{status, s.reg.len()})
+		Status    string   `json:"status"`
+		Streams   int      `json:"streams"`
+		Unhealthy []string `json:"unhealthy,omitempty"`
+	}{status, len(entries), unhealthy})
 }

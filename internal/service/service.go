@@ -10,7 +10,8 @@
 // workers or a staged async executor — gives the turn back and replies, so
 // every reply carries the estimator's verdict and the service starts no
 // goroutine per stream. /statsz exports every estimator's pipeline.Stats
-// plus service counters; /healthz reports liveness and drain state.
+// plus service counters; /healthz reports liveness, drain state and the
+// streams whose estimator refused a batch.
 // DESIGN.md sections 14 and 30 document the registry lifecycle and drain
 // semantics.
 package service

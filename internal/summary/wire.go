@@ -11,15 +11,17 @@ import (
 //	eps     float64
 //	n       int64
 //	count   uint32
-//	entries count × (value[4|8] + rmin int64 + rmax int64)
+//	entries count × (value delta uvarint + rmin delta varint + rmax−rmin varint)
+//
+// An entry's value is its key minus the previous entry's key
+// (wire.ValueDeltas), its RMin the difference from the previous entry's
+// RMin (0 before the first), and its RMax the difference from its own RMin.
+// A neighbour's rank bounds differ by about the entry's gap, so a float32
+// entry takes ~6 bytes where version 1's fixed-width record took 20:
+//
+//	entries count × (value[4|8] + rmin int64 + rmax int64)      (version 1)
 //
 // See DESIGN.md section 12.
-
-// EncodedSize reports the exact encoded byte length of s, so callers can
-// pre-size their buffers.
-func EncodedSize[T sorter.Value](s *Summary[T]) int {
-	return 8 + 8 + 4 + len(s.Entries)*(sorter.Width[T]()+16)
-}
 
 // AppendBinary appends the wire encoding of s to b. The encoding is
 // canonical: equal summaries produce equal bytes.
@@ -27,10 +29,13 @@ func AppendBinary[T sorter.Value](b []byte, s *Summary[T]) []byte {
 	b = wire.AppendF64(b, s.Eps)
 	b = wire.AppendI64(b, s.N)
 	b = wire.AppendU32(b, uint32(len(s.Entries)))
+	var vd wire.ValueDeltas[T]
+	var rmin int64
 	for _, e := range s.Entries {
-		b = wire.AppendValue(b, e.V)
-		b = wire.AppendI64(b, e.RMin)
-		b = wire.AppendI64(b, e.RMax)
+		b = vd.Append(b, e.V)
+		b = wire.AppendVarint(b, e.RMin-rmin)
+		b = wire.AppendVarint(b, e.RMax-e.RMin)
+		rmin = e.RMin
 	}
 	return b
 }
@@ -41,21 +46,41 @@ func AppendBinary[T sorter.Value](b []byte, s *Summary[T]) []byte {
 // caller's r.Finish reports them, and must be checked before the summary is
 // used; Decode never panics and never returns nil.
 func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
+	// Checked first, formatted only on failure (wire.Reader.Check): a family
+	// decodes one summary per pane or promoted key.
 	s := &Summary[T]{Eps: r.F64(), N: r.I64()}
-	r.Check(s.N >= 0, "summary: negative element count %d", s.N)
-	count := r.Count(sorter.Width[T]() + 16)
+	if s.N < 0 {
+		r.Check(false, "summary: negative element count %d", s.N)
+	}
+	count := r.Count(wire.MinRecord[T](r, 2))
 	// A GK summary over a non-empty stream always retains entries (the
 	// coverage invariant needs at least the extremes); a headless body
 	// claiming otherwise would panic rank queries downstream.
-	r.Check(s.N <= 0 || count > 0, "summary: %d elements but no entries", s.N)
+	if s.N > 0 && count == 0 {
+		r.Check(false, "summary: %d elements but no entries", s.N)
+	}
 	if count > 0 {
 		s.Entries = make([]Entry[T], count)
 	}
+	// Version 1 wrote both rank bounds as they are; version 2 writes RMin's
+	// difference from the previous entry's and RMax's from its own RMin.
+	v1 := r.Version() == 1
+	var vd wire.ValueDeltas[T]
+	var rmin int64
 	for i := range s.Entries {
-		s.Entries[i] = Entry[T]{V: wire.ReadValue[T](r), RMin: r.I64(), RMax: r.I64()}
+		e := &s.Entries[i]
+		e.V = vd.Read(r)
+		lo, hi := r.Int(), r.Int()
+		if v1 {
+			e.RMin, e.RMax = lo, hi
+			continue
+		}
+		rmin += lo
+		e.RMin, e.RMax = rmin, rmin+hi
 	}
-	err := s.Validate()
-	r.Check(err == nil, "summary: %v", err)
+	if err := s.Validate(); err != nil {
+		r.Check(false, "summary: %v", err)
+	}
 	s.ranked = ranksOrdered(s.Entries)
 	return s
 }

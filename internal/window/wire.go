@@ -19,8 +19,15 @@ import (
 //	w            int64
 //	count        int64
 //	partialCount int64
-//	partialBins  uint32 + count × (value[4|8] + count int64)
-//	panes        uint32 + count × (total int64, uint32 + bins)
+//	partialBins  bins
+//	panes        uint32 + count × (total int64, bins)
+//	bins         uint32 + count × (value delta uvarint + count varint)
+//
+// A bin's value is its key minus the previous bin's key in the same list
+// (wire.ValueDeltas); its count is written as it is. Version 1 wrote each
+// bin as fixed-width fields:
+//
+//	bins         uint32 + count × (value[4|8] + count int64)      (version 1)
 //
 // QuantileSnapshot (family tag wire.FamilyWindowQuantile):
 //
@@ -35,23 +42,36 @@ import (
 // pairs.
 func appendBins[T sorter.Value](b []byte, bins []histogram.Bin[T]) []byte {
 	b = wire.AppendU32(b, uint32(len(bins)))
+	var vd wire.ValueDeltas[T]
 	for _, bin := range bins {
-		b = wire.AppendValue(b, bin.Value)
-		b = wire.AppendI64(b, bin.Count)
+		b = vd.Append(b, bin.Value)
+		b = wire.AppendVarint(b, bin.Count)
 	}
 	return b
 }
 
-// decodeBins reads a histogram bin list, enforcing strict value order so
-// decoded panes uphold the same invariants as live ones.
+// decodeBins reads a histogram bin list, enforcing strict value order and
+// non-negative counts so decoded panes uphold the same invariants as live
+// ones.
 func decodeBins[T sorter.Value](r *wire.Reader) []histogram.Bin[T] {
 	var bins []histogram.Bin[T]
-	if count := r.Count(sorter.Width[T]() + 8); count > 0 {
+	if count := r.Count(wire.MinRecord[T](r, 1)); count > 0 {
 		bins = make([]histogram.Bin[T], count)
 	}
+	var vd wire.ValueDeltas[T]
 	for i := range bins {
-		bins[i] = histogram.Bin[T]{Value: wire.ReadValue[T](r), Count: r.I64()}
-		r.Check(i == 0 || bins[i-1].Value < bins[i].Value, "window: histogram bins not strictly value-ascending at %d", i)
+		if r.Failed() {
+			break
+		}
+		bin := &bins[i]
+		*bin = histogram.Bin[T]{Value: vd.Read(r), Count: r.Int()}
+		// Checked first, formatted only on failure (wire.Reader.Check).
+		if i > 0 && !(bins[i-1].Value < bin.Value) {
+			r.Check(false, "window: histogram bins not strictly value-ascending at %d", i)
+		}
+		if bin.Count < 0 {
+			r.Check(false, "window: histogram bin %d has negative count %d", i, bin.Count)
+		}
 	}
 	return bins
 }
@@ -89,7 +109,9 @@ func UnmarshalFrequencySnapshot[T sorter.Value](data []byte) (*FrequencySnapshot
 	}
 	for i := range s.panes {
 		s.panes[i].total = r.I64()
-		r.Check(s.panes[i].total >= 0, "window: pane %d has negative total %d", i, s.panes[i].total)
+		if s.panes[i].total < 0 {
+			r.Check(false, "window: pane %d has negative total %d", i, s.panes[i].total)
+		}
 		s.panes[i].bins = decodeBins[T](r)
 	}
 	if err := r.Finish(); err != nil {

@@ -1,14 +1,17 @@
 // Package wire defines the versioned binary snapshot format shared by every
 // estimator family: a fixed 8-byte header (magic, format version, value-type
-// tag, family tag) followed by a family-specific body of little-endian
-// fixed-width fields. The format is the cross-process contract of the
+// tag, family tag) followed by a family-specific body: little-endian
+// fixed-width header and count fields, and (since version 2) each repeated
+// summary, frequency or bin record as zigzag varints of its difference from
+// a fixed predictor. The format is the cross-process contract of the
 // aggregation tree — a snapshot marshaled by one process is unmarshaled and
 // merged by another — so it is endian-stable by construction (explicit
 // little-endian encoding, never host order) and decoding is hardened against
 // hostile input: every length field is validated against the remaining
-// buffer before any allocation, and every failure is a wrapped sentinel
-// error, never a panic. DESIGN.md section 12 specifies the layout and the
-// versioning policy.
+// buffer before any allocation (so a hostile count makes a decoder allocate
+// at most ~8 bytes per input byte before it fails: MinRecord), varints must
+// be minimal, and every failure is a wrapped sentinel error, never a panic.
+// DESIGN.md section 12 specifies the layout and the versioning policy.
 package wire
 
 import (
@@ -24,10 +27,16 @@ import (
 // magic identifies a gpustream snapshot blob.
 var magic = [4]byte{'G', 'S', 'N', 'P'}
 
-// Version is the current format version. Decoders reject any other value:
-// the format only changes by bumping it, and old readers must fail cleanly
-// on new blobs rather than misparse them.
-const Version = 1
+// Version is the format version this build writes. Decoders read every
+// version from MinVersion to Version and reject any other: the format only
+// changes by bumping it, and old readers must fail cleanly on new blobs
+// rather than misparse them. Version 1 wrote every record as fixed-width
+// fields; version 2 writes summary, frequency and bin records as varint
+// deltas.
+const Version = 2
+
+// MinVersion is the oldest format version this build still reads.
+const MinVersion = 1
 
 // HeaderSize is the fixed header length: magic (4) + version (2) +
 // value-type tag (1) + family tag (1).
@@ -136,7 +145,7 @@ var (
 func TagOf[T sorter.Value]() Tag { return Tag(sorter.WireTag[T]()) }
 
 // AppendHeader appends the fixed snapshot header for the given family and
-// value type.
+// value type, at format Version.
 func AppendHeader(b []byte, fam Family, tag Tag) []byte {
 	b = append(b, magic[:]...)
 	b = binary.LittleEndian.AppendUint16(b, Version)
@@ -170,20 +179,74 @@ func AppendValue[T sorter.Value](b []byte, v T) []byte {
 	return binary.LittleEndian.AppendUint64(b, k)
 }
 
-// ReadHeader validates the magic and version of data and returns its family
-// and value-type tags, so a dispatcher can route the buffer to the right
-// family decoder before committing to a full parse.
-func ReadHeader(data []byte) (Family, Tag, error) {
+// AppendVarint appends v zigzag-mapped (0, -1, 1, -2, … → 0, 1, 2, 3, …)
+// as a minimal unsigned LEB128 varint (seven bits a byte, low bits first,
+// the high bit set on every byte but the last), so a small difference of
+// either sign takes one byte.
+func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
+
+// ValueDeltas is the value predictor of a version-2 record list: each value
+// is written as the zigzag uvarint of its order-preserving key minus the
+// previous record's key (0 before the first), wrapping at T's key width. The
+// wrap makes the code a bijection on T's key space, so any list — sorted or
+// not — round-trips, and a decoder checks the order it needs afterwards.
+// One ValueDeltas walks one list; its zero value starts the list.
+type ValueDeltas[T sorter.Value] struct{ prev uint64 }
+
+// keyShift is 64 minus T's key width in bits: shifted left by it, key
+// arithmetic wraps at the key width, and shifted back right it is
+// sign-extended (arithmetic) or truncated (logical) to that width.
+func keyShift[T sorter.Value]() uint { return uint(64 - sorter.KeyBits[T]()) }
+
+// Append appends v's delta code to b and advances the predictor to v.
+func (d *ValueDeltas[T]) Append(b []byte, v T) []byte {
+	k, s := sorter.OrderedKey(v), keyShift[T]()
+	x := int64((k-d.prev)<<s) >> s // the difference, wrapped at the key width
+	d.prev = k
+	return AppendVarint(b, x)
+}
+
+// Read reads one value Append wrote, or in a version-1 blob the fixed-width
+// key AppendValue wrote. A code wider than T's key (possible
+// only for a 4-byte type) is corrupt: it has no value to decode to, and
+// accepting it would give one value two encodings.
+func (d *ValueDeltas[T]) Read(r *Reader) (v T) {
+	if r.version == 1 {
+		return ReadValue[T](r) // version 1 had no predictor
+	}
+	u, s := r.uvarint(), keyShift[T]()
+	if u>>(64-s) != 0 {
+		r.Check(false, "wire: value delta code %#x wider than 32-bit keys", u)
+	}
+	if r.err != nil {
+		return v // the zero T, as every read after a failure
+	}
+	d.prev = (d.prev + uint64(int64(u>>1)^-int64(u&1))) << s >> s
+	return sorter.FromOrderedKey[T](d.prev)
+}
+
+// Header is a snapshot blob's fixed header.
+type Header struct {
+	Version uint16
+	Family  Family
+	Tag     Tag
+}
+
+// ReadHeader validates the magic and version of data and returns its
+// header, so a dispatcher can route the buffer to the right family decoder
+// before committing to a full parse.
+func ReadHeader(data []byte) (Header, error) {
 	if len(data) < HeaderSize {
-		return 0, 0, fmt.Errorf("wire: %d-byte buffer shorter than %d-byte header: %w", len(data), HeaderSize, ErrTruncated)
+		return Header{}, fmt.Errorf("wire: %d-byte buffer shorter than %d-byte header: %w", len(data), HeaderSize, ErrTruncated)
 	}
 	if !bytes.Equal(data[:4], magic[:]) {
-		return 0, 0, fmt.Errorf("wire: magic %q: %w", data[:4], ErrBadMagic)
+		return Header{}, fmt.Errorf("wire: magic %q: %w", data[:4], ErrBadMagic)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return 0, 0, fmt.Errorf("wire: format version %d, this build speaks %d: %w", v, Version, ErrVersion)
+	v := binary.LittleEndian.Uint16(data[4:6])
+	if v < MinVersion || v > Version {
+		return Header{}, fmt.Errorf("wire: format version %d, this build reads %d to %d: %w", v, MinVersion, Version, ErrVersion)
 	}
-	return Family(data[7]), Tag(data[6]), nil
+	return Header{Version: v, Family: Family(data[7]), Tag: Tag(data[6])}, nil
 }
 
 // Reader decodes a snapshot buffer with bounds checking on every read. It is
@@ -194,16 +257,28 @@ func ReadHeader(data []byte) (Family, Tag, error) {
 // 0 once anything failed and was otherwise validated against the bytes left.
 // A Reader never panics and never allocates based on an unvalidated length.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf     []byte
+	off     int
+	err     error
+	version uint16
 }
 
-// NewReader returns a Reader over data.
-func NewReader(data []byte) *Reader { return &Reader{buf: data} }
+// NewReader returns a Reader over data. Until Header reads a blob's own
+// version, the Reader decodes the layout of the current Version.
+func NewReader(data []byte) *Reader { return &Reader{buf: data, version: Version} }
+
+// Version reports the format version of the blob being decoded: the one
+// Header read, or Version before that. ValueDeltas.Read, Int and MinRecord
+// follow it, so a record loop reads either version without branching.
+func (r *Reader) Version() uint16 { return r.version }
 
 // Remaining reports the undecoded bytes left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Failed reports whether a read or check has failed. A record loop stops
+// there: every read after it is zero, so each record left would fail its
+// checks again and format a message Check then discards.
+func (r *Reader) Failed() bool { return r.err != nil }
 
 // Fail records err as the decode's failure unless an earlier one stands; a
 // nil err is ignored. Family decoders report foreign errors (a nested
@@ -217,7 +292,9 @@ func (r *Reader) Fail(err error) {
 // Check records a wrapped ErrCorrupt when a structural invariant (sorted
 // entries, possible ranks) does not hold — unless an earlier failure stands:
 // a field zeroed by truncation fails its invariant too, and must report the
-// truncation.
+// truncation. The args are boxed at the call, whether or not the check
+// fails, so a per-entry loop tests its condition first and calls
+// Check(false, …) only on failure: decode then allocates nothing per entry.
 func (r *Reader) Check(ok bool, format string, args ...any) {
 	if !ok && r.err == nil {
 		r.err = fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
@@ -240,17 +317,20 @@ func (r *Reader) take(n int) []byte {
 // Header consumes and validates the fixed header, requiring the given
 // family and value type.
 func (r *Reader) Header(fam Family, tag Tag) {
-	f, tg, err := ReadHeader(r.buf[r.off:])
+	h, err := ReadHeader(r.buf[r.off:])
 	r.Fail(err)
 	r.take(HeaderSize)
+	if err == nil {
+		r.version = h.Version
+	}
 	// Both mismatch errors spell out the raw tag byte: when debugging a
 	// corrupt (or future-version) snapshot, "tag byte 0x07" distinguishes a
 	// flipped bit from a family this build simply does not know yet.
-	if tg != tag {
-		r.Fail(fmt.Errorf("wire: snapshot carries %v values (tag byte 0x%02X), want %v: %w", tg, uint8(tg), tag, ErrValueType))
+	if h.Tag != tag {
+		r.Fail(fmt.Errorf("wire: snapshot carries %v values (tag byte 0x%02X), want %v: %w", h.Tag, uint8(h.Tag), tag, ErrValueType))
 	}
-	if f != fam {
-		r.Fail(fmt.Errorf("wire: snapshot family %v (tag byte 0x%02X), want %v: %w", f, uint8(f), fam, ErrFamily))
+	if h.Family != fam {
+		r.Fail(fmt.Errorf("wire: snapshot family %v (tag byte 0x%02X), want %v: %w", h.Family, uint8(h.Family), fam, ErrFamily))
 	}
 }
 
@@ -276,6 +356,61 @@ func (r *Reader) u64() uint64 {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
+}
+
+// uvarint reads an unsigned LEB128 varint. Only the minimal encoding is
+// accepted, so each value has one encoding and re-encoding a decoded blob
+// reproduces it: a final byte of 0 after others (an overlong encoding) or a
+// varint past 64 bits is ErrCorrupt, and a buffer that ends inside a
+// varint is ErrTruncated.
+func (r *Reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	// binary.Uvarint rejects a varint past 64 bits (n < 0) and one the
+	// buffer cuts short (n == 0), but not an overlong one.
+	switch u, n := binary.Uvarint(r.buf[r.off:]); {
+	case n == 1 || n > 1 && r.buf[r.off+n-1] != 0:
+		r.off += n
+		return u
+	case n > 0:
+		r.err = fmt.Errorf("wire: overlong varint at offset %d: %w", r.off, ErrCorrupt)
+	case n == 0 && r.Remaining() < binary.MaxVarintLen64:
+		r.err = fmt.Errorf("wire: varint at offset %d runs past the end of the buffer: %w", r.off, ErrTruncated)
+	default: // ten bytes that all continue, or a tenth byte past bit 64
+		r.err = fmt.Errorf("wire: varint at offset %d overflows 64 bits: %w", r.off, ErrCorrupt)
+	}
+	return 0
+}
+
+// Varint reads a varint AppendVarint wrote, accepting only its minimal
+// encoding (uvarint).
+func (r *Reader) Varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Int reads a record's integer field: the varint AppendVarint wrote, or in
+// a version-1 blob the fixed-width int64 AppendI64 wrote.
+func (r *Reader) Int() int64 {
+	if r.version == 1 {
+		return r.I64()
+	}
+	return r.Varint()
+}
+
+// MinRecord reports the fewest bytes a record of one value
+// (ValueDeltas.Read) and ints integer fields (Int) takes in the blob being
+// decoded: the element size a record list's Count validates against. From
+// version 2 on that is one byte a field, so a record decoding to 16 or 24
+// bytes in memory may take 2 or 3 on the wire, and a hostile count can make
+// a decoder allocate up to 8 bytes per input byte before it fails (version
+// 1's fixed widths bounded it near 1.2).
+func MinRecord[T sorter.Value](r *Reader, ints int) int {
+	if r.version == 1 {
+		return sorter.Width[T]() + 8*ints
+	}
+	return 1 + ints
 }
 
 // I64 reads a little-endian int64.

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -11,36 +13,52 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if len(b) != HeaderSize {
 		t.Fatalf("header is %d bytes, want %d", len(b), HeaderSize)
 	}
-	fam, tag, err := ReadHeader(b)
+	h, err := ReadHeader(b)
 	if err != nil {
 		t.Fatalf("ReadHeader: %v", err)
 	}
-	if fam != FamilyQuantile || tag != TagUint64 {
-		t.Fatalf("got (%v, %v)", fam, tag)
+	if h != (Header{Version: Version, Family: FamilyQuantile, Tag: TagUint64}) {
+		t.Fatalf("got %+v", h)
 	}
 
 	r := NewReader(b)
 	r.Header(FamilyQuantile, TagUint64)
-	if err := r.Finish(); err != nil {
-		t.Fatalf("Reader.Header: %v", err)
+	if err := r.Finish(); err != nil || r.Version() != Version {
+		t.Fatalf("Reader.Header: version %d, %v", r.Version(), err)
+	}
+
+	// Every version from MinVersion up still reads, and says which it is.
+	for v := uint16(MinVersion); v <= Version; v++ {
+		old := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint16(old[4:], v)
+		if h, err := ReadHeader(old); err != nil || h.Version != v {
+			t.Fatalf("version %d: %+v, %v", v, h, err)
+		}
+		r := NewReader(old)
+		r.Header(FamilyQuantile, TagUint64)
+		if err := r.Finish(); err != nil || r.Version() != v {
+			t.Fatalf("Reader at version %d: read %d, %v", v, r.Version(), err)
+		}
 	}
 }
 
 func TestHeaderErrors(t *testing.T) {
 	good := AppendHeader(nil, FamilyFrequency, TagFloat32)
 
-	if _, _, err := ReadHeader(good[:HeaderSize-1]); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadHeader(good[:HeaderSize-1]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short header: %v", err)
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 'X'
-	if _, _, err := ReadHeader(bad); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadHeader(bad); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	future := append([]byte(nil), good...)
-	future[4] = 99
-	if _, _, err := ReadHeader(future); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: %v", err)
+	for _, v := range []uint16{0, Version + 1, 99} {
+		other := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint16(other[4:], v)
+		if _, err := ReadHeader(other); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: %v", v, err)
+		}
 	}
 	r := NewReader(good)
 	r.Header(FamilyFrequency, TagUint64)
@@ -197,8 +215,10 @@ func TestReaderReadsZeroAfterFailure(t *testing.T) {
 			t.Fatalf("%s: Count = %d after the failure", name, c)
 		}
 		r.Header(FamilyQuantile, TagUint64)
+		var vd ValueDeltas[uint32]
 		if r.U8() != 0 || r.U32() != 0 || r.I64() != 0 || r.F64() != 0 || r.Bytes(4) != nil ||
-			ReadValue[float32](r) != 0 || ReadValue[uint64](r) != 0 || ReadValue[int64](r) != 0 {
+			ReadValue[float32](r) != 0 || ReadValue[uint64](r) != 0 || ReadValue[int64](r) != 0 ||
+			r.uvarint() != 0 || r.Varint() != 0 || vd.Read(r) != 0 {
 			t.Fatalf("%s: a read after the failure returned non-zero", name)
 		}
 		if r.Remaining() != left {
@@ -236,4 +256,155 @@ func TestTagOf(t *testing.T) {
 	if got := TagOf[int64](); got != TagInt64 {
 		t.Fatalf("int64 tag %v", got)
 	}
+}
+
+// TestUvarintStrict pins the varint reader: every minimal encoding (the one
+// binary.AppendUvarint writes) reads back; an overlong encoding, a varint
+// past 64 bits and an 11-byte varint are corrupt; a buffer that ends inside
+// a varint is truncated.
+func TestUvarintStrict(t *testing.T) {
+	for _, u := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, u)
+		r := NewReader(enc)
+		if got, err := r.uvarint(), r.Finish(); got != u || err != nil {
+			t.Fatalf("%d: read %d, %v", u, got, err)
+		}
+	}
+	for _, v := range []int64{0, -1, 1, -64, 63, -65, 64, math.MinInt64, math.MaxInt64} {
+		enc := AppendVarint(nil, v)
+		r := NewReader(enc)
+		if got, err := r.Varint(), r.Finish(); got != v || err != nil {
+			t.Fatalf("%d: read %d, %v", v, got, err)
+		}
+	}
+	if len(AppendVarint(nil, -64)) != 1 || len(AppendVarint(nil, 64)) != 2 {
+		t.Fatal("zigzag must keep small differences of either sign in one byte")
+	}
+
+	ten := bytes.Repeat([]byte{0xFF}, 9)
+	for name, tc := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"empty":                   {nil, ErrTruncated},
+		"ends after a 0x80":       {[]byte{0x80}, ErrTruncated},
+		"ends inside nine bytes":  {ten, ErrTruncated},
+		"overlong zero":           {[]byte{0x80, 0x00}, ErrCorrupt},
+		"overlong 127":            {[]byte{0xFF, 0x80, 0x00}, ErrCorrupt},
+		"tenth byte past 64 bits": {append(append([]byte(nil), ten...), 0x02), ErrCorrupt},
+		"11-byte varint":          {append(append([]byte(nil), ten...), 0x80, 0x01), ErrCorrupt},
+	} {
+		r := NewReader(tc.data)
+		if got, err := r.uvarint(), r.Finish(); got != 0 || !errors.Is(err, tc.want) || r.Remaining() != len(tc.data) {
+			t.Fatalf("%s: read %d with %d bytes left, %v; want 0, nothing consumed and %v", name, got, r.Remaining(), err, tc.want)
+		}
+	}
+	// The largest ten-byte varint is legal.
+	r := NewReader(append(append([]byte(nil), ten...), 0x01))
+	if got, err := r.uvarint(), r.Finish(); got != math.MaxUint64 || err != nil {
+		t.Fatalf("MaxUint64: %d, %v", got, err)
+	}
+}
+
+// TestValueDeltas: a list of values, sorted or not, extremes included,
+// round-trips bit for bit through the key-delta code at both key widths; an
+// ascending list of near neighbours costs a byte a value; and a code wider
+// than a 32-bit key is corrupt, not wrapped.
+func TestValueDeltas(t *testing.T) {
+	roundTrip := func(t *testing.T, n int, enc []byte, read func(r *Reader, i int)) {
+		t.Helper()
+		r := NewReader(enc)
+		for i := 0; i < n; i++ {
+			read(r, i)
+		}
+		if err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f32 := []float32{float32(math.Inf(-1)), -3.4e38, -1, float32(math.Copysign(0, -1)), 0, 1, 3.4e38, float32(math.Inf(1)), -1, 0, float32(math.NaN())}
+	var ef ValueDeltas[float32]
+	var enc []byte
+	for _, v := range f32 {
+		enc = ef.Append(enc, v)
+	}
+	var df ValueDeltas[float32]
+	roundTrip(t, len(f32), enc, func(r *Reader, i int) {
+		if got := df.Read(r); math.Float32bits(got) != math.Float32bits(f32[i]) {
+			t.Fatalf("float32 %d: %v, want %v", i, got, f32[i])
+		}
+	})
+
+	u64 := []uint64{0, math.MaxUint64, 1, 1 << 63, 1<<63 - 1, 5, 4}
+	var eu, du ValueDeltas[uint64]
+	enc = nil
+	for _, v := range u64 {
+		enc = eu.Append(enc, v)
+	}
+	roundTrip(t, len(u64), enc, func(r *Reader, i int) {
+		if got := du.Read(r); got != u64[i] {
+			t.Fatalf("uint64 %d: %d, want %d", i, got, u64[i])
+		}
+	})
+
+	var ei ValueDeltas[int32]
+	enc = nil
+	for v := int32(-100); v < 100; v++ {
+		enc = ei.Append(enc, v)
+	}
+	// The first delta is from key 0, which int32 -100 is ~2^31 above.
+	if len(enc) != 5+199 {
+		t.Fatalf("200 ascending neighbours took %d bytes, want %d", len(enc), 5+199)
+	}
+
+	var d32 ValueDeltas[uint32]
+	r := NewReader(binary.AppendUvarint(nil, 1<<32))
+	if got, err := d32.Read(r), r.Finish(); got != 0 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("code 2^32 at a 32-bit key: %d, %v", got, err)
+	}
+	var d64 ValueDeltas[uint64]
+	r = NewReader(binary.AppendUvarint(nil, 1<<32))
+	if got, err := d64.Read(r), r.Finish(); got != 1<<31 || err != nil {
+		t.Fatalf("code 2^32 at a 64-bit key: %d, %v", got, err)
+	}
+}
+
+// FuzzUvarint holds the strict varint reader to encoding/binary on arbitrary
+// bytes: a varint it accepts is the one binary.Uvarint reads and is the
+// minimal encoding of its value (re-encoding gives back the bytes read); a
+// failure wraps ErrTruncated exactly when the buffer ended inside what could
+// still be a varint and ErrCorrupt otherwise, and consumes nothing.
+func FuzzUvarint(f *testing.F) {
+	for _, seed := range [][]byte{
+		nil, {0}, {0x7F}, {0x80, 0x01}, {0x80, 0x00}, {0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		{0xFF, 0xFF, 0xFF, 0xFF, 0x10}, append(bytes.Repeat([]byte{0xFF}, 9), 0x01),
+		append(bytes.Repeat([]byte{0xFF}, 9), 0x02), bytes.Repeat([]byte{0x80}, 11),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReader(data)
+		for r.Remaining() > 0 {
+			off := len(data) - r.Remaining()
+			got := r.uvarint()
+			want, n := binary.Uvarint(data[off:])
+			if r.err != nil {
+				if got != 0 || r.Remaining() != len(data)-off {
+					t.Fatalf("failed read at %d returned %d and consumed %d bytes", off, got, len(data)-off-r.Remaining())
+				}
+				// binary.Uvarint also reports ten continuation bytes as too
+				// short; no varint can have them, so they are corrupt here.
+				short := n == 0 && len(data)-off < binary.MaxVarintLen64
+				if truncated := errors.Is(r.err, ErrTruncated); truncated != short || !truncated && !errors.Is(r.err, ErrCorrupt) {
+					t.Fatalf("at %d: %v, binary.Uvarint read %d bytes", off, r.err, n)
+				}
+				return
+			}
+			if n <= 0 || got != want {
+				t.Fatalf("at %d: accepted %d, binary.Uvarint says (%d, %d)", off, got, want, n)
+			}
+			if enc := binary.AppendUvarint(nil, got); !bytes.Equal(enc, data[off:off+n]) {
+				t.Fatalf("at %d: accepted % x, the minimal encoding of %d is % x", off, data[off:off+n], got, enc)
+			}
+		}
+	})
 }

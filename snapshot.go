@@ -12,8 +12,11 @@ import (
 )
 
 // Snapshot wire format: every concrete snapshot type marshals to a compact,
-// versioned, endian-stable binary blob (wire.Version, little-endian
-// fixed-width fields) that any process can unmarshal and merge. Together
+// versioned, endian-stable binary blob (wire.Version: little-endian
+// fixed-width header and count fields, each summary, frequency and bin
+// record as zigzag varints of its difference from its neighbour) that any
+// process can unmarshal and merge. Blobs of the older fixed-width version 1
+// still decode; only the current version is written. Together
 // with Merge and TreeEps this is the cross-process contract of a
 // distributed aggregation tree: ingest workers run at TreeEps(eps, h),
 // marshal their snapshots, and each aggregation level unmarshals and merges
@@ -43,17 +46,17 @@ func MarshalSnapshot[T Value](s Snapshot[T]) ([]byte, error) {
 // sentinel errors (wire.ErrBadMagic, wire.ErrVersion, wire.ErrValueType,
 // wire.ErrFamily, wire.ErrTruncated, wire.ErrCorrupt) — never a panic.
 func UnmarshalSnapshot[T Value](data []byte) (Snapshot[T], error) {
-	fam, tag, err := wire.ReadHeader(data)
+	h, err := wire.ReadHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if want := wire.TagOf[T](); tag != want {
-		return nil, fmt.Errorf("gpustream: snapshot carries %v values, want %v: %w", tag, want, wire.ErrValueType)
+	if want := wire.TagOf[T](); h.Tag != want {
+		return nil, fmt.Errorf("gpustream: snapshot carries %v values, want %v: %w", h.Tag, want, wire.ErrValueType)
 	}
 	// Each arm converts the concrete pointer to the Snapshot interface only
 	// on success, so a failed decode returns a true nil interface — not a
 	// typed-nil pointer that compares non-nil.
-	switch fam {
+	switch h.Family {
 	case wire.FamilyFrequency:
 		return wrapNonNil(frequency.UnmarshalSnapshot[T](data))
 	case wire.FamilyQuantile:
@@ -70,7 +73,7 @@ func UnmarshalSnapshot[T Value](data []byte) (Snapshot[T], error) {
 		// infer — they decode through UnmarshalKeyedSnapshot[K, T].
 		return nil, fmt.Errorf("gpustream: keyed snapshots decode via UnmarshalKeyedSnapshot, not UnmarshalSnapshot: %w", wire.ErrFamily)
 	}
-	return nil, fmt.Errorf("gpustream: unknown snapshot family %d: %w", uint8(fam), wire.ErrFamily)
+	return nil, fmt.Errorf("gpustream: unknown snapshot family %d: %w", uint8(h.Family), wire.ErrFamily)
 }
 
 // wrapNonNil lifts a concrete (snapshot, error) pair into the Snapshot

@@ -14,12 +14,16 @@ import (
 // contract under fuzz:
 //
 //   - rejected input fails with a wrapped wire sentinel, never a panic;
-//   - accepted input is canonical: Marshal(Unmarshal(data)) is bit-identical
-//     to data, at every fixed point;
+//   - accepted input at the current format version is canonical:
+//     Marshal(Unmarshal(data)) is bit-identical to data, at every fixed
+//     point; accepted version-1 input re-marshals to a current-version blob
+//     that decodes to the same snapshot (marshal encodes every field, so
+//     equal bytes on the next cycle mean equal snapshots);
 //   - a decode → encode → decode cycle preserves every query answer.
 //
 // Seeded with the committed goldens, boundary-value snapshots (zero,
-// MaxUint64, negative and signed-zero floats), and corrupt variants.
+// MaxUint64, negative and signed-zero floats), corrupt variants, and last
+// the version-1 blobs kept under testdata/compat.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	if entries, err := os.ReadDir(filepath.Join("testdata", "snapshots")); err == nil {
 		for _, e := range entries {
@@ -68,6 +72,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	// A keyed blob: the unkeyed decoder must classify it as a foreign
 	// family (wire.ErrFamily), and mutants of it probe that dispatch arm.
 	f.Add(mustMarshalKeyed(f, goldenKeyedSnapshot[uint64, float32](f)))
+	addCompatSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip[float32](t, data)
@@ -75,12 +80,36 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
+// addCompatSeeds adds every blob under testdata/compat: goldens of older
+// format versions and of older estimators.
+func addCompatSeeds(f *testing.F) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "compat"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata", "compat", e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+}
+
+// isCurrentVersion reports whether data's header is at the format version
+// this build writes; only such input must re-marshal to itself.
+func isCurrentVersion(data []byte) bool {
+	h, err := wire.ReadHeader(data)
+	return err == nil && h.Version == wire.Version
+}
+
 // FuzzKeyedSnapshotRoundTrip is the keyed decoder's fuzz contract, parallel
 // to FuzzSnapshotRoundTrip but through UnmarshalKeyedSnapshot — the keyed
 // family carries two type tags, two key tiers with cross-tier invariants,
 // and a nested oracle blob, so it has its own accept/reject surface.
 // Unkeyed goldens ride along as seeds: they must be rejected as a foreign
-// family, never decoded.
+// family, never decoded. The version-1 keyed goldens under testdata/compat
+// come last.
 func FuzzKeyedSnapshotRoundTrip(f *testing.F) {
 	if entries, err := os.ReadDir(filepath.Join("testdata", "snapshots")); err == nil {
 		for _, e := range entries {
@@ -97,6 +126,8 @@ func FuzzKeyedSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	}
+
+	addCompatSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzKeyedRoundTrip[uint64, float32](t, data)
@@ -119,8 +150,8 @@ func fuzzKeyedRoundTrip[K, T Value](t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("keyed: marshal of accepted input: %v", err)
 	}
-	if !bytes.Equal(blob, data) {
-		t.Fatalf("keyed: re-marshal of accepted input is not bit-identical (%d vs %d bytes)", len(blob), len(data))
+	if isCurrentVersion(data) != bytes.Equal(blob, data) || !isCurrentVersion(blob) {
+		t.Fatalf("keyed: re-marshal of accepted input is %d bytes from %d (bit-identical only at the current version)", len(blob), len(data))
 	}
 	s2, err := UnmarshalKeyedSnapshot[K, T](blob)
 	if err != nil {
@@ -147,8 +178,8 @@ func fuzzRoundTrip[T Value](t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("%s: marshal of accepted input: %v", typeName[T](), err)
 	}
-	if !bytes.Equal(blob, data) {
-		t.Fatalf("%s: re-marshal of accepted input is not bit-identical (%d vs %d bytes)", typeName[T](), len(blob), len(data))
+	if isCurrentVersion(data) != bytes.Equal(blob, data) || !isCurrentVersion(blob) {
+		t.Fatalf("%s: re-marshal of accepted input is %d bytes from %d (bit-identical only at the current version)", typeName[T](), len(blob), len(data))
 	}
 	s2, err := UnmarshalSnapshot[T](blob)
 	if err != nil {

@@ -6,16 +6,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gpustream/internal/oracle"
 	"gpustream/internal/sorter"
+	"gpustream/internal/wire"
 )
 
 // The goldens under testdata/snapshots pin the wire format at the byte
 // level: any encoding change — field order, widths, endianness — fails these
-// tests. An intentional format change must bump wire.Version and regenerate
-// with `go test -run TestGoldenSnapshots -update`.
+// tests. An intentional format change must bump wire.Version, copy the
+// goldens it replaces into testdata/compat (TestDecodesVersion1Goldens reads
+// the version-1 ones) and regenerate with
+// `go test -run 'TestGolden(Keyed)?Snapshots' -update`.
 var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot files under testdata/snapshots")
 
 const (
@@ -47,6 +51,9 @@ func goldenValues[T Value](n int) []T {
 	}
 	return vals
 }
+
+// goldenFamilies names the unkeyed goldens, one per body layout.
+var goldenFamilies = []string{"frequency", "quantile", "window-frequency", "window-quantile", "frugal"}
 
 // goldenSnapshots builds one snapshot per unkeyed wire family over the
 // golden stream. The parallel estimators marshal through the same two body
@@ -306,18 +313,18 @@ func testGoldenKeyedSnapshots[K, T Value](t *testing.T) {
 	}
 }
 
-// TestDecodesCapacityCascadeQuantileSnapshot keeps one quantile golden from
-// before the cascade budgeted by observed depth: the layout did not change
-// (wire.Version stayed 1), so a blob a peer or a spill directory still holds
-// — several times the entries of today's — must unmarshal, pass validation,
-// answer within its eps, and merge with a snapshot taken today.
+// TestDecodesCapacityCascadeQuantileSnapshot keeps one quantile golden
+// from before the cascade budgeted by observed depth, at format version 1:
+// a blob a peer or a spill directory still holds — several times the
+// entries of today's — must unmarshal, pass validation, answer within its
+// eps, and merge with a snapshot taken today.
 func TestDecodesCapacityCascadeQuantileSnapshot(t *testing.T) {
 	checkOlderQuantileSnapshot[float32](t, "quantile-capacity-cascade.float32.snap")
 }
 
 // TestDecodesOneWindowLevel0QuantileSnapshots does the same for the
 // quantile goldens from before level 0 spanned two sort windows, when it
-// sampled each window alone; the layout did not change then either.
+// sampled each window alone.
 func TestDecodesOneWindowLevel0QuantileSnapshots(t *testing.T) {
 	t.Run("float32", func(t *testing.T) {
 		checkOlderQuantileSnapshot[float32](t, "quantile-one-window-level0.float32.snap")
@@ -340,10 +347,121 @@ func TestDecodesAPrioriViewQuantileSnapshots(t *testing.T) {
 	})
 }
 
+// TestDecodesVersion1Goldens reads the goldens as format version 1 wrote
+// them (testdata/compat/v1-*.snap, copied before version 2 regenerated
+// testdata/snapshots): each must carry the same family and value type as its
+// version-2 successor, decode to the same snapshot — entries and answers —
+// and re-marshal to the successor's bytes exactly.
+func TestDecodesVersion1Goldens(t *testing.T) {
+	t.Run("float32", testDecodesVersion1Goldens[float32])
+	t.Run("uint64", testDecodesVersion1Goldens[uint64])
+	t.Run("keyed-uint64-float32", testDecodesVersion1KeyedGolden[uint64, float32])
+	t.Run("keyed-uint32-uint64", testDecodesVersion1KeyedGolden[uint32, uint64])
+}
+
+func testDecodesVersion1Goldens[T Value](t *testing.T) {
+	for _, family := range goldenFamilies {
+		t.Run(family, func(t *testing.T) {
+			name := family + "." + typeName[T]() + ".snap"
+			v1, v2 := readVersionPair(t, name)
+			old, err := UnmarshalSnapshot[T](v1)
+			if err != nil {
+				t.Fatalf("unmarshal version 1: %v", err)
+			}
+			cur, err := UnmarshalSnapshot[T](v2)
+			if err != nil {
+				t.Fatalf("unmarshal version 2: %v", err)
+			}
+			if !reflect.DeepEqual(old, cur) {
+				t.Fatal("version 1 and version 2 goldens decode to different snapshots")
+			}
+			if re := mustMarshal(t, old); !bytes.Equal(re, v2) {
+				t.Fatalf("version 1 golden re-marshals to %d bytes, not its %d-byte version 2 successor", len(re), len(v2))
+			}
+			assertSameAnswers(t, cur, old)
+		})
+	}
+}
+
+func testDecodesVersion1KeyedGolden[K, T Value](t *testing.T) {
+	v1, v2 := readVersionPair(t, "keyed."+typeName[K]()+"-"+typeName[T]()+".snap")
+	old, err := UnmarshalKeyedSnapshot[K, T](v1)
+	if err != nil {
+		t.Fatalf("unmarshal version 1: %v", err)
+	}
+	cur, err := UnmarshalKeyedSnapshot[K, T](v2)
+	if err != nil {
+		t.Fatalf("unmarshal version 2: %v", err)
+	}
+	if !reflect.DeepEqual(old, cur) {
+		t.Fatal("version 1 and version 2 goldens decode to different snapshots")
+	}
+	if re := mustMarshalKeyed(t, old); !bytes.Equal(re, v2) {
+		t.Fatalf("version 1 golden re-marshals to %d bytes, not its %d-byte version 2 successor", len(re), len(v2))
+	}
+	assertSameKeyedAnswers(t, cur, old)
+}
+
+// readVersionPair reads a golden at format version 1 (from testdata/compat)
+// and at the current version (from testdata/snapshots), and checks that
+// their headers differ in the version alone.
+func readVersionPair(t *testing.T, name string) (v1, cur []byte) {
+	t.Helper()
+	v1, err := os.ReadFile(filepath.Join("testdata", "compat", "v1-"+name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err = os.ReadFile(filepath.Join("testdata", "snapshots", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err1 := wire.ReadHeader(v1)
+	h2, err2 := wire.ReadHeader(cur)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("headers: %v, %v", err1, err2)
+	}
+	if h1.Version != 1 || h2.Version != wire.Version || h1.Family != h2.Family || h1.Tag != h2.Tag {
+		t.Fatalf("headers %+v and %+v: want versions 1 and %d of one family and value type", h1, h2, wire.Version)
+	}
+	return v1, cur
+}
+
+// checkRemarshal checks what re-marshaling a decoded blob must give: the
+// blob itself when it is at the current format version, and otherwise a
+// current-version blob that decodes to the same snapshot and re-marshals to
+// itself.
+func checkRemarshal[T Value](t *testing.T, blob []byte, s Snapshot[T]) {
+	t.Helper()
+	re := mustMarshal(t, s)
+	h, err := wire.ReadHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Version == wire.Version {
+		if !bytes.Equal(re, blob) {
+			t.Fatal("decode then re-marshal is not the identity")
+		}
+		return
+	}
+	if rh, err := wire.ReadHeader(re); err != nil || rh.Version != wire.Version {
+		t.Fatalf("a version %d blob re-marshaled to header %+v (%v), want version %d", h.Version, rh, err, wire.Version)
+	}
+	cur, err := UnmarshalSnapshot[T](re)
+	if err != nil {
+		t.Fatalf("unmarshal the re-marshaled blob: %v", err)
+	}
+	if !reflect.DeepEqual(cur, s) {
+		t.Fatal("the re-marshaled blob decodes to a different snapshot")
+	}
+	if again := mustMarshal(t, cur); !bytes.Equal(again, re) {
+		t.Fatal("the re-marshaled blob does not re-marshal to itself")
+	}
+}
+
 // checkOlderQuantileSnapshot decodes a quantile golden of the golden stream
-// kept under testdata/compat, re-marshals it to the same bytes, and checks
-// its answers, alone and merged with a snapshot taken today, against the
-// exact ranks.
+// kept under testdata/compat, checks its re-marshal (checkRemarshal), and
+// checks its answers, alone and merged with a snapshot taken today, against
+// the exact ranks.
 func checkOlderQuantileSnapshot[T Value](t *testing.T, file string) {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", "compat", file))
@@ -354,9 +472,7 @@ func checkOlderQuantileSnapshot[T Value](t *testing.T, file string) {
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if re := mustMarshal(t, old); !bytes.Equal(re, blob) {
-		t.Fatal("decode then re-marshal is not the identity")
-	}
+	checkRemarshal(t, blob, old)
 	data := goldenValues[T](goldenN)
 	phis := oracle.Phis(100)[1:100]
 	check := func(name string, s Snapshot[T], truth *oracle.Truth[T]) {
