@@ -118,7 +118,7 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 					pcfg.async = AsyncOn
 				}
 
-				qe := eng.NewQuantileEstimator(eps, n, eopts...)
+				qe := eng.NewQuantileEstimator(eps, eopts...)
 				_, qw0 := qe.Knobs()
 				qe.SetTuner(&schedTuner[float32]{sorters: sorterRing[float32](), windows: windowSchedules(qw0)[schedName], asyncs: asyncFlipRing()})
 				qe.ProcessSlice(data)
@@ -155,7 +155,7 @@ func TestMetamorphicDynamicWindows(t *testing.T) {
 					scripted.NewTuner = func() pipeline.Tuner[float32] {
 						return &schedTuner[float32]{sorters: sorterRing[float32](), windows: sched, asyncs: asyncFlipRing()}
 					}
-					pq := eng.newParallelQuantile(eps, n, k, scripted)
+					pq := eng.newParallelQuantile(eps, k, scripted)
 					pq.ProcessSlice(data)
 					pq.Close()
 					checkEps(t, "parallel-quantile", pq.Snapshot(), truth, eps)
@@ -242,7 +242,7 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 				}
 
 				qr := &scriptRescaler{steps: sc.steps, every: 2 * batch, next: 2 * batch}
-				pq := eng.newParallelQuantile(eps, n, sc.start, elastic(qr))
+				pq := eng.newParallelQuantile(eps, sc.start, elastic(qr))
 				pq.ProcessSlice(data)
 				pq.Close()
 				checkEps(t, "elastic-quantile", pq.Snapshot(), truth, eps)
@@ -311,8 +311,8 @@ func TestPinnedTunerBitIdentical(t *testing.T) {
 		run(static.NewFrequencyEstimator(eps)),
 		run(auto.NewFrequencyEstimator(eps, WithPinnedTuning())))
 	pin("quantile",
-		run(static.NewQuantileEstimator(eps, n)),
-		run(auto.NewQuantileEstimator(eps, n, WithPinnedTuning())))
+		run(static.NewQuantileEstimator(eps)),
+		run(auto.NewQuantileEstimator(eps, WithPinnedTuning())))
 	pin("sliding-frequency",
 		run(static.NewSlidingFrequency(eps, n/5)),
 		run(auto.NewSlidingFrequency(eps, n/5, WithPinnedTuning())))
@@ -321,10 +321,10 @@ func TestPinnedTunerBitIdentical(t *testing.T) {
 		run(auto.NewSlidingQuantile(eps, n/5, WithPinnedTuning())))
 	pin("parallel-frequency",
 		run(static.NewParallelFrequencyEstimator(eps, 2, WithBatchSize(2048))),
-		run(auto.NewParallelFrequencyEstimator(eps, 2, WithBatchSize(2048), WithPinnedShardTuning[float32]())))
+		run(auto.NewParallelFrequencyEstimator(eps, 2, WithBatchSize(2048), WithPinnedTuning())))
 	pin("parallel-quantile",
-		run(static.NewParallelQuantileEstimator(eps, n, 2, WithBatchSize(2048))),
-		run(auto.NewParallelQuantileEstimator(eps, n, 2, WithBatchSize(2048), WithPinnedShardTuning[float32]())))
+		run(static.NewParallelQuantileEstimator(eps, 2, WithBatchSize(2048))),
+		run(auto.NewParallelQuantileEstimator(eps, 2, WithBatchSize(2048), WithPinnedTuning())))
 	pin("frugal",
 		run(static.NewFrugalEstimator()),
 		run(auto.NewFrugalEstimator()))
@@ -340,8 +340,8 @@ func TestPinnedTunerBitIdentical(t *testing.T) {
 		run(static.NewFrequencyEstimator(eps)),
 		run(auto.newFrequency(eps, estimatorConfig{async: AsyncAuto, pinned: true})))
 	pin("quantile-pinned-async",
-		run(static.NewQuantileEstimator(eps, n)),
-		run(auto.newQuantile(eps, n, estimatorConfig{async: AsyncAuto, pinned: true})))
+		run(static.NewQuantileEstimator(eps)),
+		run(auto.newQuantile(eps, estimatorConfig{async: AsyncAuto, pinned: true})))
 	pin("sliding-quantile-pinned-async",
 		run(static.NewSlidingQuantile(eps, n/5)),
 		run(auto.newSlidingQuantile(eps, n/5, estimatorConfig{async: AsyncAuto, pinned: true})))
@@ -354,8 +354,8 @@ func TestPinnedTunerBitIdentical(t *testing.T) {
 		run(static.NewParallelFrequencyEstimator(eps, 4, WithBatchSize(2048))),
 		run(auto.newParallelFrequency(eps, 4, pinnedElastic())))
 	pin("parallel-quantile-pinned-elastic",
-		run(static.NewParallelQuantileEstimator(eps, n, 4, WithBatchSize(2048))),
-		run(auto.newParallelQuantile(eps, n, 4, pinnedElastic())))
+		run(static.NewParallelQuantileEstimator(eps, 4, WithBatchSize(2048))),
+		run(auto.newParallelQuantile(eps, 4, pinnedElastic())))
 }
 
 // keepRescaler is the pinned concurrency axis: an elastic estimator whose
@@ -372,7 +372,7 @@ func TestAutoKnobsReported(t *testing.T) {
 	data := stream.Zipf(60_000, 1.2, 500, 5)
 
 	static := New(BackendSampleSort)
-	se := static.NewQuantileEstimator(0.01, int64(len(data)))
+	se := static.NewQuantileEstimator(0.01)
 	se.ProcessSlice(data)
 	se.Close()
 	ss := static.Stats()
@@ -384,7 +384,7 @@ func TestAutoKnobsReported(t *testing.T) {
 	}
 
 	auto := New(BackendAuto)
-	ae := auto.NewQuantileEstimator(0.01, int64(len(data)))
+	ae := auto.NewQuantileEstimator(0.01)
 	ae.ProcessSlice(data)
 	ae.Close()
 	as := auto.Stats()
@@ -417,7 +417,7 @@ func TestAutoKnobsReported(t *testing.T) {
 // the controller's Decision/Retune interleaving. CI runs it under -race.
 func TestAdaptiveControllerRace(t *testing.T) {
 	eng := New(BackendAuto)
-	qe := eng.NewQuantileEstimator(0.01, 200_000)
+	qe := eng.NewQuantileEstimator(0.01)
 	data := stream.Zipf(200_000, 1.2, 2000, 13)
 
 	var wg sync.WaitGroup

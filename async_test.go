@@ -78,7 +78,7 @@ func TestAsyncBitIdenticalQuantile(t *testing.T) {
 	// executions are pinned.
 	for _, backend := range []gpustream.Backend{gpustream.BackendGPU, gpustream.BackendSampleSort} {
 		run := func(opts ...gpustream.EstimatorOption) any {
-			est := gpustream.New(backend).NewQuantileEstimator(0.005, n, opts...)
+			est := gpustream.New(backend).NewQuantileEstimator(0.005, opts...)
 			est.ProcessSlice(data)
 			ans := struct {
 				Qs       []float32
@@ -143,11 +143,11 @@ func TestAsyncBitIdenticalParallel(t *testing.T) {
 	const n = 60_000
 	data := asyncStream(n)
 	for _, k := range []int{1, 4} {
-		run := func(opts ...gpustream.ParallelOption) (any, any) {
+		run := func(opts ...gpustream.EstimatorOption) (any, any) {
 			opts = append(opts, gpustream.WithBatchSize(1024))
 			eng := gpustream.New(gpustream.BackendGPU)
 			fe := eng.NewParallelFrequencyEstimator(0.002, k, opts...)
-			qe := eng.NewParallelQuantileEstimator(0.005, n, k, opts...)
+			qe := eng.NewParallelQuantileEstimator(0.005, k, opts...)
 			fe.ProcessSlice(data)
 			qe.ProcessSlice(data)
 			fe.Close()
@@ -168,7 +168,7 @@ func TestAsyncBitIdenticalParallel(t *testing.T) {
 			return freq, quant
 		}
 		sf, sq := run()
-		af, aq := run(gpustream.WithAsyncShards())
+		af, aq := run(gpustream.WithAsyncIngestion())
 		pinIdentical(t, "parallel-frequency", sf, af)
 		pinIdentical(t, "parallel-quantile", sq, aq)
 	}

@@ -40,7 +40,7 @@ func BenchmarkSerialIngestAllocs(b *testing.B) {
 	})
 	b.Run("quantile", func(b *testing.B) {
 		eng := New(BackendCPU)
-		est := eng.NewQuantileEstimator(eps, int64(allocBenchN)*int64(b.N+2))
+		est := eng.NewQuantileEstimator(eps)
 		est.ProcessSlice(data)
 		b.ReportAllocs()
 		b.SetBytes(allocBenchN * 4)
@@ -97,7 +97,7 @@ func BenchmarkShardedIngestAllocs(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("quantile/k=%d", k), func(b *testing.B) {
 			eng := New(BackendCPU)
-			est := eng.NewParallelQuantileEstimator(eps, int64(allocBenchN)*int64(b.N+2), k)
+			est := eng.NewParallelQuantileEstimator(eps, k)
 			est.ProcessSlice(data)
 			est.Flush()
 			b.ReportAllocs()

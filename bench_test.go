@@ -167,7 +167,7 @@ func BenchmarkFig7Quantile(b *testing.B) {
 		for _, backend := range []Backend{BackendGPU, BackendCPU} {
 			b.Run(fmt.Sprintf("%v/eps=%g", backend, eps), func(b *testing.B) {
 				benchPipeline(b, backend, func(eng *Engine[float32], data []float32) float64 {
-					est := eng.NewQuantileEstimator(eps, int64(len(data)), WithSortWindow(int(1/eps)))
+					est := eng.NewQuantileEstimator(eps, WithSortWindow(int(1/eps)))
 					est.ProcessSlice(data)
 					_ = est.Query(0.5)
 					tm := est.Stats()
@@ -226,7 +226,7 @@ func BenchmarkParallelQuantileIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("serial/%v/n=%d", backend, n), func(b *testing.B) {
 			b.SetBytes(int64(n) * 4)
 			for i := 0; i < b.N; i++ {
-				est := eng.NewQuantileEstimator(eps, int64(n))
+				est := eng.NewQuantileEstimator(eps)
 				est.ProcessSlice(data)
 				_ = est.Query(0.5)
 			}
@@ -235,7 +235,7 @@ func BenchmarkParallelQuantileIngest(b *testing.B) {
 			b.Run(fmt.Sprintf("sharded/%v/n=%d/k=%d", backend, n, k), func(b *testing.B) {
 				b.SetBytes(int64(n) * 4)
 				for i := 0; i < b.N; i++ {
-					est := eng.NewParallelQuantileEstimator(eps, int64(n), k)
+					est := eng.NewParallelQuantileEstimator(eps, k)
 					est.ProcessSlice(data)
 					_ = est.Query(0.5)
 					est.Close()
@@ -331,7 +331,7 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	b.Run("window-based", func(b *testing.B) {
 		eng := New(BackendCPU)
 		for i := 0; i < b.N; i++ {
-			est := eng.NewQuantileEstimator(eps, int64(len(data)))
+			est := eng.NewQuantileEstimator(eps)
 			est.ProcessSlice(data)
 			_ = est.Query(0.5)
 		}
@@ -453,7 +453,7 @@ func benchPipelineType[T Value](b *testing.B, backend Backend, n int, elemSize i
 	b.SetBytes(int64(n) * elemSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est := NewOf[T](backend).NewQuantileEstimator(0.01, int64(n))
+		est := NewOf[T](backend).NewQuantileEstimator(0.01)
 		est.ProcessSlice(data)
 		_ = est.Query(0.5)
 		est.Close()
@@ -508,7 +508,7 @@ func BenchmarkPipelineSyncVsAsync(b *testing.B) {
 				b.ResetTimer()
 				var st Stats
 				for i := 0; i < b.N; i++ {
-					est := eng.NewQuantileEstimator(1e-3, n, mode.eopts...)
+					est := eng.NewQuantileEstimator(1e-3, mode.eopts...)
 					est.ProcessSlice(data)
 					_ = est.Query(0.5)
 					st = est.Stats()
@@ -540,15 +540,15 @@ func BenchmarkAsyncSmallCalls(b *testing.B) {
 			return est.ProcessSlice, func() { _ = est.Estimate(7) }, est.Close
 		}},
 		{"quantile", func() (func([]float32) error, func(), func() error) {
-			est := eng.NewQuantileEstimator(1e-3, 1<<20, WithAsyncIngestion())
+			est := eng.NewQuantileEstimator(1e-3, WithAsyncIngestion())
 			return est.ProcessSlice, func() { _ = est.Query(0.5) }, est.Close
 		}},
 		{"parallel-frequency", func() (func([]float32) error, func(), func() error) {
-			est := eng.NewParallelFrequencyEstimator(1e-4, 2, WithAsyncShards(), WithBatchSize(chunk))
+			est := eng.NewParallelFrequencyEstimator(1e-4, 2, WithAsyncIngestion(), WithBatchSize(chunk))
 			return est.ProcessSlice, func() { _ = est.Estimate(7) }, est.Close
 		}},
 		{"parallel-quantile", func() (func([]float32) error, func(), func() error) {
-			est := eng.NewParallelQuantileEstimator(1e-3, 1<<20, 2, WithAsyncShards(), WithBatchSize(chunk))
+			est := eng.NewParallelQuantileEstimator(1e-3, 2, WithAsyncIngestion(), WithBatchSize(chunk))
 			return est.ProcessSlice, func() { _ = est.Query(0.5) }, est.Close
 		}},
 	}

@@ -199,7 +199,7 @@ func measureCounts(eps float64, scale int, quantile, async bool) (gpustream.Stat
 		// The paper's window, 1/eps, not the estimator's default multiple
 		// of it: these counts feed the 2004 cost model of Figure 7.
 		eopts = append(eopts, gpustream.WithSortWindow(int(1/eps)))
-		est := eng.NewQuantileEstimator(eps, int64(n), eopts...)
+		est := eng.NewQuantileEstimator(eps, eopts...)
 		t0 := time.Now()
 		est.ProcessSlice(data)
 		_ = est.Query(0.5)

@@ -220,7 +220,7 @@ func (f *asyncFlag) IsBoolFlag() bool { return true }
 // specFor maps the flag surface onto the declarative estimator spec — the
 // same description a streamd tenant would PUT, so the CLI and the service
 // construct identical estimators.
-func specFor(query string, backend gpustream.Backend, eps float64, n, windowSize int, shards shardsFlag, async gpustream.AsyncMode) (gpustream.Spec, error) {
+func specFor(query string, backend gpustream.Backend, eps float64, windowSize int, shards shardsFlag, async gpustream.AsyncMode) (gpustream.Spec, error) {
 	spec := gpustream.Spec{Eps: eps, Backend: backend, Async: async}
 	switch query {
 	case "frequency":
@@ -236,12 +236,10 @@ func specFor(query string, backend gpustream.Backend, eps float64, n, windowSize
 		switch {
 		case shards.parallel():
 			spec.Family = gpustream.FamilyParallelQuantile
-			spec.Capacity = int64(n)
 		case windowSize > 0:
 			spec.Family = gpustream.FamilySlidingQuantile
 		default:
 			spec.Family = gpustream.FamilyQuantile
-			spec.Capacity = int64(n)
 		}
 	default:
 		return spec, fmt.Errorf("unknown query %q", query)
@@ -265,7 +263,7 @@ func specFor(query string, backend gpustream.Backend, eps float64, n, windowSize
 // snapshot view. Family-specific reporting (shard breakdowns, phase times)
 // is recovered by interface assertion rather than concrete types.
 func runSpec(eng *gpustream.Engine[float32], backend gpustream.Backend, data []float32, query string, eps, support float64, probes []float64, windowSize int, shards shardsFlag, async gpustream.AsyncMode, top int, snapPath string, start time.Time) {
-	spec, err := specFor(query, backend, eps, len(data), windowSize, shards, async)
+	spec, err := specFor(query, backend, eps, windowSize, shards, async)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -35,21 +35,20 @@ func hammerN() int {
 
 // families enumerates the six estimator families over a CPU-backed engine,
 // each twice: synchronous under its own name, and on the staged executor
-// (WithAsyncIngestion, WithAsyncShards) under name+"-async", where the
-// readers' barriers merge the window the writer left pending.
-func families(eng *gpustream.Engine[float32], capacity int64) map[string]func() gpustream.Estimator[float32] {
+// (WithAsyncIngestion, applied per shard on the parallel families) under
+// name+"-async", where the readers' barriers merge the window the writer
+// left pending.
+func families(eng *gpustream.Engine[float32]) map[string]func() gpustream.Estimator[float32] {
 	m := map[string]func() gpustream.Estimator[float32]{}
 	for _, async := range []bool{false, true} {
 		var eo []gpustream.EstimatorOption
-		var po []gpustream.ParallelOption
 		suffix := ""
 		if async {
 			eo = []gpustream.EstimatorOption{gpustream.WithAsyncIngestion()}
-			po = []gpustream.ParallelOption{gpustream.WithAsyncShards()}
 			suffix = "-async"
 		}
 		m["frequency"+suffix] = func() gpustream.Estimator[float32] { return eng.NewFrequencyEstimator(hammerEps, eo...) }
-		m["quantile"+suffix] = func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, capacity, eo...) }
+		m["quantile"+suffix] = func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, eo...) }
 		m["sliding-frequency"+suffix] = func() gpustream.Estimator[float32] {
 			return eng.NewSlidingFrequency(hammerEps, hammerWindow, eo...)
 		}
@@ -57,10 +56,10 @@ func families(eng *gpustream.Engine[float32], capacity int64) map[string]func() 
 			return eng.NewSlidingQuantile(hammerEps, hammerWindow, eo...)
 		}
 		m["parallel-frequency"+suffix] = func() gpustream.Estimator[float32] {
-			return eng.NewParallelFrequencyEstimator(hammerEps, 2, append([]gpustream.ParallelOption{gpustream.WithBatchSize(1 << 14)}, po...)...)
+			return eng.NewParallelFrequencyEstimator(hammerEps, 2, append([]gpustream.EstimatorOption{gpustream.WithBatchSize(1 << 14)}, eo...)...)
 		}
 		m["parallel-quantile"+suffix] = func() gpustream.Estimator[float32] {
-			return eng.NewParallelQuantileEstimator(hammerEps, capacity, 2, append([]gpustream.ParallelOption{gpustream.WithBatchSize(1 << 14)}, po...)...)
+			return eng.NewParallelQuantileEstimator(hammerEps, 2, append([]gpustream.EstimatorOption{gpustream.WithBatchSize(1 << 14)}, eo...)...)
 		}
 	}
 	return m
@@ -107,7 +106,7 @@ func TestConcurrentQueryDuringIngest(t *testing.T) {
 	data := stream.Zipf(n, 1.2, 5000, 42)
 	probe := data[0]
 	eng := gpustream.New(gpustream.BackendCPU)
-	for name, mk := range families(eng, int64(n)) {
+	for name, mk := range families(eng) {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -220,8 +219,8 @@ func TestSnapshotMatchesSerialPrefix(t *testing.T) {
 			func() gpustream.Estimator[float32] { return eng.NewFrequencyEstimator(hammerEps) },
 		},
 		"quantile": {
-			func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, n) },
-			func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, n) },
+			func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps) },
+			func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps) },
 		},
 		"sliding-frequency": {
 			func() gpustream.Estimator[float32] { return eng.NewSlidingFrequency(hammerEps, hammerWindow) },
@@ -239,9 +238,9 @@ func TestSnapshotMatchesSerialPrefix(t *testing.T) {
 		},
 		"parallel-quantile": {
 			func() gpustream.Estimator[float32] {
-				return eng.NewParallelQuantileEstimator(hammerEps, n, 1, gpustream.WithBatchSize(1<<12))
+				return eng.NewParallelQuantileEstimator(hammerEps, 1, gpustream.WithBatchSize(1<<12))
 			},
-			func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps, n) },
+			func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(hammerEps) },
 		},
 	}
 	for name, mk := range cases {
@@ -273,7 +272,7 @@ func TestSnapshotImmutableAfterMoreIngest(t *testing.T) {
 	const n = 150_000
 	data := stream.Zipf(n, 1.2, 2000, 11)
 	eng := gpustream.New(gpustream.BackendCPU)
-	for name, mk := range families(eng, 2*n) {
+	for name, mk := range families(eng) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -309,7 +308,7 @@ func TestSnapshotImmutableAfterMoreIngest(t *testing.T) {
 func TestLifecycleErrors(t *testing.T) {
 	data := stream.Zipf(30_000, 1.2, 500, 13)
 	eng := gpustream.New(gpustream.BackendCPU)
-	for name, mk := range families(eng, int64(len(data))) {
+	for name, mk := range families(eng) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -357,7 +356,7 @@ func TestCloseContext(t *testing.T) {
 	data := stream.Zipf(100_000, 1.2, 1000, 17)
 
 	t.Run("drains", func(t *testing.T) {
-		est := eng.NewParallelQuantileEstimator(hammerEps, int64(len(data)), 4, gpustream.WithBatchSize(1<<12))
+		est := eng.NewParallelQuantileEstimator(hammerEps, 4, gpustream.WithBatchSize(1<<12))
 		if err := est.ProcessSlice(data); err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +396,7 @@ func TestCloseContext(t *testing.T) {
 	})
 
 	t.Run("idempotent", func(t *testing.T) {
-		est := eng.NewParallelQuantileEstimator(hammerEps, 0, 2)
+		est := eng.NewParallelQuantileEstimator(hammerEps, 2)
 		if err := est.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +412,7 @@ func TestCloseContext(t *testing.T) {
 func TestEngineStatsConsistentMidIngest(t *testing.T) {
 	eng := gpustream.New(gpustream.BackendCPU)
 	fe := eng.NewFrequencyEstimator(hammerEps)
-	qe := eng.NewQuantileEstimator(hammerEps, 0)
+	qe := eng.NewQuantileEstimator(hammerEps)
 	data := stream.Zipf(200_000, 1.2, 2000, 19)
 
 	done := make(chan struct{})

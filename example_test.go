@@ -34,7 +34,7 @@ func ExampleEngine_NewFrequencyEstimator() {
 // ExampleEngine_NewQuantileEstimator answers quantile queries within eps.
 func ExampleEngine_NewQuantileEstimator() {
 	eng := gpustream.New(gpustream.BackendGPU)
-	est := eng.NewQuantileEstimator(0.01, 1000)
+	est := eng.NewQuantileEstimator(0.01)
 	for i := 1; i <= 1000; i++ {
 		est.Process(float32(i))
 	}

@@ -54,7 +54,7 @@ func main() {
 	}
 
 	// Contrast with whole-history quantiles, which dilute the slowdown.
-	hist := eng.NewQuantileEstimator(eps, int64(len(lat)))
+	hist := eng.NewQuantileEstimator(eps)
 	hist.ProcessSlice(lat)
 	fmt.Printf("\nwhole-history: p50=%.1f p95=%.1f p99=%.1f (slowdown diluted)\n",
 		hist.Query(0.50), hist.Query(0.95), hist.Query(0.99))

@@ -35,7 +35,7 @@ func main() {
 	}
 
 	// 3. Quantile estimation: the stream's median and tails.
-	quant := eng.NewQuantileEstimator(0.001, int64(len(data)))
+	quant := eng.NewQuantileEstimator(0.001)
 	quant.ProcessSlice(data)
 	for _, phi := range []float64{0.5, 0.9, 0.99} {
 		fmt.Printf("phi=%.2f quantile: %v\n", phi, quant.Query(phi))

@@ -15,7 +15,7 @@
 //	freq.ProcessSlice(values)
 //	heavy := freq.Query(0.01) // items above 1% support, no false negatives
 //
-//	quant := eng.NewQuantileEstimator(0.001, int64(len(values)))
+//	quant := eng.NewQuantileEstimator(0.001)
 //	quant.ProcessSlice(values)
 //	median := quant.Query(0.5)
 //
@@ -30,7 +30,7 @@
 // keys natively, with no lossy float encoding:
 //
 //	eng := gpustream.NewOf[uint64](gpustream.BackendGPU)
-//	quant := eng.NewQuantileEstimator(0.001, int64(len(stamps)))
+//	quant := eng.NewQuantileEstimator(0.001)
 //	quant.ProcessSlice(stamps)
 //	p99 := quant.Query(0.99)
 //
@@ -124,7 +124,7 @@ type (
 	// no sort. Answers are converging point estimates, not eps-bounded
 	// ranks.
 	FrugalEstimator[T Value] = frugal.Estimator[T]
-	// FrugalOption configures a FrugalEstimator (WithPhis, WithFrugalSeed).
+	// FrugalOption configures a FrugalEstimator (WithPhis).
 	FrugalOption = frugal.Option
 	// FrugalSnapshot is the concrete view of a FrugalEstimator.
 	FrugalSnapshot[T Value] = frugal.Snapshot[T]
@@ -329,7 +329,8 @@ func (e *Engine[T]) runs() string { return e.backend.row().runs.String() }
 // behind every constructor: NewFromSpec fills it straight from the Spec, the
 // typed constructors fill it from their options, and both call the same
 // per-family build functions (DESIGN.md section 21). Serial families read
-// window, async and pinned; parallel families read all five.
+// window, async and pinned; parallel families read all five. pinned and
+// batch are set only by tests.
 type estimatorConfig struct {
 	window  int       // sort-window override in elements; 0 keeps the family's default
 	async   AsyncMode // AsyncOn starts on the staged executor; AsyncAuto hands the mode to the controller
@@ -338,16 +339,12 @@ type estimatorConfig struct {
 	elastic bool      // a Scaler owns the shard count ("shards":"auto")
 }
 
-// EstimatorOption configures a serial estimator constructor
-// (NewFrequencyEstimator, NewQuantileEstimator, NewSlidingFrequency,
-// NewSlidingQuantile).
+// EstimatorOption configures an estimator constructor. The parallel
+// constructors apply each option to every shard.
 type EstimatorOption func(*estimatorConfig)
 
-// ParallelOption configures sharded ingestion (e.g. WithBatchSize).
-type ParallelOption func(*estimatorConfig)
-
 // resolve folds a constructor's options over the zero config.
-func resolve[O ~func(*estimatorConfig)](opts []O) estimatorConfig {
+func resolve(opts []EstimatorOption) estimatorConfig {
 	var cfg estimatorConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -368,68 +365,28 @@ func (c estimatorConfig) pipeline() []pipeline.Option {
 	return opts
 }
 
-// WithBatchSize overrides the parallel estimators' ingestion hand-off batch
-// size (default ~64K values).
-func WithBatchSize(n int) ParallelOption {
-	if n <= 0 {
-		panic("gpustream: batch size must be positive")
-	}
-	return func(c *estimatorConfig) { c.batch = n }
-}
-
-// WithAsyncShards enables staged asynchronous ingestion inside every shard of
-// a parallel estimator: each worker's windows sort on a dedicated stage
-// goroutine while the worker itself merges/compresses the previous window,
-// one extra goroutine per shard. Answers stay bit-identical to synchronous
-// shards.
-func WithAsyncShards() ParallelOption { return func(c *estimatorConfig) { c.async = AsyncOn } }
-
-// WithShardSortWindow overrides the per-shard sort-window size of a parallel
-// estimator, the sharded counterpart of WithSortWindow. Values below the
-// per-shard eps floor are clamped up.
-func WithShardSortWindow(n int) ParallelOption {
-	if n <= 0 {
-		panic("gpustream: sort window must be positive")
-	}
-	return func(c *estimatorConfig) { c.window = n }
-}
-
-// WithPinnedShardTuning installs a do-nothing tuner on every shard pipeline
-// of a parallel estimator — the sharded counterpart of WithPinnedTuning. The
-// type parameter is kept for source compatibility and ignored.
-func WithPinnedShardTuning[T Value]() ParallelOption {
-	return func(c *estimatorConfig) { c.pinned = true }
-}
-
 // WithAsyncIngestion enables staged asynchronous ingestion — the paper's
 // co-processing execution model: each full window is handed to a sort stage
 // goroutine (the simulated GPU's non-blocking render + readback) while the
 // ingesting caller (the paper's CPU) merges/compresses the previous window,
 // with two pooled window buffers double-buffering ingestion. Answers and sort
 // operation counts are bit-identical to the default synchronous mode;
-// Stats.Overlap reports the measured co-processing time.
+// Stats.Overlap reports the measured co-processing time. In a parallel
+// estimator every shard runs its own sort stage.
 func WithAsyncIngestion() EstimatorOption { return func(c *estimatorConfig) { c.async = AsyncOn } }
 
 // WithSortWindow overrides the whole-history families' sort-window size in
 // elements. Values below a family's eps floor are clamped up by the
 // estimator; the sliding families ignore it (their pane size is the query
-// parameter w, part of the answer's semantics, not a tuning knob). Under
-// BackendAuto this sets the adaptive controller's minimum window.
+// parameter w, part of the answer's semantics, not a tuning knob). In a
+// parallel estimator it sets every shard's window, clamped to the shard's
+// eps floor. Under BackendAuto this sets the adaptive controller's minimum
+// window.
 func WithSortWindow(n int) EstimatorOption {
 	if n <= 0 {
 		panic("gpustream: sort window must be positive")
 	}
 	return func(c *estimatorConfig) { c.window = n }
-}
-
-// WithPinnedTuning installs a do-nothing tuner on the estimator's pipeline:
-// the retune hook runs at every window boundary but never moves a knob, so
-// answers are bit-identical to the same backend with no tuner at all. Under
-// BackendAuto this pins the pipeline to its sample-sort starting point —
-// the harness for the bit-identity tests, and an escape hatch when adaptive
-// behavior is unwanted on one estimator of an auto engine.
-func WithPinnedTuning() EstimatorOption {
-	return func(c *estimatorConfig) { c.pinned = true }
 }
 
 // tuner returns the tuner for one pipeline built under cfg — and the
@@ -523,15 +480,14 @@ func (e *Engine[T]) newFrequency(eps float64, cfg estimatorConfig) *FrequencyEst
 }
 
 // NewQuantileEstimator returns an eps-approximate quantile estimator backed
-// by this engine's sorter. capacity is accepted for compatibility and
-// ignored: the summary budgets its error by the depth it observes, so the
-// bound holds at any stream length (DESIGN.md section 17).
-func (e *Engine[T]) NewQuantileEstimator(eps float64, capacity int64, opts ...EstimatorOption) *QuantileEstimator[T] {
-	return e.newQuantile(eps, capacity, resolve(opts))
+// by this engine's sorter. The summary budgets its error by the depth it
+// observes, so the bound holds at any stream length (DESIGN.md section 17).
+func (e *Engine[T]) NewQuantileEstimator(eps float64, opts ...EstimatorOption) *QuantileEstimator[T] {
+	return e.newQuantile(eps, resolve(opts))
 }
 
-func (e *Engine[T]) newQuantile(eps float64, capacity int64, cfg estimatorConfig) *QuantileEstimator[T] {
-	est := quantile.NewEstimator(eps, capacity, e.newBackendSorter(), cfg.pipeline()...)
+func (e *Engine[T]) newQuantile(eps float64, cfg estimatorConfig) *QuantileEstimator[T] {
+	est := quantile.NewEstimator(eps, 0, e.newBackendSorter(), cfg.pipeline()...)
 	e.adopt(FamilyQuantile, est, cfg, true)
 	return est
 }
@@ -585,12 +541,12 @@ func (e *Engine[T]) sharding(cfg estimatorConfig) sharding[T] {
 // budget and queries merge them, so answers stay eps-approximate; with one
 // shard the output is bit-identical to NewQuantileEstimator. Call Flush to
 // make buffered values queryable and Close when ingestion ends.
-func (e *Engine[T]) NewParallelQuantileEstimator(eps float64, capacity int64, shards int, opts ...ParallelOption) *ParallelQuantileEstimator[T] {
-	return e.newParallelQuantile(eps, capacity, shards, e.sharding(resolve(opts)))
+func (e *Engine[T]) NewParallelQuantileEstimator(eps float64, shards int, opts ...EstimatorOption) *ParallelQuantileEstimator[T] {
+	return e.newParallelQuantile(eps, shards, e.sharding(resolve(opts)))
 }
 
-func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int, s sharding[T]) *ParallelQuantileEstimator[T] {
-	est := shard.NewQuantile(eps, capacity, shards, e.newBackendSorter, s.Config)
+func (e *Engine[T]) newParallelQuantile(eps float64, shards int, s sharding[T]) *ParallelQuantileEstimator[T] {
+	est := shard.NewQuantile(eps, shards, e.newBackendSorter, s.Config)
 	e.register(tracker[T]{kind: FamilyParallelQuantile.String(), est: est, ctrl: s.ctrl, scaler: s.scaler})
 	return est
 }
@@ -602,7 +558,7 @@ func (e *Engine[T]) newParallelQuantile(eps float64, capacity int64, shards int,
 // additive across shards, so merged answers keep the serial estimator's
 // no-false-negative guarantee; with one shard the output is bit-identical
 // to NewFrequencyEstimator.
-func (e *Engine[T]) NewParallelFrequencyEstimator(eps float64, shards int, opts ...ParallelOption) *ParallelFrequencyEstimator[T] {
+func (e *Engine[T]) NewParallelFrequencyEstimator(eps float64, shards int, opts ...EstimatorOption) *ParallelFrequencyEstimator[T] {
 	return e.newParallelFrequency(eps, shards, e.sharding(resolve(opts)))
 }
 
@@ -639,10 +595,6 @@ func (e *Engine[T]) newSlidingQuantile(eps float64, w int, cfg estimatorConfig) 
 // WithPhis selects the target quantiles a FrugalEstimator tracks, one word
 // of state each (default frugal.DefaultPhis).
 func WithPhis(phis ...float64) FrugalOption { return frugal.WithPhis(phis...) }
-
-// WithFrugalSeed seeds a FrugalEstimator's randomized rank gates; estimates
-// are deterministic for a fixed seed and ingestion order.
-func WithFrugalSeed(seed uint64) FrugalOption { return frugal.WithSeed(seed) }
 
 // NewFrugalEstimator returns a frugal-streaming quantile estimator: one
 // converging point estimate per tracked target quantile, in one or two

@@ -102,7 +102,7 @@ func TestEndToEndQuantile(t *testing.T) {
 	data := stream.Gaussian(40000, 50, 10, 6)
 	truth := oracle.New(data)
 	for _, b := range []Backend{BackendGPU, BackendCPU} {
-		est := New(b).NewQuantileEstimator(eps, int64(len(data)))
+		est := New(b).NewQuantileEstimator(eps)
 		est.ProcessSlice(data)
 		if _, err := oracle.Quantiles(truth, est.Snapshot(), []float64{0.1, 0.5, 0.9}, eps); err != nil {
 			t.Fatalf("%v: %v", b, err)
@@ -132,7 +132,7 @@ func TestEndToEndSlidingWindows(t *testing.T) {
 func TestEngineStatsRegistry(t *testing.T) {
 	eng := New(BackendCPU)
 	fe := eng.NewFrequencyEstimator(0.01)
-	qe := eng.NewQuantileEstimator(0.01, 10_000)
+	qe := eng.NewQuantileEstimator(0.01)
 	data := stream.Uniform(5000, 21)
 	fe.ProcessSlice(data)
 	qe.ProcessSlice(data)

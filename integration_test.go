@@ -35,7 +35,7 @@ func TestTraceReplayPipeline(t *testing.T) {
 		}
 		eng := New(backend)
 		freq := eng.NewFrequencyEstimator(eps)
-		quant := eng.NewQuantileEstimator(eps, n)
+		quant := eng.NewQuantileEstimator(eps)
 
 		for {
 			win := stream.Collect[float32](src, 4096)
@@ -65,7 +65,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		eng := New(BackendGPU)
 		data := stream.Bursty(20000, 500, 300, 0.005, 7)
 		f := eng.NewFrequencyEstimator(0.01)
-		q := eng.NewQuantileEstimator(0.01, 20000)
+		q := eng.NewQuantileEstimator(0.01)
 		f.ProcessSlice(data)
 		q.ProcessSlice(data)
 		return f.Query(0.05), q.Query(0.5)
@@ -111,7 +111,7 @@ func TestSlidingMatchesWholeHistoryWhenWindowCoversStream(t *testing.T) {
 		}
 	}
 
-	wq := eng.NewQuantileEstimator(eps, n)
+	wq := eng.NewQuantileEstimator(eps)
 	sq := eng.NewSlidingQuantile(eps, 2*n)
 	wq.ProcessSlice(data)
 	sq.ProcessSlice(data)

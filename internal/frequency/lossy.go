@@ -126,11 +126,7 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 	// its time lands in Stats.Sort; the values were already counted when the
 	// core timed the sort itself.
 	t0 := time.Now()
-	bins := pipeline.TakeSpare[histogram.Bin[T]](len(win))
-	if cap(bins) < len(win) {
-		bins = make([]histogram.Bin[T], 0, len(win))
-	}
-	bins = histogram.AppendSorted(bins, win)
+	bins := histogram.AppendSorted(pipeline.TakeSpareAtLeast[histogram.Bin[T]](len(win)), win)
 	defer pipeline.PutSpare(bins)
 	e.core.AddSort(time.Since(t0), 0)
 

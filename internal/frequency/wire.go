@@ -49,7 +49,7 @@ func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
 func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r := wire.NewReader(data)
 	r.Header(wire.FamilyFrequency, wire.TagOf[T]())
-	s := &Snapshot[T]{eps: r.F64(), n: r.I64()}
+	s := &Snapshot[T]{eps: r.Eps(), n: r.I64()}
 	r.Check(s.n >= 0, "frequency: negative stream length %d", s.n)
 	if count := r.Count(wire.MinRecord[T](r, 2)); count > 0 {
 		s.entries = make([]entry[T], count)

@@ -111,7 +111,7 @@ func (c *Core[T]) emitAsync() {
 	if !e.pending {
 		c.stats.Stall += time.Since(t0)
 		e.pending = true
-		c.buf = getBuf[T](c.window)
+		c.buf = TakeSpareAtLeast[T](c.window)
 		return
 	}
 	j := <-e.sortedCh
@@ -121,13 +121,13 @@ func (c *Core[T]) emitAsync() {
 }
 
 // mergePendingLocked merges the pending window, if any, and returns its
-// buffer to the pool.
+// buffer to the spare store.
 func (c *Core[T]) mergePendingLocked() {
 	if e := c.exec; e != nil && e.pending {
 		e.pending = false
 		j := <-e.sortedCh
 		c.mergeSortedLocked(j)
-		putBuf(j.win)
+		PutSpare(j.win)
 	}
 }
 

@@ -87,7 +87,7 @@ func (in Ingest[T]) ProcessSlice(data []T) error { return in.core.ProcessSlice(d
 // Close or a hand-off.
 func (in Ingest[T]) Flush() error { return in.core.Flush() }
 
-// Close flushes and releases the window buffer back to the shared pool.
+// Close flushes and releases the window buffer back to the spare store.
 // The estimator remains queryable; further ingestion reports ErrClosed.
 // Close is idempotent.
 func (in Ingest[T]) Close() error { return in.core.Close() }

@@ -4,8 +4,8 @@
 // into a running summary, compress (Sections 4.1 and 5.1) — and Core is that
 // shape extracted once: batched Process/ProcessSlice buffering, a sink
 // callback invoked per full window, an explicit Flush/Close lifecycle, and
-// window-buffer reuse through a sync.Pool so steady-state ingestion does not
-// allocate per window.
+// window-buffer reuse through the shared spare store (TakeSpare) so
+// steady-state ingestion does not allocate per window.
 //
 // Telemetry is unified in Stats: per-stage operation counters plus measured
 // wall clock for the paper's three operations (sort, merge, compress) and
@@ -16,8 +16,8 @@
 //
 //   - Flush seals the buffered partial window through the sink; on an empty
 //     buffer it is a no-op, so double Flush is safe and idempotent.
-//   - Close flushes, returns the window buffer to the pool, and marks the
-//     core closed. Close is idempotent.
+//   - Close flushes, returns the window buffer to the spare store, and
+//     marks the core closed. Close is idempotent.
 //   - Process and ProcessSlice after Close return an error wrapping
 //     ErrClosed — ingestion after shutdown is a recoverable caller mistake,
 //     not a panic.
@@ -34,7 +34,6 @@ package pipeline
 
 import (
 	"errors"
-	"reflect"
 	"sync"
 	"time"
 
@@ -134,34 +133,6 @@ type Tuner[T sorter.Value] interface {
 	Retune(st Stats, cur Knobs[T]) (next Knobs[T], ok bool)
 }
 
-// bufPools recycles window buffers across estimator lifetimes, one pool per
-// element type (generic package-level variables are not a thing, so the
-// per-type pools live behind a sync.Map keyed by reflect.Type). Entries
-// whose capacity does not fit the requested window are dropped back to the
-// allocator rather than grown, keeping each pool self-sizing.
-var bufPools sync.Map // reflect.Type -> *sync.Pool
-
-func poolFor[T sorter.Value]() *sync.Pool {
-	key := reflect.TypeOf((*T)(nil)).Elem()
-	if p, ok := bufPools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := bufPools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-func getBuf[T sorter.Value](capacity int) []T {
-	if p, _ := poolFor[T]().Get().(*[]T); p != nil && cap(*p) >= capacity {
-		return (*p)[:0]
-	}
-	return make([]T, 0, capacity)
-}
-
-func putBuf[T sorter.Value](b []T) {
-	b = b[:0]
-	poolFor[T]().Put(&b)
-}
-
 // Core is the windowed-ingestion engine shared by the estimator families:
 // it owns the window buffer, the ingestion loop, the lifecycle, the Stats,
 // and the mutex that makes live queries safe against concurrent ingestion.
@@ -216,8 +187,8 @@ func NewCore[T sorter.Value](window int, sink func(win []T)) *Core[T] {
 // records its own merge/compress telemetry via the Add* recorders. By
 // default both stages run inline under the lock; StartAsync moves the sort
 // onto a stage goroutine that overlaps the caller's merge of the previous
-// window. The window buffer comes from a shared pool and returns to it on
-// Close.
+// window. The window buffer comes from the spare store (TakeSpare) and
+// returns to it on Close.
 func NewStagedCore[T sorter.Value](window int, srt sorter.Sorter[T], mergeFn func(win []T)) *Core[T] {
 	if window <= 0 {
 		panic("pipeline: window must be positive")
@@ -225,7 +196,7 @@ func NewStagedCore[T sorter.Value](window int, srt sorter.Sorter[T], mergeFn fun
 	if srt == nil || mergeFn == nil {
 		panic("pipeline: staged core requires a sorter and a merge stage")
 	}
-	return &Core[T]{window: window, buf: getBuf[T](window), srt: srt, mergeFn: mergeFn}
+	return &Core[T]{window: window, buf: TakeSpareAtLeast[T](window), srt: srt, mergeFn: mergeFn}
 }
 
 // Lock acquires the core's ingestion/query mutex. Estimator query paths
@@ -349,8 +320,8 @@ func (c *Core[T]) Partial() []T { return c.buf }
 
 // SortedPartialLocked calls use with a sorted copy of the current partial
 // window, nil when nothing is buffered, for query-time snapshots. The copy
-// lives in a buffer borrowed from the window-buffer pool for the call and
-// returned to it after, so use must not keep it. The caller must hold the
+// lives in a buffer borrowed from the spare store for the call and returned
+// to it after, so use must not keep it. The caller must hold the
 // lock and, in async mode, have passed BarrierLocked: the copy is sorted
 // with the current sorter, which must be idle.
 func (c *Core[T]) SortedPartialLocked(use func(sorted []T)) {
@@ -358,12 +329,12 @@ func (c *Core[T]) SortedPartialLocked(use func(sorted []T)) {
 		use(nil)
 		return
 	}
-	// Window-sized, like the buffers the pool holds, so the next read or
-	// a new core can take it back whatever it then needs.
-	tmp := append(getBuf[T](max(c.window, len(c.buf))), c.buf...)
+	// Window-sized, like the window buffers the store holds, so the next
+	// read or a new core can take it back whatever it then needs.
+	tmp := append(TakeSpareAtLeast[T](max(c.window, len(c.buf))), c.buf...)
 	c.srt.Sort(tmp)
 	use(tmp)
-	putBuf(tmp)
+	PutSpare(tmp)
 }
 
 // Closed reports whether Close has been called.
@@ -444,7 +415,7 @@ func (c *Core[T]) FlushLocked() {
 }
 
 // Close flushes, drains and terminates the sort stage if async mode is on,
-// returns the window buffer to the shared pool, and marks the
+// returns the window buffer to the spare store, and marks the
 // core closed. Further Process/ProcessSlice calls return an error
 // wrapping ErrClosed; Flush and the accessors remain safe. Close is
 // idempotent and always returns nil.
@@ -459,7 +430,7 @@ func (c *Core[T]) Close() error {
 		c.stopExecutorLocked()
 	}
 	c.closed = true
-	putBuf(c.buf)
+	PutSpare(c.buf)
 	c.buf = nil
 	return nil
 }

@@ -165,13 +165,16 @@ func TestScratchReuse(t *testing.T) {
 }
 
 func TestBufferPooling(t *testing.T) {
-	// A closed core's buffer must be reusable by a new core of the same
-	// window size. sync.Pool gives no hard guarantee, so assert only that
-	// the recycled core behaves correctly, not that pooling happened.
+	// A closed core's window buffer goes to the spare store, and the next
+	// core of the same window size takes it from there.
 	c1, _ := collect(64)
 	c1.ProcessSlice(make([]float32, 40))
+	first := &c1.buf[0]
 	c1.Close()
 	c2, wins := collect(64)
+	if &c2.buf[:1][0] != first {
+		t.Fatal("a new core did not reuse the closed core's window buffer")
+	}
 	c2.ProcessSlice(make([]float32, 64))
 	if len(*wins) != 1 || len((*wins)[0]) != 64 {
 		t.Fatal("recycled core mis-windowed")

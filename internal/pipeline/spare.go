@@ -8,12 +8,12 @@ import (
 	"unsafe"
 )
 
-// spareStores holds the process's recycled estimator storage, one store
-// per element type behind a sync.Map keyed by reflect.Type, as bufPools
-// does for window buffers (DESIGN.md section 33). Every estimator of a
-// type shares its store: the daemon's streams, a sharded estimator's
-// shards and library users alike, so a process retains one spare set, not
-// one per estimator.
+// spareStores holds the process's recycled estimator storage — window
+// buffers, summary entries, histogram bins — one store per element type
+// behind a sync.Map keyed by reflect.Type (DESIGN.md section 33). Every
+// estimator of a type shares its store: the daemon's streams, a sharded
+// estimator's shards and library users alike, so a process retains one
+// spare set, not one per estimator.
 var spareStores sync.Map // reflect.Type -> *spareStore[E]
 
 // spareBytes is the storage the spare stores retain, every type together.
@@ -62,6 +62,16 @@ func TakeSpare[E any](n int) []E {
 	st.slots[c] = nil
 	spareBytes.Add(-sizeBytes(b))
 	return b
+}
+
+// TakeSpareAtLeast is TakeSpare for a buffer that must hold n elements
+// without growing: a spare too small for n is left to the collector and a
+// fresh buffer of capacity n made instead.
+func TakeSpareAtLeast[E any](n int) []E {
+	if b := TakeSpare[E](n); cap(b) >= n {
+		return b
+	}
+	return make([]E, 0, n)
 }
 
 // PutSpare gives b's storage to the store, which keeps it if its class is

@@ -78,6 +78,14 @@ func TestSpareTakeHandsOutTooSmall(t *testing.T) {
 	if b := TakeSpare[elem](1024); cap(b) != 1500 {
 		t.Fatalf("TakeSpare(1024) = cap %d, want 1500", cap(b))
 	}
+	// TakeSpareAtLeast leaves a too-small spare to the collector.
+	PutSpare(make([]elem, 0, 600))
+	if b := TakeSpareAtLeast[elem](1000); cap(b) != 1000 {
+		t.Fatalf("TakeSpareAtLeast(1000) = cap %d, want a fresh 1000", cap(b))
+	}
+	if b := TakeSpare[elem](1000); b != nil {
+		t.Fatalf("TakeSpareAtLeast left cap %d in its class", cap(b))
+	}
 }
 
 // TestSparePutTwiceKeptOnce: a buffer put while it is already held fills

@@ -41,7 +41,7 @@ var sharedCases = []sharedCase{
 	{"parallel K=2 eps=1e-2", func() (viewStream, int) {
 		w := quantile.Window(shard.QuantileEps(0.01, 2, false), 0)
 		newSorter := func() sorter.Sorter[float32] { return cpusort.QuicksortSorter[float32]{} }
-		return shard.NewQuantile(0.01, 0, 2, newSorter, shard.Config[float32]{Batch: w}), w
+		return shard.NewQuantile(0.01, 2, newSorter, shard.Config[float32]{Batch: w}), w
 	}},
 }
 

@@ -36,7 +36,7 @@ func (s *Snapshot[T]) MarshalBinary() ([]byte, error) {
 func UnmarshalSnapshot[T sorter.Value](data []byte) (*Snapshot[T], error) {
 	r := wire.NewReader(data)
 	r.Header(wire.FamilyQuantile, wire.TagOf[T]())
-	s := &Snapshot[T]{eps: r.F64()}
+	s := &Snapshot[T]{eps: r.Eps()}
 	present := r.U8()
 	r.Check(present <= 1, "quantile: summary-present flag %d", present)
 	if present == 1 {

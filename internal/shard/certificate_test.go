@@ -29,7 +29,7 @@ func TestShardViewsCarryTheirCertificates(t *testing.T) {
 		{"K=3", 3, Config[float32]{Batch: 1000}},
 		{"elastic", 1, Config[float32]{Batch: 1000, Rescaler: &stepRescaler{after: chunk / 2, steps: []int{3, 2, 4}}}},
 	} {
-		q := NewQuantile(eps, 0, tc.k, cpuSorter, tc.cfg)
+		q := NewQuantile(eps, tc.k, cpuSorter, tc.cfg)
 		for fed := chunk; fed <= len(data); fed += chunk {
 			if err := q.ProcessSlice(data[fed-chunk : fed]); err != nil {
 				t.Fatal(err)

@@ -37,7 +37,7 @@ func TestElasticQuantileRescale(t *testing.T) {
 	data := genStream(rng, n, 1)
 
 	r := &stepRescaler{after: 4_000, steps: []int{3, 4, 2, 1}}
-	q := NewQuantile(eps, int64(n), 1, cpuSorter, Config[float32]{Batch: 1024, Rescaler: r})
+	q := NewQuantile(eps, 1, cpuSorter, Config[float32]{Batch: 1024, Rescaler: r})
 	if got := q.ShardEps(); got != eps/2 {
 		t.Fatalf("elastic K=1 shard eps = %v, want merge-safe %v", got, eps/2)
 	}
@@ -165,7 +165,7 @@ func TestPoolWorkerLifecycle(t *testing.T) {
 func TestElasticRescaleAfterCloseRollsBack(t *testing.T) {
 	t.Parallel()
 	r := &stepRescaler{}
-	q := NewQuantile(0.02, 1_000, 2, cpuSorter, Config[float32]{Batch: 64, Rescaler: r})
+	q := NewQuantile(0.02, 2, cpuSorter, Config[float32]{Batch: 64, Rescaler: r})
 	data := make([]float32, 256)
 	for i := range data {
 		data[i] = float32(i)

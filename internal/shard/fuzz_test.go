@@ -17,7 +17,7 @@ func checkShardedQuantile[T sorter.Value](t *testing.T, vals []T, k, batch int, 
 	t.Helper()
 	const eps = 0.1
 	n := int64(len(vals))
-	q := NewQuantile(eps, n, k, newSorter, Config[T]{Batch: batch})
+	q := NewQuantile(eps, k, newSorter, Config[T]{Batch: batch})
 	q.ProcessSlice(vals)
 	q.Close()
 	if q.Count() != n {

@@ -26,17 +26,16 @@ type Quantile[T sorter.Value] struct {
 }
 
 // NewQuantile returns a sharded eps-approximate quantile estimator.
-// capacity is accepted for compatibility and ignored, as the shard
-// estimators ignore it. shards <= 0 selects runtime.GOMAXPROCS(0).
+// shards <= 0 selects runtime.GOMAXPROCS(0).
 // newSorter is invoked once per shard so stateful backends (the GPU
 // simulator) are never shared across goroutines.
-func NewQuantile[T sorter.Value](eps float64, capacity int64, shards int, newSorter func() sorter.Sorter[T], cfg Config[T]) *Quantile[T] {
+func NewQuantile[T sorter.Value](eps float64, shards int, newSorter func() sorter.Sorter[T], cfg Config[T]) *Quantile[T] {
 	k := Resolve(shards)
 	shardEps := QuantileEps(eps, k, cfg.Rescaler != nil)
 	q := &Quantile[T]{}
 	q.start(eps, k, cfg, family[T, *quantile.Estimator[T], *quantile.Snapshot[T]]{
 		newShard: func() *quantile.Estimator[T] {
-			return quantile.NewEstimator(shardEps, capacity, newSorter(), cfg.Pipeline...)
+			return quantile.NewEstimator(shardEps, 0, newSorter(), cfg.Pipeline...)
 		},
 		merge: quantile.MergeSnapshots[T],
 		size:  (*quantile.Estimator[T]).SummaryEntries,

@@ -23,8 +23,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 	const eps = 0.05
 
-	n := producers * chunks * chunkLen
-	q := NewQuantile(eps, int64(n)+1, 4, cpuSorter, Config[float32]{Batch: 512})
+	q := NewQuantile(eps, 4, cpuSorter, Config[float32]{Batch: 512})
 	fq := NewFrequency(eps, 4, cpuSorter, Config[float32]{Batch: 512})
 
 	// Seed both so mid-stream queries never hit an empty stream.
@@ -104,7 +103,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 // goroutines are safe and leave nothing buffered.
 func TestConcurrentFlush(t *testing.T) {
 	t.Parallel()
-	q := NewQuantile(0.05, 1<<20, 3, cpuSorter, Config[float32]{Batch: 64})
+	q := NewQuantile(0.05, 3, cpuSorter, Config[float32]{Batch: 64})
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)

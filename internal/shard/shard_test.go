@@ -52,7 +52,7 @@ func TestShardedQuantileWithinEps(t *testing.T) {
 			for shape := 0; shape < 3; shape++ {
 				n := 20_000 + rng.Intn(10_000)
 				data := genStream(rng, n, shape)
-				q := NewQuantile(eps, int64(n), k, cpuSorter, Config[float32]{Batch: 777})
+				q := NewQuantile(eps, k, cpuSorter, Config[float32]{Batch: 777})
 				q.ProcessSlice(data)
 				q.Close()
 				if got := q.Count(); got != int64(n) {
@@ -124,7 +124,7 @@ func TestSingleShardMatchesSerial(t *testing.T) {
 
 		sq := quantile.NewEstimator(eps, int64(n), cpuSorter())
 		sq.ProcessSlice(data)
-		pq := NewQuantile(eps, int64(n), 1, cpuSorter, Config[float32]{Batch: 1024})
+		pq := NewQuantile(eps, 1, cpuSorter, Config[float32]{Batch: 1024})
 		pq.ProcessSlice(data)
 		pq.Close()
 		if pq.ShardEps() != eps {
@@ -163,7 +163,7 @@ func TestSingleShardMatchesSerial(t *testing.T) {
 // paths (empty shards, partial batches, Process one-at-a-time).
 func TestShardedLifecycle(t *testing.T) {
 	t.Parallel()
-	q := NewQuantile(0.1, 1000, 4, cpuSorter, Config[float32]{Batch: 8})
+	q := NewQuantile(0.1, 4, cpuSorter, Config[float32]{Batch: 8})
 	for i := 0; i < 100; i++ {
 		q.Process(float32(i))
 	}
@@ -207,7 +207,7 @@ func TestShardedSmallStream(t *testing.T) {
 	}
 	fq.Close()
 
-	q := NewQuantile(0.1, 100, 4, cpuSorter, Config[float32]{})
+	q := NewQuantile(0.1, 4, cpuSorter, Config[float32]{})
 	q.Process(42)
 	if got := q.Query(0.5); got != 42 {
 		t.Fatalf("Query(0.5)=%v want 42", got)
@@ -222,7 +222,7 @@ func TestShardedStats(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(4))
 	data := genStream(rng, 60_000, 2)
-	q := NewQuantile(0.01, int64(len(data)), 4, cpuSorter, Config[float32]{Batch: 1000})
+	q := NewQuantile(0.01, 4, cpuSorter, Config[float32]{Batch: 1000})
 	q.ProcessSlice(data)
 	q.Close()
 	_ = q.Query(0.5)

@@ -50,7 +50,7 @@ func TestStatsMonotoneUnderReshard(t *testing.T) {
 			return NewFrequency(0.01, 1, cpuSorter, Config[float32]{Batch: batch, Rescaler: flipRescaler{every: 8 * batch}})
 		}},
 		{"quantile", func() estimator {
-			return NewQuantile(0.01, 0, 1, cpuSorter, Config[float32]{Batch: batch, Rescaler: flipRescaler{every: 8 * batch}})
+			return NewQuantile(0.01, 1, cpuSorter, Config[float32]{Batch: batch, Rescaler: flipRescaler{every: 8 * batch}})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package summary
 
 import (
+	"math"
+
 	"gpustream/internal/sorter"
 	"gpustream/internal/wire"
 )
@@ -51,6 +53,11 @@ func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
 	s := &Summary[T]{Eps: r.F64(), N: r.I64()}
 	if s.N < 0 {
 		r.Check(false, "summary: negative element count %d", s.N)
+	}
+	// 0 is an exact summary's; merges take the max, so NaN or +Inf would
+	// spread to every answer built on this one.
+	if !(s.Eps >= 0) || math.IsInf(s.Eps, 1) {
+		r.Check(false, "summary: eps %v is negative or not finite", s.Eps)
 	}
 	count := r.Count(wire.MinRecord[T](r, 2))
 	// A GK summary over a non-empty stream always retains entries (the

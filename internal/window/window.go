@@ -55,10 +55,10 @@ type freqPane[T sorter.Value] struct {
 // concurrently.
 type SlidingFrequency[T sorter.Value] struct {
 	sliding[T, freqPane[T]]
-	// binScratch is the reusable histogram scratch; binFree recycles the
-	// bins storage of expired panes so steady-state panes allocate nothing.
+	// binScratch is the reusable histogram scratch. The bins storage of
+	// expired panes goes to the spare store (pipeline.PutSpare), which the
+	// next pane takes it from.
 	binScratch []histogram.Bin[T]
-	binFree    [][]histogram.Bin[T]
 }
 
 // NewSlidingFrequency returns a sliding-window frequency estimator of window
@@ -97,18 +97,14 @@ func (f *SlidingFrequency[T]) sealSorted(win []T) {
 	f.core.AddCompress(time.Since(t2), int64(len(bins)))
 
 	// The pane copy reuses storage recycled from expired panes.
-	var paneBins []histogram.Bin[T]
-	if n := len(f.binFree); n > 0 {
-		paneBins = f.binFree[n-1][:0]
-		f.binFree = f.binFree[:n-1]
-	}
-	f.panes = append(f.panes, freqPane[T]{bins: append(paneBins, kept...), total: total})
+	paneBins := append(pipeline.TakeSpareAtLeast[histogram.Bin[T]](len(kept)), kept...)
+	f.panes = append(f.panes, freqPane[T]{bins: paneBins, total: total})
 
 	// Keep enough panes to cover W elements beyond the buffer. Bins aliased
 	// by a snapshot are abandoned to it rather than recycled.
 	for _, p := range f.expireLocked() {
 		if !p.shared {
-			f.binFree = append(f.binFree, p.bins)
+			pipeline.PutSpare(p.bins)
 		}
 	}
 }

@@ -50,10 +50,12 @@ func appendBins[T sorter.Value](b []byte, bins []histogram.Bin[T]) []byte {
 	return b
 }
 
-// decodeBins reads a histogram bin list, enforcing strict value order and
-// non-negative counts so decoded panes uphold the same invariants as live
-// ones.
-func decodeBins[T sorter.Value](r *wire.Reader) []histogram.Bin[T] {
+// decodeBins reads a histogram bin list, enforcing strict value order,
+// non-negative counts and a count sum of at most total — the pane's total,
+// or the partial pane's length — so decoded panes uphold the same
+// invariants as live ones. The sum is checked as a running remainder, so
+// hostile counts cannot overflow it.
+func decodeBins[T sorter.Value](r *wire.Reader, total int64) []histogram.Bin[T] {
 	var bins []histogram.Bin[T]
 	if count := r.Count(wire.MinRecord[T](r, 1)); count > 0 {
 		bins = make([]histogram.Bin[T], count)
@@ -71,6 +73,8 @@ func decodeBins[T sorter.Value](r *wire.Reader) []histogram.Bin[T] {
 		}
 		if bin.Count < 0 {
 			r.Check(false, "window: histogram bin %d has negative count %d", i, bin.Count)
+		} else if total -= bin.Count; total < 0 {
+			r.Check(false, "window: histogram bins through %d count more than their pane holds", i)
 		}
 	}
 	return bins
@@ -100,9 +104,9 @@ func (s *FrequencySnapshot[T]) MarshalBinary() ([]byte, error) {
 func UnmarshalFrequencySnapshot[T sorter.Value](data []byte) (*FrequencySnapshot[T], error) {
 	r := wire.NewReader(data)
 	r.Header(wire.FamilyWindowFrequency, wire.TagOf[T]())
-	s := &FrequencySnapshot[T]{eps: r.F64(), w: windowSize(r), count: r.I64(), partialCount: r.I64()}
+	s := &FrequencySnapshot[T]{eps: r.Eps(), w: windowSize(r), count: r.I64(), partialCount: r.I64()}
 	r.Check(s.count >= 0 && s.partialCount >= 0, "window: negative counts (%d, %d)", s.count, s.partialCount)
-	s.partialBins = decodeBins[T](r)
+	s.partialBins = decodeBins[T](r, s.partialCount)
 	// A pane is at least its total plus an empty bin list.
 	if paneCount := r.Count(8 + 4); paneCount > 0 {
 		s.panes = make([]freqPane[T], paneCount)
@@ -112,7 +116,7 @@ func UnmarshalFrequencySnapshot[T sorter.Value](data []byte) (*FrequencySnapshot
 		if s.panes[i].total < 0 {
 			r.Check(false, "window: pane %d has negative total %d", i, s.panes[i].total)
 		}
-		s.panes[i].bins = decodeBins[T](r)
+		s.panes[i].bins = decodeBins[T](r, s.panes[i].total)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
@@ -154,7 +158,7 @@ func (s *QuantileSnapshot[T]) MarshalBinary() ([]byte, error) {
 func UnmarshalQuantileSnapshot[T sorter.Value](data []byte) (*QuantileSnapshot[T], error) {
 	r := wire.NewReader(data)
 	r.Header(wire.FamilyWindowQuantile, wire.TagOf[T]())
-	s := &QuantileSnapshot[T]{eps: r.F64(), w: windowSize(r), count: r.I64()}
+	s := &QuantileSnapshot[T]{eps: r.Eps(), w: windowSize(r), count: r.I64()}
 	r.Check(s.count >= 0, "window: negative count %d", s.count)
 	present := r.U8()
 	r.Check(present <= 1, "window: partial-present flag %d", present)

@@ -419,6 +419,16 @@ func (r *Reader) I64() int64 { return int64(r.u64()) }
 // F64 reads a little-endian IEEE-754 float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.u64()) }
 
+// Eps reads an estimator's error bound as an F64, which must lie in (0, 1),
+// the range every estimator constructor accepts; NaN fails.
+func (r *Reader) Eps() float64 {
+	eps := r.F64()
+	if !(eps > 0 && eps < 1) {
+		r.Check(false, "wire: eps %v out of (0, 1)", eps)
+	}
+	return eps
+}
+
 // Count reads a uint32 element count and verifies that at least
 // count*elemSize bytes remain, so an overflowed or hostile length field
 // fails here — and reads as 0 — before the caller sizes any allocation by it.

@@ -35,12 +35,8 @@ type KeyedSnapshot[K Value, T Value] = keyed.Snapshot[K, T]
 // counts and the promotion rate, as surfaced through Engine.Stats.
 type KeyedTierStats = keyed.TierStats
 
-// KeyedOption configures a KeyedEstimator (WithKeyedPhi, WithKeyedSeed).
+// KeyedOption configures a KeyedEstimator (WithKeyedSeed).
 type KeyedOption = keyed.Option
-
-// WithKeyedPhi selects the quantile every frugal-tier tracker targets
-// (default 0.5, the per-key median). Promoted keys answer any quantile.
-func WithKeyedPhi(phi float64) KeyedOption { return keyed.WithPhi(phi) }
 
 // WithKeyedSeed seeds the keyed frugal tier's shared randomized rank gates.
 func WithKeyedSeed(seed uint64) KeyedOption { return keyed.WithSeed(seed) }

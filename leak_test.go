@@ -53,13 +53,11 @@ func TestCloseTerminatesGoroutines(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
 		eopts []gpustream.EstimatorOption
-		popts []gpustream.ParallelOption
 	}{
 		{name: "sync"},
 		{
 			name:  "async",
 			eopts: []gpustream.EstimatorOption{gpustream.WithAsyncIngestion()},
-			popts: []gpustream.ParallelOption{gpustream.WithAsyncShards()},
 		},
 	} {
 		eng := gpustream.New(gpustream.BackendGPU)
@@ -70,7 +68,7 @@ func TestCloseTerminatesGoroutines(t *testing.T) {
 			est.Close()
 		})
 		leakScenario(t, "quantile/"+mode.name, func(data []float32) {
-			est := eng.NewQuantileEstimator(0.01, int64(len(data)), mode.eopts...)
+			est := eng.NewQuantileEstimator(0.01, mode.eopts...)
 			est.ProcessSlice(data)
 			_ = est.Query(0.5)
 			est.Close()
@@ -88,15 +86,15 @@ func TestCloseTerminatesGoroutines(t *testing.T) {
 			est.Close()
 		})
 		leakScenario(t, "parallel-frequency/"+mode.name, func(data []float32) {
-			popts := append([]gpustream.ParallelOption{gpustream.WithBatchSize(512)}, mode.popts...)
+			popts := append([]gpustream.EstimatorOption{gpustream.WithBatchSize(512)}, mode.eopts...)
 			est := eng.NewParallelFrequencyEstimator(0.005, 4, popts...)
 			est.ProcessSlice(data)
 			est.Close()
 			_ = est.Query(0.01)
 		})
 		leakScenario(t, "parallel-quantile/"+mode.name, func(data []float32) {
-			popts := append([]gpustream.ParallelOption{gpustream.WithBatchSize(512)}, mode.popts...)
-			est := eng.NewParallelQuantileEstimator(0.01, int64(len(data)), 4, popts...)
+			popts := append([]gpustream.EstimatorOption{gpustream.WithBatchSize(512)}, mode.eopts...)
+			est := eng.NewParallelQuantileEstimator(0.01, 4, popts...)
 			est.ProcessSlice(data)
 			est.Close()
 			_ = est.Query(0.5)
@@ -107,13 +105,13 @@ func TestCloseTerminatesGoroutines(t *testing.T) {
 		// including async helpers of sorters the controller probed in.
 		auto := gpustream.New(gpustream.BackendAuto)
 		leakScenario(t, "auto-quantile/"+mode.name, func(data []float32) {
-			est := auto.NewQuantileEstimator(0.01, int64(len(data)), mode.eopts...)
+			est := auto.NewQuantileEstimator(0.01, mode.eopts...)
 			est.ProcessSlice(data)
 			_ = est.Query(0.5)
 			est.Close()
 		})
 		leakScenario(t, "auto-parallel-frequency/"+mode.name, func(data []float32) {
-			popts := append([]gpustream.ParallelOption{gpustream.WithBatchSize(512)}, mode.popts...)
+			popts := append([]gpustream.EstimatorOption{gpustream.WithBatchSize(512)}, mode.eopts...)
 			est := auto.NewParallelFrequencyEstimator(0.005, 4, popts...)
 			est.ProcessSlice(data)
 			est.Close()
@@ -124,7 +122,7 @@ func TestCloseTerminatesGoroutines(t *testing.T) {
 		// own and the deferred cleanup must still close the per-shard
 		// estimators, async stages included.
 		leakScenario(t, "parallel-close-expired/"+mode.name, func(data []float32) {
-			popts := append([]gpustream.ParallelOption{gpustream.WithBatchSize(256)}, mode.popts...)
+			popts := append([]gpustream.EstimatorOption{gpustream.WithBatchSize(256)}, mode.eopts...)
 			est := eng.NewParallelFrequencyEstimator(0.005, 4, popts...)
 			est.ProcessSlice(data)
 			ctx, cancel := context.WithCancel(context.Background())
@@ -150,28 +148,28 @@ func moduleGoroutines() int {
 
 // TestAsyncGoroutineCount pins what the staged executor costs: an async
 // serial estimator runs one goroutine, its sort stage (the caller merges),
-// and a K-shard WithAsyncShards estimator 2K — K workers and K sort stages —
+// and a K-shard WithAsyncIngestion estimator 2K — K workers and K sort stages —
 // while ingesting, queried, and after Close none.
 func TestAsyncGoroutineCount(t *testing.T) {
 	const k = 3
 	eng := gpustream.New(gpustream.BackendCPU)
 	data := stream.Zipf(12_000, 1.2, 500, 7)
 	async := gpustream.WithAsyncIngestion()
-	shards := []gpustream.ParallelOption{gpustream.WithAsyncShards(), gpustream.WithBatchSize(512)}
+	shards := []gpustream.EstimatorOption{gpustream.WithAsyncIngestion(), gpustream.WithBatchSize(512)}
 	for _, tc := range []struct {
 		name string
 		want int
 		mk   func() gpustream.Estimator[float32]
 	}{
 		{"frequency", 1, func() gpustream.Estimator[float32] { return eng.NewFrequencyEstimator(0.005, async) }},
-		{"quantile", 1, func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(0.01, 0, async) }},
+		{"quantile", 1, func() gpustream.Estimator[float32] { return eng.NewQuantileEstimator(0.01, async) }},
 		{"sliding-frequency", 1, func() gpustream.Estimator[float32] { return eng.NewSlidingFrequency(0.01, 2_000, async) }},
 		{"sliding-quantile", 1, func() gpustream.Estimator[float32] { return eng.NewSlidingQuantile(0.01, 2_000, async) }},
 		{"parallel-frequency", 2 * k, func() gpustream.Estimator[float32] {
 			return eng.NewParallelFrequencyEstimator(0.005, k, shards...)
 		}},
 		{"parallel-quantile", 2 * k, func() gpustream.Estimator[float32] {
-			return eng.NewParallelQuantileEstimator(0.01, 0, k, shards...)
+			return eng.NewParallelQuantileEstimator(0.01, k, shards...)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

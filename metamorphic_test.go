@@ -92,7 +92,7 @@ func TestMetamorphicQuantile(t *testing.T) {
 	data := metamorphicStream(n)
 	var answers []any
 	for _, plan := range chunkPlans(n, 8) {
-		est := gpustream.New(gpustream.BackendCPU).NewQuantileEstimator(0.005, n)
+		est := gpustream.New(gpustream.BackendCPU).NewQuantileEstimator(0.005)
 		ingest(est, data, plan)
 		var qs []float32
 		for _, phi := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {
@@ -145,7 +145,7 @@ func TestMetamorphicParallelK1(t *testing.T) {
 	for _, plan := range chunkPlans(n, 11) {
 		eng := gpustream.New(gpustream.BackendCPU)
 		fe := eng.NewParallelFrequencyEstimator(0.002, 1, gpustream.WithBatchSize(1000))
-		qe := eng.NewParallelQuantileEstimator(0.005, n, 1, gpustream.WithBatchSize(1000))
+		qe := eng.NewParallelQuantileEstimator(0.005, 1, gpustream.WithBatchSize(1000))
 		ingest(fe, data, plan)
 		ingest(qe, data, plan)
 		fe.Close()
@@ -174,7 +174,7 @@ func TestMetamorphicAsyncMatchesSync(t *testing.T) {
 			}
 			eng := gpustream.New(gpustream.BackendCPU)
 			fe := eng.NewFrequencyEstimator(0.002, eopts...)
-			qe := eng.NewQuantileEstimator(0.005, n, eopts...)
+			qe := eng.NewQuantileEstimator(0.005, eopts...)
 			sf := eng.NewSlidingFrequency(0.01, 8_000, eopts...)
 			sq := eng.NewSlidingQuantile(0.01, 8_000, eopts...)
 			for _, est := range []interface {
@@ -200,13 +200,13 @@ func TestMetamorphicAsyncMatchesSync(t *testing.T) {
 			return ans
 		}
 		parallel := func(k int, async bool) any {
-			popts := []gpustream.ParallelOption{gpustream.WithBatchSize(1024)}
+			popts := []gpustream.EstimatorOption{gpustream.WithBatchSize(1024)}
 			if async {
-				popts = append(popts, gpustream.WithAsyncShards())
+				popts = append(popts, gpustream.WithAsyncIngestion())
 			}
 			eng := gpustream.New(gpustream.BackendCPU)
 			pf := eng.NewParallelFrequencyEstimator(0.002, k, popts...)
-			pq := eng.NewParallelQuantileEstimator(0.005, n, k, popts...)
+			pq := eng.NewParallelQuantileEstimator(0.005, k, popts...)
 			ingest(pf, data, plan)
 			ingest(pq, data, plan)
 			pf.Close()
@@ -236,11 +236,11 @@ func typedChunkCase[T gpustream.Value](t *testing.T, data []T, seed int64) {
 	for _, plan := range chunkPlans(n, seed) {
 		eng := gpustream.NewOf[T](gpustream.BackendCPU)
 		fe := eng.NewFrequencyEstimator(0.002)
-		qe := eng.NewQuantileEstimator(0.005, int64(n))
+		qe := eng.NewQuantileEstimator(0.005)
 		sf := eng.NewSlidingFrequency(0.01, n/4)
 		sq := eng.NewSlidingQuantile(0.01, n/4)
 		pf := eng.NewParallelFrequencyEstimator(0.002, 1, gpustream.WithBatchSize(1000))
-		pq := eng.NewParallelQuantileEstimator(0.005, int64(n), 1, gpustream.WithBatchSize(1000))
+		pq := eng.NewParallelQuantileEstimator(0.005, 1, gpustream.WithBatchSize(1000))
 		for _, est := range []interface {
 			Process(T) error
 			ProcessSlice([]T) error

@@ -19,7 +19,7 @@ func TestParallelQuantileAPI(t *testing.T) {
 	const eps = 0.02
 	for _, backend := range []Backend{BackendCPU, BackendGPU} {
 		eng := New(backend)
-		est := eng.NewParallelQuantileEstimator(eps, int64(len(data)), 4, WithBatchSize(2048))
+		est := eng.NewParallelQuantileEstimator(eps, 4, WithBatchSize(2048))
 		est.ProcessSlice(data)
 		est.Close()
 		if est.Shards() != 4 {
@@ -68,9 +68,9 @@ func TestParallelSingleShardMatchesSerialAPI(t *testing.T) {
 	const eps = 0.01
 	eng := New(BackendCPU)
 
-	sq := eng.NewQuantileEstimator(eps, int64(len(data)))
+	sq := eng.NewQuantileEstimator(eps)
 	sq.ProcessSlice(data)
-	pq := eng.NewParallelQuantileEstimator(eps, int64(len(data)), 1)
+	pq := eng.NewParallelQuantileEstimator(eps, 1)
 	pq.ProcessSlice(data)
 	pq.Close()
 	for _, phi := range []float64{0, 0.25, 0.5, 0.75, 1} {
@@ -100,13 +100,12 @@ func TestParallelSingleShardMatchesSerialAPI(t *testing.T) {
 // backend: same quantile answers at every probe, same frequency estimates
 // and heavy-hitter lists.
 func k1BitIdenticalCase[T Value](t *testing.T, backend Backend, data []T) {
-	n := int64(len(data))
 	const eps = 0.005
 	eng := NewOf[T](backend)
 
-	sq := eng.NewQuantileEstimator(eps, n)
+	sq := eng.NewQuantileEstimator(eps)
 	sq.ProcessSlice(data)
-	pq := eng.NewParallelQuantileEstimator(eps, n, 1, WithBatchSize(1024))
+	pq := eng.NewParallelQuantileEstimator(eps, 1, WithBatchSize(1024))
 	pq.ProcessSlice(data)
 	pq.Close()
 	for p := 0; p <= 20; p++ {

@@ -11,7 +11,7 @@ import (
 func TestMergeFamilyMismatch(t *testing.T) {
 	eng := New(BackendCPU)
 	fe := eng.NewFrequencyEstimator(0.1)
-	qe := eng.NewQuantileEstimator(0.1, 16)
+	qe := eng.NewQuantileEstimator(0.1)
 	data := []float32{1, 2, 3, 2, 1}
 	if err := fe.ProcessSlice(data); err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func TestMergeSemantics(t *testing.T) {
 // summary is max(epsA, epsB)-approximate, never the sum.
 func TestMergeQuantileEps(t *testing.T) {
 	eng := New(BackendCPU)
-	a := eng.NewQuantileEstimator(0.02, 1000)
-	b := eng.NewQuantileEstimator(0.1, 1000)
+	a := eng.NewQuantileEstimator(0.02)
+	b := eng.NewQuantileEstimator(0.1)
 	data := goldenValues[float32](1000)
 	if err := a.ProcessSlice(data[:600]); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestSnapmergeFanIn(t *testing.T) {
 	var blobs [][]byte
 	for i := 0; i < 4; i++ {
 		eng := New(BackendCPU)
-		est := eng.NewQuantileEstimator(TreeEps(0.04, 2), 1000)
+		est := eng.NewQuantileEstimator(TreeEps(0.04, 2))
 		if err := est.ProcessSlice(data[i*1000 : (i+1)*1000]); err != nil {
 			t.Fatal(err)
 		}

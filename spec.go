@@ -474,7 +474,7 @@ func (e *Engine[T]) NewFromSpec(spec Spec) (Estimator[T], error) {
 	case FamilyFrequency:
 		return e.newFrequency(spec.Eps, cfg), nil
 	case FamilyQuantile:
-		return e.newQuantile(spec.Eps, spec.Capacity, cfg), nil
+		return e.newQuantile(spec.Eps, cfg), nil
 	case FamilySlidingFrequency:
 		return e.newSlidingFrequency(spec.Eps, spec.Window, cfg), nil
 	case FamilySlidingQuantile:
@@ -482,7 +482,7 @@ func (e *Engine[T]) NewFromSpec(spec Spec) (Estimator[T], error) {
 	case FamilyParallelFrequency:
 		return e.newParallelFrequency(spec.Eps, shards, e.sharding(cfg)), nil
 	case FamilyParallelQuantile:
-		return e.newParallelQuantile(spec.Eps, spec.Capacity, shards, e.sharding(cfg)), nil
+		return e.newParallelQuantile(spec.Eps, shards, e.sharding(cfg)), nil
 	case FamilyFrugal:
 		var fopts []FrugalOption
 		if len(spec.Phis) > 0 {

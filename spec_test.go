@@ -333,7 +333,7 @@ func TestNewFromSpecMatchesTypedConstructors(t *testing.T) {
 		{
 			spec: gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.001, Capacity: n},
 			typed: func(eng *gpustream.Engine[float32]) gpustream.Estimator[float32] {
-				return eng.NewQuantileEstimator(0.001, n)
+				return eng.NewQuantileEstimator(0.001)
 			},
 		},
 		{
@@ -357,7 +357,7 @@ func TestNewFromSpecMatchesTypedConstructors(t *testing.T) {
 		{
 			spec: gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: 0.001, Capacity: n, Shards: 2},
 			typed: func(eng *gpustream.Engine[float32]) gpustream.Estimator[float32] {
-				return eng.NewParallelQuantileEstimator(0.001, n, 2)
+				return eng.NewParallelQuantileEstimator(0.001, 2)
 			},
 		},
 		{
@@ -372,7 +372,28 @@ func TestNewFromSpecMatchesTypedConstructors(t *testing.T) {
 		{
 			spec: gpustream.Spec{Family: gpustream.FamilyQuantile, Eps: 0.001, Capacity: n, Async: gpustream.AsyncOn},
 			typed: func(eng *gpustream.Engine[float32]) gpustream.Estimator[float32] {
-				return eng.NewQuantileEstimator(0.001, n, gpustream.WithAsyncIngestion())
+				return eng.NewQuantileEstimator(0.001, gpustream.WithAsyncIngestion())
+			},
+		},
+		// The one option type: the serial options and Spec fields match on a
+		// serial constructor, and on a parallel one, which applies each
+		// option to every shard.
+		{
+			spec: gpustream.Spec{Family: gpustream.FamilyFrequency, Eps: 0.001, Window: 4096, Async: gpustream.AsyncOn},
+			typed: func(eng *gpustream.Engine[float32]) gpustream.Estimator[float32] {
+				return eng.NewFrequencyEstimator(0.001, gpustream.WithAsyncIngestion(), gpustream.WithSortWindow(4096))
+			},
+		},
+		{
+			spec: gpustream.Spec{Family: gpustream.FamilyParallelFrequency, Eps: 0.001, Window: 4096, Shards: 2, Async: gpustream.AsyncOn},
+			typed: func(eng *gpustream.Engine[float32]) gpustream.Estimator[float32] {
+				return eng.NewParallelFrequencyEstimator(0.001, 2, gpustream.WithAsyncIngestion(), gpustream.WithSortWindow(4096))
+			},
+		},
+		{
+			spec: gpustream.Spec{Family: gpustream.FamilyParallelQuantile, Eps: 0.001, Window: 4096, Shards: 2, Async: gpustream.AsyncOn},
+			typed: func(eng *gpustream.Engine[float32]) gpustream.Estimator[float32] {
+				return eng.NewParallelQuantileEstimator(0.001, 2, gpustream.WithAsyncIngestion(), gpustream.WithSortWindow(4096))
 			},
 		},
 	}
@@ -381,6 +402,9 @@ func TestNewFromSpecMatchesTypedConstructors(t *testing.T) {
 		name := tc.spec.Family.String()
 		if tc.spec.Async == gpustream.AsyncOn {
 			name += "-async"
+		}
+		if tc.spec.Window > 0 && !tc.spec.Family.Sliding() {
+			name += "-window"
 		}
 		t.Run(name, func(t *testing.T) {
 			engSpec := gpustream.New(gpustream.BackendGPU)

@@ -78,7 +78,7 @@ func TestTreeMergeEquivalence(t *testing.T) {
 				t.Run(fmt.Sprintf("h=%d/P=%d/seed=%d", h, p, seed), func(t *testing.T) {
 					parts := acceptance.Partition(data, p, seed)
 					checkRoot(t, treeRoot(t, parts, h, seed, func(e *gpustream.Engine[float32], part []float32) gpustream.Estimator[float32] {
-						return e.NewQuantileEstimator(epsW, int64(len(part))+1)
+						return e.NewQuantileEstimator(epsW)
 					}), truth, eps, 0)
 					checkRoot(t, treeRoot(t, parts, h, seed, func(e *gpustream.Engine[float32], _ []float32) gpustream.Estimator[float32] {
 						return e.NewFrequencyEstimator(epsW)

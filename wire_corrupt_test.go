@@ -183,6 +183,11 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 	winFreq := func(w int64) []byte {
 		return wire.AppendI64(wire.AppendF64(l.header(wire.FamilyWindowFrequency), 0.1), w)
 	}
+	// count, partialCount, the partial bins, then the pane count.
+	winFreqBody := func(count, partialCount int64, partial [][2]float64, panes uint32) []byte {
+		b := l.bins(wire.AppendI64(wire.AppendI64(winFreq(100), count), partialCount), partial...)
+		return wire.AppendU32(b, panes)
+	}
 	winQuant := wire.AppendI64(wire.AppendF64(l.header(wire.FamilyWindowQuantile), 0.1), 100) // w
 	winQuant = wire.AppendU8(wire.AppendI64(winQuant, 0), 0)                                  // count, no partial
 	frugal := func(n int64, count uint32) []byte {
@@ -203,6 +208,7 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 		{"future version", mutate(4, 99), wire.ErrVersion},
 		{"unknown family", mutate(7, 200), wire.ErrFamily},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0, 0, 0), wire.ErrCorrupt},
+		{"frequency NaN eps", wire.AppendU32(wire.AppendI64(wire.AppendF64(l.header(wire.FamilyFrequency), math.NaN()), 10), 0), wire.ErrCorrupt},
 		{"frequency count overflow", wire.AppendU32(freq(10), math.MaxUint32), wire.ErrTruncated},
 		{"frequency negative n", wire.AppendU32(freq(-1), 0), wire.ErrCorrupt},
 		// Strictly descending: must be rejected.
@@ -210,6 +216,9 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 		{"frequency negative freq", l.freqEntries(freq(10), [3]float64{5, -7, 0}), wire.ErrCorrupt},
 		{"frequency negative delta", l.freqEntries(freq(10), [3]float64{5, 1, -3}), wire.ErrCorrupt},
 		{"frequency freq above n", l.freqEntries(freq(10), [3]float64{5, 11, 0}), wire.ErrCorrupt},
+		{"quantile negative eps", wire.AppendU8(wire.AppendF64(l.header(wire.FamilyQuantile), -1), 0), wire.ErrCorrupt},
+		// An empty summary, at eps −0.5.
+		{"quantile summary negative eps", wire.AppendU32(wire.AppendI64(wire.AppendF64(wire.AppendU8(quant(), 1), -0.5), 0), 0), wire.ErrCorrupt},
 		{"quantile bad present flag", wire.AppendU8(quant(), 7), wire.ErrCorrupt},
 		{"quantile summary count overflow", wire.AppendU32(summary(10), math.MaxUint32), wire.ErrTruncated},
 		// N = 5, but RMin = 10 > N.
@@ -220,6 +229,9 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 		// w, count, partialCount, then the partial bins' count.
 		{"window bin count overflow", wire.AppendU32(wire.AppendI64(wire.AppendI64(winFreq(100), 0), 0), math.MaxUint32), wire.ErrTruncated},
 		{"window negative bin count", l.bins(wire.AppendI64(wire.AppendI64(winFreq(100), 0), 0), [2]float64{1, 2}, [2]float64{3, -1}), wire.ErrCorrupt},
+		// One pane of total 2 holding a bin of count 1000.
+		{"window pane bins above total", l.bins(wire.AppendI64(winFreqBody(2, 0, nil, 1), 2), [2]float64{5, 1000}), wire.ErrCorrupt},
+		{"window partial bins above partial count", winFreqBody(1, 1, [][2]float64{{5, 3}}, 0), wire.ErrCorrupt},
 		{"window pane count overflow", wire.AppendU32(winQuant, math.MaxUint32), wire.ErrTruncated},
 		{"frugal tracker count overflow", frugal(10, math.MaxUint32), wire.ErrTruncated},
 		{"frugal negative n", frugal(-1, 1), wire.ErrCorrupt},

@@ -54,7 +54,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 	// Negative floats and the signed zero, through a real estimator.
 	eng := New(BackendCPU)
-	qe := eng.NewQuantileEstimator(0.1, 8)
+	qe := eng.NewQuantileEstimator(0.1)
 	if err := qe.ProcessSlice([]float32{-3.4e38, -1, float32(math.Copysign(0, -1)), 0, 1, 3.4e38}); err != nil {
 		f.Fatal(err)
 	}

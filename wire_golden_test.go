@@ -66,7 +66,7 @@ func goldenSnapshots[T Value](t testing.TB) map[string]Snapshot[T] {
 	eng := NewOf[T](BackendCPU)
 
 	fe := eng.NewFrequencyEstimator(goldenEps)
-	qe := eng.NewQuantileEstimator(goldenEps, goldenN)
+	qe := eng.NewQuantileEstimator(goldenEps)
 	sf := eng.NewSlidingFrequency(goldenEps, goldenW)
 	sq := eng.NewSlidingQuantile(goldenEps, goldenW)
 	fr := eng.NewFrugalEstimator(WithFrugalSeed(7))
@@ -486,7 +486,7 @@ func checkOlderQuantileSnapshot[T Value](t *testing.T, file string) {
 	}
 	check("decoded", old, oracle.New(data))
 
-	qe := NewOf[T](BackendCPU).NewQuantileEstimator(goldenEps, 0)
+	qe := NewOf[T](BackendCPU).NewQuantileEstimator(goldenEps)
 	if err := qe.ProcessSlice(data); err != nil {
 		t.Fatal(err)
 	}

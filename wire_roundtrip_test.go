@@ -34,7 +34,7 @@ func testWireRoundTrip[T Value](t *testing.T) {
 			return est.Snapshot()
 		},
 		"quantile": func(t *testing.T) Snapshot[T] {
-			est := eng.NewQuantileEstimator(eps, n)
+			est := eng.NewQuantileEstimator(eps)
 			ingest(t, est, data)
 			return est.Snapshot()
 		},
@@ -57,7 +57,7 @@ func testWireRoundTrip[T Value](t *testing.T) {
 			return est.Snapshot()
 		},
 		"parallel-quantile": func(t *testing.T) Snapshot[T] {
-			est := eng.NewParallelQuantileEstimator(eps, n, 3)
+			est := eng.NewParallelQuantileEstimator(eps, 3)
 			ingest(t, est, data)
 			if err := est.Close(); err != nil {
 				t.Fatalf("close: %v", err)
@@ -99,7 +99,7 @@ func TestWireRoundTripEmptySnapshots(t *testing.T) {
 	eng := New(BackendCPU)
 	snaps := map[string]Snapshot[float32]{
 		"frequency":         eng.NewFrequencyEstimator(0.1).Snapshot(),
-		"quantile":          eng.NewQuantileEstimator(0.1, 16).Snapshot(),
+		"quantile":          eng.NewQuantileEstimator(0.1).Snapshot(),
 		"sliding-frequency": eng.NewSlidingFrequency(0.1, 32).Snapshot(),
 		"sliding-quantile":  eng.NewSlidingQuantile(0.1, 32).Snapshot(),
 	}
