@@ -33,7 +33,9 @@ import (
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
 // endian-stable wire encoding of the snapshot. The encoding is canonical —
-// unmarshal then marshal reproduces the bytes exactly.
+// unmarshal then marshal reproduces a current-version blob exactly. An
+// older blob re-marshals at the current version, with its promoted
+// summaries' rank bounds ordered (DESIGN.md section 12).
 func (s *Snapshot[K, T]) MarshalBinary() ([]byte, error) {
 	oracle, err := s.oracle.MarshalBinary()
 	if err != nil {

@@ -82,8 +82,7 @@ func checkCertificateOps(t *testing.T, name string, data []float32, cut int, eps
 	checkCertificate(t, name+", level-0 pair", pair, data)
 	if m := pair.Size(); m >= 3 {
 		// Without its end entries, rank 1 and rank N are answered from the
-		// nearest ones left: only the boundary terms certify that. A struct
-		// literal is unranked, so this also takes the scanning query; Eps 1
+		// nearest ones left: only the boundary terms certify that. Eps 1
 		// claims nothing.
 		ends := &summary.Summary[float32]{Entries: pair.Entries[1 : m-1], N: pair.N, Eps: 1}
 		checkCertificate(t, name+", pair without its ends", ends, data)

@@ -32,9 +32,9 @@ func level0Reference[T sorter.Value](a, b []T, eps float64) *summary.Summary[T] 
 	return s
 }
 
-// sameLevel0 is reflect.DeepEqual over the whole summary — N, Eps and the
-// unexported rank-order flag included — with every entry value compared by
-// its bits: == takes -0 for +0 and no NaN for itself.
+// sameLevel0 is reflect.DeepEqual over the whole summary — N and Eps
+// included — with every entry value compared by its bits: == takes -0 for
+// +0 and no NaN for itself.
 func sameLevel0[T sorter.Value](got, want *summary.Summary[T]) bool {
 	type entry struct {
 		bits       uint64

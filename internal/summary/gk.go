@@ -118,21 +118,19 @@ func (g *GK[T]) Query(phi float64) T {
 }
 
 // ToSummary converts the GK structure to the windowed Summary representation
-// so both estimator families share merge/prune machinery.
+// so both estimator families share merge/prune machinery. GK's bounds are
+// true but not ordered: a late interior insert carries a delta sized by the
+// 2*eps*n budget at its insert, so its RMax can lie above a later entry's,
+// and even past n. orderRanks tightens each to the least RMax after it; the
+// last tuple, the maximum, has delta 0 and RMax = n, so every RMax ends
+// within n.
 func (g *GK[T]) ToSummary() *Summary[T] {
 	s := &Summary[T]{N: g.n, Eps: g.eps}
 	var rmin int64
 	for _, t := range g.tuples {
 		rmin += t.g
-		rmax := rmin + t.delta
-		if rmax > g.n {
-			// delta is sized against the 2*eps*n budget at insert time, so a
-			// late interior insert can carry rmin+delta past n; the true rank
-			// never exceeds n, which is the tighter bound the Summary
-			// representation requires (RMax <= N).
-			rmax = g.n
-		}
-		s.Entries = append(s.Entries, Entry[T]{V: t.v, RMin: rmin, RMax: rmax})
+		s.Entries = append(s.Entries, Entry[T]{V: t.v, RMin: rmin, RMax: rmin + t.delta})
 	}
+	orderRanks(s.Entries)
 	return s
 }

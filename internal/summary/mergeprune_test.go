@@ -71,11 +71,10 @@ func budgetsFor(rng *rand.Rand, size int) []int {
 }
 
 // TestMergePruneMatchesTwoPass: MergePruneInto equals mergeRef + pruneRef —
-// entries, N, Eps and the ranked flag (reflect.DeepEqual sees it) — on
-// tie-heavy inputs from 1- to 50-symbol alphabets, on inputs whose ranges
-// do not overlap (one side runs out first) or barely overlap, on merged and
-// pruned inputs, on empty sides, and on GK-derived summaries that are not
-// ranked.
+// entries, N and Eps (reflect.DeepEqual) — on tie-heavy inputs from 1- to
+// 50-symbol alphabets, on inputs whose ranges do not overlap (one side runs
+// out first) or barely overlap, on merged and pruned inputs, on empty
+// sides, and on GK-derived summaries.
 func TestMergePruneMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	type pair struct {
@@ -105,7 +104,7 @@ func TestMergePruneMatchesTwoPass(t *testing.T) {
 		pair{"single entry last", many, one},
 		pair{"empty a", &Summary[float32]{Eps: 0.3}, many},
 		pair{"empty b", many, &Summary[float32]{Eps: 0.3}},
-		pair{"unranked GK input", gk.ToSummary(), many},
+		pair{"GK input", gk.ToSummary(), many},
 	)
 	for _, c := range cases {
 		for _, budget := range budgetsFor(rng, c.a.Size()+c.b.Size()) {
@@ -228,10 +227,9 @@ func chainPart(rng *rand.Rand, shape uint8, alphabet int) *Summary[float32] {
 }
 
 // FuzzMergePruneAll holds the streamed chain to the chain it replaced,
-// chainRef, bit for bit — entry values by their bits, N, Eps, the
-// rank-order flag and a nil entry list — over 1 to 8 parts of the shapes
-// chainPart makes, into a nil dst and into a reused one holding stale
-// entries. Byte i of shapes picks part i's shape.
+// chainRef, bit for bit — entry values by their bits, N, Eps and a nil
+// entry list — over 1 to 8 parts of the shapes chainPart makes, into a nil
+// dst and into a reused one holding stale entries. Byte i of shapes picks part i's shape.
 func FuzzMergePruneAll(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint64(5), uint8(1), uint16(1))
 	f.Add(uint64(2), uint8(1), uint64(0x0505), uint8(3), uint16(100))

@@ -1,11 +1,24 @@
 package summary
 
 import (
+	"math"
 	"testing"
 
 	"gpustream/internal/stream"
-	"gpustream/internal/wire"
 )
+
+// queryIndexLinear is queryIndex by a scan over every entry: the first one
+// minimizing max(r - RMin, RMax - r). It is the reference the bisection is
+// tested against, and needs no order of the rank bounds.
+func (s *Summary[T]) queryIndexLinear(r int64) int {
+	best, bestScore := 0, int64(math.MaxInt64)
+	for i, e := range s.Entries {
+		if score := e.score(r); score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
 
 // cascadeOf folds data through sorted windows of w values, merging pairwise
 // like the quantile cascade and pruning to b entries at every combine.
@@ -25,27 +38,47 @@ func cascadeOf(data []float32, w int, eps float64, b int) *Summary[float32] {
 	return acc
 }
 
+// pointMass is the keyed tier's prefix summary: one value standing for n
+// elements, at any rank in 1..n.
+func pointMass(v float32, n int64, eps float64) *Summary[float32] {
+	return &Summary[float32]{Entries: []Entry[float32]{{V: v, RMin: 1, RMax: n}}, N: n, Eps: eps}
+}
+
+// gkOf inserts data into a GK summary at eps, compressing every `every`
+// inserts (0: GK's own schedule).
+func gkOf(data []float32, eps float64, every int64) *GK[float32] {
+	g := NewGK[float32](eps)
+	if every > 0 {
+		g = NewGKCompressEvery[float32](eps, every)
+	}
+	for _, v := range data {
+		g.Insert(v)
+	}
+	return g
+}
+
 // TestQueryIndexBisectionMatchesScan pins the bisecting queryIndex to the
-// linear scan it replaced — same index, first-minimum tie-break included —
-// on every rank of small summaries and 10^4 random ranks of large ones.
+// linear scan — same index, first-minimum tie-break included — on every
+// rank of small summaries and 10^4 random ranks of large ones: sampled
+// windows, merges, cascades, GK summaries, the keyed tier's GK suffix
+// merged with a point mass, and point masses merged with windows and with
+// each other.
 func TestQueryIndexBisectionMatchesScan(t *testing.T) {
 	allEqual := make([]float32, 5000)
 	for i := range allEqual {
 		allEqual[i] = 7
 	}
 	inputs := map[string][]float32{
-		"random":    stream.Uniform(5000, 1),
-		"all-equal": allEqual,
-		"zipf":      stream.Zipf(5000, 1.1, 60, 2),
-		"sorted":    stream.Sorted(5000),
+		"random":       stream.Uniform(5000, 1),
+		"all-equal":    allEqual,
+		"zipf":         stream.Zipf(5000, 1.1, 60, 2),
+		"sorted":       stream.Sorted(5000),
+		"late-inserts": lateInserts(5000, 3),
 	}
 	check := func(t *testing.T, s *Summary[float32], ranks func(yield func(int64))) {
 		t.Helper()
-		if !s.ranked {
-			t.Fatal("summary built from sorted windows is not marked ranked")
-		}
-		if !ranksOrdered(s.Entries) {
-			t.Fatal("rank bounds are not non-decreasing")
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
 		}
 		ranks(func(r int64) {
 			if got, want := s.queryIndex(r), s.queryIndexLinear(r); got != want {
@@ -62,18 +95,37 @@ func TestQueryIndexBisectionMatchesScan(t *testing.T) {
 	}
 	for name, data := range inputs {
 		t.Run(name, func(t *testing.T) {
+			gk := gkOf(data, 0.01, 0)
+			window := FromSortedWindow(sortedCopy(data[:700]), 0.02)
 			for _, s := range []*Summary[float32]{
 				FromSortedWindow(sortedCopy(data[:1]), 0.1),
 				FromSortedWindow(sortedCopy(data[:300]), 0.001), // every rank kept
 				FromSortedWindow(sortedCopy(data), 0.01),
-				Merge(FromSortedWindow(sortedCopy(data[:700]), 0.02), FromSortedWindow(sortedCopy(data[700:1500]), 0.05)),
+				Merge(window, FromSortedWindow(sortedCopy(data[700:1500]), 0.05)),
 				cascadeOf(data, 100, 0.05, 40), // merged then pruned, many times over
 				cascadeOf(data, 64, 0.001, 25),
+				gk.ToSummary(),
+				gkOf(data, 0.05, 1000).ToSummary(),                   // lazily compressed
+				Merge(gk.ToSummary(), pointMass(data[0], 800, 0.01)), // keyed effective()
+				Merge(gkOf(data[2500:], 0.02, 0).ToSummary(), pointMass(data[2600], 2500, 0.02)),
+				Merge(pointMass(data[9], 300, 0.01), window),
+				Merge(window, pointMass(data[9], 300, 0.01)),
+				Merge(pointMass(3, 40, 0), pointMass(3, 25, 0)),
+				Merge(Merge(gk.ToSummary(), pointMass(data[0], 800, 0.01)), window).Prune(30),
 			} {
 				check(t, s, everyRank(s.N))
 			}
 		})
 	}
+	t.Run("gk-late-inserts-dip", func(t *testing.T) {
+		// The ordering is what makes the bisection valid here: GK's own RMax
+		// dips on this stream.
+		g := gkOf(lateInserts(5000, 3), 0.01, 0)
+		if !rawDips(rawBounds(g)) {
+			t.Fatal("GK's raw RMax never dips on late interior inserts")
+		}
+		check(t, g.ToSummary(), everyRank(g.Count()))
+	})
 	t.Run("large", func(t *testing.T) {
 		rng := stream.NewRNG(3)
 		for _, data := range [][]float32{
@@ -83,6 +135,7 @@ func TestQueryIndexBisectionMatchesScan(t *testing.T) {
 			for _, s := range []*Summary[float32]{
 				cascadeOf(data, 4000, 0.001, 10000),
 				cascadeOf(data, 1000, 0.001, 1<<30), // never pruned: 100K entries
+				Merge(gkOf(data, 0.001, 0).ToSummary(), pointMass(data[0], 20000, 0.001)),
 			} {
 				check(t, s, func(yield func(int64)) {
 					for range 10000 {
@@ -92,32 +145,4 @@ func TestQueryIndexBisectionMatchesScan(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestQueryIndexScansUnorderedRanks: a summary whose RMax dips (as
-// GK.ToSummary's may) is not marked ranked, on its own or after a merge or
-// a wire round trip, so its queries keep the scan's answers.
-func TestQueryIndexScansUnorderedRanks(t *testing.T) {
-	dip := &Summary[float32]{N: 10, Eps: 0.2, Entries: []Entry[float32]{
-		{V: 1, RMin: 1, RMax: 1}, {V: 2, RMin: 2, RMax: 9}, {V: 3, RMin: 3, RMax: 3}, {V: 4, RMin: 10, RMax: 10},
-	}}
-	merged := Merge(dip, FromSortedWindow([]float32{1.5, 2.5}, 0.5))
-	if dip.ranked || merged.ranked || merged.Prune(2).ranked || ranksOrdered(dip.Entries) {
-		t.Fatal("summary with a dipping RMax marked ranked")
-	}
-	for r := int64(1); r <= merged.N; r++ {
-		if got, want := merged.queryIndex(r), merged.queryIndexLinear(r); got != want {
-			t.Fatalf("rank %d: entry %d, scan %d", r, got, want)
-		}
-	}
-	for _, s := range []*Summary[float32]{dip, FromSortedWindow([]float32{1, 2, 3}, 0.5)} {
-		r := wire.NewReader(AppendBinary(nil, s))
-		dec := Decode[float32](r)
-		if err := r.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if dec.ranked != s.ranked {
-			t.Fatalf("decoded ranked = %v, built %v", dec.ranked, s.ranked)
-		}
-	}
 }

@@ -27,7 +27,7 @@ func fromSortedWindowRef[T sorter.Value](window []T, eps float64) *Summary[T] {
 		return &Summary[T]{Eps: eps / 2}
 	}
 	step := max(int64(eps*float64(w)), 1)
-	s := &Summary[T]{N: w, Eps: max(float64(step)/(2*float64(w)), eps/2), ranked: true}
+	s := &Summary[T]{N: w, Eps: max(float64(step)/(2*float64(w)), eps/2)}
 	var prev T
 	for rank, next := int64(1), max(step, 2); rank <= w; rank, next = min(next, w), next+step {
 		v := window[rank-1]
@@ -52,11 +52,9 @@ func pruneRef[T sorter.Value](s *Summary[T], b int) *Summary[T] {
 		panic("summary: Prune with non-positive budget")
 	}
 	if len(s.Entries) <= b+1 {
-		out := s.Clone()
-		out.Eps = s.Eps + pruneEps(s.N, b)
-		return out
+		return &Summary[T]{N: s.N, Eps: s.Eps + pruneEps(s.N, b), Entries: slices.Clone(s.Entries)}
 	}
-	out := &Summary[T]{N: s.N, Eps: s.Eps + pruneEps(s.N, b), Entries: make([]Entry[T], 0, b+1), ranked: s.ranked}
+	out := &Summary[T]{N: s.N, Eps: s.Eps + pruneEps(s.N, b), Entries: make([]Entry[T], 0, b+1)}
 	es := s.Entries
 	idx, lastIdx := 0, -1
 	for i := 0; i <= b; i++ {
@@ -82,16 +80,16 @@ func pruneRef[T sorter.Value](s *Summary[T], b int) *Summary[T] {
 func mergeRef[T sorter.Value](a, b *Summary[T]) *Summary[T] {
 	dst := &Summary[T]{}
 	if a.N == 0 {
-		dst.N, dst.Eps, dst.ranked = b.N, b.Eps, b.ranked
+		dst.N, dst.Eps = b.N, b.Eps
 		dst.Entries = append(dst.Entries, b.Entries...)
 		return dst
 	}
 	if b.N == 0 {
-		dst.N, dst.Eps, dst.ranked = a.N, a.Eps, a.ranked
+		dst.N, dst.Eps = a.N, a.Eps
 		dst.Entries = append(dst.Entries, a.Entries...)
 		return dst
 	}
-	dst.N, dst.Eps, dst.ranked = a.N+b.N, math.Max(a.Eps, b.Eps), a.ranked && b.ranked
+	dst.N, dst.Eps = a.N+b.N, math.Max(a.Eps, b.Eps)
 	ae, be := a.Entries, b.Entries
 	if len(ae)+len(be) > 0 {
 		dst.Entries = make([]Entry[T], len(ae)+len(be))
@@ -152,9 +150,9 @@ func chainRef[T sorter.Value](parts []*Summary[T], budget int) *Summary[T] {
 	return pruneRef(m, budget)
 }
 
-// sameBits is reflect.DeepEqual over the whole summary — N, Eps and the
-// unexported rank-order flag included — with every entry value compared by
-// its bits: == takes -0 for +0 and no NaN for itself.
+// sameBits is reflect.DeepEqual over the whole summary — N and Eps
+// included — with every entry value compared by its bits: == takes -0 for
+// +0 and no NaN for itself.
 func sameBits[T sorter.Value](got, want *Summary[T]) bool {
 	type entry struct {
 		bits       uint64

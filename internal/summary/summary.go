@@ -24,18 +24,14 @@ type Entry[T sorter.Value] struct {
 
 // Summary is an eps-approximate quantile summary over N observed elements:
 // a value-ascending list of entries with rank bounds such that any rank
-// query can be answered within Eps*N.
+// query can be answered within Eps*N. RMin and RMax are both non-decreasing
+// over the entries, which is what lets queryIndex bisect: sorted windows
+// are built so, Merge and Prune preserve it, and GK.ToSummary and Decode
+// establish it (orderRanks).
 type Summary[T sorter.Value] struct {
 	Entries []Entry[T]
 	N       int64
 	Eps     float64
-
-	// ranked records that RMin and RMax are both non-decreasing over
-	// Entries, which is what lets queryIndex bisect. Sorted windows have it,
-	// Merge and Prune preserve it and Decode checks for it; summaries built
-	// any other way (GK.ToSummary, whose RMax may dip, or a struct literal)
-	// leave it false and are scanned.
-	ranked bool
 }
 
 // FromSortedWindow builds an (eps/2)-approximate summary from an ascending
@@ -106,8 +102,7 @@ func FromSortedPairInto[T sorter.Value](dst *Summary[T], a, b []T, eps float64) 
 // window sampled at eps and returns it with the step between kept ranks:
 // with step = floor(eps*w), at least 1, the kept ranks are 1, step,
 // 2*step, ..., w, and the entry storage is sized for them so construction
-// is at most one allocation. N, Eps and the rank order are set, and the
-// entries are empty.
+// is at most one allocation. N and Eps are set, and the entries are empty.
 func sampled[T sorter.Value](dst *Summary[T], w int64, eps float64) (*Summary[T], int64) {
 	if dst == nil {
 		dst = &Summary[T]{}
@@ -121,7 +116,7 @@ func sampled[T sorter.Value](dst *Summary[T], w int64, eps float64) (*Summary[T]
 	}
 	step := sampleStep(w, eps)
 	s := dst
-	s.N, s.ranked, s.Entries = w, true, s.Entries[:0]
+	s.N, s.Entries = w, s.Entries[:0]
 	if n := SampledLen(w, eps); cap(s.Entries) < n {
 		s.Entries = make([]Entry[T], 0, n)
 	}
@@ -207,12 +202,11 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int
 	if dst == nil {
 		dst = &Summary[T]{}
 	}
-	// The chain's header and its live parts: N adds, Eps takes the max and
-	// the rank-order flag the conjunction, in chain order.
+	// The chain's header and its live parts: N adds and Eps takes the max,
+	// in chain order.
 	var (
 		n           int64
 		eps         float64
-		ranked      bool
 		live, total int
 	)
 	for _, p := range parts {
@@ -220,9 +214,9 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int
 			continue
 		}
 		if live == 0 {
-			eps, ranked = p.Eps, p.ranked
+			eps = p.Eps
 		} else {
-			eps, ranked = math.Max(eps, p.Eps), ranked && p.ranked
+			eps = math.Max(eps, p.Eps)
 		}
 		n += p.N
 		live++
@@ -260,7 +254,7 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int
 	}
 	if live == 0 && len(parts) > 0 {
 		last := parts[len(parts)-1]
-		fin.a, eps, ranked = last.Entries, last.Eps, last.ranked
+		fin.a, eps = last.Entries, last.Eps
 		total = len(last.Entries)
 	}
 
@@ -269,7 +263,7 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int
 			dst.Entries = make([]Entry[T], total)
 		}
 		fin.block = dst.Entries[:total]
-		dst.Entries, dst.N, dst.Eps, dst.ranked = fin.next(), n, eps, ranked
+		dst.Entries, dst.N, dst.Eps = fin.next(), n, eps
 		if budget > 0 {
 			dst.Eps += pruneEps(n, budget)
 		}
@@ -285,7 +279,7 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int
 	if !sw.kept {
 		sw.out = append(sw.out, sw.cur)
 	}
-	dst.Entries, dst.N, dst.Eps, dst.ranked = sw.out, n, eps+pruneEps(n, budget), ranked
+	dst.Entries, dst.N, dst.Eps = sw.out, n, eps+pruneEps(n, budget)
 	return dst
 }
 
@@ -454,13 +448,6 @@ func (sw *pruneSweep[T]) settle(e Entry[T]) bool {
 	}
 }
 
-// Clone returns a copy of the summary with entry storage of its own.
-func (s *Summary[T]) Clone() *Summary[T] {
-	c := &Summary[T]{N: s.N, Eps: s.Eps, ranked: s.ranked}
-	c.Entries = append([]Entry[T](nil), s.Entries...)
-	return c
-}
-
 // Prune shrinks the summary to at most b+1 entries by querying the ranks
 // 1, N/b, 2N/b, ..., N, rounded up, and keeping the selected entries with
 // their original rank bounds. The pruned summary is
@@ -497,10 +484,9 @@ func pruneEps(n int64, b int) float64 {
 // is not the first, as RMax[0] <= 1 + E, and the entry before it has
 // RMax <= r + E and, the bounds being integers, RMin >= RMax[next] - 2E - 1
 // >= r - E, so its score, and the query's, is at most E; with no such
-// entry, the last one's RMin >= N - E does the same. The argument does not
-// need ordered rank bounds, so it holds for unranked summaries too. A
-// merge certifies no worse than its worse input, and a prune adds at most
-// pruneEps. O(entries); an empty summary certifies 0.
+// entry, the last one's RMin >= N - E does the same. A merge certifies no
+// worse than its worse input, and a prune adds at most pruneEps.
+// O(entries); an empty summary certifies 0.
 func (s *Summary[T]) Certificate() float64 {
 	es := s.Entries
 	if s.N == 0 || len(es) == 0 {
@@ -535,9 +521,6 @@ func (e Entry[T]) score(r int64) int64 {
 // the entries, so the score is unimodal and the minimum sits at their
 // crossing: O(log n) instead of a scan per phi.
 func (s *Summary[T]) queryIndex(r int64) int {
-	if !s.ranked {
-		return s.queryIndexLinear(r)
-	}
 	es := s.Entries
 	// k is the first entry whose score is RMax - r; from there on the score
 	// only rises, so k is the first minimum of that side.
@@ -553,19 +536,6 @@ func (s *Summary[T]) queryIndex(r int64) int {
 		return k
 	}
 	return sort.Search(k, func(i int) bool { return es[i].RMin >= below })
-}
-
-// queryIndexLinear is queryIndex by a scan over every entry: the reference
-// the bisection is tested against, and the path of summaries whose rank
-// bounds are not known to be ordered.
-func (s *Summary[T]) queryIndexLinear(r int64) int {
-	best, bestScore := 0, int64(math.MaxInt64)
-	for i, e := range s.Entries {
-		if score := e.score(r); score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
 }
 
 // QueryRank returns a value whose rank in the underlying stream is within
@@ -589,7 +559,8 @@ func (s *Summary[T]) Query(phi float64) T {
 	return s.QueryRank(r)
 }
 
-// Validate checks structural invariants: ascending values, sane rank bounds.
+// Validate checks structural invariants: ascending values, sane rank bounds
+// in ascending order.
 func (s *Summary[T]) Validate() error {
 	for i, e := range s.Entries {
 		if e.RMin < 1 || e.RMax > s.N || e.RMin > e.RMax {
@@ -598,6 +569,23 @@ func (s *Summary[T]) Validate() error {
 		if i > 0 && e.V < s.Entries[i-1].V {
 			return fmt.Errorf("summary: entries not value-ascending at %d", i)
 		}
+		if i > 0 && (e.RMin < s.Entries[i-1].RMin || e.RMax < s.Entries[i-1].RMax) {
+			return fmt.Errorf("summary: rank bounds out of order at %d", i)
+		}
 	}
 	return nil
+}
+
+// orderRanks raises each RMin to the largest RMin before it and lowers each
+// RMax to the least RMax after it. The entries ascend, so an entry's rank
+// is no less than any earlier entry's and no more than any later one's:
+// true bounds stay true, and none widens. Bounds that contradict (an RMin
+// above a later RMax) end inverted, which Validate rejects.
+func orderRanks[T sorter.Value](es []Entry[T]) {
+	for i := 1; i < len(es); i++ {
+		es[i].RMin = max(es[i].RMin, es[i-1].RMin)
+	}
+	for i := len(es) - 2; i >= 0; i-- {
+		es[i].RMax = min(es[i].RMax, es[i+1].RMax)
+	}
 }

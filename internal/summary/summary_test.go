@@ -161,7 +161,7 @@ func TestPruneBoundsSizeAndError(t *testing.T) {
 // 6, 8, 9, and rank 4, between 3 and 5, is answered one rank off — 1/9 of
 // N, more than the 1/12 that 1/(2b) alone allows.
 func TestPruneRoundingTerm(t *testing.T) {
-	s := &Summary[float32]{N: 9, ranked: true}
+	s := &Summary[float32]{N: 9}
 	for r := int64(1); r <= 9; r++ {
 		s.Entries = append(s.Entries, Entry[float32]{V: float32(r), RMin: r, RMax: r})
 	}
@@ -315,6 +315,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{N: 10, Entries: []Entry[float32]{{V: 1, RMin: 2, RMax: 12}}},                          // rmax > N
 		{N: 10, Entries: []Entry[float32]{{V: 1, RMin: 5, RMax: 3}}},                           // inverted
 		{N: 10, Entries: []Entry[float32]{{V: 2, RMin: 1, RMax: 1}, {V: 1, RMin: 5, RMax: 5}}}, // unordered values
+		{N: 10, Entries: []Entry[float32]{{V: 1, RMin: 1, RMax: 9}, {V: 2, RMin: 2, RMax: 3}}}, // RMax dips
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {

@@ -43,10 +43,10 @@ func AppendBinary[T sorter.Value](b []byte, s *Summary[T]) []byte {
 }
 
 // Decode reads one summary from r, validating lengths before allocating and
-// the GK structural invariants (value-ascending entries, rank bounds inside
-// [1, N]) after. Failures land in r wrapping the wire sentinels — the
-// caller's r.Finish reports them, and must be checked before the summary is
-// used; Decode never panics and never returns nil.
+// the GK structural invariants (value-ascending entries, non-decreasing
+// rank bounds inside [1, N]) after. Failures land in r wrapping the wire
+// sentinels — the caller's r.Finish reports them, and must be checked
+// before the summary is used; Decode never panics and never returns nil.
 func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
 	// Checked first, formatted only on failure (wire.Reader.Check): a family
 	// decodes one summary per pane or promoted key.
@@ -69,8 +69,8 @@ func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
 	if count > 0 {
 		s.Entries = make([]Entry[T], count)
 	}
-	// Version 1 wrote both rank bounds as they are; version 2 writes RMin's
-	// difference from the previous entry's and RMax's from its own RMin.
+	// Version 1 wrote both rank bounds as they are; since version 2 RMin is
+	// the difference from the previous entry's and RMax from its own RMin.
 	v1 := r.Version() == 1
 	var vd wire.ValueDeltas[T]
 	var rmin int64
@@ -85,19 +85,14 @@ func Decode[T sorter.Value](r *wire.Reader) *Summary[T] {
 		rmin += lo
 		e.RMin, e.RMax = rmin, rmin+hi
 	}
+	// Versions 1 and 2 wrote GK.ToSummary's bounds as GK kept them, which
+	// need not be ordered; since version 3 every summary is written ordered,
+	// and Validate rejects one that is not.
+	if r.Version() < 3 {
+		orderRanks(s.Entries)
+	}
 	if err := s.Validate(); err != nil {
 		r.Check(false, "summary: %v", err)
 	}
-	s.ranked = ranksOrdered(s.Entries)
 	return s
-}
-
-// ranksOrdered reports whether both rank bounds are non-decreasing.
-func ranksOrdered[T sorter.Value](es []Entry[T]) bool {
-	for i := 1; i < len(es); i++ {
-		if es[i].RMin < es[i-1].RMin || es[i].RMax < es[i-1].RMax {
-			return false
-		}
-	}
-	return true
 }

@@ -32,8 +32,10 @@ var magic = [4]byte{'G', 'S', 'N', 'P'}
 // changes by bumping it, and old readers must fail cleanly on new blobs
 // rather than misparse them. Version 1 wrote every record as fixed-width
 // fields; version 2 writes summary, frequency and bin records as varint
-// deltas.
-const Version = 2
+// deltas. Version 3 has version 2's layout and guarantees that every
+// summary's rank bounds are non-decreasing: a decoder orders an older
+// summary's, and rejects a version-3 one whose bounds are out of order.
+const Version = 3
 
 // MinVersion is the oldest format version this build still reads.
 const MinVersion = 1
@@ -185,11 +187,12 @@ func AppendValue[T sorter.Value](b []byte, v T) []byte {
 // either sign takes one byte.
 func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
-// ValueDeltas is the value predictor of a version-2 record list: each value
-// is written as the zigzag uvarint of its order-preserving key minus the
-// previous record's key (0 before the first), wrapping at T's key width. The
-// wrap makes the code a bijection on T's key space, so any list — sorted or
-// not — round-trips, and a decoder checks the order it needs afterwards.
+// ValueDeltas is the value predictor of a record list since version 2:
+// each value is written as the zigzag uvarint of its order-preserving key
+// minus the previous record's key (0 before the first), wrapping at T's key
+// width. The wrap makes the code a bijection on T's key space, so any list
+// — sorted or not — round-trips, and a decoder checks the order it needs
+// afterwards.
 // One ValueDeltas walks one list; its zero value starts the list.
 type ValueDeltas[T sorter.Value] struct{ prev uint64 }
 

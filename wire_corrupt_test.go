@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -31,40 +32,42 @@ func isWireError(err error) bool {
 }
 
 // TestUnmarshalTruncatedInput cuts every golden blob — both value types of
-// every family, the keyed pair included, and the version-1 goldens under
-// testdata/compat — at every offset: each proper prefix must fail with a
-// wrapped sentinel (truncation, or corruption when the cut lands on a
-// structural field) and no snapshot, and none may panic.
+// every family, the keyed pair included, and the goldens of every older
+// version under testdata/compat — at every offset: each proper prefix must
+// fail with a wrapped sentinel (truncation, or corruption when the cut
+// lands on a structural field) and no snapshot, and none may panic.
 func TestUnmarshalTruncatedInput(t *testing.T) {
 	t.Run("float32", testTruncatedInput[float32])
 	t.Run("uint64", testTruncatedInput[uint64])
 	t.Run("keyed-uint64-float32", testTruncatedKeyedInput[uint64, float32])
 	t.Run("keyed-uint32-uint64", testTruncatedKeyedInput[uint32, uint64])
-	t.Run("v1", func(t *testing.T) {
-		t.Run("float32", testTruncatedVersion1Input[float32])
-		t.Run("uint64", testTruncatedVersion1Input[uint64])
-		t.Run("keyed-uint64-float32", testTruncatedVersion1KeyedInput[uint64, float32])
-		t.Run("keyed-uint32-uint64", testTruncatedVersion1KeyedInput[uint32, uint64])
-	})
+	for v := uint16(wire.MinVersion); v < wire.Version; v++ {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			t.Run("float32", func(t *testing.T) { testTruncatedOlderInput[float32](t, v) })
+			t.Run("uint64", func(t *testing.T) { testTruncatedOlderInput[uint64](t, v) })
+			t.Run("keyed-uint64-float32", func(t *testing.T) { testTruncatedOlderKeyedInput[uint64, float32](t, v) })
+			t.Run("keyed-uint32-uint64", func(t *testing.T) { testTruncatedOlderKeyedInput[uint32, uint64](t, v) })
+		})
+	}
 }
 
-func testTruncatedVersion1Input[T Value](t *testing.T) {
+func testTruncatedOlderInput[T Value](t *testing.T, v uint16) {
 	for _, family := range goldenFamilies {
 		name := family + "." + typeName[T]() + ".snap"
-		blob, _ := readVersionPair(t, name)
+		blob, _ := readVersionPair(t, v, name)
 		for i := range blob {
 			s, err := UnmarshalSnapshot[T](blob[:i])
-			checkTruncated(t, "v1-"+name, i, len(blob), s == nil, err)
+			checkTruncated(t, fmt.Sprintf("v%d-%s", v, name), i, len(blob), s == nil, err)
 		}
 	}
 }
 
-func testTruncatedVersion1KeyedInput[K, T Value](t *testing.T) {
+func testTruncatedOlderKeyedInput[K, T Value](t *testing.T, v uint16) {
 	name := "keyed." + typeName[K]() + "-" + typeName[T]() + ".snap"
-	blob, _ := readVersionPair(t, name)
+	blob, _ := readVersionPair(t, v, name)
 	for i := range blob {
 		s, err := UnmarshalKeyedSnapshot[K, T](blob[:i])
-		checkTruncated(t, "v1-"+name, i, len(blob), s == nil, err)
+		checkTruncated(t, fmt.Sprintf("v%d-%s", v, name), i, len(blob), s == nil, err)
 	}
 }
 
@@ -201,7 +204,7 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 		frugalUnsorted = wire.AppendU8(wire.AppendValue(wire.AppendF64(frugalUnsorted, phi), float32(1)), 0x40)
 	}
 
-	return []corruptCase{
+	cases := []corruptCase{
 		{"empty input", nil, wire.ErrTruncated},
 		{"short header", valid[:wire.HeaderSize-1], wire.ErrTruncated},
 		{"bad magic", mutate(0, 'X'), wire.ErrBadMagic},
@@ -225,6 +228,9 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 		{"quantile impossible ranks", l.summaryEntries(summary(5), [3]float64{1, 10, 12}), wire.ErrCorrupt},
 		// N = 5 with no entries.
 		{"quantile headless summary", wire.AppendU32(summary(5), 0), wire.ErrCorrupt},
+		// The first entry's rank is at least 5, the second's, a larger value,
+		// at most 3: no order of the bounds holds both.
+		{"summary rank bounds contradict", l.summaryEntries(summary(10), [3]float64{1, 5, 5}, [3]float64{2, 2, 3}), wire.ErrCorrupt},
 		{"window zero width", winFreq(0), wire.ErrCorrupt},
 		// w, count, partialCount, then the partial bins' count.
 		{"window bin count overflow", wire.AppendU32(wire.AppendI64(wire.AppendI64(winFreq(100), 0), 0), math.MaxUint32), wire.ErrTruncated},
@@ -239,6 +245,13 @@ func corruptCases(l layout, valid []byte) []corruptCase {
 		{"frugal fresh tracker on non-empty stream", frugalStaleFresh, wire.ErrCorrupt},
 		{"frugal unsorted trackers", frugalUnsorted, wire.ErrCorrupt},
 	}
+	if l >= 3 {
+		// RMax dips from 9 to 3, as GK's did before ToSummary ordered it:
+		// an older version's decoder orders it, version 3 writes none.
+		dip := l.summaryEntries(summary(10), [3]float64{1, 1, 1}, [3]float64{2, 2, 9}, [3]float64{3, 3, 3}, [3]float64{4, 10, 10})
+		cases = append(cases, corruptCase{"summary rank bounds out of order", dip, wire.ErrCorrupt})
+	}
+	return cases
 }
 
 // varintCases are the hostile varints, each in a frequency entry's value
@@ -279,22 +292,24 @@ func checkCorrupt(t *testing.T, data []byte, want error) {
 // structural invariants. Every case must return an error wrapping the
 // advertised sentinel — no panics, and (for the overflowed lengths) no
 // allocation sized by the bogus field. The table runs at the current
-// format version and, under v1, at version 1, whose fixed-width records
-// the decoders still read.
+// format version and, under v1 and v2, at every older version the
+// decoders still read.
 func TestUnmarshalCorruptInput(t *testing.T) {
 	valid := mustMarshal(t, goldenSnapshots[float32](t)["frequency"])
 	for _, tc := range append(corruptCases(wire.Version, valid), varintCases()...) {
 		t.Run(tc.name, func(t *testing.T) { checkCorrupt(t, tc.data, tc.want) })
 	}
-	t.Run("v1", func(t *testing.T) {
-		v1, _ := readVersionPair(t, "frequency.float32.snap")
-		if _, err := UnmarshalSnapshot[float32](v1); err != nil {
-			t.Fatalf("the valid version-1 blob: %v", err)
-		}
-		for _, tc := range corruptCases(1, v1) {
-			t.Run(tc.name, func(t *testing.T) { checkCorrupt(t, tc.data, tc.want) })
-		}
-	})
+	for v := uint16(wire.MinVersion); v < wire.Version; v++ {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			old, _ := readVersionPair(t, v, "frequency.float32.snap")
+			if _, err := UnmarshalSnapshot[float32](old); err != nil {
+				t.Fatalf("the valid version-%d blob: %v", v, err)
+			}
+			for _, tc := range corruptCases(layout(v), old) {
+				t.Run(tc.name, func(t *testing.T) { checkCorrupt(t, tc.data, tc.want) })
+			}
+		})
+	}
 
 	t.Run("value type mismatch", func(t *testing.T) {
 		// float32 blob read at every other instantiation, including uint32

@@ -16,14 +16,14 @@ import (
 //   - rejected input fails with a wrapped wire sentinel, never a panic;
 //   - accepted input at the current format version is canonical:
 //     Marshal(Unmarshal(data)) is bit-identical to data, at every fixed
-//     point; accepted version-1 input re-marshals to a current-version blob
-//     that decodes to the same snapshot (marshal encodes every field, so
+//     point; accepted older input (versions 1 and 2) re-marshals to a
+//     current-version blob that decodes to the same snapshot (marshal encodes every field, so
 //     equal bytes on the next cycle mean equal snapshots);
 //   - a decode → encode → decode cycle preserves every query answer.
 //
 // Seeded with the committed goldens, boundary-value snapshots (zero,
 // MaxUint64, negative and signed-zero floats), corrupt variants, and last
-// the version-1 blobs kept under testdata/compat.
+// the older blobs kept under testdata/compat.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	if entries, err := os.ReadDir(filepath.Join("testdata", "snapshots")); err == nil {
 		for _, e := range entries {
@@ -108,7 +108,7 @@ func isCurrentVersion(data []byte) bool {
 // family carries two type tags, two key tiers with cross-tier invariants,
 // and a nested oracle blob, so it has its own accept/reject surface.
 // Unkeyed goldens ride along as seeds: they must be rejected as a foreign
-// family, never decoded. The version-1 keyed goldens under testdata/compat
+// family, never decoded. The older keyed goldens under testdata/compat
 // come last.
 func FuzzKeyedSnapshotRoundTrip(f *testing.F) {
 	if entries, err := os.ReadDir(filepath.Join("testdata", "snapshots")); err == nil {

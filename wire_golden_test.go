@@ -17,8 +17,8 @@ import (
 // The goldens under testdata/snapshots pin the wire format at the byte
 // level: any encoding change — field order, widths, endianness — fails these
 // tests. An intentional format change must bump wire.Version, copy the
-// goldens it replaces into testdata/compat (TestDecodesVersion1Goldens reads
-// the version-1 ones) and regenerate with
+// goldens it replaces into testdata/compat as v<old version>-*.snap
+// (testDecodesOlderGoldens reads them) and regenerate with
 // `go test -run 'TestGolden(Keyed)?Snapshots' -update`.
 var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot files under testdata/snapshots")
 
@@ -347,67 +347,73 @@ func TestDecodesAPrioriViewQuantileSnapshots(t *testing.T) {
 	})
 }
 
-// TestDecodesVersion1Goldens reads the goldens as format version 1 wrote
-// them (testdata/compat/v1-*.snap, copied before version 2 regenerated
-// testdata/snapshots): each must carry the same family and value type as its
-// version-2 successor, decode to the same snapshot — entries and answers —
-// and re-marshal to the successor's bytes exactly.
-func TestDecodesVersion1Goldens(t *testing.T) {
-	t.Run("float32", testDecodesVersion1Goldens[float32])
-	t.Run("uint64", testDecodesVersion1Goldens[uint64])
-	t.Run("keyed-uint64-float32", testDecodesVersion1KeyedGolden[uint64, float32])
-	t.Run("keyed-uint32-uint64", testDecodesVersion1KeyedGolden[uint32, uint64])
+// TestDecodesVersion1Goldens and TestDecodesVersion2Goldens read the
+// goldens as format versions 1 and 2 wrote them (testdata/compat/v1-*.snap
+// and v2-*.snap, each copied before the next version regenerated
+// testdata/snapshots). Each is held to its current-version successor.
+func TestDecodesVersion1Goldens(t *testing.T) { testDecodesOlderGoldens(t, 1) }
+
+func TestDecodesVersion2Goldens(t *testing.T) { testDecodesOlderGoldens(t, 2) }
+
+// testDecodesOlderGoldens holds every golden of format version v to its
+// successor: the same family and value type, the same decoded snapshot —
+// entries and answers — and a re-marshal that is the successor's bytes
+// exactly.
+func testDecodesOlderGoldens(t *testing.T, v uint16) {
+	t.Run("float32", func(t *testing.T) { testDecodesOlderGolden[float32](t, v) })
+	t.Run("uint64", func(t *testing.T) { testDecodesOlderGolden[uint64](t, v) })
+	t.Run("keyed-uint64-float32", func(t *testing.T) { testDecodesOlderKeyedGolden[uint64, float32](t, v) })
+	t.Run("keyed-uint32-uint64", func(t *testing.T) { testDecodesOlderKeyedGolden[uint32, uint64](t, v) })
 }
 
-func testDecodesVersion1Goldens[T Value](t *testing.T) {
+func testDecodesOlderGolden[T Value](t *testing.T, v uint16) {
 	for _, family := range goldenFamilies {
 		t.Run(family, func(t *testing.T) {
-			name := family + "." + typeName[T]() + ".snap"
-			v1, v2 := readVersionPair(t, name)
-			old, err := UnmarshalSnapshot[T](v1)
+			oldBlob, curBlob := readVersionPair(t, v, family+"."+typeName[T]()+".snap")
+			old, err := UnmarshalSnapshot[T](oldBlob)
 			if err != nil {
-				t.Fatalf("unmarshal version 1: %v", err)
+				t.Fatalf("unmarshal version %d: %v", v, err)
 			}
-			cur, err := UnmarshalSnapshot[T](v2)
+			cur, err := UnmarshalSnapshot[T](curBlob)
 			if err != nil {
-				t.Fatalf("unmarshal version 2: %v", err)
+				t.Fatalf("unmarshal version %d: %v", wire.Version, err)
 			}
 			if !reflect.DeepEqual(old, cur) {
-				t.Fatal("version 1 and version 2 goldens decode to different snapshots")
+				t.Fatalf("version %d and version %d goldens decode to different snapshots", v, wire.Version)
 			}
-			if re := mustMarshal(t, old); !bytes.Equal(re, v2) {
-				t.Fatalf("version 1 golden re-marshals to %d bytes, not its %d-byte version 2 successor", len(re), len(v2))
+			if re := mustMarshal(t, old); !bytes.Equal(re, curBlob) {
+				t.Fatalf("version %d golden re-marshals to %d bytes, not its %d-byte successor", v, len(re), len(curBlob))
 			}
 			assertSameAnswers(t, cur, old)
 		})
 	}
 }
 
-func testDecodesVersion1KeyedGolden[K, T Value](t *testing.T) {
-	v1, v2 := readVersionPair(t, "keyed."+typeName[K]()+"-"+typeName[T]()+".snap")
-	old, err := UnmarshalKeyedSnapshot[K, T](v1)
+func testDecodesOlderKeyedGolden[K, T Value](t *testing.T, v uint16) {
+	oldBlob, curBlob := readVersionPair(t, v, "keyed."+typeName[K]()+"-"+typeName[T]()+".snap")
+	old, err := UnmarshalKeyedSnapshot[K, T](oldBlob)
 	if err != nil {
-		t.Fatalf("unmarshal version 1: %v", err)
+		t.Fatalf("unmarshal version %d: %v", v, err)
 	}
-	cur, err := UnmarshalKeyedSnapshot[K, T](v2)
+	cur, err := UnmarshalKeyedSnapshot[K, T](curBlob)
 	if err != nil {
-		t.Fatalf("unmarshal version 2: %v", err)
+		t.Fatalf("unmarshal version %d: %v", wire.Version, err)
 	}
 	if !reflect.DeepEqual(old, cur) {
-		t.Fatal("version 1 and version 2 goldens decode to different snapshots")
+		t.Fatalf("version %d and version %d goldens decode to different snapshots", v, wire.Version)
 	}
-	if re := mustMarshalKeyed(t, old); !bytes.Equal(re, v2) {
-		t.Fatalf("version 1 golden re-marshals to %d bytes, not its %d-byte version 2 successor", len(re), len(v2))
+	if re := mustMarshalKeyed(t, old); !bytes.Equal(re, curBlob) {
+		t.Fatalf("version %d golden re-marshals to %d bytes, not its %d-byte successor", v, len(re), len(curBlob))
 	}
 	assertSameKeyedAnswers(t, cur, old)
 }
 
-// readVersionPair reads a golden at format version 1 (from testdata/compat)
+// readVersionPair reads a golden at format version v (from testdata/compat)
 // and at the current version (from testdata/snapshots), and checks that
 // their headers differ in the version alone.
-func readVersionPair(t *testing.T, name string) (v1, cur []byte) {
+func readVersionPair(t *testing.T, v uint16, name string) (old, cur []byte) {
 	t.Helper()
-	v1, err := os.ReadFile(filepath.Join("testdata", "compat", "v1-"+name))
+	old, err := os.ReadFile(filepath.Join("testdata", "compat", fmt.Sprintf("v%d-%s", v, name)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,15 +421,15 @@ func readVersionPair(t *testing.T, name string) (v1, cur []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err1 := wire.ReadHeader(v1)
+	h1, err1 := wire.ReadHeader(old)
 	h2, err2 := wire.ReadHeader(cur)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("headers: %v, %v", err1, err2)
 	}
-	if h1.Version != 1 || h2.Version != wire.Version || h1.Family != h2.Family || h1.Tag != h2.Tag {
-		t.Fatalf("headers %+v and %+v: want versions 1 and %d of one family and value type", h1, h2, wire.Version)
+	if h1.Version != v || h2.Version != wire.Version || h1.Family != h2.Family || h1.Tag != h2.Tag {
+		t.Fatalf("headers %+v and %+v: want versions %d and %d of one family and value type", h1, h2, v, wire.Version)
 	}
-	return v1, cur
+	return old, cur
 }
 
 // checkRemarshal checks what re-marshaling a decoded blob must give: the
