@@ -11,7 +11,7 @@ import (
 // The acceptance matrix is the library's broadest guarantee check: every
 // estimator family on every backend, live, restored from its wire blob and
 // merged up a tree, held by internal/oracle to exact ground truth
-// (internal/acceptance, DESIGN.md §31). cmd/validate prints the same cells
+// (internal/acceptance, DESIGN.md §19). cmd/validate prints the same cells
 // at its own scale. The four tests below split the driver's cells by input
 // type and family; each runs its cells as subtests
 // <input>/<backend>/<family>, parallel per input/backend group.

@@ -22,7 +22,7 @@ const (
 	// the deterministic sample sort it was introduced as — and whose
 	// O(n log n) comparison count its modeled-2004 cost still prices — but
 	// on the host it is an LSD key-radix sort over the values' fixed-width
-	// order-preserving keys, O(n) at every window size (DESIGN.md §18).
+	// order-preserving keys, O(n) at every window size (DESIGN.md §9).
 	BackendSampleSort Backend = iota
 	// BackendGPU is the paper's contribution: the PBSN sorter on the GPU
 	// simulator (4-channel packing, blending comparators).

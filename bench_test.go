@@ -2,7 +2,7 @@ package gpustream
 
 // Benchmark harness: one family per table/figure in the paper's evaluation
 // (Section 4.5 and Section 5), plus the design-choice ablations listed in
-// DESIGN.md. Each figure bench measures real host wall time of the simulated
+// DESIGN.md §5. Each figure bench measures real host wall time of the simulated
 // pipeline and additionally reports the perfmodel's GeForce-6800/Pentium-IV
 // time as a custom metric (model-ms), which is what reproduces the paper's
 // absolute series; cmd/figures prints the full-scale tables.

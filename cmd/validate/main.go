@@ -5,8 +5,8 @@
 // one row per cell: the worst error of the live view, of that view restored
 // from its wire blob, and of the root of a merge tree, each as a share of
 // the values it answers for, next to the bound. Quantile answers are held to
-// eps·N + 1 ranks, frequency estimates to an undercount of eps·N (DESIGN.md
-// §31); frugal trackers carry no eps and are held to internal/frugal's
+// eps·N + 1 ranks, frequency estimates to an undercount of eps·N
+// (DESIGN.md §19); frugal trackers, with no eps, are held to internal/frugal's
 // documented tolerance, or only to the stream's envelope where the bound
 // column reads 0. The process exits non-zero on any violation, so this
 // doubles as an acceptance harness.

@@ -37,11 +37,11 @@
 // Because no real 2004 GPU is attached, the GPU backend runs against a
 // functional simulator that executes the paper's rasterization routines
 // with real data and counts every primitive operation; the perfmodel
-// converts those counts into modeled GeForce-6800-Ultra time (see DESIGN.md
+// converts those counts into modeled GeForce-6800-Ultra time (DESIGN.md §2
 // for the substitution argument and EXPERIMENTS.md for paper-vs-measured
 // results). The simulator's primitive-op counts depend only on input shape,
 // never on the element type, so modeled GPU time is identical across
-// instantiations (DESIGN.md section 10).
+// instantiations (DESIGN.md §9).
 package gpustream
 
 import (
@@ -328,7 +328,7 @@ func (e *Engine[T]) runs() string { return e.backend.row().runs.String() }
 // estimatorConfig is the one resolved construction-time configuration
 // behind every constructor: NewFromSpec fills it straight from the Spec, the
 // typed constructors fill it from their options, and both call the same
-// per-family build functions (DESIGN.md section 21). Serial families read
+// per-family build functions (DESIGN.md §16). Serial families read
 // window, async and pinned; parallel families read all five. pinned and
 // batch are set only by tests.
 type estimatorConfig struct {
@@ -481,7 +481,7 @@ func (e *Engine[T]) newFrequency(eps float64, cfg estimatorConfig) *FrequencyEst
 
 // NewQuantileEstimator returns an eps-approximate quantile estimator backed
 // by this engine's sorter. The summary budgets its error by the depth it
-// observes, so the bound holds at any stream length (DESIGN.md section 17).
+// observes, so the bound holds at any stream length (DESIGN.md §11).
 func (e *Engine[T]) NewQuantileEstimator(eps float64, opts ...EstimatorOption) *QuantileEstimator[T] {
 	return e.newQuantile(eps, resolve(opts))
 }

@@ -2,7 +2,7 @@
 // every backend, built from a gpustream.Spec, fed a stream and checked by
 // internal/oracle in three forms — the live estimator's view, that view
 // restored from its wire blob, and the root of a merge tree of workers that
-// each ingested part of the stream (DESIGN.md §31). The root package's
+// each ingested part of the stream (DESIGN.md §19). The root package's
 // TestAcceptanceMatrix tests run it at test scale and cmd/validate prints its
 // rows.
 package acceptance

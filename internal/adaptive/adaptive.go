@@ -11,7 +11,7 @@
 // subsequent windows. It is passive — it owns no goroutines and never
 // calls back into the core — so attaching one adds no lifecycle.
 //
-// State machine (see DESIGN.md §15):
+// State machine (see DESIGN.md §16):
 //
 //	probe  — cycle through every candidate backend for probeWindows
 //	         windows each, measuring ns/value; Config.ProbeFirst (the

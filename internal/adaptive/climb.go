@@ -37,7 +37,7 @@ func (b *burst) statistic() float64 {
 
 // climb is the one hill-climb machine under Controller (over the sort
 // window) and Scaler (over the shard count); each passes its own numbers in
-// as constants (DESIGN.md §21 tabulates them). It climbs one positive
+// as constants (DESIGN.md §16 lists them). It climbs one positive
 // integer knob against a lower-is-better statistic: from an accepted value,
 // double while each trial improves on the accepted statistic by the
 // hysteresis margin; on the first regression go to one halving step below

@@ -34,7 +34,7 @@ func benchRotating[T sorter.Value](b *testing.B, n int, gen func(n int, seed uin
 
 func zipfOf[T sorter.Value](n int, seed uint64) []T { return stream.ZipfOf[T](n, 1.1, n/100+10, seed) }
 
-// benchWindowSorts is the table DESIGN.md §18 cites: quicksort against the
+// benchWindowSorts measures the crossover DESIGN.md §9 sets: quicksort against the
 // radix kernel (called below RadixMinN too, to show the crossover) over the
 // window sizes the pipelines reach.
 func benchWindowSorts[T sorter.Value](b *testing.B, typ string, zipf, uniform func(int, uint64) []T) {

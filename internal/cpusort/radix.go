@@ -25,7 +25,7 @@ const (
 	// the length. Clearing and prefix-summing a 256-entry table per digit
 	// costs more than quicksort's whole run on a few dozen values (sliding
 	// panes, query-time partial windows). Set from BenchmarkWindowSort's
-	// rotating inputs; DESIGN.md §18 has the table.
+	// rotating inputs (DESIGN.md §9).
 	RadixMinN = 96
 
 	// StackKeys is the largest window whose key buffers live in the sorting
@@ -105,7 +105,7 @@ func onStack[T sorter.Value, K uint32 | uint64](data []T) int {
 }
 
 // sortKeys is the kernel: encode, lsd, decode. K is T's key width. The codec
-// calls inline and fold to T's one transform (DESIGN.md §25), so each loop
+// calls inline and fold to T's one transform (DESIGN.md §7), so each loop
 // body is a load, a shift, a mask, an xor and a store, whichever package
 // instantiates it.
 func sortKeys[T sorter.Value, K uint32 | uint64](data []T, keys, tmp []K) int {

@@ -75,7 +75,7 @@ type Estimator[T sorter.Value] struct {
 	// recycling it (copy-on-write). Both stay the estimator's own: a
 	// Snapshot may hold entries, and scratch is the array entries swaps
 	// with. A window's histogram bins, which nothing keeps past the window,
-	// are borrowed from the process-wide spare store (DESIGN.md section 33).
+	// are borrowed from the process-wide spare store (DESIGN.md §13).
 	entries []entry[T]
 	scratch []entry[T]
 	shared  bool

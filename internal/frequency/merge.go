@@ -13,7 +13,7 @@ import (
 // most eps_i*N_i occurrences, so the merged summary misses at most
 // max(epsA, epsB)*(NA+NB) — which makes the merged snapshot
 // max(epsA, epsB)-approximate with the serial no-false-negative guarantee
-// intact (DESIGN.md sections 7 and 12).
+// intact (DESIGN.md §14).
 //
 // It is the cross-process form of the shard merge rule: sharded ingestion
 // folds it over its per-shard snapshots, and the aggregation tree folds it

@@ -21,8 +21,8 @@ import (
 //
 // Entries are strictly value-ascending with 0 ≤ freq ≤ n and delta ≥ 0,
 // matching the in-memory summary; the decoder enforces it so a decoded
-// snapshot upholds the same invariants as a live one. See DESIGN.md
-// section 12.
+// snapshot upholds the same invariants as a live one.
+// See DESIGN.md §15.
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
 // endian-stable wire encoding of the snapshot. The encoding is canonical —

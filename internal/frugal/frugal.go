@@ -29,7 +29,7 @@
 //
 // Guarantees are correspondingly frugal: the estimate converges toward the
 // target quantile on stationary streams and tracks slow drift, but it carries
-// no eps rank bound — DESIGN.md section 13 develops the error accounting used
+// no eps rank bound — DESIGN.md §17 develops the error accounting used
 // when a frugal estimate seeds a promoted GK summary.
 package frugal
 

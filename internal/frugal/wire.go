@@ -17,7 +17,7 @@ import (
 // direction is legal exactly when n is zero — every tracker steps on every
 // observation, so a non-empty stream leaves no tracker fresh. The decoder
 // enforces all of it so a decoded snapshot upholds the same invariants as a
-// live one. See DESIGN.md section 13.
+// live one. See DESIGN.md §17.
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
 // endian-stable wire encoding of the snapshot. The encoding is canonical —

@@ -16,7 +16,7 @@
 //     key's frugal estimate as a point mass weighted by the oracle's count
 //     of the key's prefix, so prefix mass is accounted (conservatively,
 //     with rank uncertainty up to the prefix length) rather than dropped —
-//     DESIGN.md section 13 develops the error argument.
+//     DESIGN.md §17 develops the error argument.
 //
 // The net effect is the natural division of labor for skewed key
 // distributions: the heavy keys that dominate queries get real summaries,

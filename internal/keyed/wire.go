@@ -29,13 +29,13 @@ import (
 // Both tiers are strictly key-ascending with disjoint key sets, frugal
 // control bytes obey the tracker invariants (never fresh — a tracked key
 // was observed), and the nested oracle blob revalidates under the frequency
-// family's own decoder. See DESIGN.md section 13.
+// family's own decoder. See DESIGN.md §17.
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
 // endian-stable wire encoding of the snapshot. The encoding is canonical —
 // unmarshal then marshal reproduces a current-version blob exactly. An
 // older blob re-marshals at the current version, with its promoted
-// summaries' rank bounds ordered (DESIGN.md section 12).
+// summaries' rank bounds ordered (DESIGN.md §15).
 func (s *Snapshot[K, T]) MarshalBinary() ([]byte, error) {
 	oracle, err := s.oracle.MarshalBinary()
 	if err != nil {

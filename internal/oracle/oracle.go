@@ -1,5 +1,5 @@
 // Package oracle is exact ground truth about a stream and the checks every
-// estimator answer is held to (DESIGN.md §31). A Truth is the stream sorted
+// estimator answer is held to (DESIGN.md §19). A Truth is the stream sorted
 // by the sorter's value order, with run-length counts; the checkers compare
 // an answer with it and return an error naming the first violation, so a
 // test, cmd/validate and the acceptance matrix all judge answers by the

@@ -147,7 +147,7 @@ func (m Model) QuicksortTime(n int, v CPUVariant) time.Duration {
 }
 
 // The modeled-2004 sample sort's shape. The host-native "samplesort" backend
-// is a key-radix sort now (DESIGN.md §18); these constants stay here so the
+// is a key-radix sort now (DESIGN.md §9); these constants stay here so the
 // closed form — and EXPERIMENTS.md figure 3 — keep pricing the comparison
 // sample sort of the 2004 testbed: k·sampleSortOversample evenly spaced
 // samples, buckets of about sampleSortBucketLen values, at most

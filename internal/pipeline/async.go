@@ -164,7 +164,7 @@ func (c *Core[T]) BarrierLocked() {
 // runSort is the sort stage: it sorts windows one at a time in arrival
 // order with the sorter each job was sealed under. This goroutine is the
 // paper's non-blocking render + readback: the caller hands a window off
-// and goes on, and the sort completes here (DESIGN.md §11).
+// and goes on, and the sort completes here (DESIGN.md §8).
 func runSort[T sorter.Value](e *executor[T]) {
 	for j := range e.sortCh {
 		j.start = time.Since(e.epoch)

@@ -10,7 +10,7 @@ import (
 
 // spareStores holds the process's recycled estimator storage — window
 // buffers, summary entries, histogram bins — one store per element type
-// behind a sync.Map keyed by reflect.Type (DESIGN.md section 33). Every
+// behind a sync.Map keyed by reflect.Type (DESIGN.md §13). Every
 // estimator of a type shares its store: the daemon's streams, a sharded
 // estimator's shards and library users alike, so a process retains one
 // spare set, not one per estimator.

@@ -11,7 +11,7 @@ import (
 // into one over their union, by the Greenwald-Khanna sensor-network
 // rank-combination rule (summary.Merge): the merged summary is
 // max(epsA, epsB)-approximate over NA+NB elements, so merging is
-// error-preserving at any tree height (DESIGN.md sections 7 and 12).
+// error-preserving at any tree height (DESIGN.md §14).
 //
 // It is the cross-process form of the shard merge rule: sharded ingestion
 // folds it over its per-shard snapshots, and the aggregation tree folds it

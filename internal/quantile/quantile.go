@@ -5,11 +5,11 @@
 // accelerated step) and held until the next one is sorted too; the pair is
 // then reduced to one (eps/2)-approximate summary with exact ranks, read
 // from both runs by bisection without merging them, and inserted as a
-// bucket at level 0 (DESIGN.md section 27); whenever two buckets share a
+// bucket at level 0 (DESIGN.md §11); whenever two buckets share a
 // level they are combined by a merge and, once the result outgrows its entry
 // budget, a prune that spends a fixed fraction of the error headroom the
 // bucket has left, so the total error never exceeds eps at any stream length
-// (DESIGN.md section 17).
+// (DESIGN.md §11).
 //
 // Windowing, buffering, lifecycle, locking, and telemetry come from the
 // shared internal/pipeline core; this package contributes the
@@ -17,16 +17,16 @@
 // fused merge-and-prune pass (summary.MergePruneInto), and the storage of
 // consumed never-pruned buckets is recycled, through the process-wide
 // spare store every estimator shares (pipeline.TakeSpare), into the next
-// bucket built to their size (DESIGN.md sections 23 and 33). Queries are
+// bucket built to their size (DESIGN.md §11, §13). Queries are
 // safe under concurrent ingestion, and Snapshot returns an immutable view:
 // a view is always merged, pruned or copied into storage of its own, never
 // a bucket, so recycling cannot reach it. The view is pruned once, to the budget the
 // error its parts have proved (summary.Certificate) leaves below 7eps/8,
-// and claims its own certificate as Eps (DESIGN.md section 28). It is
+// and claims its own certificate as Eps (DESIGN.md §11). It is
 // built by one streamed merge chain over its parts, fused with that prune
 // (summary.MergePruneAll), which reads the parts in place and writes only
 // the view's entries and a few small blocks: no intermediate merge is
-// materialized (DESIGN.md section 32).
+// materialized (DESIGN.md §11).
 package quantile
 
 import (
@@ -39,7 +39,7 @@ import (
 	"gpustream/internal/summary"
 )
 
-// How eps is spent (DESIGN.md sections 17 and 28). A sampled pair of
+// How eps is spent (DESIGN.md §11). A sampled pair of
 // windows spends eps/2 at level 0; the cascade may bring a bucket up to the
 // cap, eps less viewShare, and each prune spends 1/budgetShare of whatever
 // headroom its bucket still has below the cap. The view's one final prune

@@ -13,7 +13,7 @@ import (
 //	present uint8 (0 = empty stream, 1 = summary follows)
 //	summary summary wire encoding (eps, n, count, entries)
 //
-// See DESIGN.md section 12.
+// See DESIGN.md §15.
 
 // MarshalBinary implements encoding.BinaryMarshaler: the versioned,
 // endian-stable wire encoding of the snapshot. The encoding is canonical —

@@ -4,10 +4,10 @@
 // benchmark/ calls, and the label in EXPERIMENTS.md's modeled figures — but
 // the body is now the key-radix kernel of internal/cpusort: every value the
 // stack sorts is a fixed-width 32- or 64-bit key, the regime where radix
-// beats comparison sorting at every window size (DESIGN.md §18 has the
-// table and why the splitter/classify/scatter partition was removed rather
-// than kept for large windows). This package adds what a pipeline backend
-// needs around the kernel: per-sort statistics and the async surface.
+// beats comparison sorting at every window size (DESIGN.md §9 says why,
+// and why no splitter/classify/scatter partition sits above the kernel for
+// large windows). This package adds what a pipeline backend needs around
+// the kernel: per-sort statistics.
 //
 // The sort is fully deterministic: the same input always takes the same
 // passes and yields the same stats. The modeled-2004 cost of this backend

@@ -195,7 +195,7 @@ func putBody(buf *bytes.Buffer) {
 // field only), 413 for oversized batches, 500 when the batch failed in the
 // estimator, 503 when the request ended while it waited. Body and batch
 // live in pooled buffers: the body goes back once decoded, the batch once
-// ingested (DESIGN.md sections 20 and 30).
+// ingested (DESIGN.md §18).
 func (s *Server[T]) handleIngest(w http.ResponseWriter, r *http.Request, tenant, stream string) {
 	e, ok := s.reg.get(tenant, stream)
 	if !ok {

@@ -20,7 +20,7 @@ import (
 // daemon may hold per live quantile stream at the benchmark's svc round
 // shape, its frequency streams and the spare store included: 428 KiB
 // before bucket spares moved out of the streams into one process-wide
-// store, about 265 KiB after (DESIGN.md §33).
+// store, about 265 KiB after (DESIGN.md §13).
 const heapPerQuantileStream = 300 << 10
 
 // TestDaemonHeapPerStream runs the benchmark's svc round in process: 32

@@ -53,7 +53,7 @@ type ServiceStatus struct {
 	// SpareBytes is the recycled estimator storage the process keeps for
 	// the next bucket or histogram any stream builds, moved out of the
 	// streams themselves: at most one buffer per capacity class per
-	// element type, of any size (pipeline.SpareBytes, DESIGN.md §33).
+	// element type, of any size (pipeline.SpareBytes, DESIGN.md §13).
 	SpareBytes int64 `json:"spare_bytes"`
 
 	Streams []StreamStatus `json:"streams"`

@@ -201,7 +201,7 @@ func TestServiceDrainDuringLoad(t *testing.T) {
 }
 
 // TestServicePooledBatchesSurviveConcurrency is the buffer-ownership test of
-// the POST path (DESIGN.md section 20): body buffers and batch slices are
+// the POST path (DESIGN.md §18): body buffers and batch slices are
 // recycled across requests, so a slice handed back before the estimator had
 // consumed it — or a body reused under a decoder — would surface as rows of
 // one poster counted for another. Each poster sends only its own value, in

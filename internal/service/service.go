@@ -12,7 +12,7 @@
 // goroutine per stream. /statsz exports every estimator's pipeline.Stats
 // plus service counters; /healthz reports liveness, drain state and the
 // streams whose estimator refused a batch.
-// DESIGN.md sections 14 and 30 document the registry lifecycle and drain
+// DESIGN.md §18 documents the registry lifecycle and drain
 // semantics.
 package service
 

@@ -135,7 +135,7 @@ func (c *core[T, E, S]) maybeRescale(n int64) {
 // scale-down quiesces the pool, retires the tail shards through their close
 // path, and folds their snapshots into the retired accumulator with the
 // family's merge rule — so the merged answer stays within eps under any
-// schedule (DESIGN.md §16).
+// schedule (DESIGN.md §14).
 func (c *core[T, E, S]) rescale(want int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -14,14 +14,14 @@ import (
 // additive across disjoint substreams — each shard undercounts by at most
 // eps*N_i, so the merged estimate undercounts by at most eps*N — which
 // preserves the no-false-negative guarantee of the serial estimator at any
-// shard count and under any reshard schedule (DESIGN.md section 7).
+// shard count and under any reshard schedule (DESIGN.md §14).
 //
 // With a single shard, queries delegate directly to the underlying
 // estimator, so K=1 output is bit-identical to the serial
 // frequency.Estimator fed the same stream.
 //
 // Ingestion, lifecycle, elasticity and telemetry are the shared core's
-// (DESIGN.md section 19). Queries and snapshots are safe against concurrent
+// (DESIGN.md §14). Queries and snapshots are safe against concurrent
 // ingestion: each shard estimator is internally synchronized by its
 // pipeline core.
 type Frequency[T sorter.Value] struct {

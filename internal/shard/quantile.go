@@ -11,14 +11,14 @@ import (
 // in parallel by K shard workers. Each shard runs the exponential-histogram
 // GK estimator with an eps/2 budget; queries merge the shard summaries,
 // which by the GK merge rule stay eps/2-approximate over the union — within
-// the user's eps with headroom to spare (DESIGN.md section 7).
+// the user's eps with headroom to spare (DESIGN.md §14).
 //
 // With a single shard fixed for the estimator's lifetime the shard runs at
 // the full eps and the merged view is that shard's own, so K=1 output is
 // bit-identical to the serial quantile.Estimator fed the same stream.
 //
 // Ingestion, lifecycle, elasticity and telemetry are the shared core's
-// (DESIGN.md section 19). Queries and snapshots are safe against concurrent
+// (DESIGN.md §14). Queries and snapshots are safe against concurrent
 // ingestion: each shard estimator is internally synchronized by its
 // pipeline core.
 type Quantile[T sorter.Value] struct {

@@ -11,7 +11,7 @@
 // budget as headroom for downstream compression while the merged answer stays
 // eps-approximate. For lossy counting the budget is additive instead of
 // max-composed — per-shard undercounts of at most eps*N_i sum to at most
-// eps*N — so frequency shards run at the full eps. DESIGN.md section 7 states
+// eps*N — so frequency shards run at the full eps. DESIGN.md §14 states
 // both arguments precisely.
 //
 // Ingestion is batched: values accumulate in a hand-off buffer and full
@@ -74,7 +74,7 @@ type Config[T sorter.Value] struct {
 	// eps/2 even when the initial count is 1), so scale-up never widens the
 	// merged error, and scale-down drains the retiring shards and folds
 	// their snapshots into a retained accumulator via the MergeSnapshots
-	// rules (DESIGN.md §16).
+	// rules (DESIGN.md §14).
 	Rescaler Rescaler
 }
 

@@ -85,7 +85,7 @@ func FromOrderedKey[T Value](k uint64) T {
 // negative float and the sign bit of a non-negative one, the sign bit of a
 // signed integer, nothing for unsigned. OrderedKey and FromOrderedKey must
 // inline into the radix kernel's loops wherever it is instantiated
-// (DESIGN.md §25), which fixes two things here. keyMask is generic: go1.24
+// (DESIGN.md §7), which fixes two things here. keyMask is generic: go1.24
 // did not inline a non-generic helper called from an instantiation compiled
 // in cmd/streamd's main. And it spells out KindOf's two facts: calling
 // KindOf costs a dictionary and lifts both callers over the inline budget.

@@ -148,7 +148,7 @@ func bracket(rng *rand.Rand, parts []*Summary[float32]) *Summary[float32] {
 // TestViewChainFusedLastStep is the quantile view's shape: a chain of up to
 // seven parts, merged smallest first and pruned to the view's budget by
 // MergePruneAll, against the chain merged whole by the reference merge and
-// then pruned. It also checks the argument DESIGN.md section 23 gives for
+// then pruned. It also checks the argument DESIGN.md §11 gives for
 // why streaming the chain cannot change it: a chain of merges depends only
 // on the order of its parts, so every bracketing of the same sequence is
 // the same summary.

@@ -179,7 +179,7 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 // at the last grid rank. A chain whose merge would keep every entry anyway
 // (at most budget+1 of them) is merged whole into dst and charged the
 // prune's error, as Prune's copy path does. The result is bit for bit the
-// chain's (DESIGN.md section 32). dst must not alias a part; any prior
+// chain's (DESIGN.md §11). dst must not alias a part; any prior
 // contents are discarded. A nil dst allocates. Returns dst.
 func MergePruneAll[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int) *Summary[T] {
 	if budget <= 0 {
@@ -191,7 +191,7 @@ func MergePruneAll[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget 
 // blockLen is the number of entries an inner stage of a merge chain writes
 // before the stage after it reads them: small enough that every block of a
 // view's chain stays in L1, large enough that a block's refill is rare
-// (DESIGN.md section 32).
+// (DESIGN.md §11).
 const blockLen = 256
 
 // mergeChain runs the merge chain over parts into dst, pruned to budget
@@ -480,7 +480,7 @@ func pruneEps(n int64, b int) float64 {
 //	floor((RMax[i+1] - RMin[i]) / 2),  RMax[0] - 1,  N - RMin[last]
 //
 // and every rank r in 1..N is answered within E (GK's coverage argument,
-// DESIGN.md section 28). Take the first entry whose RMax exceeds r + E: it
+// DESIGN.md §11). Take the first entry whose RMax exceeds r + E: it
 // is not the first, as RMax[0] <= 1 + E, and the entry before it has
 // RMax <= r + E and, the bounds being integers, RMin >= RMax[next] - 2E - 1
 // >= r - E, so its score, and the query's, is at most E; with no such

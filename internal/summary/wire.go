@@ -23,7 +23,7 @@ import (
 //
 //	entries count × (value[4|8] + rmin int64 + rmax int64)      (version 1)
 //
-// See DESIGN.md section 12.
+// See DESIGN.md §15.
 
 // AppendBinary appends the wire encoding of s to b. The encoding is
 // canonical: equal summaries produce equal bytes.

@@ -16,7 +16,7 @@ import (
 // once. Error bounds compose exactly like the shard rules: histogram
 // undercounts are additive and GK rank errors combine by the sensor rule, so
 // the merged window is max(epsA, epsB)-approximate over its combined size
-// (DESIGN.md section 12).
+// (DESIGN.md §14).
 //
 // The merged snapshot collapses each input's pane ring into a single
 // combined pane: per-partition pane boundaries have no global time order, so

@@ -126,7 +126,7 @@ func (s *sliding[T, P]) lockQuery() (unlock func()) {
 // fold merges parts into one while keeping their order: adjacent pairs per
 // round, so ⌈log₂ len(parts)⌉ rounds that each copy every entry once. merge
 // must depend on the order of its parts but not on their bracketing, as
-// histogram.Merge and summary.Merge do (DESIGN.md §23, §24); the result is
+// histogram.Merge and summary.Merge do (DESIGN.md §11, §12); the result is
 // then the left-to-right chain's bit for bit. parts is overwritten; no
 // parts fold to the zero P.
 func fold[P any](parts []P, merge func(a, b P) P) P {

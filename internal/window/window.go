@@ -9,14 +9,14 @@
 // accelerated step, identical to the whole-stream algorithms) and a ring of
 // recent panes answers queries, with the pane size chosen so that boundary
 // quantization and per-pane summarization each cost at most eps*W/2.
-// DESIGN.md records this assumption.
+// DESIGN.md §12 records this assumption.
 //
 // Pane buffering, lifecycle, locking, and telemetry come from the shared
 // internal/pipeline core (a pane is just a window by another name); this
 // file contributes the sort -> histogram -> compress pane sink and the
 // pane ring. Each family reads its ring one way: its snapshot type, built
 // over the live ring by viewLocked, folds the covering panes pairwise in
-// O(W log P) (fold, DESIGN.md §24), and live queries, Snapshot and the
+// O(W log P) (fold, DESIGN.md §12), and live queries, Snapshot and the
 // cross-process merges all answer through it. Queries are safe under
 // concurrent ingestion; Snapshot returns an immutable view whose pane
 // histograms are protected from the expiry freelist by a copy-on-write

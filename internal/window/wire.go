@@ -10,7 +10,7 @@ import (
 // Wire layouts of the sliding-window snapshots. Both serialize the pane ring
 // at full fidelity — per-pane state, not a pre-merged view — so a decoded
 // snapshot answers variable-span QueryWindow queries exactly like the
-// original. See DESIGN.md section 12.
+// original. See DESIGN.md §15.
 //
 // FrequencySnapshot (family tag wire.FamilyWindowFrequency):
 //

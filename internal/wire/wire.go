@@ -11,7 +11,7 @@
 // buffer before any allocation (so a hostile count makes a decoder allocate
 // at most ~8 bytes per input byte before it fails: MinRecord), varints must
 // be minimal, and every failure is a wrapped sentinel error, never a panic.
-// DESIGN.md section 12 specifies the layout and the versioning policy.
+// DESIGN.md §15 specifies the layout and the versioning policy.
 package wire
 
 import (

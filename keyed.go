@@ -12,7 +12,7 @@ import (
 // promoted to dedicated eps-approximate GK summaries when the built-in
 // heavy-hitter oracle sees them cross the promotion support, with the
 // frugal estimate seeding the promoted summary so nothing is replayed.
-// DESIGN.md section 13 covers the tier machinery and its error accounting.
+// DESIGN.md §17 covers the tier machinery and its error accounting.
 //
 //	eng := gpustream.NewOf[float32](gpustream.BackendGPU)
 //	ke := gpustream.NewKeyedEstimator[uint64](eng, 0.01, 0.001)

@@ -20,8 +20,8 @@ import (
 // with Merge and TreeEps this is the cross-process contract of a
 // distributed aggregation tree: ingest workers run at TreeEps(eps, h),
 // marshal their snapshots, and each aggregation level unmarshals and merges
-// children, keeping the end-to-end answer eps-approximate (DESIGN.md
-// section 12). cmd/snapmerge is the file-level fan-in tool built on it.
+// children, keeping the end-to-end answer eps-approximate
+// (DESIGN.md §14). cmd/snapmerge is the file-level fan-in tool built on it.
 
 // ErrNotMergeable is wrapped by Merge when the two snapshots cannot be
 // combined: different families, or a snapshot type with no merge rule.
@@ -160,7 +160,7 @@ func MergeAll[T Value](snaps ...Snapshot[T]) (Snapshot[T], error) {
 // worker bound (the GK rule takes the max, lossy undercounts stay additive),
 // so eps/h leaves each level 1/h of the budget as compression headroom —
 // the same sizing rule the in-process h=2 shard engine uses with eps/2
-// (DESIGN.md sections 7 and 12). It panics on eps outside (0, 1) or h < 1,
+// (DESIGN.md §14). It panics on eps outside (0, 1) or h < 1,
 // matching the estimator constructors.
 func TreeEps(eps float64, h int) float64 {
 	if eps <= 0 || eps >= 1 {

@@ -206,7 +206,7 @@ func (a AsyncMode) String() string {
 // GOMAXPROCS, or ShardsAuto for elastic sharding — the estimator starts at
 // GOMAXPROCS workers and a runtime scaler hill-climbs the count against
 // measured throughput, spawning shards at the merge-safe eps/2 budget and
-// folding drained shards' summaries back on scale-down (DESIGN.md §16).
+// folding drained shards' summaries back on scale-down (DESIGN.md §14).
 type ShardCount int
 
 // ShardsAuto asks the runtime to own the shard count.

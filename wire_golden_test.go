@@ -336,7 +336,7 @@ func TestDecodesOneWindowLevel0QuantileSnapshots(t *testing.T) {
 
 // TestDecodesAPrioriViewQuantileSnapshots does the same for the quantile
 // goldens from before the view was pruned to the budget its buckets'
-// certified error leaves (DESIGN.md section 28): 4,001 entries budgeted
+// certified error leaves (DESIGN.md §11): 4,001 entries budgeted
 // from the a-priori account, with that account as their Eps.
 func TestDecodesAPrioriViewQuantileSnapshots(t *testing.T) {
 	t.Run("float32", func(t *testing.T) {
