@@ -1,14 +1,12 @@
 package gpustream
 
-// Adaptive-execution pinning: (1) a pinned tuner is bit-identical to the
-// static path on every family (the controller's knob changes are the ONLY
-// way adaptivity can alter answers), (2) answers stay eps-correct under
-// adversarial dynamic window/backend schedules (the metamorphic suite), and
-// (3) the auto backend's controller tolerates concurrent readers while a
-// writer drives retunes (run under -race in CI).
+// Adaptive execution: (1) answers stay eps-correct under adversarial
+// dynamic window/backend schedules (the metamorphic suite), and (2) the auto
+// backend's controller tolerates concurrent readers while a writer drives
+// retunes (run under -race in CI). That a pinned tuner is bit-identical to
+// the static path is a row group of bitidentity_test.go.
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -271,99 +269,6 @@ func TestMetamorphicElasticReshard(t *testing.T) {
 		}
 	}
 }
-
-// TestPinnedTunerBitIdentical pins that an auto-backend estimator with a
-// pinned (never-moves) tuner produces byte-identical marshaled snapshots to
-// the static sample-sort path, across all seven families: running the
-// retune hook must be answer-invisible unless a knob actually moves.
-func TestPinnedTunerBitIdentical(t *testing.T) {
-	const n = 30_000
-	const eps = 0.005
-	data := stream.Zipf(n, 1.2, 300, 77)
-	static := New(BackendSampleSort)
-	auto := New(BackendAuto)
-
-	pin := func(name string, a, b Snapshot[float32]) {
-		t.Helper()
-		ab, err := MarshalSnapshot(a)
-		if err != nil {
-			t.Fatalf("%s: marshal static: %v", name, err)
-		}
-		bb, err := MarshalSnapshot(b)
-		if err != nil {
-			t.Fatalf("%s: marshal pinned: %v", name, err)
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Fatalf("%s: pinned-tuner snapshot diverges from static (%d vs %d bytes)", name, len(ab), len(bb))
-		}
-	}
-	run := func(e Estimator[float32]) Snapshot[float32] {
-		if err := e.ProcessSlice(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Snapshot()
-	}
-
-	pin("frequency",
-		run(static.NewFrequencyEstimator(eps)),
-		run(auto.NewFrequencyEstimator(eps, WithPinnedTuning())))
-	pin("quantile",
-		run(static.NewQuantileEstimator(eps)),
-		run(auto.NewQuantileEstimator(eps, WithPinnedTuning())))
-	pin("sliding-frequency",
-		run(static.NewSlidingFrequency(eps, n/5)),
-		run(auto.NewSlidingFrequency(eps, n/5, WithPinnedTuning())))
-	pin("sliding-quantile",
-		run(static.NewSlidingQuantile(eps, n/5)),
-		run(auto.NewSlidingQuantile(eps, n/5, WithPinnedTuning())))
-	pin("parallel-frequency",
-		run(static.NewParallelFrequencyEstimator(eps, 2, WithBatchSize(2048))),
-		run(auto.NewParallelFrequencyEstimator(eps, 2, WithBatchSize(2048), WithPinnedTuning())))
-	pin("parallel-quantile",
-		run(static.NewParallelQuantileEstimator(eps, 2, WithBatchSize(2048))),
-		run(auto.NewParallelQuantileEstimator(eps, 2, WithBatchSize(2048), WithPinnedTuning())))
-	pin("frugal",
-		run(static.NewFrugalEstimator()),
-		run(auto.NewFrugalEstimator()))
-
-	// Elastic axes pinned: requesting the concurrency knobs ("async":"auto",
-	// elastic shards) and then pinning every axis must be answer-invisible
-	// too. Serial families ask the controller to own the execution mode but
-	// pin the tuner; parallel families carry a rescaler that never moves
-	// plus pinned shard tuners. K=4 on both sides: construction budgets
-	// match (eps/2 for K>1 static and for any elastic estimator), so the
-	// comparison isolates the runtime machinery.
-	pin("frequency-pinned-async",
-		run(static.NewFrequencyEstimator(eps)),
-		run(auto.newFrequency(eps, estimatorConfig{async: AsyncAuto, pinned: true})))
-	pin("quantile-pinned-async",
-		run(static.NewQuantileEstimator(eps)),
-		run(auto.newQuantile(eps, estimatorConfig{async: AsyncAuto, pinned: true})))
-	pin("sliding-quantile-pinned-async",
-		run(static.NewSlidingQuantile(eps, n/5)),
-		run(auto.newSlidingQuantile(eps, n/5, estimatorConfig{async: AsyncAuto, pinned: true})))
-	pinnedElastic := func() sharding[float32] {
-		s := auto.sharding(estimatorConfig{async: AsyncAuto, pinned: true, batch: 2048})
-		s.Rescaler = keepRescaler{}
-		return s
-	}
-	pin("parallel-frequency-pinned-elastic",
-		run(static.NewParallelFrequencyEstimator(eps, 4, WithBatchSize(2048))),
-		run(auto.newParallelFrequency(eps, 4, pinnedElastic())))
-	pin("parallel-quantile-pinned-elastic",
-		run(static.NewParallelQuantileEstimator(eps, 4, WithBatchSize(2048))),
-		run(auto.newParallelQuantile(eps, 4, pinnedElastic())))
-}
-
-// keepRescaler is the pinned concurrency axis: an elastic estimator whose
-// rescaler never commands a count must be byte-identical to the static
-// configuration at the same shard count.
-type keepRescaler struct{}
-
-func (keepRescaler) Observe(int64, int) int { return 0 }
 
 // TestAutoKnobsReported asserts the engine's telemetry surfaces the live
 // backend/window selection and, for auto estimators, the controller's

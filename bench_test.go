@@ -209,75 +209,6 @@ func BenchmarkFig8Sliding(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelQuantileIngest compares serial ProcessSlice against
-// K-way sharded ingestion of the same stream, per backend. On multi-core
-// hosts the sharded path wins at K >= 4 because per-window sorting — 70-95%
-// of pipeline time — runs concurrently; the ns/op ratio is the measured
-// speedup.
-func BenchmarkParallelQuantileIngest(b *testing.B) {
-	const eps = 1e-3
-	for _, backend := range []Backend{BackendCPU, BackendGPU} {
-		n := 1 << 20
-		if backend == BackendGPU {
-			n = 1 << 18 // the simulator is orders of magnitude slower
-		}
-		data := stream.UniformInts(n, 1<<20, 21)
-		eng := New(backend)
-		b.Run(fmt.Sprintf("serial/%v/n=%d", backend, n), func(b *testing.B) {
-			b.SetBytes(int64(n) * 4)
-			for i := 0; i < b.N; i++ {
-				est := eng.NewQuantileEstimator(eps)
-				est.ProcessSlice(data)
-				_ = est.Query(0.5)
-			}
-		})
-		for _, k := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("sharded/%v/n=%d/k=%d", backend, n, k), func(b *testing.B) {
-				b.SetBytes(int64(n) * 4)
-				for i := 0; i < b.N; i++ {
-					est := eng.NewParallelQuantileEstimator(eps, k)
-					est.ProcessSlice(data)
-					_ = est.Query(0.5)
-					est.Close()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelFrequencyIngest is the frequency-pipeline counterpart of
-// BenchmarkParallelQuantileIngest.
-func BenchmarkParallelFrequencyIngest(b *testing.B) {
-	const eps = 1e-3
-	for _, backend := range []Backend{BackendCPU, BackendGPU} {
-		n := 1 << 20
-		if backend == BackendGPU {
-			n = 1 << 18
-		}
-		data := stream.UniformInts(n, 1<<20, 22)
-		eng := New(backend)
-		b.Run(fmt.Sprintf("serial/%v/n=%d", backend, n), func(b *testing.B) {
-			b.SetBytes(int64(n) * 4)
-			for i := 0; i < b.N; i++ {
-				est := eng.NewFrequencyEstimator(eps)
-				est.ProcessSlice(data)
-				_ = est.Query(0.01)
-			}
-		})
-		for _, k := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("sharded/%v/n=%d/k=%d", backend, n, k), func(b *testing.B) {
-				b.SetBytes(int64(n) * 4)
-				for i := 0; i < b.N; i++ {
-					est := eng.NewParallelFrequencyEstimator(eps, k)
-					est.ProcessSlice(data)
-					_ = est.Query(0.01)
-					est.Close()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationChannels isolates the paper's 4-channel vector packing:
 // the same PBSN sort with all data in one channel (no vector parallelism,
 // 4x the texels) versus the 4-channel configuration.
@@ -404,71 +335,6 @@ func BenchmarkAblationBatchSort(b *testing.B) {
 		}
 		b.ReportMetric(float64(model.GPU.SetupOverhead.Microseconds())/1000, "model-setup-ms/window")
 	})
-}
-
-// benchStreamOf builds a rank-shuffled stream at type T so every
-// instantiation sorts the same permutation (comparisons and swaps agree
-// across types; only element width differs).
-func benchStreamOf[T Value](n int, seed uint64) []T {
-	r := stream.NewRNG(seed)
-	out := make([]T, n)
-	for i := range out {
-		out[i] = T(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-func benchSortType[T Value](b *testing.B, backend Backend, n int, elemSize int64) {
-	data := benchStreamOf[T](n, uint64(n))
-	eng := NewOf[T](backend)
-	buf := make([]T, n)
-	b.SetBytes(int64(n) * elemSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, data)
-		eng.Sort(buf)
-	}
-}
-
-// BenchmarkSortTypes compares float32 against the uint64 and float64
-// instantiations of every sorting backend at a fixed size: same element
-// count, same permutation, different element widths. Simulated GPU work is
-// identical across types (32-bit texels either way); host throughput shows
-// the real cost of the wider elements.
-func BenchmarkSortTypes(b *testing.B) {
-	const n = 1 << 16
-	for _, backend := range []Backend{BackendGPU, BackendGPUBitonic, BackendCPU, BackendCPUParallel} {
-		b.Run(backend.String()+"/float32", func(b *testing.B) { benchSortType[float32](b, backend, n, 4) })
-		b.Run(backend.String()+"/uint64", func(b *testing.B) { benchSortType[uint64](b, backend, n, 8) })
-		b.Run(backend.String()+"/float64", func(b *testing.B) { benchSortType[float64](b, backend, n, 8) })
-	}
-}
-
-func benchPipelineType[T Value](b *testing.B, backend Backend, n int, elemSize int64) {
-	data := benchStreamOf[T](n, uint64(n)+1)
-	b.SetBytes(int64(n) * elemSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est := NewOf[T](backend).NewQuantileEstimator(0.01)
-		est.ProcessSlice(data)
-		_ = est.Query(0.5)
-		est.Close()
-	}
-}
-
-// BenchmarkPipelineTypes measures end-to-end quantile-pipeline ingest
-// (window sort, summary build, merge, prune) per element type and backend.
-func BenchmarkPipelineTypes(b *testing.B) {
-	const n = 1 << 16
-	for _, backend := range []Backend{BackendGPU, BackendCPU} {
-		b.Run(backend.String()+"/float32", func(b *testing.B) { benchPipelineType[float32](b, backend, n, 4) })
-		b.Run(backend.String()+"/uint64", func(b *testing.B) { benchPipelineType[uint64](b, backend, n, 8) })
-		b.Run(backend.String()+"/float64", func(b *testing.B) { benchPipelineType[float64](b, backend, n, 8) })
-	}
 }
 
 // BenchmarkPipelineSyncVsAsync measures end-to-end frequency and quantile

@@ -1,34 +1,11 @@
 package gpustream
 
 import (
-	"sort"
 	"testing"
 
 	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
-
-func TestAllBackendsSortIdentically(t *testing.T) {
-	data := stream.Zipf(20000, 1.1, 1000, 1)
-	want := append([]float32(nil), data...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for _, b := range []Backend{BackendGPU, BackendGPUBitonic, BackendCPU, BackendCPUParallel} {
-		eng := New(b)
-		got := append([]float32(nil), data...)
-		eng.Sort(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: mismatch at %d", b, i)
-			}
-		}
-		if eng.Backend() != b {
-			t.Fatalf("Backend() = %v, want %v", eng.Backend(), b)
-		}
-		if eng.Sorter() == nil {
-			t.Fatalf("%v: nil sorter", b)
-		}
-	}
-}
 
 func TestBackendStrings(t *testing.T) {
 	cases := map[Backend]string{

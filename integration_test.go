@@ -60,28 +60,6 @@ func TestTraceReplayPipeline(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() ([]Item[float32], float32) {
-		eng := New(BackendGPU)
-		data := stream.Bursty(20000, 500, 300, 0.005, 7)
-		f := eng.NewFrequencyEstimator(0.01)
-		q := eng.NewQuantileEstimator(0.01)
-		f.ProcessSlice(data)
-		q.ProcessSlice(data)
-		return f.Query(0.05), q.Query(0.5)
-	}
-	f1, q1 := run()
-	f2, q2 := run()
-	if q1 != q2 || len(f1) != len(f2) {
-		t.Fatal("pipeline not deterministic")
-	}
-	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatal("frequency results not deterministic")
-		}
-	}
-}
-
 func TestSlidingMatchesWholeHistoryWhenWindowCoversStream(t *testing.T) {
 	// A sliding window larger than the whole stream must answer like the
 	// whole-history estimator, within combined error bounds.
@@ -141,7 +119,11 @@ func TestAllSortersAgreeOnManyDistributions(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for _, b := range backends {
 			got := append([]float32(nil), data...)
-			New(b).Sort(got)
+			eng := New(b)
+			if eng.Backend() != b || eng.Sorter() == nil {
+				t.Fatalf("%v: engine reports backend %v, sorter %v", b, eng.Backend(), eng.Sorter())
+			}
+			eng.Sort(got)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%v on %s: mismatch at %d", b, name, i)

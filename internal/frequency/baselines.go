@@ -203,50 +203,3 @@ func (s *SpaceSaving[T]) Query(sup float64) []Item[T] {
 	})
 	return out
 }
-
-// Exact is a hash-based exact counter used as ground truth in tests and
-// experiment validation.
-type Exact[T sorter.Value] struct {
-	n      int64
-	counts map[T]int64
-}
-
-// NewExact returns an empty exact counter.
-func NewExact[T sorter.Value]() *Exact[T] { return &Exact[T]{counts: make(map[T]int64)} }
-
-// Count reports the number of processed elements.
-func (e *Exact[T]) Count() int64 { return e.n }
-
-// Process consumes one stream element.
-func (e *Exact[T]) Process(v T) {
-	e.n++
-	e.counts[v]++
-}
-
-// ProcessSlice consumes a batch of elements.
-func (e *Exact[T]) ProcessSlice(data []T) {
-	for _, v := range data {
-		e.Process(v)
-	}
-}
-
-// Estimate returns the exact frequency of v.
-func (e *Exact[T]) Estimate(v T) int64 { return e.counts[v] }
-
-// Query returns all elements with frequency >= s*N, by decreasing frequency.
-func (e *Exact[T]) Query(s float64) []Item[T] {
-	thresh := s * float64(e.n)
-	var out []Item[T]
-	for v, c := range e.counts {
-		if float64(c) >= thresh {
-			out = append(out, Item[T]{Value: v, Freq: c})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
-}

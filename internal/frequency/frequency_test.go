@@ -7,6 +7,7 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
+	"gpustream/internal/oracle"
 	"gpustream/internal/stream"
 )
 
@@ -18,14 +19,13 @@ func TestEstimatorUndercountBound(t *testing.T) {
 	const eps = 0.01
 	data := stream.Zipf(50000, 1.2, 500, 1)
 	e := newCPU(eps)
-	x := NewExact[float32]()
+	x := oracle.New(data)
 	e.ProcessSlice(data)
-	x.ProcessSlice(data)
 	e.Flush()
 
 	n := float64(e.Count())
-	for v, truth := 0, int64(0); v < 500; v++ {
-		truth = x.Estimate(float32(v))
+	for v := 0; v < 500; v++ {
+		truth := x.Count(float32(v))
 		est := e.Estimate(float32(v))
 		if est > truth {
 			t.Fatalf("value %d overcounted: est %d > true %d", v, est, truth)
@@ -40,23 +40,16 @@ func TestEstimatorNoFalseNegatives(t *testing.T) {
 	const eps, s = 0.005, 0.02
 	data := stream.Zipf(40000, 1.3, 2000, 2)
 	e := newCPU(eps)
-	x := NewExact[float32]()
+	x := oracle.New(data)
 	e.ProcessSlice(data)
-	x.ProcessSlice(data)
 
-	reported := map[float32]bool{}
-	for _, it := range e.Query(s) {
-		reported[it.Value] = true
-	}
-	for _, it := range x.Query(s) {
-		if !reported[it.Value] {
-			t.Fatalf("false negative: %v (true freq %d, sN=%v)", it.Value, it.Freq, s*float64(x.Count()))
-		}
+	if err := oracle.Support(x, e.Query(s), s); err != nil {
+		t.Fatal(err)
 	}
 	// And no wild false positives: everything reported has true frequency
 	// >= (s - 2eps) * N (query threshold minus the undercount).
 	for _, it := range e.Query(s) {
-		if truth := x.Estimate(it.Value); float64(truth) < (s-2*eps)*float64(x.Count())-1e-9 {
+		if truth := x.Count(it.Value); float64(truth) < (s-2*eps)*float64(x.N())-1e-9 {
 			t.Fatalf("false positive beyond guarantee: %v true=%d", it.Value, truth)
 		}
 	}
@@ -69,16 +62,16 @@ func TestEstimatorQuick(t *testing.T) {
 		}
 		const eps = 0.1
 		e := newCPU(eps)
-		x := NewExact[float32]()
-		for _, b := range raw {
-			v := float32(b % 16)
-			e.Process(v)
-			x.Process(v)
+		vals := make([]float32, len(raw))
+		for i, b := range raw {
+			vals[i] = float32(b % 16)
+			e.Process(vals[i])
 		}
 		e.Flush()
-		n := float64(x.Count())
+		x := oracle.New(vals)
+		n := float64(x.N())
 		for v := 0; v < 16; v++ {
-			truth := x.Estimate(float32(v))
+			truth := x.Count(float32(v))
 			est := e.Estimate(float32(v))
 			if est > truth || float64(truth-est) > eps*n+1e-9 {
 				return false
@@ -183,12 +176,11 @@ func TestMisraGriesBound(t *testing.T) {
 	const k = 99 // eps = 1/(k+1) = 0.01
 	data := stream.Zipf(30000, 1.2, 400, 6)
 	m := NewMisraGries[float32](k)
-	x := NewExact[float32]()
+	x := oracle.New(data)
 	m.ProcessSlice(data)
-	x.ProcessSlice(data)
 	epsN := float64(m.Count()) / float64(k+1)
 	for v := 0; v < 400; v++ {
-		truth := x.Estimate(float32(v))
+		truth := x.Count(float32(v))
 		est := m.Estimate(float32(v))
 		if est > truth {
 			t.Fatalf("MG overcounted %d", v)
@@ -205,17 +197,9 @@ func TestMisraGriesBound(t *testing.T) {
 func TestMisraGriesNoFalseNegatives(t *testing.T) {
 	data := stream.Zipf(30000, 1.4, 1000, 7)
 	m := NewMisraGries[float32](199)
-	x := NewExact[float32]()
 	m.ProcessSlice(data)
-	x.ProcessSlice(data)
-	reported := map[float32]bool{}
-	for _, it := range m.Query(0.05) {
-		reported[it.Value] = true
-	}
-	for _, it := range x.Query(0.05) {
-		if !reported[it.Value] {
-			t.Fatalf("MG false negative on %v", it.Value)
-		}
+	if err := oracle.Support(oracle.New(data), m.Query(0.05), 0.05); err != nil {
+		t.Fatalf("MG: %v", err)
 	}
 }
 
@@ -223,12 +207,11 @@ func TestSpaceSavingBounds(t *testing.T) {
 	const k = 100
 	data := stream.Zipf(30000, 1.2, 400, 8)
 	s := NewSpaceSaving[float32](k)
-	x := NewExact[float32]()
+	x := oracle.New(data)
 	s.ProcessSlice(data)
-	x.ProcessSlice(data)
 	maxOver := float64(s.Count()) / float64(k)
 	for v := 0; v < 400; v++ {
-		truth := x.Estimate(float32(v))
+		truth := x.Count(float32(v))
 		est := s.Estimate(float32(v))
 		if est != 0 && est < truth {
 			t.Fatalf("SS undercounted tracked item %d: est %d true %d", v, est, truth)
@@ -245,17 +228,9 @@ func TestSpaceSavingBounds(t *testing.T) {
 func TestSpaceSavingNoFalseNegatives(t *testing.T) {
 	data := stream.Zipf(30000, 1.4, 1000, 9)
 	s := NewSpaceSaving[float32](200)
-	x := NewExact[float32]()
 	s.ProcessSlice(data)
-	x.ProcessSlice(data)
-	reported := map[float32]bool{}
-	for _, it := range s.Query(0.05) {
-		reported[it.Value] = true
-	}
-	for _, it := range x.Query(0.05) {
-		if !reported[it.Value] {
-			t.Fatalf("SS false negative on %v", it.Value)
-		}
+	if err := oracle.Support(oracle.New(data), s.Query(0.05), 0.05); err != nil {
+		t.Fatalf("SS: %v", err)
 	}
 }
 
@@ -275,26 +250,13 @@ func TestBaselinePanics(t *testing.T) {
 	}
 }
 
-func TestExactCounter(t *testing.T) {
-	x := NewExact[float32]()
-	x.ProcessSlice([]float32{1, 2, 1, 1, 3})
-	if x.Count() != 5 || x.Estimate(1) != 3 || x.Estimate(9) != 0 {
-		t.Fatal("exact counter wrong")
-	}
-	items := x.Query(0.4)
-	if len(items) != 1 || items[0].Value != 1 {
-		t.Fatalf("exact Query = %v", items)
-	}
-}
-
 func TestCountMinNeverUndercounts(t *testing.T) {
 	data := stream.Zipf(30000, 1.2, 400, 14)
 	cm := NewCountMin[float32](0.005, 0.01)
-	x := NewExact[float32]()
+	x := oracle.New(data)
 	cm.ProcessSlice(data)
-	x.ProcessSlice(data)
 	for v := 0; v < 400; v++ {
-		if cm.Estimate(float32(v)) < x.Estimate(float32(v)) {
+		if cm.Estimate(float32(v)) < x.Count(float32(v)) {
 			t.Fatalf("CountMin[float32] undercounted %d", v)
 		}
 	}
@@ -303,13 +265,12 @@ func TestCountMinNeverUndercounts(t *testing.T) {
 func TestCountMinOvercountBound(t *testing.T) {
 	data := stream.Zipf(30000, 1.2, 400, 15)
 	cm := NewCountMin[float32](0.005, 0.001)
-	x := NewExact[float32]()
+	x := oracle.New(data)
 	cm.ProcessSlice(data)
-	x.ProcessSlice(data)
 	epsN := 0.005 * float64(cm.Count())
 	violations := 0
 	for v := 0; v < 400; v++ {
-		if float64(cm.Estimate(float32(v))-x.Estimate(float32(v))) > epsN {
+		if float64(cm.Estimate(float32(v))-x.Count(float32(v))) > epsN {
 			violations++
 		}
 	}
@@ -365,14 +326,14 @@ func TestCountMinPanics(t *testing.T) {
 func TestCountMinQuick(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		cm := NewCountMin[float32](0.05, 0.01)
-		x := NewExact[float32]()
-		for _, b := range raw {
-			v := float32(b % 32)
-			cm.Process(v)
-			x.Process(v)
+		vals := make([]float32, len(raw))
+		for i, b := range raw {
+			vals[i] = float32(b % 32)
+			cm.Process(vals[i])
 		}
+		x := oracle.New(vals)
 		for v := 0; v < 32; v++ {
-			if cm.Estimate(float32(v)) < x.Estimate(float32(v)) {
+			if cm.Estimate(float32(v)) < x.Count(float32(v)) {
 				return false
 			}
 		}

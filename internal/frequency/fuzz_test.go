@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpustream/internal/cpusort"
+	"gpustream/internal/oracle"
 )
 
 func FuzzLossyCounting(f *testing.F) {
@@ -11,16 +12,16 @@ func FuzzLossyCounting(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		const eps = 0.1
 		e := NewEstimator(eps, cpusort.QuicksortSorter[float32]{})
-		x := NewExact[float32]()
-		for _, b := range raw {
-			v := float32(b % 32)
-			e.Process(v)
-			x.Process(v)
+		vals := make([]float32, len(raw))
+		for i, b := range raw {
+			vals[i] = float32(b % 32)
+			e.Process(vals[i])
 		}
 		e.Flush()
-		n := float64(x.Count())
+		x := oracle.New(vals)
+		n := float64(x.N())
 		for v := 0; v < 32; v++ {
-			truth := x.Estimate(float32(v))
+			truth := x.Count(float32(v))
 			est := e.Estimate(float32(v))
 			if est > truth {
 				t.Fatalf("overcount on %d", v)

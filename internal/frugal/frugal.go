@@ -43,6 +43,7 @@ import (
 
 	"gpustream/internal/pipeline"
 	"gpustream/internal/sorter"
+	"gpustream/internal/stream"
 )
 
 // Packed control-byte layout: low 6 bits hold the scale (the tracker's
@@ -59,29 +60,6 @@ const (
 	// maxExp caps the step at 2^62 so key-space arithmetic can never wrap.
 	maxExp = 62
 )
-
-// RNG is the xorshift64* generator driving the randomized rank gates. One
-// generator is shared across all trackers of an estimator (and across all
-// keys of a keyed front-end): frugal states carry no per-stream randomness.
-type RNG struct{ s uint64 }
-
-// NewRNG returns a generator seeded deterministically from seed.
-func NewRNG(seed uint64) RNG {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return RNG{s: seed}
-}
-
-// Next returns the next 64 random bits.
-func (r *RNG) Next() uint64 {
-	x := r.s
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.s = x
-	return x * 0x2545F4914F6CDD1D
-}
 
 // unit maps 64 random bits to a uniform float64 in [0, 1).
 func unit(rnd uint64) float64 { return float64(rnd>>11) * (1.0 / (1 << 53)) }
@@ -261,7 +239,7 @@ type Estimator[T sorter.Value] struct {
 	ests   []T
 	ctls   []uint8
 	n      int64
-	rng    RNG
+	rng    *stream.RNG // one generator for every tracker: frugal states carry no per-stream randomness
 	closed bool
 }
 
@@ -311,7 +289,7 @@ func NewEstimator[T sorter.Value](opts ...Option) *Estimator[T] {
 		phis: kept,
 		ests: make([]T, len(kept)),
 		ctls: make([]uint8, len(kept)),
-		rng:  NewRNG(cfg.seed),
+		rng:  stream.NewRNG(cfg.seed),
 	}
 }
 
@@ -356,7 +334,7 @@ func (e *Estimator[T]) ProcessSlice(data []T) error {
 func (e *Estimator[T]) step(v T) {
 	e.n++
 	for i := range e.phis {
-		e.ests[i], e.ctls[i] = Step(e.ests[i], e.ctls[i], v, e.phis[i], e.rng.Next())
+		e.ests[i], e.ctls[i] = Step(e.ests[i], e.ctls[i], v, e.phis[i], e.rng.Uint64())
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"gpustream/internal/frugal"
 	"gpustream/internal/pipeline"
 	"gpustream/internal/sorter"
+	"gpustream/internal/stream"
 	"gpustream/internal/summary"
 )
 
@@ -108,7 +109,7 @@ type Estimator[K sorter.Value, T sorter.Value] struct {
 	index      map[K]uint32 // frugal-tier key -> slab slot
 	slab       slab[T]
 	promoted   map[K]*promoted[T]
-	rng        frugal.RNG
+	rng        *stream.RNG
 	n          int64
 	promotions int64
 	sinceSweep int
@@ -145,7 +146,7 @@ func NewEstimator[K sorter.Value, T sorter.Value](eps, support float64, s sorter
 		oracle:   frequency.NewEstimator(support/2, s),
 		index:    make(map[K]uint32),
 		promoted: make(map[K]*promoted[T]),
-		rng:      frugal.NewRNG(cfg.seed),
+		rng:      stream.NewRNG(cfg.seed),
 	}
 	// Sweeping for promotions once per oracle window aligns the sweep with
 	// the oracle's natural merge boundary (Query flushes any partial window,
@@ -237,7 +238,7 @@ func (e *Estimator[K, T]) ingestLocked(k K, v T) {
 		e.index[k] = idx
 	}
 	est, ctl := e.slab.at(idx)
-	*est, *ctl = frugal.Step(*est, *ctl, v, e.phi, e.rng.Next())
+	*est, *ctl = frugal.Step(*est, *ctl, v, e.phi, e.rng.Uint64())
 }
 
 // maybeSweepLocked runs a promotion sweep once per oracle window.
@@ -458,6 +459,18 @@ func (s *Snapshot[K, T]) FrugalKeys() int { return len(s.frugal) }
 
 // PromotedKeys reports the promoted-tier key count.
 func (s *Snapshot[K, T]) PromotedKeys() int { return len(s.promo) }
+
+// AppendKeys appends the keys the snapshot holds to dst: the frugal tier's,
+// then the promoted tier's, each ascending.
+func (s *Snapshot[K, T]) AppendKeys(dst []K) []K {
+	for _, f := range s.frugal {
+		dst = append(dst, f.Key)
+	}
+	for _, p := range s.promo {
+		dst = append(dst, p.Key)
+	}
+	return dst
+}
 
 // searchFrugal returns the index of k in the frugal tier, or -1.
 func (s *Snapshot[K, T]) searchFrugal(k K) int {

@@ -84,27 +84,20 @@ func TestShardedFrequencyNoFalseNegatives(t *testing.T) {
 				fq := NewFrequency(eps, k, cpuSorter, Config[float32]{Batch: 777})
 				fq.ProcessSlice(data)
 				fq.Close()
-				exact := frequency.NewExact[float32]()
-				exact.ProcessSlice(data)
+				exact := oracle.New(data)
 				s := 4 * eps // support threshold
-				reported := make(map[float32]bool)
-				for _, it := range fq.Query(s) {
-					reported[it.Value] = true
+				reported := fq.Query(s)
+				if err := oracle.Support(exact, reported, s); err != nil {
+					t.Errorf("k=%d eps=%g shape=%d: %v", k, eps, shape, err)
 				}
-				for _, it := range exact.Query(s) {
-					if !reported[it.Value] {
-						t.Errorf("k=%d eps=%g shape=%d: false negative for %v (true freq %d, sN=%g)",
-							k, eps, shape, it.Value, it.Freq, s*float64(n))
-					}
-				}
-				for v := range reported {
-					truth := exact.Estimate(v)
-					est := fq.Estimate(v)
+				for _, it := range reported {
+					truth := exact.Count(it.Value)
+					est := fq.Estimate(it.Value)
 					if est > truth {
-						t.Errorf("k=%d: overcount on %v: est %d > true %d", k, v, est, truth)
+						t.Errorf("k=%d: overcount on %v: est %d > true %d", k, it.Value, est, truth)
 					}
 					if float64(truth-est) > eps*float64(n)+1e-9 {
-						t.Errorf("k=%d: undercount beyond eps*N on %v: est %d true %d", k, v, est, truth)
+						t.Errorf("k=%d: undercount beyond eps*N on %v: est %d true %d", k, it.Value, est, truth)
 					}
 				}
 			}

@@ -67,7 +67,9 @@ func Collect[T sorter.Value](src Source[T], max int) []T {
 
 // RNG is a small, fast, deterministic xorshift64* generator. It is used
 // instead of math/rand so that streams are bit-reproducible across Go
-// versions (math/rand's algorithm is unspecified across releases).
+// versions (math/rand's algorithm is unspecified across releases). The
+// frugal trackers' rank gates draw from it too, so their snapshots depend
+// on the seed alone.
 type RNG struct{ state uint64 }
 
 // NewRNG returns a generator seeded with seed. A zero seed is replaced with a
