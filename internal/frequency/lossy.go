@@ -69,15 +69,13 @@ type Estimator[T sorter.Value] struct {
 	// compress threshold valid bounds (every window is >= ceil(1/eps), so
 	// at most eps*n buckets ever complete).
 	maxBucket int64
-	// entries and scratch swap roles every window so the merge pass writes
-	// into recycled storage. shared marks entries as aliased by a Snapshot:
-	// the next swap then abandons the array to the snapshot instead of
-	// recycling it (copy-on-write). Both stay the estimator's own: a
-	// Snapshot may hold entries, and scratch is the array entries swaps
-	// with. A window's histogram bins, which nothing keeps past the window,
-	// are borrowed from the process-wide spare store (DESIGN.md §13).
+	// entries is the summary. Each window's merge writes a new one into
+	// storage taken from the process-wide spare store (DESIGN.md §13) and
+	// puts the old one back, unless shared marks it as aliased by a
+	// Snapshot: the array is then abandoned to the snapshot
+	// (copy-on-write). A window's histogram bins, which nothing keeps past
+	// the window, are borrowed from the same store.
 	entries []entry[T]
-	scratch []entry[T]
 	shared  bool
 }
 
@@ -145,14 +143,10 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 
 	// Merge: both the summary and the histogram are value-ascending, so a
 	// single linear pass inserts or updates every bin. The pass writes into
-	// the recycled scratch array, which then swaps with entries. When there
-	// is none (a Snapshot took the last array) or it is too small, the output
-	// is allocated once at its largest size, not grown by appends.
+	// spare storage that holds its largest output, so it never grows by
+	// appends.
 	t1 := time.Now()
-	merged := e.scratch[:0]
-	if n := len(e.entries) + len(bins); cap(merged) < n {
-		merged = make([]entry[T], 0, n)
-	}
+	merged := pipeline.TakeSpareAtLeast[entry[T]](len(e.entries) + len(bins))
 	i, j := 0, 0
 	for i < len(e.entries) && j < len(bins) {
 		switch {
@@ -187,13 +181,11 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 	}
 	e.core.AddCompress(time.Since(t2), int64(len(merged)))
 	// Copy-on-write hand-off: if a Snapshot aliases the outgoing entries
-	// array, abandon it to the snapshot and let the next merge allocate
-	// fresh storage; otherwise recycle it as the next scratch.
+	// array, abandon it to the snapshot; otherwise give it back to the store.
 	if e.shared {
-		e.scratch = nil
 		e.shared = false
 	} else {
-		e.scratch = e.entries[:0]
+		pipeline.PutSpare(e.entries)
 	}
 	e.entries = kept
 }

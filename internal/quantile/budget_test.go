@@ -54,13 +54,14 @@ func TestCombineFortyLevels(t *testing.T) {
 	e := newCPU(eps, 0)
 	win := stream.Uniform(e.WindowSize(), 12)
 	slices.Sort(win)
-	s := windowSummary(nil, win, nil, eps)
+	b := bucket[float32]{c: windowSummary(nil, win, nil, eps)}
 	for k := 1; k <= 42; k++ {
-		budget := pruneBudget(e.cap - s.Eps)
-		s = e.combine(k-1, s, s)
-		if !(s.Eps < e.cap) || s.Size() > budget+1 {
-			t.Fatalf("level %d: spent %v (cap %v), %d entries (budget %d)", k, s.Eps, e.cap, s.Size(), budget)
+		budget := pruneBudget(e.cap - b.spent())
+		b = e.combine(k-1, b, b)
+		if !(b.spent() < e.cap) || b.size() > budget+1 {
+			t.Fatalf("level %d: spent %v (cap %v), %d entries (budget %d)", k, b.spent(), e.cap, b.size(), budget)
 		}
+		s := b.entries()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("level %d: %v", k, err)
 		}
@@ -93,8 +94,8 @@ type budgetProbe struct {
 
 func (p *budgetProbe) Retune(_ pipeline.Stats, _ pipeline.Knobs[float32]) (pipeline.Knobs[float32], bool) {
 	for k, b := range p.e.levels {
-		if b != nil && !(b.Eps >= 0 && b.Eps <= p.e.cap) {
-			p.t.Errorf("window %d: level %d has spent %v, cap %v", p.calls, k, b.Eps, p.e.cap)
+		if !b.empty() && !(b.spent() >= 0 && b.spent() <= p.e.cap) {
+			p.t.Errorf("window %d: level %d has spent %v, cap %v", p.calls, k, b.spent(), p.e.cap)
 		}
 	}
 	p.calls++
@@ -199,8 +200,8 @@ func TestFlushOffWindowBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k, b := range e.levels {
-					if b != nil && !(b.Eps <= e.cap) {
-						t.Fatalf("eps=%v, Flush of %d: level %d has spent %v, cap %v", eps, buffered, k, b.Eps, e.cap)
+					if !b.empty() && !(b.spent() <= e.cap) {
+						t.Fatalf("eps=%v, Flush of %d: level %d has spent %v, cap %v", eps, buffered, k, b.spent(), e.cap)
 					}
 				}
 			}

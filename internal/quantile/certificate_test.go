@@ -76,7 +76,12 @@ var certInputs = []struct {
 func checkCertificateOps(t *testing.T, name string, data []float32, cut int, eps float64, keyOrdered bool) {
 	t.Helper()
 	pairOf := func(part []float32, cut int) *summary.Summary[float32] {
-		return windowSummary(nil, sortedByKey(part[:cut]), sortedByKey(part[cut:]), eps)
+		c := windowSummary(nil, sortedByKey(part[:cut]), sortedByKey(part[cut:]), eps)
+		s := c.Summary()
+		if c.Certificate() != s.Certificate() {
+			t.Fatalf("%s: compact pair certifies %v, its entries %v", name, c.Certificate(), s.Certificate())
+		}
+		return s
 	}
 	pair := pairOf(data, cut)
 	checkCertificate(t, name+", level-0 pair", pair, data)
@@ -207,8 +212,8 @@ func partsCertificate(e *Estimator[float32]) float64 {
 		c = windowSummary(nil, e.held, sortedByKey(partial), e.eps).Certificate()
 	}
 	for _, b := range e.levels {
-		if b != nil {
-			c = max(c, b.Certificate())
+		if !b.empty() {
+			c = max(c, b.part().Certificate())
 		}
 	}
 	return c
@@ -285,9 +290,9 @@ func TestViewBudgetFromKnownCertificate(t *testing.T) {
 		var want *summary.Summary[float32]
 		for _, lv := range e.levels {
 			if want == nil {
-				want = lv
+				want = lv.entries()
 			} else {
-				want = summary.Merge(want, lv)
+				want = summary.Merge(want, lv.entries())
 			}
 		}
 		want = want.Prune(b)

@@ -62,12 +62,12 @@ func checkPair[T sorter.Value](t *testing.T, name string, a, b []T, eps float64)
 	sortByKey(b)
 	want := level0Reference(a, b, eps)
 	dirty := windowSummary(nil, b[:len(b)/2], nil, eps)
-	for _, got := range []*summary.Summary[T]{
+	for _, c := range []*summary.Compact[T]{
 		windowSummary(nil, a, b, eps),
 		windowSummary(nil, b, a, eps),
 		windowSummary(dirty, a, b, eps),
 	} {
-		if !sameLevel0(got, want) {
+		if got := c.Summary(); !sameLevel0(got, want) {
 			t.Fatalf("%s (%d+%d values, eps %v): pair level 0 %+v, sorted concatenation %+v",
 				name, len(a), len(b), eps, *got, *want)
 		}
@@ -164,7 +164,7 @@ func TestEstimatorLevel0IsThePair(t *testing.T) {
 	first, partial := slices.Clone(data[:w]), slices.Clone(data[w:])
 	cpusort.Quicksort(first)
 	cpusort.Quicksort(partial)
-	if len(e.levels) != 1 || len(e.held) != 0 || !sameLevel0(e.levels[0], level0Reference(first, partial, eps)) {
+	if len(e.levels) != 1 || len(e.held) != 0 || !sameLevel0(e.levels[0].entries(), level0Reference(first, partial, eps)) {
 		t.Fatalf("after Flush: %d levels, %d held, or level 0 is not the pair's", len(e.levels), len(e.held))
 	}
 }

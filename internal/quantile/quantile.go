@@ -92,16 +92,16 @@ type Estimator[T sorter.Value] struct {
 	viewB int               // entry budget of the view's final prune when its parts leave under eps/8
 	core  *pipeline.Core[T] // the lock-side API the sink and query paths use
 
-	// levels[k] is the bucket covering 2^k pairs of windows, nil while that
-	// level is empty. A bucket's Eps is the error it has spent so far: what
-	// its pairs spent at level 0 (the largest of them) plus every prune on
-	// the way up.
-	levels []*summary.Summary[T]
+	// levels[k] is the bucket covering 2^k pairs of windows, empty while
+	// that level is. A bucket's spent error is what its pairs spent at
+	// level 0 (the largest of them) plus every prune on the way up.
+	levels []bucket[T]
 	n      int64 // elements folded into buckets or held (excludes buffered)
 
 	// held is the first sorted window of a pair, kept until the second one
-	// arrives and the two become one level-0 bucket; empty between pairs.
-	// It is a copy: the core refills the window it was sorted in.
+	// arrives and the two become one level-0 bucket; nil between pairs. It
+	// is a copy, into storage borrowed from the spare store for the pair:
+	// the core refills the window it was sorted in.
 	held []T
 
 	// certs[k], when not negative, is levels[k].Certificate(), kept from
@@ -161,9 +161,7 @@ func (e *Estimator[T]) SummaryEntries() int {
 	e.core.BarrierLocked()
 	total := len(e.held)
 	for _, b := range e.levels {
-		if b != nil {
-			total += b.Size()
-		}
+		total += b.size()
 	}
 	return total
 }
@@ -175,7 +173,7 @@ func (e *Estimator[T]) Buckets() int {
 	e.core.BarrierLocked()
 	live := 0
 	for _, b := range e.levels {
-		if b != nil {
+		if !b.empty() {
 			live++
 		}
 	}
@@ -183,17 +181,51 @@ func (e *Estimator[T]) Buckets() int {
 }
 
 // windowSummary reduces two sorted windows (either may be empty) to the
-// level-0 summary of their sorted concatenation, built in dst's storage (nil
-// allocates), with Eps the error the reduction actually spent: eps/2 when
-// ranks were sampled, and nothing when every rank was kept —
-// FromSortedWindow reports step/(2w) for those too, which for a short
+// compact level-0 summary of their sorted concatenation, built in dst's
+// storage (nil allocates), with Eps the error the reduction actually
+// spent: eps/2 when ranks were sampled, and nothing when every rank was
+// kept — the sampler reports step/(2w) for those too, which for a short
 // flushed window exceeds eps although no query against it can miss.
-func windowSummary[T sorter.Value](dst *summary.Summary[T], a, b []T, eps float64) *summary.Summary[T] {
-	s := summary.FromSortedPairInto(dst, a, b, eps)
+func windowSummary[T sorter.Value](dst *summary.Compact[T], a, b []T, eps float64) *summary.Compact[T] {
+	s := summary.SamplePairInto(dst, a, b, eps)
 	if s.Size() == len(a)+len(b) {
 		s.Eps = 0
 	}
 	return s
+}
+
+// bucket is one level of the cascade. It is compact, its samples with the
+// rank bounds left implicit (summary.Compact), while every combine that
+// built it merged whole, and a Summary once one pruned it (or once its
+// runs outgrew summary.MaxRuns); the empty bucket has neither.
+type bucket[T sorter.Value] struct {
+	c *summary.Compact[T]
+	s *summary.Summary[T]
+}
+
+func (b bucket[T]) empty() bool { return b.c == nil && b.s == nil }
+
+// part is the bucket as a merge part; the bucket must not be empty.
+func (b bucket[T]) part() summary.Part[T] {
+	if b.c != nil {
+		return b.c
+	}
+	return b.s
+}
+
+func (b bucket[T]) size() int {
+	if b.empty() {
+		return 0
+	}
+	return b.part().Size()
+}
+
+// spent is the error the bucket has spent.
+func (b bucket[T]) spent() float64 {
+	if b.c != nil {
+		return b.c.Eps
+	}
+	return b.s.Eps
 }
 
 // mergeWindow is the merge-stage half of the pipeline: it receives a window
@@ -208,24 +240,25 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 	t0 := time.Now()
 	e.n += int64(len(win))
 	if len(e.held) == 0 {
-		e.held = append(e.held, win...)
+		e.held = append(pipeline.TakeSpareAtLeast[T](len(win)), win...)
 		e.core.AddSort(time.Since(t0), 0)
 		return
 	}
-	s := windowSummary(takeSpare[T](summary.SampledLen(int64(len(e.held)+len(win)), e.eps)), e.held, win, e.eps)
-	e.held = e.held[:0]
+	s := bucket[T]{c: windowSummary(takeSpare[T](summary.SampledLen(int64(len(e.held)+len(win)), e.eps)), e.held, win, e.eps)}
+	pipeline.PutSpare(e.held)
+	e.held = nil
 	e.core.AddSort(time.Since(t0), 0)
 
 	for k := range e.levels {
 		old := e.levels[k]
-		if old == nil {
+		if old.empty() {
 			e.levels[k] = s
 			if k < len(e.certs) {
 				e.certs[k] = -1
 			}
 			return
 		}
-		e.levels[k] = nil
+		e.levels[k] = bucket[T]{}
 		s = e.combine(k, old, s)
 	}
 	e.levels = append(e.levels, s)
@@ -234,24 +267,29 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 // combine merges two buckets of level k into the bucket of level k+1. The
 // merge costs no error (the result has spent what the worse input had); a
 // result within the entry budget its remaining headroom affords is merged
-// whole, into spare storage of its size if the store has some, and a
-// larger one is merged and pruned to the budget in one fused pass into
-// fresh storage, spending 1/(2b) and the grid's rounding more. The inputs
-// are consumed: their storage may go to the spare store.
-func (e *Estimator[T]) combine(k int, a, b *summary.Summary[T]) *summary.Summary[T] {
-	budget := pruneBudget(e.cap - math.Max(a.Eps, b.Eps))
-	size := a.Size() + b.Size()
+// whole — compact, into spare storage of its size if the store has some,
+// when both inputs are — and a larger one is merged and pruned to the
+// budget in one fused pass into a fresh Summary, spending 1/(2b) and the
+// grid's rounding more; a compact input is read through its reader. The
+// inputs are consumed: their storage may go to the spare store.
+func (e *Estimator[T]) combine(k int, a, b bucket[T]) bucket[T] {
+	budget := pruneBudget(e.cap - math.Max(a.spent(), b.spent()))
+	size := a.size() + b.size()
 	t0 := time.Now()
-	var m *summary.Summary[T]
-	if size-1 <= budget { // not size <= budget+1: a saturated budget would overflow
-		m = summary.MergeInto(takeSpare[T](size), a, b)
-		e.core.AddMerge(time.Since(t0), int64(size))
-	} else {
+	var m bucket[T]
+	switch {
+	case size-1 > budget: // not size > budget+1: a saturated budget would overflow
 		// One pass did both; its time is the compress stage's, and both
 		// stages still count the entries they visit.
-		m = summary.MergePruneInto(nil, a, b, budget)
+		m.s = summary.MergePruneInto(nil, a.part(), b.part(), budget)
 		e.core.AddMerge(0, int64(size))
 		e.core.AddCompress(time.Since(t0), int64(size))
+	case a.c != nil && b.c != nil && len(a.c.Runs)+len(b.c.Runs) <= summary.MaxRuns:
+		m.c = summary.MergeCompactInto(takeSpare[T](size), a.c, b.c)
+		e.core.AddMerge(time.Since(t0), int64(size))
+	default:
+		m.s = summary.MergeInto(nil, a.part(), b.part())
+		e.core.AddMerge(time.Since(t0), int64(size))
 	}
 	e.recycle(a)
 	if b != a {
@@ -271,7 +309,7 @@ func (e *Estimator[T]) certificate(k int) float64 {
 		e.certs = append(e.certs, -1)
 	}
 	if e.certs[k] < 0 {
-		e.certs[k] = e.levels[k].Certificate()
+		e.certs[k] = e.levels[k].part().Certificate()
 	}
 	return e.certs[k]
 }
@@ -291,25 +329,20 @@ func (e *Estimator[T]) viewBudget(c float64, n int64) int {
 	return int(math.Ceil(1 / (2 * h)))
 }
 
-// takeSpare hands out spare storage for a bucket of n entries, or nil.
-func takeSpare[T sorter.Value](n int) *summary.Summary[T] {
-	if b := pipeline.TakeSpare[summary.Entry[T]](n); b != nil {
-		return &summary.Summary[T]{Entries: b}
-	}
-	return nil
+// takeSpare hands out spare storage for a compact bucket of n entries:
+// what the store holds in n's classes of values and of run indexes.
+func takeSpare[T sorter.Value](n int) *summary.Compact[T] {
+	return &summary.Compact[T]{Vals: pipeline.TakeSpare[T](n), Src: pipeline.TakeSpare[uint8](n)}
 }
 
 // recycle gives a consumed bucket's storage to the spare store if the
-// bucket was never pruned, which its spent error tells: level 0 spends at
-// most eps/2, a merge keeps the larger input's and every prune adds to it.
-// Pruned buckets are left to the collector: a bucket that size is built by
-// a prune, which writes fresh storage, so a spare that size would only add
-// to the heap. (A bucket pruned from windows that kept every rank can pass
-// the test; keeping it is as safe as keeping any consumed bucket, and
-// still one slot.)
-func (e *Estimator[T]) recycle(s *summary.Summary[T]) {
-	if s.Eps <= e.eps/2 {
-		pipeline.PutSpare(s.Entries)
+// bucket is compact. A Summary bucket is left to the collector: a bucket
+// that size is built by a prune, which writes fresh storage, so a spare
+// that size would only add to the heap.
+func (e *Estimator[T]) recycle(b bucket[T]) {
+	if b.c != nil {
+		pipeline.PutSpare(b.c.Vals)
+		pipeline.PutSpare(b.c.Src)
 	}
 }
 
@@ -352,17 +385,17 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 // passes through each merge of the chain from its part's on, so the chain
 // does least work with the large parts last. The caller holds the core
 // lock, past the barrier.
-func (e *Estimator[T]) viewPartsLocked(buffered int) (parts []*summary.Summary[T], c float64) {
+func (e *Estimator[T]) viewPartsLocked(buffered int) (parts []summary.Part[T], c float64) {
 	if len(e.held) > 0 || buffered > 0 {
 		t0 := time.Now()
-		var p *summary.Summary[T]
+		var p *summary.Compact[T]
 		e.core.SortedPartialLocked(func(partial []T) { p = windowSummary(nil, e.held, partial, e.eps) })
 		parts, c = append(parts, p), p.Certificate()
 		e.core.AddSort(time.Since(t0), 0)
 	}
 	for k, b := range e.levels {
-		if b != nil {
-			parts, c = append(parts, b), max(c, e.certificate(k))
+		if !b.empty() {
+			parts, c = append(parts, b.part()), max(c, e.certificate(k))
 		}
 	}
 	return parts, c

@@ -74,27 +74,37 @@ func TestViewsSurviveRecycling(t *testing.T) {
 }
 
 // drainSpares empties every capacity class of the spare store's float32
-// bucket storage and returns what the stores of all types then retain, so
-// a test can count what its own estimators recycle.
+// values and uint8 run indexes, what compact buckets and held windows are
+// stored in, and returns what the stores of all types then retain, so a
+// test can count what its own estimators recycle.
 func drainSpares() int64 {
 	for c := range bits.UintSize {
-		pipeline.TakeSpare[summary.Entry[float32]](1 << c >> 1)
+		pipeline.TakeSpare[float32](1 << c >> 1)
+		pipeline.TakeSpare[uint8](1 << c >> 1)
 	}
 	return pipeline.SpareBytes()
 }
 
 // spareProbe checks the process-wide spare store after every window of
 // every estimator sharing it (Retune runs under the core lock right after
-// a window was merged): the store holds no more than one never-pruned
-// bucket's storage per capacity class, however many estimators recycle
-// into it, so it never keeps a buffer the size of a pruned bucket or of a
-// merged intermediate, nor one set of spares per estimator.
+// a window was merged). What the estimators put there is compact buckets'
+// values and run indexes and the held windows they borrow for a pair, and
+// the store holds no more, per type and capacity class, than the largest
+// such buffer seen in that class, however many estimators recycle into
+// it: never a buffer the size of a pruned bucket or of a merged
+// intermediate, nor one set of spares per estimator.
 type spareProbe struct {
 	t       *testing.T
 	ests    []*Estimator[float32]
-	base    int64       // what the stores held before the estimators ran
-	largest map[int]int // per class, the most entry storage a never-pruned bucket has had
+	base    int64            // what the stores held before the estimators ran
+	largest map[[2]int]int64 // per (0 values, 1 run indexes) and class, the most bytes a buffer has had
 	windows int
+}
+
+// note records a buffer of n elements of size bytes each, kind 0 or 1.
+func (p *spareProbe) note(kind, n int, size int64) {
+	k := [2]int{kind, bits.Len(uint(n))}
+	p.largest[k] = max(p.largest[k], int64(n)*size)
 }
 
 // spareTuner is the Retune hook of estimator i.
@@ -107,27 +117,28 @@ func (st spareTuner) Retune(pipeline.Stats, pipeline.Knobs[float32]) (pipeline.K
 	p, e := st.p, st.p.ests[st.i]
 	p.windows++
 	for _, b := range e.levels {
-		if b != nil && b.Eps <= e.eps/2 {
-			c := bits.Len(uint(cap(b.Entries)))
-			p.largest[c] = max(p.largest[c], cap(b.Entries))
+		if b.c != nil {
+			p.note(0, cap(b.c.Vals), 4)
+			p.note(1, cap(b.c.Src), 1)
 		}
 	}
-	var bound int
+	p.note(0, cap(e.held), 4)
+	var bound int64
 	for _, n := range p.largest {
 		bound += n
 	}
-	entry := int64(unsafe.Sizeof(summary.Entry[float32]{}))
-	if held := pipeline.SpareBytes() - p.base; held > int64(bound)*entry {
-		p.t.Fatalf("window %d: spares hold %d B, one never-pruned bucket per class %d B", p.windows, held, int64(bound)*entry)
+	if held := pipeline.SpareBytes() - p.base; held > bound {
+		p.t.Fatalf("window %d: spares hold %d B, one compact bucket or held window per class %d B", p.windows, held, bound)
 	}
 	return pipeline.Knobs[float32]{}, false
 }
 
 // TestSpareStorageBounded ingests two estimators at each of eps 1e-2 and
 // 1e-3, a window of each in turn, and holds the shared store to one
-// never-pruned bucket per class after every window.
+// compact bucket's storage or held window per type and class after every
+// window.
 func TestSpareStorageBounded(t *testing.T) {
-	p := &spareProbe{t: t, largest: map[int]int{}}
+	p := &spareProbe{t: t, largest: map[[2]int]int64{}}
 	var data [][]float32
 	for i, eps := range []float64{0.01, 0.01, 0.001, 0.001} {
 		e := newCPU(eps, 0)
@@ -176,21 +187,21 @@ func TestCombineRecyclesItselfOnce(t *testing.T) {
 			slices.Sort(win)
 			mark := float32(g + 1)
 			for range rounds {
-				s := windowSummary(takeSpare[float32](summary.SampledLen(int64(len(win)), e.eps)), win, nil, e.eps)
+				s := bucket[float32]{c: windowSummary(takeSpare[float32](summary.SampledLen(int64(len(win)), e.eps)), win, nil, e.eps)}
 				m := e.combine(0, s, s)
-				mine := pipeline.TakeSpare[summary.Entry[float32]](cap(s.Entries))
+				mine := pipeline.TakeSpare[float32](cap(s.c.Vals))
 				mine = mine[:cap(mine)]
 				for i := range mine {
-					mine[i].V = mark
+					mine[i] = mark
 				}
 				runtime.Gosched()
-				for _, en := range mine {
-					if en.V != mark {
-						errs <- fmt.Errorf("worker %d: storage it took holds another's mark %v", g, en.V)
+				for _, v := range mine {
+					if v != mark {
+						errs <- fmt.Errorf("worker %d: storage it took holds another's mark %v", g, v)
 						return
 					}
 				}
-				if err := m.Validate(); err != nil {
+				if err := m.entries().Validate(); err != nil {
 					errs <- fmt.Errorf("worker %d: combined bucket: %v", g, err)
 					return
 				}
@@ -238,10 +249,11 @@ func TestIngestAllocationCeiling(t *testing.T) {
 
 // viewOverheadCeiling is what an uncached Snapshot at eps 1e-3 may
 // allocate besides its view's entries, however many entries its parts
-// hold: the held and partial windows' level-0 part (at most 1,002
-// entries, 24 KiB), the merge chain's blocks (6 KiB per part past the
-// second) and stages, and a few small headers. The chain of merges the
-// streamed one replaced materialized every stage: over 2 MB at six parts.
+// hold: the held and partial windows' compact level-0 part (at most 1,002
+// values and run indexes, 5 KiB), the merge chain's blocks (6 KiB per part
+// past the second and per compact part, which its reader writes into) and
+// stages, and a few small headers. The chain of merges the streamed one
+// replaced materialized every stage: over 2 MB at six parts.
 const viewOverheadCeiling = 64 << 10
 
 // TestSnapshotAllocatesTheView takes uncached snapshots after every eighth

@@ -20,8 +20,11 @@ import (
 // daemon may hold per live quantile stream at the benchmark's svc round
 // shape, its frequency streams and the spare store included: 428 KiB
 // before bucket spares moved out of the streams into one process-wide
-// store, about 265 KiB after (DESIGN.md §13).
-const heapPerQuantileStream = 300 << 10
+// store, 284 KiB after, 105 KiB since a never-pruned bucket is stored as
+// its samples (DESIGN.md §11) and the held window and the frequency merge
+// output are borrowed from the store (DESIGN.md §13). The ceiling is that
+// reading plus 15%.
+const heapPerQuantileStream = 121 << 10
 
 // TestDaemonHeapPerStream runs the benchmark's svc round in process: 32
 // quantile and 32 frequency streams at eps 1e-3, each sent 129 interleaved

@@ -229,7 +229,8 @@ func ZipfOf[T sorter.Value](n int, s float64, vocab int, seed uint64) []T {
 	if vocab <= 0 {
 		panic("stream: Zipf with non-positive vocabulary")
 	}
-	// Build the CDF once; inversion sampling afterwards is O(log vocab).
+	// Build the CDF once; inversion sampling afterwards bisects the part of
+	// it the guide table leaves.
 	cdf := make([]float64, vocab)
 	sum := 0.0
 	for k := 1; k <= vocab; k++ {
@@ -239,11 +240,17 @@ func ZipfOf[T sorter.Value](n int, s float64, vocab int, seed uint64) []T {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
+	guide := zipfGuide(cdf)
 	r := NewRNG(seed)
 	out := make([]T, n)
 	for i := range out {
 		u := r.Float64()
 		lo, hi := 0, vocab-1
+		if guide != nil {
+			// u*m is exact for m a power of two, so j/m <= u < (j+1)/m.
+			j := int(u * float64(len(guide)-1))
+			lo, hi = int(guide[j]), min(int(guide[j+1]), vocab-1)
+		}
 		for lo < hi {
 			mid := (lo + hi) / 2
 			if cdf[mid] < u {
@@ -255,6 +262,40 @@ func ZipfOf[T sorter.Value](n int, s float64, vocab int, seed uint64) []T {
 		out[i] = T(lo)
 	}
 	return out
+}
+
+// zipfGuide is the guide table of an indexed search over cdf: with m the
+// least power of two at or above len(cdf), entry j is the first index
+// whose cdf is not below j/m, len(cdf) if none is. A draw u in
+// [j/m, (j+1)/m) lies above every cdf before entry j and below the cdf at
+// entry j+1, so bisecting between the two, with the same cdf[mid] < u
+// test, ends where bisecting the whole cdf does: the first index whose cdf
+// is not below u, or the last index. That holds only for a cdf that never
+// falls, so a cdf with a NaN or a dip (an overflowing skew) gets no guide
+// (nil) and is bisected whole.
+func zipfGuide(cdf []float64) []uint32 {
+	if len(cdf) > math.MaxUint32/2 {
+		return nil
+	}
+	for i, c := range cdf {
+		if c != c || i > 0 && !(c >= cdf[i-1]) {
+			return nil
+		}
+	}
+	m := 1
+	for m < len(cdf) {
+		m *= 2
+	}
+	guide := make([]uint32, m+1)
+	i := 0
+	for j := range guide {
+		t := float64(j) / float64(m)
+		for i < len(cdf) && cdf[i] < t {
+			i++
+		}
+		guide[j] = uint32(i)
+	}
+	return guide
 }
 
 // Zipf is ZipfOf at float32.

@@ -213,3 +213,54 @@ func TestBursty(t *testing.T) {
 		t.Fatalf("longest run %d; expected burst-induced runs", maxRun)
 	}
 }
+
+// zipfBisect is ZipfOf before its guide table: every draw bisects the
+// whole cdf.
+func zipfBisect(n int, s float64, vocab int, seed uint64) []float32 {
+	cdf := make([]float64, vocab)
+	sum := 0.0
+	for k := 1; k <= vocab; k++ {
+		sum += 1 / math.Pow(float64(k), s)
+		cdf[k-1] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	r := NewRNG(seed)
+	out := make([]float32, n)
+	for i := range out {
+		u := r.Float64()
+		lo, hi := 0, vocab-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cdf[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out[i] = float32(lo)
+	}
+	return out
+}
+
+// TestZipfGuideMatchesBisection holds the guided sampler to the whole-cdf
+// bisection, draw for draw: vocabularies from 1 up to the benchmark's
+// 41,953, the benchmark's skews 1.1 and 1.2 among flatter and steeper
+// ones, and skews whose cdf overflows to NaN, which take the unguided
+// path.
+func TestZipfGuideMatchesBisection(t *testing.T) {
+	for _, vocab := range []int{1, 2, 3, 7, 64, 65, 1000, 16384, 41953} {
+		for _, s := range []float64{0, 0.5, 1.1, 1.2, 2, 5, -400, math.NaN()} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				n := 20000
+				got, want := Zipf(n, s, vocab, seed), zipfBisect(n, s, vocab, seed)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("vocab %d, s %v, seed %d: draw %d is %v, bisection %v", vocab, s, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -21,15 +21,15 @@ func BenchmarkFromSortedPair(b *testing.B) {
 	x := sortedCopy(stream.Zipf(4000, 1.1, 5000, 1))
 	y := sortedCopy(stream.Zipf(4000, 1.1, 5000, 2))
 	both := sortedCopy(append(append([]float32(nil), x...), y...))
-	dst := &Summary[float32]{}
+	dst := &Compact[float32]{}
 	b.Run("pair", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			FromSortedPairInto(dst, x, y, 0.001)
+			SamplePairInto(dst, x, y, 0.001)
 		}
 	})
 	b.Run("concatenation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			FromSortedPairInto(dst, both, nil, 0.001)
+			SamplePairInto(dst, both, nil, 0.001)
 		}
 	})
 }

@@ -169,7 +169,7 @@ func TestViewChainFusedLastStep(t *testing.T) {
 		}
 		viewB := 1 + rng.Intn(chain.Size()+1)
 		want := pruneRef(chain, viewB)
-		if got := MergePruneAll(nil, parts, viewB); !reflect.DeepEqual(got, want) {
+		if got := MergePruneAll(nil, partsOf(parts), viewB); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: %d parts, view budget %d: streamed chain differs from chain + Prune", trial, len(parts), viewB)
 		}
 	}
@@ -191,14 +191,24 @@ func FuzzMergePrune(f *testing.F) {
 	})
 }
 
+// partsOf lists summaries as merge parts.
+func partsOf[T sorter.Value](ss []*Summary[T]) []Part[T] {
+	parts := make([]Part[T], len(ss))
+	for i, s := range ss {
+		parts[i] = s
+	}
+	return parts
+}
+
 // chainPart is a part of a merge chain of the shape the fuzzer picks:
 // empty; N = 0 over stale entries, which the chain must not read; exactly
 // blockLen-1, blockLen or blockLen+1 entries, so that a stage's block
 // fills exactly, or one short or one over; or a sampled summary, merged or
-// pruned at random. Values come from a duplicate-heavy alphabet around
+// pruned at random, or merged compact, which the chain reads through a
+// reader. It returns the part with the summary the reference reads. Values come from a duplicate-heavy alphabet around
 // zero, with each zero signed at random: -0 and +0 tie under the merge's
 // <=, so only the chain's tie order decides which of them comes first.
-func chainPart(rng *rand.Rand, shape uint8, alphabet int) *Summary[float32] {
+func chainPart(rng *rand.Rand, shape uint8, alphabet int) (Part[float32], *Summary[float32]) {
 	window := func(n int) []float32 {
 		w := tieWindow(rng, n, alphabet, -alphabet/2)
 		for i := range w {
@@ -208,22 +218,33 @@ func chainPart(rng *rand.Rand, shape uint8, alphabet int) *Summary[float32] {
 		}
 		return w
 	}
+	var s *Summary[float32]
 	switch shape % 6 {
 	case 0:
-		return &Summary[float32]{Eps: 0.25}
+		s = &Summary[float32]{Eps: 0.25}
 	case 1:
-		return &Summary[float32]{Entries: FromSortedWindow(window(1+rng.Intn(50)), 0.1).Entries, Eps: 0.1}
+		s = &Summary[float32]{Entries: FromSortedWindow(window(1+rng.Intn(50)), 0.1).Entries, Eps: 0.1}
 	case 2, 3, 4: // eps this small keeps every rank
-		return FromSortedWindow(window(blockLen+int(shape%6)-3), 1e-6)
+		s = FromSortedWindow(window(blockLen+int(shape%6)-3), 1e-6)
+	default:
+		eps := []float64{0.001, 0.01, 0.05}[rng.Intn(3)]
+		switch rng.Intn(4) {
+		case 0:
+			s = FromSortedWindow(window(1+rng.Intn(2000)), eps)
+		case 1:
+			s = Merge(FromSortedWindow(window(1+rng.Intn(2000)), eps), FromSortedWindow(window(1+rng.Intn(2000)), 0.01))
+		case 2:
+			s = FromSortedWindow(window(1+rng.Intn(2000)), eps)
+			s = s.Prune(1 + rng.Intn(s.Size()+1))
+		default:
+			c := SamplePairInto(nil, window(1+rng.Intn(2000)), nil, eps)
+			for range rng.Intn(4) {
+				c = MergeCompactInto(nil, c, SamplePairInto(nil, window(1+rng.Intn(1000)), window(rng.Intn(1000)), 0.01))
+			}
+			return c, c.Summary()
+		}
 	}
-	s := FromSortedWindow(window(1+rng.Intn(2000)), []float64{0.001, 0.01, 0.05}[rng.Intn(3)])
-	switch rng.Intn(3) {
-	case 1:
-		s = Merge(s, FromSortedWindow(window(1+rng.Intn(2000)), 0.01))
-	case 2:
-		s = s.Prune(1 + rng.Intn(s.Size()+1))
-	}
-	return s
+	return s, s
 }
 
 // FuzzMergePruneAll holds the streamed chain to the chain it replaced,
@@ -242,14 +263,15 @@ func FuzzMergePruneAll(f *testing.F) {
 	f.Add(uint64(9), uint8(7), uint64(0x0100010001000100), uint8(4), uint16(3))
 	f.Fuzz(func(t *testing.T, seed uint64, k uint8, shapes uint64, alphabet uint8, budget uint16) {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		parts := make([]*Summary[float32], 1+k%8)
+		parts := make([]Part[float32], 1+k%8)
+		refs := make([]*Summary[float32], len(parts))
 		size := 0
 		for i := range parts {
-			parts[i] = chainPart(rng, uint8(shapes>>(8*i)), 1+int(alphabet%50))
+			parts[i], refs[i] = chainPart(rng, uint8(shapes>>(8*i)), 1+int(alphabet%50))
 			size += parts[i].Size()
 		}
 		b := 1 + int(budget)%(size+2)
-		want := chainRef(parts, b)
+		want := chainRef(refs, b)
 		if got := MergePruneAll(nil, parts, b); !sameBits(got, want) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d parts, budget %d: streamed\n%+v\nwant\n%+v", len(parts), b, got, want)
 		}

@@ -35,105 +35,33 @@ type Summary[T sorter.Value] struct {
 }
 
 // FromSortedWindow builds an (eps/2)-approximate summary from an ascending
-// window, the per-node construction of the paper's Section 5.2: with
-// step = floor(eps*W), at least 1, select the elements at ranks 1, step,
-// 2*step, ..., W, recording each element's exact rank. Consecutive selected
-// ranks are at most step <= eps*W apart, so any rank query lands within
-// step/2 of a kept element; Eps reports step/(2W), or eps/2 if that is more.
-// It is FromSortedPairInto with an empty second run.
-//
-// It panics if window is not sorted.
+// window, the per-node construction of the paper's Section 5.2: the
+// entries of SamplePairInto's one-run Compact, each kept element with its
+// exact rank. It panics if window is not sorted.
 func FromSortedWindow[T sorter.Value](window []T, eps float64) *Summary[T] {
-	return FromSortedPairInto(nil, window, nil, eps)
+	return SamplePairInto(nil, window, nil, eps).Summary()
 }
 
-// FromSortedPairInto is FromSortedWindow over the ascending concatenation
-// of two ascending runs, bit for bit, without forming it, built in dst:
-// its entry storage is reused when large enough, and a nil dst allocates.
-// Duplicates stay separate entries ([RMin, RMax] is rank uncertainty,
-// never multiplicity). The element at each kept rank r is found by
-// bisecting how many of the pair's first r come from a. That count never
-// falls as r grows and rises by at most the step between two kept ranks,
-// so each bisection spans at most step+1 candidates, and one, a[r-1], when
-// b is empty. Runs and bisection are ordered by sorter.OrderedKey, the
-// key-radix sort's order, which is total where < is not: -0 before +0,
-// NaNs at the ends. Equal keys are equal bits, so where the runs tie, the
-// run an element is taken from does not show. It panics if a kept element
-// is < the one kept before it.
-func FromSortedPairInto[T sorter.Value](dst *Summary[T], a, b []T, eps float64) *Summary[T] {
-	s, step := sampled(dst, int64(len(a)+len(b)), eps)
-	fromA, prev := 0, 0 // of the pair's first prev elements, fromA are a's
-	var last T          // the element kept before
-	// rank walks 1, step, 2*step, ..., N, each once: next is the next
-	// multiple of step above 1.
-	for rank, next := int64(1), max(step, 2); rank <= s.N; rank, next = min(next, s.N), next+step {
-		// The fewest n of the first r taken from a such that b's part is
-		// no larger than a's next element, among lo..hi; hi always
-		// qualifies.
-		r := int(rank)
-		lo, hi := max(fromA, r-len(b)), min(fromA+r-prev, len(a))
-		for lo < hi {
-			if n := int(uint(lo+hi) >> 1); sorter.OrderedKey(b[r-n-1]) <= sorter.OrderedKey(a[n]) {
-				hi = n
-			} else {
-				lo = n + 1
-			}
-		}
-		fromA, prev = lo, r
-		var v T
-		if j := r - lo; lo == 0 || j > 0 && sorter.OrderedKey(a[lo-1]) < sorter.OrderedKey(b[j-1]) {
-			v = b[j-1]
-		} else {
-			v = a[lo-1]
-		}
-		if rank > 1 && v < last {
-			panic("summary: window not sorted")
-		}
-		last = v
-		s.Entries = append(s.Entries, Entry[T]{V: v, RMin: rank, RMax: rank})
-		if rank == s.N {
-			break
-		}
-	}
-	return s
+// A Part is one input of a merge: a Summary, whose entries are read in
+// place, or a Compact, whose entries a reader rebuilds a block at a time.
+type Part[T sorter.Value] interface {
+	Size() int
+	Certificate() float64
+	header() (n int64, eps float64)
+	// open returns the part's entries to read in place, or, with none, the
+	// producer that hands them out, a block at a time, written into block.
+	open(block []Entry[T]) ([]Entry[T], producer[T])
 }
 
-// sampled readies dst (nil allocates) for the summary of a w-element
-// window sampled at eps and returns it with the step between kept ranks:
-// with step = floor(eps*w), at least 1, the kept ranks are 1, step,
-// 2*step, ..., w, and the entry storage is sized for them so construction
-// is at most one allocation. N and Eps are set, and the entries are empty.
-func sampled[T sorter.Value](dst *Summary[T], w int64, eps float64) (*Summary[T], int64) {
-	if dst == nil {
-		dst = &Summary[T]{}
-	}
-	if w == 0 {
-		*dst = Summary[T]{Entries: dst.Entries[:0], Eps: eps / 2}
-		return dst, 1
-	}
-	if eps <= 0 || eps > 1 {
-		panic(fmt.Sprintf("summary: eps %v out of (0, 1]", eps))
-	}
-	step := sampleStep(w, eps)
-	s := dst
-	s.N, s.Entries = w, s.Entries[:0]
-	if n := SampledLen(w, eps); cap(s.Entries) < n {
-		s.Entries = make([]Entry[T], 0, n)
-	}
-	s.Eps = float64(step) / (2 * float64(w))
-	if half := eps / 2; s.Eps < half {
-		s.Eps = half
-	}
-	return s, step
+// producer hands out a merge side's entries a block at a time, and none
+// once it has run out.
+type producer[T sorter.Value] interface {
+	next() []Entry[T]
 }
 
-// SampledLen is the entry storage FromSortedPairInto sizes for a pair of w
-// elements sampled at eps, so a caller can hand it storage that fits.
-func SampledLen(w int64, eps float64) int { return int(w/sampleStep(w, eps) + 2) }
+func (s *Summary[T]) header() (int64, float64) { return s.N, s.Eps }
 
-// sampleStep is the step between a w-element window's kept ranks at eps:
-// floor(eps*w), at least 1.
-func sampleStep(w int64, eps float64) int64 { return max(int64(eps*float64(w)), 1) }
+func (s *Summary[T]) open([]Entry[T]) ([]Entry[T], producer[T]) { return s.Entries, nil }
 
 // Size reports the number of entries.
 func (s *Summary[T]) Size() int { return len(s.Entries) }
@@ -151,29 +79,30 @@ func Merge[T sorter.Value](a, b *Summary[T]) *Summary[T] {
 	return MergeInto(&Summary[T]{Entries: make([]Entry[T], 0, len(a.Entries)+len(b.Entries))}, a, b)
 }
 
-// MergeInto is Merge writing its result into dst, whose entry storage is
-// reused when it is large enough — the quantile cascade hands it the storage
-// of a bucket it consumed earlier. dst must not alias a or b; any prior
-// contents are discarded. A nil dst allocates a fresh summary. Returns dst.
-// It is the two-part merge chain with no prune.
-func MergeInto[T sorter.Value](dst, a, b *Summary[T]) *Summary[T] {
-	parts := [2]*Summary[T]{a, b}
+// MergeInto is Merge of two parts, either of them compact, writing its
+// result into dst, whose entry storage is reused when it is large enough.
+// dst must not alias a or b; any prior contents are discarded. A nil dst
+// allocates a fresh summary. Returns dst. It is the two-part merge chain
+// with no prune.
+func MergeInto[T sorter.Value](dst *Summary[T], a, b Part[T]) *Summary[T] {
+	parts := [2]Part[T]{a, b}
 	return mergeChain(dst, parts[:], 0)
 }
 
 // MergePruneInto is MergeInto followed by a prune to budget, fused: it is
 // MergePruneAll over the two parts a and b.
-func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[T] {
-	parts := [2]*Summary[T]{a, b}
+func MergePruneInto[T sorter.Value](dst *Summary[T], a, b Part[T], budget int) *Summary[T] {
+	parts := [2]Part[T]{a, b}
 	return MergePruneAll(dst, parts[:], budget)
 }
 
 // MergePruneAll is the chain of merges parts[0]·parts[1]·…·parts[k-1],
 // each stage MergeInto of the one before with the next part, followed by a
 // prune to budget (Prune), streamed: no stage's result is materialized.
-// The first stage reads its two parts in place and every later stage one
-// part in place; each stage but the last writes blockLen entries at a time
-// into a block of its own that the next stage reads, and the last stage
+// The first stage reads its two parts and every later stage one part, each
+// in place or, a Compact, through its reader; each stage but the last
+// writes blockLen entries at a time into a block of its own that the next
+// stage reads, and the last stage
 // hands each merged entry straight to the prune's grid sweep, so only the
 // at most budget+1 survivors are ever written, into dst, and the walk stops
 // at the last grid rank. A chain whose merge would keep every entry anyway
@@ -181,7 +110,7 @@ func MergePruneInto[T sorter.Value](dst, a, b *Summary[T], budget int) *Summary[
 // prune's error, as Prune's copy path does. The result is bit for bit the
 // chain's (DESIGN.md §11). dst must not alias a part; any prior
 // contents are discarded. A nil dst allocates. Returns dst.
-func MergePruneAll[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int) *Summary[T] {
+func MergePruneAll[T sorter.Value](dst *Summary[T], parts []Part[T], budget int) *Summary[T] {
 	if budget <= 0 {
 		panic("summary: Prune with non-positive budget")
 	}
@@ -198,64 +127,83 @@ const blockLen = 256
 // when budget is positive. A part with N = 0 drops out of the chain, as
 // MergeInto passes the other side through whole, header and entries; when
 // every part has N = 0 the last one passes through.
-func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int) *Summary[T] {
+func mergeChain[T sorter.Value](dst *Summary[T], parts []Part[T], budget int) *Summary[T] {
 	if dst == nil {
 		dst = &Summary[T]{}
 	}
 	// The chain's header and its live parts: N adds and Eps takes the max,
 	// in chain order.
 	var (
-		n           int64
-		eps         float64
-		live, total int
+		n                    int64
+		eps                  float64
+		live, total, readers int
 	)
 	for _, p := range parts {
-		if p.N == 0 {
+		pn, pEps := p.header()
+		if pn == 0 {
 			continue
 		}
 		if live == 0 {
-			eps = p.Eps
+			eps = pEps
 		} else {
-			eps = math.Max(eps, p.Eps)
+			eps = math.Max(eps, pEps)
 		}
-		n += p.N
+		n += pn
 		live++
-		total += len(p.Entries)
+		total += p.Size()
+		if _, ok := p.(*Compact[T]); ok {
+			readers++
+		}
 	}
 
 	// The stages: fin merges the rest of the chain with the last live part;
 	// with k live parts, k-2 inner stages before it each merge the stage
 	// before (or, first, the first live part) with the next live part. A
 	// lone live part is fin's a, with nothing to merge it with.
+	// One block per inner stage and per compact part's reader, in one
+	// allocation.
 	var fin mergeStage[T]
 	var inner []mergeStage[T]
-	var blocks []Entry[T]
 	if live > 2 {
 		inner = make([]mergeStage[T], live-2)
-		blocks = make([]Entry[T], (live-2)*blockLen)
+	}
+	blocks := make([]Entry[T], (len(inner)+readers)*blockLen)
+	block := func() []Entry[T] {
+		b := blocks[:blockLen:blockLen]
+		blocks = blocks[blockLen:]
+		return b
 	}
 	var nA int64 // N of the chain so far
 	s := 0       // live parts seen
 	for _, p := range parts {
-		if p.N == 0 {
+		pn, _ := p.header()
+		if pn == 0 {
 			continue
+		}
+		var es []Entry[T]
+		var up producer[T]
+		if _, ok := p.(*Compact[T]); ok {
+			es, up = p.open(block())
+		} else {
+			es, up = p.open(nil)
 		}
 		switch s++; {
 		case s == 1:
-			fin.a = p.Entries
+			fin.a, fin.upA = es, up
 		case s < live:
 			st := &inner[s-2]
-			*st = mergeStage[T]{up: fin.up, a: fin.a, b: p.Entries, nA: nA, nB: p.N, block: blocks[(s-2)*blockLen : (s-1)*blockLen]}
-			fin.up, fin.a = st, nil
+			*st = mergeStage[T]{upA: fin.upA, a: fin.a, upB: up, b: es, nA: nA, nB: pn, block: block()}
+			fin.upA, fin.a = st, nil
 		default:
-			fin.b, fin.nA, fin.nB = p.Entries, nA, p.N
+			fin.upB, fin.b, fin.nA, fin.nB = up, es, nA, pn
 		}
-		nA += p.N
+		nA += pn
 	}
 	if live == 0 && len(parts) > 0 {
 		last := parts[len(parts)-1]
-		fin.a, eps = last.Entries, last.Eps
-		total = len(last.Entries)
+		fin.a, fin.upA = last.open(nil)
+		_, eps = last.header()
+		total = last.Size()
 	}
 
 	if budget == 0 || live == 0 || total-1 <= budget { // not total <= budget+1: a saturated budget would overflow
@@ -284,11 +232,12 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []*Summary[T], budget int
 }
 
 // mergeStage is one 2-way merge of a chain: the chain so far, side a, with
-// the next part, side b. Side a is read from the block the stage up writes,
-// or in place when up is nil; side b is always read in place.
+// the next part, side b. Side a is read from the block the stage before
+// writes, side b from a Compact's reader, and either in place when it has
+// no producer.
 type mergeStage[T sorter.Value] struct {
-	up   *mergeStage[T] // a's producer; nil once a holds all that is left of it
-	a, b []Entry[T]     // each side's unread entries
+	upA, upB producer[T] // each side's producer; nil once the side holds all that is left of it
+	a, b     []Entry[T]  // each side's unread entries
 	// predA and predB are the RMin of the entry last taken from each side:
 	// the predecessor, in the other side, of whatever is taken next. Its
 	// successor there is the other side's head, or nothing once that side
@@ -298,12 +247,18 @@ type mergeStage[T sorter.Value] struct {
 	block        []Entry[T] // where next writes
 }
 
-// fill refills a from up once a is used up; a stays empty only once up
-// has nothing left, and up is then dropped.
+// fill refills a side from its producer once the side is used up; a side
+// stays empty only once its producer has nothing left, and the producer is
+// then dropped.
 func (st *mergeStage[T]) fill() {
-	if len(st.a) == 0 && st.up != nil {
-		if st.a = st.up.next(); len(st.a) == 0 {
-			st.up = nil
+	if len(st.a) == 0 && st.upA != nil {
+		if st.a = st.upA.next(); len(st.a) == 0 {
+			st.upA = nil
+		}
+	}
+	if len(st.b) == 0 && st.upB != nil {
+		if st.b = st.upB.next(); len(st.b) == 0 {
+			st.upB = nil
 		}
 	}
 }
@@ -492,11 +447,19 @@ func (s *Summary[T]) Certificate() float64 {
 	if s.N == 0 || len(es) == 0 {
 		return 0
 	}
-	worst := max(es[0].RMax-1, s.N-es[len(es)-1].RMin)
-	for i := 1; i < len(es); i++ {
-		worst = max(worst, (es[i].RMax-es[i-1].RMin)/2)
+	worst, prev := gapWorst(es[0].RMax-1, es[0].RMin, es[1:])
+	return float64(max(worst, s.N-prev)) / float64(s.N)
+}
+
+// gapWorst folds the entries es, which follow an entry whose RMin is prev,
+// into worst, the largest floor((RMax[i+1] - RMin[i]) / 2) so far, and
+// returns it with the last entry's RMin.
+func gapWorst[T sorter.Value](worst, prev int64, es []Entry[T]) (int64, int64) {
+	for _, e := range es {
+		worst = max(worst, (e.RMax-prev)/2)
+		prev = e.RMin
 	}
-	return float64(worst) / float64(s.N)
+	return worst, prev
 }
 
 // pruneRank is grid point i of a prune of n elements to budget b:
