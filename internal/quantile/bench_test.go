@@ -76,7 +76,7 @@ func BenchmarkViewBuild(b *testing.B) {
 		parts, entries := viewParts(e)
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.snapCache = nil
+				dropView(e)
 				e.Snapshot()
 			}
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

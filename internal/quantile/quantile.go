@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"weak"
 
 	"gpustream/internal/pipeline"
 	"gpustream/internal/sorter"
@@ -111,10 +112,12 @@ type Estimator[T sorter.Value] struct {
 	// race. It holds numbers, not buckets, so it pins no consumed storage.
 	certs []float64
 
-	// snapshot cache: queries against an unchanged stream reuse the merged
-	// summary instead of re-merging every bucket.
-	snapCache *summary.Summary[T]
-	snapState [2]int64 // (n, buffered) the cache was built at
+	// view is the last view built, held weakly: while any caller still
+	// holds it, a read of the unchanged stream returns it instead of
+	// re-merging every bucket, and once none does the collector frees it,
+	// so an idle stream pins no view (DESIGN.md §11).
+	view      weak.Pointer[summary.Summary[T]]
+	viewState [2]int64 // (n, buffered) view was built at
 }
 
 // NewEstimator returns an eps-approximate quantile estimator sorting windows
@@ -352,10 +355,10 @@ func (e *Estimator[T]) recycle(b bucket[T]) {
 // error leaves it (viewBudget): what queries, the wire and cross-shard
 // merges handle is O(1/eps) entries however long the stream, and fewer the
 // less error the buckets have proved. The view's Eps is its own
-// Certificate. The result is cached until more elements arrive; the caller
-// must hold the core lock. The returned summary never shares storage with a
-// bucket — bucket storage is recycled — so it is immutable and may safely
-// outlive the locked region.
+// Certificate. The result is reused until more elements arrive, for as long
+// as a caller holds it (view); the caller must hold the core lock. The
+// returned summary never shares storage with a bucket — bucket storage is
+// recycled — so it is immutable and may safely outlive the locked region.
 func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	// Drain in-flight windows first: the buckets must cover the whole
 	// emitted prefix and the sorter must be idle before the partial-window
@@ -363,8 +366,8 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 	e.core.BarrierLocked()
 	buffered := e.core.BufferedLocked()
 	state := [2]int64{e.n, int64(buffered)}
-	if e.snapCache != nil && e.snapState == state {
-		return e.snapCache
+	if v := e.view.Value(); v != nil && e.viewState == state {
+		return v
 	}
 	var acc *summary.Summary[T]
 	if parts, c := e.viewPartsLocked(buffered); len(parts) > 0 {
@@ -374,7 +377,7 @@ func (e *Estimator[T]) snapshotLocked() *summary.Summary[T] {
 		acc = summary.MergePruneAll(nil, parts, e.viewBudget(c, e.n+int64(buffered)))
 		acc.Eps = acc.Certificate()
 	}
-	e.snapCache, e.snapState = acc, state
+	e.view, e.viewState = weak.Make(acc), state
 	return acc
 }
 

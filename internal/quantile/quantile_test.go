@@ -1,13 +1,17 @@
 package quantile
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/gpusort"
 	"gpustream/internal/oracle"
 	"gpustream/internal/pipeline"
+	"gpustream/internal/sorter"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
 )
@@ -214,4 +218,48 @@ func abs32(v float32) float32 {
 		return -v
 	}
 	return v
+}
+
+// dropView forgets the estimator's last view, so the next read rebuilds it.
+func dropView[T sorter.Value](e *Estimator[T]) { e.view = weak.Pointer[summary.Summary[T]]{} }
+
+// TestViewCachePinsNothing checks the view cache both ways: while a caller
+// holds a view, the next read of the unchanged stream returns it without a
+// rebuild; once no caller holds it, a collection frees it, and the view
+// built again marshals to the same bytes.
+func TestViewCachePinsNothing(t *testing.T) {
+	e := newCPU(0.01, 0)
+	// Buckets, a held window and a buffered partial one all feed the view.
+	if err := e.ProcessSlice(stream.Zipf(5*e.WindowSize()+e.WindowSize()/2, 1.1, 1000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	// read marshals a fresh Snapshot's view and reports whether it was the
+	// cached one, keeping no reference to it.
+	read := func() ([]byte, bool) {
+		view := e.Summary()
+		b, err := NewSnapshot(view, e.Eps()).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, view == e.view.Value()
+	}
+
+	held := e.Snapshot().(*Snapshot[float32]).Summary()
+	if again := e.Snapshot().(*Snapshot[float32]).Summary(); again != held {
+		t.Fatal("a second Snapshot of an unchanged stream rebuilt the view its caller still holds")
+	}
+	want, _ := read()
+	runtime.KeepAlive(held)
+
+	runtime.GC()
+	if e.view.Value() != nil {
+		t.Fatal("after a collection the estimator still references a view no caller holds")
+	}
+	got, cached := read()
+	if !cached {
+		t.Fatal("the rebuilt view is not cached")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the rebuilt view marshals to different bytes")
+	}
 }

@@ -278,7 +278,7 @@ func TestSnapshotAllocatesTheView(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range reads {
-			e.snapCache = nil
+			dropView(e)
 			view = e.Snapshot().(*Snapshot[float32]).Summary()
 		}
 		runtime.ReadMemStats(&after)

@@ -3,6 +3,9 @@ package summary
 import (
 	"cmp"
 	"math"
+	"math/big"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -41,6 +44,61 @@ func fromSortedWindowRef[T sorter.Value](window []T, eps float64) *Summary[T] {
 		}
 	}
 	return s
+}
+
+// pruneRank is grid point i of a prune of n elements to budget b,
+// ceil(i*n/b) clamped to [1, n], from i*n in 128 bits: pruneGrid's
+// independent reference. The quotient fits, i*n/b being at most n for
+// i <= b, and so does q+1 when rem > 0, as q is then below n.
+func pruneRank(i int, n int64, b int) int64 {
+	hi, lo := bits.Mul64(uint64(i), uint64(n))
+	q, rem := bits.Div64(hi, lo, uint64(b))
+	if rem > 0 {
+		q++
+	}
+	return min(max(int64(q), 1), n)
+}
+
+// TestPruneGridExact walks pruneGrid over every point of grids with n up
+// to 2^62, exact multiples of b and not, and holds each rank, and
+// pruneRank's, to ceil(i*n/b) in math/big. In float64, 2.6% of such points
+// at n near 2^40 were off by one, and 5% near 2^44.
+func TestPruneGridExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	check := func(n int64, b int) {
+		t.Helper()
+		g := newPruneGrid(n, b)
+		bn, bb := big.NewInt(n), big.NewInt(int64(b))
+		var prod, q, rem big.Int
+		for i := 0; i <= b; i++ {
+			q.QuoRem(prod.Mul(big.NewInt(int64(i)), bn), bb, &rem)
+			if rem.Sign() > 0 {
+				q.Add(&q, big.NewInt(1))
+			}
+			want := min(max(q.Int64(), 1), n)
+			if got := g.rank(); got != want {
+				t.Fatalf("n=%d b=%d: grid point %d at rank %d, want %d", n, b, i, got, want)
+			}
+			if got := pruneRank(i, n, b); got != want {
+				t.Fatalf("n=%d b=%d: pruneRank(%d) = %d, want %d", n, b, i, got, want)
+			}
+			g.next()
+		}
+	}
+	for _, n := range []int64{0, 1, 2, 9, 1000} {
+		for _, b := range []int{1, 2, 3, 6, 7, 999, 1000, 1001} {
+			check(n, b)
+		}
+	}
+	for _, shift := range []int{40, 44, 53, 54, 62} {
+		for range 3 {
+			b := 1000 + rng.Intn(39000)
+			multiple := int64(1)<<shift/int64(b) - rng.Int63n(1000)
+			check(multiple*int64(b), b)
+			check(int64(1)<<shift-rng.Int63n(1<<20), b)
+		}
+	}
+	check(math.MaxInt64, 40000)
 }
 
 // pruneRef prunes s to at most b+1 entries by the two-pointer sweep over

@@ -221,7 +221,8 @@ func mergeChain[T sorter.Value](dst *Summary[T], parts []Part[T], budget int) *S
 	if cap(out) < budget+1 {
 		out = make([]Entry[T], 0, budget+1)
 	}
-	sw := pruneSweep[T]{out: out, n: n, budget: budget, r: pruneRank(0, n, budget), curScore: math.MaxInt64, kept: true}
+	sw := pruneSweep[T]{out: out, grid: newPruneGrid(n, budget), budget: budget, curScore: math.MaxInt64, kept: true}
+	sw.r = sw.grid.rank()
 	fin.sweep(&sw)
 	// Out of entries: every grid point left settles on the last one.
 	if !sw.kept {
@@ -373,7 +374,8 @@ type pruneSweep[T sorter.Value] struct {
 	out      []Entry[T]
 	cur      Entry[T]
 	curScore int64
-	r, n     int64
+	r        int64
+	grid     pruneGrid
 	g        int
 	budget   int
 	kept     bool
@@ -394,7 +396,8 @@ func (sw *pruneSweep[T]) settle(e Entry[T]) bool {
 		if sw.g++; sw.g > sw.budget {
 			return true
 		}
-		sw.r = pruneRank(sw.g, sw.n, sw.budget)
+		sw.grid.next()
+		sw.r = sw.grid.rank()
 		sw.curScore = sw.cur.score(sw.r)
 		if s := e.score(sw.r); s <= sw.curScore {
 			sw.cur, sw.curScore, sw.kept = e, s, false
@@ -462,11 +465,37 @@ func gapWorst[T sorter.Value](worst, prev int64, es []Entry[T]) (int64, int64) {
 	return worst, prev
 }
 
-// pruneRank is grid point i of a prune of n elements to budget b:
-// ceil(i*n/b), clamped to [1, n].
-func pruneRank(i int, n int64, b int) int64 {
-	r := int64(math.Ceil(float64(i) * float64(n) / float64(b)))
-	return min(max(r, 1), n)
+// pruneGrid walks the grid of a prune of n elements to budget b: point i is
+// at rank ceil(i*n/b), clamped to [1, n], for i = 0, 1, ..., b. It keeps
+// i*n as its quotient q and remainder rem by b and adds n's per step, so
+// every rank is exact at any n; i*n in float64 is off by one past 2^53.
+type pruneGrid struct {
+	q, n, stepQ     int64
+	rem, stepRem, b uint64
+}
+
+// newPruneGrid returns the grid at point 0.
+func newPruneGrid(n int64, b int) pruneGrid {
+	return pruneGrid{n: n, stepQ: n / int64(b), stepRem: uint64(n % int64(b)), b: uint64(b)}
+}
+
+// rank is the current point's rank.
+func (g *pruneGrid) rank() int64 {
+	r := g.q
+	if g.rem > 0 {
+		r++
+	}
+	return min(max(r, 1), g.n)
+}
+
+// next moves to the following point. Both remainders are below b, so their
+// sum cannot overflow a uint64.
+func (g *pruneGrid) next() {
+	g.q += g.stepQ
+	if g.rem += g.stepRem; g.rem >= g.b {
+		g.q++
+		g.rem -= g.b
+	}
 }
 
 // score is how far rank r can lie from the entry's true rank:

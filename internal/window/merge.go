@@ -28,8 +28,8 @@ import (
 // disjoint stream partitions into one whole-window view over their union.
 // The inputs are not mutated and may be used afterwards.
 func MergeFrequencySnapshots[T sorter.Value](a, b *FrequencySnapshot[T]) *FrequencySnapshot[T] {
-	binsA, coveredA := a.cover(a.w)
-	binsB, coveredB := b.cover(b.w)
+	binsA, coveredA := a.wholeWindow()
+	binsB, coveredB := b.wholeWindow()
 	return &FrequencySnapshot[T]{
 		eps:          math.Max(a.eps, b.eps),
 		w:            a.w + b.w,
@@ -43,7 +43,7 @@ func MergeFrequencySnapshots[T sorter.Value](a, b *FrequencySnapshot[T]) *Freque
 // disjoint stream partitions into one whole-window view over their union.
 // The inputs are not mutated and may be used afterwards.
 func MergeQuantileSnapshots[T sorter.Value](a, b *QuantileSnapshot[T]) *QuantileSnapshot[T] {
-	ma, mb := a.cover(a.w), b.cover(b.w)
+	ma, mb := a.wholeWindow(), b.wholeWindow()
 	merged := &QuantileSnapshot[T]{
 		eps:   math.Max(a.eps, b.eps),
 		w:     a.w + b.w,

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"sync"
 	"time"
 
 	"gpustream/internal/pipeline"
@@ -100,14 +101,19 @@ func (q *SlidingQuantile[T]) WindowSummary(w int) *summary.Summary[T] {
 
 // QuantileSnapshot is an immutable point-in-time view of a sliding-window
 // quantile estimator. Pane summaries are aliased directly — they are never
-// mutated or recycled — so taking one costs O(partial pane). A
-// QuantileSnapshot is safe for concurrent use and implements pipeline.View.
+// mutated or recycled — so taking one costs O(partial pane). The whole
+// window is folded once, on first use, and every whole-window answer after
+// reads that fold (DESIGN.md §12). A QuantileSnapshot is safe for
+// concurrent use and implements pipeline.View.
 type QuantileSnapshot[T sorter.Value] struct {
 	eps     float64
 	w       int
 	count   int64
 	panes   []*summary.Summary[T] // oldest first
 	partial *summary.Summary[T]   // nil when the pane buffer was empty
+
+	once  sync.Once
+	whole *summary.Summary[T] // cover(w), set under once
 }
 
 // Snapshot returns an immutable view of the current window state. The view
@@ -137,6 +143,21 @@ func (s *QuantileSnapshot[T]) cover(span int) *summary.Summary[T] {
 		covered += s.panes[i].N
 	}
 	return fold(parts, summary.Merge[T])
+}
+
+// wholeWindow returns cover(w), folded on the first call.
+func (s *QuantileSnapshot[T]) wholeWindow() *summary.Summary[T] {
+	s.once.Do(func() { s.whole = s.cover(s.w) })
+	return s.whole
+}
+
+// span returns the fold covering the newest w elements: the memoised one
+// for the whole window, a fresh one for a shorter span.
+func (s *QuantileSnapshot[T]) span(w int) *summary.Summary[T] {
+	if w == s.w {
+		return s.wholeWindow()
+	}
+	return s.cover(w)
 }
 
 // Count reports the whole-stream length the snapshot was taken at.
@@ -169,7 +190,7 @@ func (s *QuantileSnapshot[T]) Query(phi float64) T { return s.QueryWindow(phi, s
 // elements as of the snapshot, w <= W.
 func (s *QuantileSnapshot[T]) QueryWindow(phi float64, w int) T {
 	checkSpan(w, s.w)
-	m := s.cover(w)
+	m := s.span(w)
 	if m == nil || m.N == 0 {
 		panic("window: quantile query on empty window")
 	}
@@ -178,7 +199,7 @@ func (s *QuantileSnapshot[T]) QueryWindow(phi float64, w int) T {
 
 // Quantile implements pipeline.View; ok is false on an empty window.
 func (s *QuantileSnapshot[T]) Quantile(phi float64) (T, bool) {
-	m := s.cover(s.w)
+	m := s.wholeWindow()
 	if m == nil || m.N == 0 {
 		var z T
 		return z, false

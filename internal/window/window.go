@@ -24,6 +24,7 @@
 package window
 
 import (
+	"sync"
 	"time"
 
 	"gpustream/internal/histogram"
@@ -154,8 +155,9 @@ func (f *SlidingFrequency[T]) Estimate(v T) int64 {
 // frequency estimator. It aliases the live pane histograms under the
 // copy-on-write discipline (the ring abandons shared bins to the snapshot
 // instead of recycling them on expiry), so taking one costs O(partial pane).
-// A FrequencySnapshot is safe for concurrent use and implements
-// pipeline.View.
+// The whole window is folded once, on first use, and every whole-window
+// answer after reads that fold (DESIGN.md §12). A FrequencySnapshot is safe
+// for concurrent use and implements pipeline.View.
 type FrequencySnapshot[T sorter.Value] struct {
 	eps          float64
 	w            int
@@ -163,6 +165,10 @@ type FrequencySnapshot[T sorter.Value] struct {
 	panes        []freqPane[T] // oldest first; bins shared with the estimator
 	partialBins  []histogram.Bin[T]
 	partialCount int64
+
+	once         sync.Once
+	wholeBins    []histogram.Bin[T] // cover(w), set under once
+	wholeCovered int64
 }
 
 // Snapshot returns an immutable view of the current window state. The view
@@ -194,6 +200,21 @@ func (s *FrequencySnapshot[T]) cover(span int) ([]histogram.Bin[T], int64) {
 	return fold(parts, histogram.Merge[T]), covered
 }
 
+// wholeWindow returns cover(w), folded on the first call.
+func (s *FrequencySnapshot[T]) wholeWindow() ([]histogram.Bin[T], int64) {
+	s.once.Do(func() { s.wholeBins, s.wholeCovered = s.cover(s.w) })
+	return s.wholeBins, s.wholeCovered
+}
+
+// span returns the fold covering the newest w elements: the memoised one
+// for the whole window, a fresh one for a shorter span.
+func (s *FrequencySnapshot[T]) span(w int) ([]histogram.Bin[T], int64) {
+	if w == s.w {
+		return s.wholeWindow()
+	}
+	return s.cover(w)
+}
+
 // Count reports the whole-stream length the snapshot was taken at.
 func (s *FrequencySnapshot[T]) Count() int64 { return s.count }
 
@@ -223,7 +244,7 @@ func (s *FrequencySnapshot[T]) Query(sp float64) []Item[T] { return s.QueryWindo
 func (s *FrequencySnapshot[T]) QueryWindow(sp float64, w int) []Item[T] {
 	checkSupport(sp)
 	checkSpan(w, s.w)
-	bins, covered := s.cover(w)
+	bins, covered := s.span(w)
 	thresh := (sp - s.eps) * float64(min(covered, int64(w)))
 	var out []Item[T]
 	for _, b := range bins {
@@ -238,7 +259,7 @@ func (s *FrequencySnapshot[T]) QueryWindow(sp float64, w int) []Item[T] {
 // Estimate returns the estimated frequency of v over the most recent W
 // elements as of the snapshot.
 func (s *FrequencySnapshot[T]) Estimate(v T) int64 {
-	bins, _ := s.cover(s.w)
+	bins, _ := s.wholeWindow()
 	for _, b := range bins {
 		if b.Value == v {
 			return b.Count
