@@ -160,8 +160,8 @@ func (b *Backend) UnmarshalText(text []byte) error {
 // simulator keeps per-sort state (LastStats), so sorter instances must
 // never be shared across goroutines. BackendAuto constructs its sample-sort
 // starting point — the extension surfaces (HHH, correlated sum, sensor
-// trees, the DSMS executor) have no pipeline telemetry to tune against, so
-// under auto they simply run sample sort statically.
+// trees) have no pipeline telemetry to tune against, so under auto they
+// simply run sample sort statically.
 func newBackendSorter[T Value](backend Backend) Sorter[T] {
 	if r := backend.row(); r != nil {
 		switch r.runs {

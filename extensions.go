@@ -8,14 +8,12 @@ package gpustream
 // HHH estimation is generic over unsigned integer item types (hhh.Item:
 // ~uint32 | ~uint64) and a method cannot introduce its own type parameter,
 // so the HHH constructor is the free function NewHHHEstimator over the
-// engine. The correlated-sum and DSMS extensions process (float32, float64)
-// pair streams and float32 batches respectively; their constructors bind a
-// fresh float32 sorter of the engine's backend whatever the engine's own
-// element type.
+// engine. The correlated-sum extension processes (float32, float64) pair
+// streams; its constructor binds a fresh float32 sorter of the engine's
+// backend whatever the engine's own element type.
 
 import (
 	"gpustream/internal/corrsum"
-	"gpustream/internal/dsms"
 	"gpustream/internal/gpusort"
 	"gpustream/internal/half"
 	"gpustream/internal/hhh"
@@ -93,35 +91,3 @@ func KthLargest[T Value](data []T, k int) T {
 // so every estimator guarantee survives quantization (values simply
 // coarsen to ~3 decimal digits).
 func Quantize16(data []float32) { half.Quantize(data) }
-
-// NewExecutor returns a miniature DSMS around this engine's backend:
-// register continuous queries, push arriving float32 batches, read results.
-// budget caps the elements processed per Push; excess arrivals are
-// load-shed (0 disables shedding).
-func (e *Engine[T]) NewExecutor(budget int) *Executor {
-	return dsms.NewExecutor(newBackendSorter[float32](e.backend), budget)
-}
-
-// DSMS re-exports.
-type (
-	// Executor runs registered continuous queries over arriving batches.
-	Executor = dsms.Executor
-	// QuerySpec declares one continuous query for an Executor.
-	QuerySpec = dsms.QuerySpec
-	// QueryResult is one evaluated continuous-query snapshot.
-	QueryResult = dsms.Result
-	// ExecutorStats accounts executor ingest and load shedding.
-	ExecutorStats = dsms.Stats
-)
-
-// Continuous-query kinds.
-const (
-	// FrequencyAbove reports items above a support threshold.
-	FrequencyAbove = dsms.FrequencyAbove
-	// QuantileAt reports the phi-quantile.
-	QuantileAt = dsms.QuantileAt
-	// SlidingFrequencyAbove is FrequencyAbove over the last W elements.
-	SlidingFrequencyAbove = dsms.SlidingFrequencyAbove
-	// SlidingQuantileAt is QuantileAt over the last W elements.
-	SlidingQuantileAt = dsms.SlidingQuantileAt
-)

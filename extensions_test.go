@@ -110,18 +110,3 @@ func TestQuantize16Facade(t *testing.T) {
 		}
 	}
 }
-
-func TestExecutorFacade(t *testing.T) {
-	eng := New(BackendGPU)
-	ex := eng.NewExecutor(0)
-	ex.Register(QuerySpec{Kind: FrequencyAbove, Eps: 0.01, Param: 0.1, Name: "hh"})
-	ex.Register(QuerySpec{Kind: SlidingQuantileAt, Eps: 0.02, Param: 0.5, Window: 1000, Name: "m"})
-	ex.Push(stream.Zipf(5000, 1.3, 100, 7))
-	res := ex.Results()
-	if len(res) != 2 || len(res[0].Items) == 0 {
-		t.Fatalf("executor results = %+v", res)
-	}
-	if st := ex.Stats(); st.Ingested != 5000 {
-		t.Fatalf("stats = %+v", st)
-	}
-}

@@ -17,27 +17,3 @@ func BenchmarkLossyCounting(b *testing.B) {
 		e.Flush()
 	}
 }
-
-func BenchmarkMisraGries(b *testing.B) {
-	b.SetBytes(int64(len(benchData) * 4))
-	for i := 0; i < b.N; i++ {
-		m := NewMisraGries[float32](999)
-		m.ProcessSlice(benchData)
-	}
-}
-
-func BenchmarkSpaceSaving(b *testing.B) {
-	b.SetBytes(int64(len(benchData) * 4))
-	for i := 0; i < b.N; i++ {
-		s := NewSpaceSaving[float32](1000)
-		s.ProcessSlice(benchData)
-	}
-}
-
-func BenchmarkCountMin(b *testing.B) {
-	b.SetBytes(int64(len(benchData) * 4))
-	for i := 0; i < b.N; i++ {
-		c := NewCountMin[float32](0.001, 0.01)
-		c.ProcessSlice(benchData)
-	}
-}

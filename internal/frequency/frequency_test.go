@@ -172,178 +172,6 @@ func TestEstimatorPanics(t *testing.T) {
 	}
 }
 
-func TestMisraGriesBound(t *testing.T) {
-	const k = 99 // eps = 1/(k+1) = 0.01
-	data := stream.Zipf(30000, 1.2, 400, 6)
-	m := NewMisraGries[float32](k)
-	x := oracle.New(data)
-	m.ProcessSlice(data)
-	epsN := float64(m.Count()) / float64(k+1)
-	for v := 0; v < 400; v++ {
-		truth := x.Count(float32(v))
-		est := m.Estimate(float32(v))
-		if est > truth {
-			t.Fatalf("MG overcounted %d", v)
-		}
-		if float64(truth-est) > epsN+1e-9 {
-			t.Fatalf("MG undercounted %d beyond N/(k+1)", v)
-		}
-	}
-	if m.Size() > k {
-		t.Fatalf("MG size %d > k", m.Size())
-	}
-}
-
-func TestMisraGriesNoFalseNegatives(t *testing.T) {
-	data := stream.Zipf(30000, 1.4, 1000, 7)
-	m := NewMisraGries[float32](199)
-	m.ProcessSlice(data)
-	if err := oracle.Support(oracle.New(data), m.Query(0.05), 0.05); err != nil {
-		t.Fatalf("MG: %v", err)
-	}
-}
-
-func TestSpaceSavingBounds(t *testing.T) {
-	const k = 100
-	data := stream.Zipf(30000, 1.2, 400, 8)
-	s := NewSpaceSaving[float32](k)
-	x := oracle.New(data)
-	s.ProcessSlice(data)
-	maxOver := float64(s.Count()) / float64(k)
-	for v := 0; v < 400; v++ {
-		truth := x.Count(float32(v))
-		est := s.Estimate(float32(v))
-		if est != 0 && est < truth {
-			t.Fatalf("SS undercounted tracked item %d: est %d true %d", v, est, truth)
-		}
-		if float64(est-truth) > maxOver+1e-9 {
-			t.Fatalf("SS overcounted %d beyond N/k", v)
-		}
-	}
-	if s.Size() > k {
-		t.Fatalf("SS size %d > k", s.Size())
-	}
-}
-
-func TestSpaceSavingNoFalseNegatives(t *testing.T) {
-	data := stream.Zipf(30000, 1.4, 1000, 9)
-	s := NewSpaceSaving[float32](200)
-	s.ProcessSlice(data)
-	if err := oracle.Support(oracle.New(data), s.Query(0.05), 0.05); err != nil {
-		t.Fatalf("SS: %v", err)
-	}
-}
-
-func TestBaselinePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewMisraGries[float32](0) },
-		func() { NewSpaceSaving[float32](-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestCountMinNeverUndercounts(t *testing.T) {
-	data := stream.Zipf(30000, 1.2, 400, 14)
-	cm := NewCountMin[float32](0.005, 0.01)
-	x := oracle.New(data)
-	cm.ProcessSlice(data)
-	for v := 0; v < 400; v++ {
-		if cm.Estimate(float32(v)) < x.Count(float32(v)) {
-			t.Fatalf("CountMin[float32] undercounted %d", v)
-		}
-	}
-}
-
-func TestCountMinOvercountBound(t *testing.T) {
-	data := stream.Zipf(30000, 1.2, 400, 15)
-	cm := NewCountMin[float32](0.005, 0.001)
-	x := oracle.New(data)
-	cm.ProcessSlice(data)
-	epsN := 0.005 * float64(cm.Count())
-	violations := 0
-	for v := 0; v < 400; v++ {
-		if float64(cm.Estimate(float32(v))-x.Count(float32(v))) > epsN {
-			violations++
-		}
-	}
-	// With delta=0.001 per query, at most a couple of the 400 probes may
-	// exceed the bound.
-	if violations > 4 {
-		t.Fatalf("CountMin[float32] exceeded eps*N on %d/400 probes", violations)
-	}
-}
-
-func TestCountMinDeletions(t *testing.T) {
-	cm := NewCountMin[float32](0.01, 0.01)
-	for i := 0; i < 100; i++ {
-		cm.Update(7, 1)
-	}
-	cm.Update(7, -40)
-	if got := cm.Estimate(7); got != 60 {
-		t.Fatalf("after deletions Estimate = %d, want 60", got)
-	}
-	if cm.Count() != 60 {
-		t.Fatalf("Count = %d", cm.Count())
-	}
-}
-
-func TestCountMinDimensions(t *testing.T) {
-	cm := NewCountMin[float32](0.01, 0.01)
-	if cm.Width() < int(math.Ceil(math.E/0.01)) {
-		t.Fatalf("width %d too small", cm.Width())
-	}
-	if cm.Depth() < 4 { // ln(100) ~ 4.6
-		t.Fatalf("depth %d too small", cm.Depth())
-	}
-}
-
-func TestCountMinPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewCountMin[float32](0, 0.1) },
-		func() { NewCountMin[float32](0.1, 0) },
-		func() { NewCountMin[float32](1, 0.1) },
-		func() { NewCountMin[float32](0.1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestCountMinQuick(t *testing.T) {
-	prop := func(raw []uint8) bool {
-		cm := NewCountMin[float32](0.05, 0.01)
-		vals := make([]float32, len(raw))
-		for i, b := range raw {
-			vals[i] = float32(b % 32)
-			cm.Process(vals[i])
-		}
-		x := oracle.New(vals)
-		for v := 0; v < 32; v++ {
-			if cm.Estimate(float32(v)) < x.Count(float32(v)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTopK(t *testing.T) {
 	e := newCPU(0.001)
 	e.ProcessSlice(stream.Zipf(30000, 1.3, 500, 20))

@@ -2,8 +2,7 @@
 // estimation over data streams (Section 5.1): Manku and Motwani's
 // window-based lossy counting, with the per-window histogram computed by
 // sorting — the step the GPU accelerates — followed by the merge and
-// compress operations on the summary. Misra-Gries and Space-Saving counters
-// are provided as the sample-based baselines the related work surveys.
+// compress operations on the summary.
 //
 // Windowing, buffering, lifecycle, locking, and telemetry come from the
 // shared internal/pipeline core; this package contributes only the

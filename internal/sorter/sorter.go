@@ -17,8 +17,9 @@ package sorter
 // Value is the ordered-numeric constraint every layer of the stack is
 // generic over: stream values, sorter elements, summary entries, histogram
 // bins and query results all carry one of these types. All six types are
-// totally ordered by < (modulo NaN for the float instantiations, which the
-// estimators exclude the same way the paper's float32 pipeline does).
+// totally ordered by < modulo NaN for the float instantiations. The library
+// does not check for NaN: every estimator accepts it, and their guarantees
+// assume NaN-free input. The service's decoders reject non-finite rows.
 //
 // Where < leaves the order open, the backends differ. The comparison sorts
 // place -0 and +0 in input-dependent order and NaNs arbitrarily. The

@@ -1,25 +1,18 @@
 package gpustream
 
-// Supporting toolkit re-exports: baselines, streaming histograms, external
-// sorting and trace I/O, so downstream users need only the root package.
+// Supporting toolkit re-exports: streaming histograms, external sorting and
+// trace I/O, so downstream users need only the root package.
 
 import (
 	"io"
 
 	"gpustream/internal/extsort"
-	"gpustream/internal/frequency"
 	"gpustream/internal/histogram"
 	"gpustream/internal/stream"
 )
 
-// Baseline summaries from the paper's related work (Section 2.1).
+// Re-exported toolkit types.
 type (
-	// MisraGries is the deterministic k-counter frequent-items baseline.
-	MisraGries[T Value] = frequency.MisraGries[T]
-	// SpaceSaving is the overcounting k-counter baseline.
-	SpaceSaving[T Value] = frequency.SpaceSaving[T]
-	// CountMin is the hash-based sketch baseline (supports deletions).
-	CountMin[T Value] = frequency.CountMin[T]
 	// StreamingHistogram maintains an approximate equi-depth histogram
 	// over a stream (the dynamic histograms of Section 3.2).
 	StreamingHistogram[T Value] = histogram.StreamingEquiDepth[T]
@@ -32,18 +25,6 @@ type (
 	// Source is a pull-based stream of values.
 	Source[T Value] = stream.Source[T]
 )
-
-// NewMisraGries returns a k-counter Misra-Gries summary.
-func NewMisraGries[T Value](k int) *MisraGries[T] { return frequency.NewMisraGries[T](k) }
-
-// NewSpaceSaving returns a k-counter Space-Saving summary.
-func NewSpaceSaving[T Value](k int) *SpaceSaving[T] { return frequency.NewSpaceSaving[T](k) }
-
-// NewCountMin returns a Count-Min sketch with error eps and failure
-// probability delta.
-func NewCountMin[T Value](eps, delta float64) *CountMin[T] {
-	return frequency.NewCountMin[T](eps, delta)
-}
 
 // NewStreamingHistogram returns a k-bucket approximate equi-depth histogram
 // with boundary rank error eps, backed by this engine's sorter.
