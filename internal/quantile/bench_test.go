@@ -6,6 +6,7 @@ import (
 
 	"gpustream/internal/cpusort"
 	"gpustream/internal/samplesort"
+	"gpustream/internal/sorter"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
 )
@@ -37,11 +38,16 @@ func BenchmarkGKSingleElement(b *testing.B) {
 // after each of the given eighths of it, flushed after every eighth, as
 // its queries find them.
 func libQuantZipf(tb testing.TB, eighths ...int) []*Estimator[float32] {
+	return libQuantZipfOf[float32](tb, eighths...)
+}
+
+// libQuantZipfOf is libQuantZipf with the stream's values of type T.
+func libQuantZipfOf[T sorter.Value](tb testing.TB, eighths ...int) []*Estimator[T] {
 	const n = 1 << 22
-	data := stream.ZipfOf[float32](n, 1.1, n/100+10, 1)
-	var es []*Estimator[float32]
+	data := stream.ZipfOf[T](n, 1.1, n/100+10, 1)
+	var es []*Estimator[T]
 	for _, q := range eighths {
-		e := NewEstimator(0.001, 0, samplesort.NewSorter[float32]())
+		e := NewEstimator(0.001, 0, samplesort.NewSorter[T]())
 		for i := range q {
 			if err := e.ProcessSlice(data[i*n/8 : (i+1)*n/8]); err != nil {
 				tb.Fatal(err)

@@ -57,7 +57,7 @@ func TestCombineFortyLevels(t *testing.T) {
 	b := bucket[float32]{c: windowSummary(nil, win, nil, eps)}
 	for k := 1; k <= 42; k++ {
 		budget := pruneBudget(e.cap - b.spent())
-		b = e.combine(k-1, b, b)
+		b, _ = e.combine(k-1, b, b)
 		if !(b.spent() < e.cap) || b.size() > budget+1 {
 			t.Fatalf("level %d: spent %v (cap %v), %d entries (budget %d)", k, b.spent(), e.cap, b.size(), budget)
 		}

@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -11,10 +12,14 @@ import (
 )
 
 // entries returns the bucket's entries as a Summary: a compact bucket's
-// rebuilt by its reader, a pruned one's as they are.
+// rebuilt by its reader, a packed one's from its gaps, a Summary's as they
+// are.
 func (b bucket[T]) entries() *summary.Summary[T] {
-	if b.c != nil {
+	switch {
+	case b.c != nil:
 		return b.c.Summary()
+	case b.p != nil:
+		return b.p.Summary()
 	}
 	return b.s
 }
@@ -84,10 +89,11 @@ func (r *eagerCascade[T]) view(n int64, partial []T) *summary.Summary[T] {
 // checkCompactCascade feeds windows, each sorted as the window sort leaves
 // it, straight to an estimator's merge stage and to the eager cascade, and
 // after every window requires each bucket and its certificate, and after
-// every eighth the view, to be the eager cascade's bit for bit, and each
-// bucket to be compact exactly when no prune built it and it holds at most
-// summary.MaxRuns pairs. At the end a buffered partial window joins the
-// view.
+// every eighth the view, to be the eager cascade's bit for bit. Each bucket
+// must be compact exactly when no prune built it and it holds at most
+// summary.MaxRuns pairs, and packed otherwise, with the certificate its
+// combine computed, unless a rank gap outgrows 32 bits. At the end a
+// buffered partial window joins the view.
 func checkCompactCascade[T sorter.Value](t *testing.T, eps float64, windows [][]T, partial []T) {
 	t.Helper()
 	e := newEstimator[T](eps)
@@ -112,6 +118,12 @@ func checkCompactCascade[T sorter.Value](t *testing.T, eps float64, windows [][]
 			if compact := !ref.pruned[k] && ref.pairs[k] <= summary.MaxRuns; (b.c != nil) != compact {
 				t.Fatalf("window %d, level %d: compact %v over %d pairs, pruned %v", w, k, b.c != nil, ref.pairs[k], ref.pruned[k])
 			}
+			if b.c == nil && (b.p != nil) == gapOutgrows32(want) {
+				t.Fatalf("window %d, level %d: packed %v, a gap past 32 bits %v", w, k, b.p != nil, gapOutgrows32(want))
+			}
+			if b.p != nil && e.certs[k] < 0 {
+				t.Fatalf("window %d, level %d: the combine that packed the bucket left its certificate unknown", w, k)
+			}
 			if got := b.entries(); !sameLevel0(got, want) {
 				t.Fatalf("window %d, level %d (%d pairs): bucket\n%+v\neager\n%+v", w, k, ref.pairs[k], *got, *want)
 			}
@@ -129,6 +141,20 @@ func checkCompactCascade[T sorter.Value](t *testing.T, eps float64, windows [][]
 	sorted := slices.Clone(partial)
 	sortByKey(sorted)
 	checkView(t, e, ref.view(n+int64(len(partial)), sorted), len(windows))
+}
+
+// gapOutgrows32 reports whether an entry's RMin less the RMin before it,
+// or its RMax less its RMin, exceeds 32 bits: what keeps a bucket from
+// being packed.
+func gapOutgrows32[T sorter.Value](s *summary.Summary[T]) bool {
+	prev := int64(0)
+	for _, e := range s.Entries {
+		if e.RMin-prev > math.MaxUint32 || e.RMax-e.RMin > math.MaxUint32 {
+			return true
+		}
+		prev = e.RMin
+	}
+	return false
 }
 
 func checkView[T sorter.Value](t *testing.T, e *Estimator[T], want *summary.Summary[T], w int) {
@@ -239,4 +265,56 @@ func TestCompactBucketMatchesEager(t *testing.T) {
 		runCompactFuzz[uint64](t, eps, []byte{1, 2, 3, 15}, []byte{50, 7}, 64)
 	}
 	runCompactFuzz[float32](t, 0.002, []byte{0, 1, 16, 17, 5, 6}, []byte{0}, 1030)
+}
+
+// TestCombinePast32Bits feeds combine two pruned buckets over 2^44 values
+// less a random few, as TestPruneGridExact builds its grids there, whose
+// entries are 2^35 and more ranks apart: no gap fits in 32 bits, so the
+// combine falls back to a Summary, pruned or merged whole, equal to
+// MergePruneInto's or MergeInto's. Buckets as long whose gaps fit are
+// packed all the same.
+func TestCombinePast32Bits(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	e := newCPU(0.01, 0)
+	// pruned is a Summary of m entries over about 2^shift values, each
+	// value v+2i at ranks i*step+1 .. i*step+step/2.
+	pruned := func(m, shift int, v float32) *summary.Summary[float32] {
+		n := int64(1)<<shift - rng.Int63n(1<<20)
+		step := n / int64(m)
+		s := &summary.Summary[float32]{N: n, Eps: 0.001}
+		for i := range int64(m) {
+			s.Entries = append(s.Entries, summary.Entry[float32]{V: v + 2*float32(i), RMin: i*step + 1, RMax: i*step + step/2})
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	budget := pruneBudget(e.cap - 0.001)
+	for _, c := range []struct {
+		m, shift int
+		packed   bool
+	}{
+		{400, 44, false}, // 800 entries past the budget of 517: pruned
+		{100, 44, false}, // 200 entries: merged whole
+		{400, 33, true},  // gaps of ~2^25 ranks fit
+	} {
+		a, b := pruned(c.m, c.shift, 0), pruned(c.m, c.shift, 1)
+		var want *summary.Summary[float32]
+		if 2*c.m-1 > budget {
+			want = summary.MergePruneInto(nil, a, b, budget)
+		} else {
+			want = summary.MergeInto(nil, a, b)
+		}
+		m, cert := e.combine(20, bucket[float32]{s: a}, bucket[float32]{s: b})
+		if m.c != nil || (m.p != nil) != c.packed || (m.s != nil) == c.packed {
+			t.Fatalf("%d entries over 2^%d: compact %v, packed %v, Summary %v; want packed %v", c.m, c.shift, m.c != nil, m.p != nil, m.s != nil, c.packed)
+		}
+		if got := m.entries(); !sameLevel0(got, want) {
+			t.Fatalf("%d entries over 2^%d: combined\n%+v\nwant\n%+v", c.m, c.shift, *got, *want)
+		}
+		if wantCert := map[bool]float64{false: -1, true: want.Certificate()}[c.packed]; cert != wantCert {
+			t.Fatalf("%d entries over 2^%d: certificate %v, want %v", c.m, c.shift, cert, wantCert)
+		}
+	}
 }

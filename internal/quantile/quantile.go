@@ -14,7 +14,8 @@
 // Windowing, buffering, lifecycle, locking, and telemetry come from the
 // shared internal/pipeline core; this package contributes the
 // sort -> summarize -> cascade-combine sink. A combine that prunes is one
-// fused merge-and-prune pass (summary.MergePruneInto), and the storage of
+// fused merge-and-prune pass that writes the bucket packed
+// (summary.MergePacked), and the storage of
 // consumed never-pruned buckets is recycled, through the process-wide
 // spare store every estimator shares (pipeline.TakeSpare), into the next
 // bucket built to their size (DESIGN.md §11, §13). Queries are
@@ -105,8 +106,9 @@ type Estimator[T sorter.Value] struct {
 	// the core refills the window it was sorted in.
 	held []T
 
-	// certs[k], when not negative, is levels[k].Certificate(), kept from
-	// one snapshot to the next until mergeWindow replaces the bucket. It
+	// certs[k], when not negative, is levels[k].Certificate(), computed by
+	// the combine that packed the bucket or by the first view that needed
+	// it, and kept until mergeWindow replaces the bucket. It
 	// lives here under the core lock, not in the Summary: views are shared
 	// immutably across goroutines, so a field written lazily there would
 	// race. It holds numbers, not buckets, so it pins no consumed storage.
@@ -197,21 +199,28 @@ func windowSummary[T sorter.Value](dst *summary.Compact[T], a, b []T, eps float6
 	return s
 }
 
-// bucket is one level of the cascade. It is compact, its samples with the
-// rank bounds left implicit (summary.Compact), while every combine that
-// built it merged whole, and a Summary once one pruned it (or once its
-// runs outgrew summary.MaxRuns); the empty bucket has neither.
+// bucket is one level of the cascade, in one of three forms
+// (DESIGN.md §11). It is compact, its samples with the rank bounds left
+// implicit (summary.Compact), while every combine that built it merged
+// whole, and packed, its rank bounds as 32-bit gaps (summary.Packed), once
+// one pruned it (or once its runs outgrew summary.MaxRuns). It is a
+// Summary only when a gap outgrew 32 bits, which takes a bucket over 2^32
+// values or more. The empty bucket has none of them.
 type bucket[T sorter.Value] struct {
 	c *summary.Compact[T]
+	p *summary.Packed[T]
 	s *summary.Summary[T]
 }
 
-func (b bucket[T]) empty() bool { return b.c == nil && b.s == nil }
+func (b bucket[T]) empty() bool { return b.c == nil && b.p == nil && b.s == nil }
 
 // part is the bucket as a merge part; the bucket must not be empty.
 func (b bucket[T]) part() summary.Part[T] {
-	if b.c != nil {
+	switch {
+	case b.c != nil:
 		return b.c
+	case b.p != nil:
+		return b.p
 	}
 	return b.s
 }
@@ -225,8 +234,11 @@ func (b bucket[T]) size() int {
 
 // spent is the error the bucket has spent.
 func (b bucket[T]) spent() float64 {
-	if b.c != nil {
+	switch {
+	case b.c != nil:
 		return b.c.Eps
+	case b.p != nil:
+		return b.p.Eps
 	}
 	return b.s.Eps
 }
@@ -252,47 +264,57 @@ func (e *Estimator[T]) mergeWindow(win []T) {
 	e.held = nil
 	e.core.AddSort(time.Since(t0), 0)
 
+	cert := -1.0 // s's certificate, when the combine that built it knows it
 	for k := range e.levels {
 		old := e.levels[k]
 		if old.empty() {
-			e.levels[k] = s
-			if k < len(e.certs) {
-				e.certs[k] = -1
-			}
+			e.levels[k], *e.cert(k) = s, cert
 			return
 		}
 		e.levels[k] = bucket[T]{}
-		s = e.combine(k, old, s)
+		s, cert = e.combine(k, old, s)
 	}
 	e.levels = append(e.levels, s)
+	*e.cert(len(e.levels) - 1) = cert
 }
 
-// combine merges two buckets of level k into the bucket of level k+1. The
-// merge costs no error (the result has spent what the worse input had); a
-// result within the entry budget its remaining headroom affords is merged
-// whole — compact, into spare storage of its size if the store has some,
-// when both inputs are — and a larger one is merged and pruned to the
-// budget in one fused pass into a fresh Summary, spending 1/(2b) and the
-// grid's rounding more; a compact input is read through its reader. The
-// inputs are consumed: their storage may go to the spare store.
-func (e *Estimator[T]) combine(k int, a, b bucket[T]) bucket[T] {
+// combine merges two buckets of level k into the bucket of level k+1, and
+// returns it with its certificate, or -1 when the merge did not compute
+// it. The merge costs no error (the result has spent what the worse input
+// had); a result within the entry budget its remaining headroom affords
+// is merged whole — compact, into spare storage of its size if the store
+// has some, when both inputs are — and a larger one is merged and pruned
+// to the budget in one fused pass, spending 1/(2b) and the grid's
+// rounding more. Every result but a compact one is written packed, with
+// its certificate, straight from the merge; a compact input is read
+// through its reader, a packed one in place. The inputs are consumed:
+// their storage may go to the spare store.
+func (e *Estimator[T]) combine(k int, a, b bucket[T]) (bucket[T], float64) {
 	budget := pruneBudget(e.cap - math.Max(a.spent(), b.spent()))
 	size := a.size() + b.size()
+	prune := size-1 > budget // not size > budget+1: a saturated budget would overflow
 	t0 := time.Now()
 	var m bucket[T]
+	cert := -1.0
 	switch {
-	case size-1 > budget: // not size > budget+1: a saturated budget would overflow
+	case !prune && a.c != nil && b.c != nil && len(a.c.Runs)+len(b.c.Runs) <= summary.MaxRuns:
+		m.c = summary.MergeCompactInto(takeSpare[T](size), a.c, b.c)
+	case prune:
+		if m.p, cert = summary.MergePacked(a.part(), b.part(), budget); m.p == nil { // a gap outgrew 32 bits
+			m.s, cert = summary.MergePruneInto(nil, a.part(), b.part(), budget), -1
+		}
+	default:
+		if m.p, cert = summary.MergePacked(a.part(), b.part(), 0); m.p == nil {
+			m.s, cert = summary.MergeInto(nil, a.part(), b.part()), -1
+		}
+	}
+	if d := time.Since(t0); prune {
 		// One pass did both; its time is the compress stage's, and both
 		// stages still count the entries they visit.
-		m.s = summary.MergePruneInto(nil, a.part(), b.part(), budget)
 		e.core.AddMerge(0, int64(size))
-		e.core.AddCompress(time.Since(t0), int64(size))
-	case a.c != nil && b.c != nil && len(a.c.Runs)+len(b.c.Runs) <= summary.MaxRuns:
-		m.c = summary.MergeCompactInto(takeSpare[T](size), a.c, b.c)
-		e.core.AddMerge(time.Since(t0), int64(size))
-	default:
-		m.s = summary.MergeInto(nil, a.part(), b.part())
-		e.core.AddMerge(time.Since(t0), int64(size))
+		e.core.AddCompress(d, int64(size))
+	} else {
+		e.core.AddMerge(d, int64(size))
 	}
 	e.recycle(a)
 	if b != a {
@@ -301,20 +323,26 @@ func (e *Estimator[T]) combine(k int, a, b bucket[T]) bucket[T] {
 		// between the two puts and a third after the second.
 		e.recycle(b)
 	}
-	return m
+	return m, cert
 }
 
 // certificate returns level k's live bucket's Certificate, memoised in
 // certs until mergeWindow replaces the bucket. The caller holds the core
 // lock.
 func (e *Estimator[T]) certificate(k int) float64 {
+	c := e.cert(k)
+	if *c < 0 {
+		*c = e.levels[k].part().Certificate()
+	}
+	return *c
+}
+
+// cert is level k's slot in certs.
+func (e *Estimator[T]) cert(k int) *float64 {
 	for len(e.certs) <= k {
 		e.certs = append(e.certs, -1)
 	}
-	if e.certs[k] < 0 {
-		e.certs[k] = e.levels[k].part().Certificate()
-	}
-	return e.certs[k]
+	return &e.certs[k]
 }
 
 // viewBudget is the entry budget of the view's one prune of an n-element

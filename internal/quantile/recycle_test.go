@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"gpustream/internal/pipeline"
+	"gpustream/internal/sorter"
 	"gpustream/internal/stream"
 	"gpustream/internal/summary"
 )
@@ -188,7 +189,7 @@ func TestCombineRecyclesItselfOnce(t *testing.T) {
 			mark := float32(g + 1)
 			for range rounds {
 				s := bucket[float32]{c: windowSummary(takeSpare[float32](summary.SampledLen(int64(len(win)), e.eps)), win, nil, e.eps)}
-				m := e.combine(0, s, s)
+				m, _ := e.combine(0, s, s)
 				mine := pipeline.TakeSpare[float32](cap(s.c.Vals))
 				mine = mine[:cap(mine)]
 				for i := range mine {
@@ -219,12 +220,13 @@ func TestCombineRecyclesItselfOnce(t *testing.T) {
 
 // allocCeiling is the bytes allocated per value by ingesting 2^20 zipf
 // values at eps 1e-3 with the window-buffer pool warm, plus ten percent:
-// 10.55 since level 0 spans two sort windows, 21.17 when bucket storage
-// recycling and the fused prune landed, 35.90 before, when every bucket,
-// combine and window summary was allocated fresh. The count is
-// deterministic — the data, the windows and the cascade are — so the margin
-// is for a later change, not for noise.
-const allocCeiling = 10.55 * 1.1
+// 3.81 since a pruning combine writes its bucket packed, 12 bytes an entry
+// (5.89 with 24-byte GK tuples), 10.55 since level 0 spans two sort
+// windows, 21.17 when bucket storage recycling and the fused prune landed,
+// 35.90 before, when every bucket, combine and window summary was
+// allocated fresh. The count is deterministic — the data, the windows and
+// the cascade are — so the margin is for a later change, not for noise.
+const allocCeiling = 3.81 * 1.1
 
 func TestIngestAllocationCeiling(t *testing.T) {
 	data := stream.Zipf(1<<20, 1.1, (1<<20)/100+10, 3)
@@ -288,4 +290,42 @@ func TestSnapshotAllocatesTheView(t *testing.T) {
 				q+1, parts, entries, per, over, cap(view.Entries), viewOverheadCeiling)
 		}
 	}
+}
+
+// TestLongStreamBucketBytes runs the whole lib-quant-zipf stream, whose
+// end state is what a long-lived stream holds: pruned buckets, which the
+// compact form does not reach. Counted from slice capacities, each must
+// take at most 12 bytes an entry at float32 and 16 at uint64, packed where
+// GK tuples take 24, and the entries retained must be what they were with
+// tuples (32,033 at float32).
+func TestLongStreamBucketBytes(t *testing.T) {
+	float32s := checkBucketBytes[float32](t, 12)
+	if got := float32s.SummaryEntries(); got != 32033 {
+		t.Fatalf("float32: %d entries retained, want 32,033", got)
+	}
+	checkBucketBytes[uint64](t, 16)
+}
+
+func checkBucketBytes[T sorter.Value](t *testing.T, most uintptr) *Estimator[T] {
+	t.Helper()
+	e := libQuantZipfOf[T](t, 8)[0]
+	e.core.Lock()
+	defer e.core.Unlock()
+	pruned := 0
+	for k, b := range e.levels {
+		if b.empty() || b.c != nil {
+			continue
+		}
+		if b.p == nil {
+			t.Fatalf("%T: level %d is pruned but not packed", *new(T), k)
+		}
+		pruned++
+		if bytes := uintptr(cap(b.p.Entries)) * unsafe.Sizeof(b.p.Entries[0]); bytes > most*uintptr(b.p.Size()) {
+			t.Fatalf("%T: level %d holds %d entries in %d B, over %d B an entry", *new(T), k, b.p.Size(), bytes, most)
+		}
+	}
+	if pruned == 0 {
+		t.Fatalf("%T: no bucket was pruned", *new(T))
+	}
+	return e
 }

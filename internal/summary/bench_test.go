@@ -81,8 +81,10 @@ func cascadeInputs(pruned bool) (pairs [][2]*Summary[float32], budget int) {
 }
 
 // BenchmarkMergePrune compares the fused kernel with MergeInto into a warm
-// scratch followed by Prune, each writing fresh output as the cascade does;
-// ns/entry is per merged input entry.
+// scratch followed by Prune, each writing fresh output as the cascade did;
+// ns/entry is per merged input entry. deep/packed is the deep combine as
+// the cascade runs it: both inputs packed, read in place, and the result
+// written packed (MergePacked).
 func BenchmarkMergePrune(b *testing.B) {
 	for _, pruned := range []bool{false, true} {
 		pairs, budget := cascadeInputs(pruned)
@@ -100,6 +102,20 @@ func BenchmarkMergePrune(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
 				MergeInto(tmp, p[0], p[1]).Prune(budget)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
+		})
+		if !pruned {
+			continue
+		}
+		packed := make([][2]*Packed[float32], len(pairs))
+		for i, p := range pairs {
+			packed[i] = [2]*Packed[float32]{pack(p[0]), pack(p[1])}
+		}
+		b.Run(name+"/packed", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := packed[i%len(packed)]
+				MergePacked[float32](p[0], p[1], budget)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/entries, "ns/entry")
 		})

@@ -28,8 +28,9 @@ type Run struct{ N, Step int64 }
 //
 // Both sums depend only on the merged order, so a reader walking the
 // values with running sums rebuilds every entry MergeInto would have
-// stored, bit for bit (DESIGN.md §11). A value costs sizeof(T) + 1 bytes
-// where an Entry costs 24 or 32.
+// stored, bit for bit (DESIGN.md §11). A value costs sizeof(T) + 1 bytes,
+// 5 or 9, where a Delta of a Packed costs 12 or 16 and an Entry 24 for
+// every value type (a 4-byte value is padded to 8).
 type Compact[T sorter.Value] struct {
 	Vals []T
 	Src  []uint8 // Src[i] indexes Runs: the run Vals[i] was kept from
@@ -214,10 +215,10 @@ func (c *Compact[T]) Certificate() float64 {
 
 func (c *Compact[T]) header() (int64, float64) { return c.N, c.Eps }
 
-func (c *Compact[T]) open(block []Entry[T]) ([]Entry[T], producer[T]) {
+func (c *Compact[T]) open(block []Entry[T]) side[T] {
 	rd := &reader[T]{}
 	rd.start(c, block)
-	return nil, rd
+	return side[T]{up: rd}
 }
 
 // kept is how many ranks the run kept: 1, then max(Step, 2), Step apart,

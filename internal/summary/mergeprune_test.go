@@ -191,6 +191,26 @@ func FuzzMergePrune(f *testing.F) {
 	})
 }
 
+// checkPacked holds MergePacked of a and b at budget to want, entries by
+// their bits, and its certificate to want's, and requires its storage to
+// fit its entries exactly.
+func checkPacked[T sorter.Value](t *testing.T, a, b Part[T], budget int, want *Summary[T]) {
+	t.Helper()
+	p, cert := MergePacked(a, b, budget)
+	if p == nil {
+		t.Fatalf("budget %d: MergePacked fell back below 2^32 values", budget)
+	}
+	if got := p.Summary(); !sameBits(got, want) {
+		t.Fatalf("budget %d: packed\n%+v\nwant\n%+v", budget, got, want)
+	}
+	if wantCert := want.Certificate(); cert != wantCert || p.Certificate() != wantCert {
+		t.Fatalf("budget %d: packed certifies %v as written, %v scanned; want %v", budget, cert, p.Certificate(), wantCert)
+	}
+	if cap(p.Entries) != len(p.Entries) {
+		t.Fatalf("budget %d: %d packed entries in storage for %d", budget, len(p.Entries), cap(p.Entries))
+	}
+}
+
 // partsOf lists summaries as merge parts.
 func partsOf[T sorter.Value](ss []*Summary[T]) []Part[T] {
 	parts := make([]Part[T], len(ss))
@@ -205,9 +225,12 @@ func partsOf[T sorter.Value](ss []*Summary[T]) []Part[T] {
 // blockLen-1, blockLen or blockLen+1 entries, so that a stage's block
 // fills exactly, or one short or one over; or a sampled summary, merged or
 // pruned at random, or merged compact, which the chain reads through a
-// reader. It returns the part with the summary the reference reads. Values come from a duplicate-heavy alphabet around
-// zero, with each zero signed at random: -0 and +0 tie under the merge's
-// <=, so only the chain's tie order decides which of them comes first.
+// reader. Every shape but the compact one is, one time in three, packed
+// (pack), which the chain reads in place. It returns the part with the
+// summary the reference reads. Values come from a duplicate-heavy alphabet
+// around zero, with each zero signed at random: -0 and +0 tie under the
+// merge's <=, so only the chain's tie order decides which of them comes
+// first.
 func chainPart(rng *rand.Rand, shape uint8, alphabet int) (Part[float32], *Summary[float32]) {
 	window := func(n int) []float32 {
 		w := tieWindow(rng, n, alphabet, -alphabet/2)
@@ -244,13 +267,26 @@ func chainPart(rng *rand.Rand, shape uint8, alphabet int) (Part[float32], *Summa
 			return c, c.Summary()
 		}
 	}
+	if rng.Intn(3) == 0 {
+		return pack(s), s
+	}
 	return s, s
+}
+
+// pack is s as a Packed: the merge of an empty summary with s, written
+// packed, passes s through whole, header and entries, N = 0 ones too.
+func pack[T sorter.Value](s *Summary[T]) *Packed[T] {
+	p, _ := MergePacked[T](&Summary[T]{}, s, 0)
+	return p
 }
 
 // FuzzMergePruneAll holds the streamed chain to the chain it replaced,
 // chainRef, bit for bit — entry values by their bits, N, Eps and a nil
 // entry list — over 1 to 8 parts of the shapes chainPart makes, into a nil
-// dst and into a reused one holding stale entries. Byte i of shapes picks part i's shape.
+// dst and into a reused one holding stale entries. Byte i of shapes picks
+// part i's shape. With two parts it holds MergePacked, pruning and merging
+// whole, to chainRef and mergeRef too, with the certificate it computes
+// as it writes.
 func FuzzMergePruneAll(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint64(5), uint8(1), uint16(1))
 	f.Add(uint64(2), uint8(1), uint64(0x0505), uint8(3), uint16(100))
@@ -281,6 +317,10 @@ func FuzzMergePruneAll(f *testing.F) {
 		}
 		if got := MergePruneAll(stale, parts, b); got != stale || !sameBits(got, want) {
 			t.Fatalf("%d parts, budget %d: streamed into a reused dst\n%+v\nwant\n%+v", len(parts), b, got, want)
+		}
+		if len(parts) == 2 {
+			checkPacked(t, parts[0], parts[1], b, want)
+			checkPacked(t, parts[0], parts[1], 0, mergeRef(refs[0], refs[1]))
 		}
 	})
 }
