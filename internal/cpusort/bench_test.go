@@ -2,6 +2,8 @@ package cpusort
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"gpustream/internal/sorter"
@@ -34,6 +36,22 @@ func benchRotating[T sorter.Value](b *testing.B, n int, gen func(n int, seed uin
 
 func zipfOf[T sorter.Value](n int, seed uint64) []T { return stream.ZipfOf[T](n, 1.1, n/100+10, seed) }
 
+// libStream is the lib-* workloads' input (benchmark/lib.go): 4M zipf ids
+// over a vocabulary of ~42K, stored as float32. zipfOf's n/100+10 ids make
+// windows far more repetitive than any workload's.
+var libStream = sync.OnceValue(func() []float32 {
+	const n = 1 << 22
+	return stream.ZipfOf[float32](n, 1.1, n/100+10, 1)
+})
+
+// libWindow cuts the window of n values at a seed-chosen offset from
+// libStream, as the lib-* pipelines cut theirs.
+func libWindow(n int, seed uint64) []float32 {
+	s := libStream()
+	off := int(seed) * n % (len(s) - n)
+	return slices.Clone(s[off : off+n])
+}
+
 // benchWindowSorts measures the crossover DESIGN.md §9 sets: quicksort against the
 // radix kernel (called below RadixMinN too, to show the crossover) over the
 // window sizes the pipelines reach.
@@ -55,6 +73,16 @@ func benchWindowSorts[T sorter.Value](b *testing.B, typ string, zipf, uniform fu
 func BenchmarkWindowSort(b *testing.B) {
 	benchWindowSorts(b, "float32", zipfOf[float32], stream.UniformOf[float32])
 	benchWindowSorts(b, "uint64", zipfOf[uint64], stream.UniformU64) // all 64 bits vary: no digit is skipped
+	// The lib-* frequency and quantile windows, at the workloads' vocabulary.
+	for _, n := range []int{1000, 4000} {
+		var r Radix[float32]
+		b.Run(fmt.Sprintf("float32/lib-zipf/n=%d/quicksort", n), func(b *testing.B) {
+			benchRotating(b, n, libWindow, Quicksort[float32])
+		})
+		b.Run(fmt.Sprintf("float32/lib-zipf/n=%d/radix", n), func(b *testing.B) {
+			benchRotating(b, n, libWindow, func(d []float32) { r.radix(d) })
+		})
+	}
 }
 
 func benchSort(b *testing.B, fn func([]float32)) {

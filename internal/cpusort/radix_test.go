@@ -33,6 +33,7 @@ func kernelShapes[T sorter.Value](n int, seed uint64) map[string][]T {
 		return out
 	}
 	base := rng.Uint64()
+	mid := base&^(0xFF<<(bits-8)) | 0x40<<(bits-8) // a finite value at every width and kind
 	extremes := []T{sorter.MinValue[T](), sorter.MaxValue[T](), 0, fromKey(1 << (bits - 1))}
 	return map[string][]T{
 		"sorted":    fill(func(i int) T { return T(i) }),
@@ -44,6 +45,7 @@ func kernelShapes[T sorter.Value](n int, seed uint64) map[string][]T {
 			return fromKey(base&^(0xFF<<(bits-8)) | uint64(rng.Intn(256))<<(bits-8))
 		}),
 		"bottom-byte": fill(func(int) T { return fromKey(base&^0xFF | uint64(rng.Intn(256))) }),
+		"two-bytes":   fill(func(int) T { return fromKey(mid&^0xFFFF | uint64(rng.Intn(1<<16))) }),
 		"extremes": fill(func(i int) T {
 			if i%3 == 0 {
 				return extremes[rng.Intn(len(extremes))]
@@ -53,11 +55,28 @@ func kernelShapes[T sorter.Value](n int, seed uint64) map[string][]T {
 	}
 }
 
+// digitsVarying is the pass count the kernel must report on data from the
+// cutoff up: the number of key bytes on which the values do not all agree.
+func digitsVarying[T sorter.Value](data []T) int {
+	varying := 0
+	for shift := 0; shift < sorter.KeyBits[T](); shift += 8 {
+		first := uint8(sorter.OrderedKey(data[0]) >> shift)
+		for _, v := range data {
+			if uint8(sorter.OrderedKey(v)>>shift) != first {
+				varying++
+				break
+			}
+		}
+	}
+	return varying
+}
+
 func kernelMatrix[T sorter.Value](t *testing.T) {
 	var z T
 	var r Radix[T]
 	r.Sort(nil) // resolves the kind
 	cut := r.minN()
+	var parities [2]int // sorts above the cutoff by pass-count parity
 	for _, n := range []int{0, 1, cut - 1, cut, 1000, 4000, StackKeys, StackKeys + 1, 40_000} {
 		for shape, data := range kernelShapes[T](n, uint64(n)+7) {
 			want := slices.Clone(data)
@@ -67,8 +86,16 @@ func kernelMatrix[T sorter.Value](t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%T n=%d %s: differs from slices.Sort", z, n, shape)
 			}
-			if max := sorter.KeyBits[T]() / 8; passes < 0 || passes > max || (n < cut && passes != 0) {
-				t.Fatalf("%T n=%d %s: %d passes (cutoff %d, at most %d)", z, n, shape, passes, cut, max)
+			wantPasses := 0
+			if n >= cut {
+				wantPasses = digitsVarying(data)
+				parities[passes%2]++
+			}
+			if fixed, ok := map[string]int{"all-equal": 0, "two-bytes": 2}[shape]; ok && n >= cut && wantPasses != fixed {
+				t.Fatalf("%T n=%d %s: keys vary in %d bytes, want %d", z, n, shape, wantPasses, fixed)
+			}
+			if passes != wantPasses {
+				t.Fatalf("%T n=%d %s: %d passes, want %d (cutoff %d)", z, n, shape, passes, wantPasses, cut)
 			}
 			again := slices.Clone(data)
 			if p2 := r.Sort(again); p2 != passes || !slices.Equal(again, got) {
@@ -81,11 +108,17 @@ func kernelMatrix[T sorter.Value](t *testing.T) {
 			}
 		}
 	}
+	// An even count decodes the keys where they were encoded, an odd one
+	// from the scratch buffer: both paths must have run.
+	if parities[0] == 0 || parities[1] == 0 {
+		t.Fatalf("%T: %d sorts took an even number of passes and %d an odd one; want both", z, parities[0], parities[1])
+	}
 }
 
 // TestRadixKernelMatrix checks the kernel against slices.Sort over all six
 // value types, the window sizes either side of every tier boundary, and the
-// input shapes that exercise pass skipping (all-equal, one varying byte).
+// input shapes that exercise pass skipping (all-equal, one or two varying
+// bytes), and its pass count against the bytes the keys vary in.
 func TestRadixKernelMatrix(t *testing.T) {
 	t.Run("float32", kernelMatrix[float32])
 	t.Run("float64", kernelMatrix[float64])

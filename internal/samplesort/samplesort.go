@@ -16,7 +16,8 @@
 //
 // One instance serves one pipeline: windows of at most cpusort.StackKeys
 // values sort out of the calling goroutine's stack and the instance retains
-// nothing; above that it keeps key buffers sized to the largest window seen.
+// nothing; above that it keeps one scratch buffer of keys sized to the
+// largest window seen.
 package samplesort
 
 import (
@@ -59,7 +60,8 @@ func (s *Sorter[T]) Name() string { return "samplesort" }
 // LastStats returns the operation counts of the most recent Sort.
 func (s *Sorter[T]) LastStats() SortStats { return s.last }
 
-// Retained reports the bytes of key buffer the sorter holds between calls.
+// Retained reports the bytes of scratch buffer the sorter holds between
+// calls: one key per value of the largest window above cpusort.StackKeys.
 func (s *Sorter[T]) Retained() int { return s.radix.Retained() }
 
 // Sort orders data ascending in place.

@@ -155,8 +155,8 @@ func TestSortRetainsNothingForStackWindows(t *testing.T) {
 			t.Fatalf("n=%d: %v allocs per sort, %d bytes retained; want 0 and 0", n, a, s.Retained())
 		}
 	}
-	if a := sortN(40_000); a != 0 || s.Retained() != 2*4*40_000 {
-		t.Fatalf("n=40000: %v allocs per sort in steady state, %d bytes retained (want two key buffers)", a, s.Retained())
+	if a := sortN(40_000); a != 0 || s.Retained() != 4*40_000 {
+		t.Fatalf("n=40000: %v allocs per sort in steady state, %d bytes retained (want one key buffer)", a, s.Retained())
 	}
 }
 
